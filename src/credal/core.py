@@ -397,15 +397,6 @@ def marginal_y(p: CredalSet) -> VPolytope:
     return prune(poly) if p.convex else poly
 
 
-def marginal_x_polytope(p: CredalSet) -> VPolytope:
-    poly = VPolytope(
-        dimension=p.space.nx,
-        generators=tuple(g.x_marginal() for g in p.generators),
-        convex=p.convex,
-    )
-    return prune(poly) if p.convex else poly
-
-
 def support_x(p: CredalSet) -> tuple[str, ...]:
     """Signals that receive positive probability from some generator."""
     out = []

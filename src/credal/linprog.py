@@ -1,7 +1,12 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase primal simplex with Bland's anti-cycling rule.  All
-arithmetic uses :class:`fractions.Fraction`, so optimal values, primal
+A dense two-phase primal simplex with Bland's anti-cycling rule in
+:class:`fractions.Fraction` arithmetic.  Every other elimination (the dual
+solve, :func:`solve_unique`, :func:`matrix_rank` and the candidate systems
+of the optimal-face enumeration) scales its rows to integers and runs
+through one fraction-free Bareiss kernel on Python ``int``; its division
+by the previous pivot is exact, so no gcd is taken and the results, turned
+back into fractions at the end, are exact too.  Optimal values, primal
 points and dual prices are exact; strong duality and complementary
 slackness are verified bit-for-bit before a solution is returned.
 
@@ -18,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,7 +134,67 @@ def make_lp(objective, rows, senses, rhs, lower_bounds=None) -> LinearProgram:
 
 
 # ---------------------------------------------------------------------------
-# dense exact Gaussian elimination
+# fraction-free exact elimination
+
+
+def _scale_to_int(row):
+    """``row`` (Fractions or ints) times the positive lcm of its denominators."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
+def _bareiss(mat, n):
+    """Fraction-free Gauss-Jordan elimination of the integer rows ``mat``.
+
+    Works in place over the first ``n`` columns; further columns (right-hand
+    sides) ride along.  Each step divides exactly by the previous pivot
+    (Bareiss, Math. Comp. 1968), so every entry stays a minor of the input
+    and no gcd is ever taken.  On return the first ``len(pivots)`` rows are
+    the pivot rows: row ``t`` holds ``den`` in column ``pivots[t]`` and zero
+    in the other pivot columns; the remaining rows are zero in the first
+    ``n`` columns.  Returns ``(pivots, den)``, where ``den`` is the last
+    pivot (1 when there is none) and may be negative.
+    """
+    m = len(mat)
+    pivots = []
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        sel = next((i for i in range(r, m) if mat[i][c]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i in range(m):
+            if i == r:
+                continue
+            row = mat[i]
+            f = row[c]
+            if f:
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                mat[i] = [p * a // prev for a in row]
+        prev = p
+        pivots.append(c)
+    return pivots, prev
+
+
+def _solve_int(aug, n):
+    """Unique solution of the integer system ``aug`` (rows ``[a_1..a_n, b]``).
+
+    Returns ``(numerators, den)`` with ``den > 0`` and ``x_j =
+    numerators[j] / den``, or None when the system is inconsistent or
+    underdetermined.  ``aug`` is overwritten.
+    """
+    pivots, den = _bareiss(aug, n)
+    if len(pivots) < n or any(row[n] for row in aug[n:]):
+        return None
+    if den < 0:
+        return [-row[n] for row in aug[:n]], -den
+    return [row[n] for row in aug[:n]], den
 
 
 def solve_unique(rows, rhs, n):
@@ -137,62 +203,15 @@ def solve_unique(rows, rhs, n):
     Returns the solution tuple when the system is consistent and has a
     unique solution, else None.  ``rows`` may contain redundant rows.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m = len(aug)
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None  # inconsistent
-    if len(pivot_cols) < n:
-        return None  # underdetermined
-    x = [ZERO] * n
-    for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][n]
-    return tuple(x)
+    sol = _solve_int([_scale_to_int([*r, b]) for r, b in zip(rows, rhs)], n)
+    if sol is None:
+        return None
+    nums, den = sol
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def matrix_rank(rows, n):
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    rank = 0
-    for col in range(n):
-        sel = None
-        for i in range(rank, m):
-            if mat[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        pv = mat[rank][col]
-        for i in range(m):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return len(_bareiss([_scale_to_int(r) for r in rows], n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +585,11 @@ def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ..
     ``FACE_DIMENSION_LIMIT`` variables.  Raises
     :class:`UnboundedFaceError` when the face is unbounded and returns
     ``[]`` when ``optimum`` is not attained.
+
+    The rows are shifted to lower bounds 0 and scaled to integers once;
+    each candidate is solved by the integer kernel and tested for
+    feasibility in integers, and only the vertices found are turned into
+    (exact) fractions.
     """
     optimum = rat(optimum)
     n = len(lp.objective)
@@ -601,62 +625,51 @@ def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ..
             if sol.status == UNBOUNDED:
                 raise UnboundedFaceError("optimal face is unbounded")
 
-    eq_rows = [list(r) for r, s in zip(face_rows, face_senses) if s == EQ]
-    eq_rhs = [b for b, s in zip(face_rhs, face_senses) if s == EQ]
-    ineq = [
-        (list(r), b, s)
-        for r, b, s in zip(face_rows, face_rhs, face_senses)
-        if s != EQ
-    ]
+    # Shift bounded variables to lower bound 0 and scale every row (GE rows
+    # negated to LE) to integers once.  A candidate then fixes some
+    # variables at 0 and solves for the others with the right-hand sides
+    # as they stand.
+    shift = [ZERO if lb is None else lb for lb in lp.lower_bounds]
+    eq, le = [], []
+    for row, b, s in zip(face_rows, face_rhs, face_senses):
+        b -= sum((a * lb for a, lb in zip(row, shift) if lb), ZERO)
+        sign = -1 if s == GE else 1
+        scaled = _scale_to_int([sign * a for a in row] + [sign * b])
+        (eq if s == EQ else le).append(scaled)
     bound_vars = [j for j in range(n) if lp.lower_bounds[j] is not None]
-
-    base_rank = matrix_rank(eq_rows, n)
-    need = n - base_rank
+    need = n - matrix_rank(eq, n)
+    all_vars = (1 << n) - 1
 
     vertices = set()
-
-    def feasible(x):
-        for row, b, s in ineq:
-            act = sum((row[j] * x[j] for j in range(n)), ZERO)
-            if s == LE and act > b:
-                return False
-            if s == GE and act < b:
-                return False
-        for r, b in zip(eq_rows, eq_rhs):
-            if sum((r[j] * x[j] for j in range(n)), ZERO) != b:
-                return False
-        for j in bound_vars:
-            if x[j] < lp.lower_bounds[j]:
-                return False
-        return True
-
-    for t in range(0, min(need, len(ineq)) + 1):
+    for t in range(0, min(need, len(le)) + 1):
         nb = need - t
         if nb > len(bound_vars):
             continue
-        for rows_subset in itertools.combinations(range(len(ineq)), t):
+        for rows_subset in itertools.combinations(le, t):
+            system = eq + list(rows_subset)
+            # A row whose variables are all fixed at 0 reads 0 = b; with
+            # b != 0 the candidate is inconsistent before any elimination.
+            live = [sum(1 << j for j in range(n) if r[j]) for r in system if r[n]]
             for bounds_subset in itertools.combinations(bound_vars, nb):
-                fixed = {j: lp.lower_bounds[j] for j in bounds_subset}
-                free_idx = [j for j in range(n) if j not in fixed]
-                sys_rows = []
-                sys_rhs = []
-                for r, b in zip(eq_rows, eq_rhs):
-                    sys_rows.append([r[j] for j in free_idx])
-                    sys_rhs.append(b - sum((r[j] * fixed[j] for j in fixed), ZERO))
-                for ri in rows_subset:
-                    row, b, _s = ineq[ri]
-                    sys_rows.append([row[j] for j in free_idx])
-                    sys_rhs.append(b - sum((row[j] * fixed[j] for j in fixed), ZERO))
-                sol = solve_unique(sys_rows, sys_rhs, len(free_idx))
+                free_mask = all_vars
+                for j in bounds_subset:
+                    free_mask ^= 1 << j
+                if any(not support & free_mask for support in live):
+                    continue
+                free_idx = [j for j in range(n) if free_mask >> j & 1]
+                sol = _solve_int(
+                    [[r[j] for j in free_idx] + [r[n]] for r in system], len(free_idx)
+                )
                 if sol is None:
                     continue
-                x = [ZERO] * n
-                for k, j in enumerate(free_idx):
-                    x[j] = sol[k]
-                for j, v in fixed.items():
-                    x[j] = v
-                x = tuple(x)
-                if feasible(x):
-                    vertices.add(x)
+                nums, den = sol
+                y = [0] * n
+                for j, v in zip(free_idx, nums):
+                    y[j] = v
+                if any(y[j] < 0 for j in bound_vars):
+                    continue
+                if any(sum(a * v for a, v in zip(r, y)) > r[n] * den for r in le):
+                    continue
+                vertices.add(tuple(lb + Fraction(v, den) for lb, v in zip(shift, y)))
 
     return sorted(vertices)

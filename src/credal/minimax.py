@@ -334,15 +334,19 @@ class PosteriorSolution:
 
     per_x: tuple[PosteriorPoint, ...]
 
-    def point(self, x) -> PosteriorPoint:
+    def point(self, x) -> PosteriorPoint | None:
+        """The posterior game at signal ``x``; None when ``x`` is never observed."""
         x = str(x)
         for pt in self.per_x:
             if pt.x == x:
                 return pt
-        raise KeyError(x)
+        return None
 
     def value(self, x) -> Fraction:
-        return self.point(x).value
+        point = self.point(x)
+        if point is None:
+            raise KeyError(x)
+        return point.value
 
 
 def _action_face(loss, projections, value):

@@ -1,0 +1,212 @@
+"""The brute-force face enumerator in Fraction arithmetic, kept as a test oracle.
+
+This is the enumerator ``credal.linprog`` used before its eliminations
+moved to integers: every active set is solved by Gauss-Jordan in
+``Fraction`` with the right-hand side shifted per candidate.  Tests
+compare the package's enumerator and elimination kernel against it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from credal.linprog import (
+    EQ,
+    FACE_DIMENSION_LIMIT,
+    GE,
+    INFEASIBLE,
+    LE,
+    ONE,
+    UNBOUNDED,
+    ZERO,
+    LinearProgram,
+    SizeLimitError,
+    UnboundedFaceError,
+    lp_solve,
+)
+from credal.rationals import rat
+
+
+def solve_unique(rows, rhs, n):
+    """Solve a linear system with ``n`` unknowns.
+
+    Returns the solution tuple when the system is consistent and has a
+    unique solution, else None.  ``rows`` may contain redundant rows.
+    """
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    m = len(aug)
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        sel = None
+        for i in range(r, m):
+            if aug[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        pv = aug[r][col]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None  # inconsistent
+    if len(pivot_cols) < n:
+        return None  # underdetermined
+    x = [ZERO] * n
+    for i, col in enumerate(pivot_cols):
+        x[col] = aug[i][n]
+    return tuple(x)
+
+
+def matrix_rank(rows, n):
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    rank = 0
+    for col in range(n):
+        sel = None
+        for i in range(rank, m):
+            if mat[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        pv = mat[rank][col]
+        for i in range(m):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col] / pv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def _bounded_by_rows(lp: LinearProgram, j):
+    """Cheap certificate that variable j is bounded above on the feasible set."""
+    for i, row in enumerate(lp.rows):
+        if lp.senses[i] == GE or row[j] <= 0:
+            continue
+        ok = True
+        for k, a in enumerate(row):
+            if k == j:
+                continue
+            if a < 0 or (a > 0 and lp.lower_bounds[k] is None):
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ...]]:
+    """All vertices of ``{x feasible : objective.x = optimum}``.
+
+    Brute force over active constraint sets; limited to
+    ``FACE_DIMENSION_LIMIT`` variables.  Raises
+    :class:`UnboundedFaceError` when the face is unbounded and returns
+    ``[]`` when ``optimum`` is not attained.
+    """
+    optimum = rat(optimum)
+    n = len(lp.objective)
+    if n > FACE_DIMENSION_LIMIT:
+        raise SizeLimitError(
+            "face enumeration limited to %d variables, got %d"
+            % (FACE_DIMENSION_LIMIT, n)
+        )
+
+    face_rows = list(lp.rows) + [lp.objective]
+    face_senses = list(lp.senses) + [EQ]
+    face_rhs = list(lp.rhs) + [optimum]
+
+    # boundedness probes (free vars always probed; bounded vars probed
+    # unless a single row certifies an upper bound)
+    for j in range(n):
+        directions = [ONE, -ONE] if lp.lower_bounds[j] is None else [ONE]
+        if lp.lower_bounds[j] is not None and _bounded_by_rows(lp, j):
+            continue
+        for sign in directions:
+            probe_obj = [ZERO] * n
+            probe_obj[j] = -sign  # maximize sign * x_j
+            probe = LinearProgram(
+                objective=tuple(probe_obj),
+                rows=tuple(tuple(r) for r in face_rows),
+                senses=tuple(face_senses),
+                rhs=tuple(face_rhs),
+                lower_bounds=lp.lower_bounds,
+            )
+            sol = lp_solve(probe)
+            if sol.status == INFEASIBLE:
+                return []
+            if sol.status == UNBOUNDED:
+                raise UnboundedFaceError("optimal face is unbounded")
+
+    eq_rows = [list(r) for r, s in zip(face_rows, face_senses) if s == EQ]
+    eq_rhs = [b for b, s in zip(face_rhs, face_senses) if s == EQ]
+    ineq = [
+        (list(r), b, s)
+        for r, b, s in zip(face_rows, face_rhs, face_senses)
+        if s != EQ
+    ]
+    bound_vars = [j for j in range(n) if lp.lower_bounds[j] is not None]
+
+    base_rank = matrix_rank(eq_rows, n)
+    need = n - base_rank
+
+    vertices = set()
+
+    def feasible(x):
+        for row, b, s in ineq:
+            act = sum((row[j] * x[j] for j in range(n)), ZERO)
+            if s == LE and act > b:
+                return False
+            if s == GE and act < b:
+                return False
+        for r, b in zip(eq_rows, eq_rhs):
+            if sum((r[j] * x[j] for j in range(n)), ZERO) != b:
+                return False
+        for j in bound_vars:
+            if x[j] < lp.lower_bounds[j]:
+                return False
+        return True
+
+    for t in range(0, min(need, len(ineq)) + 1):
+        nb = need - t
+        if nb > len(bound_vars):
+            continue
+        for rows_subset in itertools.combinations(range(len(ineq)), t):
+            for bounds_subset in itertools.combinations(bound_vars, nb):
+                fixed = {j: lp.lower_bounds[j] for j in bounds_subset}
+                free_idx = [j for j in range(n) if j not in fixed]
+                sys_rows = []
+                sys_rhs = []
+                for r, b in zip(eq_rows, eq_rhs):
+                    sys_rows.append([r[j] for j in free_idx])
+                    sys_rhs.append(b - sum((r[j] * fixed[j] for j in fixed), ZERO))
+                for ri in rows_subset:
+                    row, b, _s = ineq[ri]
+                    sys_rows.append([row[j] for j in free_idx])
+                    sys_rhs.append(b - sum((row[j] * fixed[j] for j in fixed), ZERO))
+                sol = solve_unique(sys_rows, sys_rhs, len(free_idx))
+                if sol is None:
+                    continue
+                x = [ZERO] * n
+                for k, j in enumerate(free_idx):
+                    x[j] = sol[k]
+                for j, v in fixed.items():
+                    x[j] = v
+                x = tuple(x)
+                if feasible(x):
+                    vertices.add(x)
+
+    return sorted(vertices)

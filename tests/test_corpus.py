@@ -1,15 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from credal.corpus import (
     CorpusError,
+    Expectation,
     _parse_case,
     corpus_ids,
     load_case,
     load_corpus,
     run_case,
+    run_expectation,
 )
+from credal.minimax import solve_a_posteriori
 from credal.problemfile import (
     ProblemFileError,
     parse_problem_file,
@@ -111,3 +115,45 @@ def test_problem_file_roundtrip_on_corpus():
 def test_credal_only_case_refuses_problem():
     with pytest.raises(ProblemFileError, match="loss"):
         load_case("example-6.7").problem()
+
+
+def test_unobserved_signal_has_no_posterior_game():
+    # Every generator puts all its mass on signal "a"; "b" is never observed.
+    raw = json.dumps(
+        {
+            "id": "dead-signal",
+            "note": "2x2 set with no mass on signal b",
+            "x_labels": ["a", "b"],
+            "y_labels": ["0", "1"],
+            "actions": ["0", "1"],
+            "convex": True,
+            "generators": [
+                [["1/2", "1/2"], ["0", "0"]],
+                [["1/4", "3/4"], ["0", "0"]],
+            ],
+            "loss": [["0", "1"], ["1", "0"]],
+            "expectations": [
+                {
+                    "op": "posterior_rule_worst_case",
+                    "expect": "1/2",
+                    "note": "action 1 at a (loss Pr(Y=0) <= 1/2); b has no mass",
+                },
+                {
+                    "op": "posterior_value",
+                    "args": {"x": "a"},
+                    "expect": "1/2",
+                    "note": "by hand: the action-1 loss is at most 1/2",
+                },
+            ],
+        }
+    )
+    case = _parse_case("dead-signal", raw)
+    post = solve_a_posteriori(case.problem())
+    assert post.point("b") is None
+    assert post.value("a") == F(1, 2)
+    with pytest.raises(KeyError):
+        post.value("b")
+    assert run_case(case).ok
+    bad = Expectation(op="posterior_value", args=(("x", "b"),), expect="0", note="")
+    with pytest.raises(CorpusError, match="'b' has no posterior game"):
+        run_expectation(case, bad)

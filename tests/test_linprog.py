@@ -17,10 +17,17 @@ from credal.linprog import (
     SizeLimitError,
     UnboundedFaceError,
     lp_solve,
+    _bareiss,
+    _scale_to_int,
+    _solve_int,
     make_lp,
+    matrix_rank,
     optimal_face_vertices,
+    solve_unique,
     zero_sum_value,
 )
+
+import face_oracle
 
 F = Fraction
 
@@ -279,3 +286,111 @@ def test_rank_deficient_equalities_keep_duals():
     # optimal at all is the regression check
     assert sol.status == OPTIMAL
     assert sol.value == 0
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination kernel
+
+
+def _det(rows):
+    """Determinant by Fraction elimination, independent of the kernel."""
+    mat = [[F(v) for v in r] for r in rows]
+    det = F(1)
+    for c in range(len(mat)):
+        piv = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+def _hilbert(n, shift=1):
+    return [[F(1, i + j + shift) for j in range(n)] for i in range(n)]
+
+
+def test_kernel_unique_system():
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    assert solve_unique(rows, [0, F(-9, 2), 0], 3) == (1, -2, F(1, 2))
+    nums, den = _solve_int([[0, 2, 4], [3, 1, 5]], 2)  # swap needed; det < 0
+    assert den > 0 and (F(nums[0], den), F(nums[1], den)) == (F(1), F(2))
+
+
+def test_kernel_inconsistent_and_underdetermined_systems():
+    assert solve_unique([[1, 1], [2, 2]], [1, 3], 2) is None
+    assert solve_unique([[1, 1]], [1], 2) is None
+    assert solve_unique([[1, 1, 0], [0, 0, 0]], [1, 0], 3) is None
+    assert solve_unique([[0, 0]], [5], 2) is None
+    assert solve_unique([], [], 0) == ()
+
+
+def test_kernel_redundant_rows():
+    rows = [[1, 0], [0, 1], [1, 1], [2, 2], [0, 0]]
+    assert solve_unique(rows, [1, 2, 3, 6, 0], 2) == (1, 2)
+    assert solve_unique(rows, [1, 2, 3, 7, 0], 2) is None
+
+
+def test_kernel_rank_of_zero_and_duplicate_rows():
+    assert matrix_rank([], 3) == 0
+    assert matrix_rank([[0, 0, 0], [0, 0, 0]], 3) == 0
+    assert matrix_rank([[0, 0, 0], [1, 2, 3], [2, 4, 6], [F(1, 2), 1, F(3, 2)]], 3) == 1
+    assert matrix_rank([[1, 2, 3], [1, 2, 3], [0, 1, 1], [1, 3, 4]], 3) == 2
+    assert matrix_rank([[0, 1], [1, 0], [1, 1]], 2) == 2
+
+
+def test_kernel_matches_fraction_gauss_jordan_on_hilbert_type_matrix():
+    rng = random.Random(11)
+    h = _hilbert(9)
+    for _ in range(3):
+        b = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)]
+        x = solve_unique(h, b, 9)
+        assert x == face_oracle.solve_unique(h, b, 9)
+        assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(h, b))
+    assert matrix_rank(h, 9) == face_oracle.matrix_rank(h, 9) == 9
+    singular = h[:8] + [[a + F(1, 3) * b for a, b in zip(h[0], h[1])]]
+    assert matrix_rank(singular, 9) == face_oracle.matrix_rank(singular, 9) == 8
+    assert solve_unique(singular, [1] * 9, 9) is None
+    assert face_oracle.solve_unique(singular, [1] * 9, 9) is None
+
+
+def test_kernel_agrees_with_fraction_gauss_jordan_on_random_systems():
+    rng = random.Random(5)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 4)
+        rows = [
+            [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.3:
+            rows.append(list(rows[0]))
+        rhs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
+        assert solve_unique(rows, rhs, n) == face_oracle.solve_unique(rows, rhs, n)
+        assert matrix_rank(rows, n) == face_oracle.matrix_rank(rows, n)
+
+
+def test_kernel_entries_are_the_sub_determinants():
+    # Integer rows of a 7x7 Hilbert-type matrix with a right-hand side.
+    # Its leading minors are nonzero, so no rows are swapped, and after k
+    # steps every entry is a (k+1)-minor (non-pivot rows) or a k-minor
+    # with one column replaced (pivot rows): never larger than those
+    # determinants, unlike plain integer elimination, whose entries grow
+    # with every step.
+    n = 7
+    a = [_scale_to_int(row + [F(i + 1, 2)]) for i, row in enumerate(_hilbert(n))]
+    for k in range(1, n + 1):
+        mat = [list(r) for r in a]
+        pivots, den = _bareiss(mat, k)
+        assert pivots == list(range(k))
+        assert den == _det([r[:k] for r in a[:k]])
+        for j in range(n + 1):
+            for t in range(k):
+                cols = [j if c == t else c for c in range(k)]
+                assert mat[t][j] == _det([[r[c] for c in cols] for r in a[:k]])
+            for i in range(k, n):
+                cols = list(range(k)) + [j]
+                assert mat[i][j] == _det([[r[c] for c in cols] for r in a[:k] + [a[i]]])
