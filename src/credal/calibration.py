@@ -15,25 +15,26 @@ no calibrated rule is strictly narrower.  For convex credal sets the
 sharp rules can be found among partition conditionings, so sharpness
 questions here reduce to a search over partitions of the signal
 labels.
+
+Every conditioned Y-marginal here, from the standard and partition
+rules, the class posteriors and the sharpness search alike, comes from
+:func:`credal.core.posterior_y`, which works in outcome space only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     CredalSet,
     Partition,
-    UndefinedConditionalError,
-    c_condition,
-    condition,
     marginal_y,
+    posterior_y,
     support_x,
 )
 from .linprog import SizeLimitError
 from .partitions import all_partitions, bell_number
-from .polytope import VPolytope, prune, set_equal, subset
+from .polytope import VPolytope, set_equal, subset
 
 __all__ = [
     "SHARP_X_LIMIT",
@@ -58,10 +59,7 @@ __all__ = [
     "SharpnessVerdict",
     "is_sharply_calibrated",
     "rule_from_spec",
-    "partition_text",
 ]
-
-ZERO = Fraction(0)
 
 # Sharpness searches enumerate all partitions of the x labels; the
 # Bell numbers explode shortly after this.
@@ -104,46 +102,30 @@ class UpdateRule:
         if (self.kind == _TABLE) != bool(self.table):
             raise ValueError("exactly the table kind takes a table")
 
-    def image(self, p: CredalSet, x) -> CredalSet | None:
-        """Posterior credal set prescribed at ``x``, None if undefined."""
+    def image_y(self, p: CredalSet, x) -> VPolytope | None:
+        """Y-marginal of the opinion set at ``x``, None if undefined."""
         x = str(x)
         if x not in p.space.x_labels:
             raise ValueError("unknown signal label %r" % (x,))
         if self.kind == _IGNORE:
-            return p
+            return marginal_y(p)
         if self.kind == _STANDARD:
-            try:
-                return condition(p, (x,))
-            except UndefinedConditionalError:
-                return None
+            return posterior_y(p, (x,))
         if self.kind == _PARTITION:
             if tuple(self.partition.labels) != p.space.x_labels:
                 raise ValueError("rule partition is over different labels")
-            try:
-                return c_condition(p, self.partition, x)
-            except UndefinedConditionalError:
-                return None
+            return posterior_y(p, self.partition.cell_of(x))
         for label, image in self.table:
             if label == x:
                 if image.space != p.space:
                     raise ValueError("table image on a different space")
-                return image
+                return marginal_y(image)
         return None
-
-    def image_y(self, p: CredalSet, x) -> VPolytope | None:
-        """Y-marginal of the opinion set at ``x``, None if undefined."""
-        image = self.image(p, x)
-        return None if image is None else marginal_y(image)
 
     def label(self) -> str:
         if self.kind == _PARTITION:
-            return "partition:%s" % partition_text(self.partition)
+            return "partition:%s" % self.partition
         return self.kind
-
-
-def partition_text(part: Partition) -> str:
-    """Render a partition as ``"a,b|c"``; inverse of Partition.from_string."""
-    return "|".join(",".join(cell) for cell in part.cells)
 
 
 def rule_from_spec(spec: str, labels) -> UpdateRule:
@@ -250,11 +232,11 @@ def check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
     reports = []
     excluded = []
     for cell in classes.cells:
-        if rule.image_y(p, cell[0]) is None or not any(x in live for x in cell):
+        image = rule.image_y(p, cell[0])
+        if image is None or not any(x in live for x in cell):
             excluded.append(cell)
             continue
-        image = rule.image_y(p, cell[0])
-        posterior = marginal_y(condition(p, cell))
+        posterior = posterior_y(p, cell)
         reports.append(
             ClassReport(
                 cell=cell,
@@ -332,30 +314,6 @@ def refinement_fixpoint(p: CredalSet, start: Partition | None = None) -> Partiti
     raise AssertionError("refinement failed to stabilise")
 
 
-def _cell_projection(p: CredalSet, idx) -> VPolytope | None:
-    """``marginal_y(condition(p, cell))`` without the joint-space prune.
-
-    Projection to Y commutes with dropping joint-redundant generators,
-    so pruning once in Y coordinates yields the same polytope.  None
-    when the cell is dead under every generator.
-    """
-    pts = []
-    for g in p.generators:
-        pe = g.event_x(idx)
-        if pe == 0:
-            continue
-        pts.append(
-            tuple(
-                sum((g.mass[i][y] for i in idx), ZERO) / pe
-                for y in range(p.space.ny)
-            )
-        )
-    if not pts:
-        return None
-    poly = VPolytope(dimension=p.space.ny, generators=tuple(pts), convex=p.convex)
-    return prune(poly) if p.convex else poly
-
-
 class _CellCache:
     """Memoised conditioned Y-marginals and their pairwise inclusions."""
 
@@ -367,8 +325,7 @@ class _CellCache:
     def proj(self, cell) -> VPolytope | None:
         cell = tuple(cell)
         if cell not in self._proj:
-            idx = sorted(self.p.space.x_index(x) for x in cell)
-            self._proj[cell] = _cell_projection(self.p, idx)
+            self._proj[cell] = posterior_y(self.p, cell)
         return self._proj[cell]
 
     def sub(self, inner, outer) -> bool:

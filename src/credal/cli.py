@@ -22,7 +22,6 @@ from .calibration import (
     ConvexityError,
     check_calibration,
     is_sharply_calibrated,
-    partition_text,
     rule_from_spec,
 )
 from .consistency import (
@@ -32,7 +31,6 @@ from .consistency import (
     check_time_consistency,
     check_weak_time_consistency,
     falsify_dynamic_consistency,
-    sufficient_conditions,
 )
 from .core import (
     DecisionRule,
@@ -265,7 +263,6 @@ def _emit_verdict(v: ConsistencyVerdict, dp, out):
 def _cmd_consistency(args, out) -> int:
     pf = _load_file(args.file)
     dp = pf.problem()
-    out("structure: %s" % sufficient_conditions(dp).summary())
     if args.what == "weak":
         verdict = check_weak_time_consistency(dp)
     elif args.what == "time":
@@ -273,6 +270,7 @@ def _cmd_consistency(args, out) -> int:
     else:
         rng = random.Random(_seed())
         verdict = falsify_dynamic_consistency(dp, budget=args.budget, rng=rng)
+    out("structure: %s" % verdict.notes.summary())
     _emit_verdict(verdict, dp, out)
     if args.strict and verdict.result == "inconsistent":
         return 1
@@ -288,7 +286,7 @@ def _cmd_calibrate(args, out) -> int:
         raise _InputError(str(e))
     rep = check_calibration(rule, p)
     out("rule: %s" % rule.label())
-    out("classes: %s" % partition_text(rep.classes))
+    out("classes: %s" % rep.classes)
     for cl in rep.per_class:
         out(
             "class %s: forward %s, backward %s"
@@ -308,7 +306,7 @@ def _cmd_calibrate(args, out) -> int:
             verdict = is_sharply_calibrated(rule, p)
             out("sharp: %s" % _yes(verdict.sharp))
             if verdict.witness is not None:
-                out("narrower partition: %s" % partition_text(verdict.witness))
+                out("narrower partition: %s" % verdict.witness)
     if args.strict and not rep.calibrated:
         return 1
     return 0

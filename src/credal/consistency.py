@@ -185,9 +185,14 @@ def check_weak_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     its maximum over that product is attained at a vertex product.
     Checking every vertex product therefore decides the inclusion.
     """
-    notes = sufficient_conditions(dp)
+    return _weak_verdict(dp, sufficient_conditions(dp), solve_a_posteriori(dp))
+
+
+def _weak_verdict(dp: DecisionProblem, notes, post) -> ConsistencyVerdict:
+    """Weak time consistency, given the structure notes and the posterior
+    solution.  Only the LP value of the prior game is needed, so the
+    optimal face is not enumerated."""
     prior = solve_a_priori(dp, face=False)
-    post = solve_a_posteriori(dp)
     live = support_x(dp.credal)
     for rule in _posterior_product_rules(dp, post):
         wc, _ = worst_case_loss(dp.credal, rule, dp.loss)
@@ -214,13 +219,14 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     every vertex of the prior-optimal face is posterior optimal at every
     support signal.  Deterministic vertices are scanned first so the
     reported witness is as plain as possible."""
-    weak = check_weak_time_consistency(dp)
+    notes = sufficient_conditions(dp)
+    post = solve_a_posteriori(dp)
+    weak = _weak_verdict(dp, notes, post)
     if weak.result == INCONSISTENT:
         return ConsistencyVerdict(
-            kind="time", result=INCONSISTENT, witness=weak.witness, notes=weak.notes
+            kind="time", result=INCONSISTENT, witness=weak.witness, notes=notes
         )
     prior = solve_a_priori(dp)
-    post = solve_a_posteriori(dp)
     live = support_x(dp.credal)
     for rule in _det_first_lex(prior.optimal_rule_vertices):
         for x in live:
@@ -235,9 +241,9 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
                     witness=SignalWitness(
                         rule=rule, x=x, posterior_loss=m, posterior_value=mm
                     ),
-                    notes=weak.notes,
+                    notes=notes,
                 )
-    return ConsistencyVerdict(kind="time", result=CONSISTENT, witness=None, notes=weak.notes)
+    return ConsistencyVerdict(kind="time", result=CONSISTENT, witness=None, notes=notes)
 
 
 def _deterministic_rules(space, limit=PRODUCT_LIMIT):

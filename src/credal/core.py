@@ -10,6 +10,15 @@ Conditioning is generator-wise, which is exact for both readings:
 conditioning a convex hull on an event equals the convex hull of the
 conditioned generators (the mixture weights renormalize), and a finite
 set conditions pointwise.
+
+:func:`posterior_y` is the one primitive for the set of outcome
+distributions after observing a cell of signals: it conditions each
+generator and projects it to Y in one step, and prunes once, in Y
+coordinates.  The posterior game, dilation and calibration all use it,
+so they never build a polytope over the joint space.
+:func:`condition` keeps the conditioned joint set for callers that need
+it; taking :func:`marginal_y` of it gives the same set as
+``posterior_y(p, cell)``.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ __all__ = [
     "joint",
     "joint_polytope",
     "marginal_y",
+    "posterior_y",
     "condition",
     "c_condition",
     "hull",
@@ -434,6 +444,35 @@ def condition(p: CredalSet, x_event) -> CredalSet:
     return prune_credal(credal_set(p.space, kept, p.convex))
 
 
+def posterior_y(p: CredalSet, cell) -> VPolytope | None:
+    """Outcome distributions of ``p`` conditioned on the signal event
+    ``cell`` (an iterable of x labels), as a polytope over Y.
+
+    The same set as :func:`marginal_y` of :func:`condition`: projecting
+    to Y commutes with dropping generators that are redundant in the
+    joint space, so pruning once in Y coordinates is enough.  None when no
+    generator gives the cell positive probability.
+    """
+    idx = sorted({p.space.x_index(x) for x in cell})
+    if not idx:
+        raise ValueError("conditioning event must be nonempty")
+    pts = []
+    for g in p.generators:
+        pe = g.event_x(idx)
+        if pe == 0:
+            continue
+        pts.append(
+            tuple(
+                sum((g.mass[i][y] for i in idx), ZERO) / pe
+                for y in range(p.space.ny)
+            )
+        )
+    if not pts:
+        return None
+    poly = VPolytope(dimension=p.space.ny, generators=tuple(pts), convex=p.convex)
+    return prune(poly) if p.convex else poly
+
+
 def c_condition(p: CredalSet, part: Partition, x) -> CredalSet:
     """Condition on the partition cell containing ``x``."""
     if tuple(part.labels) != p.space.x_labels:
@@ -527,29 +566,28 @@ class DilationReport:
         return tuple(r.event for r in self.rows if r.dilates)
 
 
-def _event_prob(g: JointDistribution, y_idx) -> Fraction:
-    return sum(
-        (g.mass[i][j] for i in range(g.space.nx) for j in y_idx), ZERO
-    )
+def _event_prob(q, y_idx) -> Fraction:
+    return sum((q[j] for j in y_idx), ZERO)
 
 
 def dilation_report(p: CredalSet) -> DilationReport:
     """Prior and per-signal posterior intervals for every proper Y-event."""
     space = p.space
     live = support_x(p)
-    posterior_sets = {x: condition(p, [x]) for x in live}
+    prior_sets = [g.y_marginal() for g in p.generators]
+    posterior_sets = {x: posterior_y(p, (x,)).generators for x in live}
     rows = []
     ys = list(range(space.ny))
     events = []
     for size in range(1, space.ny):
         events.extend(itertools.combinations(ys, size))
     for ev in events:
-        pri = [_event_prob(g, ev) for g in p.generators]
+        pri = [_event_prob(q, ev) for q in prior_sets]
         prior = (min(pri), max(pri))
         posts = []
         dil = bool(live)
         for x in live:
-            vals = [_event_prob(g, ev) for g in posterior_sets[x].generators]
+            vals = [_event_prob(q, ev) for q in posterior_sets[x]]
             lohi = (min(vals), max(vals))
             posts.append((x, lohi))
             if not (lohi[0] < prior[0] and lohi[1] > prior[1]):

@@ -23,7 +23,6 @@ from .calibration import (
     check_calibration,
     equivalence_classes,
     is_sharply_calibrated,
-    partition_text,
     rule_from_spec,
     sharp_partition,
 )
@@ -335,7 +334,7 @@ def _op_posterior_interval(case, exp):
 
 
 def _op_classes(case, exp):
-    return partition_text(equivalence_classes(_rule_arg(exp, case), case.credal()))
+    return str(equivalence_classes(_rule_arg(exp, case), case.credal()))
 
 
 def _op_calibrated(case, exp):
@@ -352,7 +351,7 @@ def _op_sharp(case, exp):
 
 def _op_sharp_partition(case, exp):
     part, _ = sharp_partition(case.credal())
-    return partition_text(part)
+    return str(part)
 
 
 OPS = {

@@ -45,6 +45,8 @@ __all__ = [
     "make_lp",
     "lp_solve",
     "zero_sum_value",
+    "block_game",
+    "block_game_face",
     "optimal_face_vertices",
     "solve_unique",
     "matrix_rank",
@@ -496,7 +498,76 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# zero-sum matrix games
+# zero-sum games on a product of simplices
+
+
+def _block_rows(widths):
+    """One row per block of consecutive columns: its indicator (sum = 1)."""
+    n = sum(widths)
+    out = []
+    start = 0
+    for width in widths:
+        out.append([ONE if start <= j < start + width else ZERO for j in range(n)])
+        start += width
+    return out
+
+
+def block_game(rows, widths):
+    """Exact value and equilibrium of ``min_w max_i rows[i].w``.
+
+    ``w`` ranges over a product of simplices: its coordinates split into
+    consecutive blocks of the given ``widths``, each block a probability
+    vector.  The LP is ``min t`` subject to ``rows[i].w <= t`` for every
+    row, then one ``= 1`` row per block, with ``t`` free and ``w >= 0``.
+    Returns ``(value, w, prices)``, where ``prices`` (the negated dual
+    prices of the rows) is the opponent's optimal mixture over rows.
+    The pair is verified as an exact saddle point: the worst row under
+    ``w`` and the best block-wise reply to ``prices`` both give the value.
+    """
+    rows = rat_matrix(rows)
+    n = sum(widths)
+    blocks = _block_rows(widths)
+    lp = make_lp(
+        [ONE] + [ZERO] * n,
+        [[-ONE] + list(row) for row in rows] + [[ZERO] + b for b in blocks],
+        [LE] * len(rows) + [EQ] * len(blocks),
+        [ZERO] * len(rows) + [ONE] * len(blocks),
+        lower_bounds=[None] + [ZERO] * n,
+    )
+    sol = lp_solve(lp)
+    if sol.status != OPTIMAL:
+        raise InternalCheckError("block game LP must be solvable")
+    value = sol.value
+    w = sol.primal[1:]
+    prices = tuple(-sol.dual[i] for i in range(len(rows)))
+
+    if sum(prices, ZERO) != 1 or any(q < 0 for q in prices):
+        raise InternalCheckError("dual prices are not a row mixture")
+    worst_row = max(sum((a * v for a, v in zip(row, w)), ZERO) for row in rows)
+    best_reply = ZERO
+    start = 0
+    for width in widths:
+        best_reply += min(
+            sum((q * row[j] for q, row in zip(prices, rows)), ZERO)
+            for j in range(start, start + width)
+        )
+        start += width
+    if not (worst_row == value == best_reply):
+        raise InternalCheckError("saddle point check failed")
+    return value, w, prices
+
+
+def block_game_face(rows, widths, value) -> list[tuple[Fraction, ...]]:
+    """Vertices of the optimal set ``{w : rows[i].w <= value}`` of
+    :func:`block_game`, with ``w`` on the same product of simplices."""
+    blocks = _block_rows(widths)
+    lp = make_lp(
+        [ZERO] * sum(widths),
+        list(rows) + blocks,
+        [LE] * len(rows) + [EQ] * len(blocks),
+        [value] * len(rows) + [ONE] * len(blocks),
+    )
+    return optimal_face_vertices(lp, 0)
 
 
 def zero_sum_value(payoff):
@@ -505,7 +576,8 @@ def zero_sum_value(payoff):
     The row player chooses a mixture over rows to minimize, the column
     player a mixture over columns to maximize, the expected entry of
     ``payoff``.  Returns ``(value, row_mix, col_mix)``; the mixes form a
-    saddle point, verified exactly.
+    saddle point, verified exactly.  This is :func:`block_game` with one
+    block and one game row per payoff column.
     """
     payoff = rat_matrix(payoff)
     m = len(payoff)
@@ -517,44 +589,7 @@ def zero_sum_value(payoff):
             raise DimensionError("ragged payoff matrix")
     if ncols == 0:
         raise DimensionError("payoff matrix needs at least one column")
-
-    # min t  s.t.  sum_i p_i M[i][j] <= t  for all j,  p in the simplex
-    nvars = 1 + m
-    rows = []
-    senses = []
-    rhs = []
-    for j in range(ncols):
-        rows.append([-ONE] + [payoff[i][j] for i in range(m)])
-        senses.append(LE)
-        rhs.append(ZERO)
-    rows.append([ZERO] + [ONE] * m)
-    senses.append(EQ)
-    rhs.append(ONE)
-    lp = make_lp(
-        objective=[ONE] + [ZERO] * m,
-        rows=rows,
-        senses=senses,
-        rhs=rhs,
-        lower_bounds=[None] + [ZERO] * m,
-    )
-    sol = lp_solve(lp)
-    if sol.status != OPTIMAL:
-        raise InternalCheckError("matrix game LP must be solvable")
-    value = sol.value
-    row_mix = tuple(sol.primal[1:])
-    col_mix = tuple(-sol.dual[j] for j in range(ncols))
-
-    if sum(col_mix, ZERO) != 1 or any(q < 0 for q in col_mix):
-        raise InternalCheckError("dual prices are not a column mixture")
-    worst_col = max(
-        sum((row_mix[i] * payoff[i][j] for i in range(m)), ZERO) for j in range(ncols)
-    )
-    worst_row = min(
-        sum((col_mix[j] * payoff[i][j] for j in range(ncols)), ZERO) for i in range(m)
-    )
-    if not (worst_col == value == worst_row):
-        raise InternalCheckError("saddle point check failed")
-    return value, row_mix, col_mix
+    return block_game([[payoff[i][j] for i in range(m)] for j in range(ncols)], [m])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,15 @@ Two games are solved exactly:
   set (an LP over rule space; the adversary's optimal mixture comes out
   of the dual prices);
 * the posterior game: after observing ``x``, pick a randomized action
-  against the conditioned outcome distributions (one small matrix game
-  per signal value).
+  against the conditioned outcome distributions
+  (:func:`credal.core.posterior_y`; one small matrix game per signal
+  value).
+
+Both games, and the constant-rule game of :func:`solve_ignoring`, are
+one LP shape: minimise the worst of finitely many linear losses over a
+product of simplices.  :func:`credal.linprog.block_game` builds and
+checks that LP, and :func:`credal.linprog.block_game_face` enumerates
+its optimal face; this module only supplies the loss rows.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -29,22 +36,20 @@ from .core import (
     JointDistribution,
     LossFunction,
     RandomizedAction,
-    condition,
     marginal_y,
+    posterior_y,
     rule_from_weights,
     support_x,
     uniform_action,
 )
 from .linprog import (
     EQ,
-    LE,
     OPTIMAL,
-    LinearProgram,
     SizeLimitError,
+    block_game,
+    block_game_face,
     lp_solve,
     make_lp,
-    optimal_face_vertices,
-    zero_sum_value,
 )
 from .polytope import VPolytope
 from .rationals import rat
@@ -86,6 +91,26 @@ def action_loss(loss: LossFunction, weights) -> tuple[Fraction, ...]:
     return tuple(
         sum((w * loss.table[yi][ai] for ai, w in enumerate(weights)), ZERO)
         for yi in range(loss.space.ny)
+    )
+
+
+def _action_losses(loss: LossFunction, q) -> tuple[Fraction, ...]:
+    """Expected loss of each action under the (unnormalised) Y-vector ``q``."""
+    return tuple(
+        sum((q[yi] * loss.table[yi][ai] for yi in range(loss.space.ny)), ZERO)
+        for ai in range(loss.space.na)
+    )
+
+
+def _mixed_mass(gens, mixture):
+    """Mass matrix of the joint ``sum_i mixture[i] * gens[i]``."""
+    space = gens[0].space
+    return tuple(
+        tuple(
+            sum((w * g.mass[xi][yi] for w, g in zip(mixture, gens)), ZERO)
+            for yi in range(space.ny)
+        )
+        for xi in range(space.nx)
     )
 
 
@@ -167,52 +192,26 @@ class MinimaxSolution:
 
 
 def _generator_coefficients(dp: DecisionProblem, live_idx):
-    """coef[i][k][a] = contribution of delta(x_k)(a) to E under generator i."""
-    loss = dp.loss
-    out = []
-    for g in dp.credal.generators:
-        per_gen = []
-        for xi in live_idx:
-            row = g.mass[xi]
-            per_gen.append(
-                tuple(
-                    sum((row[yi] * loss.table[yi][ai] for yi in range(dp.space.ny)), ZERO)
-                    for ai in range(dp.space.na)
-                )
-            )
-        out.append(per_gen)
-    return out
+    """One row per generator: the expected-loss coefficient of each
+    (live signal, action) weight, signal-major."""
+    return [
+        [c for xi in live_idx for c in _action_losses(dp.loss, g.mass[xi])]
+        for g in dp.credal.generators
+    ]
 
 
-def _face_rules(dp, live_idx, coefs, value):
-    """All vertices of the optimal face, embedded as full decision rules."""
-    space = dp.space
+def _block_rule(space, live_idx, w):
+    """Rule playing block k of ``w`` at signal ``live_idx[k]``, uniform elsewhere."""
     na = space.na
-    n = len(live_idx) * na
-    rows = []
-    senses = []
-    rhs = []
-    for per_gen in coefs:
-        rows.append([per_gen[k][a] for k in range(len(live_idx)) for a in range(na)])
-        senses.append(LE)
-        rhs.append(value)
-    for k in range(len(live_idx)):
-        rows.append([ONE if j // na == k else ZERO for j in range(n)])
-        senses.append(EQ)
-        rhs.append(ONE)
-    face_lp = make_lp([ZERO] * n, rows, senses, rhs)
-    verts = optimal_face_vertices(face_lp, 0)
-    uniform = uniform_action(space)
-    rules = []
-    for v in verts:
-        per_x = []
-        for xi in range(space.nx):
-            if xi in live_idx:
-                k = live_idx.index(xi)
-                per_x.append(RandomizedAction(tuple(v[k * na : (k + 1) * na])))
-            else:
-                per_x.append(uniform)
-        rules.append(DecisionRule(space=space, per_x=tuple(per_x)))
+    per_x = [uniform_action(space)] * space.nx
+    for k, xi in enumerate(live_idx):
+        per_x[xi] = RandomizedAction(tuple(w[k * na : (k + 1) * na]))
+    return DecisionRule(space=space, per_x=tuple(per_x))
+
+
+def _face_rules(space, live_idx, verts):
+    """Optimal-face vertices embedded as full decision rules, sorted."""
+    rules = [_block_rule(space, live_idx, v) for v in verts]
     rules.sort(key=lambda r: r.flatten())
     return tuple(rules)
 
@@ -220,10 +219,11 @@ def _face_rules(dp, live_idx, coefs, value):
 def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     """Exact equilibrium of the prior game.
 
-    LP: minimize t subject to, for every generator, the expected loss of
-    the rule being at most t, with each per-signal action on the
-    simplex.  The dual prices of the generator rows give the adversary's
-    mixture; the result is checked with :func:`verify_saddle`.
+    LP (:func:`credal.linprog.block_game`, one simplex block per support
+    signal): minimize t subject to, for every generator, the expected
+    loss of the rule being at most t.  The dual prices of the generator
+    rows give the adversary's mixture; the result is checked with
+    :func:`verify_saddle`.
 
     ``face=False`` skips the vertex enumeration of the optimal face (the
     expensive part); the reported rule is then the one the simplex
@@ -232,75 +232,21 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     space = dp.space
     live = support_x(dp.credal)
     live_idx = [space.x_index(x) for x in live]
-    na = space.na
-    k = len(dp.credal.generators)
-    coefs = _generator_coefficients(dp, live_idx)
-
-    nvars = 1 + len(live_idx) * na
-    rows = []
-    senses = []
-    rhs = []
-    for per_gen in coefs:
-        rows.append(
-            [-ONE]
-            + [per_gen[kk][a] for kk in range(len(live_idx)) for a in range(na)]
-        )
-        senses.append(LE)
-        rhs.append(ZERO)
-    for kk in range(len(live_idx)):
-        rows.append(
-            [ZERO] + [ONE if (j // na) == kk else ZERO for j in range(nvars - 1)]
-        )
-        senses.append(EQ)
-        rhs.append(ONE)
-    lp = make_lp(
-        [ONE] + [ZERO] * (nvars - 1),
-        rows,
-        senses,
-        rhs,
-        lower_bounds=[None] + [ZERO] * (nvars - 1),
+    widths = [space.na] * len(live_idx)
+    rows = _generator_coefficients(dp, live_idx)
+    value, w, mixture = block_game(rows, widths)
+    aggregate = JointDistribution(
+        space=space, mass=_mixed_mass(dp.credal.generators, mixture)
     )
-    sol = lp_solve(lp)
-    if sol.status != OPTIMAL:
-        raise SolverError("prior game LP must be solvable")
-    value = sol.value
-
-    mixture = tuple(-sol.dual[i] for i in range(k))
-    total = sum(mixture, ZERO)
-    if total != 1 or any(w < 0 for w in mixture):
-        raise SolverError("dual prices are not a generator mixture")
-    agg_mass = tuple(
-        tuple(
-            sum(
-                (mixture[i] * dp.credal.generators[i].mass[xi][yi] for i in range(k)),
-                ZERO,
-            )
-            for yi in range(space.ny)
-        )
-        for xi in range(space.nx)
-    )
-    aggregate = JointDistribution(space=space, mass=agg_mass)
 
     if face:
-        vertices = _face_rules(dp, live_idx, coefs, value)
+        vertices = _face_rules(space, live_idx, block_game_face(rows, widths, value))
         if not vertices:
             raise SolverError("optimal face came back empty")
         rule = vertices[0]
     else:
         vertices = None
-        uniform = uniform_action(space)
-        per_x = []
-        for xi in range(space.nx):
-            if xi in live_idx:
-                kk = live_idx.index(xi)
-                per_x.append(
-                    RandomizedAction(
-                        tuple(sol.primal[1 + kk * na : 1 + (kk + 1) * na])
-                    )
-                )
-            else:
-                per_x.append(uniform)
-        rule = DecisionRule(space=space, per_x=tuple(per_x))
+        rule = _block_rule(space, live_idx, w)
     solution = MinimaxSolution(
         value=value,
         rule=rule,
@@ -349,55 +295,22 @@ class PosteriorSolution:
         return point.value
 
 
-def _action_face(loss, projections, value):
-    """Vertices of the optimal randomized-action set of one posterior game."""
-    na = loss.space.na
-    rows = []
-    senses = []
-    rhs = []
-    for proj in projections:
-        rows.append(
-            [
-                sum((proj[yi] * loss.table[yi][ai] for yi in range(loss.space.ny)), ZERO)
-                for ai in range(na)
-            ]
-        )
-        senses.append(LE)
-        rhs.append(value)
-    rows.append([ONE] * na)
-    senses.append(EQ)
-    rhs.append(ONE)
-    lp = make_lp([ZERO] * na, rows, senses, rhs)
-    verts = optimal_face_vertices(lp, 0)
-    return tuple(RandomizedAction(v) for v in verts)
-
-
 def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
     """One matrix game per support signal: actions against the
     conditioned outcome distributions."""
-    space = dp.space
+    widths = [dp.space.na]
     points = []
     for x in support_x(dp.credal):
-        cond = condition(dp.credal, [x])
-        proj = marginal_y(cond)
-        projections = proj.generators
-        matrix = [
-            [
-                sum(
-                    (pj[yi] * dp.loss.table[yi][ai] for yi in range(space.ny)),
-                    ZERO,
-                )
-                for pj in projections
-            ]
-            for ai in range(space.na)
-        ]
-        value, _row_mix, col_mix = zero_sum_value(matrix)
+        proj = posterior_y(dp.credal, (x,))
+        rows = [_action_losses(dp.loss, q) for q in proj.generators]
+        value, _w, mixture = block_game(rows, widths)
+        verts = block_game_face(rows, widths, value)
         points.append(
             PosteriorPoint(
                 x=x,
                 value=value,
-                action_vertices=_action_face(dp.loss, projections, value),
-                bookie_mixture=col_mix,
+                action_vertices=tuple(RandomizedAction(v) for v in verts),
+                bookie_mixture=mixture,
                 projection=proj,
             )
         )
@@ -436,20 +349,10 @@ def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleRep
     per_gen = [expected_loss(g, rule, dp.loss) for g in gens]
     value = sum((w * v for w, v in zip(mixture, per_gen)), ZERO)
 
-    agg = [
-        [
-            sum((mixture[i] * gens[i].mass[xi][yi] for i in range(len(gens))), ZERO)
-            for yi in range(dp.space.ny)
-        ]
-        for xi in range(dp.space.nx)
-    ]
-    agent_best = ZERO
-    for xi in range(dp.space.nx):
-        cell = [
-            sum((agg[xi][yi] * dp.loss.table[yi][ai] for yi in range(dp.space.ny)), ZERO)
-            for ai in range(dp.space.na)
-        ]
-        agent_best += min(cell)
+    agent_best = sum(
+        (min(_action_losses(dp.loss, row)) for row in _mixed_mass(gens, mixture)),
+        ZERO,
+    )
 
     bookie_best = max(per_gen)
 
@@ -495,52 +398,19 @@ def solve_ignoring(dp: DecisionProblem, prior: MinimaxSolution | None = None) ->
     """Prior game restricted to constant rules (ties every signal to one
     randomized action) and comparison against the unrestricted game."""
     space = dp.space
-    na = space.na
-    gens = dp.credal.generators
-    # constant-rule LP: min t, per generator E[L_gamma] <= t over gamma
-    rows = []
-    senses = []
-    rhs = []
-    for g in gens:
-        ym = g.y_marginal()
-        rows.append(
-            [-ONE]
-            + [
-                sum((ym[yi] * dp.loss.table[yi][ai] for yi in range(space.ny)), ZERO)
-                for ai in range(na)
-            ]
-        )
-        senses.append(LE)
-        rhs.append(ZERO)
-    rows.append([ZERO] + [ONE] * na)
-    senses.append(EQ)
-    rhs.append(ONE)
-    lp = make_lp(
-        [ONE] + [ZERO] * na,
-        rows,
-        senses,
-        rhs,
-        lower_bounds=[None] + [ZERO] * na,
-    )
-    sol = lp_solve(lp)
-    if sol.status != OPTIMAL:
-        raise SolverError("constant-rule LP must be solvable")
-    value = sol.value
-    mixture = tuple(-sol.dual[i] for i in range(len(gens)))
+    widths = [space.na]
+    # constant-rule game: min t, per generator E[L_gamma] <= t over gamma
+    rows = [_action_losses(dp.loss, g.y_marginal()) for g in dp.credal.generators]
+    value, _gamma, mixture = block_game(rows, widths)
 
-    proj = marginal_y(dp.credal)
-    matrix = [
-        [
-            sum((pj[yi] * dp.loss.table[yi][ai] for yi in range(space.ny)), ZERO)
-            for pj in proj.generators
-        ]
-        for ai in range(na)
-    ]
-    marginal_value, _gamma, _mix = zero_sum_value(matrix)
+    marginal_rows = [_action_losses(dp.loss, q) for q in marginal_y(dp.credal).generators]
+    marginal_value, _gamma, _mix = block_game(marginal_rows, widths)
     if marginal_value != value:
         raise SolverError("marginal game disagrees with constant-rule LP")
 
-    action_vertices = _action_face(dp.loss, [g.y_marginal() for g in gens], value)
+    action_vertices = tuple(
+        RandomizedAction(v) for v in block_game_face(rows, widths, value)
+    )
     if not action_vertices:
         raise SolverError("constant-rule face came back empty")
     rule = rule_from_weights(space, [action_vertices[0].weights] * space.nx)

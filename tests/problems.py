@@ -14,6 +14,7 @@ from credal.core import (
     credal_set,
     loss_function,
 )
+from credal.sampling import simplex_point
 
 F = Fraction
 
@@ -152,3 +153,23 @@ def diagonal_set(convex=True):
     """Signal reveals the outcome: all mass on matching pairs."""
     space = binary_space()
     return credal_set(space, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], convex)
+
+
+def random_set_with_dead_signals(rng, convex):
+    """Random set over nx in 2-4 signals and ny in 2-3 outcomes, 2-4
+    generators, with up to nx - 1 signals given zero mass by every
+    generator.  Returns ``(set, dead signal labels)``."""
+    nx, ny, na = rng.randint(2, 4), rng.randint(2, 3), rng.randint(2, 3)
+    space = ProblemSpace(
+        tuple("x%d" % i for i in range(nx)),
+        tuple("y%d" % i for i in range(ny)),
+        tuple("a%d" % i for i in range(na)),
+    )
+    dead = set(rng.sample(range(nx), rng.randint(0, nx - 1)))
+    masses = []
+    for _ in range(rng.randint(2, 4)):
+        flat = iter(simplex_point(rng, (nx - len(dead)) * ny))
+        masses.append(
+            [[0] * ny if i in dead else [next(flat) for _ in range(ny)] for i in range(nx)]
+        )
+    return credal_set(space, masses, convex), tuple(space.x_labels[i] for i in sorted(dead))

@@ -87,6 +87,34 @@ def test_posterior_dead_signal(tmp_path):
     assert out[2] == "1: never observed"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (("posterior", "{}"), ("check", "dilation", "{}"), ("calibrate", "{}", "--rule", "standard")),
+)
+def test_outcome_space_commands_run_on_a_ten_by_five_problem(tmp_path, capsys, argv):
+    # the joint space has 50 coordinates, more than a polytope may have;
+    # these commands work in the 5 outcome coordinates only
+    nx, ny = 10, 5
+    gens = []
+    for k in range(3):
+        w = [[(i * 7 + j * 3 + k * 5) % 11 + 1 for j in range(ny)] for i in range(nx)]
+        total = sum(map(sum, w))
+        gens.append([["%d/%d" % (v, total) for v in row] for row in w])
+    path = tmp_path / "ten-by-five.json"
+    path.write_text(json.dumps({
+        "x_labels": [str(i) for i in range(nx)],
+        "y_labels": [str(j) for j in range(ny)],
+        "actions": ["a", "b"],
+        "convex": True,
+        "generators": gens,
+        "loss": [[str(j % 2), str((j + 1) % 2)] for j in range(ny)],
+    }))
+    code, text = cli(*(a.format(path) for a in argv))
+    assert code == 0
+    assert text
+    assert capsys.readouterr().err == ""
+
+
 # -- saddle --------------------------------------------------------------
 
 def test_saddle_accepts_equilibrium():

@@ -1,5 +1,7 @@
 """Domain model: conditioning, marginals, hulls, rectangularity, dilation."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from credal.core import (
     joint,
     joint_polytope,
     marginal_y,
+    posterior_y,
     support_x,
 )
 from credal.polytope import member, set_equal
@@ -33,6 +36,7 @@ from problems import (
     noise_pair_set,
     opposite_outcomes_problem,
     quadruple_set,
+    random_set_with_dead_signals,
 )
 
 F = Fraction
@@ -96,6 +100,40 @@ def test_monty_conditioning_matches_known_projection():
         (F(0), F(0), F(1)),
         (F(1, 2), F(0), F(1, 2)),
     }
+
+
+def test_posterior_y_matches_conditioning_then_projecting():
+    # oracle: condition in joint space, then project to Y
+    seen = {"dead": 0, "multi": 0, "convex": 0, "finite": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        convex = seed % 2 == 0
+        p, _dead = random_set_with_dead_signals(rng, convex)
+        seen["convex" if convex else "finite"] += 1
+        labels = p.space.x_labels
+        cells = [
+            c for size in range(1, len(labels) + 1) for c in itertools.combinations(labels, size)
+        ]
+        for cell in cells:
+            got = posterior_y(p, cell)
+            try:
+                want = marginal_y(condition(p, cell))
+            except UndefinedConditionalError:
+                assert got is None, (seed, cell)
+                assert not set(cell) & set(support_x(p))
+                seen["dead"] += 1
+                continue
+            assert got is not None, (seed, cell)
+            assert got.convex == convex and got.dimension == p.space.ny
+            assert set_equal(got, want), (seed, cell)
+            assert set(got.generators) == set(want.generators), (seed, cell)
+            seen["multi"] += len(cell) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_posterior_y_rejects_an_empty_cell():
+    with pytest.raises(ValueError):
+        posterior_y(coin_pair_set(), ())
 
 
 def test_hull_contains_cross_product_member():

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-import credal.minimax
+import credal.linprog
 from credal.corpus import load_corpus, run_case
 from credal.linprog import (
     EQ,
@@ -104,7 +104,8 @@ def test_corpus_faces_match_the_fraction_brute_force(monkeypatch):
         calls.append((lp, optimum))
         return optimal_face_vertices(lp, optimum)
 
-    monkeypatch.setattr(credal.minimax, "optimal_face_vertices", record)
+    # every face LP of both games is built by linprog.block_game_face
+    monkeypatch.setattr(credal.linprog, "optimal_face_vertices", record)
     for case in load_corpus():
         assert run_case(case).ok, case.id
     assert len(calls) >= 20

@@ -1,15 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from credal.core import (
     classification_loss,
+    condition,
     credal_set,
     deterministic_rule,
     DecisionProblem,
+    marginal_y,
     rule_from_weights,
 )
-from credal.linprog import SizeLimitError
+from credal.linprog import (
+    EQ,
+    LE,
+    SizeLimitError,
+    make_lp,
+    optimal_face_vertices,
+    zero_sum_value,
+)
 from credal.minimax import (
     brute_force_value,
     check_independence_cover,
@@ -33,7 +43,9 @@ from problems import (
     opposite_outcomes_problem,
     prediction_problem,
     prediction_problem_with_exit,
+    random_set_with_dead_signals,
 )
+from credal.sampling import random_loss
 
 F = Fraction
 
@@ -282,3 +294,33 @@ def test_face_flag_skips_enumeration():
     # the rule the simplex lands on is still optimal
     wc, _ = worst_case_loss(dp.credal, sol.rule, dp.loss)
     assert wc == F(1, 3)
+
+
+def test_posterior_game_matches_a_matrix_game_on_the_conditioned_joint():
+    # oracle: project the joint-space conditioned set, solve the matrix
+    # game with zero_sum_value and enumerate its optimal face directly
+    for seed in range(40):
+        rng = random.Random(seed)
+        p, _dead = random_set_with_dead_signals(rng, convex=seed % 2 == 0)
+        dp = DecisionProblem(p, random_loss(rng, p.space))
+        table = dp.loss.table
+        ny, na = p.space.ny, p.space.na
+        post = solve_a_posteriori(dp)
+        for x in p.space.x_labels:
+            pt = post.point(x)
+            if pt is None:
+                assert all(sum(g.mass[p.space.x_index(x)]) == 0 for g in p.generators)
+                continue
+            proj = marginal_y(condition(p, [x])).generators
+            losses = [[sum(q[y] * table[y][a] for y in range(ny)) for a in range(na)] for q in proj]
+            value, _rows, _cols = zero_sum_value([[r[a] for r in losses] for a in range(na)])
+            face = make_lp(
+                [0] * na,
+                losses + [[1] * na],
+                [LE] * len(losses) + [EQ],
+                [value] * len(losses) + [1],
+            )
+            assert pt.value == value, (seed, x)
+            assert sorted(a.weights for a in pt.action_vertices) == sorted(
+                optimal_face_vertices(face, 0)
+            ), (seed, x)
