@@ -408,8 +408,8 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     _require_convex(p, "sharpness search")
     if p.space.nx > SHARP_X_LIMIT:
         raise SizeLimitError(
-            "sharpness search over %d partitions refused"
-            % bell_number(p.space.nx)
+            "sharpness search limited to %d signals, got %d (%d partitions)"
+            % (SHARP_X_LIMIT, p.space.nx, bell_number(p.space.nx))
         )
     live = support_x(p)
     if not live:
@@ -467,8 +467,8 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     _require_convex(p, "sharpness search")
     if p.space.nx > SHARP_X_LIMIT:
         raise SizeLimitError(
-            "sharpness search over %d partitions refused"
-            % bell_number(p.space.nx)
+            "sharpness search limited to %d signals, got %d (%d partitions)"
+            % (SHARP_X_LIMIT, p.space.nx, bell_number(p.space.nx))
         )
     report = check_calibration(rule, p)
     if not report.calibrated:

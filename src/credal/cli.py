@@ -6,7 +6,9 @@ with every number as a reduced rational.
 
 Exit codes: 0 on success; 1 when ``--strict`` is set and the analysis
 verdict is inconsistent, not calibrated, or a failed saddle check
-(also for corpus mismatches); 2 on input errors.
+(also for corpus mismatches); 2 on input errors; 3 when a valid problem
+is too large for an enumeration (the message names the limit and the
+size found).
 """
 
 from __future__ import annotations
@@ -427,9 +429,12 @@ def run(argv=None, stdout=None) -> int:
     except (_InputError, ProblemFileError, CorpusError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (ConvexityError, SizeLimitError) as e:
+    except ConvexityError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except SizeLimitError as e:
+        print("refused: %s" % e, file=sys.stderr)
+        return 3
     except (SolverError, LpError) as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ certified.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,6 @@ from .core import (
 )
 from .linprog import SizeLimitError
 from .minimax import (
-    expected_loss,
     solve_a_posteriori,
     solve_a_priori,
     worst_case_loss,
@@ -51,11 +51,6 @@ __all__ = [
     "check_time_consistency",
     "falsify_dynamic_consistency",
     "sufficient_conditions",
-    "walley_prefers",
-    "WALLEY_FIRST",
-    "WALLEY_SECOND",
-    "WALLEY_BOTH",
-    "WALLEY_INCOMPARABLE",
 ]
 
 ZERO = Fraction(0)
@@ -163,13 +158,11 @@ def _posterior_product_rules(dp: DecisionProblem, post, limit=PRODUCT_LIMIT):
     """All rules assembled from one posterior-optimal action vertex per
     support signal, uniform elsewhere, in lexicographic order."""
     space = dp.space
-    count = 1
-    for pt in post.per_x:
-        count *= len(pt.action_vertices)
-        if count > limit:
-            raise SizeLimitError(
-                "posterior vertex products exceed %d" % limit
-            )
+    count = math.prod(len(pt.action_vertices) for pt in post.per_x)
+    if count > limit:
+        raise SizeLimitError(
+            "posterior vertex products limited to %d, got %d" % (limit, count)
+        )
     by_x = {pt.x: pt.action_vertices for pt in post.per_x}
     uniform = uniform_action(space)
     choices = [by_x.get(x, (uniform,)) for x in space.x_labels]
@@ -379,34 +372,3 @@ def _verify_pair_witness(dp, live, w: PairWitness):
             raise WitnessError("condition-2 witness satisfies strict (3)")
     else:
         raise WitnessError("unknown condition tag %r" % w.condition)
-
-
-WALLEY_FIRST = "d1"
-WALLEY_SECOND = "d2"
-WALLEY_BOTH = "both"
-WALLEY_INCOMPARABLE = "incomparable"
-
-
-def walley_prefers(dp: DecisionProblem, d1: DecisionRule, d2: DecisionRule) -> str:
-    """Four-way comparison under the preorder: d1 at least as good as d2
-    when the largest expected value of L_d1 - L_d2 over the set is <= 0.
-
-    Returns "d1" / "d2" (that rule is strictly ahead in the preorder),
-    "both" (equivalent: the difference has zero worst case both ways),
-    or "incomparable".
-    """
-    if d1.space != dp.space or d2.space != dp.space:
-        raise ValueError("rules must share the problem's space")
-    diffs = [
-        expected_loss(g, d1, dp.loss) - expected_loss(g, d2, dp.loss)
-        for g in dp.credal.generators
-    ]
-    forward = max(diffs) <= 0  # d1 at least as good as d2
-    backward = min(diffs) >= 0
-    if forward and backward:
-        return WALLEY_BOTH
-    if forward:
-        return WALLEY_FIRST
-    if backward:
-        return WALLEY_SECOND
-    return WALLEY_INCOMPARABLE

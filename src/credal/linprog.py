@@ -1,14 +1,18 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase primal simplex with Bland's anti-cycling rule in
-:class:`fractions.Fraction` arithmetic.  Every other elimination (the dual
-solve, :func:`solve_unique`, :func:`matrix_rank` and the candidate systems
-of the optimal-face enumeration) scales its rows to integers and runs
-through one fraction-free Bareiss kernel on Python ``int``; its division
-by the previous pivot is exact, so no gcd is taken and the results, turned
-back into fractions at the end, are exact too.  Optimal values, primal
-points and dual prices are exact; strong duality and complementary
-slackness are verified bit-for-bit before a solution is returned.
+A dense two-phase primal simplex with Bland's anti-cycling rule.  Its
+tableau is kept as integer rows over one positive common denominator, the
+basis determinant, and pivots with the fraction-free update of Edmonds and
+Bareiss; pricing and the ratio test compare the same rationals as a
+``Fraction`` tableau would, cross-multiplied, so the pivots are the same.
+Every other elimination (the dual solve, :func:`solve_unique`,
+:func:`matrix_rank` and the candidate systems of the optimal-face
+enumeration) scales its rows to integers and runs through one Bareiss
+kernel on Python ``int``.  Each division by the previous pivot is exact,
+so no gcd is taken, and only the results are turned back into fractions.
+Optimal values, primal points and dual prices are exact; strong duality
+and complementary slackness are verified bit-for-bit, in ``Fraction``,
+before a solution is returned.
 
 Conventions
 -----------
@@ -221,7 +225,28 @@ def matrix_rank(rows, n):
 
 
 class _Tableau:
-    """Equality-form tableau ``A.z = b`` with ``z >= 0`` plus bookkeeping."""
+    """Two-phase simplex on an integer tableau over one positive denominator.
+
+    The LP is put in equality form ``A.z = b``, ``z >= 0``: free variables
+    are split, lower bounds shifted to 0, one slack column is added per
+    inequality and rows with ``b < 0`` are negated.  Row ``i`` times the
+    lcm ``d_i`` of its denominators is an integer row; in that row-scaled
+    integer matrix the slack and artificial columns of row ``i`` are
+    ``d_i`` times a unit vector, so the starting basis has determinant
+    ``den = prod(d_i)``.
+
+    Invariant: ``rows[i][j] / den`` is entry ``(i, j)`` of the rational
+    tableau ``B^-1 A`` of the current basis ``B``, the right-hand side in
+    the last slot, and ``den`` is the determinant of ``B`` in the
+    row-scaled matrix, its sign kept positive (a row dropped as redundant
+    leaves its factor ``d_i`` in ``den`` and in every entry).  A pivot is
+    the fraction-free update of :func:`_bareiss` (Edmonds 1967): every
+    division by the old ``den`` is exact, so no gcd is taken.  Bland's
+    pricing reads only signs and the ratio test compares the same
+    rationals cross-multiplied by positive integers, so the pivots, the
+    final basis and the point they give are the ones the rational tableau
+    takes.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -229,175 +254,171 @@ class _Tableau:
 
         # std variable k -> (original index j, sign); free vars are split.
         self.var_map: list[tuple[int, int]] = []
-        cost: list[Fraction] = []
         for j in range(n):
             self.var_map.append((j, 1))
-            cost.append(lp.objective[j])
             if lp.lower_bounds[j] is None:
                 self.var_map.append((j, -1))
-                cost.append(-lp.objective[j])
+        std = list(self.var_map)
+        # the objective times the lcm of its denominators
+        pairs = [v.as_integer_ratio() for v in lp.objective]
+        self.cost_scale = math.lcm(*[q for _, q in pairs])
+        objective = [p * (self.cost_scale // q) for p, q in pairs]
+        cost = [s * objective[j] for j, s in std]
+        shifts = [(j, lb) for j, lb in enumerate(lp.lower_bounds) if lb]
 
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        shift = [lb if lb is not None else ZERO for lb in lp.lower_bounds]
-        for i, row in enumerate(lp.rows):
-            coeffs = [sign * row[j] for (j, sign) in self.var_map]
-            rows.append(coeffs)
-            rhs.append(lp.rhs[i] - sum((row[j] * shift[j] for j in range(n)), ZERO))
-
-        # slack columns
-        self.slack_of_row: list[int | None] = []
-        for i, sense in enumerate(lp.senses):
-            if sense == EQ:
-                self.slack_of_row.append(None)
-                continue
-            col = len(cost)
-            coef = ONE if sense == LE else -ONE
-            for r, rw in enumerate(rows):
-                rw.append(coef if r == i else ZERO)
-            cost.append(ZERO)
-            self.slack_of_row.append(col)
-            self.var_map.append((-1, 0))
-
-        # normalize rhs >= 0
-        self.flipped = [False] * len(rows)
-        for i in range(len(rows)):
-            if rhs[i] < 0:
-                rows[i] = [-v for v in rows[i]]
-                rhs[i] = -rhs[i]
-                self.flipped[i] = True
-
+        # Each row (rhs shifted by the nonzero lower bounds) times the lcm
+        # of its denominators, negated when the rhs is negative, then one
+        # slack column per inequality: the row-scaled integer matrix, kept
+        # for the dual.  A row whose slack entry is positive starts with it
+        # basic; every other row gets an artificial.
+        m = len(lp.rows)
+        nslack = m - lp.senses.count(EQ)
+        self.scale: list[int] = []
+        self.flipped: list[bool] = []
+        self.scaled: list[list[int]] = []
+        self.basis = [-1] * m
+        rhs = []
+        for i, (row, sense, b) in enumerate(zip(lp.rows, lp.senses, lp.rhs)):
+            for j, lb in shifts:
+                b -= row[j] * lb
+            pairs = [v.as_integer_ratio() for v in row]
+            pairs.append(b.as_integer_ratio())
+            d = math.lcm(*[q for _, q in pairs])
+            ints = [p * (d // q) for p, q in pairs]
+            sign = -1 if ints[-1] < 0 else 1
+            if sign < 0:
+                ints = [-v for v in ints]
+            rhs.append(ints.pop())
+            if len(std) > n:
+                ints = [s * ints[j] for j, s in std]
+            ints += [0] * nslack
+            if sense != EQ:
+                col = len(cost)
+                ints[col] = sign * d if sense == LE else -sign * d
+                if ints[col] > 0:
+                    self.basis[i] = col
+                cost.append(0)
+                self.var_map.append((-1, 0))
+            self.scale.append(d)
+            self.flipped.append(sign < 0)
+            self.scaled.append(ints)
         self.ncols_real = len(cost)
-        self.cost = cost
-        self.rows = rows
-        self.rhs = rhs
-        self.row_orig = list(range(len(rows)))  # tableau row -> original row
-        # static copy of the post-flip equality matrix, for dual extraction
-        self.eq_matrix = [list(r) for r in rows]
-        self.eq_orig = list(range(len(rows)))
+        for i in range(m):
+            if self.basis[i] < 0:
+                self.basis[i] = len(cost)
+                cost.append(0)
+                self.var_map.append((-2, 0))
+        self.artificial = frozenset(range(self.ncols_real, len(cost)))
+        self.cost = cost  # phase-2 cost, times cost_scale; 0 off the objective
+
+        # Row i over den = prod(d) is row i of the rational tableau; the
+        # starting basis has determinant den in the row-scaled matrix.
+        den = math.prod(self.scale)
+        self.den = den
+        nart = len(cost) - self.ncols_real
+        self.rows = []
+        for i, (ints, d, b) in enumerate(zip(self.scaled, self.scale, rhs)):
+            k = den // d
+            row = [k * v for v in ints] + [0] * nart + [k * b]
+            if self.basis[i] >= self.ncols_real:
+                row[self.basis[i]] = den
+            self.rows.append(row)
+        self.row_orig = list(range(m))  # tableau row -> original row
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, r, e, zrow, zval):
-        pv = self.rows[r][e]
-        self.rows[r] = [v / pv for v in self.rows[r]]
-        self.rhs[r] /= pv
-        for i in range(len(self.rows)):
-            if i != r and self.rows[i][e] != 0:
-                f = self.rows[i][e]
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], self.rows[r])]
-                self.rhs[i] -= f * self.rhs[r]
+    def _pivot(self, r, e, zrow):
+        """Pivot on ``(r, e)``; returns the updated pricing row."""
+        rows = self.rows
+        prow = rows[r]
+        p = prow[e]
+        den = self.den
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[e]
+            if f:
+                rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+            elif p != den:
+                rows[i] = [p * a // den for a in row]
         f = zrow[e]
-        if f != 0:
-            zrow[:] = [a - f * b for a, b in zip(zrow, self.rows[r])]
-            zval += f * self.rhs[r]
+        if f:
+            zrow = [(p * a - f * b) // den for a, b in zip(zrow, prow)]
+        elif p != den:
+            zrow = [p * a // den for a in zrow]
+        if p < 0:
+            self.rows = [[-a for a in row] for row in rows]
+            zrow = [-a for a in zrow]
+            p = -p
+        self.den = p
         self.basis[r] = e
-        return zval
+        return zrow
 
     def _priced_zrow(self, cost):
-        ncols = len(self.cost)
-        zrow = list(cost)
-        zval = ZERO
-        for r, bv in enumerate(self.basis):
+        """Reduced costs of the integer ``cost`` times ``den``; the last slot
+        holds minus the objective value times ``den``."""
+        den = self.den
+        zrow = [den * c for c in cost] + [0]
+        for row, bv in zip(self.rows, self.basis):
             cb = cost[bv]
-            if cb != 0:
-                row = self.rows[r]
-                for j in range(ncols):
-                    if row[j] != 0:
-                        zrow[j] -= cb * row[j]
-                zval += cb * self.rhs[r]
-        return zrow, zval
+            if cb:
+                zrow = [z - cb * a for z, a in zip(zrow, row)]
+        return zrow
 
     def _bland(self, cost, allowed):
-        """Minimize ``cost`` over the current basis; Bland's rule throughout."""
-        zrow, zval = self._priced_zrow(cost)
+        """Minimize the integer ``cost`` over the current basis; Bland's rule
+        throughout.  Returns the final pricing row and whether the phase is
+        unbounded."""
+        zrow = self._priced_zrow(cost)
         while True:
-            enter = None
-            for j in allowed:
-                if zrow[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in allowed if zrow[j] < 0), None)
             if enter is None:
-                return zval, False
+                return zrow, False
             leave = None
-            best = None
-            for r in range(len(self.rows)):
-                a = self.rows[r][enter]
+            for r, row in enumerate(self.rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[r] / a
-                    key = (ratio, self.basis[r])
-                    if best is None or key < best:
-                        best = key
-                        leave = r
+                    if leave is None:
+                        leave, best_b, best_a = r, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leave]):
+                        leave, best_b, best_a = r, row[-1], a
             if leave is None:
-                return zval, True  # unbounded in this phase
-            zval = self._pivot(leave, enter, zrow, zval)
+                return zrow, True  # unbounded in this phase
+            zrow = self._pivot(leave, enter, zrow)
 
     # -- two phases -------------------------------------------------------
 
     def run(self):
-        m = len(self.rows)
         ncols = self.ncols_real
-
-        # seed basis with usable slacks, artificials elsewhere
-        self.basis = [-1] * m
-        art_cols = []
-        for r in range(m):
-            s = self.slack_of_row[r]
-            if s is not None:
-                coef = self.rows[r][s]
-                if coef == ONE:
-                    self.basis[r] = s
-                    continue
-            art_cols.append(r)
-        art_of_row = {}
-        for r in art_cols:
-            col = len(self.cost)
-            for i in range(m):
-                self.rows[i].append(ONE if i == r else ZERO)
-            self.cost.append(ZERO)
-            self.var_map.append((-2, 0))
-            self.basis[r] = col
-            art_of_row[r] = col
-        n_total = len(self.cost)
-        artificial = set(art_of_row.values())
-
+        # Artificials start basic and may leave, but never re-enter.
+        # Re-entry would break the unit shape of the artificial columns,
+        # and the redundant-row drop below relies on it.
+        allowed = range(ncols)
+        artificial = self.artificial
         if artificial:
-            phase1_cost = [ZERO] * n_total
-            for c in artificial:
-                phase1_cost[c] = ONE
-            # Artificials start basic and may leave, but never re-enter.
-            # Re-entry would break the unit shape of the artificial
-            # columns, and the redundant-row drop below relies on it.
-            allowed = range(ncols)
-            zval, unb = self._bland(phase1_cost, allowed)
+            phase1_cost = [int(c in artificial) for c in range(len(self.cost))]
+            zrow, unb = self._bland(phase1_cost, allowed)
             if unb:
                 raise InternalCheckError("phase 1 cannot be unbounded")
-            if zval != 0:
+            if zrow[-1] != 0:
                 return INFEASIBLE
             # drive artificials out of the basis
-            for r in range(m):
+            for r in range(len(self.rows)):
                 if self.basis[r] in artificial:
-                    enter = None
-                    for j in range(ncols):
-                        if self.rows[r][j] != 0:
-                            enter = j
-                            break
+                    row = self.rows[r]
+                    enter = next((j for j in range(ncols) if row[j]), None)
                     if enter is not None:
-                        dummy = [ZERO] * n_total
-                        self._pivot(r, enter, dummy, ZERO)
+                        zrow = self._pivot(r, enter, zrow)
             # drop rows still held by artificials: they are redundant
-            keep = [r for r in range(m) if self.basis[r] not in artificial]
-            if len(keep) < m:
+            keep = [r for r, bv in enumerate(self.basis) if bv not in artificial]
+            if len(keep) < len(self.rows):
                 self.rows = [self.rows[r] for r in keep]
-                self.rhs = [self.rhs[r] for r in keep]
                 self.basis = [self.basis[r] for r in keep]
                 self.row_orig = [self.row_orig[r] for r in keep]
-                m = len(keep)
 
-        phase2_cost = self.cost
-        allowed = range(ncols)
-        zval, unb = self._bland(phase2_cost, allowed)
+        _zrow, unb = self._bland(self.cost, allowed)
         if unb:
             return UNBOUNDED
         return OPTIMAL
@@ -406,29 +427,34 @@ class _Tableau:
 
     def primal(self):
         lp = self.lp
-        n = len(lp.objective)
-        std = [ZERO] * len(self.cost)
-        for r, bv in enumerate(self.basis):
-            std[bv] = self.rhs[r]
         x = [lb if lb is not None else ZERO for lb in lp.lower_bounds]
-        for k, (j, sign) in enumerate(self.var_map):
-            if j >= 0 and std[k] != 0:
-                x[j] += sign * std[k]
+        for row, bv in zip(self.rows, self.basis):
+            j, sign = self.var_map[bv]
+            if j >= 0 and row[-1]:
+                x[j] += Fraction(sign * row[-1], self.den)
         return tuple(x)
 
     def dual(self):
-        """Row prices from the final basis, mapped back to original rows."""
+        """Row prices from the final basis, mapped back to original rows.
+
+        Solves ``u.M_B = cost_B`` (scaled by the cost lcm) on the basis
+        columns of the row-scaled integer matrix ``M``; the price of row
+        ``i`` is ``u_i`` times its scale ``d_i`` over the cost scale.
+        """
         live = self.row_orig
-        mats = self.eq_matrix
-        basis_cols = self.basis
-        b_t = [[mats[orig][c] for orig in live] for c in basis_cols]  # B^T
-        c_b = [self.cost[c] for c in basis_cols]
-        y = solve_unique(b_t, c_b, len(live))
-        if y is None:
+        scaled = self.scaled
+        system = [
+            [scaled[orig][c] for orig in live] + [self.cost[c]] for c in self.basis
+        ]
+        sol = _solve_int(system, len(live))
+        if sol is None:
             raise InternalCheckError("basis matrix is singular")
+        nums, den = sol
+        den *= self.cost_scale
         full = [ZERO] * len(self.lp.rows)
-        for k, orig in enumerate(live):
-            full[orig] = -y[k] if self.flipped[orig] else y[k]
+        for v, orig in zip(nums, live):
+            v *= self.scale[orig]
+            full[orig] = Fraction(-v if self.flipped[orig] else v, den)
         return tuple(full)
 
 

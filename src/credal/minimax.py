@@ -25,7 +25,6 @@ action there and report those signals as unconstrained.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,15 +41,7 @@ from .core import (
     support_x,
     uniform_action,
 )
-from .linprog import (
-    EQ,
-    OPTIMAL,
-    SizeLimitError,
-    block_game,
-    block_game_face,
-    lp_solve,
-    make_lp,
-)
+from .linprog import SizeLimitError, block_game, block_game_face
 from .polytope import VPolytope
 from .rationals import rat
 
@@ -60,7 +51,6 @@ __all__ = [
     "PosteriorSolution",
     "SaddleReport",
     "IgnoringSolution",
-    "CoverResult",
     "expected_loss",
     "worst_case_loss",
     "worst_case_posterior_loss",
@@ -68,12 +58,10 @@ __all__ = [
     "solve_a_posteriori",
     "verify_saddle",
     "solve_ignoring",
-    "check_independence_cover",
     "brute_force_value",
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 BRUTE_FORCE_LIMIT = 10**7
 
@@ -429,84 +417,6 @@ def solve_ignoring(dp: DecisionProblem, prior: MinimaxSolution | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# independence cover
-
-
-@dataclass(frozen=True)
-class CoverResult:
-    """Does every Y-marginal of the set extend to an independent member?"""
-
-    holds: bool
-    counterexample: tuple[Fraction, ...] | None
-    tested: int
-
-
-def _product_member(p: CredalSet, r) -> bool:
-    space = p.space
-    gens = p.generators
-    if not p.convex:
-        for g in gens:
-            xm = g.x_marginal()
-            if all(
-                g.mass[xi][yi] == xm[xi] * r[yi]
-                for xi in range(space.nx)
-                for yi in range(space.ny)
-            ):
-                return True
-        return False
-    # q (x) r must be a convex combination of the generators
-    k = len(gens)
-    nx = space.nx
-    rows = []
-    rhs = []
-    for xi in range(nx):
-        for yi in range(space.ny):
-            row = [ZERO] * (nx + k)
-            row[xi] = r[yi]
-            for i in range(k):
-                row[nx + i] = -gens[i].mass[xi][yi]
-            rows.append(row)
-            rhs.append(ZERO)
-    rows.append([ONE] * nx + [ZERO] * k)
-    rhs.append(ONE)
-    rows.append([ZERO] * nx + [ONE] * k)
-    rhs.append(ONE)
-    lp = make_lp([ZERO] * (nx + k), rows, [EQ] * len(rows), rhs)
-    return lp_solve(lp).status == OPTIMAL
-
-
-def check_independence_cover(
-    p: CredalSet, samples: int = 20, rng: random.Random | None = None
-) -> CoverResult:
-    """Probe the Y-marginal polytope: vertices always, plus random
-    rational mixtures of vertices when the set is convex."""
-    if rng is None:
-        rng = random.Random(0)
-    proj = marginal_y(p)
-    probes = list(proj.generators)
-    if p.convex and len(proj.generators) > 1:
-        verts = proj.generators
-        for _ in range(samples):
-            total = rng.randint(1, 24)
-            parts = [0] * len(verts)
-            for _ in range(total):
-                parts[rng.randrange(len(verts))] += 1
-            mix = tuple(
-                sum(
-                    (Fraction(parts[i], total) * verts[i][yi] for i in range(len(verts))),
-                    ZERO,
-                )
-                for yi in range(p.space.ny)
-            )
-            if mix not in probes:
-                probes.append(mix)
-    for r in probes:
-        if not _product_member(p, r):
-            return CoverResult(holds=False, counterexample=r, tested=len(probes))
-    return CoverResult(holds=True, counterexample=None, tested=len(probes))
-
-
-# ---------------------------------------------------------------------------
 # grid oracle
 
 
@@ -524,7 +434,9 @@ def brute_force_value(dp: DecisionProblem, grid: int):
     na = space.na
     count = (grid + 1) ** (space.nx * (na - 1))
     if count > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError("grid search of %d rules refused" % count)
+        raise SizeLimitError(
+            "grid search limited to %d rules, got %d" % (BRUTE_FORCE_LIMIT, count)
+        )
 
     live = [space.x_index(x) for x in support_x(dp.credal)]
     uniform = uniform_action(space).weights

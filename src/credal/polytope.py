@@ -37,14 +37,6 @@ class ComparisonError(Exception):
     """Subset query whose answer V-representations cannot decide."""
 
 
-def _dedup(points):
-    seen = []
-    for p in points:
-        if p not in seen:
-            seen.append(p)
-    return tuple(seen)
-
-
 @dataclass(frozen=True)
 class VPolytope:
     dimension: int
@@ -59,7 +51,8 @@ class VPolytope:
         for g in self.generators:
             if len(g) != self.dimension:
                 raise ValueError("generator length != dimension")
-        object.__setattr__(self, "generators", _dedup(self.generators))
+        # drop repeated generators, keeping the first of each in order
+        object.__setattr__(self, "generators", tuple(dict.fromkeys(self.generators)))
 
 
 def polytope(points, convex, dimension=None) -> VPolytope:

@@ -6,10 +6,12 @@ promises deterministic output, so these are plain string equalities.
 
 import io
 import json
+import time
 
 import pytest
 
 from credal.cli import run
+from credal.core import HULL_PRODUCT_LIMIT
 
 
 def cli(*argv):
@@ -87,13 +89,9 @@ def test_posterior_dead_signal(tmp_path):
     assert out[2] == "1: never observed"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    (("posterior", "{}"), ("check", "dilation", "{}"), ("calibrate", "{}", "--rule", "standard")),
-)
-def test_outcome_space_commands_run_on_a_ten_by_five_problem(tmp_path, capsys, argv):
-    # the joint space has 50 coordinates, more than a polytope may have;
-    # these commands work in the 5 outcome coordinates only
+def _ten_by_five(tmp_path):
+    """A valid problem file: 10 signals, 5 outcomes, 2 actions and 3
+    convex generators with every cell positive."""
     nx, ny = 10, 5
     gens = []
     for k in range(3):
@@ -109,10 +107,51 @@ def test_outcome_space_commands_run_on_a_ten_by_five_problem(tmp_path, capsys, a
         "generators": gens,
         "loss": [[str(j % 2), str((j + 1) % 2)] for j in range(ny)],
     }))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (("posterior", "{}"), ("check", "dilation", "{}"), ("calibrate", "{}", "--rule", "standard")),
+)
+def test_outcome_space_commands_run_on_a_ten_by_five_problem(tmp_path, capsys, argv):
+    # the joint space has 50 coordinates, more than a polytope may have;
+    # these commands work in the 5 outcome coordinates only
+    path = _ten_by_five(tmp_path)
     code, text = cli(*(a.format(path) for a in argv))
     assert code == 0
     assert text
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv", (("hull", "{}"), ("check", "rect", "{}"), ("consistency", "weak", "{}"))
+)
+def test_hull_commands_refuse_a_ten_by_five_problem(tmp_path, capsys, argv):
+    # 3 X-marginals times 3 conditionals at each of 10 signals
+    path = _ten_by_five(tmp_path)
+    start = time.perf_counter()
+    code, text = cli(*(a.format(path) for a in argv))
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "refused: hull products limited to %d, got 177147\n" % HULL_PRODUCT_LIMIT
+    )
+
+
+def test_solve_refuses_more_than_twelve_rule_variables(tmp_path, capsys):
+    code, _ = cli("solve", str(_ten_by_five(tmp_path)))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "refused: face enumeration limited to 12 variables, got 20\n"
+
+
+def test_oracle_refuses_an_oversized_grid(capsys):
+    code, _ = cli("oracle", "corpus/example-2.1", "--grid", "5000")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "refused: grid search limited to 10000000 rules, got 25010001\n"
 
 
 # -- saddle --------------------------------------------------------------

@@ -5,14 +5,10 @@ import pytest
 from credal.consistency import (
     PairWitness,
     SignalWitness,
-    WALLEY_BOTH,
-    WALLEY_FIRST,
-    WALLEY_INCOMPARABLE,
     check_time_consistency,
     check_weak_time_consistency,
     falsify_dynamic_consistency,
     sufficient_conditions,
-    walley_prefers,
     _posterior_product_rules,
 )
 from credal.core import (
@@ -193,27 +189,3 @@ def test_product_rule_guard():
     post = solve_a_posteriori(dp)
     with pytest.raises(SizeLimitError):
         list(_posterior_product_rules(dp, post, limit=2))
-
-
-def test_walley_preorder():
-    dp = prediction_problem()
-    p1 = deterministic_rule(dp.space, {"0": "1", "1": "1"})
-    p0 = deterministic_rule(dp.space, {"0": "0", "1": "0"})
-    diag = deterministic_rule(dp.space, {"0": "0", "1": "1"})
-    anti = deterministic_rule(dp.space, {"0": "1", "1": "0"})
-    assert walley_prefers(dp, p1, p1) == WALLEY_BOTH
-    assert walley_prefers(dp, p1, p0) == WALLEY_FIRST
-    assert walley_prefers(dp, diag, anti) == WALLEY_INCOMPARABLE
-
-    ext = prediction_problem_with_exit()
-    exit_rule = deterministic_rule(ext.space, {"0": "2", "1": "2"})
-    keep = deterministic_rule(ext.space, {"0": "0", "1": "0"})
-    assert walley_prefers(ext, exit_rule, keep) == WALLEY_FIRST
-
-
-def test_walley_rejects_foreign_space():
-    dp = prediction_problem()
-    ext = prediction_problem_with_exit()
-    rule = deterministic_rule(ext.space, {"0": "2", "1": "2"})
-    with pytest.raises(ValueError):
-        walley_prefers(dp, rule, rule)

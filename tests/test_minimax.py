@@ -22,7 +22,6 @@ from credal.linprog import (
 )
 from credal.minimax import (
     brute_force_value,
-    check_independence_cover,
     expected_loss,
     solve_a_posteriori,
     solve_a_priori,
@@ -34,11 +33,7 @@ from credal.minimax import (
 
 from problems import (
     binary_space,
-    coin_pair_set,
-    diagonal_set,
-    fixed_outcome_set,
     half_dead_signal_problem,
-    mirror_pair_set,
     monty_problem,
     opposite_outcomes_problem,
     prediction_problem,
@@ -237,21 +232,6 @@ def test_ignoring_costs_in_door_game():
     assert sol.a_priori_value == F(11, 30)
     assert len(sol.action_vertices) == 1
     assert sol.action_vertices[0].weights == (1, 0, 0)  # stay put
-
-
-def test_independence_cover():
-    assert check_independence_cover(mirror_pair_set()).holds
-    assert check_independence_cover(fixed_outcome_set()).holds
-    assert check_independence_cover(coin_pair_set(convex=True)).holds
-
-    res = check_independence_cover(coin_pair_set(convex=False))
-    assert not res.holds
-    assert res.counterexample == (F(1, 2), F(1, 2))
-
-    res = check_independence_cover(diagonal_set())
-    assert not res.holds
-    assert res.counterexample is not None
-    assert res.tested >= 2
 
 
 def test_brute_force_sandwich():
