@@ -285,6 +285,16 @@ def _require_convex(p: CredalSet, what: str):
         )
 
 
+def _require_sharpness_search(p: CredalSet):
+    """The sharpness search scans every partition of the signals."""
+    _require_convex(p, "sharpness search")
+    if p.space.nx > SHARP_X_LIMIT:
+        raise SizeLimitError(
+            "sharpness search limited to %d signals, got %d (%d partitions)"
+            % (SHARP_X_LIMIT, p.space.nx, bell_number(p.space.nx))
+        )
+
+
 def refine_partition(c: Partition, p: CredalSet) -> Partition:
     """One refinement step: classes of conditioning on ``c``.
 
@@ -405,12 +415,7 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     exhaustive scan; the fixpoint itself need not be one of them, since
     refinement only coarsens and the calibrated order is not a chain.
     """
-    _require_convex(p, "sharpness search")
-    if p.space.nx > SHARP_X_LIMIT:
-        raise SizeLimitError(
-            "sharpness search limited to %d signals, got %d (%d partitions)"
-            % (SHARP_X_LIMIT, p.space.nx, bell_number(p.space.nx))
-        )
+    _require_sharpness_search(p)
     live = support_x(p)
     if not live:
         raise ValueError("credal set has empty signal support")
@@ -464,12 +469,7 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     partition, so any strictly narrower calibrated rule yields a
     strictly narrower calibrated partition.
     """
-    _require_convex(p, "sharpness search")
-    if p.space.nx > SHARP_X_LIMIT:
-        raise SizeLimitError(
-            "sharpness search limited to %d signals, got %d (%d partitions)"
-            % (SHARP_X_LIMIT, p.space.nx, bell_number(p.space.nx))
-        )
+    _require_sharpness_search(p)
     report = check_calibration(rule, p)
     if not report.calibrated:
         raise ValueError("sharpness is only defined for calibrated rules")

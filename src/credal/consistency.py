@@ -9,16 +9,16 @@ comparisons are well defined.
 
 The time and weak-time checks are exact decisions: both reduce to
 polytope inclusions, and a convex inclusion can be decided at vertices
-because the worst-case functionals are maxima of linear functions.
-Dynamic consistency quantifies over all pairs of rules, for which no
-decision procedure is known; it is only falsified here, never
-certified.
+because the worst-case functionals are maxima of linear functions.  The
+weak check never lists the posterior vertex products: the prior loss
+splits by signal, so it walks them one signal at a time.  Dynamic
+consistency quantifies over all pairs of rules, for which no decision
+procedure is known; it is only falsified here, never certified.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,10 +30,9 @@ from .core import (
     is_conservative,
     is_rectangular,
     support_x,
-    uniform_action,
 )
-from .linprog import SizeLimitError
 from .minimax import (
+    action_loss,
     solve_a_posteriori,
     solve_a_priori,
     worst_case_loss,
@@ -154,29 +153,50 @@ class WitnessError(Exception):
     """A candidate witness failed re-verification; indicates a bug."""
 
 
-def _posterior_product_rules(dp: DecisionProblem, post, limit=PRODUCT_LIMIT):
-    """All rules assembled from one posterior-optimal action vertex per
-    support signal, uniform elsewhere, in lexicographic order."""
-    space = dp.space
-    count = math.prod(len(pt.action_vertices) for pt in post.per_x)
-    if count > limit:
-        raise SizeLimitError(
-            "posterior vertex products limited to %d, got %d" % (limit, count)
-        )
-    by_x = {pt.x: pt.action_vertices for pt in post.per_x}
-    uniform = uniform_action(space)
-    choices = [by_x.get(x, (uniform,)) for x in space.x_labels]
-    for combo in itertools.product(*choices):
-        yield DecisionRule(space=space, per_x=tuple(combo))
+def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRule | None:
+    """The lexicographically first rule of ``itertools.product(*choices)``
+    whose prior worst-case loss exceeds ``bound``, or None.
+
+    With L[i][x][k] generator i's expected loss at x under choice k, the
+    largest prior worst case over all completions of a prefix is
+    max_i (prefix_i + sum over the later x' of max_k L[i][x'][k]): the max
+    over i commutes with the max over completions, and the sum splits by
+    signal.  So the first choice at each signal, in order, whose bound
+    still exceeds ``bound`` gives the first violating product.
+    """
+    per_y = [[action_loss(dp.loss, a.weights) for a in opts] for opts in choices]
+    losses = [
+        [
+            [sum((m * v for m, v in zip(g.mass[xi], ly)), ZERO) for ly in opts]
+            for xi, opts in enumerate(per_y)
+        ]
+        for g in dp.credal.generators
+    ]
+    # rest[i]: sum of max_k L[i][x'][k] over the signals x' after this one
+    rest = [sum((max(row) for row in li), ZERO) for li in losses]
+    prefix = [ZERO] * len(losses)
+    picked = []
+    for xi, opts in enumerate(choices):
+        rest = [r - max(li[xi]) for r, li in zip(rest, losses)]
+        for k, act in enumerate(opts):
+            if max(p + li[xi][k] + r for p, li, r in zip(prefix, losses, rest)) > bound:
+                break
+        else:
+            return None
+        prefix = [p + li[xi][k] for p, li in zip(prefix, losses)]
+        picked.append(act)
+    return DecisionRule(space=dp.space, per_x=tuple(picked))
 
 
 def check_weak_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     """Exact: does every posterior-optimal rule achieve the prior value?
 
     The posterior-optimal rules form the product of the per-signal
-    optimal faces; the prior worst-case loss is convex in the rule, so
-    its maximum over that product is attained at a vertex product.
-    Checking every vertex product therefore decides the inclusion.
+    optimal faces, and the prior worst-case loss is convex in the rule,
+    so it exceeds the prior value somewhere on that product iff it does
+    at a vertex product.  The vertex products are not enumerated: the
+    loss splits by signal, so the first violating one is found one
+    signal at a time (:func:`_first_violating_product`).
     """
     return _weak_verdict(dp, sufficient_conditions(dp), solve_a_posteriori(dp))
 
@@ -186,21 +206,18 @@ def _weak_verdict(dp: DecisionProblem, notes, post) -> ConsistencyVerdict:
     solution.  Only the LP value of the prior game is needed, so the
     optimal face is not enumerated."""
     prior = solve_a_priori(dp, face=False)
-    live = support_x(dp.credal)
-    for rule in _posterior_product_rules(dp, post):
-        wc, _ = worst_case_loss(dp.credal, rule, dp.loss)
-        if wc != prior.value:
-            # replay through the primitives before accusing the problem
-            if wc < prior.value:
-                raise WitnessError("posterior product beat the prior value")
-            for x in live:
-                m = worst_case_posterior_loss(dp.credal, rule, dp.loss, x)
-                if m != post.value(x):
-                    raise WitnessError("witness is not posterior optimal")
-            return ConsistencyVerdict(
-                kind="weak-time", result=INCONSISTENT, witness=rule, notes=notes
-            )
-    return ConsistencyVerdict(kind="weak-time", result=CONSISTENT, witness=None, notes=notes)
+    rule = _first_violating_product(dp, post.choices(dp.space), prior.value)
+    if rule is None:
+        return ConsistencyVerdict("weak-time", CONSISTENT, witness=None, notes=notes)
+    # replay through the primitives before accusing the problem
+    wc, _ = worst_case_loss(dp.credal, rule, dp.loss)
+    if wc <= prior.value:
+        raise WitnessError("posterior product does not exceed the prior value")
+    for x in support_x(dp.credal):
+        m = worst_case_posterior_loss(dp.credal, rule, dp.loss, x)
+        if m != post.value(x):
+            raise WitnessError("witness is not posterior optimal")
+    return ConsistencyVerdict("weak-time", INCONSISTENT, witness=rule, notes=notes)
 
 
 def _det_first_lex(rules):
@@ -288,8 +305,9 @@ def falsify_dynamic_consistency(
             seen.add(rule)
             candidates.append(rule)
 
-    for rule in itertools.islice(_posterior_product_rules(dp, post, limit=10**9), PRODUCT_LIMIT):
-        add(rule)
+    products = itertools.product(*post.choices(dp.space))
+    for combo in itertools.islice(products, PRODUCT_LIMIT):
+        add(DecisionRule(space=dp.space, per_x=combo))
     for rule in prior.optimal_rule_vertices:
         add(rule)
     for rule in _deterministic_rules(dp.space):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linprog import SizeLimitError
-from .polytope import VPolytope, member, prune, set_equal, subset
+from .polytope import VPolytope, member, prune
 from .rationals import rat, rat_matrix, rat_seq
 
 __all__ = [
@@ -62,11 +62,12 @@ __all__ = [
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Most products :func:`hull` builds.  Pruning them is one membership LP
-# per product over all the others; when every product is extreme, 81 of
-# them took 1.0 s and 128 took 5.8 s (2-core x86-64, Python 3.11).  The
-# largest count on the bundled cases, the test suite and the benchmark
-# workloads is 81.
+# Most products :func:`hull` builds; it guards only the ``hull`` command
+# and the ``hull_member`` corpus op, as :func:`is_rectangular` builds
+# none.  Pruning them is one membership LP per product over all the
+# others; when every product is extreme, 81 of them took 1.0 s and 128
+# took 5.8 s (2-core x86-64, Python 3.11).  The largest count on the
+# bundled cases, the test suite and the benchmark workloads is 81.
 HULL_PRODUCT_LIMIT = 100
 
 
@@ -112,9 +113,6 @@ class ProblemSpace:
 
     def x_index(self, label) -> int:
         return self.x_labels.index(str(label))
-
-    def y_index(self, label) -> int:
-        return self.y_labels.index(str(label))
 
     def a_index(self, label) -> int:
         return self.actions.index(str(label))
@@ -391,18 +389,10 @@ def joint_polytope(p: CredalSet) -> VPolytope:
     )
 
 
-def _from_polytope(space, poly: VPolytope) -> CredalSet:
-    return CredalSet(
-        space=space,
-        generators=tuple(
-            JointDistribution(space, _unflatten(space, g)) for g in poly.generators
-        ),
-        convex=poly.convex,
-    )
-
-
 def prune_credal(p: CredalSet) -> CredalSet:
-    return _from_polytope(p.space, prune(joint_polytope(p)))
+    kept = prune(joint_polytope(p)).generators
+    gens = tuple(JointDistribution(p.space, _unflatten(p.space, g)) for g in kept)
+    return CredalSet(space=p.space, generators=gens, convex=p.convex)
 
 
 def marginal_y(p: CredalSet) -> VPolytope:
@@ -488,6 +478,20 @@ def c_condition(p: CredalSet, part: Partition, x) -> CredalSet:
     return condition(p, part.cell_of(x))
 
 
+def _conditional_lists(p: CredalSet) -> list[list[tuple[Fraction, ...]]]:
+    """Per signal, the conditionals given x of the generators that give x
+    positive probability, first of each kept in order; for convex sets
+    only the extreme ones."""
+    lists = []
+    for i in range(p.space.nx):
+        conds = [g.conditional_y(i) for g in p.generators]
+        conds = list(dict.fromkeys(c for c in conds if c is not None))
+        if p.convex and len(conds) > 1:
+            conds = list(prune(VPolytope(p.space.ny, tuple(conds), True)).generators)
+        lists.append(conds)
+    return lists
+
+
 def hull(p: CredalSet) -> CredalSet:
     """Products of an X-marginal of ``p`` with per-signal conditionals of ``p``.
 
@@ -505,14 +509,7 @@ def hull(p: CredalSet) -> CredalSet:
         marg = list(prune(VPolytope(space.nx, tuple(marg), True)).generators)
     else:
         marg = list(dict.fromkeys(marg))
-
-    cond_lists: list[list[tuple[Fraction, ...]]] = []
-    for i in range(space.nx):
-        conds = [g.conditional_y(i) for g in p.generators]
-        conds = list(dict.fromkeys(c for c in conds if c is not None))
-        if p.convex and len(conds) > 1:
-            conds = list(prune(VPolytope(space.ny, tuple(conds), True)).generators)
-        cond_lists.append(conds)
+    cond_lists = _conditional_lists(p)
 
     count = sum(
         math.prod(len(cond_lists[i]) for i in range(space.nx) if q[i] > 0)
@@ -540,12 +537,32 @@ def hull(p: CredalSet) -> CredalSet:
 
 
 def is_rectangular(p: CredalSet) -> bool:
-    """Does ``p`` already contain every product it generates?
+    """Does ``p`` contain every product Q (x) R that :func:`hull` builds?
 
-    Only the backward inclusion needs testing; ``p`` is always inside
-    its own product construction.
+    Decided one signal at a time.  For a generator g, a signal x with
+    g_X(x) > 0 and a conditional R that :func:`hull` uses at x, let
+    swap_x(g, R) be g with row x replaced by g_X(x) R.  ``p`` is
+    rectangular iff every such swap lies in ``p``.  Proof: swap_x(., R)
+    is linear and keeps the X-marginal, so if it maps every generator
+    into ``p`` it maps ``p`` into ``p``, and applying it at each live
+    signal of a generator reaches every product; conversely every swap
+    is such a product, or (convex) a mixture of them.  That is
+    k * sum_x |conditionals at x| membership tests against the k
+    generators of ``p``, stopping at the first non-member.
     """
-    return subset(joint_polytope(hull(p)), joint_polytope(p))
+    target = joint_polytope(p)
+    cond_lists = _conditional_lists(p)
+    ny = p.space.ny
+    for g in p.generators:
+        flat = g.flatten()
+        for i, px in enumerate(g.x_marginal()):
+            if px == 0:
+                continue
+            head, tail = flat[: i * ny], flat[(i + 1) * ny :]
+            for r in cond_lists[i]:
+                if not member(head + tuple(px * v for v in r) + tail, target):
+                    return False
+    return True
 
 
 def is_conservative(p: CredalSet) -> bool:

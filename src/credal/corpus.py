@@ -32,14 +32,13 @@ from .consistency import (
     falsify_dynamic_consistency,
 )
 from .core import (
+    DecisionRule,
     dilation_report,
     hull,
     is_conservative,
     is_rectangular,
     joint_polytope,
-    rule_from_weights,
     support_x,
-    uniform_action,
 )
 from .minimax import (
     solve_a_posteriori,
@@ -255,19 +254,10 @@ def _op_posterior_face_count(case, exp):
 
 
 def _op_posterior_rule_worst_case(case, exp):
-    # The per-signal optimal actions assembled into one decision rule
-    # (first face vertex at each live signal, uniform elsewhere).
+    # the first posterior-optimal vertex at each signal, uniform elsewhere
     dp = case.problem()
-    post = solve_a_posteriori(dp)
-    weights = []
-    for x in dp.space.x_labels:
-        point = post.point(x)
-        if point is None:
-            weights.append(uniform_action(dp.space).weights)
-        else:
-            weights.append(point.action_vertices[0].weights)
-    rule = rule_from_weights(dp.space, weights)
-    value, _ = worst_case_loss(dp.credal, rule, dp.loss)
+    per_x = tuple(opts[0] for opts in solve_a_posteriori(dp).choices(dp.space))
+    value, _ = worst_case_loss(dp.credal, DecisionRule(dp.space, per_x), dp.loss)
     return _rstr(value)
 
 

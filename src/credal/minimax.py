@@ -282,6 +282,13 @@ class PosteriorSolution:
             raise KeyError(x)
         return point.value
 
+    def choices(self, space) -> list[tuple[RandomizedAction, ...]]:
+        """Per signal, in label order: the optimal action vertices, or
+        the uniform action where the signal is never observed."""
+        by_x = {pt.x: pt.action_vertices for pt in self.per_x}
+        uniform = (uniform_action(space),)
+        return [by_x.get(x, uniform) for x in space.x_labels]
+
 
 def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
     """One matrix game per support signal: actions against the

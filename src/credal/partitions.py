@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .core import Partition
 
-__all__ = ["all_partitions", "bell_number", "partition_count"]
+__all__ = ["all_partitions", "bell_number"]
 
 
 def bell_number(n: int) -> int:
@@ -25,10 +25,6 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[0]
-
-
-def partition_count(labels) -> int:
-    return bell_number(len(tuple(labels)))
 
 
 def _growth_strings(n: int):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linprog import EQ, OPTIMAL, lp_solve, make_lp
+from .linprog import EQ, OPTIMAL, LinearProgram, lp_solve
 from .rationals import rat_seq
 
 __all__ = [
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-
-DIMENSION_LIMIT = 36
+ONE = Fraction(1)
 
 
 class ComparisonError(Exception):
@@ -44,7 +43,7 @@ class VPolytope:
     convex: bool
 
     def __post_init__(self):
-        if self.dimension < 1 or self.dimension > DIMENSION_LIMIT:
+        if self.dimension < 1:
             raise ValueError("dimension out of range: %d" % self.dimension)
         if not self.generators:
             raise ValueError("a polytope needs at least one generator")
@@ -65,18 +64,20 @@ def polytope(points, convex, dimension=None) -> VPolytope:
 
 
 def _in_hull(point, generators):
-    """Exact test: is ``point`` a convex combination of ``generators``?"""
+    """Exact test: is ``point`` a convex combination of ``generators``?
+
+    Both are already exact, so the feasibility LP is built as it stands.
+    """
     if point in generators:
         return True
     k = len(generators)
-    rows = []
-    rhs = []
-    for d in range(len(point)):
-        rows.append([generators[i][d] for i in range(k)])
-        rhs.append(point[d])
-    rows.append([1] * k)
-    rhs.append(1)
-    lp = make_lp([0] * k, rows, [EQ] * (len(point) + 1), rhs)
+    lp = LinearProgram(
+        objective=(ZERO,) * k,
+        rows=tuple(zip(*generators)) + ((ONE,) * k,),
+        senses=(EQ,) * (len(point) + 1),
+        rhs=tuple(point) + (ONE,),
+        lower_bounds=(ZERO,) * k,
+    )
     return lp_solve(lp).status == OPTIMAL
 
 

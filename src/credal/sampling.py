@@ -18,7 +18,6 @@ from .core import (
     Partition,
     ProblemSpace,
     credal_set,
-    hull,
     loss_function,
     rule_from_weights,
 )
@@ -26,12 +25,9 @@ from .core import (
 __all__ = [
     "DENOMINATOR_CAP",
     "simplex_point",
-    "random_space",
     "random_joint",
     "random_positive_joint",
     "random_credal_set",
-    "random_conservative_set",
-    "random_rectangular_set",
     "random_loss",
     "random_rule",
     "random_partition",
@@ -58,17 +54,6 @@ def simplex_point(rng: random.Random, n: int, positive: bool = False) -> tuple[F
     for _ in range(extra):
         counts[rng.randrange(n)] += 1
     return tuple(Fraction(c, denom) for c in counts)
-
-
-def random_space(rng: random.Random) -> ProblemSpace:
-    nx = rng.choice((2, 3))
-    ny = rng.choice((2, 3))
-    na = rng.choice((2, 3))
-    return ProblemSpace(
-        tuple(str(i) for i in range(nx)),
-        tuple(str(i) for i in range(ny)),
-        tuple(str(i) for i in range(na)),
-    )
 
 
 def _reshape(space: ProblemSpace, flat) -> list[list[Fraction]]:
@@ -104,22 +89,6 @@ def random_credal_set(
     draw = random_positive_joint if positive else random_joint
     masses = [draw(rng, space).mass for _ in range(k)]
     return credal_set(space, masses, convex)
-
-
-def random_conservative_set(
-    rng: random.Random, space: ProblemSpace, convex: bool | None = None
-) -> CredalSet:
-    """Every generator gives every signal positive probability."""
-    return random_credal_set(rng, space, convex=convex, positive=True)
-
-
-def random_rectangular_set(
-    rng: random.Random, space: ProblemSpace, conservative: bool = False
-) -> CredalSet:
-    """Rectangular by construction: the hull of a random set (hull is
-    idempotent).  With ``conservative`` the seed set has full support,
-    which the hull preserves."""
-    return hull(random_credal_set(rng, space, positive=conservative))
 
 
 def random_loss(rng: random.Random, space: ProblemSpace) -> LossFunction:

@@ -89,12 +89,12 @@ def test_posterior_dead_signal(tmp_path):
     assert out[2] == "1: never observed"
 
 
-def _ten_by_five(tmp_path):
-    """A valid problem file: 10 signals, 5 outcomes, 2 actions and 3
-    convex generators with every cell positive."""
+def _ten_by_five(tmp_path, generators=3):
+    """A valid problem file: 10 signals, 5 outcomes, 2 actions and
+    ``generators`` convex generators with every cell positive."""
     nx, ny = 10, 5
     gens = []
-    for k in range(3):
+    for k in range(generators):
         w = [[(i * 7 + j * 3 + k * 5) % 11 + 1 for j in range(ny)] for i in range(nx)]
         total = sum(map(sum, w))
         gens.append([["%d/%d" % (v, total) for v in row] for row in w])
@@ -115,7 +115,6 @@ def _ten_by_five(tmp_path):
     (("posterior", "{}"), ("check", "dilation", "{}"), ("calibrate", "{}", "--rule", "standard")),
 )
 def test_outcome_space_commands_run_on_a_ten_by_five_problem(tmp_path, capsys, argv):
-    # the joint space has 50 coordinates, more than a polytope may have;
     # these commands work in the 5 outcome coordinates only
     path = _ten_by_five(tmp_path)
     code, text = cli(*(a.format(path) for a in argv))
@@ -128,16 +127,35 @@ def test_outcome_space_commands_run_on_a_ten_by_five_problem(tmp_path, capsys, a
     "argv", (("hull", "{}"), ("check", "rect", "{}"), ("consistency", "weak", "{}"))
 )
 def test_hull_commands_refuse_a_ten_by_five_problem(tmp_path, capsys, argv):
-    # 3 X-marginals times 3 conditionals at each of 10 signals
+    # 3 X-marginals times 3 conditionals at each of 10 signals: only
+    # ``hull`` builds them; the structure checks go one signal at a time
     path = _ten_by_five(tmp_path)
     start = time.perf_counter()
     code, text = cli(*(a.format(path) for a in argv))
     assert time.perf_counter() - start < 10
-    assert code == 3
-    assert text == ""
-    assert capsys.readouterr().err == (
-        "refused: hull products limited to %d, got 177147\n" % HULL_PRODUCT_LIMIT
-    )
+    err = capsys.readouterr().err
+    if argv[0] == "hull":
+        assert code == 3
+        assert text == ""
+        assert err == "refused: hull products limited to %d, got 177147\n" % HULL_PRODUCT_LIMIT
+    else:
+        assert code == 0
+        assert err == ""
+        verdict = {"check": "rectangular: no", "consistency": "weak time consistency: inconsistent"}
+        assert verdict[argv[0]] in text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv", (("hull", "{}"), ("check", "rect", "{}"), ("consistency", "weak", "{}"))
+)
+def test_structure_commands_run_on_a_single_ten_by_five_generator(tmp_path, capsys, argv):
+    # one product, but 50 joint coordinates
+    path = _ten_by_five(tmp_path, generators=1)
+    code, text = cli(*(a.format(path) for a in argv))
+    assert code == 0
+    verdict = "weak time consistency: consistent" if argv[0] == "consistency" else "rectangular: yes"
+    assert verdict in text.splitlines()
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_refuses_more_than_twelve_rule_variables(tmp_path, capsys):

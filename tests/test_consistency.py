@@ -1,15 +1,16 @@
+import io
+import json
 from fractions import Fraction
 
-import pytest
-
+from credal.cli import run
 from credal.consistency import (
+    PRODUCT_LIMIT,
     PairWitness,
     SignalWitness,
     check_time_consistency,
     check_weak_time_consistency,
     falsify_dynamic_consistency,
     sufficient_conditions,
-    _posterior_product_rules,
 )
 from credal.core import (
     DecisionProblem,
@@ -18,8 +19,7 @@ from credal.core import (
     deterministic_rule,
     hull,
 )
-from credal.linprog import SizeLimitError
-from credal.minimax import solve_a_posteriori, worst_case_loss
+from credal.minimax import worst_case_loss
 
 from problems import (
     coin_pair_set,
@@ -184,8 +184,21 @@ def test_guaranteed_implies_verdicts():
     assert check_time_consistency(dp).result == "consistent"
 
 
-def test_product_rule_guard():
-    dp = half_dead_signal_problem()
-    post = solve_a_posteriori(dp)
-    with pytest.raises(SizeLimitError):
-        list(_posterior_product_rules(dp, post, limit=2))
+def test_weak_check_answers_beyond_the_product_limit(tmp_path, capsys):
+    # zero loss: both actions are optimal at each of 17 signals, so there
+    # are 2**17 posterior vertex products, more than PRODUCT_LIMIT
+    nx = 17
+    assert 2**nx > PRODUCT_LIMIT
+    path = tmp_path / "zero-loss.json"
+    path.write_text(json.dumps({
+        "x_labels": [str(i) for i in range(nx)],
+        "y_labels": ["0", "1"],
+        "actions": ["a", "b"],
+        "convex": True,
+        "generators": [[["1/%d" % (2 * nx)] * 2 for _ in range(nx)]],
+        "loss": [["0", "0"], ["0", "0"]],
+    }))
+    out = io.StringIO()
+    assert run(["consistency", "weak", str(path)], stdout=out) == 0
+    assert "weak time consistency: consistent" in out.getvalue().splitlines()
+    assert capsys.readouterr().err == ""

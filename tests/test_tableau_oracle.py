@@ -15,6 +15,7 @@ import credal.linprog
 from credal.corpus import load_corpus, run_case
 from credal.linprog import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, make_lp
 
+import structure_oracle
 import tableau_oracle
 
 F = Fraction
@@ -156,6 +157,9 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
         m.setattr(credal.linprog, "_Tableau", Recording)
         for case in load_corpus():
             assert run_case(case).ok, case.id
+            # the hull and joint-space membership LPs the corpus built
+            # before rectangularity was decided by one-signal swaps
+            structure_oracle.is_rectangular(case.credal())
     distinct = list(dict.fromkeys(lps))
     assert len(lps) >= 500 and len(distinct) >= 50
     for lp in distinct:
