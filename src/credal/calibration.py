@@ -16,14 +16,22 @@ sharp rules can be found among partition conditionings, so sharpness
 questions here reduce to a search over partitions of the signal
 labels.
 
-Every conditioned Y-marginal here, from the standard and partition
-rules, the class posteriors and the sharpness search alike, comes from
-:func:`credal.core.posterior_y`, which works in outcome space only.
+Every question about one credal set goes through one memo of it: the
+conditioned Y-set of each signal event, computed once by
+:func:`credal.core.posterior_y` in outcome space only (ignoring is
+conditioning on every signal), the live signals, and the inclusion
+between every pair of sets handed out.  :func:`check_calibration`,
+:func:`equivalence_classes`, :func:`narrower` and
+:func:`refinement_fixpoint` each open one; :func:`sharp_partition` and
+:func:`is_sharply_calibrated` share one across their whole scan, asking
+the same calibration and narrowness questions of every partition
+conditioning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     CredalSet,
@@ -34,7 +42,7 @@ from .core import (
 )
 from .linprog import SizeLimitError
 from .partitions import all_partitions, bell_number
-from .polytope import VPolytope, set_equal, subset
+from .polytope import VPolytope, subset
 
 __all__ = [
     "SHARP_X_LIMIT",
@@ -107,20 +115,7 @@ class UpdateRule:
         x = str(x)
         if x not in p.space.x_labels:
             raise ValueError("unknown signal label %r" % (x,))
-        if self.kind == _IGNORE:
-            return marginal_y(p)
-        if self.kind == _STANDARD:
-            return posterior_y(p, (x,))
-        if self.kind == _PARTITION:
-            if tuple(self.partition.labels) != p.space.x_labels:
-                raise ValueError("rule partition is over different labels")
-            return posterior_y(p, self.partition.cell_of(x))
-        for label, image in self.table:
-            if label == x:
-                if image.space != p.space:
-                    raise ValueError("table image on a different space")
-                return marginal_y(image)
-        return None
+        return _Memo(p).image(self, x)
 
     def label(self) -> str:
         if self.kind == _PARTITION:
@@ -167,6 +162,83 @@ def table_rule(mapping) -> UpdateRule:
     return UpdateRule(kind=_TABLE, table=table)
 
 
+class _Memo:
+    """What the calibration questions about one credal set share.
+
+    It holds the conditioned Y-set of every signal event asked for (one
+    :func:`~credal.core.posterior_y` call per cell), the live signals,
+    each table rule's opinion sets, and the inclusion between every pair
+    of sets it has handed out.  Inclusions are keyed by identity, which
+    is sound because the memo keeps every set it hands out alive.
+    """
+
+    def __init__(self, p: CredalSet):
+        self.p = p
+        self._cells: dict[tuple[str, ...], VPolytope | None] = {}
+        self._tables: dict[tuple[UpdateRule, str], VPolytope | None] = {}
+        self._sub: dict[tuple[int, int], bool] = {}
+
+    @cached_property
+    def live(self) -> tuple[str, ...]:
+        return support_x(self.p)
+
+    def cell(self, cell: tuple[str, ...]) -> VPolytope | None:
+        """Y-marginal of ``p`` conditioned on ``cell`` (labels in label order)."""
+        if cell not in self._cells:
+            self._cells[cell] = posterior_y(self.p, cell)
+        return self._cells[cell]
+
+    def image(self, rule: UpdateRule, x: str) -> VPolytope | None:
+        """The rule's opinion set at the signal label ``x``; ignoring
+        conditions on every signal."""
+        labels = self.p.space.x_labels
+        if rule.kind == _IGNORE:
+            return self.cell(labels)
+        if rule.kind == _STANDARD:
+            return self.cell((x,))
+        if rule.kind == _PARTITION:
+            if tuple(rule.partition.labels) != labels:
+                raise ValueError("rule partition is over different labels")
+            return self.cell(rule.partition.cell_of(x))
+        key = (rule, x)
+        if key not in self._tables:
+            image = dict(rule.table).get(x)
+            if image is not None and image.space != self.p.space:
+                raise ValueError("table image on a different space")
+            self._tables[key] = None if image is None else marginal_y(image)
+        return self._tables[key]
+
+    def sub(self, a: VPolytope, b: VPolytope) -> bool:
+        """Is ``a`` contained in ``b``?  Both must come from this memo."""
+        if a is b:
+            return True
+        key = (id(a), id(b))
+        if key not in self._sub:
+            self._sub[key] = subset(a, b)
+        return self._sub[key]
+
+
+def _classes(rule: UpdateRule, memo: _Memo) -> tuple[Partition, dict]:
+    """The rule's classes, and each class's opinion set (None when undefined)."""
+    groups: list[tuple[VPolytope, list[str]]] = []
+    missing: list[str] = []
+    for x in memo.p.space.x_labels:
+        img = memo.image(rule, x)
+        if img is None:
+            missing.append(x)
+            continue
+        for rep, members in groups:
+            if memo.sub(img, rep) and memo.sub(rep, img):
+                members.append(x)
+                break
+        else:
+            groups.append((img, [x]))
+    images = {tuple(members): rep for rep, members in groups}
+    if missing:
+        images[tuple(missing)] = None
+    return Partition(labels=memo.p.space.x_labels, cells=tuple(images)), images
+
+
 def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
     """Group signal values by equality of the rule's opinion sets.
 
@@ -174,23 +246,7 @@ def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
     cell (calibration checks skip it).  Cells are in first-occurrence
     order of the x labels, matching the canonical partition layout.
     """
-    groups: list[tuple[VPolytope, list[str]]] = []
-    missing: list[str] = []
-    for x in p.space.x_labels:
-        img = rule.image_y(p, x)
-        if img is None:
-            missing.append(x)
-            continue
-        for rep, members in groups:
-            if set_equal(img, rep):
-                members.append(x)
-                break
-        else:
-            groups.append((img, [x]))
-    cells = [tuple(members) for _, members in groups]
-    if missing:
-        cells.append(tuple(missing))
-    return Partition(labels=p.space.x_labels, cells=tuple(cells))
+    return _classes(rule, _Memo(p))[0]
 
 
 @dataclass(frozen=True)
@@ -227,23 +283,26 @@ def check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
     only the forward inclusion (conditioned marginal inside the
     opinion set).
     """
-    classes = equivalence_classes(rule, p)
-    live = set(support_x(p))
+    return _check_calibration(rule, _Memo(p))
+
+
+def _check_calibration(rule: UpdateRule, memo: _Memo) -> CalibrationReport:
+    classes, images = _classes(rule, memo)
     reports = []
     excluded = []
     for cell in classes.cells:
-        image = rule.image_y(p, cell[0])
-        if image is None or not any(x in live for x in cell):
+        image = images[cell]
+        posterior = None if image is None else memo.cell(cell)
+        if posterior is None:
             excluded.append(cell)
             continue
-        posterior = posterior_y(p, cell)
         reports.append(
             ClassReport(
                 cell=cell,
                 posterior=posterior,
                 image=image,
-                forward=subset(posterior, image),
-                backward=subset(image, posterior),
+                forward=memo.sub(posterior, image),
+                backward=memo.sub(image, posterior),
             )
         )
     return CalibrationReport(
@@ -264,15 +323,19 @@ def narrower(r1: UpdateRule, r2: UpdateRule, p: CredalSet) -> str:
     one containment is proper, ``"not-narrower"`` otherwise.  Both
     rules must be defined on the whole support.
     """
+    return _narrower(r1, r2, _Memo(p))
+
+
+def _narrower(r1: UpdateRule, r2: UpdateRule, memo: _Memo) -> str:
     strict = False
-    for x in support_x(p):
-        a = r1.image_y(p, x)
-        b = r2.image_y(p, x)
+    for x in memo.live:
+        a = memo.image(r1, x)
+        b = memo.image(r2, x)
         if a is None or b is None:
             raise ValueError("rule undefined at support signal %r" % (x,))
-        if not subset(a, b):
+        if not memo.sub(a, b):
             return NOT_NARROWER
-        if not subset(b, a):
+        if not memo.sub(b, a):
             strict = True
     return STRICTLY_NARROWER if strict else NARROWER
 
@@ -315,80 +378,18 @@ def refinement_fixpoint(p: CredalSet, start: Partition | None = None) -> Partiti
     merges cells, so this terminates after at most ``nx`` rounds.
     """
     _require_convex(p, "refinement iteration")
-    current = start if start is not None else Partition.singletons(p.space.x_labels)
-    for _ in range(p.space.nx + 1):
-        refined = refine_partition(current, p)
+    return _fixpoint(_Memo(p), start)
+
+
+def _fixpoint(memo: _Memo, start: Partition | None) -> Partition:
+    labels = memo.p.space.x_labels
+    current = start if start is not None else Partition.singletons(labels)
+    for _ in range(len(labels) + 1):
+        refined = _classes(partition_conditioning(current), memo)[0]
         if refined == current:
             return current
         current = refined
     raise AssertionError("refinement failed to stabilise")
-
-
-class _CellCache:
-    """Memoised conditioned Y-marginals and their pairwise inclusions."""
-
-    def __init__(self, p: CredalSet):
-        self.p = p
-        self._proj: dict[tuple[str, ...], VPolytope | None] = {}
-        self._sub: dict[tuple[tuple[str, ...], tuple[str, ...]], bool] = {}
-
-    def proj(self, cell) -> VPolytope | None:
-        cell = tuple(cell)
-        if cell not in self._proj:
-            self._proj[cell] = posterior_y(self.p, cell)
-        return self._proj[cell]
-
-    def sub(self, inner, outer) -> bool:
-        key = (tuple(inner), tuple(outer))
-        if key not in self._sub:
-            a = self.proj(key[0])
-            b = self.proj(key[1])
-            if a is None or b is None:
-                raise ValueError("comparison against a dead cell")
-            self._sub[key] = subset(a, b)
-        return self._sub[key]
-
-
-def _partition_calibrated(c: Partition, p: CredalSet, cache: _CellCache) -> bool:
-    """Is conditioning on ``c`` calibrated against ``p``?
-
-    The classes of c-conditioning merge c's live cells with equal
-    projections; calibration then asks that the merged cell's
-    projection still equals the members'.
-    """
-    groups: list[list[tuple[str, ...]]] = []
-    for cell in c.cells:
-        if cache.proj(cell) is None:
-            continue
-        for members in groups:
-            if cache.sub(cell, members[0]) and cache.sub(members[0], cell):
-                members.append(cell)
-                break
-        else:
-            groups.append([cell])
-    for members in groups:
-        merged = tuple(x for cell in members for x in cell)
-        merged = tuple(x for x in c.labels if x in merged)
-        pooled = cache.proj(merged)
-        rep = cache.proj(members[0])
-        if not (subset(pooled, rep) and subset(rep, pooled)):
-            return False
-    return True
-
-
-def _strictly_narrower_partition(
-    fine: Partition, coarse: Partition, live, cache: _CellCache
-) -> bool:
-    """Does conditioning on ``fine`` strictly narrow ``coarse`` on the support?"""
-    strict = False
-    for x in live:
-        a = fine.cell_of(x)
-        b = coarse.cell_of(x)
-        if not cache.sub(a, b):
-            return False
-        if not cache.sub(b, a):
-            strict = True
-    return strict
 
 
 @dataclass(frozen=True)
@@ -416,39 +417,35 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     refinement only coarsens and the calibrated order is not a chain.
     """
     _require_sharpness_search(p)
-    live = support_x(p)
-    if not live:
+    memo = _Memo(p)
+    if not memo.live:
         raise ValueError("credal set has empty signal support")
-    cache = _CellCache(p)
-    examined = list(all_partitions(p.space.x_labels))
-    calibrated = [c for c in examined if _partition_calibrated(c, p, cache)]
+    examined = [partition_conditioning(c) for c in all_partitions(p.space.x_labels)]
+    calibrated = [r for r in examined if _check_calibration(r, memo).calibrated]
 
-    current = refinement_fixpoint(p)
+    def narrows(fine: UpdateRule, coarse: UpdateRule) -> bool:
+        return _narrower(fine, coarse, memo) == STRICTLY_NARROWER
+
+    current = partition_conditioning(_fixpoint(memo, None))
     if current not in calibrated:
         raise AssertionError("refinement fixpoint should be calibrated")
     moved = True
     while moved:
         moved = False
         for cand in calibrated:
-            if cand != current and _strictly_narrower_partition(
-                cand, current, live, cache
-            ):
+            if cand != current and narrows(cand, current):
                 current = cand
                 moved = True
                 break
 
+    # the partitions scanned are distinct, so identity tells them apart
     minimal = tuple(
-        c
-        for c in calibrated
-        if not any(
-            d != c and _strictly_narrower_partition(d, c, live, cache)
-            for d in calibrated
-        )
+        c for c in calibrated if not any(d is not c and narrows(d, c) for d in calibrated)
     )
     if current not in minimal:
         raise AssertionError("descent should end at a minimal partition")
-    return current, SharpnessCertificate(
-        minimal=minimal,
+    return current.partition, SharpnessCertificate(
+        minimal=tuple(c.partition for c in minimal),
         calibrated_count=len(calibrated),
         examined=len(examined),
     )
@@ -470,26 +467,16 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     strictly narrower calibrated partition.
     """
     _require_sharpness_search(p)
-    report = check_calibration(rule, p)
-    if not report.calibrated:
+    memo = _Memo(p)
+    if not _check_calibration(rule, memo).calibrated:
         raise ValueError("sharpness is only defined for calibrated rules")
-    live = support_x(p)
-    cache = _CellCache(p)
-    images = {x: rule.image_y(p, x) for x in live}
-    if any(img is None for img in images.values()):
+    if any(memo.image(rule, x) is None for x in memo.live):
         raise ValueError("rule undefined at a support signal")
     for cand in all_partitions(p.space.x_labels):
-        if not _partition_calibrated(cand, p, cache):
-            continue
-        strict = False
-        ok = True
-        for x in live:
-            cell = cache.proj(cand.cell_of(x))
-            if not subset(cell, images[x]):
-                ok = False
-                break
-            if not subset(images[x], cell):
-                strict = True
-        if ok and strict:
+        cand_rule = partition_conditioning(cand)
+        if (
+            _check_calibration(cand_rule, memo).calibrated
+            and _narrower(cand_rule, rule, memo) == STRICTLY_NARROWER
+        ):
             return SharpnessVerdict(sharp=False, witness=cand)
     return SharpnessVerdict(sharp=True, witness=None)

@@ -270,6 +270,8 @@ def _cmd_consistency(args, out) -> int:
     elif args.what == "time":
         verdict = check_time_consistency(dp)
     else:
+        if args.budget < 0:
+            raise _InputError("--budget must be at least 0")
         rng = random.Random(_seed())
         verdict = falsify_dynamic_consistency(dp, budget=args.budget, rng=rng)
     out("structure: %s" % verdict.notes.summary())

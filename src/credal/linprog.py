@@ -62,7 +62,7 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-FACE_DIMENSION_LIMIT = 12
+FACE_CANDIDATE_LIMIT = 10_000
 
 
 class LpError(Exception):
@@ -643,9 +643,9 @@ def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ..
     """All vertices of ``{x feasible : objective.x = optimum}``.
 
     Brute force over active constraint sets; limited to
-    ``FACE_DIMENSION_LIMIT`` variables.  Raises
-    :class:`UnboundedFaceError` when the face is unbounded and returns
-    ``[]`` when ``optimum`` is not attained.
+    ``FACE_CANDIDATE_LIMIT`` candidate systems, counted before any LP or
+    system is solved.  Raises :class:`UnboundedFaceError` when the face
+    is unbounded and returns ``[]`` when ``optimum`` is not attained.
 
     The rows are shifted to lower bounds 0 and scaled to integers once;
     each candidate is solved by the integer kernel and tested for
@@ -654,15 +654,32 @@ def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ..
     """
     optimum = rat(optimum)
     n = len(lp.objective)
-    if n > FACE_DIMENSION_LIMIT:
-        raise SizeLimitError(
-            "face enumeration limited to %d variables, got %d"
-            % (FACE_DIMENSION_LIMIT, n)
-        )
-
     face_rows = list(lp.rows) + [lp.objective]
     face_senses = list(lp.senses) + [EQ]
     face_rhs = list(lp.rhs) + [optimum]
+
+    # Shift bounded variables to lower bound 0 and scale every row (GE rows
+    # negated to LE) to integers once.  A candidate then fixes some
+    # variables at 0 and solves for the others with the right-hand sides
+    # as they stand: t LE rows tight and need - t bounded variables at 0.
+    shift = [ZERO if lb is None else lb for lb in lp.lower_bounds]
+    eq, le = [], []
+    for row, b, s in zip(face_rows, face_rhs, face_senses):
+        b -= sum((a * lb for a, lb in zip(row, shift) if lb), ZERO)
+        sign = -1 if s == GE else 1
+        scaled = _scale_to_int([sign * a for a in row] + [sign * b])
+        (eq if s == EQ else le).append(scaled)
+    bound_vars = [j for j in range(n) if lp.lower_bounds[j] is not None]
+    need = n - matrix_rank(eq, n)
+    candidates = sum(
+        math.comb(len(le), t) * math.comb(len(bound_vars), need - t)
+        for t in range(min(need, len(le)) + 1)
+    )
+    if candidates > FACE_CANDIDATE_LIMIT:
+        raise SizeLimitError(
+            "face enumeration limited to %d candidate systems, got %d"
+            % (FACE_CANDIDATE_LIMIT, candidates)
+        )
 
     # boundedness probes (free vars always probed; bounded vars probed
     # unless a single row certifies an upper bound)
@@ -686,21 +703,7 @@ def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ..
             if sol.status == UNBOUNDED:
                 raise UnboundedFaceError("optimal face is unbounded")
 
-    # Shift bounded variables to lower bound 0 and scale every row (GE rows
-    # negated to LE) to integers once.  A candidate then fixes some
-    # variables at 0 and solves for the others with the right-hand sides
-    # as they stand.
-    shift = [ZERO if lb is None else lb for lb in lp.lower_bounds]
-    eq, le = [], []
-    for row, b, s in zip(face_rows, face_rhs, face_senses):
-        b -= sum((a * lb for a, lb in zip(row, shift) if lb), ZERO)
-        sign = -1 if s == GE else 1
-        scaled = _scale_to_int([sign * a for a in row] + [sign * b])
-        (eq if s == EQ else le).append(scaled)
-    bound_vars = [j for j in range(n) if lp.lower_bounds[j] is not None]
-    need = n - matrix_rank(eq, n)
     all_vars = (1 << n) - 1
-
     vertices = set()
     for t in range(0, min(need, len(le)) + 1):
         nb = need - t

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from credal.linprog import (
     EQ,
-    FACE_DIMENSION_LIMIT,
     GE,
     INFEASIBLE,
     LE,
@@ -26,6 +25,10 @@ from credal.linprog import (
     lp_solve,
 )
 from credal.rationals import rat
+
+# The Fraction brute force keeps the 12-variable limit it had in the
+# package.
+FACE_DIMENSION_LIMIT = 12
 
 
 def solve_unique(rows, rhs, n):

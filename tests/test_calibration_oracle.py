@@ -1,0 +1,181 @@
+"""Classes, calibration, narrowness and sharpness through one memo per
+credal set, against the paths they replaced."""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import credal.calibration as calibration
+from credal.calibration import (
+    check_calibration,
+    ignore_rule,
+    partition_conditioning,
+    standard_conditioning,
+    table_rule,
+)
+from credal.core import ProblemSpace, UndefinedConditionalError, condition, credal_set, hull
+from credal.corpus import load_corpus
+from credal.linprog import SizeLimitError
+from credal.partitions import all_partitions
+from credal.sampling import simplex_point
+
+import calibration_oracle
+
+F = Fraction
+
+
+def _space(nx, ny):
+    return ProblemSpace(
+        tuple("x%d" % i for i in range(nx)),
+        tuple("y%d" % i for i in range(ny)),
+        ("a0", "a1"),
+    )
+
+
+def _random_set(rng, nx, convex=True):
+    """Random set over ``nx`` signals with 1-4 generators.  Some signals
+    are dead; some take another signal's conditionals, from the same
+    generator or rotated by one generator (so their posteriors coincide
+    while the pooled one may not); in some every generator has the same
+    conditionals; some generators repeat, and some sets are replaced by
+    their hull when it is small."""
+    ny = rng.randint(2, 3)
+    space = _space(nx, ny)
+    dead = set(rng.sample(range(nx), rng.choice((0, 0, 1, nx - 1))))
+    live = [i for i in range(nx) if i not in dead]
+    masses = []
+    for _ in range(rng.randint(1, 4)):
+        flat = iter(simplex_point(rng, len(live) * ny))
+        masses.append([[F(0)] * ny if i in dead else [next(flat) for _ in range(ny)] for i in range(nx)])
+    if len(live) > 1 and rng.random() < 0.6:
+        a, b = rng.sample(live, 2)
+        shift = rng.randint(0, 1)
+        for j, rows in enumerate(masses):
+            source = masses[(j + shift) % len(masses)][a]
+            if sum(source):
+                rows[b] = [sum(rows[b]) / sum(source) * v for v in source]
+    if rng.random() < 0.3:
+        # every generator takes the first one's conditionals, and some
+        # put all their mass on one signal, so conditioning narrows
+        first = masses[0]
+        for rows in masses[1:]:
+            for i in live:
+                if sum(first[i]):
+                    rows[i] = [sum(rows[i]) / sum(first[i]) * v for v in first[i]]
+        for i in live:
+            if sum(first[i]) and rng.random() < 0.8:
+                point = [v / sum(first[i]) for v in first[i]]
+                masses.append([point if j == i else [F(0)] * ny for j in range(nx)])
+    if rng.random() < 0.2:
+        masses.append(rng.choice(masses))
+    p = credal_set(space, masses, convex)
+    if rng.random() < 0.3:
+        # hulls of up to 16 generators keep the pruning LPs small
+        try:
+            h = hull(p)
+        except SizeLimitError:
+            return p
+        if len(h.generators) <= 16:
+            return h
+    return p
+
+
+def _rules(rng, p):
+    """Standard, ignore, two partition conditionings and a table rule
+    that copies conditioned sets at some signals and is undefined at
+    the others."""
+    labels = p.space.x_labels
+    parts = list(all_partitions(labels))
+    table = {}
+    for x in labels:
+        if rng.random() < 0.7:
+            cell = rng.choice(parts).cell_of(x)
+            try:
+                table[x] = condition(p, cell)
+            except UndefinedConditionalError:
+                continue
+    rules = [
+        standard_conditioning(),
+        ignore_rule(),
+        partition_conditioning(rng.choice(parts)),
+        partition_conditioning(rng.choice(parts)),
+    ]
+    if table:
+        rules.append(table_rule(table))
+    return rules
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def _agree(name, *args):
+    new = _outcome(getattr(calibration, name), *args)
+    old = _outcome(getattr(calibration_oracle, name), *args)
+    assert new == old, (name, args)
+    return new
+
+
+def test_random_reports_match_the_oracle():
+    rng = random.Random(2014)
+    calibrated = 0
+    for trial in range(45):
+        p = _random_set(rng, rng.randint(2, 5), convex=trial % 6 != 0)
+        rules = _rules(rng, p)
+        for rule in rules:
+            _agree("equivalence_classes", rule, p)
+            report = _agree("check_calibration", rule, p)
+            calibrated += getattr(report, "calibrated", False)
+        for r1 in rules:
+            _agree("narrower", r1, rng.choice(rules), p)
+        start = rng.choice(list(all_partitions(p.space.x_labels)))
+        _agree("refinement_fixpoint", p)
+        _agree("refinement_fixpoint", p, start)
+        _agree("refine_partition", start, p)
+    assert calibrated > 40
+
+
+def test_random_sharpness_matches_the_oracle():
+    rng = random.Random(1401)
+    not_sharp = 0
+    for trial in range(30):
+        p = _random_set(rng, rng.choice((2, 3, 3, 4, 4, 5)), convex=trial % 10 != 0)
+        _agree("sharp_partition", p)
+        for rule in _rules(rng, p):
+            verdict = _agree("is_sharply_calibrated", rule, p)
+            not_sharp += getattr(verdict, "witness", None) is not None
+    assert not_sharp > 5
+
+
+def test_check_calibration_conditions_each_cell_once(monkeypatch):
+    calls = Counter()
+    posterior_y = calibration.posterior_y
+
+    def counted(p, cell):
+        calls[tuple(cell)] += 1
+        return posterior_y(p, cell)
+
+    monkeypatch.setattr(calibration, "posterior_y", counted)
+    rng = random.Random(5)
+    for _ in range(20):
+        calls.clear()
+        p = _random_set(rng, rng.randint(2, 5))
+        report = check_calibration(standard_conditioning(), p)
+        assert calls and max(calls.values()) == 1
+        assert all(cl.cell in calls for cl in report.per_class)
+
+
+def test_corpus_sets_match_the_oracle():
+    for case in load_corpus():
+        p = case.credal()
+        rules = [standard_conditioning(), ignore_rule()]
+        rules += [partition_conditioning(c) for c in all_partitions(p.space.x_labels)]
+        for rule in rules:
+            _agree("check_calibration", rule, p)
+            _agree("narrower", rule, rules[0], p)
+            _agree("is_sharply_calibrated", rule, p)
+        _agree("sharp_partition", p)
+        _agree("refinement_fixpoint", p)

@@ -12,6 +12,7 @@ import pytest
 
 from credal.cli import run
 from credal.core import HULL_PRODUCT_LIMIT
+from credal.linprog import FACE_CANDIDATE_LIMIT
 
 
 def cli(*argv):
@@ -158,11 +159,37 @@ def test_structure_commands_run_on_a_single_ten_by_five_generator(tmp_path, caps
     assert capsys.readouterr().err == ""
 
 
-def test_solve_refuses_more_than_twelve_rule_variables(tmp_path, capsys):
+def test_solve_refuses_a_ten_by_five_face(tmp_path, capsys):
     code, _ = cli("solve", str(_ten_by_five(tmp_path)))
     assert code == 3
     err = capsys.readouterr().err
-    assert err == "refused: face enumeration limited to 12 variables, got 20\n"
+    assert err == (
+        "refused: face enumeration limited to %d candidate systems, got 1144066\n"
+        % FACE_CANDIDATE_LIMIT
+    )
+
+
+@pytest.mark.parametrize("argv", (("posterior",), ("consistency", "weak")))
+def test_thirteen_actions_get_a_posterior_face(tmp_path, capsys, argv):
+    # each posterior face has 13 action weights, one simplex row and 2
+    # conditioned generators: 455 candidate systems
+    path = tmp_path / "thirteen-actions.json"
+    path.write_text(json.dumps({
+        "x_labels": ["0", "1"],
+        "y_labels": ["0", "1"],
+        "actions": ["a%d" % a for a in range(13)],
+        "convex": True,
+        "generators": [[["1/4", "1/4"], ["1/4", "1/4"]], [["1/2", "1/6"], ["1/6", "1/6"]]],
+        "loss": [["%d/%d" % ((a * 5 + y * 3) % 7, a % 3 + 1) for a in range(13)] for y in range(2)],
+    }))
+    code, text = cli(*argv, str(path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    expected = {
+        "posterior": "1: value 2/3, actions (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)",
+        "consistency": "weak time consistency: inconsistent",
+    }
+    assert expected[argv[0]] in text.splitlines()
 
 
 def test_oracle_refuses_an_oversized_grid(capsys):
@@ -378,3 +405,10 @@ def test_help_exits_zero():
 def test_oracle_grid_must_be_positive(capsys):
     code, _ = cli("oracle", "corpus/example-2.1", "--grid", "0")
     assert code == 2
+
+
+def test_dynamic_budget_must_not_be_negative(capsys):
+    code, text = cli("consistency", "dynamic", "corpus/example-2.1", "--budget", "-1")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "error: --budget must be at least 0\n"

@@ -232,9 +232,14 @@ def test_face_unbounded_error():
 
 
 def test_face_dimension_limit():
+    # the 13-variable simplex has 13 candidate systems; the product of
+    # four of them has C(52, 48) = 270725
     n = 13
-    lp = make_lp([0] * n, [[1] * n], [EQ], [1])
-    with pytest.raises(SizeLimitError):
+    simplex = make_lp([0] * n, [[1] * n], [EQ], [1])
+    assert len(optimal_face_vertices(simplex, 0)) == n
+    blocks = [[int(i * n <= j < (i + 1) * n) for j in range(4 * n)] for i in range(4)]
+    lp = make_lp([0] * 4 * n, blocks, [EQ] * 4, [1] * 4)
+    with pytest.raises(SizeLimitError, match="candidate systems, got 270725$"):
         optimal_face_vertices(lp, 0)
 
 
