@@ -7,13 +7,16 @@ ties are real ties rather than epsilon artifacts.  Three views:
 * a zero-sum game (rock, paper, scissors with a doubled scissors-rock
   payoff) solved to its exact mixed equilibrium,
 * a two-variable LP with its primal and dual solutions side by side,
-* an objective that is flat on an edge, where the optimal face comes
-  back as two vertices instead of an arbitrary point on it.
+* a game whose optimal mixtures form an edge, where the optimal face
+  comes back as its two vertices instead of an arbitrary point on it.
 """
+
+from fractions import Fraction
 
 from credal.linprog import (
     GE,
     LE,
+    block_game,
     lp_solve,
     make_lp,
     optimal_face_vertices,
@@ -49,16 +52,14 @@ def main():
     print("rhs . dual =", 4 * sol.dual[0] + 2 * sol.dual[1])
 
     print()
-    print("-- minimize x + y subject to x + y >= 1 (a flat edge) --")
-    lp = make_lp(
-        objective=["1", "1"],
-        rows=[["1", "1"]],
-        senses=[GE],
-        rhs=["1"],
-    )
-    sol = lp_solve(lp)
-    print("minimum:", sol.value)
-    for v in optimal_face_vertices(lp, sol.value):
+    print("-- bet on rain, bet on sun, or stay home (a flat edge) --")
+    # one loss row per weather scenario, one column per action; the
+    # mixtures form one simplex block of width 3
+    half = Fraction(1, 2)
+    rows = [[0, 1, half], [1, 0, half]]
+    value, mix, _prices = block_game(rows, [3])
+    print("value:", value, "at mixture", ", ".join(str(w) for w in mix))
+    for v in optimal_face_vertices(rows, [3], value):
         print("  optimal vertex:", ", ".join(str(c) for c in v))
 
 

@@ -170,6 +170,11 @@ class _Memo:
     each table rule's opinion sets, and the inclusion between every pair
     of sets it has handed out.  Inclusions are keyed by identity, which
     is sound because the memo keeps every set it hands out alive.
+
+    Every set it hands out is pruned, so a convex set is its vertex set
+    and a finite set its points: two of them are equal exactly when
+    their :meth:`key` values are (a single point reads the same either
+    way, and a convex set with two vertices or more is never finite).
     """
 
     def __init__(self, p: CredalSet):
@@ -177,6 +182,7 @@ class _Memo:
         self._cells: dict[tuple[str, ...], VPolytope | None] = {}
         self._tables: dict[tuple[UpdateRule, str], VPolytope | None] = {}
         self._sub: dict[tuple[int, int], bool] = {}
+        self._keys: dict[int, tuple] = {}
 
     @cached_property
     def live(self) -> tuple[str, ...]:
@@ -208,9 +214,17 @@ class _Memo:
             self._tables[key] = None if image is None else marginal_y(image)
         return self._tables[key]
 
+    def key(self, a: VPolytope) -> tuple:
+        """Equal for two sets from this memo exactly when the sets are equal."""
+        key = self._keys.get(id(a))
+        if key is None:
+            gens = a.generators
+            key = self._keys[id(a)] = (a.convex and len(gens) > 1, frozenset(gens))
+        return key
+
     def sub(self, a: VPolytope, b: VPolytope) -> bool:
         """Is ``a`` contained in ``b``?  Both must come from this memo."""
-        if a is b:
+        if self.key(a) == self.key(b):
             return True
         key = (id(a), id(b))
         if key not in self._sub:
@@ -220,20 +234,15 @@ class _Memo:
 
 def _classes(rule: UpdateRule, memo: _Memo) -> tuple[Partition, dict]:
     """The rule's classes, and each class's opinion set (None when undefined)."""
-    groups: list[tuple[VPolytope, list[str]]] = []
+    groups: dict[tuple, tuple[VPolytope, list[str]]] = {}
     missing: list[str] = []
     for x in memo.p.space.x_labels:
         img = memo.image(rule, x)
         if img is None:
             missing.append(x)
             continue
-        for rep, members in groups:
-            if memo.sub(img, rep) and memo.sub(rep, img):
-                members.append(x)
-                break
-        else:
-            groups.append((img, [x]))
-    images = {tuple(members): rep for rep, members in groups}
+        groups.setdefault(memo.key(img), (img, []))[1].append(x)
+    images = {tuple(members): rep for rep, members in groups.values()}
     if missing:
         images[tuple(missing)] = None
     return Partition(labels=memo.p.space.x_labels, cells=tuple(images)), images
@@ -335,7 +344,7 @@ def _narrower(r1: UpdateRule, r2: UpdateRule, memo: _Memo) -> str:
             raise ValueError("rule undefined at support signal %r" % (x,))
         if not memo.sub(a, b):
             return NOT_NARROWER
-        if not memo.sub(b, a):
+        if memo.key(a) != memo.key(b):
             strict = True
     return STRICTLY_NARROWER if strict else NARROWER
 

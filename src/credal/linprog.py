@@ -5,14 +5,18 @@ tableau is kept as integer rows over one positive common denominator, the
 basis determinant, and pivots with the fraction-free update of Edmonds and
 Bareiss; pricing and the ratio test compare the same rationals as a
 ``Fraction`` tableau would, cross-multiplied, so the pivots are the same.
-Every other elimination (the dual solve, :func:`solve_unique`,
-:func:`matrix_rank` and the candidate systems of the optimal-face
-enumeration) scales its rows to integers and runs through one Bareiss
-kernel on Python ``int``.  Each division by the previous pivot is exact,
-so no gcd is taken, and only the results are turned back into fractions.
-Optimal values, primal points and dual prices are exact; strong duality
-and complementary slackness are verified bit-for-bit, in ``Fraction``,
-before a solution is returned.
+Every other elimination (the dual solve and the candidate systems of the
+optimal-face enumeration) scales its rows to integers and runs through
+one Bareiss kernel on Python ``int``.  Each division by the previous
+pivot is exact, so no gcd is taken, and only the results are turned back
+into fractions.  Optimal values, primal points and dual prices are
+exact; strong duality and complementary slackness are verified
+bit-for-bit, in ``Fraction``, before a solution is returned.
+
+Every game in the package is one LP shape, built by :func:`block_game`:
+minimise the worst of finitely many linear losses over a product of
+simplices.  :func:`optimal_face_vertices` enumerates the optimal face of
+that shape only.
 
 Conventions
 -----------
@@ -43,17 +47,13 @@ __all__ = [
     "LpError",
     "DimensionError",
     "SizeLimitError",
-    "UnboundedFaceError",
     "LinearProgram",
     "LpSolution",
     "make_lp",
     "lp_solve",
     "zero_sum_value",
     "block_game",
-    "block_game_face",
     "optimal_face_vertices",
-    "solve_unique",
-    "matrix_rank",
 ]
 
 LE, EQ, GE = "<=", "=", ">="
@@ -75,10 +75,6 @@ class DimensionError(LpError):
 
 class SizeLimitError(LpError):
     """A brute-force enumeration would exceed its documented limit."""
-
-
-class UnboundedFaceError(LpError):
-    """The optimal face is unbounded, so it has no finite vertex list."""
 
 
 class InternalCheckError(LpError):
@@ -201,23 +197,6 @@ def _solve_int(aug, n):
     if den < 0:
         return [-row[n] for row in aug[:n]], -den
     return [row[n] for row in aug[:n]], den
-
-
-def solve_unique(rows, rhs, n):
-    """Solve a linear system with ``n`` unknowns.
-
-    Returns the solution tuple when the system is consistent and has a
-    unique solution, else None.  ``rows`` may contain redundant rows.
-    """
-    sol = _solve_int([_scale_to_int([*r, b]) for r, b in zip(rows, rhs)], n)
-    if sol is None:
-        return None
-    nums, den = sol
-    return tuple(Fraction(v, den) for v in nums)
-
-
-def matrix_rank(rows, n):
-    return len(_bareiss([_scale_to_int(r) for r in rows], n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +531,13 @@ def block_game(rows, widths):
     """
     rows = rat_matrix(rows)
     n = sum(widths)
-    blocks = _block_rows(widths)
-    lp = make_lp(
-        [ONE] + [ZERO] * n,
-        [[-ONE] + list(row) for row in rows] + [[ZERO] + b for b in blocks],
-        [LE] * len(rows) + [EQ] * len(blocks),
-        [ZERO] * len(rows) + [ONE] * len(blocks),
-        lower_bounds=[None] + [ZERO] * n,
+    lp = LinearProgram(
+        objective=(ONE,) + (ZERO,) * n,
+        rows=tuple((-ONE, *row) for row in rows)
+        + tuple((ZERO, *b) for b in _block_rows(widths)),
+        senses=(LE,) * len(rows) + (EQ,) * len(widths),
+        rhs=(ZERO,) * len(rows) + (ONE,) * len(widths),
+        lower_bounds=(None,) + (ZERO,) * n,
     )
     sol = lp_solve(lp)
     if sol.status != OPTIMAL:
@@ -581,19 +560,6 @@ def block_game(rows, widths):
     if not (worst_row == value == best_reply):
         raise InternalCheckError("saddle point check failed")
     return value, w, prices
-
-
-def block_game_face(rows, widths, value) -> list[tuple[Fraction, ...]]:
-    """Vertices of the optimal set ``{w : rows[i].w <= value}`` of
-    :func:`block_game`, with ``w`` on the same product of simplices."""
-    blocks = _block_rows(widths)
-    lp = make_lp(
-        [ZERO] * sum(widths),
-        list(rows) + blocks,
-        [LE] * len(rows) + [EQ] * len(blocks),
-        [value] * len(rows) + [ONE] * len(blocks),
-    )
-    return optimal_face_vertices(lp, 0)
 
 
 def zero_sum_value(payoff):
@@ -622,57 +588,26 @@ def zero_sum_value(payoff):
 # optimal-face vertex enumeration
 
 
-def _bounded_by_rows(lp: LinearProgram, j):
-    """Cheap certificate that variable j is bounded above on the feasible set."""
-    for i, row in enumerate(lp.rows):
-        if lp.senses[i] == GE or row[j] <= 0:
-            continue
-        ok = True
-        for k, a in enumerate(row):
-            if k == j:
-                continue
-            if a < 0 or (a > 0 and lp.lower_bounds[k] is None):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+def optimal_face_vertices(rows, widths, value) -> list[tuple[Fraction, ...]]:
+    """Vertices of ``{w : rows[i].w <= value}`` with ``w`` on the product of
+    simplices of :func:`block_game`: its optimal face when ``value`` is the
+    game value, ``[]`` when ``value`` is below it.
 
-
-def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ...]]:
-    """All vertices of ``{x feasible : objective.x = optimum}``.
-
-    Brute force over active constraint sets; limited to
-    ``FACE_CANDIDATE_LIMIT`` candidate systems, counted before any LP or
-    system is solved.  Raises :class:`UnboundedFaceError` when the face
-    is unbounded and returns ``[]`` when ``optimum`` is not attained.
-
-    The rows are shifted to lower bounds 0 and scaled to integers once;
-    each candidate is solved by the integer kernel and tested for
-    feasibility in integers, and only the vertices found are turned into
-    (exact) fractions.
+    Brute force over active sets: a vertex makes every block row tight and
+    ``need = n - len(widths)`` more constraints tight, ``t`` of them game
+    rows and the rest coordinates at 0.  Limited to
+    ``FACE_CANDIDATE_LIMIT`` candidate systems, counted before any system
+    is solved.  The face is bounded (it lies in the product of simplices),
+    so no probe is needed.  Every row is scaled to integers once; each
+    candidate is solved by the integer kernel and tested for feasibility
+    in integers, and only the vertices found are turned into fractions.
     """
-    optimum = rat(optimum)
-    n = len(lp.objective)
-    face_rows = list(lp.rows) + [lp.objective]
-    face_senses = list(lp.senses) + [EQ]
-    face_rhs = list(lp.rhs) + [optimum]
-
-    # Shift bounded variables to lower bound 0 and scale every row (GE rows
-    # negated to LE) to integers once.  A candidate then fixes some
-    # variables at 0 and solves for the others with the right-hand sides
-    # as they stand: t LE rows tight and need - t bounded variables at 0.
-    shift = [ZERO if lb is None else lb for lb in lp.lower_bounds]
-    eq, le = [], []
-    for row, b, s in zip(face_rows, face_rhs, face_senses):
-        b -= sum((a * lb for a, lb in zip(row, shift) if lb), ZERO)
-        sign = -1 if s == GE else 1
-        scaled = _scale_to_int([sign * a for a in row] + [sign * b])
-        (eq if s == EQ else le).append(scaled)
-    bound_vars = [j for j in range(n) if lp.lower_bounds[j] is not None]
-    need = n - matrix_rank(eq, n)
+    n = sum(widths)
+    le = [_scale_to_int([*row, value]) for row in rows]
+    eq = [_scale_to_int([*b, ONE]) for b in _block_rows(widths)]
+    need = n - len(widths)
     candidates = sum(
-        math.comb(len(le), t) * math.comb(len(bound_vars), need - t)
+        math.comb(len(le), t) * math.comb(n, need - t)
         for t in range(min(need, len(le)) + 1)
     )
     if candidates > FACE_CANDIDATE_LIMIT:
@@ -681,59 +616,31 @@ def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ..
             % (FACE_CANDIDATE_LIMIT, candidates)
         )
 
-    # boundedness probes (free vars always probed; bounded vars probed
-    # unless a single row certifies an upper bound)
-    for j in range(n):
-        directions = [ONE, -ONE] if lp.lower_bounds[j] is None else [ONE]
-        if lp.lower_bounds[j] is not None and _bounded_by_rows(lp, j):
-            continue
-        for sign in directions:
-            probe_obj = [ZERO] * n
-            probe_obj[j] = -sign  # maximize sign * x_j
-            probe = LinearProgram(
-                objective=tuple(probe_obj),
-                rows=tuple(tuple(r) for r in face_rows),
-                senses=tuple(face_senses),
-                rhs=tuple(face_rhs),
-                lower_bounds=lp.lower_bounds,
-            )
-            sol = lp_solve(probe)
-            if sol.status == INFEASIBLE:
-                return []
-            if sol.status == UNBOUNDED:
-                raise UnboundedFaceError("optimal face is unbounded")
-
-    all_vars = (1 << n) - 1
     vertices = set()
-    for t in range(0, min(need, len(le)) + 1):
-        nb = need - t
-        if nb > len(bound_vars):
-            continue
+    for t in range(min(need, len(le)) + 1):
         for rows_subset in itertools.combinations(le, t):
             system = eq + list(rows_subset)
             # A row whose variables are all fixed at 0 reads 0 = b; with
             # b != 0 the candidate is inconsistent before any elimination.
             live = [sum(1 << j for j in range(n) if r[j]) for r in system if r[n]]
-            for bounds_subset in itertools.combinations(bound_vars, nb):
-                free_mask = all_vars
-                for j in bounds_subset:
-                    free_mask ^= 1 << j
+            # the n - need + t coordinates not fixed at 0
+            for free_idx in itertools.combinations(range(n), len(widths) + t):
+                free_mask = sum(1 << j for j in free_idx)
                 if any(not support & free_mask for support in live):
                     continue
-                free_idx = [j for j in range(n) if free_mask >> j & 1]
                 sol = _solve_int(
                     [[r[j] for j in free_idx] + [r[n]] for r in system], len(free_idx)
                 )
                 if sol is None:
                     continue
                 nums, den = sol
+                if any(v < 0 for v in nums) or any(
+                    sum(r[j] * v for j, v in zip(free_idx, nums)) > r[n] * den for r in le
+                ):
+                    continue
                 y = [0] * n
                 for j, v in zip(free_idx, nums):
                     y[j] = v
-                if any(y[j] < 0 for j in bound_vars):
-                    continue
-                if any(sum(a * v for a, v in zip(r, y)) > r[n] * den for r in le):
-                    continue
-                vertices.add(tuple(lb + Fraction(v, den) for lb, v in zip(shift, y)))
+                vertices.add(tuple(Fraction(v, den) for v in y))
 
     return sorted(vertices)

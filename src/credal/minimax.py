@@ -14,8 +14,9 @@ Two games are solved exactly:
 Both games, and the constant-rule game of :func:`solve_ignoring`, are
 one LP shape: minimise the worst of finitely many linear losses over a
 product of simplices.  :func:`credal.linprog.block_game` builds and
-checks that LP, and :func:`credal.linprog.block_game_face` enumerates
-its optimal face; this module only supplies the loss rows.
+checks that LP, and :func:`credal.linprog.optimal_face_vertices`
+enumerates its optimal face from the same rows, widths and value; this
+module only supplies the loss rows.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -41,7 +42,7 @@ from .core import (
     support_x,
     uniform_action,
 )
-from .linprog import SizeLimitError, block_game, block_game_face
+from .linprog import SizeLimitError, block_game, optimal_face_vertices
 from .polytope import VPolytope
 from .rationals import rat
 
@@ -228,7 +229,8 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     )
 
     if face:
-        vertices = _face_rules(space, live_idx, block_game_face(rows, widths, value))
+        verts = optimal_face_vertices(rows, widths, value)
+        vertices = _face_rules(space, live_idx, verts)
         if not vertices:
             raise SolverError("optimal face came back empty")
         rule = vertices[0]
@@ -299,7 +301,7 @@ def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
         proj = posterior_y(dp.credal, (x,))
         rows = [_action_losses(dp.loss, q) for q in proj.generators]
         value, _w, mixture = block_game(rows, widths)
-        verts = block_game_face(rows, widths, value)
+        verts = optimal_face_vertices(rows, widths, value)
         points.append(
             PosteriorPoint(
                 x=x,
@@ -404,7 +406,7 @@ def solve_ignoring(dp: DecisionProblem, prior: MinimaxSolution | None = None) ->
         raise SolverError("marginal game disagrees with constant-rule LP")
 
     action_vertices = tuple(
-        RandomizedAction(v) for v in block_game_face(rows, widths, value)
+        RandomizedAction(v) for v in optimal_face_vertices(rows, widths, value)
     )
     if not action_vertices:
         raise SolverError("constant-rule face came back empty")

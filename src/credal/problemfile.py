@@ -117,6 +117,8 @@ def parse_problem_file(text: str) -> ProblemFile:
     xs = _labels(doc, "x_labels")
     ys = _labels(doc, "y_labels")
     acts = _labels(doc, "actions")
+    if len(acts) < 2:
+        _fail("actions", "a decision problem needs at least two actions")
     convex = doc.get("convex")
     if not isinstance(convex, bool):
         _fail("convex", "expected true or false")

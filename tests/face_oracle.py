@@ -2,8 +2,10 @@
 
 This is the enumerator ``credal.linprog`` used before its eliminations
 moved to integers: every active set is solved by Gauss-Jordan in
-``Fraction`` with the right-hand side shifted per candidate.  Tests
-compare the package's enumerator and elimination kernel against it.
+``Fraction`` with the right-hand side shifted per candidate.  It takes
+any LP (free variables, ``>=`` rows, nonzero lower bounds, unbounded
+faces), so tests hand it the general LP equivalent to a block-game face
+and compare the package's enumerator and elimination kernel against it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from credal.linprog import (
     UNBOUNDED,
     ZERO,
     LinearProgram,
+    LpError,
     SizeLimitError,
-    UnboundedFaceError,
     lp_solve,
 )
 from credal.rationals import rat
@@ -29,6 +31,10 @@ from credal.rationals import rat
 # The Fraction brute force keeps the 12-variable limit it had in the
 # package.
 FACE_DIMENSION_LIMIT = 12
+
+
+class UnboundedFaceError(LpError):
+    """The optimal face is unbounded, so it has no finite vertex list."""
 
 
 def solve_unique(rows, rhs, n):

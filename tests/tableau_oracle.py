@@ -22,8 +22,9 @@ from credal.linprog import (
     LinearProgram,
     LpSolution,
     _verify_optimal,
-    solve_unique,
 )
+
+from face_oracle import solve_unique
 
 
 class _Tableau:

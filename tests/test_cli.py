@@ -372,6 +372,27 @@ def test_malformed_file_names_the_field(tmp_path, capsys):
     assert "generators[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["hull"], ["check", "rect"], ["calibrate", "--rule", "standard"]],
+    ids=lambda a: " ".join(a),
+)
+def test_one_action_file_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "one-action.json"
+    path.write_text(json.dumps({
+        "x_labels": ["0", "1"],
+        "y_labels": ["0", "1"],
+        "actions": ["go"],
+        "convex": True,
+        "generators": [[["1/2", "0"], ["0", "1/2"]]],
+        "loss": [["0"], ["1"]],
+    }))
+    code, out = cli(*argv, str(path))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: field 'actions'"), err
+
+
 def test_unknown_subcommand(capsys):
     code, _ = cli("frobnicate", "x")
     assert code == 2

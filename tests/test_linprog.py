@@ -15,15 +15,13 @@ from credal.linprog import (
     DimensionError,
     LinearProgram,
     SizeLimitError,
-    UnboundedFaceError,
+    block_game,
     lp_solve,
     _bareiss,
     _scale_to_int,
     _solve_int,
     make_lp,
-    matrix_rank,
     optimal_face_vertices,
-    solve_unique,
     zero_sum_value,
 )
 
@@ -197,56 +195,47 @@ def test_transpose_negation_identity():
 
 
 def test_face_of_whole_simplex():
-    lp = make_lp([0, 0], [[1, 1]], [EQ], [1])
-    verts = optimal_face_vertices(lp, 0)
+    verts = optimal_face_vertices([[0, 0]], [2], 0)
     assert verts == [(0, 1), (1, 0)]
 
 
 def test_face_single_vertex():
-    lp = make_lp([1, 0], [[1, 1]], [EQ], [1])
-    verts = optimal_face_vertices(lp, 0)
+    verts = optimal_face_vertices([[1, 0]], [2], 0)
     assert verts == [(0, 1)]
 
 
 def test_face_with_inactive_row_constraint():
     # the whole 3-simplex is optimal when the row is tight everywhere
-    lp = make_lp(
-        [0, 0, 0],
-        [[F(2, 3), F(2, 3), F(2, 3)], [1, 1, 1]],
-        [LE, EQ],
-        [F(2, 3), 1],
-    )
-    verts = optimal_face_vertices(lp, 0)
+    verts = optimal_face_vertices([[F(2, 3), F(2, 3), F(2, 3)]], [3], F(2, 3))
     assert verts == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
+def test_face_on_a_product_of_simplices():
+    # matching pennies played twice: each block must mix evenly
+    rows = [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
+    value, _w, _prices = block_game(rows, [2, 2])
+    assert value == 1
+    verts = optimal_face_vertices(rows, [2, 2], value)
+    assert verts == [(F(1, 2), F(1, 2), F(1, 2), F(1, 2))]
+
+
 def test_face_not_attained_returns_empty():
-    lp = make_lp([1, 0], [[1, 1]], [EQ], [1])
-    assert optimal_face_vertices(lp, -1) == []
-
-
-def test_face_unbounded_error():
-    lp = make_lp([0, 1], [[0, 1]], [GE], [0])
-    with pytest.raises(UnboundedFaceError):
-        optimal_face_vertices(lp, 0)
+    # below the game value no candidate is feasible
+    assert optimal_face_vertices([[1, 0]], [2], -1) == []
 
 
 def test_face_dimension_limit():
     # the 13-variable simplex has 13 candidate systems; the product of
     # four of them has C(52, 48) = 270725
     n = 13
-    simplex = make_lp([0] * n, [[1] * n], [EQ], [1])
-    assert len(optimal_face_vertices(simplex, 0)) == n
-    blocks = [[int(i * n <= j < (i + 1) * n) for j in range(4 * n)] for i in range(4)]
-    lp = make_lp([0] * 4 * n, blocks, [EQ] * 4, [1] * 4)
+    assert len(optimal_face_vertices([], [n], 0)) == n
     with pytest.raises(SizeLimitError, match="candidate systems, got 270725$"):
-        optimal_face_vertices(lp, 0)
+        optimal_face_vertices([], [n] * 4, 0)
 
 
 def test_face_vertices_deterministic():
-    lp = make_lp([0, 0, 0], [[1, 1, 1]], [EQ], [1])
-    a = optimal_face_vertices(lp, 0)
-    b = optimal_face_vertices(lp, 0)
+    a = optimal_face_vertices([[0, 0, 0]], [3], 0)
+    b = optimal_face_vertices([[0, 0, 0]], [3], 0)
     assert a == b == sorted(b)
 
 
@@ -315,37 +304,50 @@ def _det(rows):
     return det
 
 
+def _solve(rows, rhs, n):
+    """The kernel's unique solution of ``rows.x = rhs`` as fractions, or None."""
+    sol = _solve_int([_scale_to_int([*r, b]) for r, b in zip(rows, rhs)], n)
+    if sol is None:
+        return None
+    nums, den = sol
+    return tuple(F(v, den) for v in nums)
+
+
+def _rank(rows, n):
+    return len(_bareiss([_scale_to_int(r) for r in rows], n)[0])
+
+
 def _hilbert(n, shift=1):
     return [[F(1, i + j + shift) for j in range(n)] for i in range(n)]
 
 
 def test_kernel_unique_system():
     rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    assert solve_unique(rows, [0, F(-9, 2), 0], 3) == (1, -2, F(1, 2))
+    assert _solve(rows, [0, F(-9, 2), 0], 3) == (1, -2, F(1, 2))
     nums, den = _solve_int([[0, 2, 4], [3, 1, 5]], 2)  # swap needed; det < 0
     assert den > 0 and (F(nums[0], den), F(nums[1], den)) == (F(1), F(2))
 
 
 def test_kernel_inconsistent_and_underdetermined_systems():
-    assert solve_unique([[1, 1], [2, 2]], [1, 3], 2) is None
-    assert solve_unique([[1, 1]], [1], 2) is None
-    assert solve_unique([[1, 1, 0], [0, 0, 0]], [1, 0], 3) is None
-    assert solve_unique([[0, 0]], [5], 2) is None
-    assert solve_unique([], [], 0) == ()
+    assert _solve([[1, 1], [2, 2]], [1, 3], 2) is None
+    assert _solve([[1, 1]], [1], 2) is None
+    assert _solve([[1, 1, 0], [0, 0, 0]], [1, 0], 3) is None
+    assert _solve([[0, 0]], [5], 2) is None
+    assert _solve([], [], 0) == ()
 
 
 def test_kernel_redundant_rows():
     rows = [[1, 0], [0, 1], [1, 1], [2, 2], [0, 0]]
-    assert solve_unique(rows, [1, 2, 3, 6, 0], 2) == (1, 2)
-    assert solve_unique(rows, [1, 2, 3, 7, 0], 2) is None
+    assert _solve(rows, [1, 2, 3, 6, 0], 2) == (1, 2)
+    assert _solve(rows, [1, 2, 3, 7, 0], 2) is None
 
 
 def test_kernel_rank_of_zero_and_duplicate_rows():
-    assert matrix_rank([], 3) == 0
-    assert matrix_rank([[0, 0, 0], [0, 0, 0]], 3) == 0
-    assert matrix_rank([[0, 0, 0], [1, 2, 3], [2, 4, 6], [F(1, 2), 1, F(3, 2)]], 3) == 1
-    assert matrix_rank([[1, 2, 3], [1, 2, 3], [0, 1, 1], [1, 3, 4]], 3) == 2
-    assert matrix_rank([[0, 1], [1, 0], [1, 1]], 2) == 2
+    assert _rank([], 3) == 0
+    assert _rank([[0, 0, 0], [0, 0, 0]], 3) == 0
+    assert _rank([[0, 0, 0], [1, 2, 3], [2, 4, 6], [F(1, 2), 1, F(3, 2)]], 3) == 1
+    assert _rank([[1, 2, 3], [1, 2, 3], [0, 1, 1], [1, 3, 4]], 3) == 2
+    assert _rank([[0, 1], [1, 0], [1, 1]], 2) == 2
 
 
 def test_kernel_matches_fraction_gauss_jordan_on_hilbert_type_matrix():
@@ -353,13 +355,13 @@ def test_kernel_matches_fraction_gauss_jordan_on_hilbert_type_matrix():
     h = _hilbert(9)
     for _ in range(3):
         b = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)]
-        x = solve_unique(h, b, 9)
+        x = _solve(h, b, 9)
         assert x == face_oracle.solve_unique(h, b, 9)
         assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(h, b))
-    assert matrix_rank(h, 9) == face_oracle.matrix_rank(h, 9) == 9
+    assert _rank(h, 9) == face_oracle.matrix_rank(h, 9) == 9
     singular = h[:8] + [[a + F(1, 3) * b for a, b in zip(h[0], h[1])]]
-    assert matrix_rank(singular, 9) == face_oracle.matrix_rank(singular, 9) == 8
-    assert solve_unique(singular, [1] * 9, 9) is None
+    assert _rank(singular, 9) == face_oracle.matrix_rank(singular, 9) == 8
+    assert _solve(singular, [1] * 9, 9) is None
     assert face_oracle.solve_unique(singular, [1] * 9, 9) is None
 
 
@@ -374,8 +376,8 @@ def test_kernel_agrees_with_fraction_gauss_jordan_on_random_systems():
         if rng.random() < 0.3:
             rows.append(list(rows[0]))
         rhs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
-        assert solve_unique(rows, rhs, n) == face_oracle.solve_unique(rows, rhs, n)
-        assert matrix_rank(rows, n) == face_oracle.matrix_rank(rows, n)
+        assert _solve(rows, rhs, n) == face_oracle.solve_unique(rows, rhs, n)
+        assert _rank(rows, n) == face_oracle.matrix_rank(rows, n)
 
 
 def test_kernel_entries_are_the_sub_determinants():

@@ -17,7 +17,6 @@ from credal.linprog import (
     LE,
     SizeLimitError,
     make_lp,
-    optimal_face_vertices,
     zero_sum_value,
 )
 from credal.minimax import (
@@ -31,6 +30,7 @@ from credal.minimax import (
     worst_case_posterior_loss,
 )
 
+import face_oracle
 from problems import (
     binary_space,
     half_dead_signal_problem,
@@ -278,7 +278,8 @@ def test_face_flag_skips_enumeration():
 
 def test_posterior_game_matches_a_matrix_game_on_the_conditioned_joint():
     # oracle: project the joint-space conditioned set, solve the matrix
-    # game with zero_sum_value and enumerate its optimal face directly
+    # game with zero_sum_value and enumerate its optimal face, asked as
+    # a general LP, with the Fraction brute force
     for seed in range(40):
         rng = random.Random(seed)
         p, _dead = random_set_with_dead_signals(rng, convex=seed % 2 == 0)
@@ -302,5 +303,5 @@ def test_posterior_game_matches_a_matrix_game_on_the_conditioned_joint():
             )
             assert pt.value == value, (seed, x)
             assert sorted(a.weights for a in pt.action_vertices) == sorted(
-                optimal_face_vertices(face, 0)
+                face_oracle.optimal_face_vertices(face, 0)
             ), (seed, x)

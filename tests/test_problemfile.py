@@ -36,6 +36,13 @@ def test_parse_basic():
     assert dp.space.actions == ("0", "1")
 
 
+def test_one_action_is_rejected():
+    with pytest.raises(ProblemFileError, match="'actions': .*at least two actions"):
+        parse_problem_file(doc(actions=["go"], loss=[["0"], ["1"]]))
+    with pytest.raises(ProblemFileError, match="'actions'"):
+        parse_problem_file(doc(actions=["go"], loss=None))
+
+
 def test_loss_is_optional():
     pf = parse_problem_file(doc(loss=None))
     assert pf.loss is None
