@@ -14,7 +14,6 @@ ties are real ties rather than epsilon artifacts.  Three views:
 from fractions import Fraction
 
 from credal.linprog import (
-    GE,
     LE,
     block_game,
     lp_solve,
@@ -38,18 +37,19 @@ def main():
 
     print()
     print("-- minimize 2x + 3y subject to x + y >= 4, x - y <= 2 --")
+    # rows are <= or =, so x + y >= 4 is written -x - y <= -4
     lp = make_lp(
         objective=["2", "3"],
-        rows=[["1", "1"], ["1", "-1"]],
-        senses=[GE, LE],
-        rhs=["4", "2"],
+        rows=[["-1", "-1"], ["1", "-1"]],
+        senses=[LE, LE],
+        rhs=["-4", "2"],
     )
     sol = lp_solve(lp)
     print("status:", sol.status)
     print("minimum:", sol.value, "at x,y =", ", ".join(str(v) for v in sol.primal))
     print("dual prices:", ", ".join(str(y) for y in sol.dual))
     # strong duality, checked by hand: b.y == c.x
-    print("rhs . dual =", 4 * sol.dual[0] + 2 * sol.dual[1])
+    print("rhs . dual =", -4 * sol.dual[0] + 2 * sol.dual[1])
 
     print()
     print("-- bet on rain, bet on sun, or stay home (a flat edge) --")

@@ -447,10 +447,14 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
                 moved = True
                 break
 
-    # the partitions scanned are distinct, so identity tells them apart
-    minimal = tuple(
-        c for c in calibrated if not any(d is not c and narrows(d, c) for d in calibrated)
-    )
+    # one pass, as "strictly narrower" is a strict partial order: a
+    # partition is skipped when a kept one is narrower, and otherwise
+    # replaces the kept ones it is narrower than
+    minimal = []
+    for c in calibrated:
+        if not any(narrows(d, c) for d in minimal):
+            minimal = [d for d in minimal if not narrows(c, d)]
+            minimal.append(c)
     if current not in minimal:
         raise AssertionError("descent should end at a minimal partition")
     return current.partition, SharpnessCertificate(

@@ -136,16 +136,29 @@ def _parse_mixture_arg(text: str, pf: ProblemFile):
         raise _InputError("bad --mixture: %s" % e)
 
 
+def _generator_index(pf: ProblemFile, dp) -> list[int]:
+    """For each generator the file lists, its index in the credal set,
+    which keeps the first copy of a repeated generator."""
+    index = {g.mass: k for k, g in enumerate(dp.credal.generators)}
+    return [index[g] for g in pf.generators]
+
+
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_solve(args, out) -> int:
     pf = _load_file(args.file)
-    sol = solve_a_priori(pf.problem())
+    dp = pf.problem()
+    sol = solve_a_priori(dp)
+    # one weight per file generator, a repeated one's on its first copy
+    index = _generator_index(pf, dp)
+    mixture = [
+        sol.bookie_mixture[k] if index.index(k) == i else 0 for i, k in enumerate(index)
+    ]
     out("value: %s" % _fr(sol.value))
     out("rule: %s" % _rule_text(sol.rule))
     out("unique: %s" % _yes(sol.unique))
     out("face vertices: %d" % len(sol.optimal_rule_vertices))
-    out("bookie mixture: %s" % ", ".join(_fr(w) for w in sol.bookie_mixture))
+    out("bookie mixture: %s" % ", ".join(_fr(w) for w in mixture))
     out("aggregate:")
     for x, row in zip(pf.x_labels, sol.aggregate.mass):
         out("  %s: %s" % (x, " ".join(_fr(v) for v in row)))
@@ -174,7 +187,16 @@ def _cmd_saddle(args, out) -> int:
     pf = _load_file(args.file)
     dp = pf.problem()
     rule = _parse_rule_arg(args.rule, pf)
-    mixture = _parse_mixture_arg(args.mixture, pf)
+    weights = _parse_mixture_arg(args.mixture, pf)
+    index = _generator_index(pf, dp)
+    if len(weights) != len(index):
+        raise _InputError("mixture length != number of generators")
+    if any(w < 0 for w in weights):
+        raise _InputError("mixture must be a probability vector")
+    # the copies of a repeated generator add up their weights
+    mixture = [Fraction(0)] * len(dp.credal.generators)
+    for k, w in zip(index, weights):
+        mixture[k] += w
     try:
         rep = verify_saddle(dp, mixture, rule)
     except ValueError as e:

@@ -35,6 +35,7 @@ from .minimax import (
     action_loss,
     solve_a_posteriori,
     solve_a_priori,
+    with_optimal_face,
     worst_case_loss,
     worst_case_posterior_loss,
 )
@@ -198,20 +199,21 @@ def check_weak_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     loss splits by signal, so the first violating one is found one
     signal at a time (:func:`_first_violating_product`).
     """
-    return _weak_verdict(dp, sufficient_conditions(dp), solve_a_posteriori(dp))
+    notes = sufficient_conditions(dp)
+    post = solve_a_posteriori(dp)
+    return _weak_verdict(dp, notes, post, solve_a_priori(dp, face=False).value)
 
 
-def _weak_verdict(dp: DecisionProblem, notes, post) -> ConsistencyVerdict:
-    """Weak time consistency, given the structure notes and the posterior
-    solution.  Only the LP value of the prior game is needed, so the
-    optimal face is not enumerated."""
-    prior = solve_a_priori(dp, face=False)
-    rule = _first_violating_product(dp, post.choices(dp.space), prior.value)
+def _weak_verdict(dp: DecisionProblem, notes, post, value) -> ConsistencyVerdict:
+    """Weak time consistency, given the structure notes, the posterior
+    solution and the prior value.  Only the LP value of the prior game is
+    needed, so the optimal face is not enumerated."""
+    rule = _first_violating_product(dp, post.choices(dp.space), value)
     if rule is None:
         return ConsistencyVerdict("weak-time", CONSISTENT, witness=None, notes=notes)
     # replay through the primitives before accusing the problem
     wc, _ = worst_case_loss(dp.credal, rule, dp.loss)
-    if wc <= prior.value:
+    if wc <= value:
         raise WitnessError("posterior product does not exceed the prior value")
     for x in support_x(dp.credal):
         m = worst_case_posterior_loss(dp.credal, rule, dp.loss, x)
@@ -231,12 +233,14 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     reported witness is as plain as possible."""
     notes = sufficient_conditions(dp)
     post = solve_a_posteriori(dp)
-    weak = _weak_verdict(dp, notes, post)
+    prior = solve_a_priori(dp, face=False)
+    weak = _weak_verdict(dp, notes, post, prior.value)
     if weak.result == INCONSISTENT:
         return ConsistencyVerdict(
             kind="time", result=INCONSISTENT, witness=weak.witness, notes=notes
         )
-    prior = solve_a_priori(dp)
+    # enumerate the face only once the weak check passes: it may be refused
+    prior = with_optimal_face(dp, prior)
     live = support_x(dp.credal)
     for rule in _det_first_lex(prior.optimal_rule_vertices):
         for x in live:

@@ -5,13 +5,13 @@ tableau is kept as integer rows over one positive common denominator, the
 basis determinant, and pivots with the fraction-free update of Edmonds and
 Bareiss; pricing and the ratio test compare the same rationals as a
 ``Fraction`` tableau would, cross-multiplied, so the pivots are the same.
-Every other elimination (the dual solve and the candidate systems of the
-optimal-face enumeration) scales its rows to integers and runs through
-one Bareiss kernel on Python ``int``.  Each division by the previous
-pivot is exact, so no gcd is taken, and only the results are turned back
-into fractions.  Optimal values, primal points and dual prices are
-exact; strong duality and complementary slackness are verified
-bit-for-bit, in ``Fraction``, before a solution is returned.
+The dual prices are read off the final pricing row.  The candidate
+systems of the optimal-face enumeration scale their rows to integers and
+run through one Bareiss kernel on Python ``int``; each division by the
+previous pivot is exact, so no gcd is taken, and only the results are
+turned back into fractions.  Optimal values, primal points and dual
+prices are exact; strong duality and complementary slackness are
+verified bit-for-bit, in ``Fraction``, before a solution is returned.
 
 Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
@@ -20,12 +20,12 @@ that shape only.
 
 Conventions
 -----------
-* Problems are minimizations: ``min c.x`` subject to ``A_i.x <= / = / >= b_i``
-  and per-variable lower bounds (``None`` means the variable is free).
-* Dual sign convention: ``y_i <= 0`` for ``<=`` rows, ``y_i >= 0`` for
-  ``>=`` rows, free for equality rows.  Reduced costs
-  ``c_j - y.A_j`` are nonnegative for bounded variables and zero for
-  free variables at optimality.
+* Problems are minimizations: ``min c.x`` subject to ``A_i.x <= b_i`` or
+  ``A_i.x = b_i``, each variable either nonnegative (lower bound 0) or
+  free (``None``).  These are the two shapes the package builds.
+* Dual sign convention: ``y_i <= 0`` for ``<=`` rows, free for equality
+  rows.  Reduced costs ``c_j - y.A_j`` are nonnegative for nonnegative
+  variables and zero for free variables at optimality.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .rationals import rat, rat_matrix, rat_seq
 __all__ = [
     "LE",
     "EQ",
-    "GE",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",
@@ -56,7 +55,7 @@ __all__ = [
     "optimal_face_vertices",
 ]
 
-LE, EQ, GE = "<=", "=", ">="
+LE, EQ = "<=", "="
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 ZERO = Fraction(0)
@@ -83,7 +82,8 @@ class InternalCheckError(LpError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``min objective.x`` s.t. ``rows[i].x  senses[i]  rhs[i]``, ``x >= lower_bounds``."""
+    """``min objective.x`` s.t. ``rows[i].x  senses[i]  rhs[i]``, ``x >= lower_bounds``;
+    each sense is ``<=`` or ``=``, each lower bound 0 or ``None`` (free)."""
 
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
@@ -103,8 +103,10 @@ class LinearProgram:
         if len(self.lower_bounds) != n:
             raise DimensionError("one lower bound (or None) per variable required")
         for s in self.senses:
-            if s not in (LE, EQ, GE):
+            if s not in (LE, EQ):
                 raise DimensionError("unknown sense %r" % (s,))
+        if any(b is not None and b != 0 for b in self.lower_bounds):
+            raise DimensionError("lower bounds must be 0 or None")
 
 
 @dataclass(frozen=True)
@@ -207,12 +209,11 @@ class _Tableau:
     """Two-phase simplex on an integer tableau over one positive denominator.
 
     The LP is put in equality form ``A.z = b``, ``z >= 0``: free variables
-    are split, lower bounds shifted to 0, one slack column is added per
-    inequality and rows with ``b < 0`` are negated.  Row ``i`` times the
-    lcm ``d_i`` of its denominators is an integer row; in that row-scaled
-    integer matrix the slack and artificial columns of row ``i`` are
-    ``d_i`` times a unit vector, so the starting basis has determinant
-    ``den = prod(d_i)``.
+    are split, one slack column is added per ``<=`` row and rows with
+    ``b < 0`` are negated.  Row ``i`` times the lcm ``d_i`` of its
+    denominators is an integer row; in that row-scaled integer matrix
+    each row starts with one basic unit column ``d_i e_i``, its slack or
+    an artificial, so the starting basis has determinant ``den = prod(d_i)``.
 
     Invariant: ``rows[i][j] / den`` is entry ``(i, j)`` of the rational
     tableau ``B^-1 A`` of the current basis ``B``, the right-hand side in
@@ -243,44 +244,40 @@ class _Tableau:
         self.cost_scale = math.lcm(*[q for _, q in pairs])
         objective = [p * (self.cost_scale // q) for p, q in pairs]
         cost = [s * objective[j] for j, s in std]
-        shifts = [(j, lb) for j, lb in enumerate(lp.lower_bounds) if lb]
 
-        # Each row (rhs shifted by the nonzero lower bounds) times the lcm
-        # of its denominators, negated when the rhs is negative, then one
-        # slack column per inequality: the row-scaled integer matrix, kept
-        # for the dual.  A row whose slack entry is positive starts with it
-        # basic; every other row gets an artificial.
+        # Each row times the lcm of its denominators, negated when the rhs
+        # is negative, then one slack column per <= row.  A row whose
+        # slack entry is positive starts with it basic; every other row
+        # gets an artificial.
         m = len(lp.rows)
-        nslack = m - lp.senses.count(EQ)
-        self.scale: list[int] = []
+        nslack = lp.senses.count(LE)
+        scale: list[int] = []
+        scaled: list[list[int]] = []
         self.flipped: list[bool] = []
-        self.scaled: list[list[int]] = []
         self.basis = [-1] * m
         rhs = []
         for i, (row, sense, b) in enumerate(zip(lp.rows, lp.senses, lp.rhs)):
-            for j, lb in shifts:
-                b -= row[j] * lb
             pairs = [v.as_integer_ratio() for v in row]
             pairs.append(b.as_integer_ratio())
             d = math.lcm(*[q for _, q in pairs])
             ints = [p * (d // q) for p, q in pairs]
-            sign = -1 if ints[-1] < 0 else 1
-            if sign < 0:
+            flipped = ints[-1] < 0
+            if flipped:
                 ints = [-v for v in ints]
             rhs.append(ints.pop())
             if len(std) > n:
                 ints = [s * ints[j] for j, s in std]
             ints += [0] * nslack
-            if sense != EQ:
+            if sense == LE:
                 col = len(cost)
-                ints[col] = sign * d if sense == LE else -sign * d
-                if ints[col] > 0:
+                ints[col] = -d if flipped else d
+                if not flipped:
                     self.basis[i] = col
                 cost.append(0)
                 self.var_map.append((-1, 0))
-            self.scale.append(d)
-            self.flipped.append(sign < 0)
-            self.scaled.append(ints)
+            scale.append(d)
+            self.flipped.append(flipped)
+            scaled.append(ints)
         self.ncols_real = len(cost)
         for i in range(m):
             if self.basis[i] < 0:
@@ -289,20 +286,20 @@ class _Tableau:
                 self.var_map.append((-2, 0))
         self.artificial = frozenset(range(self.ncols_real, len(cost)))
         self.cost = cost  # phase-2 cost, times cost_scale; 0 off the objective
+        self.unit = list(self.basis)  # row -> its starting unit column
 
         # Row i over den = prod(d) is row i of the rational tableau; the
         # starting basis has determinant den in the row-scaled matrix.
-        den = math.prod(self.scale)
+        den = math.prod(scale)
         self.den = den
         nart = len(cost) - self.ncols_real
         self.rows = []
-        for i, (ints, d, b) in enumerate(zip(self.scaled, self.scale, rhs)):
+        for i, (ints, d, b) in enumerate(zip(scaled, scale, rhs)):
             k = den // d
             row = [k * v for v in ints] + [0] * nart + [k * b]
             if self.basis[i] >= self.ncols_real:
                 row[self.basis[i]] = den
             self.rows.append(row)
-        self.row_orig = list(range(m))  # tableau row -> original row
 
     # -- pivoting ---------------------------------------------------------
 
@@ -373,7 +370,7 @@ class _Tableau:
         ncols = self.ncols_real
         # Artificials start basic and may leave, but never re-enter.
         # Re-entry would break the unit shape of the artificial columns,
-        # and the redundant-row drop below relies on it.
+        # which the redundant-row drop below and the dual read-off rely on.
         allowed = range(ncols)
         artificial = self.artificial
         if artificial:
@@ -395,9 +392,8 @@ class _Tableau:
             if len(keep) < len(self.rows):
                 self.rows = [self.rows[r] for r in keep]
                 self.basis = [self.basis[r] for r in keep]
-                self.row_orig = [self.row_orig[r] for r in keep]
 
-        _zrow, unb = self._bland(self.cost, allowed)
+        self.zrow, unb = self._bland(self.cost, allowed)
         if unb:
             return UNBOUNDED
         return OPTIMAL
@@ -405,8 +401,7 @@ class _Tableau:
     # -- extraction -------------------------------------------------------
 
     def primal(self):
-        lp = self.lp
-        x = [lb if lb is not None else ZERO for lb in lp.lower_bounds]
+        x = [ZERO] * len(self.lp.objective)
         for row, bv in zip(self.rows, self.basis):
             j, sign = self.var_map[bv]
             if j >= 0 and row[-1]:
@@ -414,35 +409,28 @@ class _Tableau:
         return tuple(x)
 
     def dual(self):
-        """Row prices from the final basis, mapped back to original rows.
+        """Row prices read off the final phase-2 pricing row.
 
-        Solves ``u.M_B = cost_B`` (scaled by the cost lcm) on the basis
-        columns of the row-scaled integer matrix ``M``; the price of row
-        ``i`` is ``u_i`` times its scale ``d_i`` over the cost scale.
+        The prices ``u`` of the final basis solve ``u.M_B = cost_B`` on the
+        row-scaled integer matrix ``M``.  Row ``i``'s starting unit column
+        is ``d_i e_i`` with cost 0, so its entry in the pricing row is
+        ``-den d_i u_i``, and the row's price ``d_i u_i`` over the cost
+        scale needs no linear solve (``d_i`` cancels).  A row dropped as
+        redundant reads 0: its artificial column is zero in every kept
+        row.  Flipped rows are negated back.
         """
-        live = self.row_orig
-        scaled = self.scaled
-        system = [
-            [scaled[orig][c] for orig in live] + [self.cost[c]] for c in self.basis
-        ]
-        sol = _solve_int(system, len(live))
-        if sol is None:
-            raise InternalCheckError("basis matrix is singular")
-        nums, den = sol
-        den *= self.cost_scale
-        full = [ZERO] * len(self.lp.rows)
-        for v, orig in zip(nums, live):
-            v *= self.scale[orig]
-            full[orig] = Fraction(-v if self.flipped[orig] else v, den)
-        return tuple(full)
+        den = self.den * self.cost_scale
+        return tuple(
+            Fraction(self.zrow[u] if flipped else -self.zrow[u], den)
+            for u, flipped in zip(self.unit, self.flipped)
+        )
 
 
 def _verify_optimal(lp: LinearProgram, x, y):
     """Exact feasibility, duality and complementary-slackness checks."""
     n = len(lp.objective)
     for j in range(n):
-        lb = lp.lower_bounds[j]
-        if lb is not None and x[j] < lb:
+        if lp.lower_bounds[j] is not None and x[j] < 0:
             raise InternalCheckError("primal bound violated")
     reduced = []
     for j in range(n):
@@ -458,28 +446,19 @@ def _verify_optimal(lp: LinearProgram, x, y):
     dual_value = ZERO
     for i, row in enumerate(lp.rows):
         act = sum((row[j] * x[j] for j in range(n)), ZERO)
-        sense = lp.senses[i]
-        if sense == LE:
+        if lp.senses[i] == LE:
             if act > lp.rhs[i]:
                 raise InternalCheckError("<= row violated")
             if y[i] > 0:
                 raise InternalCheckError("dual sign on <= row")
-        elif sense == GE:
-            if act < lp.rhs[i]:
-                raise InternalCheckError(">= row violated")
-            if y[i] < 0:
-                raise InternalCheckError("dual sign on >= row")
         elif act != lp.rhs[i]:
             raise InternalCheckError("equality row violated")
         if y[i] * (act - lp.rhs[i]) != 0:
             raise InternalCheckError("complementary slackness (rows)")
         dual_value += y[i] * lp.rhs[i]
     for j in range(n):
-        lb = lp.lower_bounds[j]
-        if lb is not None:
-            if reduced[j] * (x[j] - lb) != 0:
-                raise InternalCheckError("complementary slackness (bounds)")
-            dual_value += reduced[j] * lb
+        if lp.lower_bounds[j] is not None and reduced[j] * x[j] != 0:
+            raise InternalCheckError("complementary slackness (bounds)")
     primal_value = sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
     if primal_value != dual_value:
         raise InternalCheckError("strong duality gap")

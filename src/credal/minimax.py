@@ -26,7 +26,7 @@ action there and report those signals as unconstrained.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -56,6 +56,7 @@ __all__ = [
     "worst_case_loss",
     "worst_case_posterior_loss",
     "solve_a_priori",
+    "with_optimal_face",
     "solve_a_posteriori",
     "verify_saddle",
     "solve_ignoring",
@@ -205,6 +206,21 @@ def _face_rules(space, live_idx, verts):
     return tuple(rules)
 
 
+def _prior_rows(dp: DecisionProblem):
+    """The prior game's LP data: live signal indices, generator rows and
+    block widths."""
+    space = dp.space
+    live_idx = [space.x_index(x) for x in support_x(dp.credal)]
+    return live_idx, _generator_coefficients(dp, live_idx), [space.na] * len(live_idx)
+
+
+def _checked(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
+    report = verify_saddle(dp, solution.bookie_mixture, solution.rule)
+    if not report.holds:
+        raise SolverError("saddle check failed: %s" % (report.failing,))
+    return solution
+
+
 def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     """Exact equilibrium of the prior game.
 
@@ -217,38 +233,38 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     ``face=False`` skips the vertex enumeration of the optimal face (the
     expensive part); the reported rule is then the one the simplex
     landed on rather than the lexicographically smallest vertex.
+    :func:`with_optimal_face` adds the face to such a solution.
     """
     space = dp.space
-    live = support_x(dp.credal)
-    live_idx = [space.x_index(x) for x in live]
-    widths = [space.na] * len(live_idx)
-    rows = _generator_coefficients(dp, live_idx)
+    live_idx, rows, widths = _prior_rows(dp)
     value, w, mixture = block_game(rows, widths)
-    aggregate = JointDistribution(
-        space=space, mass=_mixed_mass(dp.credal.generators, mixture)
-    )
-
-    if face:
-        verts = optimal_face_vertices(rows, widths, value)
-        vertices = _face_rules(space, live_idx, verts)
-        if not vertices:
-            raise SolverError("optimal face came back empty")
-        rule = vertices[0]
-    else:
-        vertices = None
-        rule = _block_rule(space, live_idx, w)
     solution = MinimaxSolution(
         value=value,
-        rule=rule,
+        rule=_block_rule(space, live_idx, w),
         bookie_mixture=mixture,
-        aggregate=aggregate,
-        optimal_rule_vertices=vertices,
-        unconstrained_x=tuple(x for x in space.x_labels if x not in live),
+        aggregate=JointDistribution(
+            space=space, mass=_mixed_mass(dp.credal.generators, mixture)
+        ),
+        optimal_rule_vertices=None,
+        unconstrained_x=tuple(
+            x for xi, x in enumerate(space.x_labels) if xi not in live_idx
+        ),
     )
-    report = verify_saddle(dp, mixture, rule)
-    if not report.holds:
-        raise SolverError("saddle check failed: %s" % (report.failing,))
-    return solution
+    return with_optimal_face(dp, solution) if face else _checked(dp, solution)
+
+
+def with_optimal_face(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
+    """``solution`` with the vertices of the optimal face enumerated at its
+    value and its rule the lexicographically smallest of them, checked
+    with :func:`verify_saddle` against that rule."""
+    live_idx, rows, widths = _prior_rows(dp)
+    verts = optimal_face_vertices(rows, widths, solution.value)
+    vertices = _face_rules(dp.space, live_idx, verts)
+    if not vertices:
+        raise SolverError("optimal face came back empty")
+    return _checked(
+        dp, replace(solution, rule=vertices[0], optimal_rule_vertices=vertices)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from credal.linprog import (
     EQ,
-    GE,
     INFEASIBLE,
     LE,
     ONE,
@@ -27,6 +26,8 @@ from credal.linprog import (
     lp_solve,
 )
 from credal.rationals import rat
+
+GE = ">="  # the oracle still reads >= rows; the package builds none
 
 # The Fraction brute force keeps the 12-variable limit it had in the
 # package.

@@ -199,6 +199,45 @@ def test_oracle_refuses_an_oversized_grid(capsys):
     assert err == "refused: grid search limited to 10000000 rules, got 25010001\n"
 
 
+def _nine_signals(tmp_path):
+    """A valid convex file with 9 signals, 2 outcomes and 2 actions."""
+    gens = []
+    for k in range(2):
+        w = [[(i * 3 + j + k * 2) % 5 + 1 for j in range(2)] for i in range(9)]
+        total = sum(map(sum, w))
+        gens.append([["%d/%d" % (v, total) for v in row] for row in w])
+    path = tmp_path / "nine-signals.json"
+    path.write_text(json.dumps({
+        "x_labels": [str(i) for i in range(9)],
+        "y_labels": ["0", "1"],
+        "actions": ["a", "b"],
+        "convex": True,
+        "generators": gens,
+        "loss": [["0", "1"], ["1", "0"]],
+    }))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    (
+        (
+            ("calibrate", "{}", "--rule", "ignore", "--sharp"),
+            "sharpness search limited to 8 signals, got 9 (21147 partitions)",
+        ),
+        (
+            ("oracle", "{}", "--grid", "10"),
+            "grid search limited to 10000000 rules, got %d" % 11**9,
+        ),
+    ),
+)
+def test_nine_signals_are_refused_by_the_enumerations(tmp_path, capsys, argv, refusal):
+    path = _nine_signals(tmp_path)
+    code, _ = cli(*(a.format(path) for a in argv))
+    assert code == 3
+    assert capsys.readouterr().err == "refused: %s\n" % refusal
+
+
 # -- saddle --------------------------------------------------------------
 
 def test_saddle_accepts_equilibrium():
@@ -220,6 +259,33 @@ def test_saddle_rejects_stick_rule():
     code, _ = cli("saddle", "corpus/monty-hall",
                   "--rule", "1,0,0/1,0,0", "--mixture", "1/2,1/2", "--strict")
     assert code == 1
+
+
+def test_mixtures_are_indexed_by_the_file_generators(tmp_path):
+    # the first generator is listed twice; the credal set keeps one copy
+    half, other = [["1/2", "0"], ["0", "1/2"]], [["0", "1/2"], ["1/2", "0"]]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({
+        "x_labels": ["0", "1"],
+        "y_labels": ["0", "1"],
+        "actions": ["a", "b"],
+        "convex": True,
+        "generators": [half, half, other],
+        "loss": [["0", "1"], ["1", "0"]],
+    }))
+    out = lines("solve", str(path))
+    assert "rule: 0->b, 1->b" in out
+    assert "bookie mixture: 1/2, 0, 1/2" in out
+    assert lines("saddle", str(path), "--rule", "0,1/0,1", "--mixture", "1/2,0,1/2")[-1] == (
+        "saddle: yes"
+    )
+    # 2/3 on the first generator: accepted, though not an equilibrium
+    assert lines("saddle", str(path), "--rule", "0,1/0,1", "--mixture", "1/3,1/3,1/3") == [
+        "value: 1/2",
+        "agent best response: 1/3",
+        "bookie best response: 1/2",
+        "saddle: no (agent-deviation)",
+    ]
 
 
 # -- hull and check ------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 
 from credal.linprog import (
     EQ,
-    GE,
     LE,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     DimensionError,
+    InternalCheckError,
     LinearProgram,
     SizeLimitError,
     block_game,
@@ -20,6 +20,7 @@ from credal.linprog import (
     _bareiss,
     _scale_to_int,
     _solve_int,
+    _verify_optimal,
     make_lp,
     optimal_face_vertices,
     zero_sum_value,
@@ -63,12 +64,12 @@ def test_equality_and_free_variable():
     assert sol.status == OPTIMAL and sol.value == 5
 
 
-def test_nonzero_lower_bounds():
-    # min x+y s.t. x+y >= 3, x >= 1, y >= 1/2
-    sol = lp_solve(
-        make_lp([1, 1], [[1, 1]], [GE], [3], lower_bounds=[1, F(1, 2)])
-    )
-    assert sol.value == 3
+def test_only_le_and_eq_rows_over_nonnegative_or_free_variables():
+    # the package builds no >= row and no other lower bound
+    with pytest.raises(DimensionError, match="unknown sense"):
+        make_lp([1, 1], [[1, 1]], [">="], [3])
+    with pytest.raises(DimensionError, match="lower bounds must be 0 or None"):
+        make_lp([1, 1], [[1, 1]], [LE], [3], lower_bounds=[1, 0])
 
 
 def test_dimension_mismatch():
@@ -280,6 +281,45 @@ def test_rank_deficient_equalities_keep_duals():
     # optimal at all is the regression check
     assert sol.status == OPTIMAL
     assert sol.value == 0
+
+
+# min t over w on the 2-simplex with w_0 <= t and w_1 <= t: the block-game
+# shape, t free; its certificate is x = (t, w) = (1/2, 1/2, 1/2) and
+# y = (-1/2, -1/2, 1/2)
+_GAME_LP = make_lp(
+    [1, 0, 0], [[-1, 1, 0], [-1, 0, 1], [0, 1, 1]], [LE, LE, EQ], [0, 0, 1],
+    lower_bounds=[None, 0, 0],
+)
+
+
+def test_block_game_lp_certificate():
+    sol = lp_solve(_GAME_LP)
+    assert sol.primal == (F(1, 2), F(1, 2), F(1, 2))
+    assert sol.dual == (F(-1, 2), F(-1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ((F(1, 2), F(-1, 2), F(3, 2)), None, "primal bound violated"),
+        ((0, F(1, 2), F(1, 2)), None, "<= row violated"),
+        ((1, 1, 1), None, "equality row violated"),
+        (None, (F(1, 2), F(-3, 2), F(-1, 2)), "dual sign on <= row"),
+        (None, (F(-1, 2), F(-1, 4), F(1, 2)), "free variable with nonzero reduced cost"),
+        (None, (F(-1, 2), F(-1, 2), 1), "negative reduced cost at optimum"),
+        ((1, F(1, 2), F(1, 2)), None, r"complementary slackness \(rows\)"),
+        (None, (-1, 0, 0), r"complementary slackness \(bounds\)"),
+    ],
+)
+def test_tampered_certificate_is_refused(x, y, message):
+    # Each tampered half passes every check made before the one named.
+    # The strong-duality check is not reached this way: once both
+    # slackness checks pass, c.x - y.b is the sum of their terms, zero.
+    sol = lp_solve(_GAME_LP)
+    x = sol.primal if x is None else tuple(F(v) for v in x)
+    y = sol.dual if y is None else tuple(F(v) for v in y)
+    with pytest.raises(InternalCheckError, match=message):
+        _verify_optimal(_GAME_LP, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from credal.core import (
     loss_function,
 )
 from credal.corpus import load_corpus
-from credal.minimax import solve_a_posteriori, worst_case_loss
+from credal.minimax import solve_a_posteriori, solve_a_priori, worst_case_loss
 from credal.sampling import random_rule, simplex_point
 
 import structure_oracle
@@ -125,7 +125,8 @@ def test_random_weak_checks_match_the_vertex_product_walk():
         notes = sufficient_conditions(dp)
         post = solve_a_posteriori(dp)
         want = structure_oracle._weak_verdict(dp, notes, post)
-        assert _weak_verdict(dp, notes, post) == want, dp
+        value = solve_a_priori(dp, face=False).value
+        assert _weak_verdict(dp, notes, post, value) == want, dp
         seen[want.result] += 1
     assert min(seen.values()) >= 60, seen
 
@@ -159,7 +160,7 @@ def test_corpus_structure_checks_match_the_enumerations():
         dp = case.problem()
         notes = sufficient_conditions(dp)
         post = solve_a_posteriori(dp)
-        got = _weak_verdict(dp, notes, post)
+        got = _weak_verdict(dp, notes, post, solve_a_priori(dp, face=False).value)
         want = structure_oracle._weak_verdict(dp, notes, post)
         assert got.result == want.result, case.id
         assert got.witness == want.witness, case.id

@@ -13,7 +13,7 @@ import pytest
 
 import credal.linprog
 from credal.corpus import load_corpus, run_case
-from credal.linprog import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, make_lp
+from credal.linprog import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, make_lp
 
 import structure_oracle
 import tableau_oracle
@@ -82,12 +82,14 @@ def _assert_same(traced, lp):
     assert [(r, e) for r, e, _ in tab.trace] == [(r, e) for r, e, _ in oracle.trace]
     for (r, e, entries), (_, _, expected) in zip(tab.trace, oracle.trace):
         assert entries == expected, (lp, r, e)
-    assert tab.basis == oracle.basis and tab.row_orig == oracle.row_orig
+    assert tab.basis == oracle.basis and len(tab.rows) == len(oracle.rows)
     return tab, got
 
 
 def _random_lp(rng):
-    """A small LP mixing every row sense and every kind of variable bound.
+    """A small LP of the shapes the package builds: ``<=`` and ``=`` rows
+    over nonnegative or free variables.  A ``>=`` row is drawn as well and
+    written as its negated ``<=`` row.
 
     Half the rows are aimed at a point, so the LP is often feasible; the
     other half, and the free or negative objective, make infeasible and
@@ -95,39 +97,37 @@ def _random_lp(rng):
     row.
     """
     n = rng.randint(1, 5)
-    lower = [
-        rng.choice([0, 0, None, F(rng.randint(-3, 3), rng.randint(1, 3))])
-        for _ in range(n)
-    ]
+    lower = [rng.choice([0, 0, None]) for _ in range(n)]
     point = [
-        F(rng.randint(-2, 2)) if lb is None else lb + F(rng.randint(0, 4), 2)
+        F(rng.randint(-2, 2)) if lb is None else F(rng.randint(0, 4), 2)
         for lb in lower
     ]
     rows, senses, rhs = [], [], []
     for _ in range(rng.randint(1, 5)):
         row = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        sense = rng.choice([LE, GE, EQ])
+        sense = rng.choice([LE, ">=", EQ])
         if rng.random() < 0.5:
             act = sum((a * x for a, x in zip(row, point)), F(0))
             slack = F(rng.randint(0, 2), rng.randint(1, 2))
-            b = act + slack if sense == LE else act - slack if sense == GE else act
+            b = act + slack if sense == LE else act - slack if sense == ">=" else act
         else:
             b = F(rng.randint(-4, 4), rng.randint(1, 3))
+        if sense == ">=":
+            row, b, sense = [-a for a in row], -b, LE
         rows.append(row)
         senses.append(sense)
         rhs.append(b)
     if rng.random() < 0.3:
         i = rng.randrange(len(rows))
         scale = F(rng.choice([1, -2, 3]), rng.choice([1, 2]))
-        sense = senses[i]
-        if scale < 0 and sense != EQ:
-            sense = GE if sense == LE else LE
+        if senses[i] == LE:
+            scale = abs(scale)
         rows.append([scale * a for a in rows[i]])
-        senses.append(sense)
+        senses.append(senses[i])
         rhs.append(scale * rhs[i])
     if rng.random() < 0.2:
         rows.append([F(0)] * n)
-        senses.append(rng.choice([LE, GE, EQ]))
+        senses.append(rng.choice([LE, EQ]))
         rhs.append(F(0))
     objective = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
     return make_lp(objective, rows, senses, rhs, lower)
@@ -136,12 +136,14 @@ def _random_lp(rng):
 def test_random_lps_pivot_like_the_fraction_tableau(traced):
     rng = random.Random(6)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0, "negated": 0, "dropped": 0}
-    for _ in range(1200):
+    # a pivot entry is negative only when an artificial is driven out, so
+    # the negated-pivot floor takes this many draws
+    for _ in range(3000):
         lp = _random_lp(rng)
         tab, sol = _assert_same(traced, lp)
         seen[sol.status] += 1
         seen["negated"] += tab.negated
-        seen["dropped"] += len(tab.row_orig) < len(lp.rows) and sol.status != INFEASIBLE
+        seen["dropped"] += len(tab.rows) < len(lp.rows) and sol.status != INFEASIBLE
     assert all(count >= 50 for count in seen.values()), seen
 
 
