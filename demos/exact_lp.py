@@ -57,9 +57,12 @@ def main():
     # mixtures form one simplex block of width 3
     half = Fraction(1, 2)
     rows = [[0, 1, half], [1, 0, half]]
-    value, mix, _prices = block_game(rows, [3])
+    value, mix, prices = block_game(rows, [3])
     print("value:", value, "at mixture", ", ".join(str(w) for w in mix))
-    for v in optimal_face_vertices(rows, [3], value):
+    # the scenario prices certify the value; every action they price
+    # above the cheapest is 0 on the face and is never enumerated
+    print("scenario prices:", ", ".join(str(q) for q in prices))
+    for v in optimal_face_vertices(rows, [3], value, prices):
         print("  optimal vertex:", ", ".join(str(c) for c in v))
 
 

@@ -19,6 +19,7 @@ procedure is known; it is only falsified here, never certified.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .core import (
     is_rectangular,
     support_x,
 )
+from .linprog import SizeLimitError
 from .minimax import (
     action_loss,
     solve_a_posteriori,
@@ -43,6 +45,7 @@ from .sampling import random_rule
 
 __all__ = [
     "PRODUCT_LIMIT",
+    "DYNAMIC_CANDIDATE_LIMIT",
     "ConsistencyVerdict",
     "SignalWitness",
     "PairWitness",
@@ -56,6 +59,9 @@ __all__ = [
 ZERO = Fraction(0)
 
 PRODUCT_LIMIT = 10**5
+# The dynamic falsifier scans every ordered pair of candidates: 500 over 10
+# signals take up to 8 s (Python 3.11, a shared 2-core host).
+DYNAMIC_CANDIDATE_LIMIT = 500
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -290,7 +296,8 @@ def falsify_dynamic_consistency(
     verified violation is returned; with none found the verdict is
     unknown (the definition quantifies over all pairs).  A violation of
     the strict "for some x" variant alone does not refute dynamic
-    consistency but is reported alongside.
+    consistency but is reported alongside.  Candidates are counted, with
+    repeats, before any is built: more than ``DYNAMIC_CANDIDATE_LIMIT`` raise.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -301,6 +308,15 @@ def falsify_dynamic_consistency(
     post = solve_a_posteriori(dp)
     live = support_x(dp.credal)
 
+    choices = post.choices(dp.space)
+    n_det = dp.space.na**dp.space.nx
+    count = math.prod(map(len, choices)) + len(prior.optimal_rule_vertices) + budget
+    count += n_det if n_det <= PRODUCT_LIMIT else 0
+    if count > DYNAMIC_CANDIDATE_LIMIT:
+        raise SizeLimitError(
+            "dynamic consistency candidates limited to %d, got %d"
+            % (DYNAMIC_CANDIDATE_LIMIT, count)
+        )
     candidates: list[DecisionRule] = []
     seen = set()
 
@@ -309,8 +325,7 @@ def falsify_dynamic_consistency(
             seen.add(rule)
             candidates.append(rule)
 
-    products = itertools.product(*post.choices(dp.space))
-    for combo in itertools.islice(products, PRODUCT_LIMIT):
+    for combo in itertools.product(*choices):
         add(DecisionRule(space=dp.space, per_x=combo))
     for rule in prior.optimal_rule_vertices:
         add(rule)

@@ -10,13 +10,14 @@ systems of the optimal-face enumeration scale their rows to integers and
 run through one Bareiss kernel on Python ``int``; each division by the
 previous pivot is exact, so no gcd is taken, and only the results are
 turned back into fractions.  Optimal values, primal points and dual
-prices are exact; strong duality and complementary slackness are
-verified bit-for-bit, in ``Fraction``, before a solution is returned.
+prices are exact; complementary slackness, and with it strong duality,
+is verified bit-for-bit, in ``Fraction``, before a solution is returned.
 
 Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
 simplices.  :func:`optimal_face_vertices` enumerates the optimal face of
-that shape only.
+that shape only, over the columns that a verified optimal mixture of the
+rows leaves at zero reduced cost.
 
 Conventions
 -----------
@@ -427,7 +428,8 @@ class _Tableau:
 
 
 def _verify_optimal(lp: LinearProgram, x, y):
-    """Exact feasibility, duality and complementary-slackness checks."""
+    """Exact feasibility and complementary-slackness checks, which imply strong
+    duality (``c.x - y.b = r.x + y.(A.x - b)`` exactly); returns ``c.x``."""
     n = len(lp.objective)
     for j in range(n):
         if lp.lower_bounds[j] is not None and x[j] < 0:
@@ -443,7 +445,6 @@ def _verify_optimal(lp: LinearProgram, x, y):
                 raise InternalCheckError("free variable with nonzero reduced cost")
         elif r < 0:
             raise InternalCheckError("negative reduced cost at optimum")
-    dual_value = ZERO
     for i, row in enumerate(lp.rows):
         act = sum((row[j] * x[j] for j in range(n)), ZERO)
         if lp.senses[i] == LE:
@@ -455,14 +456,10 @@ def _verify_optimal(lp: LinearProgram, x, y):
             raise InternalCheckError("equality row violated")
         if y[i] * (act - lp.rhs[i]) != 0:
             raise InternalCheckError("complementary slackness (rows)")
-        dual_value += y[i] * lp.rhs[i]
     for j in range(n):
         if lp.lower_bounds[j] is not None and reduced[j] * x[j] != 0:
             raise InternalCheckError("complementary slackness (bounds)")
-    primal_value = sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
-    if primal_value != dual_value:
-        raise InternalCheckError("strong duality gap")
-    return primal_value
+    return sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
@@ -524,21 +521,27 @@ def block_game(rows, widths):
     value = sol.value
     w = sol.primal[1:]
     prices = tuple(-sol.dual[i] for i in range(len(rows)))
-
-    if sum(prices, ZERO) != 1 or any(q < 0 for q in prices):
-        raise InternalCheckError("dual prices are not a row mixture")
     worst_row = max(sum((a * v for a, v in zip(row, w)), ZERO) for row in rows)
-    best_reply = ZERO
-    start = 0
-    for width in widths:
-        best_reply += min(
-            sum((q * row[j] for q, row in zip(prices, rows)), ZERO)
-            for j in range(start, start + width)
-        )
-        start += width
-    if not (worst_row == value == best_reply):
+    if not (worst_row == value == _best_reply(rows, widths, prices)[0]):
         raise InternalCheckError("saddle point check failed")
     return value, w, prices
+
+
+def _best_reply(rows, widths, prices):
+    """Value of the best block-wise reply to the row mixture ``prices``, the
+    columns that attain it (zero reduced cost) and their count per block."""
+    if len(prices) != len(rows) or any(q < 0 for q in prices) or sum(prices) != 1:
+        raise InternalCheckError("prices are not a row mixture")
+    costs = [sum(q * row[j] for q, row in zip(prices, rows)) for j in range(sum(widths))]
+    value, keep, kept_widths, start = ZERO, [], [], 0
+    for width in widths:
+        low = min(costs[start : start + width])
+        value += low
+        block = [j for j in range(start, start + width) if costs[j] == low]
+        keep += block
+        kept_widths.append(len(block))
+        start += width
+    return value, keep, kept_widths
 
 
 def zero_sum_value(payoff):
@@ -567,10 +570,25 @@ def zero_sum_value(payoff):
 # optimal-face vertex enumeration
 
 
-def optimal_face_vertices(rows, widths, value) -> list[tuple[Fraction, ...]]:
+def optimal_face_vertices(rows, widths, value, prices) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of the optimal face ``{w : rows[i].w <= value}`` of
+    :func:`block_game`, given a row mixture ``prices`` whose best block-wise
+    reply is ``value`` (else :class:`InternalCheckError`).  On the face
+    ``value >= prices.rows.w >= value``, so a column priced above its block
+    minimum (a positive reduced cost) is 0; only the others are enumerated."""
+    n = sum(widths)
+    best_reply, keep, kept_widths = _best_reply(rows, widths, prices)
+    if best_reply != value:
+        raise InternalCheckError("face prices do not certify the value")
+    pos = {j: k for k, j in enumerate(keep)}  # the same zeros everywhere keep the order
+    reduced = _face_vertices([[row[j] for j in keep] for row in rows], kept_widths, value)
+    return [tuple(v[pos[j]] if j in pos else ZERO for j in range(n)) for v in reduced]
+
+
+def _face_vertices(rows, widths, value) -> list[tuple[Fraction, ...]]:
     """Vertices of ``{w : rows[i].w <= value}`` with ``w`` on the product of
-    simplices of :func:`block_game`: its optimal face when ``value`` is the
-    game value, ``[]`` when ``value`` is below it.
+    simplices of :func:`block_game`, sorted; ``[]`` when ``value`` is below
+    the game value.
 
     Brute force over active sets: a vertex makes every block row tight and
     ``need = n - len(widths)`` more constraints tight, ``t`` of them game

@@ -15,8 +15,9 @@ Both games, and the constant-rule game of :func:`solve_ignoring`, are
 one LP shape: minimise the worst of finitely many linear losses over a
 product of simplices.  :func:`credal.linprog.block_game` builds and
 checks that LP, and :func:`credal.linprog.optimal_face_vertices`
-enumerates its optimal face from the same rows, widths and value; this
-module only supplies the loss rows.
+enumerates its optimal face from the same rows, widths and value, over
+the columns that the verified bookie mixture leaves at zero reduced
+cost; this module only supplies the loss rows.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -258,7 +259,7 @@ def with_optimal_face(dp: DecisionProblem, solution: MinimaxSolution) -> Minimax
     value and its rule the lexicographically smallest of them, checked
     with :func:`verify_saddle` against that rule."""
     live_idx, rows, widths = _prior_rows(dp)
-    verts = optimal_face_vertices(rows, widths, solution.value)
+    verts = optimal_face_vertices(rows, widths, solution.value, solution.bookie_mixture)
     vertices = _face_rules(dp.space, live_idx, verts)
     if not vertices:
         raise SolverError("optimal face came back empty")
@@ -317,7 +318,7 @@ def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
         proj = posterior_y(dp.credal, (x,))
         rows = [_action_losses(dp.loss, q) for q in proj.generators]
         value, _w, mixture = block_game(rows, widths)
-        verts = optimal_face_vertices(rows, widths, value)
+        verts = optimal_face_vertices(rows, widths, value, mixture)
         points.append(
             PosteriorPoint(
                 x=x,
@@ -422,7 +423,7 @@ def solve_ignoring(dp: DecisionProblem, prior: MinimaxSolution | None = None) ->
         raise SolverError("marginal game disagrees with constant-rule LP")
 
     action_vertices = tuple(
-        RandomizedAction(v) for v in optimal_face_vertices(rows, widths, value)
+        RandomizedAction(v) for v in optimal_face_vertices(rows, widths, value, mixture)
     )
     if not action_vertices:
         raise SolverError("constant-rule face came back empty")

@@ -6,11 +6,16 @@ promises deterministic output, so these are plain string equalities.
 
 import io
 import json
+import random
+import re
 import time
+from fractions import Fraction
 
 import pytest
 
+from credal import load_problem_file, rule_from_weights, verify_saddle, worst_case_loss
 from credal.cli import run
+from credal.consistency import DYNAMIC_CANDIDATE_LIMIT
 from credal.core import HULL_PRODUCT_LIMIT
 from credal.linprog import FACE_CANDIDATE_LIMIT
 
@@ -90,7 +95,7 @@ def test_posterior_dead_signal(tmp_path):
     assert out[2] == "1: never observed"
 
 
-def _ten_by_five(tmp_path, generators=3):
+def _ten_by_five(tmp_path, generators=3, loss=None):
     """A valid problem file: 10 signals, 5 outcomes, 2 actions and
     ``generators`` convex generators with every cell positive."""
     nx, ny = 10, 5
@@ -106,7 +111,7 @@ def _ten_by_five(tmp_path, generators=3):
         "actions": ["a", "b"],
         "convex": True,
         "generators": gens,
-        "loss": [[str(j % 2), str((j + 1) % 2)] for j in range(ny)],
+        "loss": loss or [[str(j % 2), str((j + 1) % 2)] for j in range(ny)],
     }))
     return path
 
@@ -159,14 +164,110 @@ def test_structure_commands_run_on_a_single_ten_by_five_generator(tmp_path, caps
     assert capsys.readouterr().err == ""
 
 
-def test_solve_refuses_a_ten_by_five_face(tmp_path, capsys):
-    code, _ = cli("solve", str(_ten_by_five(tmp_path)))
+_RULE = re.compile(r"([^\s,:]+)(?:->([^\s,]+)|: \(([^)]*)\))")
+
+
+def _assert_solve_replays(path, text):
+    """The printed ``rule:``, replayed through ``worst_case_loss`` and,
+    with the printed bookie mixture, through ``verify_saddle``, gives the
+    printed value."""
+    fields = dict(ln.split(": ", 1) for ln in text.splitlines() if ": " in ln and ln[0] != " ")
+    pf = load_problem_file(path)
+    dp = pf.problem()
+    weights = [
+        [Fraction(int(a == act)) for a in pf.actions] if act else [Fraction(w) for w in ws.split(", ")]
+        for _x, act, ws in _RULE.findall(fields["rule"])
+    ]
+    rule = rule_from_weights(dp.space, weights)
+    index = {g.mass: k for k, g in enumerate(dp.credal.generators)}
+    mixture = [Fraction(0)] * len(index)
+    for g, w in zip(pf.generators, fields["bookie mixture"].split(", ")):
+        mixture[index[g]] += Fraction(w)
+    value = Fraction(fields["value"])
+    assert worst_case_loss(dp.credal, rule, dp.loss)[0] == value
+    report = verify_saddle(dp, mixture, rule)
+    assert report.holds and report.value == value
+
+
+def test_solve_answers_a_ten_by_five_file(tmp_path, capsys):
+    # the bookie's prices leave 12 of the 20 rule columns at zero reduced
+    # cost, and the face is enumerated over those alone
+    path = _ten_by_five(tmp_path)
+    code, text = cli("solve", str(path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert "unique: yes" in text.splitlines()
+    _assert_solve_replays(path, text)
+
+
+def test_solve_refuses_a_constant_loss_ten_by_five_face(tmp_path, capsys):
+    # every column costs the same under any prices, so no column is
+    # dropped and the reduced system is the full one
+    path = _ten_by_five(tmp_path, loss=[["1", "1"]] * 5)
+    code, _ = cli("solve", str(path))
     assert code == 3
     err = capsys.readouterr().err
     assert err == (
         "refused: face enumeration limited to %d candidate systems, got 1144066\n"
         % FACE_CANDIDATE_LIMIT
     )
+
+
+def _random_file(tmp_path, seed, nx, ny, na, k):
+    """A seeded convex file: ``k`` joints with every cell positive and
+    losses in [-6, 6] over denominators 1-3."""
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(k):
+        counts = [[rng.randint(1, 9) for _ in range(ny)] for _ in range(nx)]
+        total = sum(map(sum, counts))
+        gens.append([["%d/%d" % (c, total) for c in row] for row in counts])
+    path = tmp_path / ("random-%dx%dx%d.json" % (nx, ny, na))
+    path.write_text(json.dumps({
+        "x_labels": [str(i) for i in range(nx)],
+        "y_labels": [str(j) for j in range(ny)],
+        "actions": [str(a) for a in range(na)],
+        "convex": True,
+        "generators": gens,
+        "loss": [["%d/%d" % (rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(na)]
+                 for _ in range(ny)],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("shape", ((4, 3, 3, 4), (5, 2, 3, 3), (5, 3, 3, 4), (7, 2, 2, 3)))
+def test_prior_face_answers_beyond_the_full_candidate_count(tmp_path, capsys, shape):
+    # over every rule coordinate these faces need 12,870 to 92,378
+    # candidate systems; over the zero-reduced-cost columns, far fewer
+    path = _random_file(tmp_path, 11, *shape)
+    for argv in (("solve",), ("consistency", "time")):
+        start = time.perf_counter()
+        code, text = cli(*argv, str(path))
+        assert time.perf_counter() - start < 10
+        assert code == 0, argv
+        assert capsys.readouterr().err == ""
+        if argv == ("solve",):
+            _assert_solve_replays(path, text)
+        else:
+            assert text.splitlines()[1].startswith("time consistency: ")
+
+
+def test_dynamic_falsifier_refuses_ten_signals_and_three_actions(tmp_path, capsys):
+    # 3**10 deterministic rules would be paired with each other; the
+    # candidates are counted before any is built
+    path = _random_file(tmp_path, 11, 10, 2, 3, 2)
+    start = time.perf_counter()
+    code, text = cli("consistency", "dynamic", str(path))
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert text == ""
+    err = capsys.readouterr().err
+    got = re.fullmatch(
+        r"refused: dynamic consistency candidates limited to (\d+), got (\d+)\n", err
+    )
+    assert got, err
+    assert int(got[1]) == DYNAMIC_CANDIDATE_LIMIT
+    assert int(got[2]) >= 3**10
 
 
 @pytest.mark.parametrize("argv", (("posterior",), ("consistency", "weak")))

@@ -1,11 +1,27 @@
-"""The integer face enumerator against the Fraction brute force it replaced."""
+"""The face routine against the Fraction brute force it replaced.
+
+``optimal_face_vertices`` enumerates only the columns that the bookie's
+prices leave at zero reduced cost; the oracle enumerates every column of
+the general LP.  The integer enumerator underneath is also checked on its
+own, at values where the face is empty or larger than optimal.
+"""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 import credal.minimax
 from credal.corpus import load_corpus, run_case
-from credal.linprog import EQ, LE, block_game, make_lp, optimal_face_vertices
+from credal.linprog import (
+    EQ,
+    LE,
+    InternalCheckError,
+    _face_vertices,
+    block_game,
+    make_lp,
+    optimal_face_vertices,
+)
 
 import face_oracle
 
@@ -32,7 +48,8 @@ def _general_face(rows, widths, value):
 
 def _random_game(rng):
     """Loss rows over 1-3 blocks of width 1-3, with repeated rows, rows
-    equal in every block and all-zero rows, so faces are often flat."""
+    equal in every column, all-zero rows, and constant or repeated
+    columns, so faces are often flat and prices often tie."""
     widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
     n = sum(widths)
     rows = []
@@ -47,6 +64,19 @@ def _random_game(rng):
         rows.append(row)
     if rng.random() < 0.3:
         rows.append(list(rows[0]))
+    kind = rng.random()
+    if kind < 0.2:
+        # one column costs the same under every row
+        j = rng.randrange(n)
+        c = F(rng.randint(-1, 2))
+        for row in rows:
+            row[j] = c
+    elif kind < 0.4 and max(widths) > 1:
+        # a column repeated inside its block
+        b = next(k for k, w in enumerate(widths) if w > 1)
+        start = sum(widths[:b])
+        for row in rows:
+            row[start + 1] = row[start]
     return rows, widths
 
 
@@ -55,33 +85,78 @@ def test_random_faces_match_the_fraction_brute_force():
     seen = {"several": 0, "single": 0, "empty": 0, "two blocks": 0}
     for _ in range(120):
         rows, widths = _random_game(rng)
-        value, _w, _prices = block_game(rows, widths)
-        for v in (value, value - 1, value + F(1, 2)):
+        value, _w, prices = block_game(rows, widths)
+        want = _general_face(rows, widths, value)
+        assert optimal_face_vertices(rows, widths, value, prices) == want, (rows, widths)
+        assert _face_vertices(rows, widths, value) == want
+        seen["several" if len(want) > 1 else "single"] += 1
+        seen["two blocks"] += len(want) > 1 and len(widths) > 1
+        for v in (value - 1, value + F(1, 2)):
             want = _general_face(rows, widths, v)
-            assert optimal_face_vertices(rows, widths, v) == want, (rows, widths, v)
-            if not want:
-                seen["empty"] += 1
-            elif len(want) > 1:
-                seen["several"] += 1
-                seen["two blocks"] += len(widths) > 1
-            else:
-                seen["single"] += 1
+            assert _face_vertices(rows, widths, v) == want, (rows, widths, v)
+            seen["empty"] += not want
+            with pytest.raises(InternalCheckError, match="do not certify"):
+                optimal_face_vertices(rows, widths, v, prices)
     assert all(count >= 30 for count in seen.values()), seen
+
+
+def test_prior_shaped_faces_match_the_fraction_brute_force():
+    # generator-weighted loss rows as the prior game builds them, with a
+    # repeated generator and a loss table whose actions may tie
+    rng = random.Random(7)
+    several = 0
+    for _ in range(8):
+        nx, na = rng.choice([(3, 2), (2, 3)])
+        table = [[F(rng.randint(-2, 2)) for _ in range(na)] for _ in range(2)]
+        gens = [[[F(rng.randint(0, 3)) for _ in range(2)] for _ in range(nx)] for _ in range(2)]
+        gens.append(gens[0])
+        rows = [
+            [sum((g[x][y] * table[y][a] for y in range(2)), F(0)) for x in range(nx) for a in range(na)]
+            for g in gens
+        ]
+        widths = [na] * nx
+        value, _w, prices = block_game(rows, widths)
+        want = _general_face(rows, widths, value)
+        assert optimal_face_vertices(rows, widths, value, prices) == want, (rows, widths)
+        several += len(want) > 1
+    assert several >= 2
 
 
 def test_corpus_faces_match_the_fraction_brute_force(monkeypatch):
     calls = []
 
-    def record(rows, widths, value):
-        calls.append((rows, widths, value))
-        return optimal_face_vertices(rows, widths, value)
+    def record(rows, widths, value, prices):
+        verts = optimal_face_vertices(rows, widths, value, prices)
+        calls.append((rows, widths, value, verts))
+        return verts
 
     # the games of minimax are the only callers of the face routine
     monkeypatch.setattr(credal.minimax, "optimal_face_vertices", record)
     for case in load_corpus():
         assert run_case(case).ok, case.id
     assert len(calls) >= 20
-    for rows, widths, value in calls:
-        assert optimal_face_vertices(rows, widths, value) == _general_face(
-            rows, widths, value
-        )
+    assert sum(len(verts) > 1 for *_args, verts in calls) >= 5
+    for rows, widths, value, verts in calls:
+        assert verts == _general_face(rows, widths, value)
+
+
+@pytest.mark.parametrize(
+    "value, prices, message",
+    (
+        (F(1, 2), (1, 0), "do not certify"),  # a mixture, but not optimal
+        (0, (F(1, 2), F(1, 2)), "do not certify"),  # below the value
+        (1, (F(1, 2), F(1, 2)), "do not certify"),  # above the value
+        (F(1, 2), (F(3, 2), F(-1, 2)), "not a row mixture"),
+        (F(1, 2), (1, 1), "not a row mixture"),
+        (F(1, 2), (1,), "not a row mixture"),
+    ),
+)
+def test_forged_face_certificate_is_refused(value, prices, message):
+    # matching pennies: value 1/2, prices (1/2, 1/2)
+    rows = [[1, 0], [0, 1]]
+    assert optimal_face_vertices(rows, [2], F(1, 2), (F(1, 2), F(1, 2))) == [
+        (F(1, 2), F(1, 2))
+    ]
+    with pytest.raises(InternalCheckError, match=message):
+        optimal_face_vertices(rows, [2], value, prices)
+

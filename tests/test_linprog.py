@@ -18,6 +18,7 @@ from credal.linprog import (
     block_game,
     lp_solve,
     _bareiss,
+    _face_vertices,
     _scale_to_int,
     _solve_int,
     _verify_optimal,
@@ -196,18 +197,18 @@ def test_transpose_negation_identity():
 
 
 def test_face_of_whole_simplex():
-    verts = optimal_face_vertices([[0, 0]], [2], 0)
+    verts = _face_vertices([[0, 0]], [2], 0)
     assert verts == [(0, 1), (1, 0)]
 
 
 def test_face_single_vertex():
-    verts = optimal_face_vertices([[1, 0]], [2], 0)
+    verts = _face_vertices([[1, 0]], [2], 0)
     assert verts == [(0, 1)]
 
 
 def test_face_with_inactive_row_constraint():
     # the whole 3-simplex is optimal when the row is tight everywhere
-    verts = optimal_face_vertices([[F(2, 3), F(2, 3), F(2, 3)]], [3], F(2, 3))
+    verts = _face_vertices([[F(2, 3), F(2, 3), F(2, 3)]], [3], F(2, 3))
     assert verts == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
@@ -216,27 +217,48 @@ def test_face_on_a_product_of_simplices():
     rows = [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
     value, _w, _prices = block_game(rows, [2, 2])
     assert value == 1
-    verts = optimal_face_vertices(rows, [2, 2], value)
+    verts = _face_vertices(rows, [2, 2], value)
     assert verts == [(F(1, 2), F(1, 2), F(1, 2), F(1, 2))]
 
 
 def test_face_not_attained_returns_empty():
     # below the game value no candidate is feasible
-    assert optimal_face_vertices([[1, 0]], [2], -1) == []
+    assert _face_vertices([[1, 0]], [2], -1) == []
 
 
 def test_face_dimension_limit():
     # the 13-variable simplex has 13 candidate systems; the product of
     # four of them has C(52, 48) = 270725
     n = 13
-    assert len(optimal_face_vertices([], [n], 0)) == n
+    assert len(_face_vertices([], [n], 0)) == n
     with pytest.raises(SizeLimitError, match="candidate systems, got 270725$"):
-        optimal_face_vertices([], [n] * 4, 0)
+        _face_vertices([], [n] * 4, 0)
+
+
+def test_face_limit_counts_the_reduced_system():
+    # four blocks of 13 and one game row: with every column at the same
+    # price no column is dropped, and C(52, 48) + C(52, 47) candidates
+    # remain; with one cheap column per block a single candidate remains
+    n = 13
+    with pytest.raises(SizeLimitError, match="candidate systems, got 2869685$"):
+        optimal_face_vertices([[0] * (4 * n)], [n] * 4, 0, (1,))
+    row = [0 if j % n == 5 else 1 for j in range(4 * n)]
+    verts = optimal_face_vertices([row], [n] * 4, 0, (1,))
+    assert verts == [tuple(int(j % n == 5) for j in range(4 * n))]
+
+
+def test_face_puts_zeros_back_at_dropped_columns():
+    # the third action costs 2 under the prices (1/2, 1/2), above the
+    # block minimum 1/2, so it is 0 on the face and is not enumerated
+    rows = [[1, 0, 2], [0, 1, 2]]
+    value, _w, prices = block_game(rows, [3])
+    assert (value, prices) == (F(1, 2), (F(1, 2), F(1, 2)))
+    assert optimal_face_vertices(rows, [3], value, prices) == [(F(1, 2), F(1, 2), 0)]
 
 
 def test_face_vertices_deterministic():
-    a = optimal_face_vertices([[0, 0, 0]], [3], 0)
-    b = optimal_face_vertices([[0, 0, 0]], [3], 0)
+    a = _face_vertices([[0, 0, 0]], [3], 0)
+    b = _face_vertices([[0, 0, 0]], [3], 0)
     assert a == b == sorted(b)
 
 
@@ -277,7 +299,7 @@ def test_rank_deficient_equalities_keep_duals():
     rows = [[c[d] for c in cols] for d in range(6)] + [[1] * 8]
     lp = make_lp([0] * 8, rows, [EQ] * 7, list(point) + [1])
     sol = lp_solve(lp)
-    # lp_solve verifies strong duality before returning, so reaching
+    # lp_solve verifies its certificate before returning, so reaching
     # optimal at all is the regression check
     assert sol.status == OPTIMAL
     assert sol.value == 0
@@ -313,8 +335,8 @@ def test_block_game_lp_certificate():
 )
 def test_tampered_certificate_is_refused(x, y, message):
     # Each tampered half passes every check made before the one named.
-    # The strong-duality check is not reached this way: once both
-    # slackness checks pass, c.x - y.b is the sum of their terms, zero.
+    # Strong duality has no check of its own: once both slackness checks
+    # pass, c.x - y.b is the sum of their terms, zero.
     sol = lp_solve(_GAME_LP)
     x = sol.primal if x is None else tuple(F(v) for v in x)
     y = sol.dual if y is None else tuple(F(v) for v in y)
