@@ -23,9 +23,11 @@ conditioning on every signal), the live signals, and the inclusion
 between every pair of sets handed out.  :func:`check_calibration`,
 :func:`equivalence_classes`, :func:`narrower` and
 :func:`refinement_fixpoint` each open one; :func:`sharp_partition` and
-:func:`is_sharply_calibrated` share one across their whole scan, asking
-the same calibration and narrowness questions of every partition
-conditioning.
+:func:`is_sharply_calibrated` share one across their whole scan.
+:func:`sharp_partition` orders the calibrated partitions once, as
+bitsets: at each live signal it groups them by their cell there and
+asks inclusion once per pair of cells, so it never compares two
+partitions directly.
 """
 
 from __future__ import annotations
@@ -424,6 +426,9 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     certificate lists all minimal calibrated partitions found by the
     exhaustive scan; the fixpoint itself need not be one of them, since
     refinement only coarsens and the calibrated order is not a chain.
+
+    The descent moves to the first strictly narrower partition in
+    enumeration order, and the minimal ones are those with none.
     """
     _require_sharpness_search(p)
     memo = _Memo(p)
@@ -431,37 +436,57 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
         raise ValueError("credal set has empty signal support")
     examined = [partition_conditioning(c) for c in all_partitions(p.space.x_labels)]
     calibrated = [r for r in examined if _check_calibration(r, memo).calibrated]
-
-    def narrows(fine: UpdateRule, coarse: UpdateRule) -> bool:
-        return _narrower(fine, coarse, memo) == STRICTLY_NARROWER
-
-    current = partition_conditioning(_fixpoint(memo, None))
-    if current not in calibrated:
+    strict = _strictly_narrower_sets(calibrated, memo)
+    start = partition_conditioning(_fixpoint(memo, None))
+    if start not in calibrated:
         raise AssertionError("refinement fixpoint should be calibrated")
-    moved = True
-    while moved:
-        moved = False
-        for cand in calibrated:
-            if cand != current and narrows(cand, current):
-                current = cand
-                moved = True
-                break
-
-    # one pass, as "strictly narrower" is a strict partial order: a
-    # partition is skipped when a kept one is narrower, and otherwise
-    # replaces the kept ones it is narrower than
-    minimal = []
-    for c in calibrated:
-        if not any(narrows(d, c) for d in minimal):
-            minimal = [d for d in minimal if not narrows(c, d)]
-            minimal.append(c)
-    if current not in minimal:
+    current = calibrated.index(start)
+    while strict[current]:
+        current = _lowest_bit(strict[current])
+    minimal = [c for c, below in zip(calibrated, strict) if not below]
+    if calibrated[current] not in minimal:
         raise AssertionError("descent should end at a minimal partition")
-    return current.partition, SharpnessCertificate(
+    return calibrated[current].partition, SharpnessCertificate(
         minimal=tuple(c.partition for c in minimal),
         calibrated_count=len(calibrated),
         examined=len(examined),
     )
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _strictly_narrower_sets(rules: list[UpdateRule], memo: _Memo) -> list[int]:
+    """For each partition rule, the bitmask of the rules strictly narrower
+    than it (bit ``j`` stands for ``rules[j]``).
+
+    At each live signal the rules are grouped by their opinion set, and
+    inclusion is asked once per pair of sets.  ``below[i]`` is the AND
+    over the signals of the rules whose set lies inside rule ``i``'s,
+    ``same[i]`` of those whose set equals it; strictly narrower is
+    below and not the same everywhere.
+    """
+    everyone = (1 << len(rules)) - 1
+    below = [everyone] * len(rules)
+    same = [everyone] * len(rules)
+    for x in memo.live:
+        groups: dict[int, tuple[VPolytope, list[int]]] = {}
+        for i, rule in enumerate(rules):
+            image = memo.image(rule, x)
+            groups.setdefault(id(image), (image, []))[1].append(i)
+        masks = [(image, sum(1 << i for i in members)) for image, members in groups.values()]
+        for outer, members in groups.values():
+            inside = equal = 0
+            for inner, mask in masks:
+                if memo.sub(inner, outer):
+                    inside |= mask
+                    if memo.key(inner) == memo.key(outer):
+                        equal |= mask
+            for i in members:
+                below[i] &= inside
+                same[i] &= equal
+    return [b & ~s for b, s in zip(below, same)]
 
 
 @dataclass(frozen=True)

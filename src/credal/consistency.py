@@ -44,7 +44,6 @@ from .minimax import (
 from .sampling import random_rule
 
 __all__ = [
-    "PRODUCT_LIMIT",
     "DYNAMIC_CANDIDATE_LIMIT",
     "ConsistencyVerdict",
     "SignalWitness",
@@ -58,7 +57,6 @@ __all__ = [
 
 ZERO = Fraction(0)
 
-PRODUCT_LIMIT = 10**5
 # The dynamic falsifier scans every ordered pair of candidates: 500 over 10
 # signals take up to 8 s (Python 3.11, a shared 2-core host).
 DYNAMIC_CANDIDATE_LIMIT = 500
@@ -266,12 +264,10 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     return ConsistencyVerdict(kind="time", result=CONSISTENT, witness=None, notes=notes)
 
 
-def _deterministic_rules(space, limit=PRODUCT_LIMIT):
+def _deterministic_rules(space):
     """All deterministic rules in lexicographic order of their weight
     vectors (so higher-indexed actions come first)."""
     na = space.na
-    if na**space.nx > limit:
-        return
     order = list(range(na - 1, -1, -1))
     for combo in itertools.product(order, repeat=space.nx):
         yield DecisionRule(
@@ -309,9 +305,8 @@ def falsify_dynamic_consistency(
     live = support_x(dp.credal)
 
     choices = post.choices(dp.space)
-    n_det = dp.space.na**dp.space.nx
     count = math.prod(map(len, choices)) + len(prior.optimal_rule_vertices) + budget
-    count += n_det if n_det <= PRODUCT_LIMIT else 0
+    count += dp.space.na**dp.space.nx
     if count > DYNAMIC_CANDIDATE_LIMIT:
         raise SizeLimitError(
             "dynamic consistency candidates limited to %d, got %d"
@@ -347,10 +342,10 @@ def falsify_dynamic_consistency(
             if i == j:
                 continue
             mi, mj = m_vec[i], m_vec[j]
-            if any(a > b for a, b in zip(mi, mj)):
+            below = _below(mi, mj)
+            if below is None:
                 continue  # antecedent fails; nothing to check
-            strict_all = all(a < b for a, b in zip(mi, mj))
-            strict_some = any(a < b for a, b in zip(mi, mj))
+            strict_all, strict_some = below
             condition = None
             if big_m[i] > big_m[j]:
                 condition = "condition-1"
@@ -384,6 +379,20 @@ def falsify_dynamic_consistency(
         notes=notes,
         strict_variant_witness=strict_only,
     )
+
+
+def _below(mi, mj) -> tuple[bool, bool] | None:
+    """One walk over two loss vectors: None when some loss of ``mi``
+    exceeds ``mj``'s, else whether it is smaller everywhere and somewhere."""
+    everywhere, somewhere = True, False
+    for a, b in zip(mi, mj):
+        if a > b:
+            return None
+        if a < b:
+            somewhere = True
+        else:
+            everywhere = False
+    return everywhere, somewhere
 
 
 def _verify_pair_witness(dp, live, w: PairWitness):

@@ -3,8 +3,15 @@
 A :class:`VPolytope` is a list of generator points plus a ``convex``
 flag.  With ``convex=True`` the object denotes the convex hull of the
 generators; with ``convex=False`` it denotes the bare finite set.  All
-comparisons reduce to exact membership tests: a linear feasibility
-problem in the convex case, list equality in the finite case.
+comparisons reduce to exact membership tests: list equality in the
+finite case, and in the convex case two exact arguments before any LP.
+A convex combination stays inside its generators' coordinate box (kept
+on each polytope as :attr:`VPolytope.box`), so a point outside it is
+not a member.  When the point and every generator lie on one line, the
+hull is the segment between the extreme generators, so a point inside
+the box is a member; every set of two generators and every set of
+2-outcome distributions is of this kind.  Only the remaining questions
+solve a linear feasibility problem.
 
 There is deliberately no facet (H-) representation anywhere; subset
 tests work generator-wise, which is sound because the right-hand side
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linprog import EQ, OPTIMAL, LinearProgram, lp_solve
 from .rationals import rat_seq
@@ -53,6 +61,11 @@ class VPolytope:
         # drop repeated generators, keeping the first of each in order
         object.__setattr__(self, "generators", tuple(dict.fromkeys(self.generators)))
 
+    @cached_property
+    def box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Coordinate-wise minimum and maximum over the generators."""
+        return _box(self.generators)
+
 
 def polytope(points, convex, dimension=None) -> VPolytope:
     pts = tuple(rat_seq(p) for p in points)
@@ -63,12 +76,41 @@ def polytope(points, convex, dimension=None) -> VPolytope:
     return VPolytope(dimension=dimension, generators=pts, convex=convex)
 
 
-def _in_hull(point, generators):
+def _box(generators):
+    cols = tuple(zip(*generators))
+    return tuple(map(min, cols)), tuple(map(max, cols))
+
+
+def _in_box(point, box) -> bool:
+    return all(lo <= v <= hi for v, lo, hi in zip(point, *box))
+
+
+def _on_one_line(point, generators) -> bool:
+    """Do ``point`` and all ``generators`` (two or more, distinct) lie
+    on one line?"""
+    origin = generators[0]
+    d = [v - o for v, o in zip(generators[1], origin)]
+    k = next(i for i, v in enumerate(d) if v)
+    for q in (point, *generators[2:]):
+        u = [v - o for v, o in zip(q, origin)]
+        if any(u[i] * d[k] != u[k] * d[i] for i in range(len(d))):
+            return False
+    return True
+
+
+def _in_hull(point, generators, box=None):
     """Exact test: is ``point`` a convex combination of ``generators``?
 
-    Both are already exact, so the feasibility LP is built as it stands.
+    Outside the generators' box it is not; on their common line and
+    inside the box it is (the segment's ends are the box's corners, as
+    each coordinate is monotone along the line).  Otherwise the
+    feasibility LP decides, built as it stands from exact entries.
     """
     if point in generators:
+        return True
+    if not _in_box(point, box or _box(generators)):
+        return False
+    if _on_one_line(point, generators):
         return True
     k = len(generators)
     lp = LinearProgram(
@@ -88,7 +130,7 @@ def member(point, p: VPolytope) -> bool:
         raise ValueError("point dimension mismatch")
     if not p.convex:
         return point in p.generators
-    return _in_hull(point, p.generators)
+    return _in_hull(point, p.generators, p.box)
 
 
 def subset(a: VPolytope, b: VPolytope) -> bool:
@@ -98,7 +140,8 @@ def subset(a: VPolytope, b: VPolytope) -> bool:
     (exactly, in both the convex and the finite reading), and ``b`` is
     either convex or finite, so pointwise membership settles it.  The
     one undecidable direction is convex ``a`` against finite ``b`` with
-    ``a`` not a single point.
+    ``a`` not a single point.  Otherwise, when ``a``'s box does not lie
+    inside ``b``'s, some generator of ``a`` lies outside ``b``.
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
@@ -109,6 +152,8 @@ def subset(a: VPolytope, b: VPolytope) -> bool:
                 "cannot compare a convex set against a finite point list"
             )
         return member(gens[0], b)
+    if not (_in_box(a.box[0], b.box) and _in_box(a.box[1], b.box)):
+        return False
     return all(member(g, b) for g in a.generators)
 
 

@@ -4,7 +4,10 @@ This is the code ``credal.calibration`` ran before every calibration
 question went through one memo per credal set: each class's image and
 posterior are conditioned afresh, refinement re-conditions every cell
 on every round, and the sharpness search keeps its own cell cache and
-its own calibration and narrowness loops.  Tests compare the package's
+its own calibration and narrowness loops.  Every inclusion is asked of
+the LP-only :mod:`polytope_oracle`, so the oracle shares neither the
+box and segment shortcuts of ``credal.polytope`` nor the bitset poset
+of ``credal.calibration.sharp_partition``.  Tests compare the package's
 answers against these, report field by report field.
 """
 
@@ -28,7 +31,8 @@ from credal.calibration import (
 )
 from credal.core import CredalSet, Partition, marginal_y, posterior_y, support_x
 from credal.partitions import all_partitions
-from credal.polytope import VPolytope, set_equal, subset
+from credal.polytope import VPolytope
+from polytope_oracle import set_equal, subset
 
 
 def image_y(rule: UpdateRule, p: CredalSet, x) -> VPolytope | None:

@@ -16,7 +16,6 @@ import math
 from credal.consistency import (
     CONSISTENT,
     INCONSISTENT,
-    PRODUCT_LIMIT,
     ConsistencyVerdict,
     WitnessError,
 )
@@ -36,6 +35,9 @@ from credal.minimax import (
     worst_case_posterior_loss,
 )
 from credal.polytope import subset
+
+# The most posterior vertex products the enumerating weak check walked.
+PRODUCT_LIMIT = 10**5
 
 
 def is_rectangular(p: CredalSet) -> bool:

@@ -2,6 +2,7 @@
 credal set, against the paths they replaced."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from credal.calibration import (
 from credal.core import ProblemSpace, UndefinedConditionalError, condition, credal_set, hull
 from credal.corpus import load_corpus
 from credal.linprog import SizeLimitError
-from credal.partitions import all_partitions
+from credal.partitions import all_partitions, bell_number
 from credal.sampling import simplex_point
 
 import calibration_oracle
@@ -32,14 +33,14 @@ def _space(nx, ny):
     )
 
 
-def _random_set(rng, nx, convex=True):
+def _random_set(rng, nx, convex=True, ny=None):
     """Random set over ``nx`` signals with 1-4 generators.  Some signals
     are dead; some take another signal's conditionals, from the same
     generator or rotated by one generator (so their posteriors coincide
     while the pooled one may not); in some every generator has the same
     conditionals; some generators repeat, and some sets are replaced by
     their hull when it is small."""
-    ny = rng.randint(2, 3)
+    ny = ny or rng.randint(2, 3)
     space = _space(nx, ny)
     dead = set(rng.sample(range(nx), rng.choice((0, 0, 1, nx - 1))))
     live = [i for i in range(nx) if i not in dead]
@@ -148,6 +149,42 @@ def test_random_sharpness_matches_the_oracle():
             verdict = _agree("is_sharply_calibrated", rule, p)
             not_sharp += getattr(verdict, "witness", None) is not None
     assert not_sharp > 5
+
+
+def test_sharpness_at_six_and_seven_signals_matches_the_oracle():
+    rng = random.Random(4)
+    narrowed = 0
+    for nx, ny in ((6, 2), (6, 3), (7, 2), (7, 3)):
+        p = _random_set(rng, nx, ny=ny)
+        _, cert = _agree("sharp_partition", p)
+        narrowed += len(cert.minimal) < cert.calibrated_count
+    assert narrowed == 4
+
+
+def test_sharpness_at_the_signal_limit_in_seconds():
+    # 2 generators over 8 signals and 2 outcomes: 4,140 partitions, too
+    # many calibrated ones for the oracle's pair loop, so the certificate
+    # is checked for what it promises
+    nx = calibration.SHARP_X_LIMIT
+    rng = random.Random(8)
+    masses = []
+    for _ in range(2):
+        counts = [[rng.randint(1, 9) for _ in range(2)] for _ in range(nx)]
+        total = sum(map(sum, counts))
+        masses.append([[F(c, total) for c in row] for row in counts])
+    p = credal_set(_space(nx, 2), masses, True)
+    start = time.perf_counter()
+    part, cert = calibration.sharp_partition(p)
+    assert time.perf_counter() - start < 10
+    order = {c: i for i, c in enumerate(all_partitions(p.space.x_labels))}
+    assert cert.examined == len(order) == bell_number(nx)
+    assert part in cert.minimal
+    assert len(cert.minimal) < cert.calibrated_count
+    indices = [order[c] for c in cert.minimal]
+    assert indices == sorted(set(indices))
+    for c in [part] + rng.sample(cert.minimal, 4):
+        verdict = calibration.is_sharply_calibrated(partition_conditioning(c), p)
+        assert verdict.sharp, c
 
 
 def test_check_calibration_conditions_each_cell_once(monkeypatch):

@@ -254,20 +254,22 @@ def test_prior_face_answers_beyond_the_full_candidate_count(tmp_path, capsys, sh
 
 def test_dynamic_falsifier_refuses_ten_signals_and_three_actions(tmp_path, capsys):
     # 3**10 deterministic rules would be paired with each other; the
-    # candidates are counted before any is built
-    path = _random_file(tmp_path, 11, 10, 2, 3, 2)
-    start = time.perf_counter()
-    code, text = cli("consistency", "dynamic", str(path))
-    assert time.perf_counter() - start < 10
-    assert code == 3
-    assert text == ""
-    err = capsys.readouterr().err
-    got = re.fullmatch(
-        r"refused: dynamic consistency candidates limited to (\d+), got (\d+)\n", err
-    )
-    assert got, err
-    assert int(got[1]) == DYNAMIC_CANDIDATE_LIMIT
-    assert int(got[2]) >= 3**10
+    # candidates are counted before any is built, and at every size, so
+    # 11 signals are refused like 10, not searched with fewer rules
+    for nx in (10, 11):
+        path = _random_file(tmp_path, 11, nx, 2, 3, 2)
+        start = time.perf_counter()
+        code, text = cli("consistency", "dynamic", str(path))
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        got = re.fullmatch(
+            r"refused: dynamic consistency candidates limited to (\d+), got (\d+)\n", err
+        )
+        assert got, err
+        assert int(got[1]) == DYNAMIC_CANDIDATE_LIMIT
+        assert 3**nx <= int(got[2]) <= 3**nx + DYNAMIC_CANDIDATE_LIMIT
 
 
 @pytest.mark.parametrize("argv", (("posterior",), ("consistency", "weak")))

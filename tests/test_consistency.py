@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from credal.cli import run
 from credal.consistency import (
-    PRODUCT_LIMIT,
     PairWitness,
     SignalWitness,
     check_time_consistency,
@@ -30,6 +29,7 @@ from problems import (
     prediction_problem_with_exit,
     quadruple_set,
 )
+from structure_oracle import PRODUCT_LIMIT
 
 F = Fraction
 
