@@ -14,6 +14,7 @@ size found).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -375,6 +376,7 @@ def _cmd_corpus(args, out) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="credal",

@@ -14,8 +14,10 @@ set conditions pointwise.
 :func:`posterior_y` is the one primitive for the set of outcome
 distributions after observing a cell of signals: it conditions each
 generator and projects it to Y in one step, and prunes once, in Y
-coordinates.  The posterior game, dilation and calibration all use it,
-so they never build a polytope over the joint space.
+coordinates.  The posterior game, dilation, calibration and the
+per-signal pieces of :func:`hull` all use it, so they never build a
+polytope over the joint space; :func:`marginal_y` is it on the whole
+signal set.
 :func:`condition` keeps the conditioned joint set for callers that need
 it; taking :func:`marginal_y` of it gives the same set as
 ``posterior_y(p, cell)``.
@@ -64,11 +66,12 @@ ONE = Fraction(1)
 
 # Most products :func:`hull` builds; it guards only the ``hull`` command
 # and the ``hull_member`` corpus op, as :func:`is_rectangular` builds
-# none.  Pruning them is one membership LP per product over all the
-# others; when every product is extreme, 81 of them took 1.0 s and 128
-# took 5.8 s (2-core x86-64, Python 3.11).  The largest count on the
-# bundled cases, the test suite and the benchmark workloads is 81.
-HULL_PRODUCT_LIMIT = 100
+# none.  Building and printing them is linear in the products times the
+# joint coordinates: ``credal hull`` took 0.7 s end to end on 10,000
+# products over 3 signals and 2 outcomes, 2.1-2.4 s on 8,192 over
+# 12 signals and 2 outcomes, and 2.6-2.9 s on 6,561 over 7 signals and
+# 5 outcomes (2-core x86-64, Python 3.11).
+HULL_PRODUCT_LIMIT = 10_000
 
 
 class UndefinedConditionalError(Exception):
@@ -185,12 +188,11 @@ class CredalSet:
         for g in self.generators:
             if g.space != self.space:
                 raise ValueError("generator on a different space")
-        masses = dict.fromkeys(g.mass for g in self.generators)
-        object.__setattr__(
-            self,
-            "generators",
-            tuple(JointDistribution(self.space, m) for m in masses),
-        )
+        # drop repeated generators, keeping the first of each mass in order
+        first = {}
+        for g in self.generators:
+            first.setdefault(g.mass, g)
+        object.__setattr__(self, "generators", tuple(first.values()))
 
 
 def credal_set(space, masses, convex) -> CredalSet:
@@ -397,12 +399,7 @@ def prune_credal(p: CredalSet) -> CredalSet:
 
 def marginal_y(p: CredalSet) -> VPolytope:
     """Set of Y-marginals of the members of ``p``, as a polytope over Y."""
-    poly = VPolytope(
-        dimension=p.space.ny,
-        generators=tuple(g.y_marginal() for g in p.generators),
-        convex=p.convex,
-    )
-    return prune(poly) if p.convex else poly
+    return posterior_y(p, p.space.x_labels)
 
 
 def support_x(p: CredalSet) -> tuple[str, ...]:
@@ -467,8 +464,7 @@ def posterior_y(p: CredalSet, cell) -> VPolytope | None:
         )
     if not pts:
         return None
-    poly = VPolytope(dimension=p.space.ny, generators=tuple(pts), convex=p.convex)
-    return prune(poly) if p.convex else poly
+    return prune(VPolytope(dimension=p.space.ny, generators=tuple(pts), convex=p.convex))
 
 
 def c_condition(p: CredalSet, part: Partition, x) -> CredalSet:
@@ -478,37 +474,41 @@ def c_condition(p: CredalSet, part: Partition, x) -> CredalSet:
     return condition(p, part.cell_of(x))
 
 
-def _conditional_lists(p: CredalSet) -> list[list[tuple[Fraction, ...]]]:
-    """Per signal, the conditionals given x of the generators that give x
-    positive probability, first of each kept in order; for convex sets
-    only the extreme ones."""
-    lists = []
-    for i in range(p.space.nx):
-        conds = [g.conditional_y(i) for g in p.generators]
-        conds = list(dict.fromkeys(c for c in conds if c is not None))
-        if p.convex and len(conds) > 1:
-            conds = list(prune(VPolytope(p.space.ny, tuple(conds), True)).generators)
-        lists.append(conds)
-    return lists
+def _conditional_lists(p: CredalSet) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """Per signal, the generators of :func:`posterior_y` at that signal
+    alone, or ``()`` where no generator gives it positive probability."""
+    posts = (posterior_y(p, (x,)) for x in p.space.x_labels)
+    return [() if post is None else post.generators for post in posts]
 
 
 def hull(p: CredalSet) -> CredalSet:
     """Products of an X-marginal of ``p`` with per-signal conditionals of ``p``.
 
     Generators: every product Q (x) R, with Q an X-marginal generator
-    and, for each x with Q(x) > 0, R_x a conditional-given-x generator.
-    For convex sets the generating pieces are pruned first (the product
-    is linear in each piece, so the hull of products is unchanged); for
-    finite sets every piece is kept.  The products are counted from the
-    pieces first; more than ``HULL_PRODUCT_LIMIT`` raise
-    :class:`~credal.linprog.SizeLimitError` before any is built.
+    and, for each x with Q(x) > 0, R_x a generator of
+    ``posterior_y(p, (x,))``.  For convex sets those pieces are pruned
+    (the product is linear in each piece, so the hull of products is
+    unchanged); for finite sets every distinct piece is kept.  The
+    products are counted from the pieces first; more than
+    ``HULL_PRODUCT_LIMIT`` raise :class:`~credal.linprog.SizeLimitError`
+    before any is built.
+
+    No product needs pruning.  The hull is exactly the set of joints
+    whose X-marginal lies in conv(marginals) and whose conditional at
+    each live x lies in C_x, the conditionals' hull.  Suppose
+    Q (x) R = t m1 + (1 - t) m2 with 0 < t < 1 and m1, m2 in the hull.
+    The X-marginals give Q = t m1_X + (1 - t) m2_X, and Q is extreme,
+    so m1_X = m2_X = Q.  Row x over Q(x) then gives
+    R_x = t m1(.|x) + (1 - t) m2(.|x), and R_x is extreme in C_x, so
+    both conditionals equal R_x and m1 = m2 = Q (x) R.  So every product
+    is extreme; distinct choices give distinct products (in the
+    X-marginal or in a live row), so the products are already the
+    pruned generator list, in order.
     """
     space = p.space
-    marg = [g.x_marginal() for g in p.generators]
-    if p.convex:
-        marg = list(prune(VPolytope(space.nx, tuple(marg), True)).generators)
-    else:
-        marg = list(dict.fromkeys(marg))
+    marg = prune(
+        VPolytope(space.nx, tuple(g.x_marginal() for g in p.generators), p.convex)
+    ).generators
     cond_lists = _conditional_lists(p)
 
     count = sum(
@@ -523,17 +523,13 @@ def hull(p: CredalSet) -> CredalSet:
     for q in marg:
         live = [i for i in range(space.nx) if q[i] > 0]
         for choice in itertools.product(*(cond_lists[i] for i in live)):
-            rows = []
             pick = dict(zip(live, choice))
-            for i in range(space.nx):
-                if i in pick:
-                    rows.append(tuple(q[i] * v for v in pick[i]))
-                else:
-                    rows.append((ZERO,) * space.ny)
-            products.append(tuple(rows))
-
-    out = credal_set(space, products, p.convex)
-    return prune_credal(out) if p.convex else out
+            rows = tuple(
+                tuple(q[i] * v for v in pick[i]) if i in pick else (ZERO,) * space.ny
+                for i in range(space.nx)
+            )
+            products.append(JointDistribution(space, rows))
+    return CredalSet(space, tuple(products), p.convex)
 
 
 def is_rectangular(p: CredalSet) -> bool:

@@ -408,7 +408,7 @@ class IgnoringSolution:
     matches_a_priori: bool
 
 
-def solve_ignoring(dp: DecisionProblem, prior: MinimaxSolution | None = None) -> IgnoringSolution:
+def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     """Prior game restricted to constant rules (ties every signal to one
     randomized action) and comparison against the unrestricted game."""
     space = dp.space
@@ -429,8 +429,7 @@ def solve_ignoring(dp: DecisionProblem, prior: MinimaxSolution | None = None) ->
         raise SolverError("constant-rule face came back empty")
     rule = rule_from_weights(space, [action_vertices[0].weights] * space.nx)
 
-    if prior is None:
-        prior = solve_a_priori(dp, face=False)
+    prior = solve_a_priori(dp, face=False)
     return IgnoringSolution(
         value=value,
         rule=rule,

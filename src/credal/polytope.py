@@ -140,18 +140,18 @@ def subset(a: VPolytope, b: VPolytope) -> bool:
     (exactly, in both the convex and the finite reading), and ``b`` is
     either convex or finite, so pointwise membership settles it.  The
     one undecidable direction is convex ``a`` against finite ``b`` with
-    ``a`` not a single point.  Otherwise, when ``a``'s box does not lie
-    inside ``b``'s, some generator of ``a`` lies outside ``b``.
+    ``a`` not a single point, that is with two or more generators, as
+    they are distinct.  Otherwise, when ``a``'s box does not lie inside
+    ``b``'s, some generator of ``a`` lies outside ``b``.
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
     if a.convex and not b.convex:
-        gens = prune(a).generators
-        if len(gens) > 1:
+        if len(a.generators) > 1:
             raise ComparisonError(
                 "cannot compare a convex set against a finite point list"
             )
-        return member(gens[0], b)
+        return member(a.generators[0], b)
     if not (_in_box(a.box[0], b.box) and _in_box(a.box[1], b.box)):
         return False
     return all(member(g, b) for g in a.generators)

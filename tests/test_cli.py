@@ -164,6 +164,54 @@ def test_structure_commands_run_on_a_single_ten_by_five_generator(tmp_path, caps
     assert capsys.readouterr().err == ""
 
 
+def _finite_file(tmp_path, rows):
+    """A valid finite problem file over 2 outcomes, one generator per
+    entry of ``rows``, each a list of (weight, weight) pairs, one pair
+    per signal."""
+    gens = []
+    for w in rows:
+        total = sum(map(sum, w))
+        gens.append([["%d/%d" % (v, total) for v in pair] for pair in w])
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps({
+        "x_labels": [str(i) for i in range(len(rows[0]))],
+        "y_labels": ["0", "1"],
+        "actions": ["a", "b"],
+        "convex": False,
+        "generators": gens,
+    }))
+    return path
+
+
+def test_hull_answers_at_its_limit(tmp_path, capsys):
+    # 10 generators over 3 signals, with distinct X-marginals and distinct
+    # conditionals at every signal: 10 * 10^3 products
+    assert HULL_PRODUCT_LIMIT == 10**4
+    path = _finite_file(tmp_path, [[(g + 1, 11 + i) for i in range(3)] for g in range(10)])
+    start = time.perf_counter()
+    code, text = cli("hull", str(path))
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    out = text.splitlines()
+    assert out[0] == "generators: %d" % HULL_PRODUCT_LIMIT
+    assert len(out) == HULL_PRODUCT_LIMIT + 3
+    assert out[-2:] == ["convex: no", "rectangular: no"]
+
+
+def test_hull_refuses_one_product_over_its_limit(tmp_path, capsys):
+    # one signal: each distinct generator is one conditional, one product
+    rows = [[(g, HULL_PRODUCT_LIMIT - g)] for g in range(HULL_PRODUCT_LIMIT + 1)]
+    start = time.perf_counter()
+    code, text = cli("hull", str(_finite_file(tmp_path, rows)))
+    assert time.perf_counter() - start < 10
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == "refused: hull products limited to %d, got %d\n" % (
+        HULL_PRODUCT_LIMIT,
+        HULL_PRODUCT_LIMIT + 1,
+    )
+
+
 _RULE = re.compile(r"([^\s,:]+)(?:->([^\s,]+)|: \(([^)]*)\))")
 
 

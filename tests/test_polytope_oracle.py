@@ -139,3 +139,19 @@ def test_segments_and_boxes_need_no_lp(lp_count):
     outside = polytope([(F(1, 2), F(1, 4), F(1, 4)), (0, 1, 0), (0, 0, 1)], True)
     assert not member((1, 0, 0), outside)
     assert lp_count[0] == 0
+
+
+def test_convex_against_finite_subset_needs_no_lp(lp_count):
+    # the centre lies inside the other generators' box and off their
+    # lines, so pruning this set would take an LP; distinct generators
+    # are never a single point, so none is asked
+    quarter, half, third = F(1, 4), F(1, 2), F(1, 3)
+    gens = [(half, quarter, quarter), (quarter, half, quarter), (quarter, quarter, half)]
+    a = polytope(gens + [(third, third, third)], True)
+    b = polytope(gens, False)
+    points = [polytope([g], True) for g in (gens[0], (third, third, third))]
+    got = [_outcome(subset, x, b) for x in [a] + points]
+    assert lp_count[0] == 0
+    assert got[0] == ("ComparisonError", "cannot compare a convex set against a finite point list")
+    assert got[1:] == [True, False]
+    assert got == [_outcome(polytope_oracle.subset, x, b) for x in [a] + points]

@@ -41,8 +41,8 @@ def _random_set(rng, trial):
     """A small random set; by ``trial``: a plain set, its hull, or its
     hull minus one generator.  Some signals may be dead, and some
     generators repeat or share rows with another.  At most 3 distinct
-    generators over 3 signals, or 4 over 2, keep every hull within
-    ``HULL_PRODUCT_LIMIT``."""
+    generators over 3 signals, or 4 over 2, keep every hull within the
+    pruning hull's ``structure_oracle.HULL_PRODUCT_LIMIT``."""
     nx, ny = rng.randint(2, 3), rng.randint(2, 3)
     space = _space(nx, ny, rng.randint(2, 3))
     convex = rng.random() < 0.5
@@ -164,3 +164,41 @@ def test_corpus_structure_checks_match_the_enumerations():
         want = structure_oracle._weak_verdict(dp, notes, post)
         assert got.result == want.result, case.id
         assert got.witness == want.witness, case.id
+
+
+def _assert_same_hull(p):
+    got, want = hull(p), structure_oracle.hull(p)
+    assert got.convex == want.convex
+    assert [g.mass for g in got.generators] == [g.mass for g in want.generators], p
+    return len(got.generators)
+
+
+def test_random_hulls_match_the_pruning_hull():
+    # plain sets, hulls (so hulls of hulls here) and hulls minus a
+    # generator: dead signals, repeated generators and generators sharing
+    # rows, convex and finite
+    rng = random.Random(80)
+    for trial in range(300):
+        _assert_same_hull(_random_set(rng, trial))
+
+
+def test_corpus_hulls_match_the_pruning_hull():
+    cases = load_corpus()
+    assert len(cases) == 12
+    for case in cases:
+        _assert_same_hull(case.credal())
+
+
+def test_hulls_of_up_to_81_products_match_the_pruning_hull():
+    # positive generators: most pieces are extreme, so the pruning hull
+    # asks one joint-space LP per product
+    rng = random.Random(81)
+    largest = 0
+    for nx, k in ((3, 3), (4, 2), (5, 2), (2, 4), (3, 3), (4, 2)):
+        ny = rng.randint(2, 3)
+        space = _space(nx, ny, 2)
+        for convex in (True, False):
+            flats = [simplex_point(rng, nx * ny, True) for _ in range(k)]
+            masses = [[flat[i * ny : (i + 1) * ny] for i in range(nx)] for flat in flats]
+            largest = max(largest, _assert_same_hull(credal_set(space, masses, convex)))
+    assert largest == 81

@@ -170,8 +170,10 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
         for case in load_corpus():
             assert run_case(case).ok, case.id
             # the hull and joint-space membership LPs the corpus built
-            # before rectangularity was decided by one-signal swaps
+            # before rectangularity was decided by one-signal swaps, and
+            # the joint-space prune of the products that the hull dropped
             structure_oracle.is_rectangular(case.credal())
+            structure_oracle.hull(case.credal())
     distinct = list(dict.fromkeys(lps))
     assert len(lps) >= 500 and len(distinct) >= 50
     for lp in distinct:
