@@ -34,10 +34,12 @@ from .core import (
 )
 from .linprog import SizeLimitError
 from .minimax import (
+    _checked,
+    _prior_game,
+    _with_face,
     action_loss,
     solve_a_posteriori,
     solve_a_priori,
-    with_optimal_face,
     worst_case_loss,
     worst_case_posterior_loss,
 )
@@ -237,14 +239,16 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     reported witness is as plain as possible."""
     notes = sufficient_conditions(dp)
     post = solve_a_posteriori(dp)
-    prior = solve_a_priori(dp, face=False)
+    # the prior rows and mixture are built once, for both saddle checks and the face
+    prior, game, mix = _prior_game(dp)
+    prior = _checked(dp, prior, mix)
     weak = _weak_verdict(dp, notes, post, prior.value)
     if weak.result == INCONSISTENT:
         return ConsistencyVerdict(
             kind="time", result=INCONSISTENT, witness=weak.witness, notes=notes
         )
     # enumerate the face only once the weak check passes: it may be refused
-    prior = with_optimal_face(dp, prior)
+    prior = _checked(dp, _with_face(dp, prior, game), mix)
     live = support_x(dp.credal)
     for rule in _det_first_lex(prior.optimal_rule_vertices):
         for x in live:

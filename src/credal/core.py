@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .linprog import SizeLimitError
 from .polytope import VPolytope, member, prune
-from .rationals import rat, rat_matrix, rat_seq
+from .rationals import common_denominator, rat, rat_matrix, rat_seq
 
 __all__ = [
     "ProblemSpace",
@@ -67,10 +67,10 @@ ONE = Fraction(1)
 # Most products :func:`hull` builds; it guards only the ``hull`` command
 # and the ``hull_member`` corpus op, as :func:`is_rectangular` builds
 # none.  Building and printing them is linear in the products times the
-# joint coordinates: ``credal hull`` took 0.7 s end to end on 10,000
-# products over 3 signals and 2 outcomes, 2.1-2.4 s on 8,192 over
-# 12 signals and 2 outcomes, and 2.6-2.9 s on 6,561 over 7 signals and
-# 5 outcomes (2-core x86-64, Python 3.11).
+# joint coordinates: ``credal hull`` took 0.9 s end to end on 10,000
+# products over 3 signals and 2 outcomes, 1.9-2.0 s on 8,192 over
+# 12 signals and 2 outcomes, and 2.2-2.5 s on 6,561 over 7 signals and
+# 5 outcomes (shared 2-core x86-64, Python 3.11).
 HULL_PRODUCT_LIMIT = 10_000
 
 
@@ -131,16 +131,15 @@ class JointDistribution:
     def __post_init__(self):
         if len(self.mass) != self.space.nx:
             raise ValueError("mass needs one row per x label")
-        total = ZERO
-        for row in self.mass:
-            if len(row) != self.space.ny:
-                raise ValueError("mass row length != number of y labels")
-            for v in row:
-                if v < 0:
-                    raise ValueError("negative probability mass")
-                total += v
-        if total != 1:
-            raise ValueError("mass must sum to exactly 1, got %s" % total)
+        # rows before the first of the wrong length, checked in integers
+        bad = next((i for i, row in enumerate(self.mass) if len(row) != self.space.ny), None)
+        nums, den = common_denominator([v for row in self.mass[:bad] for v in row])
+        if any(v < 0 for v in nums):
+            raise ValueError("negative probability mass")
+        if bad is not None:
+            raise ValueError("mass row length != number of y labels")
+        if sum(nums) != den:
+            raise ValueError("mass must sum to exactly 1, got %s" % Fraction(sum(nums), den))
 
     def x_marginal(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, ZERO) for row in self.mass)

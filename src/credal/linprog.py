@@ -10,8 +10,11 @@ systems of the optimal-face enumeration scale their rows to integers and
 run through one Bareiss kernel on Python ``int``; each division by the
 previous pivot is exact, so no gcd is taken, and only the results are
 turned back into fractions.  Optimal values, primal points and dual
-prices are exact; complementary slackness, and with it strong duality,
-is verified bit-for-bit, in ``Fraction``, before a solution is returned.
+prices are exact ``Fraction``s; feasibility and complementary slackness,
+and with them strong duality, are verified exactly before a solution is
+returned, in integers over positive common denominators
+(:func:`credal.rationals.common_denominator`), as is the saddle point of
+every block game.
 
 Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
@@ -35,8 +38,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .rationals import rat, rat_matrix, rat_seq
+from .rationals import common_denominator, rat, rat_matrix, rat_seq
 
 __all__ = [
     "LE",
@@ -142,12 +146,6 @@ def make_lp(objective, rows, senses, rhs, lower_bounds=None) -> LinearProgram:
 # fraction-free exact elimination
 
 
-def _scale_to_int(row):
-    """``row`` (Fractions or ints) times the positive lcm of its denominators."""
-    den = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (den // v.denominator) for v in row]
-
-
 def _bareiss(mat, n):
     """Fraction-free Gauss-Jordan elimination of the integer rows ``mat``.
 
@@ -241,9 +239,7 @@ class _Tableau:
                 self.var_map.append((j, -1))
         std = list(self.var_map)
         # the objective times the lcm of its denominators
-        pairs = [v.as_integer_ratio() for v in lp.objective]
-        self.cost_scale = math.lcm(*[q for _, q in pairs])
-        objective = [p * (self.cost_scale // q) for p, q in pairs]
+        objective, self.cost_scale = common_denominator(lp.objective)
         cost = [s * objective[j] for j, s in std]
 
         # Each row times the lcm of its denominators, negated when the rhs
@@ -258,10 +254,7 @@ class _Tableau:
         self.basis = [-1] * m
         rhs = []
         for i, (row, sense, b) in enumerate(zip(lp.rows, lp.senses, lp.rhs)):
-            pairs = [v.as_integer_ratio() for v in row]
-            pairs.append(b.as_integer_ratio())
-            d = math.lcm(*[q for _, q in pairs])
-            ints = [p * (d // q) for p, q in pairs]
+            ints, d = common_denominator((*row, b))
             flipped = ints[-1] < 0
             if flipped:
                 ints = [-v for v in ints]
@@ -429,37 +422,49 @@ class _Tableau:
 
 def _verify_optimal(lp: LinearProgram, x, y):
     """Exact feasibility and complementary-slackness checks, which imply strong
-    duality (``c.x - y.b = r.x + y.(A.x - b)`` exactly); returns ``c.x``."""
+    duality (``c.x - y.b = r.x + y.(A.x - b)`` exactly); returns ``c.x``.
+
+    Each quantity is an integer over a positive denominator, so each test
+    decides the ``Fraction`` predicate it names: ``x`` and ``y`` are
+    scaled to common denominators ``xd`` and ``yd``, and each row with its
+    right-hand side to its own ``d_i``.  Row ``i``'s activity minus its
+    right-hand side is ``slack[i] / (d_i xd)``; the reduced cost of
+    column ``j`` is ``reduced[j] / (cd yd L)``, with ``L`` the lcm of the
+    ``d_i`` and ``cd`` the objective's denominator.
+    """
     n = len(lp.objective)
-    for j in range(n):
-        if lp.lower_bounds[j] is not None and x[j] < 0:
-            raise InternalCheckError("primal bound violated")
-    reduced = []
-    for j in range(n):
-        r = lp.objective[j] - sum(
-            (y[i] * lp.rows[i][j] for i in range(len(lp.rows))), ZERO
-        )
-        reduced.append(r)
-        if lp.lower_bounds[j] is None:
+    xs, xd = common_denominator(x)
+    ys, yd = common_denominator(y)
+    nonneg = [b is not None for b in lp.lower_bounds]
+    if any(v < 0 for v, pos in zip(xs, nonneg) if pos):
+        raise InternalCheckError("primal bound violated")
+    scaled = [common_denominator((*row, b)) for row, b in zip(lp.rows, lp.rhs)]
+    ints = [r for r, _ in scaled]
+    lcm = math.lcm(*[d for _, d in scaled])
+    prices = [v * (lcm // d) for v, (_, d) in zip(ys, scaled)]
+    priced = [sum(map(mul, prices, col)) for col in zip(*ints)] or [0] * n
+    cs, cd = common_denominator(lp.objective)
+    reduced = [c * yd * lcm - cd * p for c, p in zip(cs, priced)]
+    for r, pos in zip(reduced, nonneg):
+        if not pos:
             if r != 0:
                 raise InternalCheckError("free variable with nonzero reduced cost")
         elif r < 0:
             raise InternalCheckError("negative reduced cost at optimum")
-    for i, row in enumerate(lp.rows):
-        act = sum((row[j] * x[j] for j in range(n)), ZERO)
-        if lp.senses[i] == LE:
-            if act > lp.rhs[i]:
+    for row, sense, price in zip(ints, lp.senses, ys):
+        slack = sum(map(mul, row, xs)) - row[n] * xd
+        if sense == LE:
+            if slack > 0:
                 raise InternalCheckError("<= row violated")
-            if y[i] > 0:
+            if price > 0:
                 raise InternalCheckError("dual sign on <= row")
-        elif act != lp.rhs[i]:
+        elif slack != 0:
             raise InternalCheckError("equality row violated")
-        if y[i] * (act - lp.rhs[i]) != 0:
+        if price and slack:
             raise InternalCheckError("complementary slackness (rows)")
-    for j in range(n):
-        if lp.lower_bounds[j] is not None and reduced[j] * x[j] != 0:
-            raise InternalCheckError("complementary slackness (bounds)")
-    return sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
+    if any(r and v for r, v, pos in zip(reduced, xs, nonneg) if pos):
+        raise InternalCheckError("complementary slackness (bounds)")
+    return Fraction(sum(map(mul, cs, xs)), cd * xd)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
@@ -521,19 +526,35 @@ def block_game(rows, widths):
     value = sol.value
     w = sol.primal[1:]
     prices = tuple(-sol.dual[i] for i in range(len(rows)))
-    worst_row = max(sum((a * v for a, v in zip(row, w)), ZERO) for row in rows)
-    if not (worst_row == value == _best_reply(rows, widths, prices)[0]):
+    # the worst row under w is the value: no row above it, one at it
+    scaled = [common_denominator(row) for row in rows]
+    ws, wd = common_denominator(w)
+    vn, vd = value.as_integer_ratio()
+    pairs = [(sum(map(mul, r, ws)) * vd, vn * d * wd) for r, d in scaled]
+    if (
+        any(a > b for a, b in pairs)
+        or all(a != b for a, b in pairs)
+        or value != _best_reply(scaled, widths, prices)[0]
+    ):
         raise InternalCheckError("saddle point check failed")
     return value, w, prices
 
 
-def _best_reply(rows, widths, prices):
+def _best_reply(scaled, widths, prices):
     """Value of the best block-wise reply to the row mixture ``prices``, the
-    columns that attain it (zero reduced cost) and their count per block."""
-    if len(prices) != len(rows) or any(q < 0 for q in prices) or sum(prices) != 1:
+    columns that attain it (zero reduced cost) and their count per block.
+
+    ``scaled`` holds the rows as :func:`common_denominator` pairs.  The
+    cost of column ``j`` is ``costs[j] / (qd L)``, with ``qd`` the prices'
+    denominator and ``L`` the lcm of the rows' denominators.
+    """
+    qs, qd = common_denominator(prices)
+    if len(prices) != len(scaled) or any(q < 0 for q in qs) or sum(qs) != qd:
         raise InternalCheckError("prices are not a row mixture")
-    costs = [sum(q * row[j] for q, row in zip(prices, rows)) for j in range(sum(widths))]
-    value, keep, kept_widths, start = ZERO, [], [], 0
+    lcm = math.lcm(*[d for _, d in scaled])
+    weights = [q * (lcm // d) for q, (_, d) in zip(qs, scaled)]
+    costs = [sum(map(mul, weights, col)) for col in zip(*[r for r, _ in scaled])]
+    value, keep, kept_widths, start = 0, [], [], 0
     for width in widths:
         low = min(costs[start : start + width])
         value += low
@@ -541,7 +562,7 @@ def _best_reply(rows, widths, prices):
         keep += block
         kept_widths.append(len(block))
         start += width
-    return value, keep, kept_widths
+    return Fraction(value, qd * lcm), keep, kept_widths
 
 
 def zero_sum_value(payoff):
@@ -577,7 +598,8 @@ def optimal_face_vertices(rows, widths, value, prices) -> list[tuple[Fraction, .
     ``value >= prices.rows.w >= value``, so a column priced above its block
     minimum (a positive reduced cost) is 0; only the others are enumerated."""
     n = sum(widths)
-    best_reply, keep, kept_widths = _best_reply(rows, widths, prices)
+    scaled = [common_denominator(row) for row in rows]
+    best_reply, keep, kept_widths = _best_reply(scaled, widths, prices)
     if best_reply != value:
         raise InternalCheckError("face prices do not certify the value")
     pos = {j: k for k, j in enumerate(keep)}  # the same zeros everywhere keep the order
@@ -600,8 +622,8 @@ def _face_vertices(rows, widths, value) -> list[tuple[Fraction, ...]]:
     in integers, and only the vertices found are turned into fractions.
     """
     n = sum(widths)
-    le = [_scale_to_int([*row, value]) for row in rows]
-    eq = [_scale_to_int([*b, ONE]) for b in _block_rows(widths)]
+    le = [common_denominator((*row, value))[0] for row in rows]
+    eq = [common_denominator((*b, ONE))[0] for b in _block_rows(widths)]
     need = n - len(widths)
     candidates = sum(
         math.comb(len(le), t) * math.comb(n, need - t)

@@ -19,6 +19,14 @@ enumerates its optimal face from the same rows, widths and value, over
 the columns that the verified bookie mixture leaves at zero reduced
 cost; this module only supplies the loss rows.
 
+The loss rows, expected and worst-case losses, the bookie's mixed joint
+and the saddle check of :func:`verify_saddle` are computed in integers
+over positive common denominators
+(:func:`credal.rationals.common_denominator`); each comparison is the
+``Fraction`` comparison cross-multiplied by positive denominators, and
+every value returned is a ``Fraction``.  One solve builds its loss rows
+and its mixed joint once, for the face and for each saddle check.
+
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
 action there and report those signals as unconstrained.
@@ -29,6 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     CredalSet,
@@ -45,7 +54,7 @@ from .core import (
 )
 from .linprog import SizeLimitError, block_game, optimal_face_vertices
 from .polytope import VPolytope
-from .rationals import rat
+from .rationals import common_denominator, rat
 
 __all__ = [
     "MinimaxSolution",
@@ -85,37 +94,66 @@ def action_loss(loss: LossFunction, weights) -> tuple[Fraction, ...]:
     )
 
 
-def _action_losses(loss: LossFunction, q) -> tuple[Fraction, ...]:
-    """Expected loss of each action under the (unnormalised) Y-vector ``q``."""
-    return tuple(
-        sum((q[yi] * loss.table[yi][ai] for yi in range(loss.space.ny)), ZERO)
-        for ai in range(loss.space.na)
-    )
+def _loss_columns(loss: LossFunction):
+    """The loss table as one column per action (its loss at each outcome),
+    integers over one positive denominator."""
+    table, den = common_denominator([v for row in loss.table for v in row])
+    na = loss.space.na
+    return [table[a::na] for a in range(na)], den
 
 
-def _mixed_mass(gens, mixture):
-    """Mass matrix of the joint ``sum_i mixture[i] * gens[i]``."""
-    space = gens[0].space
-    return tuple(
-        tuple(
-            sum((w * g.mass[xi][yi] for w, g in zip(mixture, gens)), ZERO)
-            for yi in range(space.ny)
-        )
-        for xi in range(space.nx)
-    )
+def _action_losses(loss: LossFunction, qs) -> list[tuple[Fraction, ...]]:
+    """Expected loss of each action under each (unnormalised) Y-vector in ``qs``."""
+    columns, ld = _loss_columns(loss)
+    rows = []
+    for q in qs:
+        nums, qd = common_denominator(q)
+        den = qd * ld
+        rows.append(tuple(Fraction(sum(map(mul, nums, col)), den) for col in columns))
+    return rows
+
+
+def _generator_masses(gens):
+    """Each generator's flattened mass, x-major, as integers over one
+    positive denominator shared by all of them."""
+    nums, den = common_denominator([v for g in gens for row in g.mass for v in row])
+    n = len(nums) // len(gens)
+    return [nums[k * n : (k + 1) * n] for k in range(len(gens))], den
+
+
+def _rule_losses(rule: DecisionRule, loss: LossFunction):
+    """Expected loss of the rule's action at each (x, y), flattened x-major,
+    as integers over one positive denominator."""
+    weights, wd = common_denominator(rule.flatten())
+    columns, ld = _loss_columns(loss)
+    by_y = list(zip(*columns))
+    na = len(columns)
+    return [
+        sum(map(mul, weights[k : k + na], row))
+        for k in range(0, len(weights), na)
+        for row in by_y
+    ], wd * ld
+
+
+def _generator_losses(masses, rule: DecisionRule, loss: LossFunction):
+    """Expected loss of ``rule`` under each of the :func:`_generator_masses`
+    ``masses``, as integers over one positive denominator."""
+    ms, md = masses
+    losses, ed = _rule_losses(rule, loss)
+    return [sum(map(mul, m, losses)) for m in ms], md * ed
+
+
+def _mixed_mass(masses, mixture):
+    """Flattened mass of the joint ``sum_i mixture[i] * gens[i]``, given the
+    :func:`_generator_masses` and the mixture as integers over positive
+    denominators; the result is over their product."""
+    (ms, md), (qs, qd) = masses, mixture
+    return [sum(map(mul, qs, col)) for col in zip(*ms)], qd * md
 
 
 def expected_loss(g: JointDistribution, rule: DecisionRule, loss: LossFunction) -> Fraction:
-    total = ZERO
-    for xi in range(g.space.nx):
-        row = g.mass[xi]
-        weights = rule.per_x[xi].weights
-        for yi, mass in enumerate(row):
-            if mass != 0:
-                total += mass * sum(
-                    (w * loss.table[yi][ai] for ai, w in enumerate(weights)), ZERO
-                )
-    return total
+    (total,), den = _generator_losses(_generator_masses((g,)), rule, loss)
+    return Fraction(total, den)
 
 
 def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
@@ -124,13 +162,9 @@ def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
     For a convex set the maximum over the hull is attained at a
     generator, so scanning the generator list is exact either way.
     """
-    best = None
-    witness = None
-    for i, g in enumerate(p.generators):
-        v = expected_loss(g, rule, loss)
-        if best is None or v > best:
-            best, witness = v, i
-    return best, witness
+    losses, den = _generator_losses(_generator_masses(p.generators), rule, loss)
+    best = max(losses)
+    return Fraction(best, den), losses.index(best)
 
 
 def worst_case_posterior_loss(
@@ -186,7 +220,7 @@ def _generator_coefficients(dp: DecisionProblem, live_idx):
     """One row per generator: the expected-loss coefficient of each
     (live signal, action) weight, signal-major."""
     return [
-        [c for xi in live_idx for c in _action_losses(dp.loss, g.mass[xi])]
+        [c for row in _action_losses(dp.loss, [g.mass[xi] for xi in live_idx]) for c in row]
         for g in dp.credal.generators
     ]
 
@@ -215,11 +249,57 @@ def _prior_rows(dp: DecisionProblem):
     return live_idx, _generator_coefficients(dp, live_idx), [space.na] * len(live_idx)
 
 
-def _checked(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
-    report = verify_saddle(dp, solution.bookie_mixture, solution.rule)
+def _prior_game(dp: DecisionProblem):
+    """The prior game solved without its face and not yet checked.
+
+    Returns the solution, the LP data of :func:`_prior_rows` and the
+    :func:`_scaled_mixture` of its bookie mixture, so that the face and
+    the saddle checks of one solve reuse them.
+    """
+    space = dp.space
+    game = _prior_rows(dp)
+    live_idx, rows, widths = game
+    value, w, mixture = block_game(rows, widths)
+    mix = _scaled_mixture(dp.credal.generators, mixture)
+    mass, den = mix[2]
+    ny = space.ny
+    solution = MinimaxSolution(
+        value=value,
+        rule=_block_rule(space, live_idx, w),
+        bookie_mixture=mixture,
+        aggregate=JointDistribution(
+            space=space,
+            mass=tuple(
+                tuple(Fraction(v, den) for v in mass[k : k + ny])
+                for k in range(0, len(mass), ny)
+            ),
+        ),
+        optimal_rule_vertices=None,
+        unconstrained_x=tuple(
+            x for xi, x in enumerate(space.x_labels) if xi not in live_idx
+        ),
+    )
+    return solution, game, mix
+
+
+def _checked(dp: DecisionProblem, solution: MinimaxSolution, mix) -> MinimaxSolution:
+    """``solution``, once :func:`verify_saddle` holds for its rule against the
+    :func:`_scaled_mixture` ``mix`` of its bookie mixture."""
+    report = _saddle_report(dp, solution.rule, mix)
     if not report.holds:
         raise SolverError("saddle check failed: %s" % (report.failing,))
     return solution
+
+
+def _with_face(dp: DecisionProblem, solution: MinimaxSolution, game) -> MinimaxSolution:
+    """``solution`` with its optimal face enumerated from the
+    :func:`_prior_rows` ``game``, not yet checked."""
+    live_idx, rows, widths = game
+    verts = optimal_face_vertices(rows, widths, solution.value, solution.bookie_mixture)
+    vertices = _face_rules(dp.space, live_idx, verts)
+    if not vertices:
+        raise SolverError("optimal face came back empty")
+    return replace(solution, rule=vertices[0], optimal_rule_vertices=vertices)
 
 
 def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
@@ -236,36 +316,19 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     landed on rather than the lexicographically smallest vertex.
     :func:`with_optimal_face` adds the face to such a solution.
     """
-    space = dp.space
-    live_idx, rows, widths = _prior_rows(dp)
-    value, w, mixture = block_game(rows, widths)
-    solution = MinimaxSolution(
-        value=value,
-        rule=_block_rule(space, live_idx, w),
-        bookie_mixture=mixture,
-        aggregate=JointDistribution(
-            space=space, mass=_mixed_mass(dp.credal.generators, mixture)
-        ),
-        optimal_rule_vertices=None,
-        unconstrained_x=tuple(
-            x for xi, x in enumerate(space.x_labels) if xi not in live_idx
-        ),
-    )
-    return with_optimal_face(dp, solution) if face else _checked(dp, solution)
+    solution, game, mix = _prior_game(dp)
+    if face:
+        solution = _with_face(dp, solution, game)
+    return _checked(dp, solution, mix)
 
 
 def with_optimal_face(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
     """``solution`` with the vertices of the optimal face enumerated at its
     value and its rule the lexicographically smallest of them, checked
     with :func:`verify_saddle` against that rule."""
-    live_idx, rows, widths = _prior_rows(dp)
-    verts = optimal_face_vertices(rows, widths, solution.value, solution.bookie_mixture)
-    vertices = _face_rules(dp.space, live_idx, verts)
-    if not vertices:
-        raise SolverError("optimal face came back empty")
-    return _checked(
-        dp, replace(solution, rule=vertices[0], optimal_rule_vertices=vertices)
-    )
+    solution = _with_face(dp, solution, _prior_rows(dp))
+    mix = _scaled_mixture(dp.credal.generators, solution.bookie_mixture)
+    return _checked(dp, solution, mix)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +379,7 @@ def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
     points = []
     for x in support_x(dp.credal):
         proj = posterior_y(dp.credal, (x,))
-        rows = [_action_losses(dp.loss, q) for q in proj.generators]
+        rows = _action_losses(dp.loss, proj.generators)
         value, _w, mixture = block_game(rows, widths)
         verts = optimal_face_vertices(rows, widths, value, mixture)
         points.append(
@@ -353,35 +416,51 @@ class SaddleReport:
 
 
 def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleReport:
-    gens = dp.credal.generators
+    return _saddle_report(dp, rule, _scaled_mixture(dp.credal.generators, mixture))
+
+
+def _scaled_mixture(gens, mixture):
+    """Check that ``mixture`` is a probability vector over ``gens`` (else
+    ValueError).  Returns the mixture, the :func:`_generator_masses` and
+    the :func:`_mixed_mass`, each as integers over a positive denominator."""
     mixture = tuple(rat(w) for w in mixture)
     if len(mixture) != len(gens):
         raise ValueError("mixture length != number of generators")
-    if any(w < 0 for w in mixture) or sum(mixture, ZERO) != 1:
+    qs, qd = common_denominator(mixture)
+    if any(q < 0 for q in qs) or sum(qs) != qd:
         raise ValueError("mixture must be a probability vector")
+    masses = _generator_masses(gens)
+    return (qs, qd), masses, _mixed_mass(masses, (qs, qd))
 
-    per_gen = [expected_loss(g, rule, dp.loss) for g in gens]
-    value = sum((w * v for w, v in zip(mixture, per_gen)), ZERO)
 
+def _saddle_report(dp: DecisionProblem, rule: DecisionRule, mix) -> SaddleReport:
+    """:func:`verify_saddle` of ``rule`` against the :func:`_scaled_mixture`
+    ``mix``.  The value is over ``qd * den``, the bookie's best response
+    over ``den`` and the agent's over ``ad * ld``; each clause compares
+    them cross-multiplied."""
+    (qs, qd), masses, (mass, ad) = mix
+    losses, den = _generator_losses(masses, rule, dp.loss)
+    value = sum(map(mul, qs, losses))
+    bookie_best = max(losses)
+    columns, ld = _loss_columns(dp.loss)
+    ny = dp.space.ny
     agent_best = sum(
-        (min(_action_losses(dp.loss, row)) for row in _mixed_mass(gens, mixture)),
-        ZERO,
+        min(sum(map(mul, mass[k : k + ny], col)) for col in columns)
+        for k in range(0, len(mass), ny)
     )
 
-    bookie_best = max(per_gen)
-
     failing = []
-    if value != agent_best:
+    if value * ad * ld != agent_best * qd * den:
         failing.append("agent-deviation")
-    if value != bookie_best:
+    if value != bookie_best * qd:
         failing.append("bookie-deviation")
-    if any(mixture[i] > 0 and per_gen[i] != bookie_best for i in range(len(gens))):
+    if any(q > 0 and v != bookie_best for q, v in zip(qs, losses)):
         failing.append("support-not-tight")
     return SaddleReport(
         holds=not failing,
-        value=value,
-        agent_best_response=agent_best,
-        bookie_best_response=bookie_best,
+        value=Fraction(value, qd * den),
+        agent_best_response=Fraction(agent_best, ad * ld),
+        bookie_best_response=Fraction(bookie_best, den),
         failing=tuple(failing),
     )
 
@@ -414,10 +493,10 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     space = dp.space
     widths = [space.na]
     # constant-rule game: min t, per generator E[L_gamma] <= t over gamma
-    rows = [_action_losses(dp.loss, g.y_marginal()) for g in dp.credal.generators]
+    rows = _action_losses(dp.loss, [g.y_marginal() for g in dp.credal.generators])
     value, _gamma, mixture = block_game(rows, widths)
 
-    marginal_rows = [_action_losses(dp.loss, q) for q in marginal_y(dp.credal).generators]
+    marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).generators)
     marginal_value, _gamma, _mix = block_game(marginal_rows, widths)
     if marginal_value != value:
         raise SolverError("marginal game disagrees with constant-rule LP")

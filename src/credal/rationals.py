@@ -1,15 +1,21 @@
 """Small helpers for exact rational arithmetic.
 
-Everything in this package is computed with :class:`fractions.Fraction`.
+Every value the package returns is a :class:`fractions.Fraction`.  Sums,
+dot products and the exact checks inside a function run on Python
+``int`` numerators over one positive common denominator
+(:func:`common_denominator`), cross-multiplied where two denominators
+meet, so they decide the same predicates as ``Fraction`` arithmetic
+would; a ``Fraction`` is built only where a value leaves the function.
 Floats are rejected at the boundaries: a float that survived into the
 pipeline would silently poison every downstream equality test.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-__all__ = ["rat", "rat_seq", "rat_matrix"]
+__all__ = ["rat", "rat_seq", "rat_matrix", "common_denominator"]
 
 
 def rat(value) -> Fraction:
@@ -30,3 +36,12 @@ def rat_seq(values) -> tuple[Fraction, ...]:
 
 def rat_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rat_seq(row) for row in rows)
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """``values`` (Fractions or ints) as ``(nums, den)``: integer numerators
+    over the positive lcm of their denominators, ``values[i] == nums[i] / den``.
+    An empty input gives ``([], 1)``."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den

@@ -1,0 +1,167 @@
+"""The game layer's sums and exact checks in ``Fraction``, kept as test oracles.
+
+These are the functions ``credal.linprog``, ``credal.minimax`` and
+``credal.core`` used before those checks moved to integers over
+positive common denominators: the LP certificate check, the block
+game's best reply, a generator's expected loss, the mixed joint of a
+bookie mixture, the three-clause saddle check and the sum and sign
+check of a joint mass.  Tests compare the package against them: the
+same errors with the same messages, the same values, the same reports.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from credal.core import DecisionProblem, DecisionRule, JointDistribution, LossFunction
+from credal.linprog import LE, InternalCheckError, LinearProgram
+from credal.minimax import SaddleReport
+from credal.rationals import rat
+
+ZERO = Fraction(0)
+
+
+def _verify_optimal(lp: LinearProgram, x, y):
+    """Exact feasibility and complementary-slackness checks, which imply strong
+    duality (``c.x - y.b = r.x + y.(A.x - b)`` exactly); returns ``c.x``."""
+    n = len(lp.objective)
+    for j in range(n):
+        if lp.lower_bounds[j] is not None and x[j] < 0:
+            raise InternalCheckError("primal bound violated")
+    reduced = []
+    for j in range(n):
+        r = lp.objective[j] - sum(
+            (y[i] * lp.rows[i][j] for i in range(len(lp.rows))), ZERO
+        )
+        reduced.append(r)
+        if lp.lower_bounds[j] is None:
+            if r != 0:
+                raise InternalCheckError("free variable with nonzero reduced cost")
+        elif r < 0:
+            raise InternalCheckError("negative reduced cost at optimum")
+    for i, row in enumerate(lp.rows):
+        act = sum((row[j] * x[j] for j in range(n)), ZERO)
+        if lp.senses[i] == LE:
+            if act > lp.rhs[i]:
+                raise InternalCheckError("<= row violated")
+            if y[i] > 0:
+                raise InternalCheckError("dual sign on <= row")
+        elif act != lp.rhs[i]:
+            raise InternalCheckError("equality row violated")
+        if y[i] * (act - lp.rhs[i]) != 0:
+            raise InternalCheckError("complementary slackness (rows)")
+    for j in range(n):
+        if lp.lower_bounds[j] is not None and reduced[j] * x[j] != 0:
+            raise InternalCheckError("complementary slackness (bounds)")
+    return sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
+
+
+def _best_reply(rows, widths, prices):
+    """Value of the best block-wise reply to the row mixture ``prices``, the
+    columns that attain it (zero reduced cost) and their count per block."""
+    if len(prices) != len(rows) or any(q < 0 for q in prices) or sum(prices) != 1:
+        raise InternalCheckError("prices are not a row mixture")
+    costs = [sum(q * row[j] for q, row in zip(prices, rows)) for j in range(sum(widths))]
+    value, keep, kept_widths, start = ZERO, [], [], 0
+    for width in widths:
+        low = min(costs[start : start + width])
+        value += low
+        block = [j for j in range(start, start + width) if costs[j] == low]
+        keep += block
+        kept_widths.append(len(block))
+        start += width
+    return value, keep, kept_widths
+
+
+def _action_losses(loss: LossFunction, q) -> tuple[Fraction, ...]:
+    """Expected loss of each action under the (unnormalised) Y-vector ``q``."""
+    return tuple(
+        sum((q[yi] * loss.table[yi][ai] for yi in range(loss.space.ny)), ZERO)
+        for ai in range(loss.space.na)
+    )
+
+
+def _mixed_mass(gens, mixture):
+    """Mass matrix of the joint ``sum_i mixture[i] * gens[i]``."""
+    space = gens[0].space
+    return tuple(
+        tuple(
+            sum((w * g.mass[xi][yi] for w, g in zip(mixture, gens)), ZERO)
+            for yi in range(space.ny)
+        )
+        for xi in range(space.nx)
+    )
+
+
+def expected_loss(g: JointDistribution, rule: DecisionRule, loss: LossFunction) -> Fraction:
+    total = ZERO
+    for xi in range(g.space.nx):
+        row = g.mass[xi]
+        weights = rule.per_x[xi].weights
+        for yi, mass in enumerate(row):
+            if mass != 0:
+                total += mass * sum(
+                    (w * loss.table[yi][ai] for ai, w in enumerate(weights)), ZERO
+                )
+    return total
+
+
+def worst_case_loss(p, rule: DecisionRule, loss: LossFunction):
+    """Max expected loss over the generators, with the first witness index."""
+    best = None
+    witness = None
+    for i, g in enumerate(p.generators):
+        v = expected_loss(g, rule, loss)
+        if best is None or v > best:
+            best, witness = v, i
+    return best, witness
+
+
+def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleReport:
+    gens = dp.credal.generators
+    mixture = tuple(rat(w) for w in mixture)
+    if len(mixture) != len(gens):
+        raise ValueError("mixture length != number of generators")
+    if any(w < 0 for w in mixture) or sum(mixture, ZERO) != 1:
+        raise ValueError("mixture must be a probability vector")
+
+    per_gen = [expected_loss(g, rule, dp.loss) for g in gens]
+    value = sum((w * v for w, v in zip(mixture, per_gen)), ZERO)
+
+    agent_best = sum(
+        (min(_action_losses(dp.loss, row)) for row in _mixed_mass(gens, mixture)),
+        ZERO,
+    )
+
+    bookie_best = max(per_gen)
+
+    failing = []
+    if value != agent_best:
+        failing.append("agent-deviation")
+    if value != bookie_best:
+        failing.append("bookie-deviation")
+    if any(mixture[i] > 0 and per_gen[i] != bookie_best for i in range(len(gens))):
+        failing.append("support-not-tight")
+    return SaddleReport(
+        holds=not failing,
+        value=value,
+        agent_best_response=agent_best,
+        bookie_best_response=bookie_best,
+        failing=tuple(failing),
+    )
+
+
+def check_mass(space, mass):
+    """The shape, sign and sum checks of ``JointDistribution`` on ``mass``."""
+    if len(mass) != space.nx:
+        raise ValueError("mass needs one row per x label")
+    total = ZERO
+    for row in mass:
+        if len(row) != space.ny:
+            raise ValueError("mass row length != number of y labels")
+        for v in row:
+            if v < 0:
+                raise ValueError("negative probability mass")
+            total += v
+    if total != 1:
+        raise ValueError("mass must sum to exactly 1, got %s" % total)

@@ -1,0 +1,194 @@
+"""The integer checks of the game layer against their Fraction oracles.
+
+``tests/certificate_oracle.py`` keeps the LP certificate check, the
+block game's best reply, the expected and worst-case loss, the mixed
+joint, the saddle check and the joint-mass check as they were computed
+in ``Fraction``.  On seeded random inputs, sound and tampered, the
+package must raise the same errors with the same messages and return
+equal values and reports.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from credal.core import DecisionProblem, JointDistribution, ProblemSpace
+from credal.linprog import (
+    EQ,
+    LE,
+    OPTIMAL,
+    InternalCheckError,
+    _best_reply,
+    _verify_optimal,
+    lp_solve,
+    make_lp,
+)
+from credal.minimax import (
+    expected_loss,
+    solve_a_priori,
+    verify_saddle,
+    worst_case_loss,
+)
+from credal.rationals import common_denominator
+from credal.sampling import random_credal_set, random_loss, random_rule, simplex_point
+
+import certificate_oracle as oracle
+
+F = Fraction
+
+
+def _labels(n):
+    return tuple(str(i) for i in range(n))
+
+
+def _space(rng):
+    return ProblemSpace(
+        _labels(rng.choice((1, 2, 3))), _labels(rng.choice((2, 3))), _labels(rng.choice((2, 3)))
+    )
+
+
+def _rational(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _outcome(call, *args):
+    """``("ok", result)`` or ``(exception type, message)``."""
+    try:
+        return "ok", call(*args)
+    except (InternalCheckError, ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+def _tampered(rng, values):
+    values = list(values)
+    j = rng.randrange(len(values))
+    values[j] = rng.choice((F(0), -values[j], values[j] + _rational(rng)))
+    return tuple(values)
+
+
+def test_random_certificates_and_their_tamperings_agree():
+    rng = random.Random(1501)
+    refused = 0
+    for _ in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[_rational(rng) for _ in range(n)] for _ in range(m)]
+        senses = [rng.choice((LE, LE, EQ)) for _ in range(m)]
+        lower = [rng.choice((0, 0, None)) for _ in range(n)]
+        # a bounded objective: nonnegative costs on nonnegative variables, 0 on free ones
+        cost = [0 if b is None else abs(_rational(rng)) for b in lower]
+        lp = make_lp(cost, rows, senses, [_rational(rng) for _ in range(m)], lower)
+        sol = lp_solve(lp)
+        if sol.status != OPTIMAL:
+            continue
+        assert oracle._verify_optimal(lp, sol.primal, sol.dual) == sol.value
+        for _ in range(4):
+            x, y = sol.primal, sol.dual
+            if rng.random() < 0.5:
+                x = _tampered(rng, x)
+            else:
+                y = _tampered(rng, y)
+            got = _outcome(_verify_optimal, lp, x, y)
+            assert got == _outcome(oracle._verify_optimal, lp, x, y)
+            refused += got[0] != "ok"
+    assert refused > 100
+
+
+def test_best_reply_matches_the_oracle():
+    rng = random.Random(1502)
+    for _ in range(300):
+        widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        rows = [[_rational(rng) for _ in range(sum(widths))] for _ in range(rng.randint(1, 4))]
+        prices = simplex_point(rng, len(rows))
+        if rng.random() < 0.2:
+            prices = _tampered(rng, prices)
+        scaled = [common_denominator(row) for row in rows]
+        assert _outcome(_best_reply, scaled, widths, prices) == _outcome(
+            oracle._best_reply, rows, widths, prices
+        )
+
+
+def _problems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        space = _space(rng)
+        yield rng, DecisionProblem(random_credal_set(rng, space), random_loss(rng, space))
+
+
+def test_saddle_reports_and_losses_match_the_oracle():
+    failing = 0
+    for rng, dp in _problems(1503, 120):
+        gens = dp.credal.generators
+        sol = solve_a_priori(dp, face=rng.random() < 0.3)
+        assert sol.aggregate.mass == oracle._mixed_mass(gens, sol.bookie_mixture)
+        mixtures = [sol.bookie_mixture, simplex_point(rng, len(gens))]
+        rules = [sol.rule, random_rule(rng, dp.space)]
+        for mixture in mixtures:
+            for rule in rules:
+                report = verify_saddle(dp, mixture, rule)
+                assert report == oracle.verify_saddle(dp, mixture, rule)
+                failing += not report.holds
+        for rule in rules:
+            assert worst_case_loss(dp.credal, rule, dp.loss) == oracle.worst_case_loss(
+                dp.credal, rule, dp.loss
+            )
+            for g in gens:
+                assert expected_loss(g, rule, dp.loss) == oracle.expected_loss(g, rule, dp.loss)
+    assert failing > 100
+
+
+def test_saddle_mixture_errors_match_the_oracle():
+    for rng, dp in _problems(1504, 40):
+        k = len(dp.credal.generators)
+        rule = random_rule(rng, dp.space)
+        point = simplex_point(rng, k)
+        bad = [
+            point[:-1],
+            point + (F(0),),
+            _tampered(rng, point),
+            tuple(-w for w in point),
+            (F(1, 2),) * k,
+            (0.5,) * k,
+        ]
+        for mixture in bad:
+            got = _outcome(verify_saddle, dp, mixture, rule)
+            assert got[0] != "ok" or sum(mixture) == 1
+            assert got == _outcome(oracle.verify_saddle, dp, mixture, rule)
+
+
+def test_joint_mass_checks_match_the_oracle():
+    rng = random.Random(1505)
+    space = ProblemSpace(_labels(3), _labels(2), _labels(2))
+    for _ in range(300):
+        flat = list(simplex_point(rng, 6))
+        if rng.random() < 0.5:
+            flat[rng.randrange(6)] += rng.choice((F(-1), F(1, 7), -flat[0]))
+        mass = [flat[0:2], flat[2:4], flat[4:6]]
+        if rng.random() < 0.3:
+            mass[rng.randrange(3)] = mass[0] + [F(0)]
+        if rng.random() < 0.1:
+            mass = mass[:2]
+        got = _outcome(JointDistribution, space, tuple(tuple(r) for r in mass))
+        want = _outcome(oracle.check_mass, space, mass)
+        assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1])
+
+
+@pytest.mark.parametrize(
+    "mass, message",
+    [
+        ([[F(-1), 2], [0, 0]], "negative probability mass"),
+        ([[F(-1), 2], [0]], "negative probability mass"),
+        ([[1, 0, 0], [F(-1), 1]], "mass row length != number of y labels"),
+        ([[F(1, 3), F(1, 3)], [F(1, 3), F(1, 6)]], "mass must sum to exactly 1, got 7/6"),
+        ([[1, 1], [0, 0]], "mass must sum to exactly 1, got 2"),
+    ],
+)
+def test_joint_mass_errors_keep_their_order_and_text(mass, message):
+    space = ProblemSpace(_labels(2), _labels(2), _labels(2))
+    rows = tuple(tuple(F(v) for v in row) for row in mass)
+    with pytest.raises(ValueError) as info:
+        JointDistribution(space, rows)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        oracle.check_mass(space, rows)
+    assert str(info.value) == message

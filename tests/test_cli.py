@@ -412,6 +412,21 @@ def test_saddle_rejects_stick_rule():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "mixture, message",
+    (
+        ("1", "mixture length != number of generators"),
+        ("3/2,-1/2", "mixture must be a probability vector"),
+        ("1/2,1/3", "mixture must be a probability vector"),
+    ),
+)
+def test_saddle_refuses_a_bad_mixture(capsys, mixture, message):
+    code, text = cli("saddle", "corpus/monty-hall",
+                     "--rule", "0,0,1/0,1,0", "--mixture", mixture)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_mixtures_are_indexed_by_the_file_generators(tmp_path):
     # the first generator is listed twice; the credal set keeps one copy
     half, other = [["1/2", "0"], ["0", "1/2"]], [["0", "1/2"], ["1/2", "0"]]

@@ -19,14 +19,15 @@ from credal.linprog import (
     lp_solve,
     _bareiss,
     _face_vertices,
-    _scale_to_int,
     _solve_int,
     _verify_optimal,
     make_lp,
     optimal_face_vertices,
     zero_sum_value,
 )
+from credal.rationals import common_denominator
 
+import certificate_oracle
 import face_oracle
 
 F = Fraction
@@ -337,11 +338,16 @@ def test_tampered_certificate_is_refused(x, y, message):
     # Each tampered half passes every check made before the one named.
     # Strong duality has no check of its own: once both slackness checks
     # pass, c.x - y.b is the sum of their terms, zero.
+    # The Fraction verifier of the oracle refuses each with the same message.
     sol = lp_solve(_GAME_LP)
     x = sol.primal if x is None else tuple(F(v) for v in x)
     y = sol.dual if y is None else tuple(F(v) for v in y)
-    with pytest.raises(InternalCheckError, match=message):
-        _verify_optimal(_GAME_LP, x, y)
+    errors = []
+    for verify in (_verify_optimal, certificate_oracle._verify_optimal):
+        with pytest.raises(InternalCheckError, match=message) as info:
+            verify(_GAME_LP, x, y)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +374,7 @@ def _det(rows):
 
 def _solve(rows, rhs, n):
     """The kernel's unique solution of ``rows.x = rhs`` as fractions, or None."""
-    sol = _solve_int([_scale_to_int([*r, b]) for r, b in zip(rows, rhs)], n)
+    sol = _solve_int([common_denominator([*r, b])[0] for r, b in zip(rows, rhs)], n)
     if sol is None:
         return None
     nums, den = sol
@@ -376,7 +382,7 @@ def _solve(rows, rhs, n):
 
 
 def _rank(rows, n):
-    return len(_bareiss([_scale_to_int(r) for r in rows], n)[0])
+    return len(_bareiss([common_denominator(r)[0] for r in rows], n)[0])
 
 
 def _hilbert(n, shift=1):
@@ -450,7 +456,7 @@ def test_kernel_entries_are_the_sub_determinants():
     # determinants, unlike plain integer elimination, whose entries grow
     # with every step.
     n = 7
-    a = [_scale_to_int(row + [F(i + 1, 2)]) for i, row in enumerate(_hilbert(n))]
+    a = [common_denominator(row + [F(i + 1, 2)])[0] for i, row in enumerate(_hilbert(n))]
     for k in range(1, n + 1):
         mat = [list(r) for r in a]
         pivots, den = _bareiss(mat, k)
