@@ -1,7 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+
+from credal import minimax
+from credal.consistency import check_time_consistency
 
 from credal.core import (
     classification_loss,
@@ -20,12 +24,14 @@ from credal.linprog import (
     zero_sum_value,
 )
 from credal.minimax import (
+    SolverError,
     brute_force_value,
     expected_loss,
     solve_a_posteriori,
     solve_a_priori,
     solve_ignoring,
     verify_saddle,
+    with_optimal_face,
     worst_case_loss,
     worst_case_posterior_loss,
 )
@@ -202,6 +208,30 @@ def test_saddle_rejects_non_equilibrium_pair():
     assert report.failing == ("agent-deviation",)
     assert report.value == F(2, 3)
     assert report.agent_best_response == F(1, 3)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    (
+        lambda dp, face_free: solve_a_priori(dp),
+        lambda dp, face_free: solve_a_priori(dp, face=False),
+        lambda dp, face_free: with_optimal_face(dp, face_free),
+        lambda dp, face_free: check_time_consistency(dp),
+    ),
+)
+def test_every_prior_solve_runs_the_saddle_check(monkeypatch, solve):
+    # the solves run verify_saddle's check on mixture data they build once;
+    # a check made to fail must stop each of them
+    dp = monty_problem()
+    face_free = solve_a_priori(dp, face=False)
+    real = minimax._saddle_report
+
+    def failing(*args):
+        return replace(real(*args), holds=False, failing=("agent-deviation",))
+
+    monkeypatch.setattr(minimax, "_saddle_report", failing)
+    with pytest.raises(SolverError, match="saddle check failed"):
+        solve(dp, face_free)
 
 
 def test_saddle_validates_mixture():
