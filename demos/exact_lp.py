@@ -1,8 +1,9 @@
 """The exact simplex layer on its own.
 
-Everything above it reduces to linear programs over Fractions, so the
-solver never rounds: optimality is certified by an exact dual, and
-ties are real ties rather than epsilon artifacts.  Three views:
+Everything above it reduces to linear programs over the rationals, each
+row scaled once to integers over a positive denominator when its LP is
+built, so the solver never rounds: optimality is certified by an exact
+dual, and ties are real ties rather than epsilon artifacts.  Three views:
 
 * a zero-sum game (rock, paper, scissors with a doubled scissors-rock
   payoff) solved to its exact mixed equilibrium,
@@ -21,6 +22,7 @@ from credal.linprog import (
     optimal_face_vertices,
     zero_sum_value,
 )
+from credal.rationals import common_denominator
 
 
 def main():
@@ -38,6 +40,7 @@ def main():
     print()
     print("-- minimize 2x + 3y subject to x + y >= 4, x - y <= 2 --")
     # rows are <= or =, so x + y >= 4 is written -x - y <= -4
+    # make_lp scales each row with its right-hand side to integers
     lp = make_lp(
         objective=["2", "3"],
         rows=[["-1", "-1"], ["1", "-1"]],
@@ -54,9 +57,12 @@ def main():
     print()
     print("-- bet on rain, bet on sun, or stay home (a flat edge) --")
     # one loss row per weather scenario, one column per action; the
-    # mixtures form one simplex block of width 3
+    # mixtures form one simplex block of width 3.  A game row is handed
+    # over as integer numerators over a positive denominator: 0, 1, 1/2
+    # is (0, 2, 1) over 2.
     half = Fraction(1, 2)
-    rows = [[0, 1, half], [1, 0, half]]
+    rows = [common_denominator(row) for row in ([0, 1, half], [1, 0, half])]
+    print("game rows:", "; ".join("%s over %d" % (nums, d) for nums, d in rows))
     value, mix, prices = block_game(rows, [3])
     print("value:", value, "at mixture", ", ".join(str(w) for w in mix))
     # the scenario prices certify the value; every action they price

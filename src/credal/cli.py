@@ -72,12 +72,8 @@ def _seed() -> int:
         raise _InputError("CREDAL_SEED must be an integer, got %r" % raw)
 
 
-def _fr(v) -> str:
-    return str(Fraction(v))
-
-
 def _weights(ws) -> str:
-    return "(%s)" % ", ".join(_fr(w) for w in ws)
+    return "(%s)" % ", ".join(map(str, ws))
 
 
 def _rule_text(rule: DecisionRule) -> str:
@@ -155,14 +151,14 @@ def _cmd_solve(args, out) -> int:
     mixture = [
         sol.bookie_mixture[k] if index.index(k) == i else 0 for i, k in enumerate(index)
     ]
-    out("value: %s" % _fr(sol.value))
+    out("value: %s" % sol.value)
     out("rule: %s" % _rule_text(sol.rule))
     out("unique: %s" % _yes(sol.unique))
     out("face vertices: %d" % len(sol.optimal_rule_vertices))
-    out("bookie mixture: %s" % ", ".join(_fr(w) for w in mixture))
+    out("bookie mixture: %s" % ", ".join(map(str, mixture)))
     out("aggregate:")
     for x, row in zip(pf.x_labels, sol.aggregate.mass):
-        out("  %s: %s" % (x, " ".join(_fr(v) for v in row)))
+        out("  %s: %s" % (x, " ".join(map(str, row))))
     if sol.unconstrained_x:
         out("unconstrained signals: %s" % ", ".join(sol.unconstrained_x))
     return 0
@@ -180,7 +176,7 @@ def _cmd_posterior(args, out) -> int:
             continue
         point = post.point(x)
         acts = " | ".join(_weights(a.weights) for a in point.action_vertices)
-        out("%s: value %s, actions %s" % (x, _fr(point.value), acts))
+        out("%s: value %s, actions %s" % (x, point.value, acts))
     return 0
 
 
@@ -202,9 +198,9 @@ def _cmd_saddle(args, out) -> int:
         rep = verify_saddle(dp, mixture, rule)
     except ValueError as e:
         raise _InputError(str(e))
-    out("value: %s" % _fr(rep.value))
-    out("agent best response: %s" % _fr(rep.agent_best_response))
-    out("bookie best response: %s" % _fr(rep.bookie_best_response))
+    out("value: %s" % rep.value)
+    out("agent best response: %s" % rep.agent_best_response)
+    out("bookie best response: %s" % rep.bookie_best_response)
     if rep.holds:
         out("saddle: yes")
         return 0
@@ -218,7 +214,7 @@ def _cmd_hull(args, out) -> int:
     h = hull(p)
     out("generators: %d" % len(h.generators))
     for g in h.generators:
-        out("  " + " / ".join(" ".join(_fr(v) for v in row) for row in g.mass))
+        out("  " + " / ".join(" ".join(map(str, row)) for row in g.mass))
     out("convex: %s" % _yes(h.convex))
     out("rectangular: %s" % _yes(is_rectangular(p)))
     return 0
@@ -235,15 +231,15 @@ def _cmd_check(args, out) -> int:
         rep = dilation_report(p)
         for row in rep.rows:
             posts = "  ".join(
-                "%s [%s, %s]" % (x, _fr(lo), _fr(hi))
+                "%s [%s, %s]" % (x, lo, hi)
                 for x, (lo, hi) in row.posteriors
             )
             out(
                 "event %s: prior [%s, %s]  %s  dilation %s"
                 % (
                     ",".join(row.event),
-                    _fr(row.prior[0]),
-                    _fr(row.prior[1]),
+                    row.prior[0],
+                    row.prior[1],
                     posts,
                     _yes(row.dilates),
                 )
@@ -263,8 +259,8 @@ def _emit_pair(prefix: str, w: PairWitness, out):
     out("%sdelta: %s" % (prefix, _rule_text(w.delta)))
     out("%sdelta prime: %s" % (prefix, _rule_text(w.delta_prime)))
     for x, a, b in w.posterior:
-        out("%ssignal %s: %s vs %s" % (prefix, x, _fr(a), _fr(b)))
-    out("%sprior worst case: %s vs %s" % (prefix, _fr(w.prior[0]), _fr(w.prior[1])))
+        out("%ssignal %s: %s vs %s" % (prefix, x, a, b))
+    out("%sprior worst case: %s vs %s" % (prefix, w.prior[0], w.prior[1]))
 
 
 def _emit_verdict(v: ConsistencyVerdict, dp, out):
@@ -272,12 +268,12 @@ def _emit_verdict(v: ConsistencyVerdict, dp, out):
     if isinstance(v.witness, SignalWitness):
         out("witness rule: %s" % _rule_text(v.witness.rule))
         out("at signal: %s" % v.witness.x)
-        out("posterior loss: %s" % _fr(v.witness.posterior_loss))
-        out("posterior value: %s" % _fr(v.witness.posterior_value))
+        out("posterior loss: %s" % v.witness.posterior_loss)
+        out("posterior value: %s" % v.witness.posterior_value)
     elif isinstance(v.witness, DecisionRule):
         out("witness rule: %s" % _rule_text(v.witness))
         wc, _ = worst_case_loss(dp.credal, v.witness, dp.loss)
-        out("witness prior worst case: %s" % _fr(wc))
+        out("witness prior worst case: %s" % wc)
     elif isinstance(v.witness, PairWitness):
         _emit_pair("", v.witness, out)
     if v.strict_variant_witness is not None:
@@ -347,9 +343,9 @@ def _cmd_oracle(args, out) -> int:
     lower, upper = brute_force_value(dp, args.grid)
     value = solve_a_priori(dp, face=False).value
     out("grid: %d" % args.grid)
-    out("lower bound: %s" % _fr(lower))
-    out("upper bound: %s" % _fr(upper))
-    out("lp value: %s" % _fr(value))
+    out("lower bound: %s" % lower)
+    out("upper bound: %s" % upper)
+    out("lp value: %s" % value)
     out("within bounds: %s" % _yes(lower <= value <= upper))
     return 0
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .calibration import (
@@ -180,12 +179,8 @@ def load_corpus() -> tuple[CorpusCase, ...]:
 
 # ----------------------------------------------------------------- operations
 
-def _rstr(v) -> str:
-    return str(Fraction(v))
-
-
 def _flat_strings(values) -> tuple[str, ...]:
-    return tuple(_rstr(v) for v in values)
+    return tuple(map(str, values))
 
 
 def _mass_arg(exp: Expectation):
@@ -217,7 +212,7 @@ def _rule_arg(exp: Expectation, case: CorpusCase):
 
 
 def _op_a_priori_value(case, exp):
-    return _rstr(solve_a_priori(case.problem(), face=False).value)
+    return str(solve_a_priori(case.problem(), face=False).value)
 
 
 def _op_a_priori_rule(case, exp):
@@ -240,7 +235,7 @@ def _posterior_point(case, x):
 
 
 def _op_posterior_value(case, exp):
-    return _rstr(_posterior_point(case, _x_arg(exp)).value)
+    return str(_posterior_point(case, _x_arg(exp)).value)
 
 
 def _op_posterior_action(case, exp):
@@ -258,11 +253,11 @@ def _op_posterior_rule_worst_case(case, exp):
     dp = case.problem()
     per_x = tuple(opts[0] for opts in solve_a_posteriori(dp).choices(dp.space))
     value, _ = worst_case_loss(dp.credal, DecisionRule(dp.space, per_x), dp.loss)
-    return _rstr(value)
+    return str(value)
 
 
 def _op_ignoring_value(case, exp):
-    return _rstr(solve_ignoring(case.problem()).value)
+    return str(solve_ignoring(case.problem()).value)
 
 
 def _op_ignoring_optimal(case, exp):
@@ -312,14 +307,14 @@ def _op_dilates(case, exp):
 
 def _op_prior_interval(case, exp):
     lo, hi = _dilation_row(case, exp).prior
-    return [_rstr(lo), _rstr(hi)]
+    return [str(lo), str(hi)]
 
 
 def _op_posterior_interval(case, exp):
     x = _x_arg(exp)
     for label, (lo, hi) in _dilation_row(case, exp).posteriors:
         if label == x:
-            return [_rstr(lo), _rstr(hi)]
+            return [str(lo), str(hi)]
     raise CorpusError("signal %r has no posterior interval" % x)
 
 

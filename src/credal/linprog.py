@@ -1,20 +1,23 @@
 """Exact linear programming over the rationals.
 
+Each row is scaled to integers once, when its LP is built: a
+:class:`LinearProgram` holds :func:`credal.rationals.common_denominator`
+pairs, as do the game rows that :mod:`credal.minimax` builds.
+
 A dense two-phase primal simplex with Bland's anti-cycling rule.  Its
 tableau is kept as integer rows over one positive common denominator, the
 basis determinant, and pivots with the fraction-free update of Edmonds and
 Bareiss; pricing and the ratio test compare the same rationals as a
 ``Fraction`` tableau would, cross-multiplied, so the pivots are the same.
 The dual prices are read off the final pricing row.  The candidate
-systems of the optimal-face enumeration scale their rows to integers and
-run through one Bareiss kernel on Python ``int``; each division by the
-previous pivot is exact, so no gcd is taken, and only the results are
-turned back into fractions.  Optimal values, primal points and dual
-prices are exact ``Fraction``s; feasibility and complementary slackness,
-and with them strong duality, are verified exactly before a solution is
-returned, in integers over positive common denominators
-(:func:`credal.rationals.common_denominator`), as is the saddle point of
-every block game.
+systems of the optimal-face enumeration run through one Bareiss kernel
+on Python ``int``; each division by the previous pivot is exact, so no
+gcd is taken, and only the results are turned back into fractions.
+Optimal values, primal points and dual prices are exact ``Fraction``s;
+feasibility and complementary slackness, and with them strong duality,
+are verified exactly before a solution is returned, in integers over
+positive common denominators, as is the saddle point of every block
+game.
 
 Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
@@ -64,7 +67,6 @@ LE, EQ = "<=", "="
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 FACE_CANDIDATE_LIMIT = 10_000
 
@@ -85,26 +87,35 @@ class InternalCheckError(LpError):
     """An exact self-check failed; indicates a solver bug, not bad input."""
 
 
+def _check_rows(rows, length):
+    """Each row must be ``length`` integers over a positive denominator."""
+    for nums, den in rows:
+        if len(nums) != length:
+            raise DimensionError("row length %d != %d" % (len(nums), length))
+        if den <= 0:
+            raise DimensionError("row denominator %d is not positive" % den)
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """``min objective.x`` s.t. ``rows[i].x  senses[i]  rhs[i]``, ``x >= lower_bounds``;
-    each sense is ``<=`` or ``=``, each lower bound 0 or ``None`` (free)."""
+    """``min objective.x`` s.t. ``rows[i].x  senses[i]  rhs_i``, ``x >= lower_bounds``;
+    each sense is ``<=`` or ``=``, each lower bound 0 or ``None`` (free).
+    The objective, and each row with ``rhs_i`` as its last entry, are
+    integer numerators over a positive denominator, scaled when built."""
 
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    objective: tuple[tuple[int, ...], int]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
     senses: tuple[str, ...]
-    rhs: tuple[Fraction, ...]
-    lower_bounds: tuple[Fraction | None, ...]
+    lower_bounds: tuple[int | None, ...]
 
     def __post_init__(self):
-        n = len(self.objective)
+        n = len(self.objective[0])
         if n == 0:
             raise DimensionError("LP needs at least one variable")
-        if not (len(self.rows) == len(self.senses) == len(self.rhs)):
+        if len(self.rows) != len(self.senses):
             raise DimensionError("rows, senses and rhs must have equal length")
-        for row in self.rows:
-            if len(row) != n:
-                raise DimensionError("row length %d != %d variables" % (len(row), n))
+        _check_rows([self.objective], n)
+        _check_rows(self.rows, n + 1)
         if len(self.lower_bounds) != n:
             raise DimensionError("one lower bound (or None) per variable required")
         for s in self.senses:
@@ -123,22 +134,19 @@ class LpSolution:
 
 
 def make_lp(objective, rows, senses, rhs, lower_bounds=None) -> LinearProgram:
-    """Build a :class:`LinearProgram`, coercing entries to Fraction.
+    """Build a :class:`LinearProgram` from rationals, scaling each row once.
 
     ``lower_bounds`` defaults to zero for every variable.
     """
-    objective = rat_seq(objective)
-    n = len(objective)
+    if len(rows) != len(rhs):
+        raise DimensionError("rows, senses and rhs must have equal length")
     if lower_bounds is None:
-        lbs: tuple[Fraction | None, ...] = (ZERO,) * n
-    else:
-        lbs = tuple(None if b is None else rat(b) for b in lower_bounds)
+        lower_bounds = (0,) * len(objective)
     return LinearProgram(
-        objective=objective,
-        rows=rat_matrix(rows),
+        objective=common_denominator(rat_seq(objective)),
+        rows=tuple(common_denominator(rat_seq((*row, b))) for row, b in zip(rows, rhs)),
         senses=tuple(senses),
-        rhs=rat_seq(rhs),
-        lower_bounds=lbs,
+        lower_bounds=tuple(None if b is None else rat(b) for b in lower_bounds),
     )
 
 
@@ -209,10 +217,10 @@ class _Tableau:
 
     The LP is put in equality form ``A.z = b``, ``z >= 0``: free variables
     are split, one slack column is added per ``<=`` row and rows with
-    ``b < 0`` are negated.  Row ``i`` times the lcm ``d_i`` of its
-    denominators is an integer row; in that row-scaled integer matrix
-    each row starts with one basic unit column ``d_i e_i``, its slack or
-    an artificial, so the starting basis has determinant ``den = prod(d_i)``.
+    ``b < 0`` are negated.  Row ``i`` is held as integers over its ``d_i``;
+    in that row-scaled integer matrix each row starts with one basic unit
+    column ``d_i e_i``, its slack or an artificial, so the starting basis
+    has determinant ``den = prod(d_i)``.
 
     Invariant: ``rows[i][j] / den`` is entry ``(i, j)`` of the rational
     tableau ``B^-1 A`` of the current basis ``B``, the right-hand side in
@@ -229,7 +237,8 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = len(lp.objective)
+        objective, self.cost_scale = lp.objective
+        n = len(objective)
 
         # std variable k -> (original index j, sign); free vars are split.
         self.var_map: list[tuple[int, int]] = []
@@ -238,14 +247,11 @@ class _Tableau:
             if lp.lower_bounds[j] is None:
                 self.var_map.append((j, -1))
         std = list(self.var_map)
-        # the objective times the lcm of its denominators
-        objective, self.cost_scale = common_denominator(lp.objective)
         cost = [s * objective[j] for j, s in std]
 
-        # Each row times the lcm of its denominators, negated when the rhs
-        # is negative, then one slack column per <= row.  A row whose
-        # slack entry is positive starts with it basic; every other row
-        # gets an artificial.
+        # Each integer row, negated when the rhs is negative, then one
+        # slack column per <= row.  A row whose slack entry is positive
+        # starts with it basic; every other row gets an artificial.
         m = len(lp.rows)
         nslack = lp.senses.count(LE)
         scale: list[int] = []
@@ -253,11 +259,9 @@ class _Tableau:
         self.flipped: list[bool] = []
         self.basis = [-1] * m
         rhs = []
-        for i, (row, sense, b) in enumerate(zip(lp.rows, lp.senses, lp.rhs)):
-            ints, d = common_denominator((*row, b))
-            flipped = ints[-1] < 0
-            if flipped:
-                ints = [-v for v in ints]
+        for i, ((row, d), sense) in enumerate(zip(lp.rows, lp.senses)):
+            flipped = row[-1] < 0
+            ints = [-v for v in row] if flipped else list(row)
             rhs.append(ints.pop())
             if len(std) > n:
                 ints = [s * ints[j] for j, s in std]
@@ -395,7 +399,7 @@ class _Tableau:
     # -- extraction -------------------------------------------------------
 
     def primal(self):
-        x = [ZERO] * len(self.lp.objective)
+        x = [ZERO] * len(self.lp.objective[0])
         for row, bv in zip(self.rows, self.basis):
             j, sign = self.var_map[bv]
             if j >= 0 and row[-1]:
@@ -426,24 +430,23 @@ def _verify_optimal(lp: LinearProgram, x, y):
 
     Each quantity is an integer over a positive denominator, so each test
     decides the ``Fraction`` predicate it names: ``x`` and ``y`` are
-    scaled to common denominators ``xd`` and ``yd``, and each row with its
-    right-hand side to its own ``d_i``.  Row ``i``'s activity minus its
-    right-hand side is ``slack[i] / (d_i xd)``; the reduced cost of
+    scaled to common denominators ``xd`` and ``yd``; each row with its
+    right-hand side is over its own ``d_i``.  Row ``i``'s activity minus
+    its right-hand side is ``slack[i] / (d_i xd)``; the reduced cost of
     column ``j`` is ``reduced[j] / (cd yd L)``, with ``L`` the lcm of the
     ``d_i`` and ``cd`` the objective's denominator.
     """
-    n = len(lp.objective)
+    cs, cd = lp.objective
+    n = len(cs)
     xs, xd = common_denominator(x)
     ys, yd = common_denominator(y)
     nonneg = [b is not None for b in lp.lower_bounds]
     if any(v < 0 for v, pos in zip(xs, nonneg) if pos):
         raise InternalCheckError("primal bound violated")
-    scaled = [common_denominator((*row, b)) for row, b in zip(lp.rows, lp.rhs)]
-    ints = [r for r, _ in scaled]
-    lcm = math.lcm(*[d for _, d in scaled])
-    prices = [v * (lcm // d) for v, (_, d) in zip(ys, scaled)]
+    ints = [r for r, _ in lp.rows]
+    lcm = math.lcm(*[d for _, d in lp.rows])
+    prices = [v * (lcm // d) for v, (_, d) in zip(ys, lp.rows)]
     priced = [sum(map(mul, prices, col)) for col in zip(*ints)] or [0] * n
-    cs, cd = common_denominator(lp.objective)
     reduced = [c * yd * lcm - cd * p for c, p in zip(cs, priced)]
     for r, pos in zip(reduced, nonneg):
         if not pos:
@@ -488,12 +491,12 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
 
 def _block_rows(widths):
-    """One row per block of consecutive columns: its indicator (sum = 1)."""
+    """One row per block of consecutive columns: its 0/1 indicator (sum = 1)."""
     n = sum(widths)
     out = []
     start = 0
     for width in widths:
-        out.append([ONE if start <= j < start + width else ZERO for j in range(n)])
+        out.append([int(start <= j < start + width) for j in range(n)])
         start += width
     return out
 
@@ -503,57 +506,55 @@ def block_game(rows, widths):
 
     ``w`` ranges over a product of simplices: its coordinates split into
     consecutive blocks of the given ``widths``, each block a probability
-    vector.  The LP is ``min t`` subject to ``rows[i].w <= t`` for every
-    row, then one ``= 1`` row per block, with ``t`` free and ``w >= 0``.
-    Returns ``(value, w, prices)``, where ``prices`` (the negated dual
-    prices of the rows) is the opponent's optimal mixture over rows.
-    The pair is verified as an exact saddle point: the worst row under
-    ``w`` and the best block-wise reply to ``prices`` both give the value.
+    vector.  Each row is ``sum(widths)`` integers over a positive
+    denominator (else :class:`DimensionError`), read as it is.  The LP is
+    ``min t`` subject to ``rows[i].w <= t`` for every row, then one ``= 1``
+    row per block, with ``t`` free and ``w >= 0``.  Returns ``(value, w,
+    prices)``, where ``prices`` (the negated dual prices of the rows) is
+    the opponent's optimal mixture over rows.  The pair is verified as an
+    exact saddle point: the worst row under ``w`` and the best block-wise
+    reply to ``prices`` both give the value.
     """
-    rows = rat_matrix(rows)
     n = sum(widths)
+    _check_rows(rows, n)
     lp = LinearProgram(
-        objective=(ONE,) + (ZERO,) * n,
-        rows=tuple((-ONE, *row) for row in rows)
-        + tuple((ZERO, *b) for b in _block_rows(widths)),
+        objective=((1,) + (0,) * n, 1),
+        rows=tuple(((-d, *nums, 0), d) for nums, d in rows)
+        + tuple(((0, *b, 1), 1) for b in _block_rows(widths)),
         senses=(LE,) * len(rows) + (EQ,) * len(widths),
-        rhs=(ZERO,) * len(rows) + (ONE,) * len(widths),
-        lower_bounds=(None,) + (ZERO,) * n,
+        lower_bounds=(None,) + (0,) * n,
     )
     sol = lp_solve(lp)
     if sol.status != OPTIMAL:
         raise InternalCheckError("block game LP must be solvable")
-    value = sol.value
-    w = sol.primal[1:]
+    value, w = sol.value, sol.primal[1:]
     prices = tuple(-sol.dual[i] for i in range(len(rows)))
     # the worst row under w is the value: no row above it, one at it
-    scaled = [common_denominator(row) for row in rows]
     ws, wd = common_denominator(w)
     vn, vd = value.as_integer_ratio()
-    pairs = [(sum(map(mul, r, ws)) * vd, vn * d * wd) for r, d in scaled]
+    pairs = [(sum(map(mul, r, ws)) * vd, vn * d * wd) for r, d in rows]
     if (
         any(a > b for a, b in pairs)
         or all(a != b for a, b in pairs)
-        or value != _best_reply(scaled, widths, prices)[0]
+        or value != _best_reply(rows, widths, prices)[0]
     ):
         raise InternalCheckError("saddle point check failed")
     return value, w, prices
 
 
-def _best_reply(scaled, widths, prices):
+def _best_reply(rows, widths, prices):
     """Value of the best block-wise reply to the row mixture ``prices``, the
     columns that attain it (zero reduced cost) and their count per block.
 
-    ``scaled`` holds the rows as :func:`common_denominator` pairs.  The
-    cost of column ``j`` is ``costs[j] / (qd L)``, with ``qd`` the prices'
-    denominator and ``L`` the lcm of the rows' denominators.
+    The cost of column ``j`` is ``costs[j] / (qd L)``, with ``qd`` the
+    prices' denominator and ``L`` the lcm of the rows' denominators.
     """
     qs, qd = common_denominator(prices)
-    if len(prices) != len(scaled) or any(q < 0 for q in qs) or sum(qs) != qd:
+    if len(prices) != len(rows) or any(q < 0 for q in qs) or sum(qs) != qd:
         raise InternalCheckError("prices are not a row mixture")
-    lcm = math.lcm(*[d for _, d in scaled])
-    weights = [q * (lcm // d) for q, (_, d) in zip(qs, scaled)]
-    costs = [sum(map(mul, weights, col)) for col in zip(*[r for r, _ in scaled])]
+    lcm = math.lcm(*[d for _, d in rows])
+    weights = [q * (lcm // d) for q, (_, d) in zip(qs, rows)]
+    costs = [sum(map(mul, weights, col)) for col in zip(*[r for r, _ in rows])]
     value, keep, kept_widths, start = 0, [], [], 0
     for width in widths:
         low = min(costs[start : start + width])
@@ -572,19 +573,18 @@ def zero_sum_value(payoff):
     player a mixture over columns to maximize, the expected entry of
     ``payoff``.  Returns ``(value, row_mix, col_mix)``; the mixes form a
     saddle point, verified exactly.  This is :func:`block_game` with one
-    block and one game row per payoff column.
+    block and one game row per payoff column, each scaled to integers here.
     """
     payoff = rat_matrix(payoff)
     m = len(payoff)
     if m == 0:
         raise DimensionError("payoff matrix needs at least one row")
     ncols = len(payoff[0])
-    for row in payoff:
-        if len(row) != ncols:
-            raise DimensionError("ragged payoff matrix")
+    if any(len(row) != ncols for row in payoff):
+        raise DimensionError("ragged payoff matrix")
     if ncols == 0:
         raise DimensionError("payoff matrix needs at least one column")
-    return block_game([[payoff[i][j] for i in range(m)] for j in range(ncols)], [m])
+    return block_game([common_denominator(col) for col in zip(*payoff)], [m])
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +593,18 @@ def zero_sum_value(payoff):
 
 def optimal_face_vertices(rows, widths, value, prices) -> list[tuple[Fraction, ...]]:
     """Sorted vertices of the optimal face ``{w : rows[i].w <= value}`` of
-    :func:`block_game`, given a row mixture ``prices`` whose best block-wise
-    reply is ``value`` (else :class:`InternalCheckError`).  On the face
-    ``value >= prices.rows.w >= value``, so a column priced above its block
-    minimum (a positive reduced cost) is 0; only the others are enumerated."""
+    :func:`block_game` (rows checked as there), given a row mixture
+    ``prices`` whose best block-wise reply is ``value`` (else
+    :class:`InternalCheckError`).  On the face ``value >= prices.rows.w >=
+    value``, so a column priced above its block minimum (a positive
+    reduced cost) is 0; only the others are enumerated."""
     n = sum(widths)
-    scaled = [common_denominator(row) for row in rows]
-    best_reply, keep, kept_widths = _best_reply(scaled, widths, prices)
+    _check_rows(rows, n)
+    best_reply, keep, kept_widths = _best_reply(rows, widths, prices)
     if best_reply != value:
         raise InternalCheckError("face prices do not certify the value")
     pos = {j: k for k, j in enumerate(keep)}  # the same zeros everywhere keep the order
-    reduced = _face_vertices([[row[j] for j in keep] for row in rows], kept_widths, value)
+    reduced = _face_vertices([([r[j] for j in keep], d) for r, d in rows], kept_widths, value)
     return [tuple(v[pos[j]] if j in pos else ZERO for j in range(n)) for v in reduced]
 
 
@@ -617,13 +618,14 @@ def _face_vertices(rows, widths, value) -> list[tuple[Fraction, ...]]:
     rows and the rest coordinates at 0.  Limited to
     ``FACE_CANDIDATE_LIMIT`` candidate systems, counted before any system
     is solved.  The face is bounded (it lies in the product of simplices),
-    so no probe is needed.  Every row is scaled to integers once; each
-    candidate is solved by the integer kernel and tested for feasibility
-    in integers, and only the vertices found are turned into fractions.
+    so no probe is needed.  A row ``nums / d`` at most ``vn / vd`` is the
+    integer row ``vd nums <= d vn``; each candidate is solved by the integer
+    kernel and tested in integers, and only its vertices become fractions.
     """
     n = sum(widths)
-    le = [common_denominator((*row, value))[0] for row in rows]
-    eq = [common_denominator((*b, ONE))[0] for b in _block_rows(widths)]
+    vn, vd = value.as_integer_ratio()
+    le = [[vd * v for v in nums] + [d * vn] for nums, d in rows]
+    eq = [b + [1] for b in _block_rows(widths)]
     need = n - len(widths)
     candidates = sum(
         math.comb(len(le), t) * math.comb(n, need - t)

@@ -17,15 +17,15 @@ product of simplices.  :func:`credal.linprog.block_game` builds and
 checks that LP, and :func:`credal.linprog.optimal_face_vertices`
 enumerates its optimal face from the same rows, widths and value, over
 the columns that the verified bookie mixture leaves at zero reduced
-cost; this module only supplies the loss rows.
+cost; this module only supplies the loss rows, each scaled to integers
+once, here, and read as they are downstream.
 
 The loss rows, expected and worst-case losses, the bookie's mixed joint
 and the saddle check of :func:`verify_saddle` are computed in integers
-over positive common denominators
-(:func:`credal.rationals.common_denominator`); each comparison is the
-``Fraction`` comparison cross-multiplied by positive denominators, and
-every value returned is a ``Fraction``.  One solve builds its loss rows
-and its mixed joint once, for the face and for each saddle check.
+over positive common denominators; each comparison is the ``Fraction``
+comparison cross-multiplied by positive denominators, and every value
+returned is a ``Fraction``.  One solve builds its loss rows and its
+mixed joint once, for the game, the face and each saddle check.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -35,6 +35,7 @@ action there and report those signals as unconstrained.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -102,14 +103,23 @@ def _loss_columns(loss: LossFunction):
     return [table[a::na] for a in range(na)], den
 
 
-def _action_losses(loss: LossFunction, qs) -> list[tuple[Fraction, ...]]:
-    """Expected loss of each action under each (unnormalised) Y-vector in ``qs``."""
+def _action_losses(loss: LossFunction, qs):
+    """One game row per ``q`` in ``qs``, (unnormalised) Y-vectors laid end to
+    end: each action's expected loss under each, as integers over a
+    denominator reduced by their gcd, so as :func:`common_denominator` of
+    the row's values."""
     columns, ld = _loss_columns(loss)
+    ny = loss.space.ny
     rows = []
     for q in qs:
         nums, qd = common_denominator(q)
-        den = qd * ld
-        rows.append(tuple(Fraction(sum(map(mul, nums, col)), den) for col in columns))
+        row = [
+            sum(map(mul, nums[k : k + ny], col))
+            for k in range(0, len(nums), ny)
+            for col in columns
+        ]
+        g = math.gcd(qd * ld, *row)
+        rows.append((tuple([v // g for v in row]), qd * ld // g))
     return rows
 
 
@@ -219,10 +229,9 @@ class MinimaxSolution:
 def _generator_coefficients(dp: DecisionProblem, live_idx):
     """One row per generator: the expected-loss coefficient of each
     (live signal, action) weight, signal-major."""
-    return [
-        [c for row in _action_losses(dp.loss, [g.mass[xi] for xi in live_idx]) for c in row]
-        for g in dp.credal.generators
-    ]
+    return _action_losses(
+        dp.loss, [[v for xi in live_idx for v in g.mass[xi]] for g in dp.credal.generators]
+    )
 
 
 def _block_rule(space, live_idx, w):

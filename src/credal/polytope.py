@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linprog import EQ, OPTIMAL, LinearProgram, lp_solve
-from .rationals import rat_seq
+from .rationals import common_denominator, rat_seq
 
 __all__ = [
     "VPolytope",
@@ -35,9 +35,6 @@ __all__ = [
     "set_equal",
     "prune",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ComparisonError(Exception):
@@ -104,7 +101,7 @@ def _in_hull(point, generators, box=None):
     Outside the generators' box it is not; on their common line and
     inside the box it is (the segment's ends are the box's corners, as
     each coordinate is monotone along the line).  Otherwise the
-    feasibility LP decides, built as it stands from exact entries.
+    feasibility LP decides, each of its rows scaled to integers once.
     """
     if point in generators:
         return True
@@ -114,11 +111,11 @@ def _in_hull(point, generators, box=None):
         return True
     k = len(generators)
     lp = LinearProgram(
-        objective=(ZERO,) * k,
-        rows=tuple(zip(*generators)) + ((ONE,) * k,),
+        objective=((0,) * k, 1),
+        rows=tuple(common_denominator((*col, v)) for col, v in zip(zip(*generators), point))
+        + (((1,) * (k + 1), 1),),
         senses=(EQ,) * (len(point) + 1),
-        rhs=tuple(point) + (ONE,),
-        lower_bounds=(ZERO,) * k,
+        lower_bounds=(0,) * k,
     )
     return lp_solve(lp).status == OPTIMAL
 

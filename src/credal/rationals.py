@@ -38,10 +38,10 @@ def rat_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rat_seq(row) for row in rows)
 
 
-def common_denominator(values) -> tuple[list[int], int]:
+def common_denominator(values) -> tuple[tuple[int, ...], int]:
     """``values`` (Fractions or ints) as ``(nums, den)``: integer numerators
     over the positive lcm of their denominators, ``values[i] == nums[i] / den``.
-    An empty input gives ``([], 1)``."""
+    An empty input gives ``((), 1)``.  Every LP and game row is such a pair."""
     pairs = [v.as_integer_ratio() for v in values]
     den = math.lcm(*[q for _, q in pairs])
-    return [p * (den // q) for p, q in pairs], den
+    return tuple([p * (den // q) for p, q in pairs]), den

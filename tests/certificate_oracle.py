@@ -3,10 +3,11 @@
 These are the functions ``credal.linprog``, ``credal.minimax`` and
 ``credal.core`` used before those checks moved to integers over
 positive common denominators: the LP certificate check, the block
-game's best reply, a generator's expected loss, the mixed joint of a
-bookie mixture, the three-clause saddle check and the sum and sign
-check of a joint mass.  Tests compare the package against them: the
-same errors with the same messages, the same values, the same reports.
+game's LP built from ``Fraction`` rows and its best reply, a
+generator's expected loss, the mixed joint of a bookie mixture, the
+three-clause saddle check and the sum and sign check of a joint mass.
+Tests compare the package against them: the same errors with the same
+messages, the same values, the same reports.
 """
 
 from __future__ import annotations
@@ -14,16 +15,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from credal.core import DecisionProblem, DecisionRule, JointDistribution, LossFunction
-from credal.linprog import LE, InternalCheckError, LinearProgram
+from credal.linprog import EQ, LE, InternalCheckError, LinearProgram, make_lp
 from credal.minimax import SaddleReport
-from credal.rationals import rat
+from credal.rationals import rat, rat_matrix
 
-ZERO = Fraction(0)
+from face_oracle import ONE, ZERO, fraction_lp
 
 
 def _verify_optimal(lp: LinearProgram, x, y):
     """Exact feasibility and complementary-slackness checks, which imply strong
     duality (``c.x - y.b = r.x + y.(A.x - b)`` exactly); returns ``c.x``."""
+    lp = fraction_lp(lp)
     n = len(lp.objective)
     for j in range(n):
         if lp.lower_bounds[j] is not None and x[j] < 0:
@@ -54,6 +56,26 @@ def _verify_optimal(lp: LinearProgram, x, y):
         if lp.lower_bounds[j] is not None and reduced[j] * x[j] != 0:
             raise InternalCheckError("complementary slackness (bounds)")
     return sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
+
+
+def block_game_lp(rows, widths) -> LinearProgram:
+    """The LP of ``min_w max_i rows[i].w`` over a product of simplices, built
+    from ``Fraction`` rows: ``min t`` subject to ``rows[i].w <= t``, then one
+    ``= 1`` row per block, with ``t`` free and ``w >= 0``."""
+    rows = rat_matrix(rows)
+    n = sum(widths)
+    blocks = []
+    start = 0
+    for width in widths:
+        blocks.append([ONE if start <= j < start + width else ZERO for j in range(n)])
+        start += width
+    return make_lp(
+        (ONE,) + (ZERO,) * n,
+        [(-ONE, *row) for row in rows] + [(ZERO, *b) for b in blocks],
+        (LE,) * len(rows) + (EQ,) * len(widths),
+        (ZERO,) * len(rows) + (ONE,) * len(widths),
+        (None,) + (ZERO,) * n,
+    )
 
 
 def _best_reply(rows, widths, prices):

@@ -6,28 +6,57 @@ moved to integers: every active set is solved by Gauss-Jordan in
 any LP (free variables, ``>=`` rows, nonzero lower bounds, unbounded
 faces), so tests hand it the general LP equivalent to a block-game face
 and compare the package's enumerator and elimination kernel against it.
+It reads the package's integer LP back as fractions at its entry
+(:func:`fraction_lp`), as the other oracles do.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from credal.linprog import (
     EQ,
     INFEASIBLE,
     LE,
-    ONE,
     UNBOUNDED,
-    ZERO,
     LinearProgram,
     LpError,
     SizeLimitError,
     lp_solve,
+    make_lp,
 )
 from credal.rationals import rat
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 GE = ">="  # the oracle still reads >= rows; the package builds none
+
+
+class FractionLp(NamedTuple):
+    """A :class:`LinearProgram` with its entries as fractions, the right-hand
+    sides apart from the rows, as the package held it before its rows were
+    scaled to integers when built."""
+
+    objective: tuple[Fraction, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    senses: tuple[str, ...]
+    rhs: tuple[Fraction, ...]
+    lower_bounds: tuple
+
+
+def fraction_lp(lp: LinearProgram) -> FractionLp:
+    """``lp``'s integer pairs read back as fractions."""
+    cs, cd = lp.objective
+    return FractionLp(
+        objective=tuple(Fraction(c, cd) for c in cs),
+        rows=tuple(tuple(Fraction(v, d) for v in nums[:-1]) for nums, d in lp.rows),
+        senses=lp.senses,
+        rhs=tuple(Fraction(nums[-1], d) for nums, d in lp.rows),
+        lower_bounds=lp.lower_bounds,
+    )
 
 # The Fraction brute force keeps the 12-variable limit it had in the
 # package.
@@ -102,7 +131,7 @@ def matrix_rank(rows, n):
     return rank
 
 
-def _bounded_by_rows(lp: LinearProgram, j):
+def _bounded_by_rows(lp: FractionLp, j):
     """Cheap certificate that variable j is bounded above on the feasible set."""
     for i, row in enumerate(lp.rows):
         if lp.senses[i] == GE or row[j] <= 0:
@@ -128,6 +157,7 @@ def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ..
     ``[]`` when ``optimum`` is not attained.
     """
     optimum = rat(optimum)
+    lp = fraction_lp(lp)
     n = len(lp.objective)
     if n > FACE_DIMENSION_LIMIT:
         raise SizeLimitError(
@@ -148,13 +178,7 @@ def optimal_face_vertices(lp: LinearProgram, optimum) -> list[tuple[Fraction, ..
         for sign in directions:
             probe_obj = [ZERO] * n
             probe_obj[j] = -sign  # maximize sign * x_j
-            probe = LinearProgram(
-                objective=tuple(probe_obj),
-                rows=tuple(tuple(r) for r in face_rows),
-                senses=tuple(face_senses),
-                rhs=tuple(face_rhs),
-                lower_bounds=lp.lower_bounds,
-            )
+            probe = make_lp(probe_obj, face_rows, face_senses, face_rhs, lp.lower_bounds)
             sol = lp_solve(probe)
             if sol.status == INFEASIBLE:
                 return []

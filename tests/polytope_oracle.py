@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from credal.linprog import EQ, OPTIMAL, LinearProgram, lp_solve
+from credal.linprog import EQ, OPTIMAL, lp_solve, make_lp
 from credal.polytope import ComparisonError, VPolytope
 from credal.rationals import rat_seq
 
@@ -23,12 +23,11 @@ def _in_hull(point, generators):
     if point in generators:
         return True
     k = len(generators)
-    lp = LinearProgram(
-        objective=(ZERO,) * k,
-        rows=tuple(zip(*generators)) + ((ONE,) * k,),
-        senses=(EQ,) * (len(point) + 1),
-        rhs=tuple(point) + (ONE,),
-        lower_bounds=(ZERO,) * k,
+    lp = make_lp(
+        (ZERO,) * k,
+        tuple(zip(*generators)) + ((ONE,) * k,),
+        (EQ,) * (len(point) + 1),
+        tuple(point) + (ONE,),
     )
     return lp_solve(lp).status == OPTIMAL
 

@@ -2,8 +2,9 @@
 
 This is the tableau ``credal.linprog`` used before its pivots moved to
 integers over one common denominator: every pivot divides the pivot row
-by the pivot and eliminates in ``Fraction``.  Tests compare the
-package's integer tableau against it, pivot by pivot.
+by the pivot and eliminates in ``Fraction``, on the package's integer
+LP read back as fractions.  Tests compare the package's integer tableau
+against it, pivot by pivot.
 """
 
 from __future__ import annotations
@@ -14,24 +15,22 @@ from credal.linprog import (
     EQ,
     INFEASIBLE,
     LE,
-    ONE,
     OPTIMAL,
     UNBOUNDED,
-    ZERO,
     InternalCheckError,
     LinearProgram,
     LpSolution,
     _verify_optimal,
 )
 
-from face_oracle import solve_unique
+from face_oracle import ONE, ZERO, fraction_lp, solve_unique
 
 
 class _Tableau:
     """Equality-form tableau ``A.z = b`` with ``z >= 0`` plus bookkeeping."""
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
+        self.lp = lp = fraction_lp(lp)
         n = len(lp.objective)
 
         # std variable k -> (original index j, sign); free vars are split.

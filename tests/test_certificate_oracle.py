@@ -1,11 +1,11 @@
 """The integer checks of the game layer against their Fraction oracles.
 
 ``tests/certificate_oracle.py`` keeps the LP certificate check, the
-block game's best reply, the expected and worst-case loss, the mixed
-joint, the saddle check and the joint-mass check as they were computed
-in ``Fraction``.  On seeded random inputs, sound and tampered, the
-package must raise the same errors with the same messages and return
-equal values and reports.
+block game's LP built from ``Fraction`` rows and its best reply, the
+expected and worst-case loss, the mixed joint, the saddle check and the
+joint-mass check as they were computed in ``Fraction``.  On seeded
+random inputs, sound and tampered, the package must raise the same
+errors with the same messages and return equal values and reports.
 """
 
 import random
@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import credal.linprog
 from credal.core import DecisionProblem, JointDistribution, ProblemSpace
 from credal.linprog import (
     EQ,
@@ -21,10 +22,13 @@ from credal.linprog import (
     InternalCheckError,
     _best_reply,
     _verify_optimal,
+    block_game,
     lp_solve,
     make_lp,
 )
 from credal.minimax import (
+    _action_losses,
+    _prior_rows,
     expected_loss,
     solve_a_priori,
     verify_saddle,
@@ -34,6 +38,7 @@ from credal.rationals import common_denominator
 from credal.sampling import random_credal_set, random_loss, random_rule, simplex_point
 
 import certificate_oracle as oracle
+import tableau_oracle
 
 F = Fraction
 
@@ -113,6 +118,52 @@ def _problems(seed, count):
     for _ in range(count):
         space = _space(rng)
         yield rng, DecisionProblem(random_credal_set(rng, space), random_loss(rng, space))
+
+
+def _games(seed):
+    """``(fraction rows, integer rows, widths)``: the prior and signal-blind
+    games of random problems, their rows computed by minimax and by the
+    ``Fraction`` oracle, and games of random rows."""
+    for rng, dp in _problems(seed, 60):
+        gens = dp.credal.generators
+        live_idx, rows, widths = _prior_rows(dp)
+        yield [
+            [c for xi in live_idx for c in oracle._action_losses(dp.loss, g.mass[xi])]
+            for g in gens
+        ], rows, widths
+        qs = [g.y_marginal() for g in gens]
+        yield [oracle._action_losses(dp.loss, q) for q in qs], _action_losses(dp.loss, qs), [
+            dp.space.na
+        ]
+        widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        rows = [[_rational(rng) for _ in range(sum(widths))] for _ in range(rng.randint(1, 4))]
+        yield rows, [common_denominator(row) for row in rows], widths
+
+
+def test_block_game_builds_and_solves_the_fraction_lp(monkeypatch):
+    # The loss rows of minimax are the pairs common_denominator gives for
+    # their Fraction values, and block_game builds from them the LP that
+    # the Fraction construction builds, so it returns lp_solve's value,
+    # point and prices there; equal prices mean the same pivots.
+    built = []
+
+    def record(lp):
+        built.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(credal.linprog, "lp_solve", record)
+    games = 0
+    for fractions, rows, widths in _games(1601):
+        assert rows == [common_denominator(row) for row in fractions]
+        lp = oracle.block_game_lp(fractions, widths)
+        built.clear()
+        got = block_game(rows, widths)
+        assert built == [lp]
+        sol = lp_solve(lp)
+        assert sol == tableau_oracle.lp_solve(lp)
+        assert got == (sol.value, sol.primal[1:], tuple(-y for y in sol.dual[: len(rows)]))
+        games += 1
+    assert games >= 150
 
 
 def test_saddle_reports_and_losses_match_the_oracle():

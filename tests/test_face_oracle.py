@@ -22,10 +22,16 @@ from credal.linprog import (
     make_lp,
     optimal_face_vertices,
 )
+from credal.rationals import common_denominator
 
 import face_oracle
 
 F = Fraction
+
+
+def _game(rows):
+    """Game rows as the integer pairs that block_game and the face read."""
+    return [common_denominator(row) for row in rows]
 
 
 def _general_face(rows, widths, value):
@@ -85,18 +91,19 @@ def test_random_faces_match_the_fraction_brute_force():
     seen = {"several": 0, "single": 0, "empty": 0, "two blocks": 0}
     for _ in range(120):
         rows, widths = _random_game(rng)
-        value, _w, prices = block_game(rows, widths)
+        game = _game(rows)
+        value, _w, prices = block_game(game, widths)
         want = _general_face(rows, widths, value)
-        assert optimal_face_vertices(rows, widths, value, prices) == want, (rows, widths)
-        assert _face_vertices(rows, widths, value) == want
+        assert optimal_face_vertices(game, widths, value, prices) == want, (rows, widths)
+        assert _face_vertices(game, widths, value) == want
         seen["several" if len(want) > 1 else "single"] += 1
         seen["two blocks"] += len(want) > 1 and len(widths) > 1
         for v in (value - 1, value + F(1, 2)):
             want = _general_face(rows, widths, v)
-            assert _face_vertices(rows, widths, v) == want, (rows, widths, v)
+            assert _face_vertices(game, widths, v) == want, (rows, widths, v)
             seen["empty"] += not want
             with pytest.raises(InternalCheckError, match="do not certify"):
-                optimal_face_vertices(rows, widths, v, prices)
+                optimal_face_vertices(game, widths, v, prices)
     assert all(count >= 30 for count in seen.values()), seen
 
 
@@ -115,9 +122,10 @@ def test_prior_shaped_faces_match_the_fraction_brute_force():
             for g in gens
         ]
         widths = [na] * nx
-        value, _w, prices = block_game(rows, widths)
+        game = _game(rows)
+        value, _w, prices = block_game(game, widths)
         want = _general_face(rows, widths, value)
-        assert optimal_face_vertices(rows, widths, value, prices) == want, (rows, widths)
+        assert optimal_face_vertices(game, widths, value, prices) == want, (rows, widths)
         several += len(want) > 1
     assert several >= 2
 
@@ -137,7 +145,8 @@ def test_corpus_faces_match_the_fraction_brute_force(monkeypatch):
     assert len(calls) >= 20
     assert sum(len(verts) > 1 for *_args, verts in calls) >= 5
     for rows, widths, value, verts in calls:
-        assert verts == _general_face(rows, widths, value)
+        fractions = [[F(v, d) for v in nums] for nums, d in rows]
+        assert verts == _general_face(fractions, widths, value)
 
 
 @pytest.mark.parametrize(
@@ -153,7 +162,7 @@ def test_corpus_faces_match_the_fraction_brute_force(monkeypatch):
 )
 def test_forged_face_certificate_is_refused(value, prices, message):
     # matching pennies: value 1/2, prices (1/2, 1/2)
-    rows = [[1, 0], [0, 1]]
+    rows = _game([[1, 0], [0, 1]])
     assert optimal_face_vertices(rows, [2], F(1, 2), (F(1, 2), F(1, 2))) == [
         (F(1, 2), F(1, 2))
     ]

@@ -33,6 +33,11 @@ import face_oracle
 F = Fraction
 
 
+def _game(rows):
+    """Game rows as the integer pairs that block_game and the face read."""
+    return [common_denominator(row) for row in rows]
+
+
 def test_bound_attaining_minimum():
     # min x subject to x >= 0 only
     sol = lp_solve(make_lp([1], [], [], []))
@@ -79,6 +84,20 @@ def test_dimension_mismatch():
         make_lp([1, 2], [[1]], [LE], [0])
     with pytest.raises(DimensionError):
         make_lp([1], [[1]], [LE, LE], [0])
+    with pytest.raises(DimensionError):
+        make_lp([1], [[1]], [LE], [0, 1])
+
+
+def test_lp_rows_are_scaled_once_when_built():
+    # the objective, and each row with its right-hand side, become integer
+    # numerators over the lcm of their denominators
+    lp = make_lp([F(1, 2), 1], [[F(1, 3), F(1, 6)], [2, 0]], [LE, EQ], [F(1, 4), -1])
+    assert lp.objective == ((1, 2), 2)
+    assert lp.rows == (((4, 2, 3), 12), ((2, 0, -1), 1))
+    with pytest.raises(DimensionError, match="row denominator 0 is not positive"):
+        LinearProgram(((1,), 1), (((1, 1), 0),), (LE,), (0,))
+    with pytest.raises(DimensionError, match="row denominator -1 is not positive"):
+        LinearProgram(((1,), -1), (), (), (0,))
 
 
 def test_beale_cycling_instance_terminates():
@@ -152,6 +171,7 @@ def test_random_lps_have_exact_certificates():
         sol = lp_solve(lp)
         assert sol.status == OPTIMAL
         # independent re-check of duality from the returned certificates
+        lp = face_oracle.fraction_lp(lp)
         primal_value = sum(c * x for c, x in zip(lp.objective, sol.primal))
         dual_value = sum(y * b for y, b in zip(sol.dual, lp.rhs))
         reduced = [
@@ -198,24 +218,24 @@ def test_transpose_negation_identity():
 
 
 def test_face_of_whole_simplex():
-    verts = _face_vertices([[0, 0]], [2], 0)
+    verts = _face_vertices(_game([[0, 0]]), [2], 0)
     assert verts == [(0, 1), (1, 0)]
 
 
 def test_face_single_vertex():
-    verts = _face_vertices([[1, 0]], [2], 0)
+    verts = _face_vertices(_game([[1, 0]]), [2], 0)
     assert verts == [(0, 1)]
 
 
 def test_face_with_inactive_row_constraint():
     # the whole 3-simplex is optimal when the row is tight everywhere
-    verts = _face_vertices([[F(2, 3), F(2, 3), F(2, 3)]], [3], F(2, 3))
+    verts = _face_vertices(_game([[F(2, 3), F(2, 3), F(2, 3)]]), [3], F(2, 3))
     assert verts == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_face_on_a_product_of_simplices():
     # matching pennies played twice: each block must mix evenly
-    rows = [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
+    rows = _game([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
     value, _w, _prices = block_game(rows, [2, 2])
     assert value == 1
     verts = _face_vertices(rows, [2, 2], value)
@@ -224,7 +244,7 @@ def test_face_on_a_product_of_simplices():
 
 def test_face_not_attained_returns_empty():
     # below the game value no candidate is feasible
-    assert _face_vertices([[1, 0]], [2], -1) == []
+    assert _face_vertices(_game([[1, 0]]), [2], -1) == []
 
 
 def test_face_dimension_limit():
@@ -242,25 +262,43 @@ def test_face_limit_counts_the_reduced_system():
     # remain; with one cheap column per block a single candidate remains
     n = 13
     with pytest.raises(SizeLimitError, match="candidate systems, got 2869685$"):
-        optimal_face_vertices([[0] * (4 * n)], [n] * 4, 0, (1,))
+        optimal_face_vertices(_game([[0] * (4 * n)]), [n] * 4, 0, (1,))
     row = [0 if j % n == 5 else 1 for j in range(4 * n)]
-    verts = optimal_face_vertices([row], [n] * 4, 0, (1,))
+    verts = optimal_face_vertices(_game([row]), [n] * 4, 0, (1,))
     assert verts == [tuple(int(j % n == 5) for j in range(4 * n))]
 
 
 def test_face_puts_zeros_back_at_dropped_columns():
     # the third action costs 2 under the prices (1/2, 1/2), above the
     # block minimum 1/2, so it is 0 on the face and is not enumerated
-    rows = [[1, 0, 2], [0, 1, 2]]
+    rows = _game([[1, 0, 2], [0, 1, 2]])
     value, _w, prices = block_game(rows, [3])
     assert (value, prices) == (F(1, 2), (F(1, 2), F(1, 2)))
     assert optimal_face_vertices(rows, [3], value, prices) == [(F(1, 2), F(1, 2), 0)]
 
 
 def test_face_vertices_deterministic():
-    a = _face_vertices([[0, 0, 0]], [3], 0)
-    b = _face_vertices([[0, 0, 0]], [3], 0)
+    a = _face_vertices(_game([[0, 0, 0]]), [3], 0)
+    b = _face_vertices(_game([[0, 0, 0]]), [3], 0)
     assert a == b == sorted(b)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    (
+        ([((0, 1, 5), 1), ((1, 0, 5), 1)], "row length 3 != 2"),  # a column too many
+        ([((0, 1), 1), ((1,), 1)], "row length 1 != 2"),  # a column short
+        ([((0, 1), 1), ((1, 0), 0)], "row denominator 0 is not positive"),
+        ([((0, -1), -1), ((1, 0), 1)], "row denominator -1 is not positive"),
+    ),
+)
+def test_game_rows_of_the_wrong_shape_are_refused(rows, message):
+    # matching pennies over one block of width 2; each malformed row set
+    # is refused before any LP is built or any column is read
+    with pytest.raises(DimensionError, match=message):
+        block_game(rows, [2])
+    with pytest.raises(DimensionError, match=message):
+        optimal_face_vertices(rows, [2], F(1, 2), (F(1, 2), F(1, 2)))
 
 
 def test_game_value_matches_lp_duality_on_random_games():
