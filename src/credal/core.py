@@ -67,9 +67,9 @@ ONE = Fraction(1)
 # Most products :func:`hull` builds; it guards only the ``hull`` command
 # and the ``hull_member`` corpus op, as :func:`is_rectangular` builds
 # none.  Building and printing them is linear in the products times the
-# joint coordinates: ``credal hull`` took 0.9 s end to end on 10,000
-# products over 3 signals and 2 outcomes, 1.9-2.0 s on 8,192 over
-# 12 signals and 2 outcomes, and 2.2-2.5 s on 6,561 over 7 signals and
+# joint coordinates: ``credal hull`` took 0.5-0.6 s end to end on 10,000
+# products over 3 signals and 2 outcomes, 1.3-1.4 s on 8,192 over
+# 12 signals and 2 outcomes, and 1.4-1.9 s on 6,561 over 7 signals and
 # 5 outcomes (shared 2-core x86-64, Python 3.11).
 HULL_PRODUCT_LIMIT = 10_000
 
