@@ -58,6 +58,7 @@ def fraction_lp(lp: LinearProgram) -> FractionLp:
         lower_bounds=lp.lower_bounds,
     )
 
+
 # The Fraction brute force keeps the 12-variable limit it had in the
 # package.
 FACE_DIMENSION_LIMIT = 12
