@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +52,7 @@ from .minimax import (
     verify_saddle,
     worst_case_loss,
 )
-from .problemfile import ProblemFile, ProblemFileError, parse_problem_file
+from .problemfile import ProblemFile, ProblemFileError, load_problem_file, parse_problem_file
 from .rationals import rat
 
 __all__ = ["main", "run"]
@@ -62,14 +60,6 @@ __all__ = ["main", "run"]
 
 class _InputError(Exception):
     pass
-
-
-def _seed() -> int:
-    raw = os.environ.get("CREDAL_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise _InputError("CREDAL_SEED must be an integer, got %r" % raw)
 
 
 def _weights(ws) -> str:
@@ -93,23 +83,17 @@ def _yes(flag: bool) -> str:
 
 
 def _load_file(path_arg: str) -> ProblemFile:
-    path = Path(path_arg)
-    if path.exists():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as e:
-            raise _InputError("cannot read %s: %s" % (path_arg, e.strerror))
-    else:
-        # corpus/<id> (or a bare case id) falls back to the bundled data
-        name = path_arg
-        if name.startswith("corpus/"):
-            name = name[len("corpus/"):]
-        if name.endswith(".json"):
-            name = name[: -len(".json")]
-        if "/" in name or not name:
-            raise _InputError("no such file: %s" % path_arg)
-        text = corpus_text(name)
-    return parse_problem_file(text)
+    if Path(path_arg).exists():
+        return load_problem_file(path_arg)
+    # corpus/<id> (or a bare case id) falls back to the bundled data
+    name = path_arg
+    if name.startswith("corpus/"):
+        name = name[len("corpus/"):]
+    if name.endswith(".json"):
+        name = name[: -len(".json")]
+    if "/" in name or not name:
+        raise _InputError("no such file: %s" % path_arg)
+    return parse_problem_file(corpus_text(name))
 
 
 def _parse_rule_arg(text: str, pf: ProblemFile) -> DecisionRule:
@@ -291,8 +275,7 @@ def _cmd_consistency(args, out) -> int:
     else:
         if args.budget < 0:
             raise _InputError("--budget must be at least 0")
-        rng = random.Random(_seed())
-        verdict = falsify_dynamic_consistency(dp, budget=args.budget, rng=rng)
+        verdict = falsify_dynamic_consistency(dp, budget=args.budget)
     out("structure: %s" % verdict.notes.summary())
     _emit_verdict(verdict, dp, out)
     if args.strict and verdict.result == "inconsistent":

@@ -14,6 +14,10 @@ weak check never lists the posterior vertex products: the prior loss
 splits by signal, so it walks them one signal at a time.  Dynamic
 consistency quantifies over all pairs of rules, for which no decision
 procedure is known; it is only falsified here, never certified.
+Every loss is summed in integers over masses scaled once per problem
+(:func:`credal.minimax._rule_risks` gives a rule's M_delta and every
+m_delta(x) from one call); a ``Fraction`` is built only for a loss that
+a verdict compares or reports.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     DecisionProblem,
@@ -35,9 +40,11 @@ from .core import (
 from .linprog import SizeLimitError
 from .minimax import (
     _checked,
+    _generator_masses,
     _prior_game,
+    _rule_losses,
+    _rule_risks,
     _with_face,
-    action_loss,
     solve_a_posteriori,
     solve_a_priori,
     worst_case_loss,
@@ -57,10 +64,8 @@ __all__ = [
     "sufficient_conditions",
 ]
 
-ZERO = Fraction(0)
-
-# The dynamic falsifier scans every ordered pair of candidates: 500 over 10
-# signals take up to 8 s (Python 3.11, a shared 2-core host).
+# At the limit, with every antecedent holding (a constant loss over 5 signals,
+# 436 distinct candidates), a run takes 1.4-2 s (Python 3.11.7, 2-core x86-64).
 DYNAMIC_CANDIDATE_LIMIT = 500
 
 CONSISTENT = "consistent"
@@ -171,22 +176,29 @@ def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRul
     signal.  So the first choice at each signal, in order, whose bound
     still exceeds ``bound`` gives the first violating product.
     """
-    per_y = [[action_loss(dp.loss, a.weights) for a in opts] for opts in choices]
+    ny = dp.space.ny
+    ms, md = _generator_masses(dp.credal.generators)
+    per_y, ed = _rule_losses([a for opts in choices for a in opts], dp.loss)
+    blocks = iter([per_y[k : k + ny] for k in range(0, len(per_y), ny)])
+    by_x = [[next(blocks) for _ in opts] for opts in choices]
+    # L[i][x][k] over md * ed; the bound is compared cross-multiplied
     losses = [
         [
-            [sum((m * v for m, v in zip(g.mass[xi], ly)), ZERO) for ly in opts]
-            for xi, opts in enumerate(per_y)
+            [sum(map(mul, m[xi * ny : (xi + 1) * ny], ly)) for ly in opts]
+            for xi, opts in enumerate(by_x)
         ]
-        for g in dp.credal.generators
+        for m in ms
     ]
+    bn, bd = bound.as_integer_ratio()
+    limit = bn * md * ed
     # rest[i]: sum of max_k L[i][x'][k] over the signals x' after this one
-    rest = [sum((max(row) for row in li), ZERO) for li in losses]
-    prefix = [ZERO] * len(losses)
+    rest = [sum(max(row) for row in li) for li in losses]
+    prefix = [0] * len(losses)
     picked = []
     for xi, opts in enumerate(choices):
         rest = [r - max(li[xi]) for r, li in zip(rest, losses)]
         for k, act in enumerate(opts):
-            if max(p + li[xi][k] + r for p, li, r in zip(prefix, losses, rest)) > bound:
+            if max(p + li[xi][k] + r for p, li, r in zip(prefix, losses, rest)) * bd > limit:
                 break
         else:
             return None
@@ -239,7 +251,8 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     reported witness is as plain as possible."""
     notes = sufficient_conditions(dp)
     post = solve_a_posteriori(dp)
-    # the prior rows and mixture are built once, for both saddle checks and the face
+    # the prior rows and mixture are built once, for both saddle checks, the
+    # face and the posterior losses of its vertices
     prior, game, mix = _prior_game(dp)
     prior = _checked(dp, prior, mix)
     weak = _weak_verdict(dp, notes, post, prior.value)
@@ -251,8 +264,8 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     prior = _checked(dp, _with_face(dp, prior, game), mix)
     live = support_x(dp.credal)
     for rule in _det_first_lex(prior.optimal_rule_vertices):
-        for x in live:
-            m = worst_case_posterior_loss(dp.credal, rule, dp.loss, x)
+        _, ms = _rule_risks(mix[1], rule, dp.loss, live)
+        for x, m in zip(live, ms):
             mm = post.value(x)
             if m != mm:
                 if m < mm:
@@ -285,24 +298,21 @@ def _deterministic_rules(space):
         )
 
 
-def falsify_dynamic_consistency(
-    dp: DecisionProblem, budget: int, rng: random.Random | None = None
-) -> ConsistencyVerdict:
+def falsify_dynamic_consistency(dp: DecisionProblem, budget: int) -> ConsistencyVerdict:
     """Search for a pair of rules violating dynamic consistency.
 
     Candidates, in canonical order: posterior vertex products, prior
     optimal-face vertices, deterministic rules, then ``budget`` random
-    rules.  Ordered pairs are scanned in candidate order and the first
-    verified violation is returned; with none found the verdict is
-    unknown (the definition quantifies over all pairs).  A violation of
+    rules drawn from ``random.Random(0)``.  Ordered pairs are scanned in
+    candidate order and the first verified violation is returned; with
+    none found the verdict is unknown (the definition quantifies over all
+    pairs).  A violation of
     the strict "for some x" variant alone does not refute dynamic
     consistency but is reported alongside.  Candidates are counted, with
     repeats, before any is built: more than ``DYNAMIC_CANDIDATE_LIMIT`` raise.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if rng is None:
-        rng = random.Random(0)
     notes = sufficient_conditions(dp)
     prior = solve_a_priori(dp)
     post = solve_a_posteriori(dp)
@@ -330,14 +340,12 @@ def falsify_dynamic_consistency(
         add(rule)
     for rule in _deterministic_rules(dp.space):
         add(rule)
+    rng = random.Random(0)
     for _ in range(budget):
         add(random_rule(rng, dp.space))
 
-    m_vec = [
-        tuple(worst_case_posterior_loss(dp.credal, r, dp.loss, x) for x in live)
-        for r in candidates
-    ]
-    big_m = [worst_case_loss(dp.credal, r, dp.loss)[0] for r in candidates]
+    masses = _generator_masses(dp.credal.generators)
+    big_m, m_vec = zip(*[_rule_risks(masses, r, dp.loss, live) for r in candidates])
 
     strict_only: PairWitness | None = None
     n = len(candidates)

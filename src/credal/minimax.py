@@ -20,9 +20,11 @@ the columns that the verified bookie mixture leaves at zero reduced
 cost; this module only supplies the loss rows, each scaled to integers
 once, here, and read as they are downstream.
 
-The loss rows, expected and worst-case losses, the bookie's mixed joint
-and the saddle check of :func:`verify_saddle` are computed in integers
-over positive common denominators; each comparison is the ``Fraction``
+The loss rows, the bookie's mixed joint, the saddle check of
+:func:`verify_saddle` and every loss of a rule are computed in integers
+over positive common denominators; a rule's expected, worst prior
+(M_delta) and worst posterior (m_delta(x)) losses all read one table,
+:func:`_signal_losses`.  Each comparison is the ``Fraction``
 comparison cross-multiplied by positive denominators, and every value
 returned is a ``Fraction``.  One solve builds its loss rows and its
 mixed joint once, for the game, the face and each saddle check.
@@ -67,7 +69,6 @@ __all__ = [
     "worst_case_loss",
     "worst_case_posterior_loss",
     "solve_a_priori",
-    "with_optimal_face",
     "solve_a_posteriori",
     "verify_saddle",
     "solve_ignoring",
@@ -85,14 +86,6 @@ class SolverError(Exception):
 
 # ---------------------------------------------------------------------------
 # loss evaluation primitives
-
-
-def action_loss(loss: LossFunction, weights) -> tuple[Fraction, ...]:
-    """Per-outcome expected loss of a randomized action."""
-    return tuple(
-        sum((w * loss.table[yi][ai] for ai, w in enumerate(weights)), ZERO)
-        for yi in range(loss.space.ny)
-    )
 
 
 def _loss_columns(loss: LossFunction):
@@ -131,10 +124,11 @@ def _generator_masses(gens):
     return [nums[k * n : (k + 1) * n] for k in range(len(gens))], den
 
 
-def _rule_losses(rule: DecisionRule, loss: LossFunction):
-    """Expected loss of the rule's action at each (x, y), flattened x-major,
-    as integers over one positive denominator."""
-    weights, wd = common_denominator(rule.flatten())
+def _rule_losses(actions, loss: LossFunction):
+    """Expected loss of each of the randomized ``actions`` at each outcome,
+    flattened action-major, as integers over one positive denominator.  A
+    rule's ``per_x`` gives its loss at each (x, y), x-major."""
+    weights, wd = common_denominator([w for a in actions for w in a.weights])
     columns, ld = _loss_columns(loss)
     by_y = list(zip(*columns))
     na = len(columns)
@@ -145,12 +139,41 @@ def _rule_losses(rule: DecisionRule, loss: LossFunction):
     ], wd * ld
 
 
-def _generator_losses(masses, rule: DecisionRule, loss: LossFunction):
-    """Expected loss of ``rule`` under each of the :func:`_generator_masses`
-    ``masses``, as integers over one positive denominator."""
+def _signal_losses(masses, rule: DecisionRule, loss: LossFunction):
+    """Each generator's expected loss of ``rule`` at each signal, given the
+    :func:`_generator_masses` ``masses``: one list per generator, one
+    integer per signal, all over one positive denominator.  Every loss of
+    a rule is read from this."""
     ms, md = masses
-    losses, ed = _rule_losses(rule, loss)
-    return [sum(map(mul, m, losses)) for m in ms], md * ed
+    losses, ed = _rule_losses(rule.per_x, loss)
+    ny = loss.space.ny
+    return [
+        [sum(map(mul, m[k : k + ny], losses[k : k + ny])) for k in range(0, len(m), ny)]
+        for m in ms
+    ], md * ed
+
+
+def _posterior_worst(masses, losses, xi):
+    """m_delta(x) at signal index ``xi`` from the :func:`_generator_masses`
+    and the :func:`_signal_losses`: the largest ratio of a generator's loss
+    at ``xi`` to its mass there, compared cross-multiplied over the
+    generators that give ``xi`` mass; 0 when none does."""
+    (ms, md), (rows, den) = masses, losses
+    ny = len(ms[0]) // len(rows[0])
+    best, best_px = 0, 0
+    for m, row in zip(ms, rows):
+        px = sum(m[xi * ny : (xi + 1) * ny])
+        if px and (not best_px or row[xi] * best_px > best * px):
+            best, best_px = row[xi], px
+    return Fraction(best * md, best_px * den) if best_px else ZERO
+
+
+def _rule_risks(masses, rule: DecisionRule, loss: LossFunction, xs):
+    """M_delta and the m_delta(x) at each signal of ``xs``, from one
+    :func:`_signal_losses` of ``rule`` over the :func:`_generator_masses`."""
+    losses = _signal_losses(masses, rule, loss)
+    worst = Fraction(max(map(sum, losses[0])), losses[1])
+    return worst, tuple(_posterior_worst(masses, losses, rule.space.x_index(x)) for x in xs)
 
 
 def _mixed_mass(masses, mixture):
@@ -162,8 +185,8 @@ def _mixed_mass(masses, mixture):
 
 
 def expected_loss(g: JointDistribution, rule: DecisionRule, loss: LossFunction) -> Fraction:
-    (total,), den = _generator_losses(_generator_masses((g,)), rule, loss)
-    return Fraction(total, den)
+    ((row,), den) = _signal_losses(_generator_masses((g,)), rule, loss)
+    return Fraction(sum(row), den)
 
 
 def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
@@ -172,9 +195,10 @@ def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
     For a convex set the maximum over the hull is attained at a
     generator, so scanning the generator list is exact either way.
     """
-    losses, den = _generator_losses(_generator_masses(p.generators), rule, loss)
-    best = max(losses)
-    return Fraction(best, den), losses.index(best)
+    rows, den = _signal_losses(_generator_masses(p.generators), rule, loss)
+    totals = [sum(row) for row in rows]
+    best = max(totals)
+    return Fraction(best, den), totals.index(best)
 
 
 def worst_case_posterior_loss(
@@ -185,17 +209,8 @@ def worst_case_posterior_loss(
     Zero when no generator gives ``x`` positive probability; such
     signals carry no posterior risk.
     """
-    xi = p.space.x_index(x)
-    losses = action_loss(loss, rule.per_x[xi].weights)
-    best = None
-    for g in p.generators:
-        px = sum(g.mass[xi], ZERO)
-        if px == 0:
-            continue
-        v = sum((g.mass[xi][yi] * losses[yi] for yi in range(p.space.ny)), ZERO) / px
-        if best is None or v > best:
-            best = v
-    return ZERO if best is None else best
+    masses = _generator_masses(p.generators)
+    return _posterior_worst(masses, _signal_losses(masses, rule, loss), p.space.x_index(x))
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +338,10 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     ``face=False`` skips the vertex enumeration of the optimal face (the
     expensive part); the reported rule is then the one the simplex
     landed on rather than the lexicographically smallest vertex.
-    :func:`with_optimal_face` adds the face to such a solution.
     """
     solution, game, mix = _prior_game(dp)
     if face:
         solution = _with_face(dp, solution, game)
-    return _checked(dp, solution, mix)
-
-
-def with_optimal_face(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
-    """``solution`` with the vertices of the optimal face enumerated at its
-    value and its rule the lexicographically smallest of them, checked
-    with :func:`verify_saddle` against that rule."""
-    solution = _with_face(dp, solution, _prior_rows(dp))
-    mix = _scaled_mixture(dp.credal.generators, solution.bookie_mixture)
     return _checked(dp, solution, mix)
 
 
@@ -448,7 +453,8 @@ def _saddle_report(dp: DecisionProblem, rule: DecisionRule, mix) -> SaddleReport
     over ``den`` and the agent's over ``ad * ld``; each clause compares
     them cross-multiplied."""
     (qs, qd), masses, (mass, ad) = mix
-    losses, den = _generator_losses(masses, rule, dp.loss)
+    rows, den = _signal_losses(masses, rule, dp.loss)
+    losses = [sum(row) for row in rows]
     value = sum(map(mul, qs, losses))
     bookie_best = max(losses)
     columns, ld = _loss_columns(dp.loss)

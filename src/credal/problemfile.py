@@ -22,6 +22,7 @@ from .core import (
     ProblemSpace,
     credal_set,
 )
+from .rationals import rat
 
 __all__ = [
     "ProblemFileError",
@@ -160,10 +161,6 @@ def load_problem_file(path) -> ProblemFile:
     return parse_problem_file(text)
 
 
-def _rstr(v: Fraction) -> str:
-    return str(Fraction(v))
-
-
 def render_problem_file(pf: ProblemFile) -> str:
     """Canonical JSON text; reparsing yields an identical value."""
     doc = {
@@ -172,11 +169,11 @@ def render_problem_file(pf: ProblemFile) -> str:
         "actions": list(pf.actions),
         "convex": pf.convex,
         "generators": [
-            [[_rstr(v) for v in row] for row in g] for g in pf.generators
+            [[str(rat(v)) for v in row] for row in g] for g in pf.generators
         ],
     }
     if pf.loss is not None:
-        doc["loss"] = [[_rstr(v) for v in row] for row in pf.loss]
+        doc["loss"] = [[str(rat(v)) for v in row] for row in pf.loss]
     return json.dumps(doc, indent=2) + "\n"
 
 

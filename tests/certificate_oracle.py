@@ -6,15 +6,24 @@ positive common denominators: the LP certificate check, the block
 game's LP built from ``Fraction`` rows and its best reply, a
 generator's expected loss, the mixed joint of a bookie mixture, the
 three-clause saddle check and the sum and sign check of a joint mass.
-Tests compare the package against them: the same errors with the same
-messages, the same values, the same reports.
+A rule's action loss, its worst prior and posterior losses and the
+weak check's first violating posterior product are kept as they were
+summed in ``Fraction`` too.  Tests compare the package against them:
+the same errors with the same messages, the same values, witnesses and
+reports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from credal.core import DecisionProblem, DecisionRule, JointDistribution, LossFunction
+from credal.core import (
+    CredalSet,
+    DecisionProblem,
+    DecisionRule,
+    JointDistribution,
+    LossFunction,
+)
 from credal.linprog import EQ, LE, InternalCheckError, LinearProgram, make_lp
 from credal.minimax import SaddleReport
 from credal.rationals import rat, rat_matrix
@@ -137,6 +146,70 @@ def worst_case_loss(p, rule: DecisionRule, loss: LossFunction):
         if best is None or v > best:
             best, witness = v, i
     return best, witness
+
+
+def action_loss(loss: LossFunction, weights) -> tuple[Fraction, ...]:
+    """Per-outcome expected loss of a randomized action."""
+    return tuple(
+        sum((w * loss.table[yi][ai] for ai, w in enumerate(weights)), ZERO)
+        for yi in range(loss.space.ny)
+    )
+
+
+def worst_case_posterior_loss(
+    p: CredalSet, rule: DecisionRule, loss: LossFunction, x
+) -> Fraction:
+    """Worst expected loss of ``rule`` under the conditioned set at ``x``.
+
+    Zero when no generator gives ``x`` positive probability; such
+    signals carry no posterior risk.
+    """
+    xi = p.space.x_index(x)
+    losses = action_loss(loss, rule.per_x[xi].weights)
+    best = None
+    for g in p.generators:
+        px = sum(g.mass[xi], ZERO)
+        if px == 0:
+            continue
+        v = sum((g.mass[xi][yi] * losses[yi] for yi in range(p.space.ny)), ZERO) / px
+        if best is None or v > best:
+            best = v
+    return ZERO if best is None else best
+
+
+def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRule | None:
+    """The lexicographically first rule of ``itertools.product(*choices)``
+    whose prior worst-case loss exceeds ``bound``, or None.
+
+    With L[i][x][k] generator i's expected loss at x under choice k, the
+    largest prior worst case over all completions of a prefix is
+    max_i (prefix_i + sum over the later x' of max_k L[i][x'][k]): the max
+    over i commutes with the max over completions, and the sum splits by
+    signal.  So the first choice at each signal, in order, whose bound
+    still exceeds ``bound`` gives the first violating product.
+    """
+    per_y = [[action_loss(dp.loss, a.weights) for a in opts] for opts in choices]
+    losses = [
+        [
+            [sum((m * v for m, v in zip(g.mass[xi], ly)), ZERO) for ly in opts]
+            for xi, opts in enumerate(per_y)
+        ]
+        for g in dp.credal.generators
+    ]
+    # rest[i]: sum of max_k L[i][x'][k] over the signals x' after this one
+    rest = [sum((max(row) for row in li), ZERO) for li in losses]
+    prefix = [ZERO] * len(losses)
+    picked = []
+    for xi, opts in enumerate(choices):
+        rest = [r - max(li[xi]) for r, li in zip(rest, losses)]
+        for k, act in enumerate(opts):
+            if max(p + li[xi][k] + r for p, li, r in zip(prefix, losses, rest)) > bound:
+                break
+        else:
+            return None
+        prefix = [p + li[xi][k] for p, li in zip(prefix, losses)]
+        picked.append(act)
+    return DecisionRule(space=dp.space, per_x=tuple(picked))
 
 
 def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleReport:

@@ -2,19 +2,30 @@
 
 ``tests/certificate_oracle.py`` keeps the LP certificate check, the
 block game's LP built from ``Fraction`` rows and its best reply, the
-expected and worst-case loss, the mixed joint, the saddle check and the
-joint-mass check as they were computed in ``Fraction``.  On seeded
+expected and worst-case losses (prior and posterior), the weak check's
+first violating posterior product, the mixed joint, the saddle check
+and the joint-mass check as they were computed in ``Fraction``.  On seeded
 random inputs, sound and tampered, the package must raise the same
 errors with the same messages and return equal values and reports.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import credal.linprog
-from credal.core import DecisionProblem, JointDistribution, ProblemSpace
+from credal.consistency import _first_violating_product
+from credal.core import (
+    DecisionProblem,
+    JointDistribution,
+    ProblemSpace,
+    RandomizedAction,
+    credal_set,
+    loss_function,
+    support_x,
+)
 from credal.linprog import (
     EQ,
     LE,
@@ -28,14 +39,24 @@ from credal.linprog import (
 )
 from credal.minimax import (
     _action_losses,
+    _generator_masses,
     _prior_rows,
+    _rule_losses,
+    _rule_risks,
     expected_loss,
     solve_a_priori,
     verify_saddle,
     worst_case_loss,
+    worst_case_posterior_loss,
 )
 from credal.rationals import common_denominator
-from credal.sampling import random_credal_set, random_loss, random_rule, simplex_point
+from credal.sampling import (
+    random_credal_set,
+    random_joint,
+    random_loss,
+    random_rule,
+    simplex_point,
+)
 
 import certificate_oracle as oracle
 import tableau_oracle
@@ -186,6 +207,84 @@ def test_saddle_reports_and_losses_match_the_oracle():
             for g in gens:
                 assert expected_loss(g, rule, dp.loss) == oracle.expected_loss(g, rule, dp.loss)
     assert failing > 100
+
+
+def _loss_problems(seed, count):
+    """Random problems whose losses tie or go negative, over finite and convex
+    sets in which a signal may be dead (no generator reaches it) and a
+    generator may give a live signal no mass."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        space = _space(rng)
+        dead = rng.randrange(space.nx) if space.nx > 1 and rng.random() < 0.4 else None
+        masses = []
+        for _ in range(rng.randint(1, 4)):
+            mass = [list(row) for row in random_joint(rng, space).mass]
+            if dead is not None:
+                spill, mass[dead] = sum(mass[dead]), [F(0)] * space.ny
+                mass[(dead + 1) % space.nx][0] += spill
+            masses.append(mass)
+        if dead is None and space.nx > 1 and len(masses) > 1 and rng.random() < 0.3:
+            xi = rng.randrange(space.nx)
+            spill, masses[0][xi] = sum(masses[0][xi]), [F(0)] * space.ny
+            masses[0][(xi + 1) % space.nx][0] += spill
+        if rng.random() < 0.2:
+            value = _rational(rng)
+            loss = loss_function(space, [[value] * space.na] * space.ny)
+        else:
+            loss = random_loss(rng, space)
+        yield rng, DecisionProblem(credal_set(space, masses, rng.random() < 0.5), loss)
+
+
+def _deterministic_action(rng, na):
+    a = rng.randrange(na)
+    return RandomizedAction(tuple(F(int(k == a)) for k in range(na)))
+
+
+def test_rule_losses_and_the_first_violating_product_match_the_oracle():
+    # every loss of a rule comes from the integer masses and _rule_losses;
+    # values and witness indices must be those of the Fraction sums
+    dead = zero_at_live = ties = found = 0
+    for rng, dp in _loss_problems(1701, 200):
+        p, loss, space = dp.credal, dp.loss, dp.space
+        live = support_x(p)
+        xis = [space.x_index(x) for x in live]
+        dead += len(live) < space.nx
+        zero_at_live += any(sum(g.mass[xi]) == 0 for g in p.generators for xi in xis)
+        masses = _generator_masses(p.generators)
+        for _ in range(3):
+            rule = random_rule(rng, space)
+            if rng.random() < 0.3:
+                rule = replace(rule, per_x=tuple(
+                    _deterministic_action(rng, space.na) for _ in range(space.nx)
+                ))
+            per_y, den = _rule_losses(rule.per_x, loss)
+            assert [F(v, den) for v in per_y] == [
+                v for a in rule.per_x for v in oracle.action_loss(loss, a.weights)
+            ]
+            worst = worst_case_loss(p, rule, loss)
+            assert worst == oracle.worst_case_loss(p, rule, loss)
+            ties += [oracle.expected_loss(g, rule, loss) for g in p.generators].count(worst[0]) > 1
+            for g in p.generators:
+                assert expected_loss(g, rule, loss) == oracle.expected_loss(g, rule, loss)
+            posterior = [worst_case_posterior_loss(p, rule, loss, x) for x in space.x_labels]
+            assert posterior == [
+                oracle.worst_case_posterior_loss(p, rule, loss, x) for x in space.x_labels
+            ]
+            assert _rule_risks(masses, rule, loss, live) == (
+                worst[0], tuple(posterior[xi] for xi in xis)
+            )
+        choices = [
+            [random_rule(rng, space).per_x[0] for _ in range(rng.randint(1, 3))]
+            for _ in range(space.nx)
+        ]
+        # a bound that one of the products attains exactly
+        attained = replace(rule, per_x=tuple(rng.choice(opts) for opts in choices))
+        for bound in (_rational(rng), -abs(_rational(rng)), worst_case_loss(p, attained, loss)[0]):
+            got = _first_violating_product(dp, choices, bound)
+            assert got == oracle._first_violating_product(dp, choices, bound)
+            found += got is not None
+    assert min(dead, zero_at_live, ties) >= 20 and 100 <= found <= 500
 
 
 def test_saddle_mixture_errors_match_the_oracle():

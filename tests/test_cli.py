@@ -320,6 +320,26 @@ def test_dynamic_falsifier_refuses_ten_signals_and_three_actions(tmp_path, capsy
         assert 3**nx <= int(got[2]) <= 3**nx + DYNAMIC_CANDIDATE_LIMIT
 
 
+def test_dynamic_falsifier_answers_at_its_limit_and_refuses_one_above(capsys):
+    # example-4.5 has 24 candidates before the random rules: 3 posterior
+    # products, 12 face vertices and 9 deterministic rules; its verdict is
+    # unknown, so every ordered pair of the distinct ones is scanned
+    start = time.perf_counter()
+    code, text = cli("consistency", "dynamic", "corpus/example-4.5", "--budget", "476")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert text.splitlines()[1] == "dynamic consistency: unknown"
+    assert capsys.readouterr().err == ""
+    start = time.perf_counter()
+    code, text = cli("consistency", "dynamic", "corpus/example-4.5", "--budget", "477")
+    assert time.perf_counter() - start < 5
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == (
+        "refused: dynamic consistency candidates limited to %d, got 501\n"
+        % DYNAMIC_CANDIDATE_LIMIT
+    )
+
+
 @pytest.mark.parametrize("argv", (("posterior",), ("consistency", "weak")))
 def test_thirteen_actions_get_a_posterior_face(tmp_path, capsys, argv):
     # each posterior face has 13 action weights, one simplex row and 2
@@ -516,8 +536,7 @@ def test_dynamic_consistency_pair_witness():
     assert out[7] == "prior worst case: 2/3 vs 1/3"
 
 
-def test_dynamic_unknown_reports_strict_variant(monkeypatch):
-    monkeypatch.setenv("CREDAL_SEED", "7")
+def test_dynamic_unknown_reports_strict_variant():
     out = lines("consistency", "dynamic", "corpus/example-4.5",
                 "--budget", "0")
     assert out[1] == "dynamic consistency: unknown"
@@ -587,6 +606,12 @@ def test_missing_file_is_an_input_error(capsys):
     code, _ = cli("solve", "/no/such/file")
     assert code == 2
     assert "no such file" in capsys.readouterr().err
+
+
+def test_directory_as_file_is_an_input_error(tmp_path, capsys):
+    code, text = cli("solve", str(tmp_path))
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: cannot read %s: Is a directory\n" % tmp_path
 
 
 def test_malformed_file_names_the_field(tmp_path, capsys):

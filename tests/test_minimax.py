@@ -31,7 +31,6 @@ from credal.minimax import (
     solve_a_priori,
     solve_ignoring,
     verify_saddle,
-    with_optimal_face,
     worst_case_loss,
     worst_case_posterior_loss,
 )
@@ -213,17 +212,15 @@ def test_saddle_rejects_non_equilibrium_pair():
 @pytest.mark.parametrize(
     "solve",
     (
-        lambda dp, face_free: solve_a_priori(dp),
-        lambda dp, face_free: solve_a_priori(dp, face=False),
-        lambda dp, face_free: with_optimal_face(dp, face_free),
-        lambda dp, face_free: check_time_consistency(dp),
+        lambda dp: solve_a_priori(dp),
+        lambda dp: solve_a_priori(dp, face=False),
+        check_time_consistency,
     ),
 )
 def test_every_prior_solve_runs_the_saddle_check(monkeypatch, solve):
     # the solves run verify_saddle's check on mixture data they build once;
     # a check made to fail must stop each of them
     dp = monty_problem()
-    face_free = solve_a_priori(dp, face=False)
     real = minimax._saddle_report
 
     def failing(*args):
@@ -231,7 +228,7 @@ def test_every_prior_solve_runs_the_saddle_check(monkeypatch, solve):
 
     monkeypatch.setattr(minimax, "_saddle_report", failing)
     with pytest.raises(SolverError, match="saddle check failed"):
-        solve(dp, face_free)
+        solve(dp)
 
 
 def test_saddle_validates_mixture():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from credal.problemfile import (
+    ProblemFile,
     ProblemFileError,
     parse_problem_file,
     problem_file_from,
@@ -111,3 +112,25 @@ def test_roundtrip_with_and_without_loss():
         assert again == pf
     credal_only = problem_file_from(prediction_problem().credal)
     assert parse_problem_file(render_problem_file(credal_only)) == credal_only
+
+
+def _hand_built(value):
+    return ProblemFile(
+        x_labels=("0",),
+        y_labels=("0", "1"),
+        actions=("0", "1"),
+        convex=True,
+        generators=(((value, F(1, 2)),),),
+        loss=((F(0), 1), ("-3/6", F(2, 3))),
+    )
+
+
+def test_hand_built_values_render_reduced():
+    doc = json.loads(render_problem_file(_hand_built("2/4")))
+    assert doc["generators"] == [[["1/2", "1/2"]]]
+    assert doc["loss"] == [["0", "1"], ["-1/2", "2/3"]]
+
+
+def test_hand_built_float_is_refused():
+    with pytest.raises(TypeError, match="refusing float 0.5"):
+        render_problem_file(_hand_built(0.5))
