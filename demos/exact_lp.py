@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from credal.linprog import (
     LE,
+    LinearProgram,
     block_game,
     lp_solve,
-    make_lp,
     optimal_face_vertices,
     zero_sum_value,
 )
@@ -39,13 +39,14 @@ def main():
 
     print()
     print("-- minimize 2x + 3y subject to x + y >= 4, x - y <= 2 --")
-    # rows are <= or =, so x + y >= 4 is written -x - y <= -4
-    # make_lp scales each row with its right-hand side to integers
-    lp = make_lp(
-        objective=["2", "3"],
-        rows=[["-1", "-1"], ["1", "-1"]],
-        senses=[LE, LE],
-        rhs=["-4", "2"],
+    # rows are <= or =, so x + y >= 4 is written -x - y <= -4; the
+    # objective, and each row with its right-hand side last, are integer
+    # numerators over a positive denominator, all 1 here
+    lp = LinearProgram(
+        objective=common_denominator([2, 3]),
+        rows=(common_denominator([-1, -1, -4]), common_denominator([1, -1, 2])),
+        senses=(LE, LE),
+        lower_bounds=(0, 0),
     )
     sol = lp_solve(lp)
     print("status:", sol.status)

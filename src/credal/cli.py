@@ -8,13 +8,16 @@ Exit codes: 0 on success; 1 when ``--strict`` is set and the analysis
 verdict is inconsistent, not calibrated, or a failed saddle check
 (also for corpus mismatches); 2 on input errors; 3 when a valid problem
 is too large for an enumeration (the message names the limit and the
-size found).
+size found); 141, the shell's code for SIGPIPE, when the reader of
+stdout closes it before the report is written (``credal hull f | head
+-1``), with nothing printed on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -446,7 +449,15 @@ def run(argv=None, stdout=None) -> int:
 
 
 def main() -> int:
-    return run()
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes nowhere, so the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -14,10 +14,12 @@ weak check never lists the posterior vertex products: the prior loss
 splits by signal, so it walks them one signal at a time.  Dynamic
 consistency quantifies over all pairs of rules, for which no decision
 procedure is known; it is only falsified here, never certified.
-Every loss is summed in integers over masses scaled once per problem
-(:func:`credal.minimax._rule_risks` gives a rule's M_delta and every
-m_delta(x) from one call); a ``Fraction`` is built only for a loss that
-a verdict compares or reports.
+Every loss is read from the prior game's rows, built once per problem
+(:func:`credal.minimax._loss_rows`): the weak check's loss of each
+posterior-optimal action at its signal, and each rule's M_delta and
+every m_delta(x) (:func:`credal.minimax._rule_risks`).  The dynamic
+falsifier compares ranks of these losses as ``int``s; a ``Fraction`` is
+built only for a loss that a verdict reports.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .core import (
     DecisionProblem,
@@ -37,13 +38,13 @@ from .core import (
     is_rectangular,
     support_x,
 )
-from .linprog import SizeLimitError
+from .linprog import SizeLimitError, _worst_row
 from .minimax import (
     _checked,
-    _generator_masses,
+    _loss_rows,
     _prior_game,
-    _rule_losses,
     _rule_risks,
+    _signal_rows,
     _with_face,
     solve_a_posteriori,
     solve_a_priori,
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 # At the limit, with every antecedent holding (a constant loss over 5 signals,
-# 436 distinct candidates), a run takes 1.4-2 s (Python 3.11.7, 2-core x86-64).
+# 436 distinct candidates), a run takes 0.35-0.5 s (Python 3.11.7, 2-core x86-64).
 DYNAMIC_CANDIDATE_LIMIT = 500
 
 CONSISTENT = "consistent"
@@ -176,21 +177,16 @@ def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRul
     signal.  So the first choice at each signal, in order, whose bound
     still exceeds ``bound`` gives the first violating product.
     """
-    ny = dp.space.ny
-    ms, md = _generator_masses(dp.credal.generators)
-    per_y, ed = _rule_losses([a for opts in choices for a in opts], dp.loss)
-    blocks = iter([per_y[k : k + ny] for k in range(0, len(per_y), ny)])
-    by_x = [[next(blocks) for _ in opts] for opts in choices]
-    # L[i][x][k] over md * ed; the bound is compared cross-multiplied
-    losses = [
-        [
-            [sum(map(mul, m[xi * ny : (xi + 1) * ny], ly)) for ly in opts]
-            for xi, opts in enumerate(by_x)
-        ]
-        for m in ms
+    rows = _loss_rows(dp.credal.generators, dp.loss)
+    # each choice's loss at its signal under each generator, over one denominator
+    per = [
+        [_worst_row(at, a.weights)[:2] for a in opts]
+        for at, opts in zip(_signal_rows(rows, dp.space.na), choices)
     ]
+    den = math.lcm(*[d for opts in per for _, d in opts])
+    losses = [[[v[i] * (den // d) for v, d in opts] for opts in per] for i in range(len(rows))]
     bn, bd = bound.as_integer_ratio()
-    limit = bn * md * ed
+    limit = bn * den
     # rest[i]: sum of max_k L[i][x'][k] over the signals x' after this one
     rest = [sum(max(row) for row in li) for li in losses]
     prefix = [0] * len(losses)
@@ -253,18 +249,18 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     post = solve_a_posteriori(dp)
     # the prior rows and mixture are built once, for both saddle checks, the
     # face and the posterior losses of its vertices
-    prior, game, mix = _prior_game(dp)
-    prior = _checked(dp, prior, mix)
+    prior, game = _prior_game(dp)
+    prior = _checked(prior, game[0])
     weak = _weak_verdict(dp, notes, post, prior.value)
     if weak.result == INCONSISTENT:
         return ConsistencyVerdict(
             kind="time", result=INCONSISTENT, witness=weak.witness, notes=notes
         )
     # enumerate the face only once the weak check passes: it may be refused
-    prior = _checked(dp, _with_face(dp, prior, game), mix)
+    prior = _checked(_with_face(dp, prior, game), game[0])
     live = support_x(dp.credal)
-    for rule in _det_first_lex(prior.optimal_rule_vertices):
-        _, ms = _rule_risks(mix[1], rule, dp.loss, live)
+    rules = _det_first_lex(prior.optimal_rule_vertices)
+    for rule, (_, ms) in zip(rules, _rule_risks(dp, game[0], rules)):
         for x, m in zip(live, ms):
             mm = post.value(x)
             if m != mm:
@@ -314,38 +310,14 @@ def falsify_dynamic_consistency(dp: DecisionProblem, budget: int) -> Consistency
     if budget < 0:
         raise ValueError("budget must be >= 0")
     notes = sufficient_conditions(dp)
-    prior = solve_a_priori(dp)
-    post = solve_a_posteriori(dp)
+    candidates = _dynamic_candidates(dp, budget)
     live = support_x(dp.credal)
-
-    choices = post.choices(dp.space)
-    count = math.prod(map(len, choices)) + len(prior.optimal_rule_vertices) + budget
-    count += dp.space.na**dp.space.nx
-    if count > DYNAMIC_CANDIDATE_LIMIT:
-        raise SizeLimitError(
-            "dynamic consistency candidates limited to %d, got %d"
-            % (DYNAMIC_CANDIDATE_LIMIT, count)
-        )
-    candidates: list[DecisionRule] = []
-    seen = set()
-
-    def add(rule):
-        if rule not in seen:
-            seen.add(rule)
-            candidates.append(rule)
-
-    for combo in itertools.product(*choices):
-        add(DecisionRule(space=dp.space, per_x=combo))
-    for rule in prior.optimal_rule_vertices:
-        add(rule)
-    for rule in _deterministic_rules(dp.space):
-        add(rule)
-    rng = random.Random(0)
-    for _ in range(budget):
-        add(random_rule(rng, dp.space))
-
-    masses = _generator_masses(dp.credal.generators)
-    big_m, m_vec = zip(*[_rule_risks(masses, r, dp.loss, live) for r in candidates])
+    rows = _loss_rows(dp.credal.generators, dp.loss)
+    big_m, m_vec = zip(*_rule_risks(dp, rows, candidates))
+    # the scan compares ranks: each M_delta's place among the distinct
+    # M_delta, and each m_delta(x)'s among the distinct ones at x
+    big_r = _ranks(big_m)
+    m_r = list(zip(*map(_ranks, zip(*m_vec))))
 
     strict_only: PairWitness | None = None
     n = len(candidates)
@@ -353,24 +325,23 @@ def falsify_dynamic_consistency(dp: DecisionProblem, budget: int) -> Consistency
         for j in range(n):
             if i == j:
                 continue
-            mi, mj = m_vec[i], m_vec[j]
-            below = _below(mi, mj)
+            below = _below(m_r[i], m_r[j])
             if below is None:
                 continue  # antecedent fails; nothing to check
             strict_all, strict_some = below
             condition = None
-            if big_m[i] > big_m[j]:
+            if big_r[i] > big_r[j]:
                 condition = "condition-1"
-            elif strict_all and big_m[i] >= big_m[j]:
+            elif strict_all and big_r[i] >= big_r[j]:
                 condition = "condition-2"
-            is_strict_variant = strict_some and big_m[i] >= big_m[j]
+            is_strict_variant = strict_some and big_r[i] >= big_r[j]
             if condition is None and (strict_only is not None or not is_strict_variant):
                 continue
             witness = PairWitness(
                 delta=candidates[i],
                 delta_prime=candidates[j],
                 condition=condition or "strict-variant",
-                posterior=tuple((x, a, b) for x, a, b in zip(live, mi, mj)),
+                posterior=tuple(zip(live, m_vec[i], m_vec[j])),
                 prior=(big_m[i], big_m[j]),
                 strict_variant=is_strict_variant,
             )
@@ -391,6 +362,35 @@ def falsify_dynamic_consistency(dp: DecisionProblem, budget: int) -> Consistency
         notes=notes,
         strict_variant_witness=strict_only,
     )
+
+
+def _dynamic_candidates(dp: DecisionProblem, budget: int) -> list[DecisionRule]:
+    """The candidates of :func:`falsify_dynamic_consistency`, in its order and
+    without repeats, once their count with repeats is within the limit."""
+    prior = solve_a_priori(dp)
+    choices = solve_a_posteriori(dp).choices(dp.space)
+    count = math.prod(map(len, choices)) + len(prior.optimal_rule_vertices) + budget
+    count += dp.space.na**dp.space.nx
+    if count > DYNAMIC_CANDIDATE_LIMIT:
+        raise SizeLimitError(
+            "dynamic consistency candidates limited to %d, got %d"
+            % (DYNAMIC_CANDIDATE_LIMIT, count)
+        )
+    rng = random.Random(0)
+    rules = itertools.chain(
+        (DecisionRule(space=dp.space, per_x=combo) for combo in itertools.product(*choices)),
+        prior.optimal_rule_vertices,
+        _deterministic_rules(dp.space),
+        (random_rule(rng, dp.space) for _ in range(budget)),
+    )
+    return list(dict.fromkeys(rules))
+
+
+def _ranks(values) -> list[int]:
+    """Each of ``values`` as its place among the distinct values, in
+    increasing order: two ranks compare as their values do."""
+    place = {v: k for k, v in enumerate(sorted(set(values)))}
+    return [place[v] for v in values]
 
 
 def _below(mi, mj) -> tuple[bool, bool] | None:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .rationals import common_denominator, rat, rat_matrix, rat_seq
+from .rationals import common_denominator, rat_matrix
 
 __all__ = [
     "LE",
@@ -56,7 +56,6 @@ __all__ = [
     "SizeLimitError",
     "LinearProgram",
     "LpSolution",
-    "make_lp",
     "lp_solve",
     "zero_sum_value",
     "block_game",
@@ -133,25 +132,20 @@ class LpSolution:
     dual: tuple[Fraction, ...] | None
 
 
-def make_lp(objective, rows, senses, rhs, lower_bounds=None) -> LinearProgram:
-    """Build a :class:`LinearProgram` from rationals, scaling each row once.
-
-    ``lower_bounds`` defaults to zero for every variable.
-    """
-    if len(rows) != len(rhs):
-        raise DimensionError("rows, senses and rhs must have equal length")
-    if lower_bounds is None:
-        lower_bounds = (0,) * len(objective)
-    return LinearProgram(
-        objective=common_denominator(rat_seq(objective)),
-        rows=tuple(common_denominator(rat_seq((*row, b))) for row, b in zip(rows, rhs)),
-        senses=tuple(senses),
-        lower_bounds=tuple(None if b is None else rat(b) for b in lower_bounds),
-    )
-
-
 # ---------------------------------------------------------------------------
 # fraction-free exact elimination
+
+
+def _eliminate(row, prow, c, prev):
+    """One fraction-free elimination step: ``row`` made 0 in column ``c`` by
+    the pivot row ``prow``, as ``(p * row - row[c] * prow) / prev`` with ``p =
+    prow[c]``.  The division by the previous pivot ``prev`` is exact."""
+    p, f = prow[c], row[c]
+    if f:
+        return [(p * a - f * b) // prev for a, b in zip(row, prow)]
+    if p != prev:
+        return [p * a // prev for a in row]
+    return row
 
 
 def _bareiss(mat, n):
@@ -180,14 +174,8 @@ def _bareiss(mat, n):
         prow = mat[r]
         p = prow[c]
         for i in range(m):
-            if i == r:
-                continue
-            row = mat[i]
-            f = row[c]
-            if f:
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-            elif p != prev:
-                mat[i] = [p * a // prev for a in row]
+            if i != r:
+                mat[i] = _eliminate(mat[i], prow, c, prev)
         prev = p
         pivots.append(c)
     return pivots, prev
@@ -227,8 +215,9 @@ class _Tableau:
     the last slot, and ``den`` is the determinant of ``B`` in the
     row-scaled matrix, its sign kept positive (a row dropped as redundant
     leaves its factor ``d_i`` in ``den`` and in every entry).  A pivot is
-    the fraction-free update of :func:`_bareiss` (Edmonds 1967): every
-    division by the old ``den`` is exact, so no gcd is taken.  Bland's
+    the fraction-free step :func:`_eliminate` of :func:`_bareiss` (Edmonds
+    1967) on every row: each division by the old ``den`` is exact, so no
+    gcd is taken.  Bland's
     pricing reads only signs and the ratio test compares the same
     rationals cross-multiplied by positive integers, so the pivots, the
     final basis and the point they give are the ones the rational tableau
@@ -308,18 +297,9 @@ class _Tableau:
         p = prow[e]
         den = self.den
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[e]
-            if f:
-                rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
-            elif p != den:
-                rows[i] = [p * a // den for a in row]
-        f = zrow[e]
-        if f:
-            zrow = [(p * a - f * b) // den for a, b in zip(zrow, prow)]
-        elif p != den:
-            zrow = [p * a // den for a in zrow]
+            if i != r:
+                rows[i] = _eliminate(row, prow, e, den)
+        zrow = _eliminate(zrow, prow, e, den)
         if p < 0:
             self.rows = [[-a for a in row] for row in rows]
             zrow = [-a for a in zrow]
@@ -512,8 +492,9 @@ def block_game(rows, widths):
     row per block, with ``t`` free and ``w >= 0``.  Returns ``(value, w,
     prices)``, where ``prices`` (the negated dual prices of the rows) is
     the opponent's optimal mixture over rows.  The pair is verified as an
-    exact saddle point: the worst row under ``w`` and the best block-wise
-    reply to ``prices`` both give the value.
+    exact saddle point: the worst row under ``w`` (:func:`_worst_row`) and
+    the best block-wise reply to ``prices`` (:func:`_best_reply`) both give
+    the value.
     """
     n = sum(widths)
     _check_rows(rows, n)
@@ -529,17 +510,20 @@ def block_game(rows, widths):
         raise InternalCheckError("block game LP must be solvable")
     value, w = sol.value, sol.primal[1:]
     prices = tuple(-sol.dual[i] for i in range(len(rows)))
-    # the worst row under w is the value: no row above it, one at it
-    ws, wd = common_denominator(w)
-    vn, vd = value.as_integer_ratio()
-    pairs = [(sum(map(mul, r, ws)) * vd, vn * d * wd) for r, d in rows]
-    if (
-        any(a > b for a, b in pairs)
-        or all(a != b for a, b in pairs)
-        or value != _best_reply(rows, widths, prices)[0]
-    ):
+    vals, den, worst = _worst_row(rows, w)
+    if Fraction(vals[worst], den) != value or value != _best_reply(rows, widths, prices)[0]:
         raise InternalCheckError("saddle point check failed")
     return value, w, prices
+
+
+def _worst_row(rows, point):
+    """Each row's value at ``point``, as integers over one positive
+    denominator (the lcm of the rows' denominators times the point's), and
+    the first row of the largest value."""
+    ws, wd = common_denominator(point)
+    lcm = math.lcm(*[d for _, d in rows])
+    vals = [sum(map(mul, r, ws)) * (lcm // d) for r, d in rows]
+    return vals, lcm * wd, vals.index(max(vals))
 
 
 def _best_reply(rows, widths, prices):

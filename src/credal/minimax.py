@@ -20,14 +20,19 @@ the columns that the verified bookie mixture leaves at zero reduced
 cost; this module only supplies the loss rows, each scaled to integers
 once, here, and read as they are downstream.
 
-The loss rows, the bookie's mixed joint, the saddle check of
-:func:`verify_saddle` and every loss of a rule are computed in integers
-over positive common denominators; a rule's expected, worst prior
-(M_delta) and worst posterior (m_delta(x)) losses all read one table,
-:func:`_signal_losses`.  Each comparison is the ``Fraction``
-comparison cross-multiplied by positive denominators, and every value
-returned is a ``Fraction``.  One solve builds its loss rows and its
-mixed joint once, for the game, the face and each saddle check.
+Every loss of a rule is read from the prior game's own rows,
+:func:`_loss_rows`: generator i's expected loss of action a at signal x,
+in integers over a positive denominator, over every signal (the game
+takes their live-signal slice).  A rule's expected loss and worst prior
+loss (M_delta) are dot products of these rows with its weights, its
+worst posterior loss m_delta(x) the same at x over each generator's mass
+there.  The saddle check of :func:`verify_saddle` reads the same rows
+through the two checks :func:`credal.linprog.block_game` makes: the
+worst row under the rule and the best reply to the bookie's mixture.
+Each comparison is the ``Fraction`` comparison cross-multiplied by
+positive denominators, and every value returned is a ``Fraction``.  One
+solve builds its rows once, for the game, the face and each saddle
+check.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -55,7 +60,13 @@ from .core import (
     support_x,
     uniform_action,
 )
-from .linprog import SizeLimitError, block_game, optimal_face_vertices
+from .linprog import (
+    SizeLimitError,
+    _best_reply,
+    _worst_row,
+    block_game,
+    optimal_face_vertices,
+)
 from .polytope import VPolytope
 from .rationals import common_denominator, rat
 
@@ -88,21 +99,14 @@ class SolverError(Exception):
 # loss evaluation primitives
 
 
-def _loss_columns(loss: LossFunction):
-    """The loss table as one column per action (its loss at each outcome),
-    integers over one positive denominator."""
-    table, den = common_denominator([v for row in loss.table for v in row])
-    na = loss.space.na
-    return [table[a::na] for a in range(na)], den
-
-
 def _action_losses(loss: LossFunction, qs):
     """One game row per ``q`` in ``qs``, (unnormalised) Y-vectors laid end to
     end: each action's expected loss under each, as integers over a
     denominator reduced by their gcd, so as :func:`common_denominator` of
     the row's values."""
-    columns, ld = _loss_columns(loss)
-    ny = loss.space.ny
+    table, ld = common_denominator([v for row in loss.table for v in row])
+    na, ny = loss.space.na, loss.space.ny
+    columns = [table[a::na] for a in range(na)]  # each action's loss per outcome
     rows = []
     for q in qs:
         nums, qd = common_denominator(q)
@@ -116,77 +120,72 @@ def _action_losses(loss: LossFunction, qs):
     return rows
 
 
-def _generator_masses(gens):
-    """Each generator's flattened mass, x-major, as integers over one
-    positive denominator shared by all of them."""
-    nums, den = common_denominator([v for g in gens for row in g.mass for v in row])
-    n = len(nums) // len(gens)
-    return [nums[k * n : (k + 1) * n] for k in range(len(gens))], den
+def _loss_rows(gens, loss: LossFunction):
+    """One row per generator, the prior game's own: its expected loss of each
+    (signal, action) weight, signal-major, over every signal
+    (:func:`_action_losses` of its flattened mass).  A signal that no
+    generator reaches is 0 in every row.  Every loss of a rule is read from
+    these rows."""
+    return _action_losses(loss, [g.flatten() for g in gens])
 
 
-def _rule_losses(actions, loss: LossFunction):
-    """Expected loss of each of the randomized ``actions`` at each outcome,
-    flattened action-major, as integers over one positive denominator.  A
-    rule's ``per_x`` gives its loss at each (x, y), x-major."""
-    weights, wd = common_denominator([w for a in actions for w in a.weights])
-    columns, ld = _loss_columns(loss)
-    by_y = list(zip(*columns))
-    na = len(columns)
-    return [
-        sum(map(mul, weights[k : k + na], row))
-        for k in range(0, len(weights), na)
-        for row in by_y
-    ], wd * ld
+def _signal_rows(rows, na):
+    """Per signal index, each row's slice there: one loss per action."""
+    n = len(rows[0][0])
+    return [[(r[k : k + na], d) for r, d in rows] for k in range(0, n, na)]
 
 
-def _signal_losses(masses, rule: DecisionRule, loss: LossFunction):
-    """Each generator's expected loss of ``rule`` at each signal, given the
-    :func:`_generator_masses` ``masses``: one list per generator, one
-    integer per signal, all over one positive denominator.  Every loss of
-    a rule is read from this."""
-    ms, md = masses
-    losses, ed = _rule_losses(rule.per_x, loss)
-    ny = loss.space.ny
-    return [
-        [sum(map(mul, m[k : k + ny], losses[k : k + ny])) for k in range(0, len(m), ny)]
-        for m in ms
-    ], md * ed
+def _posterior_rows(gens, signal_rows, xi):
+    """The :func:`_signal_rows` at ``xi`` of the generators that give ``xi``
+    mass, each over that mass too, and the masses' denominator ``pd``: such
+    a row's value under an action, times ``pd``, is the generator's
+    posterior loss of it at ``xi``."""
+    ps, pd = common_denominator([sum(g.mass[xi], ZERO) for g in gens])
+    return [(r, d * p) for (r, d), p in zip(signal_rows[xi], ps) if p], pd
 
 
-def _posterior_worst(masses, losses, xi):
-    """m_delta(x) at signal index ``xi`` from the :func:`_generator_masses`
-    and the :func:`_signal_losses`: the largest ratio of a generator's loss
-    at ``xi`` to its mass there, compared cross-multiplied over the
-    generators that give ``xi`` mass; 0 when none does."""
-    (ms, md), (rows, den) = masses, losses
-    ny = len(ms[0]) // len(rows[0])
-    best, best_px = 0, 0
-    for m, row in zip(ms, rows):
-        px = sum(m[xi * ny : (xi + 1) * ny])
-        if px and (not best_px or row[xi] * best_px > best * px):
-            best, best_px = row[xi], px
-    return Fraction(best * md, best_px * den) if best_px else ZERO
+def _worst(rows, weights):
+    """The largest value of ``rows`` under ``weights``, and its first row."""
+    vals, den, i = _worst_row(rows, weights)
+    return Fraction(vals[i], den), i
 
 
-def _rule_risks(masses, rule: DecisionRule, loss: LossFunction, xs):
-    """M_delta and the m_delta(x) at each signal of ``xs``, from one
-    :func:`_signal_losses` of ``rule`` over the :func:`_generator_masses`."""
-    losses = _signal_losses(masses, rule, loss)
-    worst = Fraction(max(map(sum, losses[0])), losses[1])
-    return worst, tuple(_posterior_worst(masses, losses, rule.space.x_index(x)) for x in xs)
+def _posterior_worst(posterior, weights) -> Fraction:
+    """m_delta(x) from the :func:`_posterior_rows` at x and the rule's action
+    there; 0 when no generator gives x mass."""
+    rows, pd = posterior
+    if not rows:
+        return ZERO
+    vals, den, i = _worst_row(rows, weights)
+    return Fraction(vals[i] * pd, den)
 
 
-def _mixed_mass(masses, mixture):
-    """Flattened mass of the joint ``sum_i mixture[i] * gens[i]``, given the
-    :func:`_generator_masses` and the mixture as integers over positive
-    denominators; the result is over their product."""
-    (ms, md), (qs, qd) = masses, mixture
-    return [sum(map(mul, qs, col)) for col in zip(*ms)], qd * md
+def _rule_risks(dp: DecisionProblem, rows, rules):
+    """M_delta and the m_delta(x) at every support signal of each of
+    ``rules``, read from the :func:`_loss_rows` ``rows``."""
+    gens, space = dp.credal.generators, dp.space
+    signal_rows = _signal_rows(rows, space.na)
+    posterior = [
+        (xi, _posterior_rows(gens, signal_rows, xi))
+        for xi in map(space.x_index, support_x(dp.credal))
+    ]
+    for rule in rules:
+        yield _worst(rows, rule.flatten())[0], tuple(
+            _posterior_worst(post, rule.per_x[xi].weights) for xi, post in posterior
+        )
+
+
+def _mixed_mass(gens, mixture):
+    """Flattened mass of the joint ``sum_i mixture[i] * gens[i]``, as integers
+    over one positive denominator."""
+    ms, md = common_denominator([v for g in gens for v in g.flatten()])
+    qs, qd = common_denominator(mixture)
+    n = len(ms) // len(gens)
+    return [sum(map(mul, qs, ms[j::n])) for j in range(n)], qd * md
 
 
 def expected_loss(g: JointDistribution, rule: DecisionRule, loss: LossFunction) -> Fraction:
-    ((row,), den) = _signal_losses(_generator_masses((g,)), rule, loss)
-    return Fraction(sum(row), den)
+    return _worst(_loss_rows((g,), loss), rule.flatten())[0]
 
 
 def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
@@ -195,10 +194,7 @@ def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
     For a convex set the maximum over the hull is attained at a
     generator, so scanning the generator list is exact either way.
     """
-    rows, den = _signal_losses(_generator_masses(p.generators), rule, loss)
-    totals = [sum(row) for row in rows]
-    best = max(totals)
-    return Fraction(best, den), totals.index(best)
+    return _worst(_loss_rows(p.generators, loss), rule.flatten())
 
 
 def worst_case_posterior_loss(
@@ -209,8 +205,9 @@ def worst_case_posterior_loss(
     Zero when no generator gives ``x`` positive probability; such
     signals carry no posterior risk.
     """
-    masses = _generator_masses(p.generators)
-    return _posterior_worst(masses, _signal_losses(masses, rule, loss), p.space.x_index(x))
+    xi = p.space.x_index(x)
+    rows = _signal_rows(_loss_rows(p.generators, loss), p.space.na)
+    return _posterior_worst(_posterior_rows(p.generators, rows, xi), rule.per_x[xi].weights)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +238,6 @@ class MinimaxSolution:
         return len(self.optimal_rule_vertices) == 1
 
 
-def _generator_coefficients(dp: DecisionProblem, live_idx):
-    """One row per generator: the expected-loss coefficient of each
-    (live signal, action) weight, signal-major."""
-    return _action_losses(
-        dp.loss, [[v for xi in live_idx for v in g.mass[xi]] for g in dp.credal.generators]
-    )
-
-
 def _block_rule(space, live_idx, w):
     """Rule playing block k of ``w`` at signal ``live_idx[k]``, uniform elsewhere."""
     na = space.na
@@ -266,26 +255,30 @@ def _face_rules(space, live_idx, verts):
 
 
 def _prior_rows(dp: DecisionProblem):
-    """The prior game's LP data: live signal indices, generator rows and
-    block widths."""
+    """The prior game's LP data: the :func:`_loss_rows` over every signal,
+    the live signal indices, the rows' slice at those signals and the block
+    widths.  A dead signal is 0 in every row, so each slice is the reduced
+    pair its row's live entries give."""
     space = dp.space
+    na = space.na
+    rows = _loss_rows(dp.credal.generators, dp.loss)
     live_idx = [space.x_index(x) for x in support_x(dp.credal)]
-    return live_idx, _generator_coefficients(dp, live_idx), [space.na] * len(live_idx)
+    cols = [xi * na + a for xi in live_idx for a in range(na)]
+    game = [(tuple([r[j] for j in cols]), d) for r, d in rows]
+    return rows, live_idx, game, [na] * len(live_idx)
 
 
 def _prior_game(dp: DecisionProblem):
     """The prior game solved without its face and not yet checked.
 
-    Returns the solution, the LP data of :func:`_prior_rows` and the
-    :func:`_scaled_mixture` of its bookie mixture, so that the face and
-    the saddle checks of one solve reuse them.
+    Returns the solution and the LP data of :func:`_prior_rows`, so that
+    the face and the saddle checks of one solve reuse them.
     """
     space = dp.space
     game = _prior_rows(dp)
-    live_idx, rows, widths = game
+    _rows, live_idx, rows, widths = game
     value, w, mixture = block_game(rows, widths)
-    mix = _scaled_mixture(dp.credal.generators, mixture)
-    mass, den = mix[2]
+    mass, den = _mixed_mass(dp.credal.generators, mixture)
     ny = space.ny
     solution = MinimaxSolution(
         value=value,
@@ -303,13 +296,13 @@ def _prior_game(dp: DecisionProblem):
             x for xi, x in enumerate(space.x_labels) if xi not in live_idx
         ),
     )
-    return solution, game, mix
+    return solution, game
 
 
-def _checked(dp: DecisionProblem, solution: MinimaxSolution, mix) -> MinimaxSolution:
-    """``solution``, once :func:`verify_saddle` holds for its rule against the
-    :func:`_scaled_mixture` ``mix`` of its bookie mixture."""
-    report = _saddle_report(dp, solution.rule, mix)
+def _checked(solution: MinimaxSolution, rows) -> MinimaxSolution:
+    """``solution``, once :func:`verify_saddle` holds for its rule and bookie
+    mixture over the :func:`_loss_rows` ``rows``."""
+    report = _saddle_report(rows, solution.rule, solution.bookie_mixture)
     if not report.holds:
         raise SolverError("saddle check failed: %s" % (report.failing,))
     return solution
@@ -318,7 +311,7 @@ def _checked(dp: DecisionProblem, solution: MinimaxSolution, mix) -> MinimaxSolu
 def _with_face(dp: DecisionProblem, solution: MinimaxSolution, game) -> MinimaxSolution:
     """``solution`` with its optimal face enumerated from the
     :func:`_prior_rows` ``game``, not yet checked."""
-    live_idx, rows, widths = game
+    _rows, live_idx, rows, widths = game
     verts = optimal_face_vertices(rows, widths, solution.value, solution.bookie_mixture)
     vertices = _face_rules(dp.space, live_idx, verts)
     if not vertices:
@@ -339,10 +332,10 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     expensive part); the reported rule is then the one the simplex
     landed on rather than the lexicographically smallest vertex.
     """
-    solution, game, mix = _prior_game(dp)
+    solution, game = _prior_game(dp)
     if face:
         solution = _with_face(dp, solution, game)
-    return _checked(dp, solution, mix)
+    return _checked(solution, game[0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,52 +423,38 @@ class SaddleReport:
 
 
 def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleReport:
-    return _saddle_report(dp, rule, _scaled_mixture(dp.credal.generators, mixture))
-
-
-def _scaled_mixture(gens, mixture):
-    """Check that ``mixture`` is a probability vector over ``gens`` (else
-    ValueError).  Returns the mixture, the :func:`_generator_masses` and
-    the :func:`_mixed_mass`, each as integers over a positive denominator."""
+    gens = dp.credal.generators
     mixture = tuple(rat(w) for w in mixture)
     if len(mixture) != len(gens):
         raise ValueError("mixture length != number of generators")
     qs, qd = common_denominator(mixture)
     if any(q < 0 for q in qs) or sum(qs) != qd:
         raise ValueError("mixture must be a probability vector")
-    masses = _generator_masses(gens)
-    return (qs, qd), masses, _mixed_mass(masses, (qs, qd))
+    return _saddle_report(_loss_rows(gens, dp.loss), rule, mixture)
 
 
-def _saddle_report(dp: DecisionProblem, rule: DecisionRule, mix) -> SaddleReport:
-    """:func:`verify_saddle` of ``rule`` against the :func:`_scaled_mixture`
-    ``mix``.  The value is over ``qd * den``, the bookie's best response
-    over ``den`` and the agent's over ``ad * ld``; each clause compares
-    them cross-multiplied."""
-    (qs, qd), masses, (mass, ad) = mix
-    rows, den = _signal_losses(masses, rule, dp.loss)
-    losses = [sum(row) for row in rows]
-    value = sum(map(mul, qs, losses))
-    bookie_best = max(losses)
-    columns, ld = _loss_columns(dp.loss)
-    ny = dp.space.ny
-    agent_best = sum(
-        min(sum(map(mul, mass[k : k + ny], col)) for col in columns)
-        for k in range(0, len(mass), ny)
-    )
-
+def _saddle_report(rows, rule: DecisionRule, mixture) -> SaddleReport:
+    """:func:`verify_saddle` of ``rule`` against the probability vector
+    ``mixture``, over the :func:`_loss_rows` ``rows``: the bookie's best
+    response is the worst row under the rule and the agent's the best reply
+    to the mixture, the two checks of :func:`credal.linprog.block_game`."""
+    vals, den, worst = _worst_row(rows, rule.flatten())
+    qs, qd = common_denominator(mixture)
+    value = Fraction(sum(map(mul, qs, vals)), qd * den)
+    bookie_best = Fraction(vals[worst], den)
+    agent_best = _best_reply(rows, [rule.space.na] * rule.space.nx, mixture)[0]
     failing = []
-    if value * ad * ld != agent_best * qd * den:
+    if value != agent_best:
         failing.append("agent-deviation")
-    if value != bookie_best * qd:
+    if value != bookie_best:
         failing.append("bookie-deviation")
-    if any(q > 0 and v != bookie_best for q, v in zip(qs, losses)):
+    if any(q > 0 and v != vals[worst] for q, v in zip(qs, vals)):
         failing.append("support-not-tight")
     return SaddleReport(
         holds=not failing,
-        value=Fraction(value, qd * den),
-        agent_best_response=Fraction(agent_best, ad * ld),
-        bookie_best_response=Fraction(bookie_best, den),
+        value=value,
+        agent_best_response=agent_best,
+        bookie_best_response=bookie_best,
         failing=tuple(failing),
     )
 
@@ -571,16 +550,13 @@ def brute_force_value(dp: DecisionProblem, grid: int):
     menu = [
         tuple(Fraction(c, grid) for c in comp) for comp in compositions(grid, na)
     ]
+    rows = _loss_rows(dp.credal.generators, dp.loss)
     best = None
     for combo in itertools.product(menu, repeat=len(live)):
         weights = []
         for xi in range(space.nx):
-            if xi in live:
-                weights.append(combo[live.index(xi)])
-            else:
-                weights.append(uniform)
-        rule = rule_from_weights(space, weights)
-        wc, _w = worst_case_loss(dp.credal, rule, dp.loss)
+            weights += combo[live.index(xi)] if xi in live else uniform
+        wc, _w = _worst(rows, weights)
         if best is None or wc < best:
             best = wc
     slack = Fraction(na) * dp.loss.spread() / grid

@@ -6,9 +6,10 @@ positive common denominators: the LP certificate check, the block
 game's LP built from ``Fraction`` rows and its best reply, a
 generator's expected loss, the mixed joint of a bookie mixture, the
 three-clause saddle check and the sum and sign check of a joint mass.
-A rule's action loss, its worst prior and posterior losses and the
-weak check's first violating posterior product are kept as they were
-summed in ``Fraction`` too.  Tests compare the package against them:
+A rule's action loss, its worst prior and posterior losses, the
+weak check's first violating posterior product and the dynamic
+falsifier's pair scan are kept as they were summed and compared in
+``Fraction`` too.  Tests compare the package against them:
 the same errors with the same messages, the same values, witnesses and
 reports.
 """
@@ -17,18 +18,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from credal.consistency import PairWitness
 from credal.core import (
     CredalSet,
     DecisionProblem,
     DecisionRule,
     JointDistribution,
     LossFunction,
+    support_x,
 )
-from credal.linprog import EQ, LE, InternalCheckError, LinearProgram, make_lp
+from credal.linprog import EQ, LE, InternalCheckError, LinearProgram
 from credal.minimax import SaddleReport
 from credal.rationals import rat, rat_matrix
 
-from face_oracle import ONE, ZERO, fraction_lp
+from face_oracle import ONE, ZERO, fraction_lp, make_lp
 
 
 def _verify_optimal(lp: LinearProgram, x, y):
@@ -210,6 +213,63 @@ def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRul
         prefix = [p + li[xi][k] for p, li in zip(prefix, losses)]
         picked.append(act)
     return DecisionRule(space=dp.space, per_x=tuple(picked))
+
+
+def _below(mi, mj):
+    """One walk over two loss vectors: None when some loss of ``mi``
+    exceeds ``mj``'s, else whether it is smaller everywhere and somewhere."""
+    everywhere, somewhere = True, False
+    for a, b in zip(mi, mj):
+        if a > b:
+            return None
+        if a < b:
+            somewhere = True
+        else:
+            everywhere = False
+    return everywhere, somewhere
+
+
+def dynamic_pair_scan(dp: DecisionProblem, candidates):
+    """The dynamic falsifier's scan of the ordered pairs of ``candidates``,
+    comparing ``Fraction`` losses: ``(result, witness, strict-variant
+    witness)``, the witness not replayed."""
+    live = support_x(dp.credal)
+    big_m = [worst_case_loss(dp.credal, r, dp.loss)[0] for r in candidates]
+    m_vec = [
+        tuple(worst_case_posterior_loss(dp.credal, r, dp.loss, x) for x in live)
+        for r in candidates
+    ]
+    strict_only = None
+    n = len(candidates)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            mi, mj = m_vec[i], m_vec[j]
+            below = _below(mi, mj)
+            if below is None:
+                continue
+            strict_all, strict_some = below
+            condition = None
+            if big_m[i] > big_m[j]:
+                condition = "condition-1"
+            elif strict_all and big_m[i] >= big_m[j]:
+                condition = "condition-2"
+            is_strict_variant = strict_some and big_m[i] >= big_m[j]
+            if condition is None and (strict_only is not None or not is_strict_variant):
+                continue
+            witness = PairWitness(
+                delta=candidates[i],
+                delta_prime=candidates[j],
+                condition=condition or "strict-variant",
+                posterior=tuple((x, a, b) for x, a, b in zip(live, mi, mj)),
+                prior=(big_m[i], big_m[j]),
+                strict_variant=is_strict_variant,
+            )
+            if condition is not None:
+                return "inconsistent", witness, strict_only
+            strict_only = witness
+    return "unknown", None, strict_only
 
 
 def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleReport:

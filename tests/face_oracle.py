@@ -25,9 +25,8 @@ from credal.linprog import (
     LpError,
     SizeLimitError,
     lp_solve,
-    make_lp,
 )
-from credal.rationals import rat
+from credal.rationals import common_denominator, rat, rat_seq
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,6 +55,23 @@ def fraction_lp(lp: LinearProgram) -> FractionLp:
         senses=lp.senses,
         rhs=tuple(Fraction(nums[-1], d) for nums, d in lp.rows),
         lower_bounds=lp.lower_bounds,
+    )
+
+
+def make_lp(objective, rows, senses, rhs, lower_bounds=None) -> LinearProgram:
+    """The :class:`LinearProgram` of rational entries, the inverse of
+    :func:`fraction_lp`: the objective, and each row with its right-hand
+    side, as :func:`common_denominator` pairs.  ``lower_bounds`` defaults to
+    zero for every variable."""
+    if len(rows) != len(rhs):
+        raise ValueError("rows and rhs must have equal length")
+    if lower_bounds is None:
+        lower_bounds = (0,) * len(objective)
+    return LinearProgram(
+        objective=common_denominator(rat_seq(objective)),
+        rows=tuple(common_denominator(rat_seq((*row, b))) for row, b in zip(rows, rhs)),
+        senses=tuple(senses),
+        lower_bounds=tuple(None if b is None else rat(b) for b in lower_bounds),
     )
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from credal.linprog import EQ, OPTIMAL, lp_solve, make_lp
+from credal.linprog import EQ, OPTIMAL, lp_solve
 from credal.polytope import ComparisonError, VPolytope
 from credal.rationals import rat_seq
+
+from face_oracle import make_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

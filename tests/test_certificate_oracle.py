@@ -16,7 +16,12 @@ from fractions import Fraction
 import pytest
 
 import credal.linprog
-from credal.consistency import _first_violating_product
+from credal.consistency import (
+    _dynamic_candidates,
+    _first_violating_product,
+    falsify_dynamic_consistency,
+)
+from credal.corpus import load_corpus
 from credal.core import (
     DecisionProblem,
     JointDistribution,
@@ -31,17 +36,16 @@ from credal.linprog import (
     LE,
     OPTIMAL,
     InternalCheckError,
+    SizeLimitError,
     _best_reply,
     _verify_optimal,
     block_game,
     lp_solve,
-    make_lp,
 )
 from credal.minimax import (
     _action_losses,
-    _generator_masses,
+    _loss_rows,
     _prior_rows,
-    _rule_losses,
     _rule_risks,
     expected_loss,
     solve_a_priori,
@@ -59,6 +63,7 @@ from credal.sampling import (
 )
 
 import certificate_oracle as oracle
+from face_oracle import make_lp
 import tableau_oracle
 
 F = Fraction
@@ -147,7 +152,7 @@ def _games(seed):
     ``Fraction`` oracle, and games of random rows."""
     for rng, dp in _problems(seed, 60):
         gens = dp.credal.generators
-        live_idx, rows, widths = _prior_rows(dp)
+        _all, live_idx, rows, widths = _prior_rows(dp)
         yield [
             [c for xi in live_idx for c in oracle._action_losses(dp.loss, g.mass[xi])]
             for g in gens
@@ -242,8 +247,8 @@ def _deterministic_action(rng, na):
 
 
 def test_rule_losses_and_the_first_violating_product_match_the_oracle():
-    # every loss of a rule comes from the integer masses and _rule_losses;
-    # values and witness indices must be those of the Fraction sums
+    # every loss of a rule is read from the prior game's rows over every
+    # signal; values and witness indices must be those of the Fraction sums
     dead = zero_at_live = ties = found = 0
     for rng, dp in _loss_problems(1701, 200):
         p, loss, space = dp.credal, dp.loss, dp.space
@@ -251,17 +256,17 @@ def test_rule_losses_and_the_first_violating_product_match_the_oracle():
         xis = [space.x_index(x) for x in live]
         dead += len(live) < space.nx
         zero_at_live += any(sum(g.mass[xi]) == 0 for g in p.generators for xi in xis)
-        masses = _generator_masses(p.generators)
+        rows = _loss_rows(p.generators, loss)
+        assert [[F(v, d) for v in r] for r, d in rows] == [
+            [c for row in g.mass for c in oracle._action_losses(loss, row)]
+            for g in p.generators
+        ]
         for _ in range(3):
             rule = random_rule(rng, space)
             if rng.random() < 0.3:
                 rule = replace(rule, per_x=tuple(
                     _deterministic_action(rng, space.na) for _ in range(space.nx)
                 ))
-            per_y, den = _rule_losses(rule.per_x, loss)
-            assert [F(v, den) for v in per_y] == [
-                v for a in rule.per_x for v in oracle.action_loss(loss, a.weights)
-            ]
             worst = worst_case_loss(p, rule, loss)
             assert worst == oracle.worst_case_loss(p, rule, loss)
             ties += [oracle.expected_loss(g, rule, loss) for g in p.generators].count(worst[0]) > 1
@@ -271,9 +276,9 @@ def test_rule_losses_and_the_first_violating_product_match_the_oracle():
             assert posterior == [
                 oracle.worst_case_posterior_loss(p, rule, loss, x) for x in space.x_labels
             ]
-            assert _rule_risks(masses, rule, loss, live) == (
-                worst[0], tuple(posterior[xi] for xi in xis)
-            )
+            assert list(_rule_risks(dp, rows, [rule])) == [
+                (worst[0], tuple(posterior[xi] for xi in xis))
+            ]
         choices = [
             [random_rule(rng, space).per_x[0] for _ in range(rng.randint(1, 3))]
             for _ in range(space.nx)
@@ -285,6 +290,24 @@ def test_rule_losses_and_the_first_violating_product_match_the_oracle():
             assert got == oracle._first_violating_product(dp, choices, bound)
             found += got is not None
     assert min(dead, zero_at_live, ties) >= 20 and 100 <= found <= 500
+
+
+def test_dynamic_pair_scan_matches_the_fraction_oracle():
+    # the falsifier compares integer ranks of its losses; its verdict and its
+    # first pair must be those of the scan that compared the Fractions
+    problems = [(dp, rng.randrange(30)) for rng, dp in _loss_problems(1801, 250)]
+    problems += [(c.problem(), 5) for c in load_corpus() if c.file.loss is not None]
+    seen = {"inconsistent": 0, "unknown": 0, "strict": 0}
+    for dp, budget in problems:
+        try:
+            verdict = falsify_dynamic_consistency(dp, budget)
+        except SizeLimitError:
+            continue
+        want = oracle.dynamic_pair_scan(dp, _dynamic_candidates(dp, budget))
+        assert (verdict.result, verdict.witness, verdict.strict_variant_witness) == want
+        seen[verdict.result] += 1
+        seen["strict"] += verdict.strict_variant_witness is not None
+    assert min(seen.values()) >= 10, seen
 
 
 def test_saddle_mixture_errors_match_the_oracle():

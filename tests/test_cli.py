@@ -6,14 +6,28 @@ promises deterministic output, so these are plain string equalities.
 
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from credal import load_problem_file, rule_from_weights, verify_saddle, worst_case_loss
+import credal
+from credal import (
+    ProblemSpace,
+    credal_set,
+    load_problem_file,
+    problem_file_from,
+    render_problem_file,
+    rule_from_weights,
+    verify_saddle,
+    worst_case_loss,
+)
 from credal.cli import run
 from credal.consistency import DYNAMIC_CANDIDATE_LIMIT
 from credal.core import HULL_PRODUCT_LIMIT
@@ -210,6 +224,33 @@ def test_hull_refuses_one_product_over_its_limit(tmp_path, capsys):
         HULL_PRODUCT_LIMIT,
         HULL_PRODUCT_LIMIT + 1,
     )
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # 12 signals x 2 outcomes, 2 generators: 8,192 hull products, far more
+    # output than a pipe holds, so the writer outlives a reader of one line
+    rng = random.Random(5)
+    space = ProblemSpace(tuple(map(str, range(12))), ("0", "1"), ("0", "1"))
+    counts = [[[rng.randint(1, 9) for _ in range(2)] for _ in range(12)] for _ in range(2)]
+    masses = [[[Fraction(c, sum(map(sum, g))) for c in row] for row in g] for g in counts]
+    p = credal_set(space, masses, True)
+    path = tmp_path / "twelve-by-two.json"
+    path.write_text(render_problem_file(problem_file_from(p)), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(credal.__file__).parent.parent)] + [v for v in [env.get("PYTHONPATH")] if v]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "credal.cli", "hull", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"generators: 8192\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and err == ""
 
 
 _RULE = re.compile(r"([^\s,:]+)(?:->([^\s,]+)|: \(([^)]*)\))")

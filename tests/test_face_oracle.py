@@ -19,12 +19,12 @@ from credal.linprog import (
     InternalCheckError,
     _face_vertices,
     block_game,
-    make_lp,
     optimal_face_vertices,
 )
 from credal.rationals import common_denominator
 
 import face_oracle
+from face_oracle import make_lp
 
 F = Fraction
 

@@ -21,7 +21,6 @@ from credal.linprog import (
     _face_vertices,
     _solve_int,
     _verify_optimal,
-    make_lp,
     optimal_face_vertices,
     zero_sum_value,
 )
@@ -29,6 +28,7 @@ from credal.rationals import common_denominator
 
 import certificate_oracle
 import face_oracle
+from face_oracle import make_lp
 
 F = Fraction
 
@@ -80,12 +80,12 @@ def test_only_le_and_eq_rows_over_nonnegative_or_free_variables():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        make_lp([1, 2], [[1]], [LE], [0])
-    with pytest.raises(DimensionError):
-        make_lp([1], [[1]], [LE, LE], [0])
-    with pytest.raises(DimensionError):
-        make_lp([1], [[1]], [LE], [0, 1])
+    with pytest.raises(DimensionError, match="row length 2 != 3"):
+        LinearProgram(((1, 2), 1), (((1, 0), 1),), (LE,), (0, 0))
+    with pytest.raises(DimensionError, match="rows, senses and rhs"):
+        LinearProgram(((1,), 1), (((1, 0), 1),), (LE, LE), (0,))
+    with pytest.raises(DimensionError, match="one lower bound"):
+        LinearProgram(((1,), 1), (((1, 0), 1),), (LE,), (0, 0))
 
 
 def test_lp_rows_are_scaled_once_when_built():

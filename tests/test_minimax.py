@@ -20,7 +20,6 @@ from credal.linprog import (
     EQ,
     LE,
     SizeLimitError,
-    make_lp,
     zero_sum_value,
 )
 from credal.minimax import (
@@ -36,6 +35,7 @@ from credal.minimax import (
 )
 
 import face_oracle
+from face_oracle import make_lp
 from problems import (
     binary_space,
     half_dead_signal_problem,

@@ -14,11 +14,12 @@ import pytest
 import credal.linprog
 import credal.polytope
 from credal.corpus import load_corpus, run_case
-from credal.linprog import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, make_lp
+from credal.linprog import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED
 
 import polytope_oracle
 import structure_oracle
 import tableau_oracle
+from face_oracle import make_lp
 
 F = Fraction
 IntTableau = credal.linprog._Tableau
