@@ -14,10 +14,14 @@ weak check never lists the posterior vertex products: the prior loss
 splits by signal, so it walks them one signal at a time.  Dynamic
 consistency quantifies over all pairs of rules, for which no decision
 procedure is known; it is only falsified here, never certified.
-Every loss is read from the prior game's rows, built once per problem
-(:func:`credal.minimax._loss_rows`): the weak check's loss of each
-posterior-optimal action at its signal, and each rule's M_delta and
-every m_delta(x) (:func:`credal.minimax._rule_risks`).  The dynamic
+Every loss is read from the games' own rows, kept on the problem: the
+weak check's loss of each posterior-optimal action at its signal from
+the prior game's rows (``dp.loss_rows``), and each rule's M_delta from
+those and its m_delta(x) from the posterior game's rows at x
+(``dp.posterior_rows``, :func:`credal.minimax._rule_risks`).  This
+module builds no rows itself; a witness replay builds, through
+:func:`credal.minimax.worst_case_posterior_loss`, the rows of one signal
+of the set's conditionals, which the set computes once.  The dynamic
 falsifier compares ranks of these losses as ``int``s; a ``Fraction`` is
 built only for a loss that a verdict reports.
 """
@@ -41,10 +45,8 @@ from .core import (
 from .linprog import SizeLimitError, _worst_row
 from .minimax import (
     _checked,
-    _loss_rows,
     _prior_game,
     _rule_risks,
-    _signal_rows,
     _with_face,
     solve_a_posteriori,
     solve_a_priori,
@@ -177,29 +179,33 @@ def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRul
     signal.  So the first choice at each signal, in order, whose bound
     still exceeds ``bound`` gives the first violating product.
     """
-    rows = _loss_rows(dp.credal.generators, dp.loss)
-    # each choice's loss at its signal under each generator, over one denominator
-    per = [
-        [_worst_row(at, a.weights)[:2] for a in opts]
-        for at, opts in zip(_signal_rows(rows, dp.space.na), choices)
-    ]
+    na, live = dp.space.na, dp.credal.live
+    # each choice's loss at its live signal under each generator, over one denominator
+    per = []
+    for k, xi in enumerate(live):
+        at = [(r[k * na : (k + 1) * na], d) for r, d in dp.loss_rows]
+        per.append([_worst_row(at, a.weights)[:2] for a in choices[xi]])
     den = math.lcm(*[d for opts in per for _, d in opts])
-    losses = [[[v[i] * (den // d) for v, d in opts] for opts in per] for i in range(len(rows))]
+    losses = [
+        [[v[i] * (den // d) for v, d in opts] for opts in per]
+        for i in range(len(dp.loss_rows))
+    ]
     bn, bd = bound.as_integer_ratio()
     limit = bn * den
     # rest[i]: sum of max_k L[i][x'][k] over the signals x' after this one
     rest = [sum(max(row) for row in li) for li in losses]
     prefix = [0] * len(losses)
-    picked = []
-    for xi, opts in enumerate(choices):
-        rest = [r - max(li[xi]) for r, li in zip(rest, losses)]
-        for k, act in enumerate(opts):
-            if max(p + li[xi][k] + r for p, li, r in zip(prefix, losses, rest)) * bd > limit:
+    # a dead signal adds 0 under every choice, so it keeps its first
+    picked = [opts[0] for opts in choices]
+    for k, xi in enumerate(live):
+        rest = [r - max(li[k]) for r, li in zip(rest, losses)]
+        for j, act in enumerate(choices[xi]):
+            if max(p + li[k][j] + r for p, li, r in zip(prefix, losses, rest)) * bd > limit:
                 break
         else:
             return None
-        prefix = [p + li[xi][k] for p, li in zip(prefix, losses)]
-        picked.append(act)
+        prefix = [p + li[k][j] for p, li in zip(prefix, losses)]
+        picked[xi] = act
     return DecisionRule(space=dp.space, per_x=tuple(picked))
 
 
@@ -247,20 +253,17 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     reported witness is as plain as possible."""
     notes = sufficient_conditions(dp)
     post = solve_a_posteriori(dp)
-    # the prior rows and mixture are built once, for both saddle checks, the
-    # face and the posterior losses of its vertices
-    prior, game = _prior_game(dp)
-    prior = _checked(prior, game[0])
+    prior = _checked(dp, _prior_game(dp))
     weak = _weak_verdict(dp, notes, post, prior.value)
     if weak.result == INCONSISTENT:
         return ConsistencyVerdict(
             kind="time", result=INCONSISTENT, witness=weak.witness, notes=notes
         )
     # enumerate the face only once the weak check passes: it may be refused
-    prior = _checked(_with_face(dp, prior, game), game[0])
+    prior = _checked(dp, _with_face(dp, prior))
     live = support_x(dp.credal)
     rules = _det_first_lex(prior.optimal_rule_vertices)
-    for rule, (_, ms) in zip(rules, _rule_risks(dp, game[0], rules)):
+    for rule, (_, ms) in zip(rules, _rule_risks(dp, rules)):
         for x, m in zip(live, ms):
             mm = post.value(x)
             if m != mm:
@@ -312,8 +315,7 @@ def falsify_dynamic_consistency(dp: DecisionProblem, budget: int) -> Consistency
     notes = sufficient_conditions(dp)
     candidates = _dynamic_candidates(dp, budget)
     live = support_x(dp.credal)
-    rows = _loss_rows(dp.credal.generators, dp.loss)
-    big_m, m_vec = zip(*_rule_risks(dp, rows, candidates))
+    big_m, m_vec = zip(*_rule_risks(dp, candidates))
     # the scan compares ranks: each M_delta's place among the distinct
     # M_delta, and each m_delta(x)'s among the distinct ones at x
     big_r = _ranks(big_m)

@@ -17,7 +17,14 @@ generator and projects it to Y in one step, and prunes once, in Y
 coordinates.  The posterior game, dilation, calibration and the
 per-signal pieces of :func:`hull` all use it, so they never build a
 polytope over the joint space; :func:`marginal_y` is it on the whole
-signal set.
+signal set.  Each credal set conditions itself once per signal:
+:attr:`CredalSet.live` lists the signals some generator reaches and
+:attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them,
+both computed on first use and kept on the object.  Rectangularity,
+:func:`hull`, dilation and the posterior game read those, and a
+:class:`DecisionProblem` keeps the prior game's loss rows and, per live
+signal, the posterior game's rows over the conditionals
+(:func:`_action_losses`), from which every loss of a rule is read.
 :func:`condition` keeps the conditioned joint set for callers that need
 it; taking :func:`marginal_y` of it gives the same set as
 ``posterior_y(p, cell)``.
@@ -29,6 +36,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .linprog import SizeLimitError
 from .polytope import VPolytope, member, prune
@@ -193,6 +202,23 @@ class CredalSet:
             first.setdefault(g.mass, g)
         object.__setattr__(self, "generators", tuple(first.values()))
 
+    @cached_property
+    def live(self) -> tuple[int, ...]:
+        """Indices of the signals that some generator gives positive mass."""
+        return tuple(
+            i for i in range(self.space.nx) if any(any(g.mass[i]) for g in self.generators)
+        )
+
+    @cached_property
+    def conditionals(self) -> tuple[VPolytope | None, ...]:
+        """Per signal, :func:`posterior_y` at that signal alone, or None
+        where no generator reaches it: each set is conditioned once."""
+        live = set(self.live)
+        return tuple(
+            posterior_y(self, (x,)) if i in live else None
+            for i, x in enumerate(self.space.x_labels)
+        )
+
 
 def credal_set(space, masses, convex) -> CredalSet:
     return CredalSet(
@@ -224,6 +250,27 @@ class LossFunction:
         return max(vals) - min(vals)
 
 
+def _action_losses(loss: LossFunction, qs):
+    """One game row per ``q`` in ``qs``, (unnormalised) Y-vectors laid end to
+    end: each action's expected loss under each, as integers over a
+    denominator reduced by their gcd, so as :func:`common_denominator` of
+    the row's values."""
+    table, ld = common_denominator([v for row in loss.table for v in row])
+    na, ny = loss.space.na, loss.space.ny
+    columns = [table[a::na] for a in range(na)]  # each action's loss per outcome
+    rows = []
+    for q in qs:
+        nums, qd = common_denominator(q)
+        row = [
+            sum(map(mul, nums[k : k + ny], col))
+            for k in range(0, len(nums), ny)
+            for col in columns
+        ]
+        g = math.gcd(qd * ld, *row)
+        rows.append((tuple([v // g for v in row]), qd * ld // g))
+    return rows
+
+
 def loss_function(space, table) -> LossFunction:
     return LossFunction(space=space, table=rat_matrix(table))
 
@@ -248,6 +295,26 @@ class DecisionProblem:
     @property
     def space(self) -> ProblemSpace:
         return self.credal.space
+
+    @cached_property
+    def loss_rows(self):
+        """The prior game's rows, one per generator: its expected loss of
+        each (live signal, action) weight, signal-major
+        (:func:`_action_losses` of its mass at the live signals)."""
+        live = self.credal.live
+        return _action_losses(
+            self.loss, [[v for i in live for v in g.mass[i]] for g in self.credal.generators]
+        )
+
+    @cached_property
+    def posterior_rows(self):
+        """Per signal, the posterior game's rows there, one per generator of
+        the conditional set (:func:`_action_losses` of them), or None where
+        no generator reaches the signal."""
+        return tuple(
+            None if c is None else _action_losses(self.loss, c.generators)
+            for c in self.credal.conditionals
+        )
 
 
 @dataclass(frozen=True)
@@ -403,11 +470,7 @@ def marginal_y(p: CredalSet) -> VPolytope:
 
 def support_x(p: CredalSet) -> tuple[str, ...]:
     """Signals that receive positive probability from some generator."""
-    out = []
-    for i, x in enumerate(p.space.x_labels):
-        if any(sum(g.mass[i], ZERO) > 0 for g in p.generators):
-            out.append(x)
-    return tuple(out)
+    return tuple(p.space.x_labels[i] for i in p.live)
 
 
 def condition(p: CredalSet, x_event) -> CredalSet:
@@ -473,13 +536,6 @@ def c_condition(p: CredalSet, part: Partition, x) -> CredalSet:
     return condition(p, part.cell_of(x))
 
 
-def _conditional_lists(p: CredalSet) -> list[tuple[tuple[Fraction, ...], ...]]:
-    """Per signal, the generators of :func:`posterior_y` at that signal
-    alone, or ``()`` where no generator gives it positive probability."""
-    posts = (posterior_y(p, (x,)) for x in p.space.x_labels)
-    return [() if post is None else post.generators for post in posts]
-
-
 def hull(p: CredalSet) -> CredalSet:
     """Products of an X-marginal of ``p`` with per-signal conditionals of ``p``.
 
@@ -508,10 +564,10 @@ def hull(p: CredalSet) -> CredalSet:
     marg = prune(
         VPolytope(space.nx, tuple(g.x_marginal() for g in p.generators), p.convex)
     ).generators
-    cond_lists = _conditional_lists(p)
-
+    # a signal that some marginal reaches is live, so it has its conditionals
+    conds = p.conditionals
     count = sum(
-        math.prod(len(cond_lists[i]) for i in range(space.nx) if q[i] > 0)
+        math.prod(len(conds[i].generators) for i in range(space.nx) if q[i] > 0)
         for q in marg
     )
     if count > HULL_PRODUCT_LIMIT:
@@ -521,7 +577,7 @@ def hull(p: CredalSet) -> CredalSet:
     products = []
     for q in marg:
         live = [i for i in range(space.nx) if q[i] > 0]
-        for choice in itertools.product(*(cond_lists[i] for i in live)):
+        for choice in itertools.product(*(conds[i].generators for i in live)):
             pick = dict(zip(live, choice))
             rows = tuple(
                 tuple(q[i] * v for v in pick[i]) if i in pick else (ZERO,) * space.ny
@@ -546,7 +602,6 @@ def is_rectangular(p: CredalSet) -> bool:
     generators of ``p``, stopping at the first non-member.
     """
     target = joint_polytope(p)
-    cond_lists = _conditional_lists(p)
     ny = p.space.ny
     for g in p.generators:
         flat = g.flatten()
@@ -554,7 +609,7 @@ def is_rectangular(p: CredalSet) -> bool:
             if px == 0:
                 continue
             head, tail = flat[: i * ny], flat[(i + 1) * ny :]
-            for r in cond_lists[i]:
+            for r in p.conditionals[i].generators:
                 if not member(head + tuple(px * v for v in r) + tail, target):
                     return False
     return True
@@ -600,9 +655,8 @@ def _event_prob(q, y_idx) -> Fraction:
 def dilation_report(p: CredalSet) -> DilationReport:
     """Prior and per-signal posterior intervals for every proper Y-event."""
     space = p.space
-    live = support_x(p)
     prior_sets = [g.y_marginal() for g in p.generators]
-    posterior_sets = {x: posterior_y(p, (x,)).generators for x in live}
+    posterior_sets = [(space.x_labels[i], p.conditionals[i].generators) for i in p.live]
     rows = []
     ys = list(range(space.ny))
     events = []
@@ -612,9 +666,9 @@ def dilation_report(p: CredalSet) -> DilationReport:
         pri = [_event_prob(q, ev) for q in prior_sets]
         prior = (min(pri), max(pri))
         posts = []
-        dil = bool(live)
-        for x in live:
-            vals = [_event_prob(q, ev) for q in posterior_sets[x]]
+        dil = bool(posterior_sets)
+        for x, qs in posterior_sets:
+            vals = [_event_prob(q, ev) for q in qs]
             lohi = (min(vals), max(vals))
             posts.append((x, lohi))
             if not (lohi[0] < prior[0] and lohi[1] > prior[1]):

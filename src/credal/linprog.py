@@ -494,7 +494,10 @@ def block_game(rows, widths):
     the opponent's optimal mixture over rows.  The pair is verified as an
     exact saddle point: the worst row under ``w`` (:func:`_worst_row`) and
     the best block-wise reply to ``prices`` (:func:`_best_reply`) both give
-    the value.
+    the value.  That check follows from the :func:`_verify_optimal` that
+    :func:`lp_solve` has passed (``t``'s zero reduced cost makes ``prices``
+    sum to 1, slackness makes each priced row tight, and the dual
+    objective is the best reply's value), and is kept as a guard.
     """
     n = sum(widths)
     _check_rows(rows, n)

@@ -8,8 +8,7 @@ Two games are solved exactly:
   of the dual prices);
 * the posterior game: after observing ``x``, pick a randomized action
   against the conditioned outcome distributions
-  (:func:`credal.core.posterior_y`; one small matrix game per signal
-  value).
+  (``dp.credal.conditionals``; one small matrix game per signal value).
 
 Both games, and the constant-rule game of :func:`solve_ignoring`, are
 one LP shape: minimise the worst of finitely many linear losses over a
@@ -17,22 +16,22 @@ product of simplices.  :func:`credal.linprog.block_game` builds and
 checks that LP, and :func:`credal.linprog.optimal_face_vertices`
 enumerates its optimal face from the same rows, widths and value, over
 the columns that the verified bookie mixture leaves at zero reduced
-cost; this module only supplies the loss rows, each scaled to integers
-once, here, and read as they are downstream.
-
-Every loss of a rule is read from the prior game's own rows,
-:func:`_loss_rows`: generator i's expected loss of action a at signal x,
-in integers over a positive denominator, over every signal (the game
-takes their live-signal slice).  A rule's expected loss and worst prior
-loss (M_delta) are dot products of these rows with its weights, its
-worst posterior loss m_delta(x) the same at x over each generator's mass
-there.  The saddle check of :func:`verify_saddle` reads the same rows
-through the two checks :func:`credal.linprog.block_game` makes: the
-worst row under the rule and the best reply to the bookie's mixture.
-Each comparison is the ``Fraction`` comparison cross-multiplied by
-positive denominators, and every value returned is a ``Fraction``.  One
-solve builds its rows once, for the game, the face and each saddle
-check.
+cost.  The two games' rows are kept on the
+:class:`~credal.core.DecisionProblem`, built on first use and scaled to
+integers over a positive denominator once, and every loss of a rule is
+read from them.  ``dp.loss_rows`` are the prior game's: generator i's
+expected loss of action a at live signal x.  A rule's worst prior loss
+(M_delta) is their worst dot product with its weights at the live
+signals.  ``dp.posterior_rows[x]`` are the posterior game's at x, one per
+pruned vertex of the conditioned set ``dp.credal.conditionals[x]``, and
+the rule's worst posterior loss m_delta(x) is the worst of them under its
+action at x: a linear maximum over a hull is attained at its vertices,
+so this is the worst generator-wise posterior loss.  The saddle check of
+:func:`verify_saddle` reads the prior rows through the two checks
+:func:`credal.linprog.block_game` makes: the worst row under the rule and
+the best reply to the bookie's mixture.  Each comparison is the
+``Fraction`` comparison cross-multiplied by positive denominators, and
+every value returned is a ``Fraction``.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -54,10 +53,9 @@ from .core import (
     JointDistribution,
     LossFunction,
     RandomizedAction,
+    _action_losses,
     marginal_y,
-    posterior_y,
     rule_from_weights,
-    support_x,
     uniform_action,
 )
 from .linprog import (
@@ -88,7 +86,10 @@ __all__ = [
 
 ZERO = Fraction(0)
 
-BRUTE_FORCE_LIMIT = 10**7
+# Most rules :func:`brute_force_value` enumerates.  One rule cost 7-20 us
+# on seeded games files (2-5 actions, 3-6 generators), and 1,000,000 rules
+# took 10.6-11.5 s on files with 4 generators (2-core x86-64, Python 3.11).
+BRUTE_FORCE_LIMIT = 10**6
 
 
 class SolverError(Exception):
@@ -99,79 +100,29 @@ class SolverError(Exception):
 # loss evaluation primitives
 
 
-def _action_losses(loss: LossFunction, qs):
-    """One game row per ``q`` in ``qs``, (unnormalised) Y-vectors laid end to
-    end: each action's expected loss under each, as integers over a
-    denominator reduced by their gcd, so as :func:`common_denominator` of
-    the row's values."""
-    table, ld = common_denominator([v for row in loss.table for v in row])
-    na, ny = loss.space.na, loss.space.ny
-    columns = [table[a::na] for a in range(na)]  # each action's loss per outcome
-    rows = []
-    for q in qs:
-        nums, qd = common_denominator(q)
-        row = [
-            sum(map(mul, nums[k : k + ny], col))
-            for k in range(0, len(nums), ny)
-            for col in columns
-        ]
-        g = math.gcd(qd * ld, *row)
-        rows.append((tuple([v // g for v in row]), qd * ld // g))
-    return rows
-
-
-def _loss_rows(gens, loss: LossFunction):
-    """One row per generator, the prior game's own: its expected loss of each
-    (signal, action) weight, signal-major, over every signal
-    (:func:`_action_losses` of its flattened mass).  A signal that no
-    generator reaches is 0 in every row.  Every loss of a rule is read from
-    these rows."""
-    return _action_losses(loss, [g.flatten() for g in gens])
-
-
-def _signal_rows(rows, na):
-    """Per signal index, each row's slice there: one loss per action."""
-    n = len(rows[0][0])
-    return [[(r[k : k + na], d) for r, d in rows] for k in range(0, n, na)]
-
-
-def _posterior_rows(gens, signal_rows, xi):
-    """The :func:`_signal_rows` at ``xi`` of the generators that give ``xi``
-    mass, each over that mass too, and the masses' denominator ``pd``: such
-    a row's value under an action, times ``pd``, is the generator's
-    posterior loss of it at ``xi``."""
-    ps, pd = common_denominator([sum(g.mass[xi], ZERO) for g in gens])
-    return [(r, d * p) for (r, d), p in zip(signal_rows[xi], ps) if p], pd
-
-
 def _worst(rows, weights):
     """The largest value of ``rows`` under ``weights``, and its first row."""
     vals, den, i = _worst_row(rows, weights)
     return Fraction(vals[i], den), i
 
 
-def _posterior_worst(posterior, weights) -> Fraction:
-    """m_delta(x) from the :func:`_posterior_rows` at x and the rule's action
-    there; 0 when no generator gives x mass."""
-    rows, pd = posterior
-    if not rows:
-        return ZERO
-    vals, den, i = _worst_row(rows, weights)
-    return Fraction(vals[i] * pd, den)
+def _live_weights(dp: DecisionProblem, rule: DecisionRule):
+    """The weights of ``rule`` at the live signals, the prior game's columns."""
+    return [w for xi in dp.credal.live for w in rule.per_x[xi].weights]
 
 
-def _rule_risks(dp: DecisionProblem, rows, rules):
-    """M_delta and the m_delta(x) at every support signal of each of
-    ``rules``, read from the :func:`_loss_rows` ``rows``."""
-    gens, space = dp.credal.generators, dp.space
-    signal_rows = _signal_rows(rows, space.na)
-    posterior = [
-        (xi, _posterior_rows(gens, signal_rows, xi))
-        for xi in map(space.x_index, support_x(dp.credal))
-    ]
+def _widths(dp: DecisionProblem):
+    """The prior game's blocks: one simplex of actions per live signal."""
+    return [dp.space.na] * len(dp.credal.live)
+
+
+def _rule_risks(dp: DecisionProblem, rules):
+    """M_delta and the m_delta(x) at every live signal of each of ``rules``,
+    read from ``dp.loss_rows`` and ``dp.posterior_rows``."""
+    live, posterior = dp.credal.live, dp.posterior_rows
     for rule in rules:
-        yield _worst(rows, rule.flatten())[0], tuple(
-            _posterior_worst(post, rule.per_x[xi].weights) for xi, post in posterior
+        yield _worst(dp.loss_rows, _live_weights(dp, rule))[0], tuple(
+            _worst(posterior[xi], rule.per_x[xi].weights)[0] for xi in live
         )
 
 
@@ -185,7 +136,7 @@ def _mixed_mass(gens, mixture):
 
 
 def expected_loss(g: JointDistribution, rule: DecisionRule, loss: LossFunction) -> Fraction:
-    return _worst(_loss_rows((g,), loss), rule.flatten())[0]
+    return _worst(_action_losses(loss, [g.flatten()]), rule.flatten())[0]
 
 
 def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
@@ -194,20 +145,24 @@ def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
     For a convex set the maximum over the hull is attained at a
     generator, so scanning the generator list is exact either way.
     """
-    return _worst(_loss_rows(p.generators, loss), rule.flatten())
+    dp = DecisionProblem(p, loss)
+    return _worst(dp.loss_rows, _live_weights(dp, rule))
 
 
 def worst_case_posterior_loss(
     p: CredalSet, rule: DecisionRule, loss: LossFunction, x
 ) -> Fraction:
-    """Worst expected loss of ``rule`` under the conditioned set at ``x``.
+    """Worst expected loss of ``rule`` under the conditioned set at ``x``:
+    the worst of the posterior game's rows there, built for ``x`` alone.
 
     Zero when no generator gives ``x`` positive probability; such
     signals carry no posterior risk.
     """
     xi = p.space.x_index(x)
-    rows = _signal_rows(_loss_rows(p.generators, loss), p.space.na)
-    return _posterior_worst(_posterior_rows(p.generators, rows, xi), rule.per_x[xi].weights)
+    conditional = p.conditionals[xi]
+    if conditional is None:
+        return ZERO
+    return _worst(_action_losses(loss, conditional.generators), rule.per_x[xi].weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,35 +209,16 @@ def _face_rules(space, live_idx, verts):
     return tuple(rules)
 
 
-def _prior_rows(dp: DecisionProblem):
-    """The prior game's LP data: the :func:`_loss_rows` over every signal,
-    the live signal indices, the rows' slice at those signals and the block
-    widths.  A dead signal is 0 in every row, so each slice is the reduced
-    pair its row's live entries give."""
-    space = dp.space
-    na = space.na
-    rows = _loss_rows(dp.credal.generators, dp.loss)
-    live_idx = [space.x_index(x) for x in support_x(dp.credal)]
-    cols = [xi * na + a for xi in live_idx for a in range(na)]
-    game = [(tuple([r[j] for j in cols]), d) for r, d in rows]
-    return rows, live_idx, game, [na] * len(live_idx)
-
-
-def _prior_game(dp: DecisionProblem):
-    """The prior game solved without its face and not yet checked.
-
-    Returns the solution and the LP data of :func:`_prior_rows`, so that
-    the face and the saddle checks of one solve reuse them.
-    """
-    space = dp.space
-    game = _prior_rows(dp)
-    _rows, live_idx, rows, widths = game
-    value, w, mixture = block_game(rows, widths)
+def _prior_game(dp: DecisionProblem) -> MinimaxSolution:
+    """The prior game over ``dp.loss_rows`` solved without its face and not
+    yet checked."""
+    space, live = dp.space, dp.credal.live
+    value, w, mixture = block_game(dp.loss_rows, _widths(dp))
     mass, den = _mixed_mass(dp.credal.generators, mixture)
     ny = space.ny
-    solution = MinimaxSolution(
+    return MinimaxSolution(
         value=value,
-        rule=_block_rule(space, live_idx, w),
+        rule=_block_rule(space, live, w),
         bookie_mixture=mixture,
         aggregate=JointDistribution(
             space=space,
@@ -293,27 +229,26 @@ def _prior_game(dp: DecisionProblem):
         ),
         optimal_rule_vertices=None,
         unconstrained_x=tuple(
-            x for xi, x in enumerate(space.x_labels) if xi not in live_idx
+            x for xi, x in enumerate(space.x_labels) if xi not in live
         ),
     )
-    return solution, game
 
 
-def _checked(solution: MinimaxSolution, rows) -> MinimaxSolution:
+def _checked(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
     """``solution``, once :func:`verify_saddle` holds for its rule and bookie
-    mixture over the :func:`_loss_rows` ``rows``."""
-    report = _saddle_report(rows, solution.rule, solution.bookie_mixture)
+    mixture."""
+    report = _saddle_report(dp, solution.rule, solution.bookie_mixture)
     if not report.holds:
         raise SolverError("saddle check failed: %s" % (report.failing,))
     return solution
 
 
-def _with_face(dp: DecisionProblem, solution: MinimaxSolution, game) -> MinimaxSolution:
-    """``solution`` with its optimal face enumerated from the
-    :func:`_prior_rows` ``game``, not yet checked."""
-    _rows, live_idx, rows, widths = game
-    verts = optimal_face_vertices(rows, widths, solution.value, solution.bookie_mixture)
-    vertices = _face_rules(dp.space, live_idx, verts)
+def _with_face(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
+    """``solution`` with its optimal face enumerated, not yet checked."""
+    verts = optimal_face_vertices(
+        dp.loss_rows, _widths(dp), solution.value, solution.bookie_mixture
+    )
+    vertices = _face_rules(dp.space, dp.credal.live, verts)
     if not vertices:
         raise SolverError("optimal face came back empty")
     return replace(solution, rule=vertices[0], optimal_rule_vertices=vertices)
@@ -332,10 +267,10 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     expensive part); the reported rule is then the one the simplex
     landed on rather than the lexicographically smallest vertex.
     """
-    solution, game = _prior_game(dp)
+    solution = _prior_game(dp)
     if face:
-        solution = _with_face(dp, solution, game)
-    return _checked(solution, game[0])
+        solution = _with_face(dp, solution)
+    return _checked(dp, solution)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +319,17 @@ def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
     conditioned outcome distributions."""
     widths = [dp.space.na]
     points = []
-    for x in support_x(dp.credal):
-        proj = posterior_y(dp.credal, (x,))
-        rows = _action_losses(dp.loss, proj.generators)
+    for xi in dp.credal.live:
+        rows = dp.posterior_rows[xi]
         value, _w, mixture = block_game(rows, widths)
         verts = optimal_face_vertices(rows, widths, value, mixture)
         points.append(
             PosteriorPoint(
-                x=x,
+                x=dp.space.x_labels[xi],
                 value=value,
                 action_vertices=tuple(RandomizedAction(v) for v in verts),
                 bookie_mixture=mixture,
-                projection=proj,
+                projection=dp.credal.conditionals[xi],
             )
         )
     return PosteriorSolution(per_x=tuple(points))
@@ -412,7 +346,10 @@ class SaddleReport:
     ``value``: mixture-averaged expected loss of the rule.
     Clauses: the agent cannot improve against the aggregate; the bookie
     cannot improve against the rule; every generator in the mixture's
-    support attains the bookie's maximum.
+    support attains the bookie's maximum.  ``support-not-tight`` appears
+    in ``failing`` exactly when ``bookie-deviation`` does: for a
+    probability mixture, sum_i q_i v_i equals max v only when every row in
+    the support reaches that max.
     """
 
     holds: bool
@@ -430,19 +367,20 @@ def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleRep
     qs, qd = common_denominator(mixture)
     if any(q < 0 for q in qs) or sum(qs) != qd:
         raise ValueError("mixture must be a probability vector")
-    return _saddle_report(_loss_rows(gens, dp.loss), rule, mixture)
+    return _saddle_report(dp, rule, mixture)
 
 
-def _saddle_report(rows, rule: DecisionRule, mixture) -> SaddleReport:
+def _saddle_report(dp: DecisionProblem, rule: DecisionRule, mixture) -> SaddleReport:
     """:func:`verify_saddle` of ``rule`` against the probability vector
-    ``mixture``, over the :func:`_loss_rows` ``rows``: the bookie's best
-    response is the worst row under the rule and the agent's the best reply
-    to the mixture, the two checks of :func:`credal.linprog.block_game`."""
-    vals, den, worst = _worst_row(rows, rule.flatten())
+    ``mixture``, over ``dp.loss_rows``: the bookie's best response is the
+    worst row under the rule and the agent's the best reply to the mixture,
+    the two checks of :func:`credal.linprog.block_game`.  A dead signal
+    adds 0 to both."""
+    vals, den, worst = _worst_row(dp.loss_rows, _live_weights(dp, rule))
     qs, qd = common_denominator(mixture)
     value = Fraction(sum(map(mul, qs, vals)), qd * den)
     bookie_best = Fraction(vals[worst], den)
-    agent_best = _best_reply(rows, [rule.space.na] * rule.space.nx, mixture)[0]
+    agent_best = _best_reply(dp.loss_rows, _widths(dp), mixture)[0]
     failing = []
     if value != agent_best:
         failing.append("agent-deviation")
@@ -528,16 +466,14 @@ def brute_force_value(dp: DecisionProblem, grid: int):
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    space = dp.space
-    na = space.na
-    count = (grid + 1) ** (space.nx * (na - 1))
+    na = dp.space.na
+    live = dp.credal.live
+    # grid points of one simplex of actions, to the power of the live signals
+    count = math.comb(grid + na - 1, na - 1) ** len(live)
     if count > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
             "grid search limited to %d rules, got %d" % (BRUTE_FORCE_LIMIT, count)
         )
-
-    live = [space.x_index(x) for x in support_x(dp.credal)]
-    uniform = uniform_action(space).weights
 
     def compositions(total, parts):
         if parts == 1:
@@ -550,14 +486,10 @@ def brute_force_value(dp: DecisionProblem, grid: int):
     menu = [
         tuple(Fraction(c, grid) for c in comp) for comp in compositions(grid, na)
     ]
-    rows = _loss_rows(dp.credal.generators, dp.loss)
-    best = None
-    for combo in itertools.product(menu, repeat=len(live)):
-        weights = []
-        for xi in range(space.nx):
-            weights += combo[live.index(xi)] if xi in live else uniform
-        wc, _w = _worst(rows, weights)
-        if best is None or wc < best:
-            best = wc
+    # the k-th choice of a combination is the action at the k-th live signal
+    best = min(
+        _worst(dp.loss_rows, [w for act in combo for w in act])[0]
+        for combo in itertools.product(menu, repeat=len(live))
+    )
     slack = Fraction(na) * dp.loss.spread() / grid
     return best - slack, best

@@ -8,8 +8,7 @@ meet, so they decide the same predicates as ``Fraction`` arithmetic
 would; a ``Fraction`` is built only where a value leaves the function.
 That covers the LP and game rows, the certificates and saddle checks,
 and every prior and posterior loss of a rule that the minimax solvers
-and the consistency checks compare, all read from the prior game's
-rows.
+and the consistency checks compare, all read from the two games' rows.
 Floats are rejected at the boundaries: a float that survived into the
 pipeline would silently poison every downstream equality test.
 """

@@ -6,7 +6,9 @@ expected and worst-case losses (prior and posterior), the weak check's
 first violating posterior product, the mixed joint, the saddle check
 and the joint-mass check as they were computed in ``Fraction``.  On seeded
 random inputs, sound and tampered, the package must raise the same
-errors with the same messages and return equal values and reports.
+errors with the same messages and return equal values and reports.  The
+package reads a worst posterior loss from the posterior game's rows over
+the pruned conditionals; the oracle takes it generator by generator.
 """
 
 import random
@@ -27,8 +29,10 @@ from credal.core import (
     JointDistribution,
     ProblemSpace,
     RandomizedAction,
+    _action_losses,
     credal_set,
     loss_function,
+    posterior_y,
     support_x,
 )
 from credal.linprog import (
@@ -43,9 +47,6 @@ from credal.linprog import (
     lp_solve,
 )
 from credal.minimax import (
-    _action_losses,
-    _loss_rows,
-    _prior_rows,
     _rule_risks,
     expected_loss,
     solve_a_priori,
@@ -151,12 +152,11 @@ def _games(seed):
     games of random problems, their rows computed by minimax and by the
     ``Fraction`` oracle, and games of random rows."""
     for rng, dp in _problems(seed, 60):
-        gens = dp.credal.generators
-        _all, live_idx, rows, widths = _prior_rows(dp)
+        gens, live = dp.credal.generators, dp.credal.live
         yield [
-            [c for xi in live_idx for c in oracle._action_losses(dp.loss, g.mass[xi])]
+            [c for xi in live for c in oracle._action_losses(dp.loss, g.mass[xi])]
             for g in gens
-        ], rows, widths
+        ], dp.loss_rows, [dp.space.na] * len(live)
         qs = [g.y_marginal() for g in gens]
         yield [oracle._action_losses(dp.loss, q) for q in qs], _action_losses(dp.loss, qs), [
             dp.space.na
@@ -256,9 +256,8 @@ def test_rule_losses_and_the_first_violating_product_match_the_oracle():
         xis = [space.x_index(x) for x in live]
         dead += len(live) < space.nx
         zero_at_live += any(sum(g.mass[xi]) == 0 for g in p.generators for xi in xis)
-        rows = _loss_rows(p.generators, loss)
-        assert [[F(v, d) for v in r] for r, d in rows] == [
-            [c for row in g.mass for c in oracle._action_losses(loss, row)]
+        assert [[F(v, d) for v in r] for r, d in dp.loss_rows] == [
+            [c for xi in xis for c in oracle._action_losses(loss, g.mass[xi])]
             for g in p.generators
         ]
         for _ in range(3):
@@ -276,7 +275,7 @@ def test_rule_losses_and_the_first_violating_product_match_the_oracle():
             assert posterior == [
                 oracle.worst_case_posterior_loss(p, rule, loss, x) for x in space.x_labels
             ]
-            assert list(_rule_risks(dp, rows, [rule])) == [
+            assert list(_rule_risks(dp, [rule])) == [
                 (worst[0], tuple(posterior[xi] for xi in xis))
             ]
         choices = [
@@ -308,6 +307,90 @@ def test_dynamic_pair_scan_matches_the_fraction_oracle():
         seen[verdict.result] += 1
         seen["strict"] += verdict.strict_variant_witness is not None
     assert min(seen.values()) >= 10, seen
+
+
+def _posterior_problems(seed, count):
+    """Random problems, convex or finite, in which a signal may be dead, a
+    generator mixes two others (its conditional lies between theirs, so
+    pruning a convex set drops it) and a generator shares its conditional
+    at one signal with another (it has the other's row there, rescaled)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        space = _space(rng)
+        dead = rng.randrange(space.nx) if space.nx > 1 and rng.random() < 0.4 else None
+        masses = []
+        for _ in range(rng.randint(2, 3)):
+            mass = [list(row) for row in random_joint(rng, space).mass]
+            if dead is not None:
+                spill, mass[dead] = sum(mass[dead]), [F(0)] * space.ny
+                mass[(dead + 1) % space.nx][0] += spill
+            masses.append(mass)
+        if rng.random() < 0.6:
+            t = F(rng.randint(1, 4), 5)
+            masses.append([
+                [t * u + (1 - t) * v for u, v in zip(ra, rb)]
+                for ra, rb in zip(masses[0], masses[1])
+            ])
+        xi = rng.randrange(space.nx)
+        others = [j for j in range(space.nx) if j not in (xi, dead)]
+        if xi != dead and others and rng.random() < 0.6:
+            shared = [list(row) for row in masses[1]]
+            s = F(rng.randint(1, 3), 4)
+            shared[others[0]][0] += sum(shared[xi]) * (1 - s)
+            shared[xi] = [v * s for v in shared[xi]]
+            masses.append(shared)
+        p = credal_set(space, masses, rng.random() < 0.5)
+        yield rng, DecisionProblem(p, random_loss(rng, space))
+
+
+def test_posterior_rows_match_the_generator_wise_oracle():
+    # every m_delta(x) is read from the posterior game's rows over the pruned
+    # conditionals at x; it must be the worst generator-wise posterior loss
+    seen = dict.fromkeys(
+        ("dead", "pruned", "shared", "convex", "finite", "inconsistent", "unknown"), 0
+    )
+    for rng, dp in _posterior_problems(1901, 150):
+        p, loss, space = dp.credal, dp.loss, dp.space
+        assert support_x(p) == tuple(space.x_labels[i] for i in p.live)
+        seen["dead"] += len(p.live) < space.nx
+        seen["convex" if p.convex else "finite"] += 1
+        for xi, x in enumerate(space.x_labels):
+            conditional = p.conditionals[xi]
+            assert conditional == posterior_y(p, (x,))
+            if conditional is None:
+                assert dp.posterior_rows[xi] is None and xi not in p.live
+                continue
+            rows = [g.mass[xi] for g in p.generators if any(g.mass[xi])]
+            qs = [tuple(v / sum(row) for v in row) for row in rows]
+            seen["shared"] += len(set(qs)) < len(qs)
+            seen["pruned"] += len(conditional.generators) < len(set(qs))
+            assert [[F(v, d) for v in r] for r, d in dp.posterior_rows[xi]] == [
+                list(oracle._action_losses(loss, q)) for q in conditional.generators
+            ]
+        rules = [random_rule(rng, space) for _ in range(3)]
+        rules.append(replace(rules[0], per_x=tuple(
+            _deterministic_action(rng, space.na) for _ in range(space.nx)
+        )))
+        for rule in rules:
+            posterior = [
+                oracle.worst_case_posterior_loss(p, rule, loss, x) for x in space.x_labels
+            ]
+            assert [
+                worst_case_posterior_loss(p, rule, loss, x) for x in space.x_labels
+            ] == posterior
+            worst = oracle.worst_case_loss(p, rule, loss)[0]
+            assert list(_rule_risks(dp, [rule])) == [
+                (worst, tuple(posterior[xi] for xi in p.live))
+            ]
+        budget = rng.randrange(10)
+        try:
+            verdict = falsify_dynamic_consistency(dp, budget)
+        except SizeLimitError:
+            continue
+        want = oracle.dynamic_pair_scan(dp, _dynamic_candidates(dp, budget))
+        assert (verdict.result, verdict.witness, verdict.strict_variant_witness) == want
+        seen[verdict.result] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_saddle_mixture_errors_match_the_oracle():

@@ -404,11 +404,26 @@ def test_thirteen_actions_get_a_posterior_face(tmp_path, capsys, argv):
     assert expected[argv[0]] in text.splitlines()
 
 
+def test_time_check_conditions_each_live_signal_once(monkeypatch):
+    # the rectangularity check, the posterior game and the posterior losses
+    # all read the set's conditionals, computed once per signal
+    calls = []
+    posterior_y = credal.core.posterior_y
+
+    def counted(p, cell):
+        calls.append(tuple(cell))
+        return posterior_y(p, cell)
+
+    monkeypatch.setattr(credal.core, "posterior_y", counted)
+    assert lines("consistency", "time", "corpus/example-4.5")
+    assert calls == [("0",), ("1",)]
+
+
 def test_oracle_refuses_an_oversized_grid(capsys):
     code, _ = cli("oracle", "corpus/example-2.1", "--grid", "5000")
     assert code == 3
     err = capsys.readouterr().err
-    assert err == "refused: grid search limited to 10000000 rules, got 25010001\n"
+    assert err == "refused: grid search limited to 1000000 rules, got 25010001\n"
 
 
 def _nine_signals(tmp_path):
@@ -439,7 +454,7 @@ def _nine_signals(tmp_path):
         ),
         (
             ("oracle", "{}", "--grid", "10"),
-            "grid search limited to 10000000 rules, got %d" % 11**9,
+            "grid search limited to 1000000 rules, got %d" % 11**9,
         ),
     ),
 )

@@ -13,6 +13,7 @@ from credal.core import (
     credal_set,
     deterministic_rule,
     DecisionProblem,
+    ProblemSpace,
     marginal_y,
     rule_from_weights,
 )
@@ -45,7 +46,7 @@ from problems import (
     prediction_problem_with_exit,
     random_set_with_dead_signals,
 )
-from credal.sampling import random_loss
+from credal.sampling import random_loss, random_rule, simplex_point
 
 F = Fraction
 
@@ -231,6 +232,25 @@ def test_every_prior_solve_runs_the_saddle_check(monkeypatch, solve):
         solve(dp)
 
 
+def test_bookie_deviation_and_untight_support_fail_together():
+    # sum_i q_i v_i equals max v only when every row in the support of q
+    # reaches that max, so the two clauses always appear together
+    rng = random.Random(2001)
+    together = {True: 0, False: 0}
+    for _ in range(80):
+        p, _dead = random_set_with_dead_signals(rng, rng.random() < 0.5)
+        dp = DecisionProblem(p, random_loss(rng, p.space))
+        sol = solve_a_priori(dp, face=rng.random() < 0.5)
+        k = len(dp.credal.generators)
+        for mixture in (sol.bookie_mixture, simplex_point(rng, k)):
+            for rule in (sol.rule, random_rule(rng, dp.space)):
+                failing = verify_saddle(dp, mixture, rule).failing
+                both = "bookie-deviation" in failing
+                assert both == ("support-not-tight" in failing), failing
+                together[both] += 1
+    assert min(together.values()) >= 50, together
+
+
 def test_saddle_validates_mixture():
     dp = monty_problem()
     rule = deterministic_rule(dp.space, {"G2": "3", "G3": "2"})
@@ -278,9 +298,22 @@ def test_brute_force_sandwich():
 def test_brute_force_guard():
     dp = monty_problem()
     with pytest.raises(SizeLimitError):
-        brute_force_value(dp, 56)  # 57**4 rules refused
+        brute_force_value(dp, 56)  # comb(58, 2)**2 rules refused
     with pytest.raises(ValueError):
         brute_force_value(dp, 0)
+
+
+def test_brute_force_counts_grid_points_at_live_signals():
+    # three actions at two live signals, one dead: comb(44 + 2, 2)**2 rules,
+    # not 45**(3 * 2) rules over every signal
+    space = ProblemSpace(("0", "1", "2"), ("0", "1", "2"), ("0", "1", "2"))
+    third = [F(1, 6)] * 3
+    p = credal_set(space, [[third, third, [0, 0, 0]]], False)
+    dp = DecisionProblem(p, classification_loss(space))
+    with pytest.raises(SizeLimitError) as info:
+        brute_force_value(dp, 44)
+    assert str(info.value) == "grid search limited to 1000000 rules, got 1071225"
+    assert brute_force_value(dp, 2)[1] == solve_a_priori(dp, face=False).value
 
 
 def test_solver_is_deterministic():
