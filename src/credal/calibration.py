@@ -16,24 +16,21 @@ sharp rules can be found among partition conditionings, so sharpness
 questions here reduce to a search over partitions of the signal
 labels.
 
-Every question about one credal set goes through one memo of it: the
-conditioned Y-set of each signal event, computed once by
-:func:`credal.core.posterior_y` in outcome space only (ignoring is
-conditioning on every signal), the live signals, and the inclusion
-between every pair of sets handed out.  :func:`check_calibration`,
-:func:`equivalence_classes`, :func:`narrower` and
-:func:`refinement_fixpoint` each open one; :func:`sharp_partition` and
-:func:`is_sharply_calibrated` share one across their whole scan.
-:func:`sharp_partition` orders the calibrated partitions once, as
-bitsets: at each live signal it groups them by their cell there and
-asks inclusion once per pair of cells, so it never compares two
-partitions directly.
+Every question about one credal set reads the set's own conditioning
+cache: :func:`credal.core.posterior_y` keeps the conditioned Y-set of
+each signal event on the set, computed once, in outcome space only.
+Ignoring is conditioning on every signal, and a table rule's opinion
+set is the Y-marginal kept on that table entry's own set.  Every set
+handed out is pruned, so two are equal exactly when their generator
+sets are.  :func:`sharp_partition` orders the calibrated partitions
+once, as bitsets: at each live signal it groups them by their cell
+there and asks inclusion once per pair of cells, so it never compares
+two partitions directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import (
     CredalSet,
@@ -117,7 +114,7 @@ class UpdateRule:
         x = str(x)
         if x not in p.space.x_labels:
             raise ValueError("unknown signal label %r" % (x,))
-        return _Memo(p).image(self, x)
+        return _image(self, p, x)
 
     def label(self) -> str:
         if self.kind == _PARTITION:
@@ -164,90 +161,49 @@ def table_rule(mapping) -> UpdateRule:
     return UpdateRule(kind=_TABLE, table=table)
 
 
-class _Memo:
-    """What the calibration questions about one credal set share.
-
-    It holds the conditioned Y-set of every signal event asked for (one
-    :func:`~credal.core.posterior_y` call per cell), the live signals,
-    each table rule's opinion sets, and the inclusion between every pair
-    of sets it has handed out.  Inclusions are keyed by identity, which
-    is sound because the memo keeps every set it hands out alive.
-
-    Every set it hands out is pruned, so a convex set is its vertex set
-    and a finite set its points: two of them are equal exactly when
-    their :meth:`key` values are (a single point reads the same either
-    way, and a convex set with two vertices or more is never finite).
-    """
-
-    def __init__(self, p: CredalSet):
-        self.p = p
-        self._cells: dict[tuple[str, ...], VPolytope | None] = {}
-        self._tables: dict[tuple[UpdateRule, str], VPolytope | None] = {}
-        self._sub: dict[tuple[int, int], bool] = {}
-        self._keys: dict[int, tuple] = {}
-
-    @cached_property
-    def live(self) -> tuple[str, ...]:
-        return support_x(self.p)
-
-    def cell(self, cell: tuple[str, ...]) -> VPolytope | None:
-        """Y-marginal of ``p`` conditioned on ``cell`` (labels in label order)."""
-        if cell not in self._cells:
-            self._cells[cell] = posterior_y(self.p, cell)
-        return self._cells[cell]
-
-    def image(self, rule: UpdateRule, x: str) -> VPolytope | None:
-        """The rule's opinion set at the signal label ``x``; ignoring
-        conditions on every signal."""
-        labels = self.p.space.x_labels
-        if rule.kind == _IGNORE:
-            return self.cell(labels)
-        if rule.kind == _STANDARD:
-            return self.cell((x,))
-        if rule.kind == _PARTITION:
-            if tuple(rule.partition.labels) != labels:
-                raise ValueError("rule partition is over different labels")
-            return self.cell(rule.partition.cell_of(x))
-        key = (rule, x)
-        if key not in self._tables:
-            image = dict(rule.table).get(x)
-            if image is not None and image.space != self.p.space:
-                raise ValueError("table image on a different space")
-            self._tables[key] = None if image is None else marginal_y(image)
-        return self._tables[key]
-
-    def key(self, a: VPolytope) -> tuple:
-        """Equal for two sets from this memo exactly when the sets are equal."""
-        key = self._keys.get(id(a))
-        if key is None:
-            gens = a.generators
-            key = self._keys[id(a)] = (a.convex and len(gens) > 1, frozenset(gens))
-        return key
-
-    def sub(self, a: VPolytope, b: VPolytope) -> bool:
-        """Is ``a`` contained in ``b``?  Both must come from this memo."""
-        if self.key(a) == self.key(b):
-            return True
-        key = (id(a), id(b))
-        if key not in self._sub:
-            self._sub[key] = subset(a, b)
-        return self._sub[key]
+def _image(rule: UpdateRule, p: CredalSet, x: str) -> VPolytope | None:
+    """The rule's opinion set at the signal label ``x``, pruned; ignoring
+    conditions on every signal."""
+    if rule.kind == _IGNORE:
+        return marginal_y(p)
+    if rule.kind == _STANDARD:
+        return posterior_y(p, (x,))
+    if rule.kind == _PARTITION:
+        if tuple(rule.partition.labels) != p.space.x_labels:
+            raise ValueError("rule partition is over different labels")
+        return posterior_y(p, rule.partition.cell_of(x))
+    image = dict(rule.table).get(x)
+    if image is not None and image.space != p.space:
+        raise ValueError("table image on a different space")
+    return None if image is None else marginal_y(image)
 
 
-def _classes(rule: UpdateRule, memo: _Memo) -> tuple[Partition, dict]:
+def _key(a: VPolytope) -> tuple:
+    """Equal for two pruned sets exactly when the sets are: a convex set is
+    its vertices and a finite set its points, and the readings differ only
+    for two generators or more."""
+    return a.convex and len(a.generators) > 1, a.generator_set
+
+
+def _sub(a: VPolytope, b: VPolytope) -> bool:
+    """Is the pruned set ``a`` contained in the pruned set ``b``?"""
+    return _key(a) == _key(b) or subset(a, b)
+
+
+def _classes(rule: UpdateRule, p: CredalSet) -> tuple[Partition, dict]:
     """The rule's classes, and each class's opinion set (None when undefined)."""
     groups: dict[tuple, tuple[VPolytope, list[str]]] = {}
     missing: list[str] = []
-    for x in memo.p.space.x_labels:
-        img = memo.image(rule, x)
+    for x in p.space.x_labels:
+        img = _image(rule, p, x)
         if img is None:
             missing.append(x)
             continue
-        groups.setdefault(memo.key(img), (img, []))[1].append(x)
+        groups.setdefault(_key(img), (img, []))[1].append(x)
     images = {tuple(members): rep for rep, members in groups.values()}
     if missing:
         images[tuple(missing)] = None
-    return Partition(labels=memo.p.space.x_labels, cells=tuple(images)), images
+    return Partition(labels=p.space.x_labels, cells=tuple(images)), images
 
 
 def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
@@ -257,7 +213,7 @@ def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
     cell (calibration checks skip it).  Cells are in first-occurrence
     order of the x labels, matching the canonical partition layout.
     """
-    return _classes(rule, _Memo(p))[0]
+    return _classes(rule, p)[0]
 
 
 @dataclass(frozen=True)
@@ -294,16 +250,16 @@ def check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
     only the forward inclusion (conditioned marginal inside the
     opinion set).
     """
-    return _check_calibration(rule, _Memo(p))
+    return _check_calibration(rule, p)
 
 
-def _check_calibration(rule: UpdateRule, memo: _Memo) -> CalibrationReport:
-    classes, images = _classes(rule, memo)
+def _check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
+    classes, images = _classes(rule, p)
     reports = []
     excluded = []
     for cell in classes.cells:
         image = images[cell]
-        posterior = None if image is None else memo.cell(cell)
+        posterior = None if image is None else posterior_y(p, cell)
         if posterior is None:
             excluded.append(cell)
             continue
@@ -312,8 +268,8 @@ def _check_calibration(rule: UpdateRule, memo: _Memo) -> CalibrationReport:
                 cell=cell,
                 posterior=posterior,
                 image=image,
-                forward=memo.sub(posterior, image),
-                backward=memo.sub(image, posterior),
+                forward=_sub(posterior, image),
+                backward=_sub(image, posterior),
             )
         )
     return CalibrationReport(
@@ -334,19 +290,15 @@ def narrower(r1: UpdateRule, r2: UpdateRule, p: CredalSet) -> str:
     one containment is proper, ``"not-narrower"`` otherwise.  Both
     rules must be defined on the whole support.
     """
-    return _narrower(r1, r2, _Memo(p))
-
-
-def _narrower(r1: UpdateRule, r2: UpdateRule, memo: _Memo) -> str:
     strict = False
-    for x in memo.live:
-        a = memo.image(r1, x)
-        b = memo.image(r2, x)
+    for x in support_x(p):
+        a = _image(r1, p, x)
+        b = _image(r2, p, x)
         if a is None or b is None:
             raise ValueError("rule undefined at support signal %r" % (x,))
-        if not memo.sub(a, b):
+        if not _sub(a, b):
             return NOT_NARROWER
-        if memo.key(a) != memo.key(b):
+        if _key(a) != _key(b):
             strict = True
     return STRICTLY_NARROWER if strict else NARROWER
 
@@ -389,14 +341,9 @@ def refinement_fixpoint(p: CredalSet, start: Partition | None = None) -> Partiti
     merges cells, so this terminates after at most ``nx`` rounds.
     """
     _require_convex(p, "refinement iteration")
-    return _fixpoint(_Memo(p), start)
-
-
-def _fixpoint(memo: _Memo, start: Partition | None) -> Partition:
-    labels = memo.p.space.x_labels
-    current = start if start is not None else Partition.singletons(labels)
-    for _ in range(len(labels) + 1):
-        refined = _classes(partition_conditioning(current), memo)[0]
+    current = start or Partition.singletons(p.space.x_labels)
+    for _ in range(p.space.nx + 1):
+        refined = equivalence_classes(partition_conditioning(current), p)
         if refined == current:
             return current
         current = refined
@@ -431,13 +378,12 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     enumeration order, and the minimal ones are those with none.
     """
     _require_sharpness_search(p)
-    memo = _Memo(p)
-    if not memo.live:
+    if not p.live:
         raise ValueError("credal set has empty signal support")
     examined = [partition_conditioning(c) for c in all_partitions(p.space.x_labels)]
-    calibrated = [r for r in examined if _check_calibration(r, memo).calibrated]
-    strict = _strictly_narrower_sets(calibrated, memo)
-    start = partition_conditioning(_fixpoint(memo, None))
+    calibrated = [r for r in examined if _check_calibration(r, p).calibrated]
+    strict = _strictly_narrower_sets(calibrated, p)
+    start = partition_conditioning(refinement_fixpoint(p))
     if start not in calibrated:
         raise AssertionError("refinement fixpoint should be calibrated")
     current = calibrated.index(start)
@@ -457,7 +403,7 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _strictly_narrower_sets(rules: list[UpdateRule], memo: _Memo) -> list[int]:
+def _strictly_narrower_sets(rules: list[UpdateRule], p: CredalSet) -> list[int]:
     """For each partition rule, the bitmask of the rules strictly narrower
     than it (bit ``j`` stands for ``rules[j]``).
 
@@ -465,23 +411,29 @@ def _strictly_narrower_sets(rules: list[UpdateRule], memo: _Memo) -> list[int]:
     inclusion is asked once per pair of sets.  ``below[i]`` is the AND
     over the signals of the rules whose set lies inside rule ``i``'s,
     ``same[i]`` of those whose set equals it; strictly narrower is
-    below and not the same everywhere.
+    below and not the same everywhere.  Images are grouped, and
+    inclusions kept, by identity: ``p`` keeps every set it hands out
+    alive, one per cell.
     """
     everyone = (1 << len(rules)) - 1
     below = [everyone] * len(rules)
     same = [everyone] * len(rules)
-    for x in memo.live:
+    sub: dict[tuple[int, int], bool] = {}
+    for x in support_x(p):
         groups: dict[int, tuple[VPolytope, list[int]]] = {}
         for i, rule in enumerate(rules):
-            image = memo.image(rule, x)
+            image = _image(rule, p, x)
             groups.setdefault(id(image), (image, []))[1].append(i)
         masks = [(image, sum(1 << i for i in members)) for image, members in groups.values()]
         for outer, members in groups.values():
             inside = equal = 0
             for inner, mask in masks:
-                if memo.sub(inner, outer):
+                pair = id(inner), id(outer)
+                if pair not in sub:
+                    sub[pair] = _sub(inner, outer)
+                if sub[pair]:
                     inside |= mask
-                    if memo.key(inner) == memo.key(outer):
+                    if _key(inner) == _key(outer):
                         equal |= mask
             for i in members:
                 below[i] &= inside
@@ -505,16 +457,15 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     strictly narrower calibrated partition.
     """
     _require_sharpness_search(p)
-    memo = _Memo(p)
-    if not _check_calibration(rule, memo).calibrated:
+    if not _check_calibration(rule, p).calibrated:
         raise ValueError("sharpness is only defined for calibrated rules")
-    if any(memo.image(rule, x) is None for x in memo.live):
+    if any(_image(rule, p, x) is None for x in support_x(p)):
         raise ValueError("rule undefined at a support signal")
     for cand in all_partitions(p.space.x_labels):
         cand_rule = partition_conditioning(cand)
         if (
-            _check_calibration(cand_rule, memo).calibrated
-            and _narrower(cand_rule, rule, memo) == STRICTLY_NARROWER
+            _check_calibration(cand_rule, p).calibrated
+            and narrower(cand_rule, rule, p) == STRICTLY_NARROWER
         ):
             return SharpnessVerdict(sharp=False, witness=cand)
     return SharpnessVerdict(sharp=True, witness=None)

@@ -17,11 +17,12 @@ generator and projects it to Y in one step, and prunes once, in Y
 coordinates.  The posterior game, dilation, calibration and the
 per-signal pieces of :func:`hull` all use it, so they never build a
 polytope over the joint space; :func:`marginal_y` is it on the whole
-signal set.  Each credal set conditions itself once per signal:
-:attr:`CredalSet.live` lists the signals some generator reaches and
-:attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them,
-both computed on first use and kept on the object.  Rectangularity,
-:func:`hull`, dilation and the posterior game read those, and a
+signal set.  Each credal set conditions each signal event once: it
+keeps every answer of ``posterior_y``, keyed by the cell, for every
+caller.  :attr:`CredalSet.live` lists the signals some generator
+reaches and :attr:`CredalSet.conditionals` holds ``posterior_y`` at
+each of them.  Rectangularity, :func:`hull`, dilation and the
+posterior game read those, and a
 :class:`DecisionProblem` keeps the prior game's loss rows and, per live
 signal, the posterior game's rows over the conditionals
 (:func:`_action_losses`), from which every loss of a rule is read.
@@ -210,6 +211,11 @@ class CredalSet:
         )
 
     @cached_property
+    def _posteriors(self) -> dict[tuple, VPolytope | None]:
+        """:func:`posterior_y` of each cell asked, keyed by the cell as passed."""
+        return {}
+
+    @cached_property
     def conditionals(self) -> tuple[VPolytope | None, ...]:
         """Per signal, :func:`posterior_y` at that signal alone, or None
         where no generator reaches it: each set is conditioned once."""
@@ -241,9 +247,6 @@ class LossFunction:
         for row in self.table:
             if len(row) != self.space.na:
                 raise ValueError("loss row length != number of actions")
-
-    def value(self, yi: int, ai: int) -> Fraction:
-        return self.table[yi][ai]
 
     def spread(self) -> Fraction:
         vals = [v for row in self.table for v in row]
@@ -347,9 +350,6 @@ class DecisionRule:
         for act in self.per_x:
             if len(act.weights) != self.space.na:
                 raise ValueError("action weight length != number of actions")
-
-    def action(self, xi: int) -> RandomizedAction:
-        return self.per_x[xi]
 
     def is_deterministic(self) -> bool:
         return all(a.is_deterministic() for a in self.per_x)
@@ -508,8 +508,17 @@ def posterior_y(p: CredalSet, cell) -> VPolytope | None:
     The same set as :func:`marginal_y` of :func:`condition`: projecting
     to Y commutes with dropping generators that are redundant in the
     joint space, so pruning once in Y coordinates is enough.  None when no
-    generator gives the cell positive probability.
+    generator gives the cell positive probability.  Each cell is
+    conditioned once per set: the answer is kept on ``p``.
     """
+    cell, cache = tuple(cell), p._posteriors
+    if cell not in cache:
+        cache[cell] = _posterior_y(p, cell)
+    return cache[cell]
+
+
+def _posterior_y(p: CredalSet, cell) -> VPolytope | None:
+    """:func:`posterior_y` computed afresh."""
     idx = sorted({p.space.x_index(x) for x in cell})
     if not idx:
         raise ValueError("conditioning event must be nonempty")

@@ -23,7 +23,7 @@ Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
 simplices.  :func:`optimal_face_vertices` enumerates the optimal face of
 that shape only, over the columns that a verified optimal mixture of the
-rows leaves at zero reduced cost.
+rows leaves at zero reduced cost, with the rows it prices as equalities.
 
 Conventions
 -----------
@@ -584,36 +584,43 @@ def optimal_face_vertices(rows, widths, value, prices) -> list[tuple[Fraction, .
     ``prices`` whose best block-wise reply is ``value`` (else
     :class:`InternalCheckError`).  On the face ``value >= prices.rows.w >=
     value``, so a column priced above its block minimum (a positive
-    reduced cost) is 0; only the others are enumerated."""
+    reduced cost) is 0 and a row with a positive price is tight
+    (complementary slackness); only the other columns are enumerated, with
+    the priced rows as equalities."""
     n = sum(widths)
     _check_rows(rows, n)
     best_reply, keep, kept_widths = _best_reply(rows, widths, prices)
     if best_reply != value:
         raise InternalCheckError("face prices do not certify the value")
     pos = {j: k for k, j in enumerate(keep)}  # the same zeros everywhere keep the order
-    reduced = _face_vertices([([r[j] for j in keep], d) for r, d in rows], kept_widths, value)
-    return [tuple(v[pos[j]] if j in pos else ZERO for j in range(n)) for v in reduced]
+    reduced = [([r[j] for j in keep], d) for r, d in rows]
+    tight = [r for r, q in zip(reduced, prices) if q > 0]
+    loose = [r for r, q in zip(reduced, prices) if q <= 0]
+    vertices = _face_vertices(loose, kept_widths, value, tight)
+    return [tuple(v[pos[j]] if j in pos else ZERO for j in range(n)) for v in vertices]
 
 
-def _face_vertices(rows, widths, value) -> list[tuple[Fraction, ...]]:
-    """Vertices of ``{w : rows[i].w <= value}`` with ``w`` on the product of
-    simplices of :func:`block_game`, sorted; ``[]`` when ``value`` is below
-    the game value.
+def _face_vertices(rows, widths, value, tight=()) -> list[tuple[Fraction, ...]]:
+    """Vertices of ``{w : rows[i].w <= value, tight[i].w = value}`` with
+    ``w`` on the product of simplices of :func:`block_game`, sorted; ``[]``
+    when ``value`` is below the game value.
 
-    Brute force over active sets: a vertex makes every block row tight and
-    ``need = n - len(widths)`` more constraints tight, ``t`` of them game
-    rows and the rest coordinates at 0.  Limited to
-    ``FACE_CANDIDATE_LIMIT`` candidate systems, counted before any system
-    is solved.  The face is bounded (it lies in the product of simplices),
-    so no probe is needed.  A row ``nums / d`` at most ``vn / vd`` is the
-    integer row ``vd nums <= d vn``; each candidate is solved by the integer
-    kernel and tested in integers, and only its vertices become fractions.
+    Brute force over active sets: a vertex satisfies the block rows and
+    the ``tight`` rows, of rank ``r``, and makes ``need = n - r`` more
+    constraints tight, ``t`` of them rows of ``rows`` and the rest
+    coordinates at 0.  Limited to ``FACE_CANDIDATE_LIMIT`` candidate
+    systems, counted before any system is solved.  The face is bounded
+    (it lies in the product of simplices), so no probe is needed.  A row
+    ``nums / d`` at most ``vn / vd`` is the integer row ``vd nums <= d
+    vn``; each candidate is solved by the integer kernel and tested in
+    integers, and only its vertices become fractions.
     """
     n = sum(widths)
     vn, vd = value.as_integer_ratio()
     le = [[vd * v for v in nums] + [d * vn] for nums, d in rows]
     eq = [b + [1] for b in _block_rows(widths)]
-    need = n - len(widths)
+    eq += [[vd * v for v in nums] + [d * vn] for nums, d in tight]
+    need = n - len(_bareiss([r[:n] for r in eq], n)[0])
     candidates = sum(
         math.comb(len(le), t) * math.comb(n, need - t)
         for t in range(min(need, len(le)) + 1)
@@ -632,7 +639,7 @@ def _face_vertices(rows, widths, value) -> list[tuple[Fraction, ...]]:
             # b != 0 the candidate is inconsistent before any elimination.
             live = [sum(1 << j for j in range(n) if r[j]) for r in system if r[n]]
             # the n - need + t coordinates not fixed at 0
-            for free_idx in itertools.combinations(range(n), len(widths) + t):
+            for free_idx in itertools.combinations(range(n), n - need + t):
                 free_mask = sum(1 << j for j in free_idx)
                 if any(not support & free_mask for support in live):
                     continue

@@ -86,9 +86,10 @@ __all__ = [
 
 ZERO = Fraction(0)
 
-# Most rules :func:`brute_force_value` enumerates.  One rule cost 7-20 us
-# on seeded games files (2-5 actions, 3-6 generators), and 1,000,000 rules
-# took 10.6-11.5 s on files with 4 generators (2-core x86-64, Python 3.11).
+# Most row evaluations :func:`brute_force_value` makes, its rules times the
+# prior game's rows.  One cost 1.3-10 us on seeded games files (1-12
+# generators), the most with one; 1,000,000 took 7.0-7.6 s with one generator
+# and 2.6 s with four (2-core x86-64, Python 3.11).
 BRUTE_FORCE_LIMIT = 10**6
 
 
@@ -470,9 +471,11 @@ def brute_force_value(dp: DecisionProblem, grid: int):
     live = dp.credal.live
     # grid points of one simplex of actions, to the power of the live signals
     count = math.comb(grid + na - 1, na - 1) ** len(live)
-    if count > BRUTE_FORCE_LIMIT:
+    rows = len(dp.loss_rows)
+    if count * rows > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
-            "grid search limited to %d rules, got %d" % (BRUTE_FORCE_LIMIT, count)
+            "grid search limited to %d row evaluations, got %d (%d rules x %d rows)"
+            % (BRUTE_FORCE_LIMIT, count * rows, count, rows)
         )
 
     def compositions(total, parts):

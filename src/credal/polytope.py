@@ -63,6 +63,11 @@ class VPolytope:
         """Coordinate-wise minimum and maximum over the generators."""
         return _box(self.generators)
 
+    @cached_property
+    def generator_set(self) -> frozenset[tuple[Fraction, ...]]:
+        """The generators, unordered."""
+        return frozenset(self.generators)
+
 
 def polytope(points, convex, dimension=None) -> VPolytope:
     pts = tuple(rat_seq(p) for p in points)

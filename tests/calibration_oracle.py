@@ -1,15 +1,15 @@
-"""Calibration, narrowness and sharpness by the pre-memo paths, kept as a test oracle.
+"""Calibration, narrowness and sharpness by the paths before any cache, kept as a test oracle.
 
 This is the code ``credal.calibration`` ran before every calibration
-question went through one memo per credal set: each class's image and
-posterior are conditioned afresh, refinement re-conditions every cell
-on every round, and the sharpness search keeps its own cell cache and
-its own calibration and narrowness loops.  Every inclusion is asked of
-the LP-only :mod:`polytope_oracle`, so the oracle shares neither the
-box and segment shortcuts of ``credal.polytope`` nor the bitset poset
-of ``credal.calibration.sharp_partition``.  Tests compare the package's
-answers against these, report field by report field.
-"""
+question read one conditioning cache per credal set: each class's
+image and posterior are conditioned afresh, past the set's own cache,
+refinement re-conditions every cell on every round, and the sharpness
+search keeps its own cell cache and its own calibration and narrowness
+loops.  Every inclusion is asked of the LP-only :mod:`polytope_oracle`,
+so the oracle shares neither the box and segment shortcuts of
+``credal.polytope`` nor the bitset poset of
+``credal.calibration.sharp_partition``.  Tests compare the package's
+answers against these, report field by report field."""
 
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from credal.calibration import (
     _require_sharpness_search,
     partition_conditioning,
 )
-from credal.core import CredalSet, Partition, marginal_y, posterior_y, support_x
+from credal.core import CredalSet, Partition, support_x
+from credal.core import _posterior_y as posterior_y  # afresh, past the set's cache
 from credal.partitions import all_partitions
 from credal.polytope import VPolytope
 from polytope_oracle import set_equal, subset
@@ -41,7 +42,7 @@ def image_y(rule: UpdateRule, p: CredalSet, x) -> VPolytope | None:
     if x not in p.space.x_labels:
         raise ValueError("unknown signal label %r" % (x,))
     if rule.kind == _IGNORE:
-        return marginal_y(p)
+        return posterior_y(p, p.space.x_labels)
     if rule.kind == _STANDARD:
         return posterior_y(p, (x,))
     if rule.kind == _PARTITION:
@@ -52,7 +53,7 @@ def image_y(rule: UpdateRule, p: CredalSet, x) -> VPolytope | None:
         if label == x:
             if image.space != p.space:
                 raise ValueError("table image on a different space")
-            return marginal_y(image)
+            return posterior_y(image, image.space.x_labels)
     return None
 
 

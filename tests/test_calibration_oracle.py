@@ -1,5 +1,7 @@
-"""Classes, calibration, narrowness and sharpness through one memo per
-credal set, against the paths they replaced."""
+"""Classes, calibration, narrowness and sharpness, read through each
+credal set's own conditioning cache: against the paths they replaced,
+under transforms of the set that must map every answer back, and on a
+set every other question has used against a fresh one."""
 
 import random
 import time
@@ -7,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import credal.calibration as calibration
+import credal.core
 from credal.calibration import (
     check_calibration,
     ignore_rule,
@@ -14,7 +17,15 @@ from credal.calibration import (
     standard_conditioning,
     table_rule,
 )
-from credal.core import ProblemSpace, UndefinedConditionalError, condition, credal_set, hull
+from credal.core import (
+    CredalSet,
+    Partition,
+    ProblemSpace,
+    UndefinedConditionalError,
+    condition,
+    credal_set,
+    hull,
+)
 from credal.corpus import load_corpus
 from credal.linprog import SizeLimitError
 from credal.partitions import all_partitions, bell_number
@@ -79,6 +90,11 @@ def _random_set(rng, nx, convex=True, ny=None):
         if len(h.generators) <= 16:
             return h
     return p
+
+
+def _fresh(p):
+    """The same set as a new object, so with nothing conditioned yet."""
+    return CredalSet(p.space, p.generators, p.convex)
 
 
 def _rules(rng, p):
@@ -188,18 +204,19 @@ def test_sharpness_at_the_signal_limit_in_seconds():
 
 
 def test_check_calibration_conditions_each_cell_once(monkeypatch):
+    # counts the conditioning itself, past the set's cache
     calls = Counter()
-    posterior_y = calibration.posterior_y
+    compute = credal.core._posterior_y
 
     def counted(p, cell):
         calls[tuple(cell)] += 1
-        return posterior_y(p, cell)
+        return compute(p, cell)
 
-    monkeypatch.setattr(calibration, "posterior_y", counted)
+    monkeypatch.setattr(credal.core, "_posterior_y", counted)
     rng = random.Random(5)
     for _ in range(20):
+        p = _fresh(_random_set(rng, rng.randint(2, 5)))
         calls.clear()
-        p = _random_set(rng, rng.randint(2, 5))
         report = check_calibration(standard_conditioning(), p)
         assert calls and max(calls.values()) == 1
         assert all(cl.cell in calls for cl in report.per_class)
@@ -216,3 +233,101 @@ def test_corpus_sets_match_the_oracle():
             _agree("is_sharply_calibrated", rule, p)
         _agree("sharp_partition", p)
         _agree("refinement_fixpoint", p)
+
+
+def _permuted(p, order):
+    """``p`` with its signals listed in ``order``, indices into its labels."""
+    labels = tuple(p.space.x_labels[i] for i in order)
+    space = ProblemSpace(labels, p.space.y_labels, p.space.actions)
+    return credal_set(space, [[g.mass[i] for i in order] for g in p.generators], p.convex)
+
+
+def _unordered(part):
+    return frozenset(map(frozenset, part.cells))
+
+
+def _order_free_answers(p, parts):
+    """The answers about ``p`` that do not depend on the order of its
+    signals, for the standard, ignore and ``parts`` partition rules.
+    The descent and the sharpness witness take the first partition in
+    enumeration order, so they are left out."""
+    labels = p.space.x_labels
+    rules = [standard_conditioning(), ignore_rule()]
+    rules += [partition_conditioning(Partition(labels, c.cells)) for c in parts]
+    out = {}
+    for i, rule in enumerate(rules):
+        report = check_calibration(rule, p)
+        out["classes", i] = _unordered(report.classes)
+        out["per class", i] = frozenset(
+            (frozenset(r.cell), r.forward, r.backward) for r in report.per_class
+        )
+        out["verdicts", i] = report.calibrated, report.semi_calibrated
+        for j, other in enumerate(rules):
+            out["narrower", i, j] = calibration.narrower(rule, other, p)
+        verdict = _outcome(calibration.is_sharply_calibrated, rule, p)
+        out["sharp", i] = getattr(verdict, "sharp", verdict)
+    found = _outcome(calibration.sharp_partition, p)
+    if isinstance(found[1], calibration.SharpnessCertificate):
+        cert = found[1]
+        found = frozenset(map(_unordered, cert.minimal)), cert.calibrated_count, cert.examined
+    out["sharp partition"] = found
+    fixpoint = _outcome(calibration.refinement_fixpoint, p)
+    out["fixpoint"] = _unordered(fixpoint) if isinstance(fixpoint, Partition) else fixpoint
+    return out
+
+
+def test_answers_map_back_under_signal_permutations():
+    rng = random.Random(1401_3906)
+    for trial in range(24):
+        p = _random_set(rng, rng.randint(2, 5), convex=trial % 4 != 0)
+        parts = rng.sample(list(all_partitions(p.space.x_labels)), 2)
+        order = list(range(p.space.nx))
+        rng.shuffle(order)
+        assert _order_free_answers(_permuted(p, order), parts) == _order_free_answers(p, parts)
+
+
+def test_redundant_generators_leave_every_answer_unchanged():
+    # a repeated generator, and (convex) the midpoint of two generators
+    rng = random.Random(21)
+    for trial in range(24):
+        p = _random_set(rng, rng.randint(2, 5), convex=trial % 4 != 0)
+        parts = rng.sample(list(all_partitions(p.space.x_labels)), 2)
+        masses = [g.mass for g in p.generators]
+        extra = [masses + [rng.choice(masses)]]
+        if p.convex and len(masses) > 1:
+            a, b = rng.sample(masses, 2)
+            mid = [[(u + v) / 2 for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+            extra.append(masses + [mid])
+        want = _order_free_answers(p, parts)
+        for grown in extra:
+            assert _order_free_answers(credal_set(p.space, grown, p.convex), parts) == want
+
+
+def test_a_used_set_answers_as_a_fresh_one():
+    rng = random.Random(1214)
+    for trial in range(24):
+        p = _random_set(rng, rng.randint(2, 5), convex=trial % 4 != 0)
+        rules = _rules(rng, p)
+        start = rng.choice(list(all_partitions(p.space.x_labels)))
+        questions = [("sharp_partition",), ("refinement_fixpoint",), ("refine_partition", start)]
+        for r1 in rules:
+            questions += [
+                ("equivalence_classes", r1),
+                ("check_calibration", r1),
+                ("is_sharply_calibrated", r1),
+            ]
+            questions += [("narrower", r1, r2) for r2 in rules]
+
+        def ask(question, q):
+            name, *args = question
+            if name in ("sharp_partition", "refinement_fixpoint"):
+                return _outcome(getattr(calibration, name), q, *args)
+            return _outcome(getattr(calibration, name), *args, q)
+
+        for question in questions:
+            ask(question, p)
+        for question in reversed(questions):
+            assert ask(question, p) == ask(question, _fresh(p)), question
+        assert [r.image_y(p, x) for r in rules for x in p.space.x_labels] == [
+            r.image_y(_fresh(p), x) for r in rules for x in p.space.x_labels
+        ]

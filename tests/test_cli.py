@@ -291,13 +291,93 @@ def test_solve_answers_a_ten_by_five_file(tmp_path, capsys):
 
 def test_solve_refuses_a_constant_loss_ten_by_five_face(tmp_path, capsys):
     # every column costs the same under any prices, so no column is
-    # dropped and the reduced system is the full one
+    # dropped; only the priced rows become equalities
     path = _ten_by_five(tmp_path, loss=[["1", "1"]] * 5)
     code, _ = cli("solve", str(path))
     assert code == 3
     err = capsys.readouterr().err
     assert err == (
-        "refused: face enumeration limited to %d candidate systems, got 1144066\n"
+        "refused: face enumeration limited to %d candidate systems, got 646646\n"
+        % FACE_CANDIDATE_LIMIT
+    )
+
+
+def _games_file(tmp_path, seed, nx, ny, na, k):
+    """A seeded convex file: ``k`` joints with every cell positive, over
+    denominators of two to three times the cell count, and losses in
+    [-12, 12] over denominators 1-4."""
+    rng = random.Random(seed)
+    space = ProblemSpace(*(tuple(map(str, range(n))) for n in (nx, ny, na)))
+    masses = []
+    for _ in range(k):
+        denom = rng.randint(2 * nx * ny, max(24, 3 * nx * ny))
+        counts = [1] * (nx * ny)
+        for _ in range(denom - nx * ny):
+            counts[rng.randrange(nx * ny)] += 1
+        masses.append([[Fraction(c, denom) for c in counts[i * ny : (i + 1) * ny]] for i in range(nx)])
+    loss = [[Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(na)] for _ in range(ny)]
+    pf = problem_file_from(credal_set(space, masses, True), credal.loss_function(space, loss))
+    path = tmp_path / ("games-%dx%dx%dx%d.json" % (nx, ny, na, k))
+    path.write_text(render_problem_file(pf), encoding="utf-8")
+    return path
+
+
+def test_solve_answers_a_face_of_one_point_by_its_priced_rows(tmp_path, capsys):
+    # 20 signals, 5 outcomes, 4 actions, 8 generators: the block rows and
+    # the 7 priced rows, as equalities, have rank 26, the number of kept
+    # columns, so one candidate system remains
+    path = _games_file(tmp_path, 2008, 20, 5, 4, 8)
+    start = time.perf_counter()
+    code, text = cli("solve", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert text.splitlines()[2:4] == ["unique: yes", "face vertices: 1"]
+    _assert_solve_replays(path, text)
+    assert "time consistency: inconsistent" in lines("consistency", "time", str(path))
+
+
+def _tied_actions_file(tmp_path, na):
+    """Two signals, each with one outcome: every action ties at the
+    first, only the first action is best at the second.  With one
+    generator, priced and zero on the kept columns, the face has ``na``
+    vertices and C(na + 1, 2) candidate systems."""
+    path = tmp_path / ("tied-%d.json" % na)
+    path.write_text(json.dumps({
+        "x_labels": ["0", "1"],
+        "y_labels": ["0", "1"],
+        "actions": [str(a) for a in range(na)],
+        "convex": True,
+        "generators": [[["1/2", "0"], ["0", "1/2"]]],
+        "loss": [["0"] * na, ["0"] + ["1"] * (na - 1)],
+    }))
+    return path
+
+
+def test_face_limit_answers_just_under_it(tmp_path, capsys, monkeypatch):
+    # C(141, 2) = 9,870 candidate systems; within 5 s
+    assert FACE_CANDIDATE_LIMIT == 10_000
+    path = _tied_actions_file(tmp_path, 140)
+    start = time.perf_counter()
+    code, text = cli("solve", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert text.splitlines()[2:4] == ["unique: no", "face vertices: 140"]
+    _assert_solve_replays(path, text)
+    monkeypatch.setattr(credal.linprog, "FACE_CANDIDATE_LIMIT", 9869)
+    assert cli("solve", str(path)) == (3, "")
+    assert capsys.readouterr().err.endswith("got 9870\n")
+
+
+def test_face_limit_refuses_just_over_it(tmp_path, capsys):
+    # C(142, 2) = 10,011 candidate systems, counted before any is solved
+    path = _tied_actions_file(tmp_path, 141)
+    start = time.perf_counter()
+    assert cli("solve", str(path)) == (3, "")
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == (
+        "refused: face enumeration limited to %d candidate systems, got 10011\n"
         % FACE_CANDIDATE_LIMIT
     )
 
@@ -423,7 +503,21 @@ def test_oracle_refuses_an_oversized_grid(capsys):
     code, _ = cli("oracle", "corpus/example-2.1", "--grid", "5000")
     assert code == 3
     err = capsys.readouterr().err
-    assert err == "refused: grid search limited to 1000000 rules, got 25010001\n"
+    assert err == (
+        "refused: grid search limited to 1000000 row evaluations, "
+        "got 100040004 (25010001 rules x 4 rows)\n"
+    )
+
+
+def test_oracle_counts_rules_times_rows(capsys):
+    # 501**2 rules are under the limit, but each is read against 4 rows
+    code, _ = cli("oracle", "corpus/example-2.1", "--grid", "500")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "refused: grid search limited to 1000000 row evaluations, "
+        "got 1004004 (251001 rules x 4 rows)\n"
+    )
 
 
 def _nine_signals(tmp_path):
@@ -454,7 +548,8 @@ def _nine_signals(tmp_path):
         ),
         (
             ("oracle", "{}", "--grid", "10"),
-            "grid search limited to 1000000 rules, got %d" % 11**9,
+            "grid search limited to 1000000 row evaluations, got %d (%d rules x 2 rows)"
+            % (2 * 11**9, 11**9),
         ),
     ),
 )

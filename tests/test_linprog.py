@@ -257,11 +257,12 @@ def test_face_dimension_limit():
 
 
 def test_face_limit_counts_the_reduced_system():
-    # four blocks of 13 and one game row: with every column at the same
-    # price no column is dropped, and C(52, 48) + C(52, 47) candidates
-    # remain; with one cheap column per block a single candidate remains
+    # four blocks of 13 and one game row, priced, so an equality: with
+    # every column at the same price no column is dropped, and C(52, 48)
+    # candidates remain; with one cheap column per block a single
+    # candidate remains
     n = 13
-    with pytest.raises(SizeLimitError, match="candidate systems, got 2869685$"):
+    with pytest.raises(SizeLimitError, match="candidate systems, got 270725$"):
         optimal_face_vertices(_game([[0] * (4 * n)]), [n] * 4, 0, (1,))
     row = [0 if j % n == 5 else 1 for j in range(4 * n)]
     verts = optimal_face_vertices(_game([row]), [n] * 4, 0, (1,))

@@ -298,7 +298,7 @@ def test_brute_force_sandwich():
 def test_brute_force_guard():
     dp = monty_problem()
     with pytest.raises(SizeLimitError):
-        brute_force_value(dp, 56)  # comb(58, 2)**2 rules refused
+        brute_force_value(dp, 56)  # comb(58, 2)**2 rules, times the rows, refused
     with pytest.raises(ValueError):
         brute_force_value(dp, 0)
 
@@ -312,7 +312,9 @@ def test_brute_force_counts_grid_points_at_live_signals():
     dp = DecisionProblem(p, classification_loss(space))
     with pytest.raises(SizeLimitError) as info:
         brute_force_value(dp, 44)
-    assert str(info.value) == "grid search limited to 1000000 rules, got 1071225"
+    assert str(info.value) == (
+        "grid search limited to 1000000 row evaluations, got 1071225 (1071225 rules x 1 rows)"
+    )
     assert brute_force_value(dp, 2)[1] == solve_a_priori(dp, face=False).value
 
 
