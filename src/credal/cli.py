@@ -4,9 +4,10 @@ Reads problem files (or bundled corpus cases by ``corpus/<id>`` paths),
 dispatches to the library, and prints deterministic plain-text reports
 with every number as a reduced rational.
 
-Exit codes: 0 on success; 1 when ``--strict`` is set and the analysis
-verdict is inconsistent, not calibrated, or a failed saddle check
-(also for corpus mismatches); 2 on input errors; 3 when a valid problem
+Exit codes: 0 on success; 1 when ``--strict``, which only ``saddle``,
+``consistency`` and ``calibrate`` take, is set and the verdict is a
+failed saddle check, inconsistent or not calibrated, and on any
+``corpus run`` mismatch; 2 on input errors; 3 when a valid problem
 is too large for an enumeration (the message names the limit and the
 size found); 141, the shell's code for SIGPIPE, when the reader of
 stdout closes it before the report is written (``credal hull f | head
@@ -366,57 +367,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, with_file=True):
+    def add(name, fn, help_text, *what, with_file=True, strict=False):
         sp = sub.add_parser(name, help=help_text)
+        if what:
+            sp.add_argument("what", choices=what)
         if with_file:
             sp.add_argument("file", help="problem file or corpus/<id>")
-        sp.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 1 on a failing verdict",
-        )
+        if strict:
+            sp.add_argument(
+                "--strict", action="store_true", help="exit 1 on a failing verdict"
+            )
         sp.set_defaults(fn=fn)
         return sp
 
     add("solve", _cmd_solve, "a priori game: value, rule, equilibrium")
     add("posterior", _cmd_posterior, "per-signal games after conditioning")
 
-    sp = add("saddle", _cmd_saddle, "verify a provided equilibrium")
+    sp = add("saddle", _cmd_saddle, "verify a provided equilibrium", strict=True)
     sp.add_argument("--rule", required=True, help="weights w,w,.../w,w,... per signal")
     sp.add_argument("--mixture", required=True, help="bookie weights p,p,...")
 
     add("hull", _cmd_hull, "marginal-conditional product construction")
+    checks = ("rect", "conservative", "dilation")
+    add("check", _cmd_check, "structural checks on the credal set", *checks)
 
-    sp = sub.add_parser("check", help="structural checks on the credal set")
-    sp.add_argument("what", choices=("rect", "conservative", "dilation"))
-    sp.add_argument("file", help="problem file or corpus/<id>")
-    sp.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
-    sp.set_defaults(fn=_cmd_check)
-
-    sp = sub.add_parser("consistency", help="time-consistency analyses")
-    sp.add_argument("what", choices=("weak", "time", "dynamic"))
-    sp.add_argument("file", help="problem file or corpus/<id>")
+    kinds = ("weak", "time", "dynamic")
+    sp = add(
+        "consistency", _cmd_consistency, "time-consistency analyses", *kinds, strict=True
+    )
     sp.add_argument("--budget", type=int, default=0, help="extra random rules")
-    sp.add_argument(
-        "--strict", action="store_true", help="exit 1 on a failing verdict"
-    )
-    sp.set_defaults(fn=_cmd_consistency)
 
-    sp = add("calibrate", _cmd_calibrate, "calibration of an update rule")
-    sp.add_argument(
-        "--rule",
-        required=True,
-        help="standard | ignore | partition:a,b|c",
-    )
+    sp = add("calibrate", _cmd_calibrate, "calibration of an update rule", strict=True)
+    sp.add_argument("--rule", required=True, help="standard | ignore | partition:a,b|c")
     sp.add_argument("--sharp", action="store_true", help="also test sharpness")
 
     sp = add("oracle", _cmd_oracle, "brute-force bounds for the a priori value")
     sp.add_argument("--grid", type=int, required=True, help="grid denominator")
 
-    sp = sub.add_parser("corpus", help="bundled worked examples")
-    sp.add_argument("action", choices=("run",))
-    sp.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
-    sp.set_defaults(fn=_cmd_corpus)
+    add("corpus", _cmd_corpus, "bundled worked examples", "run", with_file=False)
 
     return parser
 

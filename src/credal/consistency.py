@@ -14,6 +14,10 @@ weak check never lists the posterior vertex products: the prior loss
 splits by signal, so it walks them one signal at a time.  Dynamic
 consistency quantifies over all pairs of rules, for which no decision
 procedure is known; it is only falsified here, never certified.
+Each check reads the games through the public solvers
+(:func:`credal.minimax.solve_a_priori`, ``solve_a_posteriori``), which
+solve each once per problem, so the time check reads the weak check's
+games and only adds the prior game's face.
 Every loss is read from the games' own rows, kept on the problem: the
 weak check's loss of each posterior-optimal action at its signal from
 the prior game's rows (``dp.loss_rows``), and each rule's M_delta from
@@ -44,10 +48,7 @@ from .core import (
 )
 from .linprog import SizeLimitError, _worst_row
 from .minimax import (
-    _checked,
-    _prior_game,
     _rule_risks,
-    _with_face,
     solve_a_posteriori,
     solve_a_priori,
     worst_case_loss,
@@ -217,17 +218,12 @@ def check_weak_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     so it exceeds the prior value somewhere on that product iff it does
     at a vertex product.  The vertex products are not enumerated: the
     loss splits by signal, so the first violating one is found one
-    signal at a time (:func:`_first_violating_product`).
+    signal at a time (:func:`_first_violating_product`).  Only the prior
+    game's LP value is read, so its face is not enumerated.
     """
     notes = sufficient_conditions(dp)
     post = solve_a_posteriori(dp)
-    return _weak_verdict(dp, notes, post, solve_a_priori(dp, face=False).value)
-
-
-def _weak_verdict(dp: DecisionProblem, notes, post, value) -> ConsistencyVerdict:
-    """Weak time consistency, given the structure notes, the posterior
-    solution and the prior value.  Only the LP value of the prior game is
-    needed, so the optimal face is not enumerated."""
+    value = solve_a_priori(dp, face=False).value
     rule = _first_violating_product(dp, post.choices(dp.space), value)
     if rule is None:
         return ConsistencyVerdict("weak-time", CONSISTENT, witness=None, notes=notes)
@@ -242,27 +238,23 @@ def _weak_verdict(dp: DecisionProblem, notes, post, value) -> ConsistencyVerdict
     return ConsistencyVerdict("weak-time", INCONSISTENT, witness=rule, notes=notes)
 
 
-def _det_first_lex(rules):
-    return sorted(rules, key=lambda r: (not r.is_deterministic(), r.flatten()))
-
-
 def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     """Exact: weak-time consistency plus the converse inclusion, i.e.
     every vertex of the prior-optimal face is posterior optimal at every
     support signal.  Deterministic vertices are scanned first so the
     reported witness is as plain as possible."""
-    notes = sufficient_conditions(dp)
-    post = solve_a_posteriori(dp)
-    prior = _checked(dp, _prior_game(dp))
-    weak = _weak_verdict(dp, notes, post, prior.value)
+    weak = check_weak_time_consistency(dp)
+    notes = weak.notes
     if weak.result == INCONSISTENT:
         return ConsistencyVerdict(
             kind="time", result=INCONSISTENT, witness=weak.witness, notes=notes
         )
     # enumerate the face only once the weak check passes: it may be refused
-    prior = _checked(dp, _with_face(dp, prior))
+    prior, post = solve_a_priori(dp), solve_a_posteriori(dp)
     live = support_x(dp.credal)
-    rules = _det_first_lex(prior.optimal_rule_vertices)
+    rules = sorted(
+        prior.optimal_rule_vertices, key=lambda r: (not r.is_deterministic(), r.flatten())
+    )
     for rule, (_, ms) in zip(rules, _rule_risks(dp, rules)):
         for x, m in zip(live, ms):
             mm = post.value(x)

@@ -22,10 +22,11 @@ keeps every answer of ``posterior_y``, keyed by the cell, for every
 caller.  :attr:`CredalSet.live` lists the signals some generator
 reaches and :attr:`CredalSet.conditionals` holds ``posterior_y`` at
 each of them.  Rectangularity, :func:`hull`, dilation and the
-posterior game read those, and a
-:class:`DecisionProblem` keeps the prior game's loss rows and, per live
-signal, the posterior game's rows over the conditionals
-(:func:`_action_losses`), from which every loss of a rule is read.
+posterior game read those.  A :class:`DecisionProblem` keeps the prior
+game's loss rows and, per live signal, the posterior game's rows over
+the conditionals (:func:`_action_losses`), from which every loss of a
+rule is read, and each game :mod:`credal.minimax` solves on it, solved
+and checked once.
 :func:`condition` keeps the conditioned joint set for callers that need
 it; taking :func:`marginal_y` of it gives the same set as
 ``posterior_y(p, cell)``.
@@ -298,6 +299,12 @@ class DecisionProblem:
     @property
     def space(self) -> ProblemSpace:
         return self.credal.space
+
+    @cached_property
+    def _games(self) -> dict:
+        """Each game :mod:`credal.minimax` solves on this problem, keyed by
+        its name, kept once it is solved and checked."""
+        return {}
 
     @cached_property
     def loss_rows(self):

@@ -5,7 +5,9 @@ a free-text note, and a list of expectations: an operation name, its
 arguments, the expected value, and a note recording how the value was
 derived.  :func:`run_case` replays every expectation against the live
 library, so the corpus doubles as a golden-test suite and as worked
-input for the command line.
+input for the command line.  Each case builds one credal set and one
+decision problem over it, so its expectations share the set's
+conditionings and the problem's solved games.
 
 Expected values are plain JSON: rationals appear as reduced strings,
 action weights as flat string lists in label order, partitions in the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .calibration import (
@@ -31,6 +34,7 @@ from .consistency import (
     falsify_dynamic_consistency,
 )
 from .core import (
+    DecisionProblem,
     DecisionRule,
     dilation_report,
     hull,
@@ -92,10 +96,21 @@ class CorpusCase:
     expectations: tuple[Expectation, ...]
 
     def credal(self):
-        return self.file.credal()
+        """The case's one credal set, built on first use."""
+        return self._credal
 
     def problem(self):
-        return self.file.problem()
+        """The case's one decision problem, over :meth:`credal`: every
+        expectation shares its conditionings and solved games."""
+        return self._problem
+
+    @cached_property
+    def _credal(self):
+        return self.file.credal()
+
+    @cached_property
+    def _problem(self):
+        return DecisionProblem(self._credal, self.file.problem().loss)
 
 
 def _case_files():

@@ -16,22 +16,25 @@ product of simplices.  :func:`credal.linprog.block_game` builds and
 checks that LP, and :func:`credal.linprog.optimal_face_vertices`
 enumerates its optimal face from the same rows, widths and value, over
 the columns that the verified bookie mixture leaves at zero reduced
-cost.  The two games' rows are kept on the
-:class:`~credal.core.DecisionProblem`, built on first use and scaled to
-integers over a positive denominator once, and every loss of a rule is
-read from them.  ``dp.loss_rows`` are the prior game's: generator i's
-expected loss of action a at live signal x.  A rule's worst prior loss
-(M_delta) is their worst dot product with its weights at the live
-signals.  ``dp.posterior_rows[x]`` are the posterior game's at x, one per
-pruned vertex of the conditioned set ``dp.credal.conditionals[x]``, and
-the rule's worst posterior loss m_delta(x) is the worst of them under its
-action at x: a linear maximum over a hull is attained at its vertices,
-so this is the worst generator-wise posterior loss.  The saddle check of
-:func:`verify_saddle` reads the prior rows through the two checks
-:func:`credal.linprog.block_game` makes: the worst row under the rule and
-the best reply to the bookie's mixture.  Each comparison is the
-``Fraction`` comparison cross-multiplied by positive denominators, and
-every value returned is a ``Fraction``.
+cost.  Each game is solved and checked once per
+:class:`~credal.core.DecisionProblem` and kept on it: the prior LP, the
+prior game with its face (enumerated from the kept LP), the posterior
+games and the constant-rule game.  A refusal keeps nothing.
+
+The games' rows are kept on the problem too, built on first use and
+scaled to integers over a positive denominator once, and every loss of
+a rule is read from them.  ``dp.loss_rows`` are the prior game's:
+generator i's expected loss of action a at live signal x.  A rule's
+worst prior loss (M_delta) is their worst dot product with its weights
+at the live signals.  ``dp.posterior_rows[x]`` are the posterior game's
+at x, one per pruned vertex of ``dp.credal.conditionals[x]``, and the
+rule's worst posterior loss m_delta(x) is the worst of them under its
+action at x: a linear maximum over a hull is attained at its vertices.
+The saddle check of :func:`verify_saddle` makes the two checks of
+:func:`credal.linprog.block_game` on the prior rows: the worst row under
+the rule and the best reply to the bookie's mixture.  Each comparison
+is the ``Fraction`` comparison cross-multiplied by positive
+denominators, and every value returned is a ``Fraction``.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -54,6 +57,7 @@ from .core import (
     LossFunction,
     RandomizedAction,
     _action_losses,
+    _unflatten,
     marginal_y,
     rule_from_weights,
     uniform_action,
@@ -87,9 +91,9 @@ __all__ = [
 ZERO = Fraction(0)
 
 # Most row evaluations :func:`brute_force_value` makes, its rules times the
-# prior game's rows.  One cost 1.3-10 us on seeded games files (1-12
-# generators), the most with one; 1,000,000 took 7.0-7.6 s with one generator
-# and 2.6 s with four (2-core x86-64, Python 3.11).
+# prior game's rows.  On seeded games files at the limit it took 0.4-0.9 s
+# over two live signals (1-12 generators) and 2.6 s over one live signal with
+# three actions, where each rule is built alone (2-core x86-64, Python 3.11).
 BRUTE_FORCE_LIMIT = 10**6
 
 
@@ -203,60 +207,8 @@ def _block_rule(space, live_idx, w):
     return DecisionRule(space=space, per_x=tuple(per_x))
 
 
-def _face_rules(space, live_idx, verts):
-    """Optimal-face vertices embedded as full decision rules, sorted."""
-    rules = [_block_rule(space, live_idx, v) for v in verts]
-    rules.sort(key=lambda r: r.flatten())
-    return tuple(rules)
-
-
-def _prior_game(dp: DecisionProblem) -> MinimaxSolution:
-    """The prior game over ``dp.loss_rows`` solved without its face and not
-    yet checked."""
-    space, live = dp.space, dp.credal.live
-    value, w, mixture = block_game(dp.loss_rows, _widths(dp))
-    mass, den = _mixed_mass(dp.credal.generators, mixture)
-    ny = space.ny
-    return MinimaxSolution(
-        value=value,
-        rule=_block_rule(space, live, w),
-        bookie_mixture=mixture,
-        aggregate=JointDistribution(
-            space=space,
-            mass=tuple(
-                tuple(Fraction(v, den) for v in mass[k : k + ny])
-                for k in range(0, len(mass), ny)
-            ),
-        ),
-        optimal_rule_vertices=None,
-        unconstrained_x=tuple(
-            x for xi, x in enumerate(space.x_labels) if xi not in live
-        ),
-    )
-
-
-def _checked(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
-    """``solution``, once :func:`verify_saddle` holds for its rule and bookie
-    mixture."""
-    report = _saddle_report(dp, solution.rule, solution.bookie_mixture)
-    if not report.holds:
-        raise SolverError("saddle check failed: %s" % (report.failing,))
-    return solution
-
-
-def _with_face(dp: DecisionProblem, solution: MinimaxSolution) -> MinimaxSolution:
-    """``solution`` with its optimal face enumerated, not yet checked."""
-    verts = optimal_face_vertices(
-        dp.loss_rows, _widths(dp), solution.value, solution.bookie_mixture
-    )
-    vertices = _face_rules(dp.space, dp.credal.live, verts)
-    if not vertices:
-        raise SolverError("optimal face came back empty")
-    return replace(solution, rule=vertices[0], optimal_rule_vertices=vertices)
-
-
 def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
-    """Exact equilibrium of the prior game.
+    """Exact equilibrium of the prior game, solved once per problem.
 
     LP (:func:`credal.linprog.block_game`, one simplex block per support
     signal): minimize t subject to, for every generator, the expected
@@ -266,12 +218,40 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
 
     ``face=False`` skips the vertex enumeration of the optimal face (the
     expensive part); the reported rule is then the one the simplex
-    landed on rather than the lexicographically smallest vertex.
+    landed on rather than the lexicographically smallest vertex.  The
+    face is enumerated from the kept LP solution, and each checked answer
+    is kept on ``dp``; a refused face keeps nothing.
     """
-    solution = _prior_game(dp)
+    games, key = dp._games, "prior face" if face else "prior"
+    if key in games:
+        return games[key]
+    space, live = dp.space, dp.credal.live
     if face:
-        solution = _with_face(dp, solution)
-    return _checked(dp, solution)
+        lp = solve_a_priori(dp, face=False)
+        verts = optimal_face_vertices(dp.loss_rows, _widths(dp), lp.value, lp.bookie_mixture)
+        # sorted as the vertices are: every rule has the same uniform dead blocks
+        vertices = tuple(_block_rule(space, live, v) for v in verts)
+        if not vertices:
+            raise SolverError("optimal face came back empty")
+        solution = replace(lp, rule=vertices[0], optimal_rule_vertices=vertices)
+    else:
+        value, w, mixture = block_game(dp.loss_rows, _widths(dp))
+        mass, den = _mixed_mass(dp.credal.generators, mixture)
+        solution = MinimaxSolution(
+            value=value,
+            rule=_block_rule(space, live, w),
+            bookie_mixture=mixture,
+            aggregate=JointDistribution(
+                space, _unflatten(space, [Fraction(v, den) for v in mass])
+            ),
+            optimal_rule_vertices=None,
+            unconstrained_x=tuple(x for xi, x in enumerate(space.x_labels) if xi not in live),
+        )
+    report = _saddle_report(dp, solution.rule, solution.bookie_mixture)
+    if not report.holds:
+        raise SolverError("saddle check failed: %s" % (report.failing,))
+    games[key] = solution
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +297,11 @@ class PosteriorSolution:
 
 def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
     """One matrix game per support signal: actions against the
-    conditioned outcome distributions."""
+    conditioned outcome distributions.  Solved once per problem: the
+    answer is kept on ``dp``."""
+    games = dp._games
+    if "posterior" in games:
+        return games["posterior"]
     widths = [dp.space.na]
     points = []
     for xi in dp.credal.live:
@@ -333,7 +317,8 @@ def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
                 projection=dp.credal.conditionals[xi],
             )
         )
-    return PosteriorSolution(per_x=tuple(points))
+    games["posterior"] = PosteriorSolution(per_x=tuple(points))
+    return games["posterior"]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +407,11 @@ class IgnoringSolution:
 
 def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     """Prior game restricted to constant rules (ties every signal to one
-    randomized action) and comparison against the unrestricted game."""
+    randomized action) and comparison against the unrestricted game.
+    Solved once per problem: the answer is kept on ``dp``."""
+    games = dp._games
+    if "ignoring" in games:
+        return games["ignoring"]
     space = dp.space
     widths = [space.na]
     # constant-rule game: min t, per generator E[L_gamma] <= t over gamma
@@ -442,7 +431,7 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     rule = rule_from_weights(space, [action_vertices[0].weights] * space.nx)
 
     prior = solve_a_priori(dp, face=False)
-    return IgnoringSolution(
+    games["ignoring"] = IgnoringSolution(
         value=value,
         rule=rule,
         action_vertices=action_vertices,
@@ -451,6 +440,7 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
         a_priori_value=prior.value,
         matches_a_priori=value == prior.value,
     )
+    return games["ignoring"]
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +453,9 @@ def brute_force_value(dp: DecisionProblem, grid: int):
     ``upper``: best worst-case loss over all rules whose action weights
     are multiples of 1/grid.  ``lower``: upper minus the rounding slack
     ``|A| * spread(loss) / grid``.  Deliberately independent of the LP
-    machinery.
+    machinery: rules are integer compositions over ``grid``, dotted with
+    ``dp.loss_rows`` over one denominator, and one ``Fraction`` is built,
+    for the best rule.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -486,13 +478,17 @@ def brute_force_value(dp: DecisionProblem, grid: int):
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
-    menu = [
-        tuple(Fraction(c, grid) for c in comp) for comp in compositions(grid, na)
-    ]
-    # the k-th choice of a combination is the action at the k-th live signal
-    best = min(
-        _worst(dp.loss_rows, [w for act in combo for w in act])[0]
-        for combo in itertools.product(menu, repeat=len(live))
+    # rows over one denominator lcm; a rule's weights are integer
+    # compositions over grid, so each row's loss is an int over lcm * grid
+    lcm = math.lcm(*[d for _, d in dp.loss_rows])
+    scaled = [[v * (lcm // d) for v in r] for r, d in dp.loss_rows]
+    comps = list(compositions(grid, na))
+    shares = []  # per live signal and composition, its share of each row's loss
+    for k in range(len(live)):
+        blocks = [r[k * na : (k + 1) * na] for r in scaled]
+        shares.append(list(zip(*[[sum(map(mul, b, c)) for c in comps] for b in blocks])))
+    best = Fraction(
+        min(max(map(sum, zip(*combo))) for combo in itertools.product(*shares)), lcm * grid
     )
     slack = Fraction(na) * dp.loss.spread() / grid
     return best - slack, best

@@ -669,6 +669,29 @@ def test_weak_consistency_witness():
     assert code == 1
 
 
+def test_time_check_solves_the_prior_game_once(monkeypatch):
+    # the weak check's prior LP is kept: the time check adds only its face
+    games, faces = [], []
+    block_game = credal.minimax.block_game
+    face_vertices = credal.minimax.optimal_face_vertices
+
+    def game(rows, widths):
+        games.append(len(widths))
+        return block_game(rows, widths)
+
+    def face(rows, widths, value, prices):
+        faces.append(len(widths))
+        return face_vertices(rows, widths, value, prices)
+
+    monkeypatch.setattr(credal.minimax, "block_game", game)
+    monkeypatch.setattr(credal.minimax, "optimal_face_vertices", face)
+    assert lines("consistency", "time", "corpus/example-4.5")[1] == (
+        "time consistency: inconsistent"
+    )
+    # one prior game over the two live signals, one posterior game at each
+    assert sorted(games) == sorted(faces) == [1, 1, 2]
+
+
 def test_time_consistency_signal_witness():
     out = lines("consistency", "time", "corpus/example-4.6")
     assert out[1] == "time consistency: inconsistent"
@@ -697,6 +720,23 @@ def test_dynamic_unknown_reports_strict_variant():
     code, _ = cli("consistency", "dynamic", "corpus/example-4.5",
                   "--budget", "0", "--strict")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("solve", "corpus/monty-hall"),
+        ("posterior", "corpus/monty-hall"),
+        ("hull", "corpus/monty-hall"),
+        ("oracle", "corpus/monty-hall", "--grid", "2"),
+        ("check", "rect", "corpus/monty-hall"),
+        ("corpus", "run"),
+    ),
+)
+def test_strict_is_refused_where_no_verdict_can_fail(capsys, argv):
+    # only saddle, consistency and calibrate have a failing verdict
+    assert cli(*argv, "--strict") == (2, "")
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
 
 # -- calibrate -----------------------------------------------------------

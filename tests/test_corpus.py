@@ -1,8 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+import credal.minimax
 from credal.corpus import (
     CorpusError,
     Expectation,
@@ -83,6 +85,54 @@ def test_expectations_replay(case_id):
         if not r.ok
     ]
     assert not bad, "\n".join(bad)
+
+
+def test_run_case_solves_each_game_once(monkeypatch):
+    # the games a case asks about are those its expectations ask on fresh
+    # cases; on the shared case each is solved once: the prior LP, one
+    # posterior game per live signal, the constant-rule and marginal games
+    calls = []
+    block_game = credal.minimax.block_game
+
+    def record(rows, widths):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return block_game(rows, widths)
+
+    monkeypatch.setattr(credal.minimax, "block_game", record)
+    for case in load_corpus():
+        asked = set()
+        for exp in case.expectations:
+            calls.clear()
+            run_expectation(load_case(case.id), exp)
+            asked.update(calls)
+        calls.clear()
+        assert run_case(case).ok, case.id
+        per_game = {
+            "solve_a_priori": 1,
+            "solve_a_posteriori": len(case.credal().live),
+            "solve_ignoring": 2,
+        }
+        assert sorted(calls) == sorted(n for n in asked for _ in range(per_game[n])), case.id
+
+
+def test_a_shared_case_answers_as_a_fresh_case_per_expectation():
+    shared = [r for case in load_corpus() for r in run_case(case).results]
+    fresh = [
+        run_expectation(load_case(case.id), exp)
+        for case in load_corpus()
+        for exp in case.expectations
+    ]
+    assert len(shared) == 121
+    assert shared == fresh
+
+
+def test_a_case_builds_one_set_and_one_problem():
+    case = load_case("monty-hall")
+    assert case.credal() is case.credal() is case.problem().credal
+    assert case.problem() is case.problem()
+    # the problem file itself still builds new objects
+    assert case.file.credal() is not case.credal()
+    assert case.file.problem() is not case.problem()
 
 
 def test_every_expectation_documents_its_oracle():

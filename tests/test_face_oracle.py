@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import credal.minimax
-from credal.corpus import load_corpus, run_case
+from credal.corpus import load_case, load_corpus, run_expectation
 from credal.linprog import (
     EQ,
     LE,
@@ -141,7 +141,9 @@ def test_corpus_faces_match_the_fraction_brute_force(monkeypatch):
     # the games of minimax are the only callers of the face routine
     monkeypatch.setattr(credal.minimax, "optimal_face_vertices", record)
     for case in load_corpus():
-        assert run_case(case).ok, case.id
+        # a fresh case per expectation enumerates every face a lone query does
+        for exp in case.expectations:
+            assert run_expectation(load_case(case.id), exp).ok, (case.id, exp.op)
     assert len(calls) >= 20
     assert sum(len(verts) > 1 for *_args, verts in calls) >= 5
     for rows, widths, value, verts in calls:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import credal.linprog
 from credal import minimax
 from credal.consistency import check_time_consistency
 
@@ -230,6 +231,44 @@ def test_every_prior_solve_runs_the_saddle_check(monkeypatch, solve):
     monkeypatch.setattr(minimax, "_saddle_report", failing)
     with pytest.raises(SolverError, match="saddle check failed"):
         solve(dp)
+
+
+def _counting_lp_solves(monkeypatch):
+    """A list that grows by one on each ``lp_solve`` call from now on."""
+    calls = []
+    lp_solve = credal.linprog.lp_solve
+
+    def counted(lp):
+        calls.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(credal.linprog, "lp_solve", counted)
+    return calls
+
+
+def test_face_is_enumerated_from_the_kept_lp(monkeypatch):
+    dp = monty_problem()
+    calls = _counting_lp_solves(monkeypatch)
+    lp = solve_a_priori(dp, face=False)
+    assert len(calls) == 1
+    sol = solve_a_priori(dp)
+    assert len(calls) == 1
+    assert sol.value == lp.value and sol.bookie_mixture == lp.bookie_mixture
+    assert solve_a_priori(dp) is sol and solve_a_priori(dp, face=False) is lp
+
+
+def test_a_refused_face_is_not_kept(monkeypatch):
+    dp = monty_problem()
+    calls = _counting_lp_solves(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(credal.linprog, "FACE_CANDIDATE_LIMIT", 0)
+        for _ in range(2):
+            with pytest.raises(SizeLimitError, match="face enumeration limited to 0"):
+                solve_a_priori(dp)
+    # the LP was solved once and kept; the face is enumerated once allowed
+    assert len(calls) == 1
+    assert solve_a_priori(dp).value == solve_a_priori(dp, face=False).value == F(1, 3)
+    assert len(calls) == 1
 
 
 def test_bookie_deviation_and_untight_support_fail_together():

@@ -8,7 +8,7 @@ import itertools
 
 from credal.consistency import (
     _first_violating_product,
-    _weak_verdict,
+    check_weak_time_consistency,
     sufficient_conditions,
 )
 from credal.core import (
@@ -21,7 +21,7 @@ from credal.core import (
     loss_function,
 )
 from credal.corpus import load_corpus
-from credal.minimax import solve_a_posteriori, solve_a_priori, worst_case_loss
+from credal.minimax import solve_a_posteriori, worst_case_loss
 from credal.sampling import random_rule, simplex_point
 
 import structure_oracle
@@ -122,11 +122,10 @@ def test_random_weak_checks_match_the_vertex_product_walk():
     seen = {"consistent": 0, "inconsistent": 0}
     for trial in range(300):
         dp = _random_problem(rng, trial)
+        got = check_weak_time_consistency(dp)
         notes = sufficient_conditions(dp)
-        post = solve_a_posteriori(dp)
-        want = structure_oracle._weak_verdict(dp, notes, post)
-        value = solve_a_priori(dp, face=False).value
-        assert _weak_verdict(dp, notes, post, value) == want, dp
+        want = structure_oracle._weak_verdict(dp, notes, solve_a_posteriori(dp))
+        assert got == want, dp
         seen[want.result] += 1
     assert min(seen.values()) >= 60, seen
 
@@ -158,10 +157,8 @@ def test_corpus_structure_checks_match_the_enumerations():
         if case.file.loss is None:
             continue
         dp = case.problem()
-        notes = sufficient_conditions(dp)
-        post = solve_a_posteriori(dp)
-        got = _weak_verdict(dp, notes, post, solve_a_priori(dp, face=False).value)
-        want = structure_oracle._weak_verdict(dp, notes, post)
+        got = check_weak_time_consistency(dp)
+        want = structure_oracle._weak_verdict(dp, got.notes, solve_a_posteriori(dp))
         assert got.result == want.result, case.id
         assert got.witness == want.witness, case.id
 

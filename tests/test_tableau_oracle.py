@@ -13,7 +13,7 @@ import pytest
 
 import credal.linprog
 import credal.polytope
-from credal.corpus import load_corpus, run_case
+from credal.corpus import load_case, load_corpus, run_expectation
 from credal.linprog import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED
 
 import polytope_oracle
@@ -169,7 +169,9 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
             lambda point, generators, box=None: polytope_oracle._in_hull(point, generators),
         )
         for case in load_corpus():
-            assert run_case(case).ok, case.id
+            # a fresh case per expectation builds every LP a lone query builds
+            for exp in case.expectations:
+                assert run_expectation(load_case(case.id), exp).ok, (case.id, exp.op)
             # the hull and joint-space membership LPs the corpus built
             # before rectangularity was decided by one-signal swaps, and
             # the joint-space prune of the products that the hull dropped
