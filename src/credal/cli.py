@@ -114,7 +114,7 @@ def _parse_rule_arg(text: str, pf: ProblemFile) -> DecisionRule:
         raise _InputError("bad --rule: %s" % e)
 
 
-def _parse_mixture_arg(text: str, pf: ProblemFile):
+def _parse_mixture_arg(text: str):
     try:
         return tuple(rat(v) for v in text.split(","))
     except (ValueError, ZeroDivisionError) as e:
@@ -172,7 +172,7 @@ def _cmd_saddle(args, out) -> int:
     pf = _load_file(args.file)
     dp = pf.problem()
     rule = _parse_rule_arg(args.rule, pf)
-    weights = _parse_mixture_arg(args.mixture, pf)
+    weights = _parse_mixture_arg(args.mixture)
     index = _generator_index(pf, dp)
     if len(weights) != len(index):
         raise _InputError("mixture length != number of generators")
@@ -422,10 +422,7 @@ def run(argv=None, stdout=None) -> int:
 
     try:
         return args.fn(args, out)
-    except (_InputError, ProblemFileError, CorpusError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ConvexityError as e:
+    except (_InputError, ProblemFileError, CorpusError, ConvexityError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except SizeLimitError as e:

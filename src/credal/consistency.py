@@ -12,8 +12,9 @@ polytope inclusions, and a convex inclusion can be decided at vertices
 because the worst-case functionals are maxima of linear functions.  The
 weak check never lists the posterior vertex products: the prior loss
 splits by signal, so it walks them one signal at a time.  Dynamic
-consistency quantifies over all pairs of rules, for which no decision
-procedure is known; it is only falsified here, never certified.
+consistency, over all pairs of rules, could be decided by finitely many
+LPs over the games' rows; that decision is not built, so this module only
+falsifies it and never certifies it.
 Each check reads the games through the public solvers
 (:func:`credal.minimax.solve_a_priori`, ``solve_a_posteriori``), which
 solve each once per problem, so the time check reads the weak check's
@@ -23,9 +24,9 @@ weak check's loss of each posterior-optimal action at its signal from
 the prior game's rows (``dp.loss_rows``), and each rule's M_delta from
 those and its m_delta(x) from the posterior game's rows at x
 (``dp.posterior_rows``, :func:`credal.minimax._rule_risks`).  This
-module builds no rows itself; a witness replay builds, through
-:func:`credal.minimax.worst_case_posterior_loss`, the rows of one signal
-of the set's conditionals, which the set computes once.  The dynamic
+module builds no rows itself; :func:`_replay` replays every witness
+before its verdict, through the public ``worst_case_loss`` and
+``worst_case_posterior_loss``, which build their own rows.  The dynamic
 falsifier compares ranks of these losses as ``int``s; a ``Fraction`` is
 built only for a loss that a verdict reports.
 """
@@ -227,14 +228,11 @@ def check_weak_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     rule = _first_violating_product(dp, post.choices(dp.space), value)
     if rule is None:
         return ConsistencyVerdict("weak-time", CONSISTENT, witness=None, notes=notes)
-    # replay through the primitives before accusing the problem
-    wc, _ = worst_case_loss(dp.credal, rule, dp.loss)
-    if wc <= value:
+    big_m, ms = _replay(dp, rule)
+    if big_m <= value:
         raise WitnessError("posterior product does not exceed the prior value")
-    for x in support_x(dp.credal):
-        m = worst_case_posterior_loss(dp.credal, rule, dp.loss, x)
-        if m != post.value(x):
-            raise WitnessError("witness is not posterior optimal")
+    if ms != tuple(post.value(x) for x in support_x(dp.credal)):
+        raise WitnessError("witness is not posterior optimal")
     return ConsistencyVerdict("weak-time", INCONSISTENT, witness=rule, notes=notes)
 
 
@@ -261,6 +259,8 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
             if m != mm:
                 if m < mm:
                     raise WitnessError("rule beat the posterior value")
+                if _replay(dp, rule) != (prior.value, ms):
+                    raise WitnessError("witness losses do not replay")
                 return ConsistencyVerdict(
                     kind="time",
                     result=INCONSISTENT,
@@ -340,7 +340,7 @@ def falsify_dynamic_consistency(dp: DecisionProblem, budget: int) -> Consistency
                 strict_variant=is_strict_variant,
             )
             if condition is not None:
-                _verify_pair_witness(dp, live, witness)
+                _verify_pair_witness(dp, witness)
                 return ConsistencyVerdict(
                     kind="dynamic",
                     result=INCONSISTENT,
@@ -401,17 +401,22 @@ def _below(mi, mj) -> tuple[bool, bool] | None:
     return everywhere, somewhere
 
 
-def _verify_pair_witness(dp, live, w: PairWitness):
-    """Replay a pair witness through the primitives."""
-    for x, a, b in w.posterior:
-        if worst_case_posterior_loss(dp.credal, w.delta, dp.loss, x) != a:
-            raise WitnessError("stale posterior loss for delta")
-        if worst_case_posterior_loss(dp.credal, w.delta_prime, dp.loss, x) != b:
-            raise WitnessError("stale posterior loss for delta_prime")
-        if a > b:
-            raise WitnessError("antecedent fails at %s" % x)
-    ma, _ = worst_case_loss(dp.credal, w.delta, dp.loss)
-    mb, _ = worst_case_loss(dp.credal, w.delta_prime, dp.loss)
+def _replay(dp: DecisionProblem, rule: DecisionRule):
+    """M_delta and the m_delta(x) at every live signal of ``rule``, replayed
+    through the public primitives before a verdict accuses the problem."""
+    p, loss = dp.credal, dp.loss
+    return worst_case_loss(p, rule, loss)[0], tuple(
+        worst_case_posterior_loss(p, rule, loss, x) for x in support_x(p)
+    )
+
+
+def _verify_pair_witness(dp, w: PairWitness):
+    """Replay a pair witness through :func:`_replay`."""
+    (ma, ms), (mb, ms_prime) = _replay(dp, w.delta), _replay(dp, w.delta_prime)
+    if tuple(zip(support_x(dp.credal), ms, ms_prime)) != w.posterior:
+        raise WitnessError("stale posterior losses")
+    if any(a > b for a, b in zip(ms, ms_prime)):
+        raise WitnessError("antecedent fails")
     if (ma, mb) != w.prior:
         raise WitnessError("stale prior losses")
     if w.condition == "condition-1":

@@ -226,6 +226,21 @@ class CredalSet:
             for i, x in enumerate(self.space.x_labels)
         )
 
+    @cached_property
+    def _rectangular(self) -> bool:
+        """:func:`is_rectangular`, decided on first use."""
+        target, ny = joint_polytope(self), self.space.ny
+        for g in self.generators:
+            flat = g.flatten()
+            for i, px in enumerate(g.x_marginal()):
+                if px == 0:
+                    continue
+                head, tail = flat[: i * ny], flat[(i + 1) * ny :]
+                for r in self.conditionals[i].generators:
+                    if not member(head + tuple(px * v for v in r) + tail, target):
+                        return False
+        return True
+
 
 def credal_set(space, masses, convex) -> CredalSet:
     return CredalSet(
@@ -615,20 +630,10 @@ def is_rectangular(p: CredalSet) -> bool:
     signal of a generator reaches every product; conversely every swap
     is such a product, or (convex) a mixture of them.  That is
     k * sum_x |conditionals at x| membership tests against the k
-    generators of ``p``, stopping at the first non-member.
+    generators of ``p``, stopping at the first non-member.  Decided once per
+    set: the answer is kept on ``p``.
     """
-    target = joint_polytope(p)
-    ny = p.space.ny
-    for g in p.generators:
-        flat = g.flatten()
-        for i, px in enumerate(g.x_marginal()):
-            if px == 0:
-                continue
-            head, tail = flat[: i * ny], flat[(i + 1) * ny :]
-            for r in p.conditionals[i].generators:
-                if not member(head + tuple(px * v for v in r) + tail, target):
-                    return False
-    return True
+    return p._rectangular
 
 
 def is_conservative(p: CredalSet) -> bool:

@@ -16,8 +16,8 @@ gcd is taken, and only the results are turned back into fractions.
 Optimal values, primal points and dual prices are exact ``Fraction``s;
 feasibility and complementary slackness, and with them strong duality,
 are verified exactly before a solution is returned, in integers over
-positive common denominators, as is the saddle point of every block
-game.
+positive common denominators, as is every game answer's saddle point,
+by the one saddle check :func:`_saddle`.
 
 Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
@@ -492,9 +492,8 @@ def block_game(rows, widths):
     row per block, with ``t`` free and ``w >= 0``.  Returns ``(value, w,
     prices)``, where ``prices`` (the negated dual prices of the rows) is
     the opponent's optimal mixture over rows.  The pair is verified as an
-    exact saddle point: the worst row under ``w`` (:func:`_worst_row`) and
-    the best block-wise reply to ``prices`` (:func:`_best_reply`) both give
-    the value.  That check follows from the :func:`_verify_optimal` that
+    exact saddle point by :func:`_saddle`, whose bookie reply must also be
+    the LP value.  That check follows from the :func:`_verify_optimal` that
     :func:`lp_solve` has passed (``t``'s zero reduced cost makes ``prices``
     sum to 1, slackness makes each priced row tight, and the dual
     objective is the best reply's value), and is kept as a guard.
@@ -513,10 +512,33 @@ def block_game(rows, widths):
         raise InternalCheckError("block game LP must be solvable")
     value, w = sol.value, sol.primal[1:]
     prices = tuple(-sol.dual[i] for i in range(len(rows)))
-    vals, den, worst = _worst_row(rows, w)
-    if Fraction(vals[worst], den) != value or value != _best_reply(rows, widths, prices)[0]:
+    _mixed, _agent, bookie, failing = _saddle(rows, widths, w, prices)
+    if failing or bookie != value:
         raise InternalCheckError("saddle point check failed")
     return value, w, prices
+
+
+def _saddle(rows, widths, w, prices):
+    """The saddle check of the point ``w`` against the row mixture ``prices``:
+    the value of ``w`` averaged over ``prices``, the agent's best reply
+    (:func:`_best_reply`), the bookie's (the worst row, :func:`_worst_row`),
+    and the failing clauses.  A reply that improves on the averaged value
+    fails ``agent-deviation`` or ``bookie-deviation``; ``support-not-tight``
+    fails with the latter, since sum_i q_i v_i equals max v only when every
+    priced row reaches it."""
+    vals, den, worst = _worst_row(rows, w)
+    qs, qd = common_denominator(prices)
+    agent = _best_reply(rows, widths, prices)[0]
+    mixed = Fraction(sum(map(mul, qs, vals)), qd * den)
+    bookie = Fraction(vals[worst], den)
+    failing = []
+    if mixed != agent:
+        failing.append("agent-deviation")
+    if mixed != bookie:
+        failing.append("bookie-deviation")
+    if any(q > 0 and v != vals[worst] for q, v in zip(qs, vals)):
+        failing.append("support-not-tight")
+    return mixed, agent, bookie, tuple(failing)
 
 
 def _worst_row(rows, point):

@@ -30,11 +30,11 @@ at the live signals.  ``dp.posterior_rows[x]`` are the posterior game's
 at x, one per pruned vertex of ``dp.credal.conditionals[x]``, and the
 rule's worst posterior loss m_delta(x) is the worst of them under its
 action at x: a linear maximum over a hull is attained at its vertices.
-The saddle check of :func:`verify_saddle` makes the two checks of
-:func:`credal.linprog.block_game` on the prior rows: the worst row under
-the rule and the best reply to the bookie's mixture.  Each comparison
-is the ``Fraction`` comparison cross-multiplied by positive
-denominators, and every value returned is a ``Fraction``.
+The one saddle check, :func:`credal.linprog._saddle`, is made by
+``block_game`` on every game it solves and by :func:`verify_saddle` on
+the prior rows, which a face solve runs on its reported vertex.  Each
+comparison is the ``Fraction`` comparison cross-multiplied by positive
+denominators; every value is a ``Fraction``.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -62,13 +62,7 @@ from .core import (
     rule_from_weights,
     uniform_action,
 )
-from .linprog import (
-    SizeLimitError,
-    _best_reply,
-    _worst_row,
-    block_game,
-    optimal_face_vertices,
-)
+from .linprog import SizeLimitError, _saddle, _worst_row, block_game, optimal_face_vertices
 from .polytope import VPolytope
 from .rationals import common_denominator, rat
 
@@ -213,7 +207,8 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     LP (:func:`credal.linprog.block_game`, one simplex block per support
     signal): minimize t subject to, for every generator, the expected
     loss of the rule being at most t.  The dual prices of the generator
-    rows give the adversary's mixture; the result is checked with
+    rows give the adversary's mixture; ``block_game`` checks the saddle
+    point, and the face's reported vertex is checked with
     :func:`verify_saddle`.
 
     ``face=False`` skips the vertex enumeration of the optimal face (the
@@ -233,6 +228,9 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
         vertices = tuple(_block_rule(space, live, v) for v in verts)
         if not vertices:
             raise SolverError("optimal face came back empty")
+        report = verify_saddle(dp, lp.bookie_mixture, vertices[0])
+        if not report.holds:
+            raise SolverError("saddle check failed: %s" % (report.failing,))
         solution = replace(lp, rule=vertices[0], optimal_rule_vertices=vertices)
     else:
         value, w, mixture = block_game(dp.loss_rows, _widths(dp))
@@ -247,9 +245,6 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
             optimal_rule_vertices=None,
             unconstrained_x=tuple(x for xi, x in enumerate(space.x_labels) if xi not in live),
         )
-    report = _saddle_report(dp, solution.rule, solution.bookie_mixture)
-    if not report.holds:
-        raise SolverError("saddle check failed: %s" % (report.failing,))
     games[key] = solution
     return solution
 
@@ -327,15 +322,12 @@ def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
 
 @dataclass(frozen=True)
 class SaddleReport:
-    """Exact three-clause equilibrium check.
+    """Exact three-clause equilibrium check (:func:`credal.linprog._saddle`).
 
-    ``value``: mixture-averaged expected loss of the rule.
-    Clauses: the agent cannot improve against the aggregate; the bookie
-    cannot improve against the rule; every generator in the mixture's
-    support attains the bookie's maximum.  ``support-not-tight`` appears
-    in ``failing`` exactly when ``bookie-deviation`` does: for a
-    probability mixture, sum_i q_i v_i equals max v only when every row in
-    the support reaches that max.
+    ``value``: mixture-averaged expected loss of the rule.  Clauses: the
+    agent cannot improve against the aggregate; the bookie cannot improve
+    against the rule; every generator in the mixture's support attains the
+    bookie's maximum.
     """
 
     holds: bool
@@ -346,41 +338,15 @@ class SaddleReport:
 
 
 def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleReport:
-    gens = dp.credal.generators
     mixture = tuple(rat(w) for w in mixture)
-    if len(mixture) != len(gens):
+    if len(mixture) != len(dp.credal.generators):
         raise ValueError("mixture length != number of generators")
     qs, qd = common_denominator(mixture)
     if any(q < 0 for q in qs) or sum(qs) != qd:
         raise ValueError("mixture must be a probability vector")
-    return _saddle_report(dp, rule, mixture)
-
-
-def _saddle_report(dp: DecisionProblem, rule: DecisionRule, mixture) -> SaddleReport:
-    """:func:`verify_saddle` of ``rule`` against the probability vector
-    ``mixture``, over ``dp.loss_rows``: the bookie's best response is the
-    worst row under the rule and the agent's the best reply to the mixture,
-    the two checks of :func:`credal.linprog.block_game`.  A dead signal
-    adds 0 to both."""
-    vals, den, worst = _worst_row(dp.loss_rows, _live_weights(dp, rule))
-    qs, qd = common_denominator(mixture)
-    value = Fraction(sum(map(mul, qs, vals)), qd * den)
-    bookie_best = Fraction(vals[worst], den)
-    agent_best = _best_reply(dp.loss_rows, _widths(dp), mixture)[0]
-    failing = []
-    if value != agent_best:
-        failing.append("agent-deviation")
-    if value != bookie_best:
-        failing.append("bookie-deviation")
-    if any(q > 0 and v != vals[worst] for q, v in zip(qs, vals)):
-        failing.append("support-not-tight")
-    return SaddleReport(
-        holds=not failing,
-        value=value,
-        agent_best_response=agent_best,
-        bookie_best_response=bookie_best,
-        failing=tuple(failing),
-    )
+    # a dead signal adds 0 to every loss
+    *replies, failing = _saddle(dp.loss_rows, _widths(dp), _live_weights(dp, rule), mixture)
+    return SaddleReport(not failing, *replies, failing)
 
 
 # ---------------------------------------------------------------------------

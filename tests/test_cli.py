@@ -240,16 +240,17 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(credal.__file__).parent.parent)] + [v for v in [env.get("PYTHONPATH")] if v]
     )
-    proc = subprocess.Popen(
+    # the context manager closes both pipes, so no file is left open
+    with subprocess.Popen(
         [sys.executable, "-m", "credal.cli", "hull", str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    assert proc.stdout.readline() == b"generators: 8192\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 141
+    ) as proc:
+        assert proc.stdout.readline() == b"generators: 8192\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and err == ""
 
 

@@ -2,10 +2,14 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
+import credal.consistency
 from credal.cli import run
 from credal.consistency import (
     PairWitness,
     SignalWitness,
+    WitnessError,
     check_time_consistency,
     check_weak_time_consistency,
     falsify_dynamic_consistency,
@@ -18,6 +22,7 @@ from credal.core import (
     deterministic_rule,
     hull,
 )
+from credal.corpus import load_case
 from credal.minimax import worst_case_loss
 
 from problems import (
@@ -202,3 +207,24 @@ def test_weak_check_answers_beyond_the_product_limit(tmp_path, capsys):
     assert run(["consistency", "weak", str(path)], stdout=out) == 0
     assert "weak time consistency: consistent" in out.getvalue().splitlines()
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "check, problem",
+    (
+        (check_weak_time_consistency, prediction_problem),
+        (check_time_consistency, lambda: load_case("example-4.6").problem()),
+        (lambda dp: falsify_dynamic_consistency(dp, budget=0), prediction_problem),
+    ),
+)
+def test_every_witness_is_replayed_before_its_verdict(monkeypatch, check, problem):
+    # each check finds a witness here; a stale posterior loss in the replay
+    # must stop it before the verdict accuses the problem
+    dp = problem()
+    assert check(dp).result == "inconsistent"
+    real = credal.consistency.worst_case_posterior_loss
+    monkeypatch.setattr(
+        credal.consistency, "worst_case_posterior_loss", lambda *args: real(*args) + 1
+    )
+    with pytest.raises(WitnessError):
+        check(problem())

@@ -1,10 +1,14 @@
+import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
+import credal.core
 import credal.minimax
+from credal.cli import run
+from credal.core import is_rectangular
 from credal.corpus import (
     CorpusError,
     Expectation,
@@ -133,6 +137,29 @@ def test_a_case_builds_one_set_and_one_problem():
     # the problem file itself still builds new objects
     assert case.file.credal() is not case.credal()
     assert case.file.problem() is not case.problem()
+
+
+def test_corpus_run_decides_rectangularity_once_per_set(monkeypatch):
+    # rectangularity is kept on the set: `credal corpus run` makes the
+    # membership tests of one decision per case, as fresh sets decided once
+    points = []
+    member = credal.core.member
+
+    def counted(point, target):
+        points.append(point)
+        return member(point, target)
+
+    monkeypatch.setattr(credal.core, "member", counted)
+    assert run(["corpus", "run"], stdout=io.StringIO()) == 0
+    in_run = len(points)
+    points.clear()
+    for case in load_corpus():
+        p = load_case(case.id).credal()
+        is_rectangular(p)
+        once = len(points)
+        is_rectangular(p)
+        assert len(points) == once, case.id
+    assert in_run == len(points) > 0
 
 
 def test_every_expectation_documents_its_oracle():

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,10 +17,13 @@ from credal.core import (
     marginal_y,
     rule_from_weights,
 )
+from credal.corpus import load_case, load_corpus
 from credal.linprog import (
     EQ,
     LE,
+    InternalCheckError,
     SizeLimitError,
+    _saddle,
     zero_sum_value,
 )
 from credal.minimax import (
@@ -220,17 +222,50 @@ def test_saddle_rejects_non_equilibrium_pair():
     ),
 )
 def test_every_prior_solve_runs_the_saddle_check(monkeypatch, solve):
-    # the solves run verify_saddle's check on mixture data they build once;
-    # a check made to fail must stop each of them
+    # block_game and verify_saddle make the one saddle check; made to fail,
+    # it must stop each of them
     dp = monty_problem()
-    real = minimax._saddle_report
-
-    def failing(*args):
-        return replace(real(*args), holds=False, failing=("agent-deviation",))
-
-    monkeypatch.setattr(minimax, "_saddle_report", failing)
-    with pytest.raises(SolverError, match="saddle check failed"):
+    _patch_saddle(monkeypatch, _failing_saddle)
+    with pytest.raises((SolverError, InternalCheckError), match="saddle (point )?check failed"):
         solve(dp)
+
+
+def test_a_face_solve_checks_its_reported_vertex(monkeypatch):
+    # with the LP answer kept, the face's vertex is what is left to check
+    dp = monty_problem()
+    solve_a_priori(dp, face=False)
+    _patch_saddle(monkeypatch, _failing_saddle)
+    with pytest.raises(SolverError, match="saddle check failed"):
+        solve_a_priori(dp)
+
+
+def test_each_prior_answer_is_saddle_checked_once(monkeypatch):
+    # on every corpus game, block_game checks the LP's answer and a face
+    # solve adds its reported vertex
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _saddle(*args)
+
+    _patch_saddle(monkeypatch, counted)
+    games = [case for case in load_corpus() if case.file.loss is not None]
+    assert len(games) == 6
+    for case in games:
+        for face, want in ((False, 1), (True, 2)):
+            calls.clear()
+            solve_a_priori(load_case(case.id).problem(), face=face)
+            assert len(calls) == want, (case.id, face)
+
+
+def _patch_saddle(monkeypatch, check):
+    """``check`` in place of the one saddle check, where each module reads it."""
+    monkeypatch.setattr(credal.linprog, "_saddle", check)
+    monkeypatch.setattr(minimax, "_saddle", check)
+
+
+def _failing_saddle(*args):
+    return (*_saddle(*args)[:3], ("agent-deviation",))
 
 
 def _counting_lp_solves(monkeypatch):
