@@ -54,10 +54,14 @@ from .minimax import (
     solve_a_posteriori,
     solve_a_priori,
     verify_saddle,
-    worst_case_loss,
 )
-from .problemfile import ProblemFile, ProblemFileError, load_problem_file, parse_problem_file
-from .rationals import rat
+from .problemfile import (
+    ProblemFile,
+    ProblemFileError,
+    _rational,
+    load_problem_file,
+    parse_problem_file,
+)
 
 __all__ = ["main", "run"]
 
@@ -107,18 +111,15 @@ def _parse_rule_arg(text: str, pf: ProblemFile) -> DecisionRule:
         raise _InputError(
             "--rule needs %d '/'-separated blocks" % len(pf.x_labels)
         )
+    weights = [[_rational(v, "--rule") for v in b.split(",")] for b in blocks]
     try:
-        weights = [[rat(v) for v in b.split(",")] for b in blocks]
         return rule_from_weights(pf.space(), weights)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise _InputError("bad --rule: %s" % e)
 
 
 def _parse_mixture_arg(text: str):
-    try:
-        return tuple(rat(v) for v in text.split(","))
-    except (ValueError, ZeroDivisionError) as e:
-        raise _InputError("bad --mixture: %s" % e)
+    return tuple(_rational(v, "--mixture") for v in text.split(","))
 
 
 def _generator_index(pf: ProblemFile, dp) -> list[int]:
@@ -251,7 +252,7 @@ def _emit_pair(prefix: str, w: PairWitness, out):
     out("%sprior worst case: %s vs %s" % (prefix, w.prior[0], w.prior[1]))
 
 
-def _emit_verdict(v: ConsistencyVerdict, dp, out):
+def _emit_verdict(v: ConsistencyVerdict, out):
     out("%s: %s" % (_TITLES[v.kind], v.result))
     if isinstance(v.witness, SignalWitness):
         out("witness rule: %s" % _rule_text(v.witness.rule))
@@ -260,8 +261,7 @@ def _emit_verdict(v: ConsistencyVerdict, dp, out):
         out("posterior value: %s" % v.witness.posterior_value)
     elif isinstance(v.witness, DecisionRule):
         out("witness rule: %s" % _rule_text(v.witness))
-        wc, _ = worst_case_loss(dp.credal, v.witness, dp.loss)
-        out("witness prior worst case: %s" % wc)
+        out("witness prior worst case: %s" % v.witness_prior_loss)
     elif isinstance(v.witness, PairWitness):
         _emit_pair("", v.witness, out)
     if v.strict_variant_witness is not None:
@@ -281,7 +281,7 @@ def _cmd_consistency(args, out) -> int:
             raise _InputError("--budget must be at least 0")
         verdict = falsify_dynamic_consistency(dp, budget=args.budget)
     out("structure: %s" % verdict.notes.summary())
-    _emit_verdict(verdict, dp, out)
+    _emit_verdict(verdict, out)
     if args.strict and verdict.result == "inconsistent":
         return 1
     return 0

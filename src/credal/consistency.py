@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -164,6 +164,8 @@ class ConsistencyVerdict:
     witness: DecisionRule | SignalWitness | PairWitness | None
     notes: SufficiencyReport
     strict_variant_witness: PairWitness | None = None
+    # M_delta of a DecisionRule witness, as its replay computed it
+    witness_prior_loss: Fraction | None = None
 
 
 class WitnessError(Exception):
@@ -233,7 +235,9 @@ def check_weak_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
         raise WitnessError("posterior product does not exceed the prior value")
     if ms != tuple(post.value(x) for x in support_x(dp.credal)):
         raise WitnessError("witness is not posterior optimal")
-    return ConsistencyVerdict("weak-time", INCONSISTENT, witness=rule, notes=notes)
+    return ConsistencyVerdict(
+        "weak-time", INCONSISTENT, witness=rule, notes=notes, witness_prior_loss=big_m
+    )
 
 
 def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
@@ -244,9 +248,7 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
     weak = check_weak_time_consistency(dp)
     notes = weak.notes
     if weak.result == INCONSISTENT:
-        return ConsistencyVerdict(
-            kind="time", result=INCONSISTENT, witness=weak.witness, notes=notes
-        )
+        return replace(weak, kind="time")
     # enumerate the face only once the weak check passes: it may be refused
     prior, post = solve_a_priori(dp), solve_a_posteriori(dp)
     live = support_x(dp.credal)

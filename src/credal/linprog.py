@@ -5,11 +5,14 @@ Each row is scaled to integers once, when its LP is built: a
 pairs, as do the game rows that :mod:`credal.minimax` builds.
 
 A dense two-phase primal simplex with Bland's anti-cycling rule.  Its
-tableau is kept as integer rows over one positive common denominator, the
-basis determinant, and pivots with the fraction-free update of Edmonds and
-Bareiss; pricing and the ratio test compare the same rationals as a
-``Fraction`` tableau would, cross-multiplied, so the pivots are the same.
-The dual prices are read off the final pricing row.  The candidate
+tableau holds each row as its integer numerators with a unit slack or
+artificial column, so it starts at the identity basis; its entries are
+integers over one positive common denominator, ``|det B|`` of the basis
+in that integer matrix, and it pivots with the fraction-free update of
+Edmonds and Bareiss.  Pricing and the ratio test compare the same
+rationals as a ``Fraction`` tableau would, cross-multiplied, so the
+pivots are the same.  The dual prices are read off the final pricing
+row, each times its row's denominator.  The candidate
 systems of the optimal-face enumeration run through one Bareiss kernel
 on Python ``int``; each division by the previous pivot is exact, so no
 gcd is taken, and only the results are turned back into fractions.
@@ -205,23 +208,26 @@ class _Tableau:
 
     The LP is put in equality form ``A.z = b``, ``z >= 0``: free variables
     are split, one slack column is added per ``<=`` row and rows with
-    ``b < 0`` are negated.  Row ``i`` is held as integers over its ``d_i``;
-    in that row-scaled integer matrix each row starts with one basic unit
-    column ``d_i e_i``, its slack or an artificial, so the starting basis
-    has determinant ``den = prod(d_i)``.
+    ``b < 0`` are negated.  Row ``i`` is held as its integer numerators,
+    the rational row times its ``d_i``, which is the same constraint; each
+    row starts with one basic unit column ``e_i``, its slack or an
+    artificial, so the starting basis is the identity and ``den = 1``.
 
     Invariant: ``rows[i][j] / den`` is entry ``(i, j)`` of the rational
-    tableau ``B^-1 A`` of the current basis ``B``, the right-hand side in
-    the last slot, and ``den`` is the determinant of ``B`` in the
-    row-scaled matrix, its sign kept positive (a row dropped as redundant
-    leaves its factor ``d_i`` in ``den`` and in every entry).  A pivot is
-    the fraction-free step :func:`_eliminate` of :func:`_bareiss` (Edmonds
+    tableau ``B^-1 A`` of the current basis ``B`` in the integer matrix,
+    the right-hand side in the last slot, and ``den`` is ``|det B|`` over
+    the kept rows (a row dropped as redundant holds its artificial, a unit
+    column, so it leaves ``|det B|`` unchanged).  A pivot is the
+    fraction-free step :func:`_eliminate` of :func:`_bareiss` (Edmonds
     1967) on every row: each division by the old ``den`` is exact, so no
-    gcd is taken.  Bland's
-    pricing reads only signs and the ratio test compares the same
-    rationals cross-multiplied by positive integers, so the pivots, the
-    final basis and the point they give are the ones the rational tableau
-    takes.
+    gcd is taken.  Bland's pricing reads only signs and the ratio test
+    compares the same rationals cross-multiplied by positive integers, so
+    the pivots are the ones the rational tableau takes.  Against the rows
+    over their ``d_i`` with unit slacks, holding row ``i`` as numerators
+    scales the row by ``d_i`` and its slack by ``1/d_i``, which keeps the
+    signs of the reduced costs and the order of the ratio test; only
+    phase 1 weighs an artificial by its row's ``d_i``, and every row that
+    a block game gives an artificial has ``d_i = 1``.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -239,54 +245,42 @@ class _Tableau:
         cost = [s * objective[j] for j, s in std]
 
         # Each integer row, negated when the rhs is negative, then one
-        # slack column per <= row.  A row whose slack entry is positive
-        # starts with it basic; every other row gets an artificial.
+        # unit slack column per <= row.  A row whose slack entry is +1
+        # starts with it basic; every other row gets a unit artificial.
         m = len(lp.rows)
         nslack = lp.senses.count(LE)
-        scale: list[int] = []
-        scaled: list[list[int]] = []
         self.flipped: list[bool] = []
         self.basis = [-1] * m
-        rhs = []
-        for i, ((row, d), sense) in enumerate(zip(lp.rows, lp.senses)):
+        self.rows = []
+        for i, ((row, _), sense) in enumerate(zip(lp.rows, lp.senses)):
             flipped = row[-1] < 0
             ints = [-v for v in row] if flipped else list(row)
-            rhs.append(ints.pop())
+            rhs = ints.pop()
             if len(std) > n:
                 ints = [s * ints[j] for j, s in std]
             ints += [0] * nslack
             if sense == LE:
                 col = len(cost)
-                ints[col] = -d if flipped else d
+                ints[col] = -1 if flipped else 1
                 if not flipped:
                     self.basis[i] = col
                 cost.append(0)
                 self.var_map.append((-1, 0))
-            scale.append(d)
             self.flipped.append(flipped)
-            scaled.append(ints)
+            self.rows.append(ints + [rhs])
         self.ncols_real = len(cost)
-        for i in range(m):
+        nart = self.basis.count(-1)
+        for i, row in enumerate(self.rows):
+            row[-1:-1] = [0] * nart  # before the right-hand side
             if self.basis[i] < 0:
                 self.basis[i] = len(cost)
+                row[len(cost)] = 1
                 cost.append(0)
                 self.var_map.append((-2, 0))
         self.artificial = frozenset(range(self.ncols_real, len(cost)))
         self.cost = cost  # phase-2 cost, times cost_scale; 0 off the objective
         self.unit = list(self.basis)  # row -> its starting unit column
-
-        # Row i over den = prod(d) is row i of the rational tableau; the
-        # starting basis has determinant den in the row-scaled matrix.
-        den = math.prod(scale)
-        self.den = den
-        nart = len(cost) - self.ncols_real
-        self.rows = []
-        for i, (ints, d, b) in enumerate(zip(scaled, scale, rhs)):
-            k = den // d
-            row = [k * v for v in ints] + [0] * nart + [k * b]
-            if self.basis[i] >= self.ncols_real:
-                row[self.basis[i]] = den
-            self.rows.append(row)
+        self.den = 1  # the starting basis is the identity
 
     # -- pivoting ---------------------------------------------------------
 
@@ -390,17 +384,17 @@ class _Tableau:
         """Row prices read off the final phase-2 pricing row.
 
         The prices ``u`` of the final basis solve ``u.M_B = cost_B`` on the
-        row-scaled integer matrix ``M``.  Row ``i``'s starting unit column
-        is ``d_i e_i`` with cost 0, so its entry in the pricing row is
-        ``-den d_i u_i``, and the row's price ``d_i u_i`` over the cost
-        scale needs no linear solve (``d_i`` cancels).  A row dropped as
-        redundant reads 0: its artificial column is zero in every kept
-        row.  Flipped rows are negated back.
+        integer matrix ``M``.  Row ``i``'s starting unit column is ``e_i``
+        with cost 0, so its entry in the pricing row is ``-den u_i``; the
+        rational row is ``M_i / d_i``, so its price is ``d_i u_i`` over the
+        cost scale, and needs no linear solve.  A row dropped as redundant
+        reads 0: its artificial column is zero in every kept row.  Flipped
+        rows are negated back.
         """
         den = self.den * self.cost_scale
         return tuple(
-            Fraction(self.zrow[u] if flipped else -self.zrow[u], den)
-            for u, flipped in zip(self.unit, self.flipped)
+            Fraction(self.zrow[u] * (d if flipped else -d), den)
+            for u, flipped, (_, d) in zip(self.unit, self.flipped, self.lp.rows)
         )
 
 

@@ -152,6 +152,10 @@ def _weak_verdict(dp: DecisionProblem, notes, post) -> ConsistencyVerdict:
                 if m != post.value(x):
                     raise WitnessError("witness is not posterior optimal")
             return ConsistencyVerdict(
-                kind="weak-time", result=INCONSISTENT, witness=rule, notes=notes
+                kind="weak-time",
+                result=INCONSISTENT,
+                witness=rule,
+                notes=notes,
+                witness_prior_loss=wc,
             )
     return ConsistencyVerdict(kind="weak-time", result=CONSISTENT, witness=None, notes=notes)

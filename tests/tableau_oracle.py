@@ -2,9 +2,11 @@
 
 This is the tableau ``credal.linprog`` used before its pivots moved to
 integers over one common denominator: every pivot divides the pivot row
-by the pivot and eliminates in ``Fraction``, on the package's integer
-LP read back as fractions.  Tests compare the package's integer tableau
-against it, pivot by pivot.
+by the pivot and eliminates in ``Fraction``.  It reads each row of the
+package's integer LP as the package's tableau does, as its integer
+numerators over 1 with a unit slack, and multiplies each row's dual price
+back by the row's denominator.  Tests compare the package's integer
+tableau against it, pivot by pivot and entry by entry.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ class _Tableau:
     """Equality-form tableau ``A.z = b`` with ``z >= 0`` plus bookkeeping."""
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp = fraction_lp(lp)
+        # each row as its integer numerators over 1: the rational row
+        # times its d_i, with a unit slack, as the package holds it
+        self.scale = [d for _, d in lp.rows]
+        lp = fraction_lp(lp)
+        self.lp = lp = lp._replace(
+            rows=tuple(tuple(d * v for v in row) for row, d in zip(lp.rows, self.scale)),
+            rhs=tuple(d * b for b, d in zip(lp.rhs, self.scale)),
+        )
         n = len(lp.objective)
 
         # std variable k -> (original index j, sign); free vars are split.
@@ -234,7 +243,8 @@ class _Tableau:
             raise InternalCheckError("basis matrix is singular")
         full = [ZERO] * len(self.lp.rows)
         for k, orig in enumerate(live):
-            full[orig] = -y[k] if self.flipped[orig] else y[k]
+            # the integer row's price times d_i is the rational row's
+            full[orig] = (-y[k] if self.flipped[orig] else y[k]) * self.scale[orig]
         return tuple(full)
 
 

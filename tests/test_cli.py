@@ -599,6 +599,25 @@ def test_saddle_refuses_a_bad_mixture(capsys, mixture, message):
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize(
+    "rule, mixture, message",
+    (
+        ("1/2,1/2/1,0", "1,0,0,0", "--rule needs 2 '/'-separated blocks"),
+        ("0.5,0.5/1,0", "1,0,0,0", "field '--rule': not a rational: '0.5'"),
+        ("1e0,0/1,0", "1,0,0,0", "field '--rule': not a rational: '1e0'"),
+        ("1,0/1,0", "0.5,0.5,0,0", "field '--mixture': not a rational: '0.5'"),
+        ("1,0/1,0", "1e0,0,0,0", "field '--mixture': not a rational: '1e0'"),
+        ("1,0/1,0", "1/0,0,0,0", "field '--mixture': not a rational: '1/0'"),
+    ),
+)
+def test_saddle_numbers_are_read_as_in_problem_files(capsys, rule, mixture, message):
+    # "p" or "p/q" only, as a problem file's numbers; "/" separates the
+    # rule's blocks, so a rule weight is an integer
+    code, text = cli("saddle", "corpus/example-2.1", "--rule", rule, "--mixture", mixture)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_mixtures_are_indexed_by_the_file_generators(tmp_path):
     # the first generator is listed twice; the credal set keeps one copy
     half, other = [["1/2", "0"], ["0", "1/2"]], [["0", "1/2"], ["1/2", "0"]]
@@ -668,6 +687,28 @@ def test_weak_consistency_witness():
     ]
     code, _ = cli("consistency", "weak", "corpus/example-2.1", "--strict")
     assert code == 1
+
+
+def test_weak_witness_loss_is_replayed_once(monkeypatch):
+    # the verdict carries the M_delta its replay computed; the report
+    # prints it and computes none of its own
+    calls = []
+    worst_case = credal.minimax.worst_case_loss
+
+    def counted(*args):
+        calls.append(args)
+        return worst_case(*args)
+
+    for module in (credal.minimax, credal.consistency, credal.cli):
+        if hasattr(module, "worst_case_loss"):
+            monkeypatch.setattr(module, "worst_case_loss", counted)
+    out = lines("consistency", "weak", "corpus/monty-hall")
+    assert out[1:] == [
+        "weak time consistency: inconsistent",
+        "witness rule: G2->3, G3: (1/2, 1/2, 0)",
+        "witness prior worst case: 1/2",
+    ]
+    assert len(calls) == 1
 
 
 def test_time_check_solves_the_prior_game_once(monkeypatch):

@@ -6,9 +6,10 @@ order, a loss ``a*L + b`` with ``a > 0``, a repeated generator, or a
 generator inside the hull.  Every answer that does not depend on the
 listing order must map back: the prior value, ``unique``, the optimal
 face as a set of rules keyed by label, each posterior value and set of
-optimal actions, and the weak and time verdicts.  The lexicographically
-first rule, the bookie mixture and the witnesses depend on the order or
-on the pivot path, and are left out.
+optimal actions, the weak and time verdicts, rectangularity and the
+hull's generators (a finite set takes no generator inside its hull).
+The lexicographically first rule, the bookie mixture and the witnesses
+depend on the order or on the pivot path, and are left out.
 
 The last test asks every question of one problem in a shuffled order
 and compares each answer with the same question asked of a new
@@ -23,7 +24,14 @@ from credal.consistency import (
     check_weak_time_consistency,
     falsify_dynamic_consistency,
 )
-from credal.core import DecisionProblem, ProblemSpace, credal_set, loss_function
+from credal.core import (
+    DecisionProblem,
+    ProblemSpace,
+    credal_set,
+    hull,
+    is_rectangular,
+    loss_function,
+)
 from credal.linprog import SizeLimitError
 from credal.minimax import (
     solve_a_posteriori,
@@ -152,6 +160,38 @@ def test_answers_map_back_under_an_affine_loss():
         table = [[scale * v + shift for v in row] for row in table]
         got = _answers(_problem(space, masses, convex, table), scale, shift)
         assert got == _answers(dp), (scale, shift, dp)
+
+
+def _structure(p):
+    """Whether ``p`` is rectangular, and the generators of its hull, each
+    as its masses keyed by label; a refusal as its message."""
+    space = p.space
+
+    def masses(g):
+        return frozenset(
+            ((x, y), v)
+            for x, row in zip(space.x_labels, g.mass)
+            for y, v in zip(space.y_labels, row)
+        )
+
+    try:
+        generators = frozenset(map(masses, hull(p).generators))
+    except SizeLimitError as e:
+        generators = str(e)
+    return is_rectangular(p), generators
+
+
+def test_structure_maps_back_under_every_transform():
+    seen = {True: 0, False: 0}
+    for rng, dp in _problems(2204):
+        want = _structure(dp.credal)
+        for transform in TRANSFORMS:
+            if transform is _inside and not dp.credal.convex:
+                continue  # the mixture is a new member of a finite set
+            got = _structure(_problem(*transform(rng, *_parts(dp))).credal)
+            assert got == want, (transform.__name__, dp)
+        seen[want[0]] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def _dynamic(dp):

@@ -181,3 +181,42 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
     assert len(lps) >= 500 and len(distinct) >= 50
     for lp in distinct:
         _assert_same(traced, lp)
+
+
+def _abs_det(matrix):
+    """``|det matrix|`` of a square integer matrix, by Fraction elimination."""
+    a = [[F(v) for v in row] for row in matrix]
+    det = F(1)
+    for c in range(len(a)):
+        sel = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if sel is None:
+            return 0
+        a[c], a[sel] = a[sel], a[c]
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return abs(det)
+
+
+def test_den_is_the_basis_determinant_of_the_integer_rows():
+    """Every tableau starts at ``den = 1`` and ends with ``den = |det B|`` of
+    its final basis over the kept rows of the starting integer matrix.  A
+    row is dropped as redundant exactly when its starting unit column is
+    zero in every kept row of the final tableau."""
+    rng = random.Random(6)
+    seen = {"feasible": 0, "dropped": 0}
+    for _ in range(3000):
+        lp = _random_lp(rng)
+        tab = IntTableau(lp)
+        assert tab.den == 1, lp
+        start = [list(row) for row in tab.rows]
+        if tab.run() == INFEASIBLE:
+            continue
+        kept = [r for r, u in enumerate(tab.unit) if any(row[u] for row in tab.rows)]
+        assert len(kept) == len(tab.rows), lp
+        basis = [[start[r][c] for c in tab.basis] for r in kept]
+        assert tab.den == _abs_det(basis), lp
+        seen["feasible"] += 1
+        seen["dropped"] += len(kept) < len(lp.rows)
+    assert seen["feasible"] >= 2000 and seen["dropped"] >= 400, seen
