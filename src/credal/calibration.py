@@ -22,10 +22,16 @@ each signal event on the set, computed once, in outcome space only.
 Ignoring is conditioning on every signal, and a table rule's opinion
 set is the Y-marginal kept on that table entry's own set.  Every set
 handed out is pruned, so two are equal exactly when their generator
-sets are.  :func:`sharp_partition` orders the calibrated partitions
-once, as bitsets: at each live signal it groups them by their cell
-there and asks inclusion once per pair of cells, so it never compares
-two partitions directly.
+sets are.
+
+The two sharpness searches work on one table of cells per set: each
+signal event, as a bitmask over the signal indices, maps to an
+interned id of its Y-set, and inclusion is asked once per pair of ids.
+A partition is calibrated iff each group of its cells with equal id
+has that same id on the union of the group, so the searches build no
+calibration report.  :func:`sharp_partition` orders the calibrated
+partitions once, as bitsets: at each live signal it groups them by the
+id of their cell there, so it never compares two partitions directly.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .core import (
     support_x,
 )
 from .linprog import SizeLimitError
-from .partitions import all_partitions, bell_number
+from .partitions import bell_number, cell_masks, partition_of
 from .polytope import VPolytope, subset
 
 __all__ = [
@@ -364,6 +370,58 @@ class SharpnessCertificate:
     examined: int
 
 
+class _Cells:
+    """The table of cells of one credal set.
+
+    Each signal event, as a bitmask over the signal indices, maps to an
+    interned id of its pruned :func:`posterior_y` (None where no
+    generator reaches it), so two cells share an id exactly when their
+    sets are equal.  Inclusion is asked once per pair of ids.
+    """
+
+    def __init__(self, p: CredalSet):
+        self.p = p
+        self.sets: list[VPolytope] = []
+        self._ids: dict[int, int | None] = {}
+        self._interned: dict[tuple, int] = {}
+        self._sub: dict[tuple[int, int], bool] = {}
+
+    def id(self, mask: int) -> int | None:
+        if mask not in self._ids:
+            labels = self.p.space.x_labels
+            s = posterior_y(self.p, tuple(x for i, x in enumerate(labels) if mask >> i & 1))
+            i = None
+            if s is not None:
+                i = self._interned.setdefault(_key(s), len(self.sets))
+                if i == len(self.sets):
+                    self.sets.append(s)
+            self._ids[mask] = i
+        return self._ids[mask]
+
+    def sub(self, i: int, j: int) -> bool:
+        """Is set ``i`` inside set ``j``?"""
+        if (i, j) not in self._sub:
+            self._sub[i, j] = i == j or subset(self.sets[i], self.sets[j])
+        return self._sub[i, j]
+
+    def calibrated(self, cells) -> bool:
+        """Is conditioning on the partition with these cells calibrated?
+
+        Its classes join its live cells of equal id, and it is
+        calibrated iff each class has that same id on the whole class.
+        """
+        classes: dict[int, int] = {}
+        for mask in cells:
+            i = self.id(mask)
+            if i is not None:
+                classes[i] = classes.get(i, 0) | mask
+        return all(self.id(mask) == i for i, mask in classes.items())
+
+    def at(self, cells, x: int) -> int:
+        """The id of the cell holding the live signal ``x``."""
+        return self.id(next(mask for mask in cells if mask >> x & 1))
+
+
 def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     """A sharply calibrated partition conditioning for ``p``.
 
@@ -375,25 +433,46 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     refinement only coarsens and the calibrated order is not a chain.
 
     The descent moves to the first strictly narrower partition in
-    enumeration order, and the minimal ones are those with none.
+    enumeration order, and the minimal ones are those with none.  The
+    calibrated partitions are ordered once, as bitsets: at each live
+    signal they are grouped by the id of their cell there, and
+    inclusion is asked once per pair of ids.
     """
     _require_sharpness_search(p)
     if not p.live:
         raise ValueError("credal set has empty signal support")
-    examined = [partition_conditioning(c) for c in all_partitions(p.space.x_labels)]
-    calibrated = [r for r in examined if _check_calibration(r, p).calibrated]
-    strict = _strictly_narrower_sets(calibrated, p)
-    start = partition_conditioning(refinement_fixpoint(p))
+    cells = _Cells(p)
+    examined = list(cell_masks(p.space.nx))
+    calibrated = [c for c in examined if cells.calibrated(c)]
+    everyone = (1 << len(calibrated)) - 1
+    below = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets lie inside
+    same = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets are equal
+    for x in p.live:
+        ids = [cells.at(c, x) for c in calibrated]
+        groups: dict[int, int] = {}
+        for k, i in enumerate(ids):
+            groups[i] = groups.get(i, 0) | 1 << k
+        # inclusion is asked only of ids that some partition may still lie below
+        reach: dict[int, int] = {}
+        for k, j in enumerate(ids):
+            reach[j] = reach.get(j, 0) | below[k]
+        inside = {
+            j: sum(m for i, m in groups.items() if m & reach[j] and cells.sub(i, j)) for j in groups
+        }
+        for k, j in enumerate(ids):
+            below[k] &= inside[j]
+            same[k] &= groups[j]
+    strict = [b & ~s for b, s in zip(below, same)]
+    labels = p.space.x_labels
+    bit = {x: 1 << i for i, x in enumerate(labels)}
+    start = tuple(sum(map(bit.get, cell)) for cell in refinement_fixpoint(p).cells)
     if start not in calibrated:
         raise AssertionError("refinement fixpoint should be calibrated")
     current = calibrated.index(start)
     while strict[current]:
         current = _lowest_bit(strict[current])
-    minimal = [c for c, below in zip(calibrated, strict) if not below]
-    if calibrated[current] not in minimal:
-        raise AssertionError("descent should end at a minimal partition")
-    return calibrated[current].partition, SharpnessCertificate(
-        minimal=tuple(c.partition for c in minimal),
+    return partition_of(labels, calibrated[current]), SharpnessCertificate(
+        minimal=tuple(partition_of(labels, c) for c, s in zip(calibrated, strict) if not s),
         calibrated_count=len(calibrated),
         examined=len(examined),
     )
@@ -401,44 +480,6 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _strictly_narrower_sets(rules: list[UpdateRule], p: CredalSet) -> list[int]:
-    """For each partition rule, the bitmask of the rules strictly narrower
-    than it (bit ``j`` stands for ``rules[j]``).
-
-    At each live signal the rules are grouped by their opinion set, and
-    inclusion is asked once per pair of sets.  ``below[i]`` is the AND
-    over the signals of the rules whose set lies inside rule ``i``'s,
-    ``same[i]`` of those whose set equals it; strictly narrower is
-    below and not the same everywhere.  Images are grouped, and
-    inclusions kept, by identity: ``p`` keeps every set it hands out
-    alive, one per cell.
-    """
-    everyone = (1 << len(rules)) - 1
-    below = [everyone] * len(rules)
-    same = [everyone] * len(rules)
-    sub: dict[tuple[int, int], bool] = {}
-    for x in support_x(p):
-        groups: dict[int, tuple[VPolytope, list[int]]] = {}
-        for i, rule in enumerate(rules):
-            image = _image(rule, p, x)
-            groups.setdefault(id(image), (image, []))[1].append(i)
-        masks = [(image, sum(1 << i for i in members)) for image, members in groups.values()]
-        for outer, members in groups.values():
-            inside = equal = 0
-            for inner, mask in masks:
-                pair = id(inner), id(outer)
-                if pair not in sub:
-                    sub[pair] = _sub(inner, outer)
-                if sub[pair]:
-                    inside |= mask
-                    if _key(inner) == _key(outer):
-                        equal |= mask
-            for i in members:
-                below[i] &= inside
-                same[i] &= equal
-    return [b & ~s for b, s in zip(below, same)]
 
 
 @dataclass(frozen=True)
@@ -454,18 +495,32 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     place.  Searching partition conditionings is enough: a calibrated
     rule's opinion sets coincide with conditioning on its own class
     partition, so any strictly narrower calibrated rule yields a
-    strictly narrower calibrated partition.
+    strictly narrower calibrated partition.  The witness is the first
+    in enumeration order; each cell's set is compared with the rule's
+    opinion set at a signal once.
     """
     _require_sharpness_search(p)
     if not _check_calibration(rule, p).calibrated:
         raise ValueError("sharpness is only defined for calibrated rules")
-    if any(_image(rule, p, x) is None for x in support_x(p)):
+    images = [_image(rule, p, x) for x in support_x(p)]
+    if any(image is None for image in images):
         raise ValueError("rule undefined at a support signal")
-    for cand in all_partitions(p.space.x_labels):
-        cand_rule = partition_conditioning(cand)
-        if (
-            _check_calibration(cand_rule, p).calibrated
-            and narrower(cand_rule, rule, p) == STRICTLY_NARROWER
-        ):
-            return SharpnessVerdict(sharp=False, witness=cand)
+    cells = _Cells(p)
+    inside: dict[tuple[int, int], tuple[bool, bool]] = {}  # (x, id): inside, equal
+
+    def narrower_than_rule(c) -> str:
+        strict = False
+        for x, image in zip(p.live, images):
+            i = cells.at(c, x)
+            if (x, i) not in inside:
+                inside[x, i] = _sub(cells.sets[i], image), _key(cells.sets[i]) == _key(image)
+            ok, equal = inside[x, i]
+            if not ok:
+                return NOT_NARROWER
+            strict = strict or not equal
+        return STRICTLY_NARROWER if strict else NARROWER
+
+    for c in cell_masks(p.space.nx):
+        if cells.calibrated(c) and narrower_than_rule(c) == STRICTLY_NARROWER:
+            return SharpnessVerdict(sharp=False, witness=partition_of(p.space.x_labels, c))
     return SharpnessVerdict(sharp=True, witness=None)

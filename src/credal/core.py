@@ -152,6 +152,13 @@ class JointDistribution:
         if sum(nums) != den:
             raise ValueError("mass must sum to exactly 1, got %s" % Fraction(sum(nums), den))
 
+    @cached_property
+    def _int_mass(self) -> tuple[tuple[int, ...], ...]:
+        """The mass rows as integer numerators over one positive denominator."""
+        nums, _ = common_denominator(self.flatten())
+        ny = self.space.ny
+        return tuple(nums[i : i + ny] for i in range(0, len(nums), ny))
+
     def x_marginal(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, ZERO) for row in self.mass)
 
@@ -546,15 +553,11 @@ def _posterior_y(p: CredalSet, cell) -> VPolytope | None:
         raise ValueError("conditioning event must be nonempty")
     pts = []
     for g in p.generators:
-        pe = g.event_x(idx)
-        if pe == 0:
-            continue
-        pts.append(
-            tuple(
-                sum((g.mass[i][y] for i in idx), ZERO) / pe
-                for y in range(p.space.ny)
-            )
-        )
+        # the cell's mass of each outcome, in integers over g's denominator
+        mass = [sum(col) for col in zip(*[g._int_mass[i] for i in idx])]
+        total = sum(mass)
+        if total:
+            pts.append(tuple([Fraction(v, total) for v in mass]))
     if not pts:
         return None
     return prune(VPolytope(dimension=p.space.ny, generators=tuple(pts), convex=p.convex))

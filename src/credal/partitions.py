@@ -4,14 +4,16 @@ Partitions are generated from restricted-growth strings in
 lexicographic order, so the whole-set partition comes first and the
 all-singletons partition last.  The order is part of the public
 contract: searches that return "the first partition such that ..."
-must be reproducible.
+must be reproducible.  The sharpness searches walk the same order as
+cell bitmasks (:func:`cell_masks`) and build a :class:`Partition` only
+for what they return.
 """
 
 from __future__ import annotations
 
 from .core import Partition
 
-__all__ = ["all_partitions", "bell_number"]
+__all__ = ["all_partitions", "bell_number", "cell_masks", "partition_of"]
 
 
 def bell_number(n: int) -> int:
@@ -49,15 +51,29 @@ def _growth_strings(n: int):
         yield from rec(1, 0)
 
 
+def cell_masks(n: int):
+    """Every partition of ``range(n)``, ``n >= 1``, as the bitmasks of its
+    cells (bit ``i`` for element ``i``), in the order of
+    :func:`all_partitions`, cells by their least element."""
+    for rgs in _growth_strings(n):
+        cells = [0] * (max(rgs) + 1)
+        for i, cell in enumerate(rgs):
+            cells[cell] |= 1 << i
+        yield tuple(cells)
+
+
+def partition_of(labels, cells) -> Partition:
+    """The partition of ``labels`` whose cells are the bitmasks ``cells``."""
+    return Partition(
+        labels=labels,
+        cells=tuple(tuple(x for i, x in enumerate(labels) if mask >> i & 1) for mask in cells),
+    )
+
+
 def all_partitions(labels):
     """All partitions of ``labels``, whole set first, singletons last."""
     labels = tuple(str(v) for v in labels)
-    n = len(labels)
-    if n == 0:
+    if not labels:
         raise ValueError("cannot partition an empty label set")
-    for rgs in _growth_strings(n):
-        ncells = max(rgs) + 1
-        cells: list[list[str]] = [[] for _ in range(ncells)]
-        for name, cell in zip(labels, rgs):
-            cells[cell].append(name)
-        yield Partition(labels=labels, cells=tuple(tuple(c) for c in cells))
+    for cells in cell_masks(len(labels)):
+        yield partition_of(labels, cells)

@@ -3,15 +3,20 @@
 A :class:`VPolytope` is a list of generator points plus a ``convex``
 flag.  With ``convex=True`` the object denotes the convex hull of the
 generators; with ``convex=False`` it denotes the bare finite set.  All
-comparisons reduce to exact membership tests: list equality in the
-finite case, and in the convex case two exact arguments before any LP.
-A convex combination stays inside its generators' coordinate box (kept
-on each polytope as :attr:`VPolytope.box`), so a point outside it is
-not a member.  When the point and every generator lie on one line, the
-hull is the segment between the extreme generators, so a point inside
-the box is a member; every set of two generators and every set of
-2-outcome distributions is of this kind.  Only the remaining questions
-solve a linear feasibility problem.
+comparisons reduce to exact membership tests: identity with a
+generator in the finite case, and in the convex case three exact
+arguments before any LP.  A generator is a member.  A convex
+combination stays inside its generators' coordinate box, so a point
+outside it is not.  When the point and every generator lie on one
+line, the hull is the segment between the extreme generators, so a
+point inside the box is a member; every set of two generators and
+every set of 2-outcome distributions is of this kind.  Each polytope
+keeps its generators in integers once (:attr:`VPolytope.hull`: the
+generators over one common denominator, each also in lowest terms,
+their box and their line), so these three tests cross-multiply
+integers and compare no ``Fraction``.  Only the remaining questions
+solve a linear feasibility problem, whose rows are each scaled to
+integers on their own.
 
 There is deliberately no facet (H-) representation anywhere; subset
 tests work generator-wise, which is sound because the right-hand side
@@ -20,6 +25,7 @@ of each test is itself convex or finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,14 +65,73 @@ class VPolytope:
         object.__setattr__(self, "generators", tuple(dict.fromkeys(self.generators)))
 
     @cached_property
+    def hull(self) -> _Hull:
+        """The generators in integers, with their box and their line."""
+        points = tuple(common_denominator(g) for g in self.generators)
+        den = math.lcm(*[d for _, d in points])
+        nums = tuple(tuple([v * (den // d) for v in n]) for n, d in points)
+        return _Hull(self.generators, points, nums, den)
+
+    @cached_property
     def box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Coordinate-wise minimum and maximum over the generators."""
-        return _box(self.generators)
+        h = self.hull
+        return tuple(tuple(Fraction(v, h.den) for v in side) for side in (h.lo, h.hi))
 
     @cached_property
     def generator_set(self) -> frozenset[tuple[Fraction, ...]]:
         """The generators, unordered."""
         return frozenset(self.generators)
+
+
+class _Hull:
+    """A generator list in integers.
+
+    ``points`` holds each generator as its ``common_denominator`` pair,
+    which is in lowest terms, so two points are equal exactly when their
+    pairs are (``keys``).  ``nums`` holds every generator over the one
+    denominator ``den``, with their coordinate box ``lo``, ``hi`` and,
+    when all of them lie on one line, ``line``: the first generator, the
+    step to the second and a coordinate where that step is not zero.
+    """
+
+    __slots__ = ("generators", "points", "keys", "nums", "den", "lo", "hi", "line")
+
+    def __init__(self, generators, points, nums, den):
+        self.generators, self.points, self.nums, self.den = generators, points, nums, den
+        self.keys = frozenset(points)
+        cols = tuple(zip(*nums))
+        self.lo, self.hi = tuple(map(min, cols)), tuple(map(max, cols))
+        self.line = None
+        if len(nums) > 1:
+            origin = nums[0]
+            step = [v - o for v, o in zip(nums[1], origin)]
+            k = next(i for i, v in enumerate(step) if v)
+            self.line = origin, step, k
+            if not all(self.on_line(q, den) for q in nums[2:]):
+                self.line = None
+
+    def without(self, i: int) -> _Hull:
+        """The same generators but the ``i``-th, over the same denominator."""
+        return _Hull(
+            self.generators[:i] + self.generators[i + 1 :],
+            self.points[:i] + self.points[i + 1 :],
+            self.nums[:i] + self.nums[i + 1 :],
+            self.den,
+        )
+
+    def in_box(self, nums, den) -> bool:
+        """Does the point ``nums / den`` lie in the box?"""
+        return all(lo * den <= v * self.den <= hi * den for v, lo, hi in zip(nums, self.lo, self.hi))
+
+    def on_line(self, nums, den) -> bool:
+        """Does the point ``nums / den`` lie on the generators' line?"""
+        if self.line is None:
+            return False
+        origin, step, k = self.line
+        # the point minus the origin, scaled by den * self.den
+        u = [v * self.den - o * den for v, o in zip(nums, origin)]
+        return all(u[i] * step[k] == u[k] * s for i, s in enumerate(step))
 
 
 def polytope(points, convex, dimension=None) -> VPolytope:
@@ -78,46 +143,25 @@ def polytope(points, convex, dimension=None) -> VPolytope:
     return VPolytope(dimension=dimension, generators=pts, convex=convex)
 
 
-def _box(generators):
-    cols = tuple(zip(*generators))
-    return tuple(map(min, cols)), tuple(map(max, cols))
+def _in_hull(point, pair, hull: _Hull) -> bool:
+    """Exact test: is ``point`` a convex combination of ``hull``'s generators?
 
-
-def _in_box(point, box) -> bool:
-    return all(lo <= v <= hi for v, lo, hi in zip(point, *box))
-
-
-def _on_one_line(point, generators) -> bool:
-    """Do ``point`` and all ``generators`` (two or more, distinct) lie
-    on one line?"""
-    origin = generators[0]
-    d = [v - o for v, o in zip(generators[1], origin)]
-    k = next(i for i, v in enumerate(d) if v)
-    for q in (point, *generators[2:]):
-        u = [v - o for v, o in zip(q, origin)]
-        if any(u[i] * d[k] != u[k] * d[i] for i in range(len(d))):
-            return False
-    return True
-
-
-def _in_hull(point, generators, box=None):
-    """Exact test: is ``point`` a convex combination of ``generators``?
-
-    Outside the generators' box it is not; on their common line and
+    ``pair`` is ``common_denominator(point)``.  A generator is; outside
+    the generators' box the point is not; on their common line and
     inside the box it is (the segment's ends are the box's corners, as
     each coordinate is monotone along the line).  Otherwise the
     feasibility LP decides, each of its rows scaled to integers once.
     """
-    if point in generators:
+    if pair in hull.keys:
         return True
-    if not _in_box(point, box or _box(generators)):
+    if not hull.in_box(*pair):
         return False
-    if _on_one_line(point, generators):
+    if hull.on_line(*pair):
         return True
-    k = len(generators)
+    k = len(hull.generators)
     lp = LinearProgram(
         objective=((0,) * k, 1),
-        rows=tuple(common_denominator((*col, v)) for col, v in zip(zip(*generators), point))
+        rows=tuple(common_denominator((*col, v)) for col, v in zip(zip(*hull.generators), point))
         + (((1,) * (k + 1), 1),),
         senses=(EQ,) * (len(point) + 1),
         lower_bounds=(0,) * k,
@@ -130,9 +174,10 @@ def member(point, p: VPolytope) -> bool:
     point = rat_seq(point)
     if len(point) != p.dimension:
         raise ValueError("point dimension mismatch")
+    pair = common_denominator(point)
     if not p.convex:
-        return point in p.generators
-    return _in_hull(point, p.generators, p.box)
+        return pair in p.hull.keys
+    return _in_hull(point, pair, p.hull)
 
 
 def subset(a: VPolytope, b: VPolytope) -> bool:
@@ -143,20 +188,22 @@ def subset(a: VPolytope, b: VPolytope) -> bool:
     either convex or finite, so pointwise membership settles it.  The
     one undecidable direction is convex ``a`` against finite ``b`` with
     ``a`` not a single point, that is with two or more generators, as
-    they are distinct.  Otherwise, when ``a``'s box does not lie inside
-    ``b``'s, some generator of ``a`` lies outside ``b``.
+    they are distinct.  Against a finite ``b`` membership is identity.
+    Against a convex ``b``, when ``a``'s box does not lie inside ``b``'s,
+    some generator of ``a`` lies outside ``b``.
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
-    if a.convex and not b.convex:
-        if len(a.generators) > 1:
+    ha, hb = a.hull, b.hull
+    if not b.convex:
+        if a.convex and len(a.generators) > 1:
             raise ComparisonError(
                 "cannot compare a convex set against a finite point list"
             )
-        return member(a.generators[0], b)
-    if not (_in_box(a.box[0], b.box) and _in_box(a.box[1], b.box)):
+        return ha.keys <= hb.keys
+    if not (hb.in_box(ha.lo, ha.den) and hb.in_box(ha.hi, ha.den)):
         return False
-    return all(member(g, b) for g in a.generators)
+    return all(_in_hull(g, pair, hb) for g, pair in zip(a.generators, ha.points))
 
 
 def set_equal(a: VPolytope, b: VPolytope) -> bool:
@@ -172,10 +219,10 @@ def prune(p: VPolytope) -> VPolytope:
     """
     if not p.convex or len(p.generators) == 1:
         return p
-    keep = []
-    gens = p.generators
-    for i, g in enumerate(gens):
-        others = gens[:i] + gens[i + 1 :]
-        if not _in_hull(g, others):
-            keep.append(g)
-    return VPolytope(dimension=p.dimension, generators=tuple(keep), convex=True)
+    h = p.hull
+    keep = tuple(
+        g
+        for i, (g, pair) in enumerate(zip(h.generators, h.points))
+        if not _in_hull(g, pair, h.without(i))
+    )
+    return VPolytope(dimension=p.dimension, generators=keep, convex=True)

@@ -6,10 +6,12 @@ image and posterior are conditioned afresh, past the set's own cache,
 refinement re-conditions every cell on every round, and the sharpness
 search keeps its own cell cache and its own calibration and narrowness
 loops.  Every inclusion is asked of the LP-only :mod:`polytope_oracle`,
-so the oracle shares neither the box and segment shortcuts of
-``credal.polytope`` nor the bitset poset of
-``credal.calibration.sharp_partition``.  Tests compare the package's
-answers against these, report field by report field."""
+so the oracle shares neither the integer identity, box and segment
+tests of ``credal.polytope`` nor the table of cells and the bitset
+poset of the sharpness searches in ``credal.calibration``: it checks
+calibration partition by partition and compares partitions pair by
+pair.  Tests compare the package's answers against these, report
+field by report field."""
 
 from __future__ import annotations
 

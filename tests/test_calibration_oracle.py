@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import credal.calibration as calibration
 import credal.core
+import credal.polytope
 from credal.calibration import (
     check_calibration,
     ignore_rule,
@@ -44,8 +45,8 @@ def _space(nx, ny):
     )
 
 
-def _random_set(rng, nx, convex=True, ny=None):
-    """Random set over ``nx`` signals with 1-4 generators.  Some signals
+def _random_set(rng, nx, convex=True, ny=None, k=None):
+    """Random set over ``nx`` signals with ``k`` or 1-4 generators.  Some signals
     are dead; some take another signal's conditionals, from the same
     generator or rotated by one generator (so their posteriors coincide
     while the pooled one may not); in some every generator has the same
@@ -56,7 +57,7 @@ def _random_set(rng, nx, convex=True, ny=None):
     dead = set(rng.sample(range(nx), rng.choice((0, 0, 1, nx - 1))))
     live = [i for i in range(nx) if i not in dead]
     masses = []
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(k or rng.randint(1, 4)):
         flat = iter(simplex_point(rng, len(live) * ny))
         masses.append([[F(0)] * ny if i in dead else [next(flat) for _ in range(ny)] for i in range(nx)])
     if len(live) > 1 and rng.random() < 0.6:
@@ -175,6 +176,38 @@ def test_sharpness_at_six_and_seven_signals_matches_the_oracle():
         _, cert = _agree("sharp_partition", p)
         narrowed += len(cert.minimal) < cert.calibrated_count
     assert narrowed == 4
+
+
+def test_sharpness_with_lp_inclusions_matches_the_oracle(monkeypatch):
+    # 3-4 generators over 3-4 outcomes: the Y-sets are not segments, so
+    # some inclusions of the search are decided by an LP
+    lps = [0]
+    solve = credal.polytope.lp_solve
+
+    def counted(lp):
+        lps[0] += 1
+        return solve(lp)
+
+    monkeypatch.setattr(credal.polytope, "lp_solve", counted)
+    rng = random.Random(16)
+    dead = searched = narrowed = not_sharp = 0
+    for nx, ny, k in ((5, 3, 3), (5, 4, 4), (6, 3, 4), (6, 4, 3), (7, 3, 3)):
+        p = _random_set(rng, nx, ny=ny, k=k)
+        dead += len(p.live) < nx
+        _, cert = _agree("sharp_partition", p)
+        narrowed += len(cert.minimal) < cert.calibrated_count
+        for rule in _rules(rng, p):
+            verdict = _agree("is_sharply_calibrated", rule, p)
+            not_sharp += getattr(verdict, "witness", None) is not None
+        # every cell conditioned first, so only the inclusions are counted
+        q = _fresh(p)
+        labels = q.space.x_labels
+        for mask in range(1, 1 << nx):
+            credal.core.posterior_y(q, tuple(x for i, x in enumerate(labels) if mask >> i & 1))
+        before = lps[0]
+        calibration.sharp_partition(q)
+        searched += lps[0] > before
+    assert dead >= 2 and searched >= 4 and narrowed and not_sharp, (dead, searched, narrowed, not_sharp)
 
 
 def test_sharpness_at_the_signal_limit_in_seconds():

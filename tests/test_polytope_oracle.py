@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import credal.polytope
+from credal.core import ProblemSpace, credal_set, hull, is_rectangular, joint_polytope
 from credal.polytope import ComparisonError, member, polytope, prune, set_equal, subset
 
 import polytope_oracle
@@ -155,3 +156,23 @@ def test_convex_against_finite_subset_needs_no_lp(lp_count):
     assert got[0] == ("ComparisonError", "cannot compare a convex set against a finite point list")
     assert got[1:] == [True, False]
     assert got == [_outcome(polytope_oracle.subset, x, b) for x in [a] + points]
+
+
+def test_generators_are_members_without_an_lp(lp_count):
+    # each generator lies inside the box and off any common line, so only
+    # the identity test keeps it from an LP; a midpoint shows that one
+    # is asked otherwise
+    rng = random.Random(1204)
+    space = ProblemSpace(("0", "1", "2"), ("0", "1", "2"), ("a", "b"))
+    for _ in range(10):
+        flats = [_simplex_point(rng, 9) for _ in range(3)]
+        h = hull(credal_set(space, [[f[i : i + 3] for i in (0, 3, 6)] for f in flats], True))
+        h.conditionals  # conditioned, and pruned, before the count starts
+        joint = joint_polytope(h)
+        lp_count[0] = 0
+        assert is_rectangular(h)
+        assert all(member(g, joint) for g in joint.generators)
+        assert lp_count[0] == 0
+    g, k = joint.generators[:2]
+    assert member(tuple((a + b) / 2 for a, b in zip(g, k)), joint)
+    assert lp_count[0] == 1

@@ -166,7 +166,7 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
         m.setattr(
             credal.polytope,
             "_in_hull",
-            lambda point, generators, box=None: polytope_oracle._in_hull(point, generators),
+            lambda point, pair, hull: polytope_oracle._in_hull(point, hull.generators),
         )
         for case in load_corpus():
             # a fresh case per expectation builds every LP a lone query builds
