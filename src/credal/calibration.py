@@ -20,31 +20,27 @@ Every question about one credal set reads the set's own conditioning
 cache: :func:`credal.core.posterior_y` keeps the conditioned Y-set of
 each signal event on the set, computed once, in outcome space only.
 Ignoring is conditioning on every signal, and a table rule's opinion
-set is the Y-marginal kept on that table entry's own set.  Every set
-handed out is pruned, so two are equal exactly when their generator
-sets are.
+set is the Y-marginal kept on that table entry's own set.
 
-The two sharpness searches work on one table of cells per set: each
-signal event, as a bitmask over the signal indices, maps to an
-interned id of its Y-set, and inclusion is asked once per pair of ids.
-A partition is calibrated iff each group of its cells with equal id
-has that same id on the union of the group, so the searches build no
-calibration report.  :func:`sharp_partition` orders the calibrated
-partitions once, as bitsets: at each live signal it groups them by the
-id of their cell there, so it never compares two partitions directly.
+Every question reads one table of sets, built per call: each signal
+event, as a bitmask over the signal indices, and each opinion set of a
+rule map to an id interned by the set's lowest-terms integer
+generators.  Every set handed out is pruned, so two sets share an id
+exactly when they are equal, and inclusion is asked once per pair of
+ids.  Classes group a rule's ids, and narrowness walks two rules' ids
+signal by signal.  A partition is calibrated iff each group of its
+cells with equal id has that same id on the union of the group, so the
+sharpness searches build no calibration report.
+:func:`sharp_partition` orders the calibrated partitions once, as
+bitsets: at each live signal it groups them by the id of their cell
+there, so it never compares two partitions directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    CredalSet,
-    Partition,
-    marginal_y,
-    posterior_y,
-    support_x,
-)
+from .core import CredalSet, Partition, marginal_y, posterior_y, support_x
 from .linprog import SizeLimitError
 from .partitions import bell_number, cell_masks, partition_of
 from .polytope import VPolytope, subset
@@ -186,30 +182,21 @@ def _image(rule: UpdateRule, p: CredalSet, x: str) -> VPolytope | None:
 
 def _key(a: VPolytope) -> tuple:
     """Equal for two pruned sets exactly when the sets are: a convex set is
-    its vertices and a finite set its points, and the readings differ only
-    for two generators or more."""
-    return a.convex and len(a.generators) > 1, a.generator_set
+    its vertices and a finite set its points (as kept in lowest terms by
+    :attr:`VPolytope.hull`), and the readings differ from two generators on."""
+    return a.convex and len(a.generators) > 1, a.hull.keys
 
 
-def _sub(a: VPolytope, b: VPolytope) -> bool:
-    """Is the pruned set ``a`` contained in the pruned set ``b``?"""
-    return _key(a) == _key(b) or subset(a, b)
-
-
-def _classes(rule: UpdateRule, p: CredalSet) -> tuple[Partition, dict]:
-    """The rule's classes, and each class's opinion set (None when undefined)."""
-    groups: dict[tuple, tuple[VPolytope, list[str]]] = {}
-    missing: list[str] = []
-    for x in p.space.x_labels:
-        img = _image(rule, p, x)
-        if img is None:
-            missing.append(x)
-            continue
-        groups.setdefault(_key(img), (img, []))[1].append(x)
-    images = {tuple(members): rep for rep, members in groups.values()}
-    if missing:
-        images[tuple(missing)] = None
-    return Partition(labels=p.space.x_labels, cells=tuple(images)), images
+def _classes(rule: UpdateRule, cells: _Cells) -> tuple[Partition, dict]:
+    """The rule's classes, and each class's opinion-set id (None when undefined)."""
+    labels = cells.p.space.x_labels
+    groups: dict[int | None, list[str]] = {}
+    for x in labels:
+        groups.setdefault(cells.image(rule, x), []).append(x)
+    if None in groups:  # the undefined signals make the last cell
+        groups[None] = groups.pop(None)
+    ids = {tuple(members): i for i, members in groups.items()}
+    return Partition(labels=labels, cells=tuple(ids)), ids
 
 
 def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
@@ -219,7 +206,7 @@ def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
     cell (calibration checks skip it).  Cells are in first-occurrence
     order of the x labels, matching the canonical partition layout.
     """
-    return _classes(rule, p)[0]
+    return _classes(rule, _Cells(p))[0]
 
 
 @dataclass(frozen=True)
@@ -256,26 +243,23 @@ def check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
     only the forward inclusion (conditioned marginal inside the
     opinion set).
     """
-    return _check_calibration(rule, p)
-
-
-def _check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
-    classes, images = _classes(rule, p)
-    reports = []
-    excluded = []
+    cells = _Cells(p)
+    classes, ids = _classes(rule, cells)
+    reports, excluded = [], []
     for cell in classes.cells:
-        image = images[cell]
-        posterior = None if image is None else posterior_y(p, cell)
+        j = ids[cell]
+        posterior = None if j is None else posterior_y(p, cell)
         if posterior is None:
             excluded.append(cell)
             continue
+        i = cells.intern(posterior)
         reports.append(
             ClassReport(
                 cell=cell,
                 posterior=posterior,
-                image=image,
-                forward=_sub(posterior, image),
-                backward=_sub(image, posterior),
+                image=cells.sets[j],  # the class's first opinion set: ids were interned first
+                forward=cells.sub(i, j),
+                backward=cells.sub(j, i),
             )
         )
     return CalibrationReport(
@@ -296,17 +280,8 @@ def narrower(r1: UpdateRule, r2: UpdateRule, p: CredalSet) -> str:
     one containment is proper, ``"not-narrower"`` otherwise.  Both
     rules must be defined on the whole support.
     """
-    strict = False
-    for x in support_x(p):
-        a = _image(r1, p, x)
-        b = _image(r2, p, x)
-        if a is None or b is None:
-            raise ValueError("rule undefined at support signal %r" % (x,))
-        if not _sub(a, b):
-            return NOT_NARROWER
-        if _key(a) != _key(b):
-            strict = True
-    return STRICTLY_NARROWER if strict else NARROWER
+    cells = _Cells(p)
+    return cells.narrower(cells.images(r1), cells.images(r2))
 
 
 def _require_convex(p: CredalSet, what: str):
@@ -349,7 +324,7 @@ def refinement_fixpoint(p: CredalSet, start: Partition | None = None) -> Partiti
     _require_convex(p, "refinement iteration")
     current = start or Partition.singletons(p.space.x_labels)
     for _ in range(p.space.nx + 1):
-        refined = equivalence_classes(partition_conditioning(current), p)
+        refined = refine_partition(current, p)
         if refined == current:
             return current
         current = refined
@@ -371,12 +346,13 @@ class SharpnessCertificate:
 
 
 class _Cells:
-    """The table of cells of one credal set.
+    """The table of sets of one credal set.
 
     Each signal event, as a bitmask over the signal indices, maps to an
     interned id of its pruned :func:`posterior_y` (None where no
-    generator reaches it), so two cells share an id exactly when their
-    sets are equal.  Inclusion is asked once per pair of ids.
+    generator reaches it), and so does each opinion set of a rule, so
+    two sets share an id exactly when they are equal.  Inclusion is
+    asked once per pair of ids.
     """
 
     def __init__(self, p: CredalSet):
@@ -386,23 +362,46 @@ class _Cells:
         self._interned: dict[tuple, int] = {}
         self._sub: dict[tuple[int, int], bool] = {}
 
+    def intern(self, s: VPolytope | None) -> int | None:
+        """The id of the pruned set ``s`` (None for None), held by its first set."""
+        if s is None:
+            return None
+        i = self._interned.setdefault(_key(s), len(self.sets))
+        if i == len(self.sets):
+            self.sets.append(s)
+        return i
+
     def id(self, mask: int) -> int | None:
         if mask not in self._ids:
-            labels = self.p.space.x_labels
-            s = posterior_y(self.p, tuple(x for i, x in enumerate(labels) if mask >> i & 1))
-            i = None
-            if s is not None:
-                i = self._interned.setdefault(_key(s), len(self.sets))
-                if i == len(self.sets):
-                    self.sets.append(s)
-            self._ids[mask] = i
+            cell = tuple(x for i, x in enumerate(self.p.space.x_labels) if mask >> i & 1)
+            self._ids[mask] = self.intern(posterior_y(self.p, cell))
         return self._ids[mask]
+
+    def image(self, rule: UpdateRule, x: str) -> int | None:
+        """The id of the rule's opinion set at the signal label ``x``."""
+        return self.intern(_image(rule, self.p, x))
+
+    def images(self, rule: UpdateRule):
+        """The ids of the rule's opinion sets at the live signals, in order."""
+        return (self.image(rule, x) for x in support_x(self.p))
 
     def sub(self, i: int, j: int) -> bool:
         """Is set ``i`` inside set ``j``?"""
         if (i, j) not in self._sub:
             self._sub[i, j] = i == j or subset(self.sets[i], self.sets[j])
         return self._sub[i, j]
+
+    def narrower(self, a, b) -> str:
+        """Pointwise inclusion of the ids ``a`` in the ids ``b`` at the live
+        signals, read one signal at a time up to the first failure."""
+        strict = False
+        for x, i, j in zip(support_x(self.p), a, b):
+            if i is None or j is None:
+                raise ValueError("rule undefined at support signal %r" % (x,))
+            if not self.sub(i, j):
+                return NOT_NARROWER
+            strict = strict or i != j
+        return STRICTLY_NARROWER if strict else NARROWER
 
     def calibrated(self, cells) -> bool:
         """Is conditioning on the partition with these cells calibrated?
@@ -439,8 +438,6 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     inclusion is asked once per pair of ids.
     """
     _require_sharpness_search(p)
-    if not p.live:
-        raise ValueError("credal set has empty signal support")
     cells = _Cells(p)
     examined = list(cell_masks(p.space.nx))
     calibrated = [c for c in examined if cells.calibrated(c)]
@@ -496,31 +493,20 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     rule's opinion sets coincide with conditioning on its own class
     partition, so any strictly narrower calibrated rule yields a
     strictly narrower calibrated partition.  The witness is the first
-    in enumeration order; each cell's set is compared with the rule's
-    opinion set at a signal once.
+    in enumeration order.  The rule's opinion sets are ids in the same
+    table as the cells, so admissibility against the rule is one id
+    inclusion per signal, asked once per pair of ids, by the walk of
+    :func:`narrower` over each calibrated partition's cells.
     """
     _require_sharpness_search(p)
-    if not _check_calibration(rule, p).calibrated:
+    if not check_calibration(rule, p).calibrated:
         raise ValueError("sharpness is only defined for calibrated rules")
-    images = [_image(rule, p, x) for x in support_x(p)]
-    if any(image is None for image in images):
-        raise ValueError("rule undefined at a support signal")
     cells = _Cells(p)
-    inside: dict[tuple[int, int], tuple[bool, bool]] = {}  # (x, id): inside, equal
-
-    def narrower_than_rule(c) -> str:
-        strict = False
-        for x, image in zip(p.live, images):
-            i = cells.at(c, x)
-            if (x, i) not in inside:
-                inside[x, i] = _sub(cells.sets[i], image), _key(cells.sets[i]) == _key(image)
-            ok, equal = inside[x, i]
-            if not ok:
-                return NOT_NARROWER
-            strict = strict or not equal
-        return STRICTLY_NARROWER if strict else NARROWER
-
+    images = list(cells.images(rule))
+    if None in images:
+        raise ValueError("rule undefined at a support signal")
     for c in cell_masks(p.space.nx):
-        if cells.calibrated(c) and narrower_than_rule(c) == STRICTLY_NARROWER:
+        walk = (cells.at(c, x) for x in p.live)
+        if cells.calibrated(c) and cells.narrower(walk, images) == STRICTLY_NARROWER:
             return SharpnessVerdict(sharp=False, witness=partition_of(p.space.x_labels, c))
     return SharpnessVerdict(sharp=True, witness=None)

@@ -78,11 +78,6 @@ class VPolytope:
         h = self.hull
         return tuple(tuple(Fraction(v, h.den) for v in side) for side in (h.lo, h.hi))
 
-    @cached_property
-    def generator_set(self) -> frozenset[tuple[Fraction, ...]]:
-        """The generators, unordered."""
-        return frozenset(self.generators)
-
 
 class _Hull:
     """A generator list in integers.

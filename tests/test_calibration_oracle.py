@@ -255,6 +255,29 @@ def test_check_calibration_conditions_each_cell_once(monkeypatch):
         assert all(cl.cell in calls for cl in report.per_class)
 
 
+def test_sharpness_compares_each_pair_of_sets_once(monkeypatch):
+    # a cell whose set holds at two live signals is compared with the
+    # rule's opinion set once, not once per signal
+    pairs = []
+    compare = calibration.subset
+
+    def logged(a, b):
+        pairs.append((a, b))  # keeps both alive, so their ids stay theirs
+        return compare(a, b)
+
+    monkeypatch.setattr(calibration, "subset", logged)
+    rng = random.Random(28)
+    compared = 0
+    for _ in range(40):
+        p = _fresh(_random_set(rng, rng.randint(3, 5)))
+        pairs.clear()
+        calibration.is_sharply_calibrated(ignore_rule(), p)
+        seen = Counter((id(a), id(b)) for a, b in pairs)
+        assert max(seen.values(), default=1) == 1, p
+        compared += len(pairs)
+    assert compared > 100, compared
+
+
 def test_corpus_sets_match_the_oracle():
     for case in load_corpus():
         p = case.credal()
