@@ -243,7 +243,12 @@ def check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
     only the forward inclusion (conditioned marginal inside the
     opinion set).
     """
-    cells = _Cells(p)
+    return _report(rule, _Cells(p))
+
+
+def _report(rule: UpdateRule, cells: _Cells) -> CalibrationReport:
+    """:func:`check_calibration` read off the table ``cells``."""
+    p = cells.p
     classes, ids = _classes(rule, cells)
     reports, excluded = [], []
     for cell in classes.cells:
@@ -496,12 +501,14 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     in enumeration order.  The rule's opinion sets are ids in the same
     table as the cells, so admissibility against the rule is one id
     inclusion per signal, asked once per pair of ids, by the walk of
-    :func:`narrower` over each calibrated partition's cells.
+    :func:`narrower` over each calibrated partition's cells.  Whether the
+    rule is calibrated is read off the same table, so its inclusions are
+    asked once.
     """
     _require_sharpness_search(p)
-    if not check_calibration(rule, p).calibrated:
-        raise ValueError("sharpness is only defined for calibrated rules")
     cells = _Cells(p)
+    if not _report(rule, cells).calibrated:
+        raise ValueError("sharpness is only defined for calibrated rules")
     images = list(cells.images(rule))
     if None in images:
         raise ValueError("rule undefined at a support signal")

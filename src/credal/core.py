@@ -17,9 +17,15 @@ generator and projects it to Y in one step, and prunes once, in Y
 coordinates.  The posterior game, dilation, calibration and the
 per-signal pieces of :func:`hull` all use it, so they never build a
 polytope over the joint space; :func:`marginal_y` is it on the whole
-signal set.  Each credal set conditions each signal event once: it
-keeps every answer of ``posterior_y``, keyed by the cell, for every
-caller.  :attr:`CredalSet.live` lists the signals some generator
+signal set.  A point is identified by its lowest-terms integer pair
+from the parsed joint to the pruned Y-set: each joint keeps the pair
+it validates its mass with, a credal set drops repeated joints by
+those pairs, and ``posterior_y`` builds each conditioned point's pair
+from the joint's integers with one gcd, dropping repeats before any
+``Fraction`` is built.  :func:`dilation_report` reads its intervals
+off the same integers.  Each credal set conditions each signal event
+once: it keeps every answer of ``posterior_y``, keyed by the cell, for
+every caller.  :attr:`CredalSet.live` lists the signals some generator
 reaches and :attr:`CredalSet.conditionals` holds ``posterior_y`` at
 each of them.  Rectangularity, :func:`hull`, dilation and the
 posterior game read those.  A :class:`DecisionProblem` keeps the prior
@@ -151,12 +157,13 @@ class JointDistribution:
             raise ValueError("mass row length != number of y labels")
         if sum(nums) != den:
             raise ValueError("mass must sum to exactly 1, got %s" % Fraction(sum(nums), den))
+        # the flattened mass as its lowest-terms pair: the joint's identity
+        object.__setattr__(self, "_pair", (nums, den))
 
     @cached_property
     def _int_mass(self) -> tuple[tuple[int, ...], ...]:
         """The mass rows as integer numerators over one positive denominator."""
-        nums, _ = common_denominator(self.flatten())
-        ny = self.space.ny
+        nums, ny = self._pair[0], self.space.ny
         return tuple(nums[i : i + ny] for i in range(0, len(nums), ny))
 
     def x_marginal(self) -> tuple[Fraction, ...]:
@@ -205,10 +212,10 @@ class CredalSet:
         for g in self.generators:
             if g.space != self.space:
                 raise ValueError("generator on a different space")
-        # drop repeated generators, keeping the first of each mass in order
+        # drop repeated generators by their pairs, keeping the first of each in order
         first = {}
         for g in self.generators:
-            first.setdefault(g.mass, g)
+            first.setdefault(g._pair, g)
         object.__setattr__(self, "generators", tuple(first.values()))
 
     @cached_property
@@ -551,16 +558,26 @@ def _posterior_y(p: CredalSet, cell) -> VPolytope | None:
     idx = sorted({p.space.x_index(x) for x in cell})
     if not idx:
         raise ValueError("conditioning event must be nonempty")
-    pts = []
+    points = _cell_points(p, idx)
+    if not points:
+        return None
+    pts = tuple(tuple([Fraction(v, den) for v in nums]) for nums, den in points)
+    return prune(VPolytope(dimension=p.space.ny, generators=pts, convex=p.convex))
+
+
+def _cell_points(p: CredalSet, idx) -> list[tuple[tuple[int, ...], int]]:
+    """Each generator's outcome distribution given the signals ``idx``, as
+    its lowest-terms pair, in order, without repeats; generators that
+    give the cell no mass are skipped."""
+    points = {}
     for g in p.generators:
         # the cell's mass of each outcome, in integers over g's denominator
         mass = [sum(col) for col in zip(*[g._int_mass[i] for i in idx])]
         total = sum(mass)
         if total:
-            pts.append(tuple([Fraction(v, total) for v in mass]))
-    if not pts:
-        return None
-    return prune(VPolytope(dimension=p.space.ny, generators=tuple(pts), convex=p.convex))
+            c = math.gcd(total, *mass)
+            points[tuple([v // c for v in mass]), total // c] = None
+    return list(points)
 
 
 def c_condition(p: CredalSet, part: Partition, x) -> CredalSet:
@@ -672,35 +689,41 @@ class DilationReport:
         return tuple(r.event for r in self.rows if r.dilates)
 
 
-def _event_prob(q, y_idx) -> Fraction:
-    return sum((q[j] for j in y_idx), ZERO)
+def _interval(nums, ev) -> tuple[int, int]:
+    """Least and greatest numerator of the event ``ev`` over the points ``nums``."""
+    vals = [sum([q[j] for j in ev]) for q in nums]
+    return min(vals), max(vals)
 
 
 def dilation_report(p: CredalSet) -> DilationReport:
-    """Prior and per-signal posterior intervals for every proper Y-event."""
+    """Prior and per-signal posterior intervals for every proper Y-event.
+
+    Read off integer points: the generators' Y-marginals over one common
+    denominator, and each live signal's conditionals as its hull keeps
+    them; a ``Fraction`` is built only for each interval end returned."""
     space = p.space
-    prior_sets = [g.y_marginal() for g in p.generators]
-    posterior_sets = [(space.x_labels[i], p.conditionals[i].generators) for i in p.live]
+    marginals = _cell_points(p, range(space.nx))
+    prior_den = math.lcm(*[d for _, d in marginals])
+    prior_nums = [[v * (prior_den // d) for v in n] for n, d in marginals]
+    posterior_sets = [(space.x_labels[i], p.conditionals[i].hull) for i in p.live]
     rows = []
     ys = list(range(space.ny))
     events = []
     for size in range(1, space.ny):
         events.extend(itertools.combinations(ys, size))
     for ev in events:
-        pri = [_event_prob(q, ev) for q in prior_sets]
-        prior = (min(pri), max(pri))
+        lo, hi = _interval(prior_nums, ev)
         posts = []
         dil = bool(posterior_sets)
-        for x, qs in posterior_sets:
-            vals = [_event_prob(q, ev) for q in qs]
-            lohi = (min(vals), max(vals))
-            posts.append((x, lohi))
-            if not (lohi[0] < prior[0] and lohi[1] > prior[1]):
+        for x, h in posterior_sets:
+            plo, phi = _interval(h.nums, ev)
+            posts.append((x, (Fraction(plo, h.den), Fraction(phi, h.den))))
+            if not (plo * prior_den < lo * h.den and phi * prior_den > hi * h.den):
                 dil = False
         rows.append(
             DilationRow(
                 event=tuple(space.y_labels[j] for j in ev),
-                prior=prior,
+                prior=(Fraction(lo, prior_den), Fraction(hi, prior_den)),
                 posteriors=tuple(posts),
                 dilates=dil,
             )

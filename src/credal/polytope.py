@@ -10,13 +10,17 @@ combination stays inside its generators' coordinate box, so a point
 outside it is not.  When the point and every generator lie on one
 line, the hull is the segment between the extreme generators, so a
 point inside the box is a member; every set of two generators and
-every set of 2-outcome distributions is of this kind.  Each polytope
-keeps its generators in integers once (:attr:`VPolytope.hull`: the
-generators over one common denominator, each also in lowest terms,
-their box and their line), so these three tests cross-multiply
-integers and compare no ``Fraction``.  Only the remaining questions
-solve a linear feasibility problem, whose rows are each scaled to
-integers on their own.
+every set of 2-outcome distributions is of this kind.  A point is
+identified by its lowest-terms integer pair
+(:func:`~credal.rationals.common_denominator`): a polytope drops
+repeated generators by their pairs when it is built and keeps the
+pairs for :attr:`VPolytope.hull` (the generators over one common
+denominator, their box and their line), so no ``Fraction`` is hashed
+and these three tests cross-multiply integers.  Only the remaining
+questions solve a linear feasibility problem, whose rows are each
+scaled to integers on their own.  Pruning keeps two distinct
+generators without a question, as both are extreme, and returns its
+input when it drops nothing.
 
 There is deliberately no facet (H-) representation anywhere; subset
 tests work generator-wise, which is sound because the right-hand side
@@ -61,13 +65,18 @@ class VPolytope:
         for g in self.generators:
             if len(g) != self.dimension:
                 raise ValueError("generator length != dimension")
-        # drop repeated generators, keeping the first of each in order
-        object.__setattr__(self, "generators", tuple(dict.fromkeys(self.generators)))
+        # a point is its lowest-terms pair: drop repeated generators by
+        # their pairs, keeping the first of each in order
+        first = {}
+        for g in self.generators:
+            first.setdefault(common_denominator(g), g)
+        object.__setattr__(self, "generators", tuple(first.values()))
+        object.__setattr__(self, "_points", tuple(first))
 
     @cached_property
     def hull(self) -> _Hull:
         """The generators in integers, with their box and their line."""
-        points = tuple(common_denominator(g) for g in self.generators)
+        points = self._points
         den = math.lcm(*[d for _, d in points])
         nums = tuple(tuple([v * (den // d) for v in n]) for n, d in points)
         return _Hull(self.generators, points, nums, den)
@@ -210,9 +219,12 @@ def prune(p: VPolytope) -> VPolytope:
 
     Convex: keep exactly the extreme points (a generator is redundant
     iff it lies in the hull of all the others, redundant ones
-    included).  Finite: duplicates are already gone.  Idempotent.
+    included).  Two distinct generators are both extreme, so they are
+    kept without a question.  Finite: duplicates are already gone.
+    ``p`` itself is returned when nothing is dropped, so this is
+    idempotent.
     """
-    if not p.convex or len(p.generators) == 1:
+    if not p.convex or len(p.generators) <= 2:
         return p
     h = p.hull
     keep = tuple(
@@ -220,4 +232,6 @@ def prune(p: VPolytope) -> VPolytope:
         for i, (g, pair) in enumerate(zip(h.generators, h.points))
         if not _in_hull(g, pair, h.without(i))
     )
+    if len(keep) == len(h.generators):
+        return p
     return VPolytope(dimension=p.dimension, generators=keep, convex=True)

@@ -806,6 +806,31 @@ def test_calibrate_sharpness_witness():
     assert out[-1] == "narrower partition: 0|1"
 
 
+def test_calibrate_sharp_decides_calibration_once_per_table(monkeypatch):
+    """``check_calibration`` runs once for the report; the sharpness verdict
+    reads whether the rule is calibrated off the table it searches."""
+    import credal.calibration as calibration
+
+    checks, tables = [], []
+    check = calibration.check_calibration
+
+    def counted(rule, p):
+        checks.append(rule)
+        return check(rule, p)
+
+    class Counted(calibration._Cells):
+        def __init__(self, p):
+            tables.append(p)
+            super().__init__(p)
+
+    for mod in (calibration, credal.cli):
+        monkeypatch.setattr(mod, "check_calibration", counted)
+    monkeypatch.setattr(calibration, "_Cells", Counted)
+    out = lines("calibrate", "corpus/example-6.7", "--rule", "ignore", "--sharp")
+    assert out[-2:] == ["sharp: no", "narrower partition: 0|1"]
+    assert len(checks) == 1 and len(tables) == 2
+
+
 def test_calibrate_partition_rule_sharp():
     out = lines("calibrate", "corpus/example-6.7", "--rule", "partition:0|1",
                 "--sharp")

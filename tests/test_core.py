@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from credal.core import (
+    CredalSet,
+    JointDistribution,
     Partition,
     ProblemSpace,
     UndefinedConditionalError,
@@ -199,6 +201,17 @@ def test_support_x():
     space = ProblemSpace(("0", "1"), ("0", "1"), ("a", "b"))
     p = credal_set(space, [[[F(1, 2), F(1, 2)], [0, 0]]], convex=True)
     assert support_x(p) == ("0",)
+
+
+def test_credal_set_keeps_the_first_of_equal_joints_written_differently():
+    space = ProblemSpace(("x0", "x1"), ("y0", "y1"), ("a0", "a1"))
+    first = JointDistribution(space, ((1, 0), (0, 0)))
+    again = joint(space, [["1", "0"], ["0/3", "0"]])
+    half = joint(space, [["1/2", "0"], ["0", "1/2"]])
+    halves = JointDistribution(space, ((Fraction(2, 4), 0), (Fraction(0), Fraction(3, 6))))
+    p = CredalSet(space, (first, half, again, halves), True)
+    assert len(p.generators) == 2
+    assert p.generators[0] is first and p.generators[1] is half
 
 
 def test_dilation_on_coin_pair():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import credal.polytope
 from credal.polytope import ComparisonError, member, polytope, prune, set_equal, subset
 
 F = Fraction
@@ -58,6 +59,27 @@ def test_prune_removes_virtual_generators():
     pr = prune(a)
     assert set(pr.generators) == {(1, 0), (0, 1)}
     assert prune(pr) == pr
+
+
+def test_prune_keeps_two_generators_without_a_question(monkeypatch):
+    def ask(*args):
+        raise AssertionError("membership asked")
+
+    monkeypatch.setattr(credal.polytope, "_in_hull", ask)
+    a = polytope([(F(1, 3), F(2, 3), 0), (0, F(1, 2), F(1, 2)), (F(2, 6), F(4, 6), F(0))], True)
+    pr = prune(a)
+    assert pr is a and pr.generators == ((F(1, 3), F(2, 3), 0), (0, F(1, 2), F(1, 2)))
+
+
+def test_prune_returns_its_input_when_nothing_is_dropped():
+    vertices = polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)], True)
+    assert prune(vertices) is vertices
+    finite = polytope([(1, 0), (F(1, 2), F(1, 2)), (0, 1)], False)
+    assert prune(finite) is finite
+    inner = polytope([(1, 0, 0), (0, 1, 0), (F(1, 3), F(1, 3), F(1, 3)), (0, 0, 1)], True)
+    pr = prune(inner)
+    assert pr is not inner and pr.generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert prune(pr) is pr
 
 
 def test_prune_finite_dedups_only():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import credal.core
 import credal.linprog
 import credal.polytope
 from credal.corpus import load_case, load_corpus, run_expectation
@@ -168,6 +169,17 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
             "_in_hull",
             lambda point, pair, hull: polytope_oracle._in_hull(point, hull.generators),
         )
+        # and each convex two-generator prune, which keeps both without a
+        # question, is asked again of the oracle's prune
+        prune = credal.polytope.prune
+
+        def replayed(p):
+            if p.convex and len(p.generators) == 2:
+                polytope_oracle.prune(p)
+            return prune(p)
+
+        for mod in (credal.core, structure_oracle):  # the modules that prune
+            m.setattr(mod, "prune", replayed)
         for case in load_corpus():
             # a fresh case per expectation builds every LP a lone query builds
             for exp in case.expectations:
