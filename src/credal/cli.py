@@ -7,11 +7,11 @@ with every number as a reduced rational.
 Exit codes: 0 on success; 1 when ``--strict``, which only ``saddle``,
 ``consistency`` and ``calibrate`` take, is set and the verdict is a
 failed saddle check, inconsistent or not calibrated, and on any
-``corpus run`` mismatch; 2 on input errors; 3 when a valid problem
-is too large for an enumeration (the message names the limit and the
-size found); 141, the shell's code for SIGPIPE, when the reader of
-stdout closes it before the report is written (``credal hull f | head
--1``), with nothing printed on stderr.
+``corpus run`` mismatch; 2 on input errors and 3 when a valid problem
+is too large for an enumeration (naming the limit and the size found),
+both with nothing on stdout; 141, the shell's code for SIGPIPE, when
+the reader of stdout closes it before the report is written (``credal
+hull f | head -1``), with nothing printed on stderr.
 """
 
 from __future__ import annotations
@@ -295,6 +295,8 @@ def _cmd_calibrate(args, out) -> int:
     except ValueError as e:
         raise _InputError(str(e))
     rep = check_calibration(rule, p)
+    # decided before the first line, so an error or a refusal prints nothing
+    sharp = is_sharply_calibrated(rule, p) if args.sharp and rep.calibrated else None
     out("rule: %s" % rule.label())
     out("classes: %s" % rep.classes)
     for cl in rep.per_class:
@@ -309,14 +311,12 @@ def _cmd_calibrate(args, out) -> int:
         failing = [cl.cell for cl in rep.per_class if not cl.matches]
         out("failing classes: %s" % "; ".join(",".join(c) for c in failing))
         out("semi-calibrated: %s" % _yes(rep.semi_calibrated))
-    if args.sharp:
-        if not rep.calibrated:
-            out("sharp: skipped (rule not calibrated)")
-        else:
-            verdict = is_sharply_calibrated(rule, p)
-            out("sharp: %s" % _yes(verdict.sharp))
-            if verdict.witness is not None:
-                out("narrower partition: %s" % verdict.witness)
+    if args.sharp and not rep.calibrated:
+        out("sharp: skipped (rule not calibrated)")
+    elif sharp is not None:
+        out("sharp: %s" % _yes(sharp.sharp))
+        if sharp.witness is not None:
+            out("narrower partition: %s" % sharp.witness)
     if args.strict and not rep.calibrated:
         return 1
     return 0

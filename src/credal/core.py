@@ -22,20 +22,20 @@ from the parsed joint to the pruned Y-set: each joint keeps the pair
 it validates its mass with, a credal set drops repeated joints by
 those pairs, and ``posterior_y`` builds each conditioned point's pair
 from the joint's integers with one gcd, dropping repeats before any
-``Fraction`` is built.  :func:`dilation_report` reads its intervals
-off the same integers.  Each credal set conditions each signal event
-once: it keeps every answer of ``posterior_y``, keyed by the cell, for
-every caller.  :attr:`CredalSet.live` lists the signals some generator
-reaches and :attr:`CredalSet.conditionals` holds ``posterior_y`` at
-each of them.  Rectangularity, :func:`hull`, dilation and the
-posterior game read those.  A :class:`DecisionProblem` keeps the prior
-game's loss rows and, per live signal, the posterior game's rows over
-the conditionals (:func:`_action_losses`), from which every loss of a
-rule is read, and each game :mod:`credal.minimax` solves on it, solved
-and checked once.
+``Fraction`` is built.  The dilation intervals, each rectangularity
+swap and each game row are built from the same integers, and a swap
+is asked of the joint set as its pair.  Each
+credal set conditions each signal event once: it keeps every answer of
+``posterior_y``, keyed by the cell, for every caller.
+:attr:`CredalSet.live` lists the signals some generator reaches and
+:attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them.
+Rectangularity, :func:`hull`, dilation and the posterior game read
+those.  A :class:`DecisionProblem` keeps the prior game's loss rows and,
+per live signal, the posterior game's rows over the conditionals
+(:func:`_action_losses`), from which every loss of a rule is read, and
+each game :mod:`credal.minimax` solves on it, solved and checked once.
 :func:`condition` keeps the conditioned joint set for callers that need
-it; taking :func:`marginal_y` of it gives the same set as
-``posterior_y(p, cell)``.
+it; :func:`marginal_y` of it is ``posterior_y(p, cell)``.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from functools import cached_property
 from operator import mul
 
 from .linprog import SizeLimitError
-from .polytope import VPolytope, member, prune
-from .rationals import common_denominator, rat, rat_matrix, rat_seq
+from .polytope import VPolytope, _member, prune
+from .rationals import common_denominator, lowest, rat, rat_matrix, rat_seq
 
 __all__ = [
     "ProblemSpace",
@@ -245,13 +245,14 @@ class CredalSet:
         """:func:`is_rectangular`, decided on first use."""
         target, ny = joint_polytope(self), self.space.ny
         for g in self.generators:
-            flat = g.flatten()
-            for i, px in enumerate(g.x_marginal()):
+            nums, den = g._pair
+            for i, px in enumerate(map(sum, g._int_mass)):
                 if px == 0:
                     continue
-                head, tail = flat[: i * ny], flat[(i + 1) * ny :]
-                for r in self.conditionals[i].generators:
-                    if not member(head + tuple(px * v for v in r) + tail, target):
+                for rn, rd in self.conditionals[i].hull.points:
+                    swap = [v * rd for v in nums]
+                    swap[i * ny : (i + 1) * ny] = [px * v for v in rn]
+                    if not _member(lowest(swap, den * rd), target):
                         return False
         return True
 
@@ -277,30 +278,29 @@ class LossFunction:
         for row in self.table:
             if len(row) != self.space.na:
                 raise ValueError("loss row length != number of actions")
+        # the table, y-major, as integers over one positive denominator
+        object.__setattr__(self, "_pair", common_denominator([v for r in self.table for v in r]))
 
     def spread(self) -> Fraction:
         vals = [v for row in self.table for v in row]
         return max(vals) - min(vals)
 
 
-def _action_losses(loss: LossFunction, qs):
-    """One game row per ``q`` in ``qs``, (unnormalised) Y-vectors laid end to
-    end: each action's expected loss under each, as integers over a
-    denominator reduced by their gcd, so as :func:`common_denominator` of
-    the row's values."""
-    table, ld = common_denominator([v for row in loss.table for v in row])
-    na, ny = loss.space.na, loss.space.ny
+def _action_losses(loss: LossFunction, pairs):
+    """One game row per ``(nums, qd)`` in ``pairs``, (unnormalised) Y-vectors
+    laid end to end over a positive denominator: each action's expected
+    loss under each, as integers over a denominator reduced by their gcd,
+    so as :func:`common_denominator` of the row's values."""
+    (table, ld), na, ny = loss._pair, loss.space.na, loss.space.ny
     columns = [table[a::na] for a in range(na)]  # each action's loss per outcome
     rows = []
-    for q in qs:
-        nums, qd = common_denominator(q)
+    for nums, qd in pairs:
         row = [
             sum(map(mul, nums[k : k + ny], col))
             for k in range(0, len(nums), ny)
             for col in columns
         ]
-        g = math.gcd(qd * ld, *row)
-        rows.append((tuple([v // g for v in row]), qd * ld // g))
+        rows.append(lowest(row, qd * ld))
     return rows
 
 
@@ -339,19 +339,18 @@ class DecisionProblem:
     def loss_rows(self):
         """The prior game's rows, one per generator: its expected loss of
         each (live signal, action) weight, signal-major
-        (:func:`_action_losses` of its mass at the live signals)."""
-        live = self.credal.live
-        return _action_losses(
-            self.loss, [[v for i in live for v in g.mass[i]] for g in self.credal.generators]
-        )
+        (:func:`_action_losses` of its integer mass at the live signals)."""
+        live, gens = self.credal.live, self.credal.generators
+        pairs = [([v for i in live for v in g._int_mass[i]], g._pair[1]) for g in gens]
+        return _action_losses(self.loss, pairs)
 
     @cached_property
     def posterior_rows(self):
         """Per signal, the posterior game's rows there, one per generator of
-        the conditional set (:func:`_action_losses` of them), or None where
-        no generator reaches the signal."""
+        the conditional set (:func:`_action_losses` of their pairs), or None
+        where no generator reaches the signal."""
         return tuple(
-            None if c is None else _action_losses(self.loss, c.generators)
+            None if c is None else _action_losses(self.loss, c.hull.points)
             for c in self.credal.conditionals
         )
 
@@ -575,8 +574,7 @@ def _cell_points(p: CredalSet, idx) -> list[tuple[tuple[int, ...], int]]:
         mass = [sum(col) for col in zip(*[g._int_mass[i] for i in idx])]
         total = sum(mass)
         if total:
-            c = math.gcd(total, *mass)
-            points[tuple([v // c for v in mass]), total // c] = None
+            points[lowest(mass, total)] = None
     return list(points)
 
 
@@ -644,23 +642,22 @@ def is_rectangular(p: CredalSet) -> bool:
     Decided one signal at a time.  For a generator g, a signal x with
     g_X(x) > 0 and a conditional R that :func:`hull` uses at x, let
     swap_x(g, R) be g with row x replaced by g_X(x) R.  ``p`` is
-    rectangular iff every such swap lies in ``p``.  Proof: swap_x(., R)
-    is linear and keeps the X-marginal, so if it maps every generator
-    into ``p`` it maps ``p`` into ``p``, and applying it at each live
-    signal of a generator reaches every product; conversely every swap
-    is such a product, or (convex) a mixture of them.  That is
-    k * sum_x |conditionals at x| membership tests against the k
-    generators of ``p``, stopping at the first non-member.  Decided once per
-    set: the answer is kept on ``p``.
+    rectangular iff every such swap lies in ``p``.  Proof: swap_x(., R) is
+    linear and keeps the X-marginal, so if it maps every generator into
+    ``p`` it maps ``p`` into ``p``, and applying it at each live signal of
+    a generator reaches every product; conversely every swap is such a
+    product, or (convex) a mixture of them.  That is k * sum_x
+    |conditionals at x| membership tests against the k generators of
+    ``p``, stopping at the first non-member.  Each swap is built in
+    integers from g's pair and R's, and asked as its own pair.  Decided
+    once per set: the answer is kept on ``p``.
     """
     return p._rectangular
 
 
 def is_conservative(p: CredalSet) -> bool:
     """Every generator gives every signal value positive probability."""
-    return all(
-        all(px > 0 for px in g.x_marginal()) for g in p.generators
-    )
+    return all(all(map(any, g.mass)) for g in p.generators)
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def _mixed_mass(gens, mixture):
 
 
 def expected_loss(g: JointDistribution, rule: DecisionRule, loss: LossFunction) -> Fraction:
-    return _worst(_action_losses(loss, [g.flatten()]), rule.flatten())[0]
+    return _worst(_action_losses(loss, [g._pair]), rule.flatten())[0]
 
 
 def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
@@ -161,7 +161,7 @@ def worst_case_posterior_loss(
     conditional = p.conditionals[xi]
     if conditional is None:
         return ZERO
-    return _worst(_action_losses(loss, conditional.generators), rule.per_x[xi].weights)[0]
+    return _worst(_action_losses(loss, conditional.hull.points), rule.per_x[xi].weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +380,12 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
         return games["ignoring"]
     space = dp.space
     widths = [space.na]
-    # constant-rule game: min t, per generator E[L_gamma] <= t over gamma
-    rows = _action_losses(dp.loss, [g.y_marginal() for g in dp.credal.generators])
+    # constant-rule game: min t, per generator Y-marginal E[L_gamma] <= t over gamma
+    margins = [([sum(col) for col in zip(*g._int_mass)], g._pair[1]) for g in dp.credal.generators]
+    rows = _action_losses(dp.loss, margins)
     value, _gamma, mixture = block_game(rows, widths)
 
-    marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).generators)
+    marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).hull.points)
     marginal_value, _gamma, _mix = block_game(marginal_rows, widths)
     if marginal_value != value:
         raise SolverError("marginal game disagrees with constant-rule LP")

@@ -10,17 +10,17 @@ combination stays inside its generators' coordinate box, so a point
 outside it is not.  When the point and every generator lie on one
 line, the hull is the segment between the extreme generators, so a
 point inside the box is a member; every set of two generators and
-every set of 2-outcome distributions is of this kind.  A point is
-identified by its lowest-terms integer pair
-(:func:`~credal.rationals.common_denominator`): a polytope drops
-repeated generators by their pairs when it is built and keeps the
-pairs for :attr:`VPolytope.hull` (the generators over one common
-denominator, their box and their line), so no ``Fraction`` is hashed
-and these three tests cross-multiply integers.  Only the remaining
-questions solve a linear feasibility problem, whose rows are each
-scaled to integers on their own.  Pruning keeps two distinct
-generators without a question, as both are extreme, and returns its
-input when it drops nothing.
+every set of 2-outcome distributions is of this kind.  A point is its
+lowest-terms integer pair (:func:`~credal.rationals.common_denominator`)
+below :func:`member`: a polytope drops repeated generators by their
+pairs and keeps them for :attr:`VPolytope.hull` (the generators over
+one common denominator, their box and their line), so no ``Fraction``
+is hashed and these three tests cross-multiply integers.  Only the
+remaining questions solve a feasibility LP, its rows cross-multiplied
+from the hull's integers and the point's pair.  :func:`subset` tests
+the boxes once, not each point.  Pruning keeps two distinct generators
+without a question, as both are extreme, and returns its input when it
+drops nothing.
 
 There is deliberately no facet (H-) representation anywhere; subset
 tests work generator-wise, which is sound because the right-hand side
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linprog import EQ, OPTIMAL, LinearProgram, lp_solve
-from .rationals import common_denominator, rat_seq
+from .rationals import common_denominator, lowest, rat_seq
 
 __all__ = [
     "VPolytope",
@@ -79,13 +79,7 @@ class VPolytope:
         points = self._points
         den = math.lcm(*[d for _, d in points])
         nums = tuple(tuple([v * (den // d) for v in n]) for n, d in points)
-        return _Hull(self.generators, points, nums, den)
-
-    @cached_property
-    def box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """Coordinate-wise minimum and maximum over the generators."""
-        h = self.hull
-        return tuple(tuple(Fraction(v, h.den) for v in side) for side in (h.lo, h.hi))
+        return _Hull(points, nums, den)
 
 
 class _Hull:
@@ -99,10 +93,10 @@ class _Hull:
     step to the second and a coordinate where that step is not zero.
     """
 
-    __slots__ = ("generators", "points", "keys", "nums", "den", "lo", "hi", "line")
+    __slots__ = ("points", "keys", "nums", "den", "lo", "hi", "line")
 
-    def __init__(self, generators, points, nums, den):
-        self.generators, self.points, self.nums, self.den = generators, points, nums, den
+    def __init__(self, points, nums, den):
+        self.points, self.nums, self.den = points, nums, den
         self.keys = frozenset(points)
         cols = tuple(zip(*nums))
         self.lo, self.hi = tuple(map(min, cols)), tuple(map(max, cols))
@@ -117,12 +111,8 @@ class _Hull:
 
     def without(self, i: int) -> _Hull:
         """The same generators but the ``i``-th, over the same denominator."""
-        return _Hull(
-            self.generators[:i] + self.generators[i + 1 :],
-            self.points[:i] + self.points[i + 1 :],
-            self.nums[:i] + self.nums[i + 1 :],
-            self.den,
-        )
+        pts, nums = self.points, self.nums
+        return _Hull(pts[:i] + pts[i + 1 :], nums[:i] + nums[i + 1 :], self.den)
 
     def in_box(self, nums, den) -> bool:
         """Does the point ``nums / den`` lie in the box?"""
@@ -147,30 +137,37 @@ def polytope(points, convex, dimension=None) -> VPolytope:
     return VPolytope(dimension=dimension, generators=pts, convex=convex)
 
 
-def _in_hull(point, pair, hull: _Hull) -> bool:
-    """Exact test: is ``point`` a convex combination of ``hull``'s generators?
+def _in_hull(pair, hull: _Hull) -> bool:
+    """Is the point ``pair``, its lowest-terms ``(nums, den)``, a generator
+    of ``hull``, or a convex combination of them inside their box?"""
+    return pair in hull.keys or (hull.in_box(*pair) and _in_box_hull(pair, hull))
 
-    ``pair`` is ``common_denominator(point)``.  A generator is; outside
-    the generators' box the point is not; on their common line and
-    inside the box it is (the segment's ends are the box's corners, as
-    each coordinate is monotone along the line).  Otherwise the
-    feasibility LP decides, each of its rows scaled to integers once.
-    """
-    if pair in hull.keys:
-        return True
-    if not hull.in_box(*pair):
-        return False
+
+def _in_box_hull(pair, hull: _Hull) -> bool:
+    """:func:`_in_hull` for a point in the box, not a generator: a point on
+    their line is (the segment's ends are the box's corners); else an LP
+    decides, its rows cross-multiplied from ``hull`` and ``pair``."""
     if hull.on_line(*pair):
         return True
-    k = len(hull.generators)
+    (nums, den), k = pair, len(hull.nums)
     lp = LinearProgram(
         objective=((0,) * k, 1),
-        rows=tuple(common_denominator((*col, v)) for col, v in zip(zip(*hull.generators), point))
+        rows=tuple(
+            lowest([c * den for c in col] + [v * hull.den], den * hull.den)
+            for col, v in zip(zip(*hull.nums), nums)
+        )
         + (((1,) * (k + 1), 1),),
-        senses=(EQ,) * (len(point) + 1),
+        senses=(EQ,) * (len(nums) + 1),
         lower_bounds=(0,) * k,
     )
     return lp_solve(lp).status == OPTIMAL
+
+
+def _member(pair, p: VPolytope) -> bool:
+    """Is the point ``pair``, its lowest-terms ``(nums, den)``, in ``p``?"""
+    if not p.convex:
+        return pair in p.hull.keys
+    return _in_hull(pair, p.hull)
 
 
 def member(point, p: VPolytope) -> bool:
@@ -178,10 +175,7 @@ def member(point, p: VPolytope) -> bool:
     point = rat_seq(point)
     if len(point) != p.dimension:
         raise ValueError("point dimension mismatch")
-    pair = common_denominator(point)
-    if not p.convex:
-        return pair in p.hull.keys
-    return _in_hull(point, pair, p.hull)
+    return _member(common_denominator(point), p)
 
 
 def subset(a: VPolytope, b: VPolytope) -> bool:
@@ -194,7 +188,7 @@ def subset(a: VPolytope, b: VPolytope) -> bool:
     ``a`` not a single point, that is with two or more generators, as
     they are distinct.  Against a finite ``b`` membership is identity.
     Against a convex ``b``, when ``a``'s box does not lie inside ``b``'s,
-    some generator of ``a`` lies outside ``b``.
+    some generator of ``a`` lies outside ``b``; else none is box-tested.
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
@@ -207,7 +201,7 @@ def subset(a: VPolytope, b: VPolytope) -> bool:
         return ha.keys <= hb.keys
     if not (hb.in_box(ha.lo, ha.den) and hb.in_box(ha.hi, ha.den)):
         return False
-    return all(_in_hull(g, pair, hb) for g, pair in zip(a.generators, ha.points))
+    return all(pair in hb.keys or _in_box_hull(pair, hb) for pair in ha.points)
 
 
 def set_equal(a: VPolytope, b: VPolytope) -> bool:
@@ -229,9 +223,9 @@ def prune(p: VPolytope) -> VPolytope:
     h = p.hull
     keep = tuple(
         g
-        for i, (g, pair) in enumerate(zip(h.generators, h.points))
-        if not _in_hull(g, pair, h.without(i))
+        for i, (g, pair) in enumerate(zip(p.generators, h.points))
+        if not _in_hull(pair, h.without(i))
     )
-    if len(keep) == len(h.generators):
+    if len(keep) == len(p.generators):
         return p
     return VPolytope(dimension=p.dimension, generators=keep, convex=True)

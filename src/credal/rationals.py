@@ -9,6 +9,8 @@ would; a ``Fraction`` is built only where a value leaves the function.
 That covers the LP and game rows, the certificates and saddle checks,
 and every prior and posterior loss of a rule that the minimax solvers
 and the consistency checks compare, all read from the two games' rows.
+A point is its lowest-terms pair (:func:`lowest`) below the public API,
+so membership, rectangularity swaps and game rows are built from ints.
 Floats are rejected at the boundaries: a float that survived into the
 pipeline would silently poison every downstream equality test.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["rat", "rat_seq", "rat_matrix", "common_denominator"]
+__all__ = ["rat", "rat_seq", "rat_matrix", "common_denominator", "lowest"]
 
 
 def rat(value) -> Fraction:
@@ -48,3 +50,9 @@ def common_denominator(values) -> tuple[tuple[int, ...], int]:
     pairs = [v.as_integer_ratio() for v in values]
     den = math.lcm(*[q for _, q in pairs])
     return tuple([p * (den // q) for p, q in pairs]), den
+
+
+def lowest(nums, den) -> tuple[tuple[int, ...], int]:
+    """``nums / den`` in lowest terms, as :func:`common_denominator` gives it."""
+    g = math.gcd(den, *nums)
+    return tuple([v // g for v in nums]), den // g

@@ -158,7 +158,8 @@ def _games(seed):
             for g in gens
         ], dp.loss_rows, [dp.space.na] * len(live)
         qs = [g.y_marginal() for g in gens]
-        yield [oracle._action_losses(dp.loss, q) for q in qs], _action_losses(dp.loss, qs), [
+        pairs = [common_denominator(q) for q in qs]
+        yield [oracle._action_losses(dp.loss, q) for q in qs], _action_losses(dp.loss, pairs), [
             dp.space.na
         ]
         widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]

@@ -556,8 +556,9 @@ def _nine_signals(tmp_path):
 )
 def test_nine_signals_are_refused_by_the_enumerations(tmp_path, capsys, argv, refusal):
     path = _nine_signals(tmp_path)
-    code, _ = cli(*(a.format(path) for a in argv))
+    code, text = cli(*(a.format(path) for a in argv))
     assert code == 3
+    assert text == ""  # refused before the first line of the report
     assert capsys.readouterr().err == "refused: %s\n" % refusal
 
 

@@ -143,13 +143,13 @@ def test_corpus_run_decides_rectangularity_once_per_set(monkeypatch):
     # rectangularity is kept on the set: `credal corpus run` makes the
     # membership tests of one decision per case, as fresh sets decided once
     points = []
-    member = credal.core.member
+    member = credal.core._member
 
-    def counted(point, target):
-        points.append(point)
-        return member(point, target)
+    def counted(pair, target):
+        points.append(pair)
+        return member(pair, target)
 
-    monkeypatch.setattr(credal.core, "member", counted)
+    monkeypatch.setattr(credal.core, "_member", counted)
     assert run(["corpus", "run"], stdout=io.StringIO()) == 0
     in_run = len(points)
     points.clear()

@@ -86,10 +86,10 @@ def test_random_problem_files_never_crash_the_cli(tmp_path):
         path.write_text(json.dumps(doc))
         for argv in _commands(rng, doc):
             argv = argv + [str(path)]
-            err = io.StringIO()
+            err, out = io.StringIO(), io.StringIO()
             try:
                 with contextlib.redirect_stderr(err):
-                    code = run(argv, stdout=io.StringIO())
+                    code = run(argv, stdout=out)
             except Exception as e:  # any exception escaping run() is the failure
                 raise AssertionError((argv, doc)) from e
             text = err.getvalue()
@@ -97,5 +97,7 @@ def test_random_problem_files_never_crash_the_cli(tmp_path):
             assert text == "" or text.startswith(("error:", "refused:")), (argv, doc, text)
             assert "internal error" not in text, (argv, doc, text)
             assert (code in (0, 1)) == (text == ""), (argv, doc, code, text)
+            # an error or a refusal is decided before the first line
+            assert code in (0, 1) or out.getvalue() == "", (argv, doc, code, out.getvalue())
             codes.add(code)
     assert codes >= {0, 2}, codes

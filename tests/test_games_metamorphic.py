@@ -6,8 +6,10 @@ order, a loss ``a*L + b`` with ``a > 0``, a repeated generator, or a
 generator inside the hull.  Every answer that does not depend on the
 listing order must map back: the prior value, ``unique``, the optimal
 face as a set of rules keyed by label, each posterior value and set of
-optimal actions, the weak and time verdicts, rectangularity and the
-hull's generators (a finite set takes no generator inside its hull).
+optimal actions, the signal-blind game's value, its optimal actions and
+whether it matches the prior value, the weak and time verdicts,
+rectangularity and the hull's generators (a finite set takes no
+generator inside its hull).
 The lexicographically first rule, the bookie mixture and the witnesses
 depend on the order or on the pivot path, and are left out.
 
@@ -127,7 +129,7 @@ def _answers(dp, scale=1, shift=0):
     def back(v):
         return (v - shift) / scale
 
-    prior, post = solve_a_priori(dp), solve_a_posteriori(dp)
+    prior, post, blind = solve_a_priori(dp), solve_a_posteriori(dp), solve_ignoring(dp)
     return {
         "value": back(prior.value),
         "unique": prior.unique,
@@ -136,6 +138,11 @@ def _answers(dp, scale=1, shift=0):
             pt.x: (back(pt.value), frozenset(map(action, pt.action_vertices)))
             for pt in post.per_x
         },
+        "ignoring": (
+            back(blind.value),
+            frozenset(map(action, blind.action_vertices)),
+            blind.matches_a_priori,
+        ),
         "weak": check_weak_time_consistency(dp).result,
         "time": check_time_consistency(dp).result,
     }

@@ -41,7 +41,7 @@ def _probes(rng, p):
     the segment, points inside the box but off the line, and points far
     outside."""
     gens = p.generators
-    lo, hi = p.box
+    lo, hi = tuple(map(min, zip(*gens))), tuple(map(max, zip(*gens)))
     dim = p.dimension
     probes = [gens[0], lo, hi, _mix(rng, gens), _simplex_point(rng, dim)]
     for _ in range(2):

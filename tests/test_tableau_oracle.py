@@ -164,11 +164,13 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
         # every membership question is asked of the LP-only oracle, so
         # the corpus builds the LPs it built before the box and segment
         # shortcuts answered most of them
-        m.setattr(
-            credal.polytope,
-            "_in_hull",
-            lambda point, pair, hull: polytope_oracle._in_hull(point, hull.generators),
-        )
+        def in_hull(pair, hull):
+            point = tuple(F(v, pair[1]) for v in pair[0])
+            generators = tuple(tuple(F(v, hull.den) for v in g) for g in hull.nums)
+            return polytope_oracle._in_hull(point, generators)
+
+        m.setattr(credal.polytope, "_in_hull", in_hull)
+        m.setattr(credal.polytope, "_in_box_hull", in_hull)
         # and each convex two-generator prune, which keeps both without a
         # question, is asked again of the oracle's prune
         prune = credal.polytope.prune

@@ -44,8 +44,8 @@ def prune(p: VPolytope) -> VPolytope:
     h = p.hull
     keep = tuple(
         g
-        for i, (g, pair) in enumerate(zip(h.generators, h.points))
-        if not _in_hull(g, pair, h.without(i))
+        for i, (g, pair) in enumerate(zip(p.generators, h.points))
+        if not _in_hull(pair, h.without(i))
     )
     return VPolytope(dimension=p.dimension, generators=keep, convex=True)
 
