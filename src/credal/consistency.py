@@ -27,8 +27,9 @@ those and its m_delta(x) from the posterior game's rows at x
 module builds no rows itself; :func:`_replay` replays every witness
 before its verdict, through the public ``worst_case_loss`` and
 ``worst_case_posterior_loss``, which build their own rows.  The dynamic
-falsifier compares ranks of these losses as ``int``s; a ``Fraction`` is
-built only for a loss that a verdict reports.
+falsifier gets every candidate's M_delta and m_delta(x) as ``Fraction``s
+(``_rule_risks``, through ``minimax._worst``), sorts each loss once into
+ranks (``_ranks``) and compares the ranks as ``int``s.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from .consistency import (
     falsify_dynamic_consistency,
 )
 from .core import (
-    DecisionProblem,
     DecisionRule,
     dilation_report,
     hull,
@@ -106,11 +105,11 @@ class CorpusCase:
 
     @cached_property
     def _credal(self):
-        return self.file.credal()
+        return self.file.credal() if self.file.loss is None else self._problem.credal
 
     @cached_property
     def _problem(self):
-        return DecisionProblem(self._credal, self.file.problem().loss)
+        return self.file.problem()
 
 
 def _case_files():
@@ -147,9 +146,9 @@ def _freeze(value):
 def _parse_case(case_id: str, text: str) -> CorpusCase:
     try:
         pf = parse_problem_file(text)
-        doc = json.loads(text)
-    except (ProblemFileError, json.JSONDecodeError) as e:
+    except ProblemFileError as e:
         raise CorpusError("case %s: %s" % (case_id, e)) from None
+    doc = json.loads(text)
     if doc.get("id") != case_id:
         raise CorpusError(
             "case %s: 'id' field says %r" % (case_id, doc.get("id"))

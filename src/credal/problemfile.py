@@ -1,11 +1,14 @@
 """Problem files: the on-disk JSON form of a decision problem.
 
 A problem file carries the label sets, the credal set's generator
-matrices, the convexity flag, and optionally a loss table.  All
-numbers are reduced rational strings like ``"2/3"``; floats are never
-read or written.  Parsing is strict and errors name the offending
-field, since these files double as the golden corpus and as CLI
-input.
+matrices, the convexity flag, and optionally a loss table.  A number is
+a JSON integer or a string ``"p"`` or ``"p/q"``: ``p`` an integer with
+an optional ``-``, ``q`` a positive integer without a sign or a leading
+zero.  It is reduced on reading (``"2/4"`` is 1/2) and written reduced;
+floats are never read or written.  Parsing is strict and errors name
+the offending field, since these files double as the golden corpus and
+as CLI input.  Each generator's mass is checked once, by
+:class:`credal.core.JointDistribution` on the file's space.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from .core import (
     CredalSet,
     DecisionProblem,
+    JointDistribution,
     LossFunction,
     ProblemSpace,
     credal_set,
@@ -63,10 +67,13 @@ def _labels(doc, field):
 def _rational(text, field):
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         _fail(field, "expected a rational string, got %r" % (text,))
-    # Only "p" or "p/q"; Fraction() alone would also take "1.5" and "1e3".
-    if not re.fullmatch(r"-?\d+(?:/[1-9]\d*)?", str(text)):
+    # Only "p" or "p/q", read from the integers the pattern captured.
+    if not (match := re.fullmatch(r"(-?\d+)(?:/([1-9]\d*))?", str(text))):
         _fail(field, "not a rational: %r" % (text,))
-    return Fraction(str(text))
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError:  # past the interpreter's limit on digits in int()
+        _fail(field, "a number of %d characters is too long" % len(str(text)))
 
 
 def _matrix(value, field, nrows, ncols):
@@ -100,14 +107,14 @@ class ProblemFile:
     def problem(self) -> DecisionProblem:
         if self.loss is None:
             raise ProblemFileError("field 'loss': required for this command")
-        loss = LossFunction(space=self.space(), table=self.loss)
-        return DecisionProblem(self.credal(), loss)
+        credal = self.credal()
+        return DecisionProblem(credal, LossFunction(space=credal.space, table=self.loss))
 
 
 def parse_problem_file(text: str) -> ProblemFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError, too deep, too many digits
         raise ProblemFileError("not valid JSON: %s" % e) from None
     if not isinstance(doc, dict):
         raise ProblemFileError("top level must be an object")
@@ -120,6 +127,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     acts = _labels(doc, "actions")
     if len(acts) < 2:
         _fail("actions", "a decision problem needs at least two actions")
+    space = ProblemSpace(xs, ys, acts)
     convex = doc.get("convex")
     if not isinstance(convex, bool):
         _fail("convex", "expected true or false")
@@ -129,13 +137,12 @@ def parse_problem_file(text: str) -> ProblemFile:
         _fail("generators", "expected a nonempty array of matrices")
     generators = []
     for k, g in enumerate(gens_doc):
-        mat = _matrix(g, "generators[%d]" % k, len(xs), len(ys))
-        total = sum(v for row in mat for v in row)
-        if total != 1:
-            _fail("generators[%d]" % k, "mass sums to %s, not 1" % total)
-        if any(v < 0 for row in mat for v in row):
-            _fail("generators[%d]" % k, "negative mass")
-        generators.append(mat)
+        field = "generators[%d]" % k
+        mat = _matrix(g, field, len(xs), len(ys))
+        try:
+            generators.append(JointDistribution(space, mat).mass)
+        except ValueError as e:  # core's mass check: nonnegative, summing to 1
+            _fail(field, e)
 
     loss_doc = doc.get("loss")
     loss = None
@@ -156,8 +163,9 @@ def load_problem_file(path) -> ProblemFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
-        raise ProblemFileError("cannot read %s: %s" % (path, e.strerror)) from None
+    except (OSError, UnicodeDecodeError) as e:
+        why = e.strerror if isinstance(e, OSError) else e
+        raise ProblemFileError("cannot read %s: %s" % (path, why)) from None
     return parse_problem_file(text)
 
 

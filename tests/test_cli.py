@@ -909,6 +909,59 @@ def test_one_action_file_is_an_input_error(tmp_path, capsys, argv):
     assert err.startswith("error: field 'actions'"), err
 
 
+# Python 3.10 builds before 3.10.7 read integers of any length.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python reads integers of any length"
+)
+
+
+def _assert_input_error(capsys, argv, start):
+    code, out = cli(*argv)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + start) and err.count("\n") == 1, err[:300]
+
+
+def test_too_deep_a_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    _assert_input_error(capsys, ["solve", str(path)], "not valid JSON: ")
+
+
+@needs_digit_limit
+def test_too_long_an_integer_literal_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text('{"convex": %s}' % ("1" * (DIGIT_LIMIT + 1)))
+    _assert_input_error(capsys, ["check", "rect", str(path)], "not valid JSON: ")
+
+
+@needs_digit_limit
+def test_too_long_a_rational_string_is_an_input_error(tmp_path, capsys):
+    big = "1" + "0" * DIGIT_LIMIT
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "x_labels": ["0", "1"],
+        "y_labels": ["0", "1"],
+        "actions": ["a", "b"],
+        "convex": True,
+        "generators": [[[big, "0"], ["0", "0"]]],
+        "loss": [["0", "1"], ["1", "0"]],
+    }))
+    _assert_input_error(capsys, ["solve", str(path)], "field 'generators[0]': ")
+    saddle = ["saddle", "corpus/example-2.1"]
+    _assert_input_error(capsys, saddle + ["--rule", big + ",0/1,0", "--mixture", "1,0,0,0"],
+                        "field '--rule': ")
+    _assert_input_error(capsys, saddle + ["--rule", "1,0/1,0", "--mixture", big + ",0,0,0"],
+                        "field '--mixture': ")
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe{}")
+    _assert_input_error(capsys, ["solve", str(path)], "cannot read %s: " % path)
+
+
 def test_unknown_subcommand(capsys):
     code, _ = cli("frobnicate", "x")
     assert code == 2

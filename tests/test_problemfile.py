@@ -1,11 +1,15 @@
 import json
+import re
+import sys
 from fractions import Fraction
 
 import pytest
 
+from credal.corpus import corpus_ids, corpus_text
 from credal.problemfile import (
     ProblemFile,
     ProblemFileError,
+    load_problem_file,
     parse_problem_file,
     problem_file_from,
     render_problem_file,
@@ -82,7 +86,7 @@ def test_float_rejected_even_as_json_number():
 
 
 def test_mass_must_sum_to_one():
-    with pytest.raises(ProblemFileError, match="sums to"):
+    with pytest.raises(ProblemFileError, match=r"generators\[0\].*sum to exactly 1"):
         parse_problem_file(doc(generators=[[["1/3", "1/3"], ["0", "0"]]]))
 
 
@@ -103,6 +107,91 @@ def test_shape_errors_are_named():
 def test_not_json():
     with pytest.raises(ProblemFileError, match="JSON"):
         parse_problem_file("{nope")
+
+
+# Python 3.10 builds before 3.10.7 read integers of any length.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python reads integers of any length"
+)
+
+
+def test_too_deep_a_document_is_not_valid_json():
+    with pytest.raises(ProblemFileError, match="^not valid JSON: .*recursion"):
+        parse_problem_file("[" * 200_000)
+
+
+@needs_digit_limit
+def test_too_long_an_integer_literal_is_not_valid_json():
+    text = doc().replace('"convex": true', '"convex": ' + "1" * (DIGIT_LIMIT + 1))
+    with pytest.raises(ProblemFileError, match="^not valid JSON: "):
+        parse_problem_file(text)
+
+
+@needs_digit_limit
+def test_too_long_a_rational_string_names_the_field():
+    big = "1" + "0" * DIGIT_LIMIT
+    for text, field in (
+        (doc(generators=[[[big, "0"], ["0", "0"]]]), "generators[0]"),
+        (doc(loss=[["0", "1/" + big], ["1", "0"]]), "loss"),
+    ):
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_file(text)
+        message = str(err.value)
+        assert message.startswith("field %r: " % field), message
+        assert big not in message
+
+
+def test_a_file_that_is_not_utf8_cannot_be_read(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe{}")
+    start = "^cannot read %s: 'utf-8' codec" % re.escape(str(path))
+    with pytest.raises(ProblemFileError, match=start):
+        load_problem_file(path)
+
+
+def test_rational_grammar():
+    def loss_of(entry):
+        return parse_problem_file(doc(loss=[[entry, "1"], ["1", "0"]])).loss[0][0]
+
+    # "p" or "p/q" with q > 0 written without a sign or leading zero,
+    # or a JSON integer; values are reduced on reading
+    assert loss_of("2/4") == F(1, 2)
+    assert loss_of("-0") == 0
+    assert loss_of(-7) == -7 and loss_of(12) == 12
+    for entry in ("1/0", "1.5", "+1", "1/-2"):
+        with pytest.raises(ProblemFileError, match="'loss': not a rational"):
+            loss_of(entry)
+
+
+def _corpus_texts():
+    texts = [corpus_text(cid) for cid in corpus_ids()]
+    assert len(texts) == 12
+    return texts
+
+
+def test_reading_adds_no_fractions(monkeypatch):
+    # the mass check is core's, in integers
+    def no_sums(self, other):
+        raise AssertionError("Fraction addition while reading")
+
+    monkeypatch.setattr(Fraction, "__add__", no_sums)
+    monkeypatch.setattr(Fraction, "__radd__", no_sums)
+    for text in _corpus_texts():
+        parse_problem_file(text)
+
+
+def test_reading_parses_no_string_twice(monkeypatch):
+    # _rational reads the integers its own pattern captured
+    new = Fraction.__new__
+
+    def no_strings(cls, numerator=0, denominator=None, **kw):
+        assert not isinstance(numerator, str), numerator
+        return new(cls, numerator, denominator, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(no_strings))
+    for text in _corpus_texts():
+        parse_problem_file(text)
 
 
 def test_roundtrip_with_and_without_loss():
