@@ -182,9 +182,9 @@ def _image(rule: UpdateRule, p: CredalSet, x: str) -> VPolytope | None:
 
 def _key(a: VPolytope) -> tuple:
     """Equal for two pruned sets exactly when the sets are: a convex set is
-    its vertices and a finite set its points (as kept in lowest terms by
-    :attr:`VPolytope.hull`), and the readings differ from two generators on."""
-    return a.convex and len(a.generators) > 1, a.hull.keys
+    its vertices and a finite set its points (their lowest-terms pairs,
+    :attr:`VPolytope.points`), and the readings differ from two points on."""
+    return a.convex and len(a.points) > 1, a.hull.keys
 
 
 def _classes(rule: UpdateRule, cells: _Cells) -> tuple[Partition, dict]:

@@ -21,12 +21,12 @@ signal set.  A point is identified by its lowest-terms integer pair
 from the parsed joint to the pruned Y-set: each joint keeps the pair
 it validates its mass with, a credal set drops repeated joints by
 those pairs, and ``posterior_y`` builds each conditioned point's pair
-from the joint's integers with one gcd, dropping repeats before any
-``Fraction`` is built.  The dilation intervals, each rectangularity
-swap and each game row are built from the same integers, and a swap
-is asked of the joint set as its pair.  Each
-credal set conditions each signal event once: it keeps every answer of
-``posterior_y``, keyed by the cell, for every caller.
+from the joint's integers with one gcd for its polytope, which stores
+pairs and builds no ``Fraction`` until its generators are read.  The
+dilation intervals, each rectangularity swap and each game row are
+built from the same integers, and a swap is asked of the joint set as
+its pair.  Each credal set conditions each signal event once: it keeps
+every answer of ``posterior_y``, keyed by the cell, for every caller.
 :attr:`CredalSet.live` lists the signals some generator reaches and
 :attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them.
 Rectangularity, :func:`hull`, dilation and the posterior game read
@@ -70,6 +70,7 @@ __all__ = [
     "c_condition",
     "hull",
     "HULL_PRODUCT_LIMIT",
+    "DILATION_EVENT_LIMIT",
     "is_rectangular",
     "is_conservative",
     "support_x",
@@ -89,6 +90,11 @@ ONE = Fraction(1)
 # 12 signals and 2 outcomes, and 1.4-1.9 s on 6,561 over 7 signals and
 # 5 outcomes (shared 2-core x86-64, Python 3.11).
 HULL_PRODUCT_LIMIT = 10_000
+
+# Most intervals :func:`dilation_report` builds, (2^ny - 2) * (1 + live signals):
+# ``credal check dilation`` took 1.5-2.3 s end to end on 98,298 (2 signals, 15
+# outcomes, 3-12 generators), 2.5-3.0 s on 196,602 (16 outcomes; shared 2-core x86-64).
+DILATION_EVENT_LIMIT = 100_000
 
 
 class UndefinedConditionalError(Exception):
@@ -249,7 +255,7 @@ class CredalSet:
             for i, px in enumerate(map(sum, g._int_mass)):
                 if px == 0:
                     continue
-                for rn, rd in self.conditionals[i].hull.points:
+                for rn, rd in self.conditionals[i].points:
                     swap = [v * rd for v in nums]
                     swap[i * ny : (i + 1) * ny] = [px * v for v in rn]
                     if not _member(lowest(swap, den * rd), target):
@@ -350,7 +356,7 @@ class DecisionProblem:
         the conditional set (:func:`_action_losses` of their pairs), or None
         where no generator reaches the signal."""
         return tuple(
-            None if c is None else _action_losses(self.loss, c.hull.points)
+            None if c is None else _action_losses(self.loss, c.points)
             for c in self.credal.conditionals
         )
 
@@ -487,14 +493,15 @@ class Partition:
 def joint_polytope(p: CredalSet) -> VPolytope:
     return VPolytope(
         dimension=p.space.nx * p.space.ny,
-        generators=tuple(g.flatten() for g in p.generators),
+        points=tuple(g._pair for g in p.generators),
         convex=p.convex,
     )
 
 
 def prune_credal(p: CredalSet) -> CredalSet:
-    kept = prune(joint_polytope(p)).generators
-    gens = tuple(JointDistribution(p.space, _unflatten(p.space, g)) for g in kept)
+    """``p`` with the generators that :func:`prune` keeps, in order."""
+    kept = set(prune(joint_polytope(p)).points)
+    gens = tuple(g for g in p.generators if g._pair in kept)
     return CredalSet(space=p.space, generators=gens, convex=p.convex)
 
 
@@ -560,22 +567,21 @@ def _posterior_y(p: CredalSet, cell) -> VPolytope | None:
     points = _cell_points(p, idx)
     if not points:
         return None
-    pts = tuple(tuple([Fraction(v, den) for v in nums]) for nums, den in points)
-    return prune(VPolytope(dimension=p.space.ny, generators=pts, convex=p.convex))
+    return prune(VPolytope(dimension=p.space.ny, points=points, convex=p.convex))
 
 
 def _cell_points(p: CredalSet, idx) -> list[tuple[tuple[int, ...], int]]:
     """Each generator's outcome distribution given the signals ``idx``, as
-    its lowest-terms pair, in order, without repeats; generators that
-    give the cell no mass are skipped."""
-    points = {}
+    its lowest-terms pair, in order; generators that give the cell no
+    mass are skipped."""
+    points = []
     for g in p.generators:
         # the cell's mass of each outcome, in integers over g's denominator
         mass = [sum(col) for col in zip(*[g._int_mass[i] for i in idx])]
         total = sum(mass)
         if total:
-            points[lowest(mass, total)] = None
-    return list(points)
+            points.append(lowest(mass, total))
+    return points
 
 
 def c_condition(p: CredalSet, part: Partition, x) -> CredalSet:
@@ -610,13 +616,12 @@ def hull(p: CredalSet) -> CredalSet:
     pruned generator list, in order.
     """
     space = p.space
-    marg = prune(
-        VPolytope(space.nx, tuple(g.x_marginal() for g in p.generators), p.convex)
-    ).generators
+    marginals = [lowest(list(map(sum, g._int_mass)), g._pair[1]) for g in p.generators]
+    marg = prune(VPolytope(space.nx, marginals, p.convex)).generators
     # a signal that some marginal reaches is live, so it has its conditionals
     conds = p.conditionals
     count = sum(
-        math.prod(len(conds[i].generators) for i in range(space.nx) if q[i] > 0)
+        math.prod(len(conds[i].points) for i in range(space.nx) if q[i] > 0)
         for q in marg
     )
     if count > HULL_PRODUCT_LIMIT:
@@ -697,8 +702,14 @@ def dilation_report(p: CredalSet) -> DilationReport:
 
     Read off integer points: the generators' Y-marginals over one common
     denominator, and each live signal's conditionals as its hull keeps
-    them; a ``Fraction`` is built only for each interval end returned."""
+    them; a ``Fraction`` is built only for each interval end returned.
+    More than ``DILATION_EVENT_LIMIT`` raise ``SizeLimitError`` before any."""
     space = p.space
+    count = (2**space.ny - 2) * (1 + len(p.live))
+    if count > DILATION_EVENT_LIMIT:
+        raise SizeLimitError(
+            "dilation intervals limited to %d, got %d" % (DILATION_EVENT_LIMIT, count)
+        )
     marginals = _cell_points(p, range(space.nx))
     prior_den = math.lcm(*[d for _, d in marginals])
     prior_nums = [[v * (prior_den // d) for v in n] for n, d in marginals]

@@ -16,7 +16,6 @@ action weights as flat string lists in label order, partitions in the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -49,7 +48,7 @@ from .minimax import (
     worst_case_loss,
 )
 from .polytope import member
-from .problemfile import ProblemFile, ProblemFileError, parse_problem_file
+from .problemfile import ProblemFile, ProblemFileError, _parse
 from .rationals import rat
 
 __all__ = [
@@ -145,10 +144,9 @@ def _freeze(value):
 
 def _parse_case(case_id: str, text: str) -> CorpusCase:
     try:
-        pf = parse_problem_file(text)
+        doc, pf = _parse(text)
     except ProblemFileError as e:
         raise CorpusError("case %s: %s" % (case_id, e)) from None
-    doc = json.loads(text)
     if doc.get("id") != case_id:
         raise CorpusError(
             "case %s: 'id' field says %r" % (case_id, doc.get("id"))

@@ -161,7 +161,7 @@ def worst_case_posterior_loss(
     conditional = p.conditionals[xi]
     if conditional is None:
         return ZERO
-    return _worst(_action_losses(loss, conditional.hull.points), rule.per_x[xi].weights)[0]
+    return _worst(_action_losses(loss, conditional.points), rule.per_x[xi].weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,7 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     rows = _action_losses(dp.loss, margins)
     value, _gamma, mixture = block_game(rows, widths)
 
-    marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).hull.points)
+    marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).points)
     marginal_value, _gamma, _mix = block_game(marginal_rows, widths)
     if marginal_value != value:
         raise SolverError("marginal game disagrees with constant-rule LP")

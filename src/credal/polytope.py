@@ -1,26 +1,25 @@
 """Finitely generated point sets and polytopes in V-representation.
 
-A :class:`VPolytope` is a list of generator points plus a ``convex``
-flag.  With ``convex=True`` the object denotes the convex hull of the
-generators; with ``convex=False`` it denotes the bare finite set.  All
-comparisons reduce to exact membership tests: identity with a
-generator in the finite case, and in the convex case three exact
-arguments before any LP.  A generator is a member.  A convex
-combination stays inside its generators' coordinate box, so a point
-outside it is not.  When the point and every generator lie on one
-line, the hull is the segment between the extreme generators, so a
-point inside the box is a member; every set of two generators and
-every set of 2-outcome distributions is of this kind.  A point is its
-lowest-terms integer pair (:func:`~credal.rationals.common_denominator`)
-below :func:`member`: a polytope drops repeated generators by their
-pairs and keeps them for :attr:`VPolytope.hull` (the generators over
-one common denominator, their box and their line), so no ``Fraction``
-is hashed and these three tests cross-multiply integers.  Only the
-remaining questions solve a feasibility LP, its rows cross-multiplied
-from the hull's integers and the point's pair.  :func:`subset` tests
-the boxes once, not each point.  Pruning keeps two distinct generators
-without a question, as both are extreme, and returns its input when it
-drops nothing.
+A :class:`VPolytope` is a list of points plus a ``convex`` flag: with
+``convex=True`` it denotes their convex hull, with ``convex=False`` the
+bare finite set.  It stores each point once, as its lowest-terms
+integer pair (:func:`~credal.rationals.common_denominator`), and builds
+no ``Fraction`` until its generators are read; :func:`polytope` is the
+one entry that takes rationals.  All comparisons reduce to exact
+membership tests: identity with a point in the finite case, and in the
+convex case three exact arguments before any LP.  A generator is a
+member.  A convex combination stays inside its generators' coordinate
+box, so a point outside it is not.  When the point and every generator
+lie on one line, the hull is the segment between the extreme
+generators, so a point inside the box is a member; every set of two
+generators and every set of 2-outcome distributions is of this kind.
+:attr:`VPolytope.hull` keeps the points over one common denominator,
+with their box and their line, so these three tests cross-multiply
+integers.  Only the remaining questions solve a feasibility LP, its
+rows cross-multiplied from the hull's integers and the point's pair.
+:func:`subset` tests the boxes once, not each point.  Pruning keeps two
+distinct generators without a question, as both are extreme, and
+returns its input when it drops nothing.
 
 There is deliberately no facet (H-) representation anywhere; subset
 tests work generator-wise, which is sound because the right-hand side
@@ -53,45 +52,44 @@ class ComparisonError(Exception):
 
 @dataclass(frozen=True)
 class VPolytope:
+    """The points, or their hull when ``convex``: each point its lowest-terms
+    ``(nums, den)`` pair, ``den > 0``; the first of repeats kept, in order."""
+
     dimension: int
-    generators: tuple[tuple[Fraction, ...], ...]
+    points: tuple[tuple[tuple[int, ...], int], ...]
     convex: bool
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension out of range: %d" % self.dimension)
-        if not self.generators:
-            raise ValueError("a polytope needs at least one generator")
-        for g in self.generators:
-            if len(g) != self.dimension:
-                raise ValueError("generator length != dimension")
-        # a point is its lowest-terms pair: drop repeated generators by
-        # their pairs, keeping the first of each in order
-        first = {}
-        for g in self.generators:
-            first.setdefault(common_denominator(g), g)
-        object.__setattr__(self, "generators", tuple(first.values()))
-        object.__setattr__(self, "_points", tuple(first))
+        if not self.points:
+            raise ValueError("a polytope needs at least one point")
+        for nums, den in self.points:
+            if len(nums) != self.dimension:
+                raise ValueError("point length != dimension")
+            if den < 1 or math.gcd(den, *nums) != 1:
+                raise ValueError("point not in lowest terms over a positive denominator")
+        object.__setattr__(self, "points", tuple(dict.fromkeys(self.points)))
+
+    @cached_property
+    def generators(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The points as ``Fraction`` tuples, in order, built on first read."""
+        return tuple(tuple([Fraction(v, den) for v in nums]) for nums, den in self.points)
 
     @cached_property
     def hull(self) -> _Hull:
-        """The generators in integers, with their box and their line."""
-        points = self._points
+        """The points in integers, with their box and their line."""
+        points = self.points
         den = math.lcm(*[d for _, d in points])
         nums = tuple(tuple([v * (den // d) for v in n]) for n, d in points)
         return _Hull(points, nums, den)
 
 
 class _Hull:
-    """A generator list in integers.
-
-    ``points`` holds each generator as its ``common_denominator`` pair,
-    which is in lowest terms, so two points are equal exactly when their
-    pairs are (``keys``).  ``nums`` holds every generator over the one
-    denominator ``den``, with their coordinate box ``lo``, ``hi`` and,
-    when all of them lie on one line, ``line``: the first generator, the
-    step to the second and a coordinate where that step is not zero.
-    """
+    """A polytope's ``points`` in integers: their set ``keys``, each over the
+    one denominator ``den`` (``nums``), their coordinate box ``lo``, ``hi``
+    and, when all lie on one line, ``line``: the first point, the step to
+    the second and a coordinate where that step is not zero."""
 
     __slots__ = ("points", "keys", "nums", "den", "lo", "hi", "line")
 
@@ -129,12 +127,12 @@ class _Hull:
 
 
 def polytope(points, convex, dimension=None) -> VPolytope:
-    pts = tuple(rat_seq(p) for p in points)
+    pts = tuple(common_denominator(rat_seq(p)) for p in points)
     if dimension is None:
         if not pts:
             raise ValueError("cannot infer dimension from no points")
-        dimension = len(pts[0])
-    return VPolytope(dimension=dimension, generators=pts, convex=convex)
+        dimension = len(pts[0][0])
+    return VPolytope(dimension=dimension, points=pts, convex=convex)
 
 
 def _in_hull(pair, hull: _Hull) -> bool:
@@ -194,7 +192,7 @@ def subset(a: VPolytope, b: VPolytope) -> bool:
         raise ValueError("dimension mismatch")
     ha, hb = a.hull, b.hull
     if not b.convex:
-        if a.convex and len(a.generators) > 1:
+        if a.convex and len(a.points) > 1:
             raise ComparisonError(
                 "cannot compare a convex set against a finite point list"
             )
@@ -218,14 +216,10 @@ def prune(p: VPolytope) -> VPolytope:
     ``p`` itself is returned when nothing is dropped, so this is
     idempotent.
     """
-    if not p.convex or len(p.generators) <= 2:
+    if not p.convex or len(p.points) <= 2:
         return p
     h = p.hull
-    keep = tuple(
-        g
-        for i, (g, pair) in enumerate(zip(p.generators, h.points))
-        if not _in_hull(pair, h.without(i))
-    )
-    if len(keep) == len(p.generators):
+    keep = tuple(pair for i, pair in enumerate(h.points) if not _in_hull(pair, h.without(i)))
+    if len(keep) == len(p.points):
         return p
-    return VPolytope(dimension=p.dimension, generators=keep, convex=True)
+    return VPolytope(dimension=p.dimension, points=keep, convex=True)

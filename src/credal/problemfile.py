@@ -111,9 +111,21 @@ class ProblemFile:
         return DecisionProblem(credal, LossFunction(space=credal.space, table=self.loss))
 
 
-def parse_problem_file(text: str) -> ProblemFile:
+def _json_int(text):
     try:
-        doc = json.loads(text)
+        return int(text)
+    except ValueError:  # past the interpreter's limit on digits in int()
+        raise ValueError("a number of %d digits is too long" % len(text.lstrip("-"))) from None
+
+
+def parse_problem_file(text: str) -> ProblemFile:
+    return _parse(text)[1]
+
+
+def _parse(text: str) -> tuple[dict, ProblemFile]:
+    """The JSON document ``text`` holds, decoded once, and its problem file."""
+    try:
+        doc = json.loads(text, parse_int=_json_int)
     except (ValueError, RecursionError) as e:  # a JSONDecodeError, too deep, too many digits
         raise ProblemFileError("not valid JSON: %s" % e) from None
     if not isinstance(doc, dict):
@@ -149,7 +161,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     if loss_doc is not None:
         loss = _matrix(loss_doc, "loss", len(ys), len(acts))
 
-    return ProblemFile(
+    return doc, ProblemFile(
         x_labels=xs,
         y_labels=ys,
         actions=acts,

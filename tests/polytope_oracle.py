@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from credal.linprog import EQ, OPTIMAL, lp_solve
-from credal.polytope import ComparisonError, VPolytope
+from credal.polytope import ComparisonError, VPolytope, polytope
 from credal.rationals import rat_seq
 
 from face_oracle import make_lp
@@ -72,4 +72,4 @@ def prune(p: VPolytope) -> VPolytope:
         others = gens[:i] + gens[i + 1 :]
         if not _in_hull(g, others):
             keep.append(g)
-    return VPolytope(dimension=p.dimension, generators=tuple(keep), convex=True)
+    return polytope(keep, True, p.dimension)

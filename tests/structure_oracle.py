@@ -41,7 +41,7 @@ from credal.minimax import (
     worst_case_loss,
     worst_case_posterior_loss,
 )
-from credal.polytope import VPolytope, prune, subset
+from credal.polytope import polytope, prune, subset
 
 ZERO = Fraction(0)
 
@@ -61,7 +61,7 @@ def _conditional_lists(p: CredalSet) -> list[list[tuple[Fraction, ...]]]:
         conds = [g.conditional_y(i) for g in p.generators]
         conds = list(dict.fromkeys(c for c in conds if c is not None))
         if p.convex and len(conds) > 1:
-            conds = list(prune(VPolytope(p.space.ny, tuple(conds), True)).generators)
+            conds = list(prune(polytope(conds, True, p.space.ny)).generators)
         lists.append(conds)
     return lists
 
@@ -80,7 +80,7 @@ def hull(p: CredalSet) -> CredalSet:
     space = p.space
     marg = [g.x_marginal() for g in p.generators]
     if p.convex:
-        marg = list(prune(VPolytope(space.nx, tuple(marg), True)).generators)
+        marg = list(prune(polytope(marg, True, space.nx)).generators)
     else:
         marg = list(dict.fromkeys(marg))
     cond_lists = _conditional_lists(p)

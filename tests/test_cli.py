@@ -30,7 +30,7 @@ from credal import (
 )
 from credal.cli import run
 from credal.consistency import DYNAMIC_CANDIDATE_LIMIT
-from credal.core import HULL_PRODUCT_LIMIT
+from credal.core import DILATION_EVENT_LIMIT, HULL_PRODUCT_LIMIT
 from credal.linprog import FACE_CANDIDATE_LIMIT
 
 
@@ -223,6 +223,28 @@ def test_hull_refuses_one_product_over_its_limit(tmp_path, capsys):
     assert capsys.readouterr().err == "refused: hull products limited to %d, got %d\n" % (
         HULL_PRODUCT_LIMIT,
         HULL_PRODUCT_LIMIT + 1,
+    )
+
+
+def test_check_dilation_refuses_past_its_limit(tmp_path, capsys):
+    # 2 signals, 16 outcomes: 65,534 proper events, each with a prior
+    # interval and one per live signal
+    ny = 16
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "x_labels": ["0", "1"],
+        "y_labels": [str(j) for j in range(ny)],
+        "actions": ["a", "b"],
+        "convex": True,
+        "generators": [[["1/%d" % (2 * ny)] * ny] * 2],
+    }))
+    start = time.perf_counter()
+    code, text = cli("check", "dilation", str(path))
+    assert time.perf_counter() - start < 10
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == "refused: dilation intervals limited to %d, got %d\n" % (
+        DILATION_EVENT_LIMIT,
+        (2**ny - 2) * 3,
     )
 
 
@@ -933,7 +955,11 @@ def test_too_deep_a_document_is_an_input_error(tmp_path, capsys):
 def test_too_long_an_integer_literal_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "digits.json"
     path.write_text('{"convex": %s}' % ("1" * (DIGIT_LIMIT + 1)))
-    _assert_input_error(capsys, ["check", "rect", str(path)], "not valid JSON: ")
+    _assert_input_error(
+        capsys,
+        ["check", "rect", str(path)],
+        "not valid JSON: a number of %d digits is too long\n" % (DIGIT_LIMIT + 1),
+    )
 
 
 @needs_digit_limit

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import credal.core
+import credal.polytope
 from credal.core import (
+    DILATION_EVENT_LIMIT,
     CredalSet,
     JointDistribution,
     Partition,
@@ -23,9 +26,11 @@ from credal.core import (
     joint_polytope,
     marginal_y,
     posterior_y,
+    prune_credal,
     support_x,
 )
-from credal.polytope import member, set_equal
+from credal.linprog import SizeLimitError
+from credal.polytope import member, prune, set_equal
 
 from problems import (
     MIRROR_PAIR_CROSS,
@@ -131,6 +136,60 @@ def test_posterior_y_matches_conditioning_then_projecting():
             assert set(got.generators) == set(want.generators), (seed, cell)
             seen["multi"] += len(cell) > 1
     assert min(seen.values()) >= 20, seen
+
+
+def _segment_sets(rng, count):
+    """Seeded sets whose generators are mixtures of two random joints
+    over 4 signals and 3 outcomes, finite and convex in turn.  Every set
+    built from them, joint or conditioned, lies on one segment, so its
+    membership questions need no LP (whose certificate is in Fractions)."""
+    space = ProblemSpace(tuple("x%d" % i for i in range(4)), ("y0", "y1", "y2"), ("a", "b"))
+    sets = []
+    for k in range(count):
+        ends = []
+        for _ in range(2):
+            w = [[rng.randint(0, 3) for _ in range(3)] for _ in range(4)]
+            w[0][0] += 1
+            ends.append([[F(v, sum(map(sum, w))) for v in row] for row in w])
+        ts = [F(rng.randint(0, 4), 4) for _ in range(rng.randint(3, 6))]
+        masses = [
+            [[t * u + (1 - t) * v for u, v in zip(ra, rb)] for ra, rb in zip(*ends)] for t in ts
+        ]
+        sets.append(credal_set(space, masses, k % 2 == 0))
+    return sets
+
+
+def test_y_sets_and_joint_sets_build_no_fraction(monkeypatch):
+    """A polytope stores lowest-terms pairs: conditioning every cell,
+    joint_polytope, prune and prune_credal build no ``Fraction`` and turn
+    no point into its pair again."""
+    sets = _segment_sets(random.Random(3401), 30)
+    calls = {"Fraction": 0, "common_denominator": 0}
+    new, pair = Fraction.__new__, credal.core.common_denominator
+
+    def counted_new(cls, *args, **kwargs):
+        calls["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_pair(values):
+        calls["common_denominator"] += 1
+        return pair(values)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for module in (credal.core, credal.polytope):
+        monkeypatch.setattr(module, "common_denominator", counted_pair)
+    pruned = []
+    for p in sets:
+        for size in range(1, 5):
+            for cell in itertools.combinations(p.space.x_labels, size):
+                posterior_y(p, cell)
+        joint_set = joint_polytope(p)
+        pruned.append((joint_set, prune(joint_set), prune_credal(p)))
+    monkeypatch.undo()
+    assert calls == {"Fraction": 0, "common_denominator": 0}
+    assert sum(len(kept.points) < len(whole.points) for whole, kept, _ in pruned) >= 10
+    for _, kept, joints in pruned:
+        assert tuple(g.flatten() for g in joints.generators) == kept.generators
 
 
 def test_posterior_y_rejects_an_empty_cell():
@@ -243,6 +302,27 @@ def test_no_dilation_for_product_set():
     )
     rep = dilation_report(prod)
     assert rep.dilating_events() == ()
+
+
+def _uniform_set(nx, ny, live):
+    """One generator spreading its mass evenly over the first ``live`` signals."""
+    space = ProblemSpace(tuple(map(str, range(nx))), tuple(map(str, range(ny))), ("a", "b"))
+    mass = [[F(1, live * ny) if i < live else F(0)] * ny for i in range(nx)]
+    return credal_set(space, [mass], True)
+
+
+def test_dilation_report_counts_its_intervals_before_building_them():
+    # (2^ny - 2) proper events, each with one prior and one interval per
+    # live signal: 3 signals, one dead, over 15 outcomes is under the limit
+    assert (2**15 - 2) * 3 <= DILATION_EVENT_LIMIT < (2**15 - 2) * 4
+    rep = dilation_report(_uniform_set(3, 15, live=2))
+    assert len(rep.rows) == 2**15 - 2 and rep.dilating_events() == ()
+    count = (2**16 - 2) * 2
+    with pytest.raises(
+        SizeLimitError,
+        match="^dilation intervals limited to %d, got %d$" % (DILATION_EVENT_LIMIT, count),
+    ):
+        dilation_report(_uniform_set(1, 16, live=1))
 
 
 def test_partition_canonical_form_and_parsing():

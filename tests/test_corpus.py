@@ -183,6 +183,24 @@ def test_id_mismatch_is_rejected():
         _parse_case("example-4.2", raw)
 
 
+def test_each_case_is_decoded_once(monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    cases = load_corpus()
+    assert len(calls) == len(cases) == len(corpus_ids())
+
+
+def test_a_case_that_is_not_json_is_named():
+    with pytest.raises(CorpusError, match="^case example-4.2: not valid JSON: "):
+        _parse_case("example-4.2", "{nope")
+
+
 def test_problem_file_roundtrip_on_corpus():
     for case in load_corpus():
         text = render_problem_file(case.file)

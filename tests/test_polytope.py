@@ -1,12 +1,13 @@
 """V-representation polytopes: membership, containment, pruning."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 import credal.polytope
-from credal.polytope import ComparisonError, member, polytope, prune, set_equal, subset
+from credal.polytope import ComparisonError, VPolytope, member, polytope, prune, set_equal, subset
 
 F = Fraction
 
@@ -117,3 +118,36 @@ def test_dimension_mismatch_raises():
         subset(simplex2(), polytope([(1, 0, 0)], True))
     with pytest.raises(ValueError):
         member((1, 0, 0), simplex2())
+
+
+def test_a_polytope_stores_its_points_and_builds_fractions_when_read():
+    p = VPolytope(2, (((1, 1), 2), ((1, 0), 1), ((1, 1), 2)), True)
+    assert p.points == (((1, 1), 2), ((1, 0), 1))
+    assert "generators" not in vars(p)
+    assert p.generators == ((F(1, 2), F(1, 2)), (F(1), F(0)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.generators = ()
+
+
+@pytest.mark.parametrize(
+    "points, why",
+    (
+        ((), "at least one point"),
+        ((((1, 0), 1), ((1,), 1)), "length"),
+        ((((1, 1), 0),), "lowest terms"),
+        ((((-1, -1), -2),), "lowest terms"),
+        ((((2, 2), 4),), "lowest terms"),
+        ((((0, 0), 3),), "lowest terms"),
+    ),
+)
+def test_a_polytope_refuses_points_that_are_not_lowest_terms_pairs(points, why):
+    with pytest.raises(ValueError, match=why):
+        VPolytope(2, points, True)
+
+
+def test_polytope_reads_rationals_and_keeps_the_first_of_equal_points():
+    p = polytope([(F(1, 2), "1/2"), (1, 0), ("2/4", F(2, 4)), (F(1), "0/5")], True)
+    assert p.points == (((1, 1), 2), ((1, 0), 1))
+    assert p.generators == ((F(1, 2), F(1, 2)), (1, 0))
+    with pytest.raises(TypeError, match="float"):
+        polytope([(0.5, 0.5)], True)

@@ -123,9 +123,13 @@ def test_too_deep_a_document_is_not_valid_json():
 
 @needs_digit_limit
 def test_too_long_an_integer_literal_is_not_valid_json():
-    text = doc().replace('"convex": true', '"convex": ' + "1" * (DIGIT_LIMIT + 1))
-    with pytest.raises(ProblemFileError, match="^not valid JSON: "):
-        parse_problem_file(text)
+    for digits in ("1" * (DIGIT_LIMIT + 1), "-" + "9" * (DIGIT_LIMIT + 1)):
+        text = doc().replace('"convex": true', '"convex": ' + digits)
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_file(text)
+        assert str(err.value) == "not valid JSON: a number of %d digits is too long" % (
+            DIGIT_LIMIT + 1
+        )
 
 
 @needs_digit_limit

@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from credal.core import CredalSet, DilationReport, DilationRow
-from credal.polytope import VPolytope, _in_hull
+from credal.polytope import VPolytope, _in_hull, polytope
 
 ZERO = Fraction(0)
 
@@ -47,7 +47,7 @@ def prune(p: VPolytope) -> VPolytope:
         for i, (g, pair) in enumerate(zip(p.generators, h.points))
         if not _in_hull(pair, h.without(i))
     )
-    return VPolytope(dimension=p.dimension, generators=keep, convex=True)
+    return polytope(keep, True, p.dimension)
 
 
 def conditioned(p: CredalSet, cell) -> list:
@@ -71,7 +71,7 @@ def posterior_y(p: CredalSet, cell) -> VPolytope | None:
     pts = conditioned(p, cell)
     if not pts:
         return None
-    return prune(VPolytope(dimension=p.space.ny, generators=dedupe(pts), convex=p.convex))
+    return prune(polytope(dedupe(pts), p.convex, p.space.ny))
 
 
 def _event_prob(q, y_idx) -> Fraction:
