@@ -320,14 +320,13 @@ def refine_partition(c: Partition, p: CredalSet) -> Partition:
     return equivalence_classes(partition_conditioning(c), p)
 
 
-def refinement_fixpoint(p: CredalSet, start: Partition | None = None) -> Partition:
-    """Iterate :func:`refine_partition` from ``start`` until stable.
-
-    Defaults to starting from the all-singletons partition.  Each step
-    merges cells, so this terminates after at most ``nx`` rounds.
+def refinement_fixpoint(p: CredalSet) -> Partition:
+    """Iterate :func:`refine_partition` from the all-singletons partition
+    until stable.  Each step merges cells, so this terminates after at
+    most ``nx`` rounds.
     """
     _require_convex(p, "refinement iteration")
-    current = start or Partition.singletons(p.space.x_labels)
+    current = Partition.singletons(p.space.x_labels)
     for _ in range(p.space.nx + 1):
         refined = refine_partition(current, p)
         if refined == current:

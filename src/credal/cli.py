@@ -125,8 +125,8 @@ def _parse_mixture_arg(text: str):
 def _generator_index(pf: ProblemFile, dp) -> list[int]:
     """For each generator the file lists, its index in the credal set,
     which keeps the first copy of a repeated generator."""
-    index = {g.mass: k for k, g in enumerate(dp.credal.generators)}
-    return [index[g] for g in pf.generators]
+    index = {g.pair: k for k, g in enumerate(dp.credal.generators)}
+    return [index[g.pair] for g in pf.generators]
 
 
 # ---------------------------------------------------------------- subcommands

@@ -18,14 +18,17 @@ coordinates.  The posterior game, dilation, calibration and the
 per-signal pieces of :func:`hull` all use it, so they never build a
 polytope over the joint space; :func:`marginal_y` is it on the whole
 signal set.  A point is identified by its lowest-terms integer pair
-from the parsed joint to the pruned Y-set: each joint keeps the pair
-it validates its mass with, a credal set drops repeated joints by
-those pairs, and ``posterior_y`` builds each conditioned point's pair
-from the joint's integers with one gcd for its polytope, which stores
-pairs and builds no ``Fraction`` until its generators are read.  The
-dilation intervals, each rectangularity swap and each game row are
-built from the same integers, and a swap is asked of the joint set as
-its pair.  Each credal set conditions each signal event once: it keeps
+from the parsed joint to the pruned Y-set: a joint stores its mass as
+that pair, checked once when the joint is built (:func:`joint` is the
+one entry that takes rationals), and builds its ``Fraction`` rows only
+when they are read; a credal set drops repeated joints by those pairs,
+and ``posterior_y`` builds each conditioned point's pair from the
+joint's integers with one gcd for its polytope, which stores pairs and
+builds no ``Fraction`` until its generators are read.  The dilation
+intervals, each rectangularity swap, each game row, each conditioned
+joint, each :func:`hull` product and the bookie's aggregate are built
+from the same integers, and a swap is asked of the joint set as its
+pair.  Each credal set conditions each signal event once: it keeps
 every answer of ``posterior_y``, keyed by the cell, for every caller.
 :attr:`CredalSet.live` lists the signals some generator reaches and
 :attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them.
@@ -85,9 +88,9 @@ ONE = Fraction(1)
 # Most products :func:`hull` builds; it guards only the ``hull`` command
 # and the ``hull_member`` corpus op, as :func:`is_rectangular` builds
 # none.  Building and printing them is linear in the products times the
-# joint coordinates: ``credal hull`` took 0.5-0.6 s end to end on 10,000
-# products over 3 signals and 2 outcomes, 1.3-1.4 s on 8,192 over
-# 12 signals and 2 outcomes, and 1.4-1.9 s on 6,561 over 7 signals and
+# joint coordinates: ``credal hull`` took 0.4-0.7 s end to end on 10,000
+# products over 3 signals and 2 outcomes, 0.9-1.4 s on 8,192 over
+# 12 signals and 2 outcomes, and 0.8-1.1 s on 6,561 over 7 signals and
 # 5 outcomes (shared 2-core x86-64, Python 3.11).
 HULL_PRODUCT_LIMIT = 10_000
 
@@ -146,31 +149,36 @@ class ProblemSpace:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Exact joint probability mass over X times Y (x-major matrix)."""
+    """Exact joint probability mass over X times Y, stored as ``pair``: the
+    x-major flattened mass in lowest terms, integer numerators over one
+    positive denominator.  :func:`joint` is the one entry that takes
+    rationals; :attr:`mass` builds the ``Fraction`` rows when read."""
 
     space: ProblemSpace
-    mass: tuple[tuple[Fraction, ...], ...]
+    pair: tuple[tuple[int, ...], int]
 
     def __post_init__(self):
-        if len(self.mass) != self.space.nx:
-            raise ValueError("mass needs one row per x label")
-        # rows before the first of the wrong length, checked in integers
-        bad = next((i for i, row in enumerate(self.mass) if len(row) != self.space.ny), None)
-        nums, den = common_denominator([v for row in self.mass[:bad] for v in row])
+        nums, den = self.pair
+        if len(nums) != self.space.nx * self.space.ny:
+            raise ValueError("mass length != number of x labels times y labels")
+        if den < 1 or math.gcd(den, *nums) != 1:
+            raise ValueError("mass not in lowest terms over a positive denominator")
         if any(v < 0 for v in nums):
             raise ValueError("negative probability mass")
-        if bad is not None:
-            raise ValueError("mass row length != number of y labels")
         if sum(nums) != den:
             raise ValueError("mass must sum to exactly 1, got %s" % Fraction(sum(nums), den))
-        # the flattened mass as its lowest-terms pair: the joint's identity
-        object.__setattr__(self, "_pair", (nums, den))
 
     @cached_property
     def _int_mass(self) -> tuple[tuple[int, ...], ...]:
-        """The mass rows as integer numerators over one positive denominator."""
-        nums, ny = self._pair[0], self.space.ny
+        """The mass rows as integer numerators over ``pair``'s denominator."""
+        nums, ny = self.pair[0], self.space.ny
         return tuple(nums[i : i + ny] for i in range(0, len(nums), ny))
+
+    @cached_property
+    def mass(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The mass rows as ``Fraction`` tuples, built on first read."""
+        den = self.pair[1]
+        return tuple(tuple([Fraction(v, den) for v in row]) for row in self._int_mass)
 
     def x_marginal(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, ZERO) for row in self.mass)
@@ -188,20 +196,23 @@ class JointDistribution:
             return None
         return tuple(v / px for v in self.mass[xi])
 
-    def event_x(self, x_indices) -> Fraction:
-        return sum((sum(self.mass[i], ZERO) for i in x_indices), ZERO)
-
     def flatten(self) -> tuple[Fraction, ...]:
         return tuple(v for row in self.mass for v in row)
 
 
 def joint(space: ProblemSpace, mass) -> JointDistribution:
-    return JointDistribution(space=space, mass=rat_matrix(mass))
-
-
-def _unflatten(space, flat):
-    it = iter(flat)
-    return tuple(tuple(next(it) for _ in range(space.ny)) for _ in range(space.nx))
+    """The joint with the mass rows ``mass`` (rationals, x-major)."""
+    mass = rat_matrix(mass)
+    if len(mass) != space.nx:
+        raise ValueError("mass needs one row per x label")
+    # rows before the first of the wrong length, checked in integers
+    bad = next((i for i, row in enumerate(mass) if len(row) != space.ny), None)
+    nums, den = common_denominator([v for row in mass[:bad] for v in row])
+    if any(v < 0 for v in nums):
+        raise ValueError("negative probability mass")
+    if bad is not None:
+        raise ValueError("mass row length != number of y labels")
+    return JointDistribution(space, (nums, den))
 
 
 @dataclass(frozen=True)
@@ -221,14 +232,14 @@ class CredalSet:
         # drop repeated generators by their pairs, keeping the first of each in order
         first = {}
         for g in self.generators:
-            first.setdefault(g._pair, g)
+            first.setdefault(g.pair, g)
         object.__setattr__(self, "generators", tuple(first.values()))
 
     @cached_property
     def live(self) -> tuple[int, ...]:
         """Indices of the signals that some generator gives positive mass."""
         return tuple(
-            i for i in range(self.space.nx) if any(any(g.mass[i]) for g in self.generators)
+            i for i in range(self.space.nx) if any(any(g._int_mass[i]) for g in self.generators)
         )
 
     @cached_property
@@ -251,7 +262,7 @@ class CredalSet:
         """:func:`is_rectangular`, decided on first use."""
         target, ny = joint_polytope(self), self.space.ny
         for g in self.generators:
-            nums, den = g._pair
+            nums, den = g.pair
             for i, px in enumerate(map(sum, g._int_mass)):
                 if px == 0:
                     continue
@@ -347,7 +358,7 @@ class DecisionProblem:
         each (live signal, action) weight, signal-major
         (:func:`_action_losses` of its integer mass at the live signals)."""
         live, gens = self.credal.live, self.credal.generators
-        pairs = [([v for i in live for v in g._int_mass[i]], g._pair[1]) for g in gens]
+        pairs = [([v for i in live for v in g._int_mass[i]], g.pair[1]) for g in gens]
         return _action_losses(self.loss, pairs)
 
     @cached_property
@@ -493,7 +504,7 @@ class Partition:
 def joint_polytope(p: CredalSet) -> VPolytope:
     return VPolytope(
         dimension=p.space.nx * p.space.ny,
-        points=tuple(g._pair for g in p.generators),
+        points=tuple(g.pair for g in p.generators),
         convex=p.convex,
     )
 
@@ -501,7 +512,7 @@ def joint_polytope(p: CredalSet) -> VPolytope:
 def prune_credal(p: CredalSet) -> CredalSet:
     """``p`` with the generators that :func:`prune` keeps, in order."""
     kept = set(prune(joint_polytope(p)).points)
-    gens = tuple(g for g in p.generators if g._pair in kept)
+    gens = tuple(g for g in p.generators if g.pair in kept)
     return CredalSet(space=p.space, generators=gens, convex=p.convex)
 
 
@@ -522,25 +533,22 @@ def condition(p: CredalSet, x_event) -> CredalSet:
     Raises :class:`UndefinedConditionalError` when no generator does.
     The conditioned set is pruned.
     """
-    idx = sorted(p.space.x_index(x) for x in x_event)
-    if not idx:
+    event = {p.space.x_index(x) for x in x_event}
+    if not event:
         raise ValueError("conditioning event must be nonempty")
     kept = []
     for g in p.generators:
-        pe = g.event_x(idx)
-        if pe == 0:
-            continue
-        mass = tuple(
-            tuple(v / pe for v in g.mass[i]) if i in idx else (ZERO,) * p.space.ny
-            for i in range(p.space.nx)
-        )
-        kept.append(mass)
+        # g's mass inside the event, in integers over g's denominator
+        nums = [v if i in event else 0 for i, row in enumerate(g._int_mass) for v in row]
+        pe = sum(nums)
+        if pe:
+            kept.append(JointDistribution(p.space, lowest(nums, pe)))
     if not kept:
         raise UndefinedConditionalError(
             "event {%s} has probability zero under every generator"
-            % ",".join(p.space.x_labels[i] for i in idx)
+            % ",".join(p.space.x_labels[i] for i in sorted(event))
         )
-    return prune_credal(credal_set(p.space, kept, p.convex))
+    return prune_credal(CredalSet(p.space, tuple(kept), p.convex))
 
 
 def posterior_y(p: CredalSet, cell) -> VPolytope | None:
@@ -616,28 +624,28 @@ def hull(p: CredalSet) -> CredalSet:
     pruned generator list, in order.
     """
     space = p.space
-    marginals = [lowest(list(map(sum, g._int_mass)), g._pair[1]) for g in p.generators]
-    marg = prune(VPolytope(space.nx, marginals, p.convex)).generators
+    marginals = [lowest(list(map(sum, g._int_mass)), g.pair[1]) for g in p.generators]
+    marg = prune(VPolytope(space.nx, marginals, p.convex)).points
     # a signal that some marginal reaches is live, so it has its conditionals
     conds = p.conditionals
     count = sum(
-        math.prod(len(conds[i].points) for i in range(space.nx) if q[i] > 0)
-        for q in marg
+        math.prod(len(conds[i].points) for i in range(space.nx) if qn[i] > 0)
+        for qn, _ in marg
     )
     if count > HULL_PRODUCT_LIMIT:
         raise SizeLimitError(
             "hull products limited to %d, got %d" % (HULL_PRODUCT_LIMIT, count)
         )
-    products = []
-    for q in marg:
-        live = [i for i in range(space.nx) if q[i] > 0]
-        for choice in itertools.product(*(conds[i].generators for i in live)):
-            pick = dict(zip(live, choice))
-            rows = tuple(
-                tuple(q[i] * v for v in pick[i]) if i in pick else (ZERO,) * space.ny
-                for i in range(space.nx)
-            )
-            products.append(JointDistribution(space, rows))
+    products, ny = [], space.ny
+    for qn, qd in marg:
+        live = [i for i in range(space.nx) if qn[i] > 0]
+        for choice in itertools.product(*(conds[i].points for i in live)):
+            # row x is q(x) R_x, over qd times the lcm of the R_x denominators
+            den = math.lcm(*[rd for _, rd in choice])
+            nums = [0] * (space.nx * ny)
+            for i, (rn, rd) in zip(live, choice):
+                nums[i * ny : (i + 1) * ny] = [qn[i] * (den // rd) * v for v in rn]
+            products.append(JointDistribution(space, lowest(nums, qd * den)))
     return CredalSet(space, tuple(products), p.convex)
 
 
@@ -662,7 +670,7 @@ def is_rectangular(p: CredalSet) -> bool:
 
 def is_conservative(p: CredalSet) -> bool:
     """Every generator gives every signal value positive probability."""
-    return all(all(map(any, g.mass)) for g in p.generators)
+    return all(all(map(any, g._int_mass)) for g in p.generators)
 
 
 @dataclass(frozen=True)

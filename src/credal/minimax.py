@@ -57,14 +57,13 @@ from .core import (
     LossFunction,
     RandomizedAction,
     _action_losses,
-    _unflatten,
     marginal_y,
     rule_from_weights,
     uniform_action,
 )
 from .linprog import SizeLimitError, _saddle, _worst_row, block_game, optimal_face_vertices
 from .polytope import VPolytope
-from .rationals import common_denominator, rat
+from .rationals import common_denominator, lowest, rat
 
 __all__ = [
     "MinimaxSolution",
@@ -126,16 +125,15 @@ def _rule_risks(dp: DecisionProblem, rules):
 
 
 def _mixed_mass(gens, mixture):
-    """Flattened mass of the joint ``sum_i mixture[i] * gens[i]``, as integers
-    over one positive denominator."""
-    ms, md = common_denominator([v for g in gens for v in g.flatten()])
+    """The joint ``sum_i mixture[i] * gens[i]``, as its lowest-terms pair."""
+    md = math.lcm(*[g.pair[1] for g in gens])
     qs, qd = common_denominator(mixture)
-    n = len(ms) // len(gens)
-    return [sum(map(mul, qs, ms[j::n])) for j in range(n)], qd * md
+    ws = [q * (md // g.pair[1]) for q, g in zip(qs, gens)]
+    return lowest([sum(map(mul, ws, col)) for col in zip(*[g.pair[0] for g in gens])], qd * md)
 
 
 def expected_loss(g: JointDistribution, rule: DecisionRule, loss: LossFunction) -> Fraction:
-    return _worst(_action_losses(loss, [g._pair]), rule.flatten())[0]
+    return _worst(_action_losses(loss, [g.pair]), rule.flatten())[0]
 
 
 def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
@@ -234,14 +232,11 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
         solution = replace(lp, rule=vertices[0], optimal_rule_vertices=vertices)
     else:
         value, w, mixture = block_game(dp.loss_rows, _widths(dp))
-        mass, den = _mixed_mass(dp.credal.generators, mixture)
         solution = MinimaxSolution(
             value=value,
             rule=_block_rule(space, live, w),
             bookie_mixture=mixture,
-            aggregate=JointDistribution(
-                space, _unflatten(space, [Fraction(v, den) for v in mass])
-            ),
+            aggregate=JointDistribution(space, _mixed_mass(dp.credal.generators, mixture)),
             optimal_rule_vertices=None,
             unconstrained_x=tuple(x for xi, x in enumerate(space.x_labels) if xi not in live),
         )
@@ -381,7 +376,7 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     space = dp.space
     widths = [space.na]
     # constant-rule game: min t, per generator Y-marginal E[L_gamma] <= t over gamma
-    margins = [([sum(col) for col in zip(*g._int_mass)], g._pair[1]) for g in dp.credal.generators]
+    margins = [([sum(col) for col in zip(*g._int_mass)], g.pair[1]) for g in dp.credal.generators]
     rows = _action_losses(dp.loss, margins)
     value, _gamma, mixture = block_game(rows, widths)
 

@@ -7,8 +7,10 @@ an optional ``-``, ``q`` a positive integer without a sign or a leading
 zero.  It is reduced on reading (``"2/4"`` is 1/2) and written reduced;
 floats are never read or written.  Parsing is strict and errors name
 the offending field, since these files double as the golden corpus and
-as CLI input.  Each generator's mass is checked once, by
-:class:`credal.core.JointDistribution` on the file's space.
+as CLI input.  Each generator's mass is checked once per parse, by
+:func:`credal.core.joint` on the file's space, and the file keeps the
+joints it checked: :meth:`ProblemFile.credal` builds a new credal set
+of them on each call and checks no mass again.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .core import (
     JointDistribution,
     LossFunction,
     ProblemSpace,
-    credal_set,
+    joint,
 )
 from .rationals import rat
 
@@ -89,20 +91,24 @@ def _matrix(value, field, nrows, ncols):
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """Parsed problem file; exact rationals throughout."""
+    """Parsed problem file: the generators are the joints checked on the
+    file's space, and the loss is in exact rationals."""
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
     actions: tuple[str, ...]
     convex: bool
-    generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    generators: tuple[JointDistribution, ...]
     loss: tuple[tuple[Fraction, ...], ...] | None
 
     def space(self) -> ProblemSpace:
-        return ProblemSpace(self.x_labels, self.y_labels, self.actions)
+        """The space the generators were checked on."""
+        return self.generators[0].space
 
     def credal(self) -> CredalSet:
-        return credal_set(self.space(), self.generators, self.convex)
+        """A new credal set of the generators on every call, so no
+        conditioning or game is shared between two analyses."""
+        return CredalSet(self.space(), self.generators, self.convex)
 
     def problem(self) -> DecisionProblem:
         if self.loss is None:
@@ -152,7 +158,7 @@ def _parse(text: str) -> tuple[dict, ProblemFile]:
         field = "generators[%d]" % k
         mat = _matrix(g, field, len(xs), len(ys))
         try:
-            generators.append(JointDistribution(space, mat).mass)
+            generators.append(joint(space, mat))
         except ValueError as e:  # core's mass check: nonnegative, summing to 1
             _fail(field, e)
 
@@ -189,7 +195,7 @@ def render_problem_file(pf: ProblemFile) -> str:
         "actions": list(pf.actions),
         "convex": pf.convex,
         "generators": [
-            [[str(rat(v)) for v in row] for row in g] for g in pf.generators
+            [[str(v) for v in row] for row in g.mass] for g in pf.generators
         ],
     }
     if pf.loss is not None:
@@ -206,6 +212,6 @@ def problem_file_from(credal: CredalSet, loss: LossFunction | None = None) -> Pr
         y_labels=space.y_labels,
         actions=space.actions,
         convex=credal.convex,
-        generators=tuple(g.mass for g in credal.generators),
+        generators=credal.generators,
         loss=None if loss is None else loss.table,
     )

@@ -17,7 +17,7 @@ from .core import (
     LossFunction,
     Partition,
     ProblemSpace,
-    credal_set,
+    joint,
     loss_function,
     rule_from_weights,
 )
@@ -62,19 +62,11 @@ def _reshape(space: ProblemSpace, flat) -> list[list[Fraction]]:
 
 
 def random_joint(rng: random.Random, space: ProblemSpace) -> JointDistribution:
-    return JointDistribution(
-        space=space,
-        mass=tuple(
-            tuple(row) for row in _reshape(space, simplex_point(rng, space.nx * space.ny))
-        ),
-    )
+    return joint(space, _reshape(space, simplex_point(rng, space.nx * space.ny)))
 
 
 def random_positive_joint(rng: random.Random, space: ProblemSpace) -> JointDistribution:
-    flat = simplex_point(rng, space.nx * space.ny, positive=True)
-    return JointDistribution(
-        space=space, mass=tuple(tuple(row) for row in _reshape(space, flat))
-    )
+    return joint(space, _reshape(space, simplex_point(rng, space.nx * space.ny, positive=True)))
 
 
 def random_credal_set(
@@ -87,8 +79,7 @@ def random_credal_set(
         convex = rng.random() < Fraction(1, 2)
     k = rng.randint(2, 4)
     draw = random_positive_joint if positive else random_joint
-    masses = [draw(rng, space).mass for _ in range(k)]
-    return credal_set(space, masses, convex)
+    return CredalSet(space, tuple(draw(rng, space) for _ in range(k)), convex)
 
 
 def random_loss(rng: random.Random, space: ProblemSpace) -> LossFunction:

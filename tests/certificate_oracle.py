@@ -307,7 +307,7 @@ def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleRep
 
 
 def check_mass(space, mass):
-    """The shape, sign and sum checks of ``JointDistribution`` on ``mass``."""
+    """The shape, sign and sum checks of :func:`credal.core.joint` on ``mass``."""
     if len(mass) != space.nx:
         raise ValueError("mass needs one row per x label")
     total = ZERO

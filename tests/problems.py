@@ -5,6 +5,8 @@ them directly so the low-level modules can be tested before the corpus
 loader exists.
 """
 
+import json
+import random
 from fractions import Fraction
 
 from credal.core import (
@@ -17,6 +19,27 @@ from credal.core import (
 from credal.sampling import simplex_point
 
 F = Fraction
+
+
+def seven_by_five_text():
+    """A convex file of 3 joints over 7 signals, 5 outcomes and 2 actions,
+    every cell positive, drawn as ``perfbench/workloads.py`` draws its
+    joints (seed 75): its hull has 3^8 = 6,561 products."""
+    rng = random.Random(75)
+    gens = []
+    for _ in range(3):
+        denom = rng.randint(70, 105)
+        counts = [1] * 35
+        for _ in range(denom - 35):
+            counts[rng.randrange(35)] += 1
+        gens.append([["%d/%d" % (c, denom) for c in counts[i : i + 5]] for i in range(0, 35, 5)])
+    return json.dumps({
+        "x_labels": [str(i) for i in range(7)],
+        "y_labels": [str(j) for j in range(5)],
+        "actions": ["0", "1"],
+        "convex": True,
+        "generators": gens,
+    })
 
 
 def binary_space():

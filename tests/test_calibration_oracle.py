@@ -151,8 +151,13 @@ def test_random_reports_match_the_oracle():
             _agree("narrower", r1, rng.choice(rules), p)
         start = rng.choice(list(all_partitions(p.space.x_labels)))
         _agree("refinement_fixpoint", p)
-        _agree("refinement_fixpoint", p, start)
         _agree("refine_partition", start, p)
+        if p.convex:
+            # the oracle's fixpoint from ``start``, reached by refinement steps
+            current = start
+            while (refined := calibration.refine_partition(current, p)) != current:
+                current = refined
+            assert current == calibration_oracle.refinement_fixpoint(p, start)
     assert calibrated > 40
 
 

@@ -26,11 +26,11 @@ from credal.consistency import (
 from credal.corpus import load_corpus
 from credal.core import (
     DecisionProblem,
-    JointDistribution,
     ProblemSpace,
     RandomizedAction,
     _action_losses,
     credal_set,
+    joint,
     loss_function,
     posterior_y,
     support_x,
@@ -425,7 +425,7 @@ def test_joint_mass_checks_match_the_oracle():
             mass[rng.randrange(3)] = mass[0] + [F(0)]
         if rng.random() < 0.1:
             mass = mass[:2]
-        got = _outcome(JointDistribution, space, tuple(tuple(r) for r in mass))
+        got = _outcome(joint, space, tuple(tuple(r) for r in mass))
         want = _outcome(oracle.check_mass, space, mass)
         assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1])
 
@@ -444,7 +444,7 @@ def test_joint_mass_errors_keep_their_order_and_text(mass, message):
     space = ProblemSpace(_labels(2), _labels(2), _labels(2))
     rows = tuple(tuple(F(v) for v in row) for row in mass)
     with pytest.raises(ValueError) as info:
-        JointDistribution(space, rows)
+        joint(space, rows)
     assert str(info.value) == message
     with pytest.raises(ValueError) as info:
         oracle.check_mass(space, rows)

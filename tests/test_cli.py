@@ -294,7 +294,7 @@ def _assert_solve_replays(path, text):
     index = {g.mass: k for k, g in enumerate(dp.credal.generators)}
     mixture = [Fraction(0)] * len(index)
     for g, w in zip(pf.generators, fields["bookie mixture"].split(", ")):
-        mixture[index[g]] += Fraction(w)
+        mixture[index[g.mass]] += Fraction(w)
     value = Fraction(fields["value"])
     assert worst_case_loss(dp.credal, rule, dp.loss)[0] == value
     report = verify_saddle(dp, mixture, rule)

@@ -29,8 +29,10 @@ from credal.core import (
     prune_credal,
     support_x,
 )
+from credal.corpus import load_corpus
 from credal.linprog import SizeLimitError
 from credal.polytope import member, prune, set_equal
+from credal.problemfile import parse_problem_file
 
 from problems import (
     MIRROR_PAIR_CROSS,
@@ -44,6 +46,7 @@ from problems import (
     opposite_outcomes_problem,
     quadruple_set,
     random_set_with_dead_signals,
+    seven_by_five_text,
 )
 
 F = Fraction
@@ -55,6 +58,23 @@ def test_joint_validation():
         joint(space, [[F(1, 2), F(1, 2)], [F(1, 4), 0]])  # sums to 5/4
     with pytest.raises(ValueError):
         joint(space, [[F(3, 2), F(-1, 2)], [0, 0]])  # negative mass
+
+
+def test_joint_checks_its_pair():
+    space = ProblemSpace(("0", "1"), ("0", "1"), ("a", "b"))
+    g = JointDistribution(space, ((1, 0, 1, 2), 4))
+    assert g.mass == ((F(1, 4), F(0)), (F(1, 4), F(1, 2)))
+    assert g == joint(space, [["1/4", 0], ["2/8", "1/2"]])
+    for pair, message in (
+        (((1, 0, 3), 4), "mass length != number of x labels times y labels"),
+        (((2, 0, 2, 4), 8), "mass not in lowest terms over a positive denominator"),
+        (((1, 1, 1, 1), -4), "mass not in lowest terms over a positive denominator"),
+        (((-1, 1, 2, 2), 4), "negative probability mass"),
+        (((1, 1, 1, 2), 4), "mass must sum to exactly 1, got 5/4"),
+    ):
+        with pytest.raises(ValueError) as info:
+            JointDistribution(space, pair)
+        assert str(info.value) == message
 
 
 def test_marginals_and_conditionals():
@@ -88,6 +108,20 @@ def test_condition_undefined_when_no_generator_sees_event():
     p = credal_set(space, [[[F(1, 2), F(1, 2)], [0, 0]]], convex=True)
     with pytest.raises(UndefinedConditionalError):
         condition(p, ["1"])
+
+
+def test_condition_reads_a_repeated_label_once():
+    # the event is a set of signals, as in posterior_y
+    for case in load_corpus():
+        p = case.credal()
+        for x in p.space.x_labels:
+            if x not in support_x(p):
+                with pytest.raises(UndefinedConditionalError):
+                    condition(p, (x, x))
+                continue
+            twice = condition(p, (x, x))
+            assert twice == condition(p, (x,))
+            assert set(marginal_y(twice).points) == set(posterior_y(p, (x, x)).points)
 
 
 def test_c_condition_routes_through_cells():
@@ -159,11 +193,9 @@ def _segment_sets(rng, count):
     return sets
 
 
-def test_y_sets_and_joint_sets_build_no_fraction(monkeypatch):
-    """A polytope stores lowest-terms pairs: conditioning every cell,
-    joint_polytope, prune and prune_credal build no ``Fraction`` and turn
-    no point into its pair again."""
-    sets = _segment_sets(random.Random(3401), 30)
+def _count_fractions_and_pairs(monkeypatch):
+    """Counts of ``Fraction``s built and of ``common_denominator`` calls in
+    core and polytope, until ``monkeypatch.undo()``."""
     calls = {"Fraction": 0, "common_denominator": 0}
     new, pair = Fraction.__new__, credal.core.common_denominator
 
@@ -178,6 +210,15 @@ def test_y_sets_and_joint_sets_build_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     for module in (credal.core, credal.polytope):
         monkeypatch.setattr(module, "common_denominator", counted_pair)
+    return calls
+
+
+def test_y_sets_and_joint_sets_build_no_fraction(monkeypatch):
+    """A polytope stores lowest-terms pairs: conditioning every cell,
+    joint_polytope, prune and prune_credal build no ``Fraction`` and turn
+    no point into its pair again."""
+    sets = _segment_sets(random.Random(3401), 30)
+    calls = _count_fractions_and_pairs(monkeypatch)
     pruned = []
     for p in sets:
         for size in range(1, 5):
@@ -190,6 +231,26 @@ def test_y_sets_and_joint_sets_build_no_fraction(monkeypatch):
     assert sum(len(kept.points) < len(whole.points) for whole, kept, _ in pruned) >= 10
     for _, kept, joints in pruned:
         assert tuple(g.flatten() for g in joints.generators) == kept.generators
+
+
+def test_hull_and_a_file_s_credal_set_build_no_fraction(monkeypatch):
+    """A joint stores its lowest-terms pair: a parsed file's credal set
+    checks no mass again, and hull builds each product from the
+    marginals' and conditionals' integers."""
+    files = [case.file for case in load_corpus()] + [parse_problem_file(seven_by_five_text())]
+    calls = _count_fractions_and_pairs(monkeypatch)
+    hulls = [hull(pf.credal()) for pf in files]
+    monkeypatch.undo()
+    assert calls == {"Fraction": 0, "common_denominator": 0}
+    # each 7x5 product, read in Fractions, is a marginal q times conditionals R_x
+    p, products = files[-1].credal(), hulls[-1].generators
+    marginals = {g.x_marginal() for g in p.generators}
+    assert len(products) == 6561
+    for g in products:
+        q = g.x_marginal()
+        assert q in marginals
+        for i, row in enumerate(g.mass):
+            assert tuple(v / q[i] for v in row) in p.conditionals[i].generators
 
 
 def test_posterior_y_rejects_an_empty_cell():
@@ -264,10 +325,10 @@ def test_support_x():
 
 def test_credal_set_keeps_the_first_of_equal_joints_written_differently():
     space = ProblemSpace(("x0", "x1"), ("y0", "y1"), ("a0", "a1"))
-    first = JointDistribution(space, ((1, 0), (0, 0)))
+    first = joint(space, ((1, 0), (0, 0)))
     again = joint(space, [["1", "0"], ["0/3", "0"]])
     half = joint(space, [["1/2", "0"], ["0", "1/2"]])
-    halves = JointDistribution(space, ((Fraction(2, 4), 0), (Fraction(0), Fraction(3, 6))))
+    halves = joint(space, ((Fraction(2, 4), 0), (Fraction(0), Fraction(3, 6))))
     p = CredalSet(space, (first, half, again, halves), True)
     assert len(p.generators) == 2
     assert p.generators[0] is first and p.generators[1] is half

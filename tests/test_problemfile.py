@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from credal.core import ProblemSpace, joint, posterior_y
 from credal.corpus import corpus_ids, corpus_text
 from credal.problemfile import (
     ProblemFile,
@@ -35,10 +36,22 @@ def doc(**overrides):
 
 def test_parse_basic():
     pf = parse_problem_file(doc())
-    assert pf.generators == (((F(1, 3), F(2, 3)), (F(0), F(0))),)
+    assert tuple(g.mass for g in pf.generators) == (((F(1, 3), F(2, 3)), (F(0), F(0))),)
     assert pf.loss == ((F(0), F(1)), (F(1), F(0)))
     dp = pf.problem()
     assert dp.space.actions == ("0", "1")
+
+
+def test_each_credal_set_is_new_over_the_parsed_joints():
+    # the joints are checked once, when parsed; the sets share no conditioning
+    pf = parse_problem_file(doc(generators=[[["1/3", "1/6"], ["1/6", "1/3"]], [["1/2", "0"], ["0", "1/2"]]]))
+    first, second = pf.credal(), pf.credal()
+    assert first is not second
+    assert all(a is b for a, b in zip(first.generators, pf.generators))
+    assert pf.space() is first.space is pf.generators[0].space
+    posterior_y(first, ("0",))
+    assert first._posteriors and not second._posteriors
+    assert not pf.credal()._posteriors
 
 
 def test_one_action_is_rejected():
@@ -208,12 +221,13 @@ def test_roundtrip_with_and_without_loss():
 
 
 def _hand_built(value):
+    space = ProblemSpace(("0",), ("0", "1"), ("0", "1"))
     return ProblemFile(
         x_labels=("0",),
         y_labels=("0", "1"),
         actions=("0", "1"),
         convex=True,
-        generators=(((value, F(1, 2)),),),
+        generators=(joint(space, [[value, F(1, 2)]]),),
         loss=((F(0), 1), ("-3/6", F(2, 3))),
     )
 

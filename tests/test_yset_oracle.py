@@ -5,7 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from credal.core import CredalSet, JointDistribution, ProblemSpace, _posterior_y, dilation_report
+from credal.core import CredalSet, ProblemSpace, _posterior_y, dilation_report, joint
 from credal.corpus import load_corpus
 from credal.polytope import polytope, prune
 from credal.rationals import common_denominator
@@ -60,10 +60,10 @@ def _random_generators(rng, seen):
         i = rng.choice(live)
         if sum(a[i]) and sum(b[i]):
             b[i] = [sum(b[i]) / sum(a[i]) * v for v in a[i]]
-    gens = [JointDistribution(space, tuple(tuple(row) for row in m)) for m in masses]
+    gens = [joint(space, m) for m in masses]
     if rng.random() < 0.4:
         g = rng.choice(gens)
-        again = JointDistribution(space, tuple(_rewritten(row) for row in g.mass))
+        again = joint(space, [_rewritten(row) for row in g.mass])
         gens.insert(rng.randint(0, len(gens)), again)
         seen["rewritten joint"] += 1
     seen["dead"] += bool(dead)
