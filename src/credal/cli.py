@@ -21,7 +21,6 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .calibration import (
     ConvexityError,
@@ -59,9 +58,11 @@ from .problemfile import (
     ProblemFile,
     ProblemFileError,
     _rational,
+    _rows,
     load_problem_file,
     parse_problem_file,
 )
+from .rationals import pair_text
 
 __all__ = ["main", "run"]
 
@@ -91,7 +92,7 @@ def _yes(flag: bool) -> str:
 
 
 def _load_file(path_arg: str) -> ProblemFile:
-    if Path(path_arg).exists():
+    if os.path.exists(path_arg):
         return load_problem_file(path_arg)
     # corpus/<id> (or a bare case id) falls back to the bundled data
     name = path_arg
@@ -106,14 +107,13 @@ def _load_file(path_arg: str) -> ProblemFile:
 
 def _parse_rule_arg(text: str, pf: ProblemFile) -> DecisionRule:
     """Decision rule from ``"w,w,.../w,w,..."`` with one block per signal."""
+    space = pf.space()
     blocks = text.split("/")
-    if len(blocks) != len(pf.x_labels):
-        raise _InputError(
-            "--rule needs %d '/'-separated blocks" % len(pf.x_labels)
-        )
+    if len(blocks) != space.nx:
+        raise _InputError("--rule needs %d '/'-separated blocks" % space.nx)
     weights = [[_rational(v, "--rule") for v in b.split(",")] for b in blocks]
     try:
-        return rule_from_weights(pf.space(), weights)
+        return rule_from_weights(space, weights)
     except ValueError as e:
         raise _InputError("bad --rule: %s" % e)
 
@@ -146,7 +146,7 @@ def _cmd_solve(args, out) -> int:
     out("face vertices: %d" % len(sol.optimal_rule_vertices))
     out("bookie mixture: %s" % ", ".join(map(str, mixture)))
     out("aggregate:")
-    for x, row in zip(pf.x_labels, sol.aggregate.mass):
+    for x, row in zip(pf.space().x_labels, sol.aggregate.mass):
         out("  %s: %s" % (x, " ".join(map(str, row))))
     if sol.unconstrained_x:
         out("unconstrained signals: %s" % ", ".join(sol.unconstrained_x))
@@ -159,7 +159,7 @@ def _cmd_posterior(args, out) -> int:
     post = solve_a_posteriori(dp)
     live = support_x(dp.credal)
     out("support: %s" % ", ".join(live))
-    for x in pf.x_labels:
+    for x in pf.space().x_labels:
         if x not in live:
             out("%s: never observed" % x)
             continue
@@ -203,7 +203,7 @@ def _cmd_hull(args, out) -> int:
     h = hull(p)
     out("generators: %d" % len(h.generators))
     for g in h.generators:
-        out("  " + " / ".join(" ".join(map(str, row)) for row in g.mass))
+        out("  " + " / ".join(map(" ".join, _rows(pair_text(*g.pair), p.space.ny))))
     out("convex: %s" % _yes(h.convex))
     out("rectangular: %s" % _yes(is_rectangular(p)))
     return 0
@@ -291,7 +291,7 @@ def _cmd_calibrate(args, out) -> int:
     pf = _load_file(args.file)
     p = pf.credal()
     try:
-        rule = rule_from_spec(args.rule, pf.x_labels)
+        rule = rule_from_spec(args.rule, pf.space().x_labels)
     except ValueError as e:
         raise _InputError(str(e))
     rep = check_calibration(rule, p)

@@ -18,9 +18,10 @@ coordinates.  The posterior game, dilation, calibration and the
 per-signal pieces of :func:`hull` all use it, so they never build a
 polytope over the joint space; :func:`marginal_y` is it on the whole
 signal set.  A point is identified by its lowest-terms integer pair
-from the parsed joint to the pruned Y-set: a joint stores its mass as
-that pair, checked once when the joint is built (:func:`joint` is the
-one entry that takes rationals), and builds its ``Fraction`` rows only
+from the problem file's text to the pruned Y-set: the parser reads each
+joint's mass straight into that pair, a joint stores its mass as that
+pair, checked once when the joint is built (:func:`joint` is the one
+entry that takes rationals), and builds its ``Fraction`` rows only
 when they are read; a credal set drops repeated joints by those pairs,
 and ``posterior_y`` builds each conditioned point's pair from the
 joint's integers with one gcd for its polytope, which stores pairs and

@@ -17,7 +17,7 @@ action weights as flat string lists in label order, partitions in the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 
 from .calibration import (
@@ -111,9 +111,14 @@ class CorpusCase:
         return self.file.problem()
 
 
+@cache
+def _corpus_root():
+    """The bundled ``corpus`` directory, resolved once."""
+    return resources.files("credal").joinpath("corpus")
+
+
 def _case_files():
-    root = resources.files("credal").joinpath("corpus")
-    entries = [e for e in root.iterdir() if e.name.endswith(".json")]
+    entries = [e for e in _corpus_root().iterdir() if e.name.endswith(".json")]
     return sorted(entries, key=lambda e: e.name)
 
 
@@ -123,7 +128,7 @@ def corpus_ids() -> tuple[str, ...]:
 
 def corpus_text(case_id: str) -> str:
     """Raw problem-file text of a bundled case."""
-    entry = resources.files("credal").joinpath("corpus", case_id + ".json")
+    entry = _corpus_root().joinpath(case_id + ".json")
     try:
         return entry.read_text(encoding="utf-8")
     except (FileNotFoundError, OSError):
@@ -220,7 +225,7 @@ def _rule_arg(exp: Expectation, case: CorpusCase):
     spec = exp.arg("rule")
     if spec is None:
         raise CorpusError("op %r needs a 'rule' argument" % exp.op)
-    return rule_from_spec(spec, case.file.x_labels)
+    return rule_from_spec(spec, case.file.space().x_labels)
 
 
 def _op_a_priori_value(case, exp):

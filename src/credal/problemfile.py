@@ -7,15 +7,21 @@ an optional ``-``, ``q`` a positive integer without a sign or a leading
 zero.  It is reduced on reading (``"2/4"`` is 1/2) and written reduced;
 floats are never read or written.  Parsing is strict and errors name
 the offending field, since these files double as the golden corpus and
-as CLI input.  Each generator's mass is checked once per parse, by
-:func:`credal.core.joint` on the file's space, and the file keeps the
-joints it checked: :meth:`ProblemFile.credal` builds a new credal set
-of them on each call and checks no mass again.
+as CLI input.  Numbers are read from the file's text straight into
+integer pairs (:func:`_ratio`): each generator's entries are put over
+the lcm of their denominators, reduced, and become its joint's pair,
+whose constructor, on the file's space, is the one mass check.  The
+file keeps the joints it checked: :meth:`ProblemFile.credal` builds a
+new credal set of them on each call and checks no mass again.
+``Fraction``s are built only for the loss table and for the CLI's
+``--rule`` and ``--mixture`` weights (:func:`_rational`), whose public
+types are ``Fraction``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +32,8 @@ from .core import (
     JointDistribution,
     LossFunction,
     ProblemSpace,
-    joint,
 )
-from .rationals import rat
+from .rationals import lowest, pair_text, rat
 
 __all__ = [
     "ProblemFileError",
@@ -66,37 +71,56 @@ def _labels(doc, field):
     return tuple(value)
 
 
-def _rational(text, field):
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
-        _fail(field, "expected a rational string, got %r" % (text,))
-    # Only "p" or "p/q", read from the integers the pattern captured.
-    if not (match := re.fullmatch(r"(-?\d+)(?:/([1-9]\d*))?", str(text))):
-        _fail(field, "not a rational: %r" % (text,))
-    try:
-        return Fraction(int(match[1]), int(match[2] or 1))
-    except ValueError:  # past the interpreter's limit on digits in int()
-        _fail(field, "a number of %d characters is too long" % len(str(text)))
+# "p" or "p/q": the integers are read from the groups the pattern captures
+_RATIO = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
-def _matrix(value, field, nrows, ncols):
+def _ratio(text, field) -> tuple[int, int]:
+    """The number ``text`` as written, ``(p, q)`` with ``q > 0``, not reduced."""
+    if isinstance(text, str):
+        if not (match := _RATIO.fullmatch(text)):
+            _fail(field, "not a rational: %r" % (text,))
+        p, q = match.groups()
+        try:
+            return int(p), int(q) if q else 1
+        except ValueError:  # past the interpreter's limit on digits in int()
+            _fail(field, "a number of %d characters is too long" % len(text))
+    if isinstance(text, int) and not isinstance(text, bool):  # a JSON integer
+        return text, 1
+    _fail(field, "expected a rational string, got %r" % (text,))
+
+
+def _rational(text, field) -> Fraction:
+    return Fraction(*_ratio(text, field))
+
+
+def _matrix(value, field, nrows, ncols) -> list[list[tuple[int, int]]]:
+    """The ``(p, q)`` of each entry of the ``nrows`` by ``ncols`` matrix ``value``."""
     if not isinstance(value, list) or len(value) != nrows:
         _fail(field, "expected %d rows" % nrows)
     out = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != ncols:
             _fail(field, "row %d: expected %d entries" % (i, ncols))
-        out.append(tuple(_rational(v, field) for v in row))
-    return tuple(out)
+        out.append([_ratio(v, field) for v in row])
+    return out
+
+
+def _joint(space, value, field) -> JointDistribution:
+    """The joint whose x-major mass rows ``value`` holds, checked by its constructor."""
+    entries = [e for row in _matrix(value, field, space.nx, space.ny) for e in row]
+    den = math.lcm(*[q for _, q in entries])
+    try:
+        return JointDistribution(space, lowest([p * (den // q) for p, q in entries], den))
+    except ValueError as e:  # core's mass check: nonnegative, summing to 1
+        _fail(field, e)
 
 
 @dataclass(frozen=True)
 class ProblemFile:
     """Parsed problem file: the generators are the joints checked on the
-    file's space, and the loss is in exact rationals."""
+    file's space, which holds its labels, and the loss is in exact rationals."""
 
-    x_labels: tuple[str, ...]
-    y_labels: tuple[str, ...]
-    actions: tuple[str, ...]
     convex: bool
     generators: tuple[JointDistribution, ...]
     loss: tuple[tuple[Fraction, ...], ...] | None
@@ -104,6 +128,12 @@ class ProblemFile:
     def space(self) -> ProblemSpace:
         """The space the generators were checked on."""
         return self.generators[0].space
+
+    @property
+    def x_labels(self) -> tuple[str, ...]:
+        """The signal labels of :meth:`space`, for callers that read them
+        off the file; the file stores no labels of its own."""
+        return self.space().x_labels
 
     def credal(self) -> CredalSet:
         """A new credal set of the generators on every call, so no
@@ -124,6 +154,10 @@ def _json_int(text):
         raise ValueError("a number of %d digits is too long" % len(text.lstrip("-"))) from None
 
 
+# one decoder for every file: integers are read by _json_int
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def parse_problem_file(text: str) -> ProblemFile:
     return _parse(text)[1]
 
@@ -131,7 +165,9 @@ def parse_problem_file(text: str) -> ProblemFile:
 def _parse(text: str) -> tuple[dict, ProblemFile]:
     """The JSON document ``text`` holds, decoded once, and its problem file."""
     try:
-        doc = json.loads(text, parse_int=_json_int)
+        if text.startswith("\ufeff"):  # as json.loads reports it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except (ValueError, RecursionError) as e:  # a JSONDecodeError, too deep, too many digits
         raise ProblemFileError("not valid JSON: %s" % e) from None
     if not isinstance(doc, dict):
@@ -153,28 +189,15 @@ def _parse(text: str) -> tuple[dict, ProblemFile]:
     gens_doc = doc.get("generators")
     if not isinstance(gens_doc, list) or not gens_doc:
         _fail("generators", "expected a nonempty array of matrices")
-    generators = []
-    for k, g in enumerate(gens_doc):
-        field = "generators[%d]" % k
-        mat = _matrix(g, field, len(xs), len(ys))
-        try:
-            generators.append(joint(space, mat))
-        except ValueError as e:  # core's mass check: nonnegative, summing to 1
-            _fail(field, e)
+    generators = tuple(_joint(space, g, "generators[%d]" % k) for k, g in enumerate(gens_doc))
 
     loss_doc = doc.get("loss")
     loss = None
     if loss_doc is not None:
-        loss = _matrix(loss_doc, "loss", len(ys), len(acts))
+        rows = _matrix(loss_doc, "loss", len(ys), len(acts))
+        loss = tuple(tuple([Fraction(p, q) for p, q in row]) for row in rows)
 
-    return doc, ProblemFile(
-        x_labels=xs,
-        y_labels=ys,
-        actions=acts,
-        convex=convex,
-        generators=tuple(generators),
-        loss=loss,
-    )
+    return doc, ProblemFile(convex=convex, generators=generators, loss=loss)
 
 
 def load_problem_file(path) -> ProblemFile:
@@ -189,28 +212,28 @@ def load_problem_file(path) -> ProblemFile:
 
 def render_problem_file(pf: ProblemFile) -> str:
     """Canonical JSON text; reparsing yields an identical value."""
+    space = pf.space()
     doc = {
-        "x_labels": list(pf.x_labels),
-        "y_labels": list(pf.y_labels),
-        "actions": list(pf.actions),
+        "x_labels": list(space.x_labels),
+        "y_labels": list(space.y_labels),
+        "actions": list(space.actions),
         "convex": pf.convex,
-        "generators": [
-            [[str(v) for v in row] for row in g.mass] for g in pf.generators
-        ],
+        "generators": [_rows(pair_text(*g.pair), space.ny) for g in pf.generators],
     }
     if pf.loss is not None:
         doc["loss"] = [[str(rat(v)) for v in row] for row in pf.loss]
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _rows(values, n):
+    """The flat x-major ``values`` as rows of ``n``."""
+    return [values[i : i + n] for i in range(0, len(values), n)]
+
+
 def problem_file_from(credal: CredalSet, loss: LossFunction | None = None) -> ProblemFile:
     if loss is not None and loss.space != credal.space:
         raise ValueError("credal set and loss live on different spaces")
-    space = credal.space
     return ProblemFile(
-        x_labels=space.x_labels,
-        y_labels=space.y_labels,
-        actions=space.actions,
         convex=credal.convex,
         generators=credal.generators,
         loss=None if loss is None else loss.table,

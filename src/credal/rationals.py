@@ -10,7 +10,8 @@ That covers the LP and game rows, the certificates and saddle checks,
 and every prior and posterior loss of a rule that the minimax solvers
 and the consistency checks compare, all read from the two games' rows.
 A point is its lowest-terms pair (:func:`lowest`) below the public API,
-so membership, rectangularity swaps and game rows are built from ints.
+so membership, rectangularity swaps and game rows are built from ints,
+and a pair is printed from its ints (:func:`pair_text`).
 Floats are rejected at the boundaries: a float that survived into the
 pipeline would silently poison every downstream equality test.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["rat", "rat_seq", "rat_matrix", "common_denominator", "lowest"]
+__all__ = ["rat", "rat_seq", "rat_matrix", "common_denominator", "lowest", "pair_text"]
 
 
 def rat(value) -> Fraction:
@@ -56,3 +57,13 @@ def lowest(nums, den) -> tuple[tuple[int, ...], int]:
     """``nums / den`` in lowest terms, as :func:`common_denominator` gives it."""
     g = math.gcd(den, *nums)
     return tuple([v // g for v in nums]), den // g
+
+
+def pair_text(nums, den) -> list[str]:
+    """Each value ``nums[i] / den`` as the text ``str(Fraction(nums[i], den))``
+    gives, ``"p"`` or ``"p/q"`` in lowest terms, with one gcd per value."""
+    out = []
+    for v in nums:
+        g = math.gcd(v, den)
+        out.append(str(v // g) if g == den else "%d/%d" % (v // g, den // g))
+    return out

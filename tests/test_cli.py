@@ -287,7 +287,7 @@ def _assert_solve_replays(path, text):
     pf = load_problem_file(path)
     dp = pf.problem()
     weights = [
-        [Fraction(int(a == act)) for a in pf.actions] if act else [Fraction(w) for w in ws.split(", ")]
+        [Fraction(int(a == act)) for a in dp.space.actions] if act else [Fraction(w) for w in ws.split(", ")]
         for _x, act, ws in _RULE.findall(fields["rule"])
     ]
     rule = rule_from_weights(dp.space, weights)

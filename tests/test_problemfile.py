@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 from fractions import Fraction
@@ -16,7 +17,9 @@ from credal.problemfile import (
     render_problem_file,
 )
 
-from problems import monty_problem, prediction_problem
+from credal.rationals import pair_text, rat_matrix
+
+from problems import monty_problem, prediction_problem, seven_by_five_text
 
 F = Fraction
 
@@ -199,7 +202,7 @@ def test_reading_adds_no_fractions(monkeypatch):
 
 
 def test_reading_parses_no_string_twice(monkeypatch):
-    # _rational reads the integers its own pattern captured
+    # _ratio reads the integers its own pattern captured
     new = Fraction.__new__
 
     def no_strings(cls, numerator=0, denominator=None, **kw):
@@ -209,6 +212,76 @@ def test_reading_parses_no_string_twice(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(no_strings))
     for text in _corpus_texts():
         parse_problem_file(text)
+
+
+def test_reading_builds_no_fraction_without_a_loss(monkeypatch):
+    # a generator's entries go straight to its joint's integer pair
+    texts = [seven_by_five_text()]
+    for text in _corpus_texts():
+        d = json.loads(text)
+        d.pop("loss", None)
+        texts.append(json.dumps(d))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kw):
+        built.append(args)
+        return new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for text in texts:
+        parse_problem_file(text)
+    assert built == []
+
+
+def _written(rng, value):
+    """``value`` (a Fraction) as a problem file may write it: reduced or
+    not, as a JSON integer, and zero as ``"-0"`` or ``"0/q"``."""
+    if value == 0:
+        return rng.choice([0, "0", "-0", "0/%d" % rng.randint(1, 9)])
+    if value.denominator == 1 and rng.random() < 0.5:
+        return int(value)
+    m = rng.choice([1, 1, 2, 3, 2**70 + 1])
+    return "%d/%d" % (value.numerator * m, value.denominator * m)
+
+
+def test_parsed_pairs_equal_the_joints_of_the_rationals():
+    rng = random.Random(3601)
+    for _ in range(300):
+        nx, ny = rng.randint(1, 4), rng.randint(1, 4)
+        top = rng.choice([3, 50, 2**80])  # numerators past 64 bits
+        weights = [[rng.randint(0, top) for _ in range(ny)] for _ in range(nx)]
+        weights[rng.randrange(nx)] = [0] * ny  # an all-zero row
+        if rng.random() < 0.2:  # all mass in one cell: 0s and a 1 as JSON integers
+            weights = [[0] * ny for _ in range(nx)]
+        weights[rng.randrange(nx)][rng.randrange(ny)] += 1
+        total = sum(map(sum, weights))
+        rows = [[_written(rng, Fraction(w, total)) for w in row] for row in weights]
+        text = json.dumps({
+            "x_labels": [str(i) for i in range(nx)],
+            "y_labels": [str(j) for j in range(ny)],
+            "actions": ["0", "1"],
+            "convex": True,
+            "generators": [rows],
+        })
+        (g,) = parse_problem_file(text).generators
+        assert g.pair == joint(g.space, rat_matrix(rows)).pair, rows
+
+
+def test_pair_text_is_the_text_of_each_fraction():
+    rng = random.Random(3602)
+    for _ in range(500):
+        den = rng.choice([1, 2, 6, rng.randint(1, 10**6), 2**70 + rng.randint(0, 9)])
+        nums = [rng.randint(-3 * den, 3 * den) for _ in range(4)] + [0, den, -den]
+        assert pair_text(nums, den) == [str(Fraction(v, den)) for v in nums]
+
+
+def test_a_byte_order_mark_is_reported_as_json_reports_it():
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_file("\ufeff" + doc())
+    assert str(err.value) == (
+        "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    )
 
 
 def test_roundtrip_with_and_without_loss():
@@ -223,9 +296,6 @@ def test_roundtrip_with_and_without_loss():
 def _hand_built(value):
     space = ProblemSpace(("0",), ("0", "1"), ("0", "1"))
     return ProblemFile(
-        x_labels=("0",),
-        y_labels=("0", "1"),
-        actions=("0", "1"),
         convex=True,
         generators=(joint(space, [[value, F(1, 2)]]),),
         loss=((F(0), 1), ("-3/6", F(2, 3))),
