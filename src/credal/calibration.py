@@ -16,24 +16,20 @@ sharp rules can be found among partition conditionings, so sharpness
 questions here reduce to a search over partitions of the signal
 labels.
 
-Every question about one credal set reads the set's own conditioning
-cache: :func:`credal.core.posterior_y` keeps the conditioned Y-set of
-each signal event on the set, computed once, in outcome space only.
-Ignoring is conditioning on every signal, and a table rule's opinion
-set is the Y-marginal kept on that table entry's own set.
-
-Every question reads one table of sets, built per call: each signal
-event, as a bitmask over the signal indices, and each opinion set of a
-rule map to an id interned by the set's lowest-terms integer
-generators.  Every set handed out is pruned, so two sets share an id
-exactly when they are equal, and inclusion is asked once per pair of
-ids.  Classes group a rule's ids, and narrowness walks two rules' ids
-signal by signal.  A partition is calibrated iff each group of its
-cells with equal id has that same id on the union of the group, so the
-sharpness searches build no calibration report.
-:func:`sharp_partition` orders the calibrated partitions once, as
-bitsets: at each live signal it groups them by the id of their cell
-there, so it never compares two partitions directly.
+Every question reads the credal set's one table of signal events
+(:class:`credal.core._Events`), kept on the set across calls: each
+event, as a bitmask over the signal indices, is conditioned once, in
+outcome space only, and its set and each opinion set of a rule map to an
+id, equal for two sets exactly when they are, with inclusion asked once
+per pair of ids.  Ignoring is conditioning on every signal, and a table
+rule's opinion set is the Y-marginal kept on that table entry's own set.
+This module keeps what needs a rule: the ids of its opinion sets, its
+classes, and the walk of :func:`narrower` over two rules' ids.  A
+partition is calibrated iff each group of its cells with equal id has
+that same id on the union of the group, so the sharpness searches build
+no calibration report.  :func:`sharp_partition` orders the calibrated
+partitions once, as bitsets: at each live signal it groups them by the
+id of their cell there, so it never compares two partitions directly.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from dataclasses import dataclass
 from .core import CredalSet, Partition, marginal_y, posterior_y, support_x
 from .linprog import SizeLimitError
 from .partitions import bell_number, cell_masks, partition_of
-from .polytope import VPolytope, subset
+from .polytope import VPolytope
 
 __all__ = [
     "SHARP_X_LIMIT",
@@ -180,19 +176,17 @@ def _image(rule: UpdateRule, p: CredalSet, x: str) -> VPolytope | None:
     return None if image is None else marginal_y(image)
 
 
-def _key(a: VPolytope) -> tuple:
-    """Equal for two pruned sets exactly when the sets are: a convex set is
-    its vertices and a finite set its points (their lowest-terms pairs,
-    :attr:`VPolytope.points`), and the readings differ from two points on."""
-    return a.convex and len(a.points) > 1, a.hull.keys
+def _ids(rule: UpdateRule, p: CredalSet):
+    """The ids of the rule's opinion sets at the live signals, in order."""
+    return (p._events.intern(_image(rule, p, x)) for x in support_x(p))
 
 
-def _classes(rule: UpdateRule, cells: _Cells) -> tuple[Partition, dict]:
+def _classes(rule: UpdateRule, p: CredalSet) -> tuple[Partition, dict]:
     """The rule's classes, and each class's opinion-set id (None when undefined)."""
-    labels = cells.p.space.x_labels
+    labels, table = p.space.x_labels, p._events
     groups: dict[int | None, list[str]] = {}
     for x in labels:
-        groups.setdefault(cells.image(rule, x), []).append(x)
+        groups.setdefault(table.intern(_image(rule, p, x)), []).append(x)
     if None in groups:  # the undefined signals make the last cell
         groups[None] = groups.pop(None)
     ids = {tuple(members): i for i, members in groups.items()}
@@ -206,7 +200,7 @@ def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
     cell (calibration checks skip it).  Cells are in first-occurrence
     order of the x labels, matching the canonical partition layout.
     """
-    return _classes(rule, _Cells(p))[0]
+    return _classes(rule, p)[0]
 
 
 @dataclass(frozen=True)
@@ -243,13 +237,13 @@ def check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
     only the forward inclusion (conditioned marginal inside the
     opinion set).
     """
-    return _report(rule, _Cells(p))
+    return _report(rule, p)
 
 
-def _report(rule: UpdateRule, cells: _Cells) -> CalibrationReport:
-    """:func:`check_calibration` read off the table ``cells``."""
-    p = cells.p
-    classes, ids = _classes(rule, cells)
+def _report(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
+    """:func:`check_calibration`, read off the set's table."""
+    table = p._events
+    classes, ids = _classes(rule, p)
     reports, excluded = [], []
     for cell in classes.cells:
         j = ids[cell]
@@ -257,14 +251,14 @@ def _report(rule: UpdateRule, cells: _Cells) -> CalibrationReport:
         if posterior is None:
             excluded.append(cell)
             continue
-        i = cells.intern(posterior)
+        i = table.intern(posterior)
         reports.append(
             ClassReport(
                 cell=cell,
                 posterior=posterior,
-                image=cells.sets[j],  # the class's first opinion set: ids were interned first
-                forward=cells.sub(i, j),
-                backward=cells.sub(j, i),
+                image=_image(rule, p, cell[0]),
+                forward=table.sub(i, j),
+                backward=table.sub(j, i),
             )
         )
     return CalibrationReport(
@@ -285,8 +279,20 @@ def narrower(r1: UpdateRule, r2: UpdateRule, p: CredalSet) -> str:
     one containment is proper, ``"not-narrower"`` otherwise.  Both
     rules must be defined on the whole support.
     """
-    cells = _Cells(p)
-    return cells.narrower(cells.images(r1), cells.images(r2))
+    return _narrower(p, _ids(r1, p), _ids(r2, p))
+
+
+def _narrower(p: CredalSet, a, b) -> str:
+    """Pointwise inclusion of the ids ``a`` in the ids ``b`` at the live
+    signals, read one signal at a time up to the first failure."""
+    table, strict = p._events, False
+    for x, i, j in zip(support_x(p), a, b):
+        if i is None or j is None:
+            raise ValueError("rule undefined at support signal %r" % (x,))
+        if not table.sub(i, j):
+            return NOT_NARROWER
+        strict = strict or i != j
+    return STRICTLY_NARROWER if strict else NARROWER
 
 
 def _require_convex(p: CredalSet, what: str):
@@ -349,82 +355,6 @@ class SharpnessCertificate:
     examined: int
 
 
-class _Cells:
-    """The table of sets of one credal set.
-
-    Each signal event, as a bitmask over the signal indices, maps to an
-    interned id of its pruned :func:`posterior_y` (None where no
-    generator reaches it), and so does each opinion set of a rule, so
-    two sets share an id exactly when they are equal.  Inclusion is
-    asked once per pair of ids.
-    """
-
-    def __init__(self, p: CredalSet):
-        self.p = p
-        self.sets: list[VPolytope] = []
-        self._ids: dict[int, int | None] = {}
-        self._interned: dict[tuple, int] = {}
-        self._sub: dict[tuple[int, int], bool] = {}
-
-    def intern(self, s: VPolytope | None) -> int | None:
-        """The id of the pruned set ``s`` (None for None), held by its first set."""
-        if s is None:
-            return None
-        i = self._interned.setdefault(_key(s), len(self.sets))
-        if i == len(self.sets):
-            self.sets.append(s)
-        return i
-
-    def id(self, mask: int) -> int | None:
-        if mask not in self._ids:
-            cell = tuple(x for i, x in enumerate(self.p.space.x_labels) if mask >> i & 1)
-            self._ids[mask] = self.intern(posterior_y(self.p, cell))
-        return self._ids[mask]
-
-    def image(self, rule: UpdateRule, x: str) -> int | None:
-        """The id of the rule's opinion set at the signal label ``x``."""
-        return self.intern(_image(rule, self.p, x))
-
-    def images(self, rule: UpdateRule):
-        """The ids of the rule's opinion sets at the live signals, in order."""
-        return (self.image(rule, x) for x in support_x(self.p))
-
-    def sub(self, i: int, j: int) -> bool:
-        """Is set ``i`` inside set ``j``?"""
-        if (i, j) not in self._sub:
-            self._sub[i, j] = i == j or subset(self.sets[i], self.sets[j])
-        return self._sub[i, j]
-
-    def narrower(self, a, b) -> str:
-        """Pointwise inclusion of the ids ``a`` in the ids ``b`` at the live
-        signals, read one signal at a time up to the first failure."""
-        strict = False
-        for x, i, j in zip(support_x(self.p), a, b):
-            if i is None or j is None:
-                raise ValueError("rule undefined at support signal %r" % (x,))
-            if not self.sub(i, j):
-                return NOT_NARROWER
-            strict = strict or i != j
-        return STRICTLY_NARROWER if strict else NARROWER
-
-    def calibrated(self, cells) -> bool:
-        """Is conditioning on the partition with these cells calibrated?
-
-        Its classes join its live cells of equal id, and it is
-        calibrated iff each class has that same id on the whole class.
-        """
-        classes: dict[int, int] = {}
-        for mask in cells:
-            i = self.id(mask)
-            if i is not None:
-                classes[i] = classes.get(i, 0) | mask
-        return all(self.id(mask) == i for i, mask in classes.items())
-
-    def at(self, cells, x: int) -> int:
-        """The id of the cell holding the live signal ``x``."""
-        return self.id(next(mask for mask in cells if mask >> x & 1))
-
-
 def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     """A sharply calibrated partition conditioning for ``p``.
 
@@ -442,14 +372,14 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     inclusion is asked once per pair of ids.
     """
     _require_sharpness_search(p)
-    cells = _Cells(p)
+    table = p._events
     examined = list(cell_masks(p.space.nx))
-    calibrated = [c for c in examined if cells.calibrated(c)]
+    calibrated = [c for c in examined if table.calibrated(p, c)]
     everyone = (1 << len(calibrated)) - 1
     below = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets lie inside
     same = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets are equal
     for x in p.live:
-        ids = [cells.at(c, x) for c in calibrated]
+        ids = [table.at(p, c, x) for c in calibrated]
         groups: dict[int, int] = {}
         for k, i in enumerate(ids):
             groups[i] = groups.get(i, 0) | 1 << k
@@ -458,7 +388,7 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
         for k, j in enumerate(ids):
             reach[j] = reach.get(j, 0) | below[k]
         inside = {
-            j: sum(m for i, m in groups.items() if m & reach[j] and cells.sub(i, j)) for j in groups
+            j: sum(m for i, m in groups.items() if m & reach[j] and table.sub(i, j)) for j in groups
         }
         for k, j in enumerate(ids):
             below[k] &= inside[j]
@@ -471,16 +401,12 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
         raise AssertionError("refinement fixpoint should be calibrated")
     current = calibrated.index(start)
     while strict[current]:
-        current = _lowest_bit(strict[current])
+        current = (strict[current] & -strict[current]).bit_length() - 1  # the lowest bit
     return partition_of(labels, calibrated[current]), SharpnessCertificate(
         minimal=tuple(partition_of(labels, c) for c, s in zip(calibrated, strict) if not s),
         calibrated_count=len(calibrated),
         examined=len(examined),
     )
-
-
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -497,22 +423,20 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     rule's opinion sets coincide with conditioning on its own class
     partition, so any strictly narrower calibrated rule yields a
     strictly narrower calibrated partition.  The witness is the first
-    in enumeration order.  The rule's opinion sets are ids in the same
-    table as the cells, so admissibility against the rule is one id
-    inclusion per signal, asked once per pair of ids, by the walk of
-    :func:`narrower` over each calibrated partition's cells.  Whether the
-    rule is calibrated is read off the same table, so its inclusions are
-    asked once.
+    in enumeration order.  The rule's opinion sets are ids in the set's
+    table, with the cells', so admissibility against the rule is the walk
+    of :func:`narrower` over each calibrated partition's cells, and
+    whether the rule is calibrated is read off the same table.
     """
     _require_sharpness_search(p)
-    cells = _Cells(p)
-    if not _report(rule, cells).calibrated:
+    if not _report(rule, p).calibrated:
         raise ValueError("sharpness is only defined for calibrated rules")
-    images = list(cells.images(rule))
+    images = list(_ids(rule, p))
     if None in images:
         raise ValueError("rule undefined at a support signal")
+    table = p._events
     for c in cell_masks(p.space.nx):
-        walk = (cells.at(c, x) for x in p.live)
-        if cells.calibrated(c) and cells.narrower(walk, images) == STRICTLY_NARROWER:
+        walk = (table.at(p, c, x) for x in p.live)
+        if table.calibrated(p, c) and _narrower(p, walk, images) == STRICTLY_NARROWER:
             return SharpnessVerdict(sharp=False, witness=partition_of(p.space.x_labels, c))
     return SharpnessVerdict(sharp=True, witness=None)

@@ -106,11 +106,13 @@ def _load_file(path_arg: str) -> ProblemFile:
 
 
 def _parse_rule_arg(text: str, pf: ProblemFile) -> DecisionRule:
-    """Decision rule from ``"w,w,.../w,w,..."`` with one block per signal."""
+    """Decision rule with one block of weights per signal: ``"w,w;w,w"``, or
+    ``"w,w/w,w"`` when there is no ``;``, each weight then an integer."""
     space = pf.space()
-    blocks = text.split("/")
+    sep = ";" if ";" in text else "/"
+    blocks = text.split(sep)
     if len(blocks) != space.nx:
-        raise _InputError("--rule needs %d '/'-separated blocks" % space.nx)
+        raise _InputError("--rule needs %d '%s'-separated blocks" % (space.nx, sep))
     weights = [[_rational(v, "--rule") for v in b.split(",")] for b in blocks]
     try:
         return rule_from_weights(space, weights)
@@ -384,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("posterior", _cmd_posterior, "per-signal games after conditioning")
 
     sp = add("saddle", _cmd_saddle, "verify a provided equilibrium", strict=True)
-    sp.add_argument("--rule", required=True, help="weights w,w,.../w,w,... per signal")
+    sp.add_argument("--rule", required=True, help="weights w,w,...;w,w,... per signal")
     sp.add_argument("--mixture", required=True, help="bookie weights p,p,...")
 
     add("hull", _cmd_hull, "marginal-conditional product construction")

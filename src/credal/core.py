@@ -29,8 +29,9 @@ builds no ``Fraction`` until its generators are read.  The dilation
 intervals, each rectangularity swap, each game row, each conditioned
 joint, each :func:`hull` product and the bookie's aggregate are built
 from the same integers, and a swap is asked of the joint set as its
-pair.  Each credal set conditions each signal event once: it keeps
-every answer of ``posterior_y``, keyed by the cell, for every caller.
+pair.  Each credal set keeps one table of its signal events
+(:class:`_Events`, by bitmask): each is conditioned once, in any label
+order, and its set's id and inclusions are kept, for every caller.
 :attr:`CredalSet.live` lists the signals some generator reaches and
 :attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them.
 Rectangularity, :func:`hull`, dilation and the posterior game read
@@ -52,7 +53,7 @@ from functools import cached_property
 from operator import mul
 
 from .linprog import SizeLimitError
-from .polytope import VPolytope, _member, prune
+from .polytope import VPolytope, _member, prune, subset
 from .rationals import common_denominator, lowest, rat, rat_matrix, rat_seq
 
 __all__ = [
@@ -244,9 +245,9 @@ class CredalSet:
         )
 
     @cached_property
-    def _posteriors(self) -> dict[tuple, VPolytope | None]:
-        """:func:`posterior_y` of each cell asked, keyed by the cell as passed."""
-        return {}
+    def _events(self) -> _Events:
+        """The table of this set's signal events, built on first use."""
+        return _Events()
 
     @cached_property
     def conditionals(self) -> tuple[VPolytope | None, ...]:
@@ -519,7 +520,7 @@ def prune_credal(p: CredalSet) -> CredalSet:
 
 def marginal_y(p: CredalSet) -> VPolytope:
     """Set of Y-marginals of the members of ``p``, as a polytope over Y."""
-    return posterior_y(p, p.space.x_labels)
+    return p._events.posterior(p, (1 << p.space.nx) - 1)
 
 
 def support_x(p: CredalSet) -> tuple[str, ...]:
@@ -559,13 +560,20 @@ def posterior_y(p: CredalSet, cell) -> VPolytope | None:
     The same set as :func:`marginal_y` of :func:`condition`: projecting
     to Y commutes with dropping generators that are redundant in the
     joint space, so pruning once in Y coordinates is enough.  None when no
-    generator gives the cell positive probability.  Each cell is
-    conditioned once per set: the answer is kept on ``p``.
+    generator gives the cell positive probability.  Each event is
+    conditioned once per set, in any label order and with any repeats:
+    the set's table keeps it by its bitmask and by each label tuple asked.
     """
-    cell, cache = tuple(cell), p._posteriors
-    if cell not in cache:
-        cache[cell] = _posterior_y(p, cell)
-    return cache[cell]
+    cell, known = tuple(cell), p._events.posteriors
+    try:
+        return known[cell]
+    except KeyError:
+        pass
+    mask = sum({1 << p.space.x_index(x) for x in cell})
+    if mask not in known:
+        known[mask] = _posterior_y(p, cell)
+    known[cell] = known[mask]
+    return known[mask]
 
 
 def _posterior_y(p: CredalSet, cell) -> VPolytope | None:
@@ -573,10 +581,76 @@ def _posterior_y(p: CredalSet, cell) -> VPolytope | None:
     idx = sorted({p.space.x_index(x) for x in cell})
     if not idx:
         raise ValueError("conditioning event must be nonempty")
+    return _conditioned(p, idx)
+
+
+def _conditioned(p: CredalSet, idx) -> VPolytope | None:
+    """The pruned Y-set of ``p`` given the signals ``idx``, None if none is reached."""
     points = _cell_points(p, idx)
-    if not points:
-        return None
-    return prune(VPolytope(dimension=p.space.ny, points=points, convex=p.convex))
+    return prune(VPolytope(p.space.ny, points, p.convex)) if points else None
+
+
+class _Events:
+    """The table of one credal set's signal events (:attr:`CredalSet._events`).
+
+    An event is a bitmask over the signal indices.  Each maps to its
+    pruned :func:`posterior_y`, conditioned once, and to an id, as does
+    every set interned here: a convex set is its vertices and a finite
+    set its points, and the readings differ from two points on, so two
+    sets share an id exactly when they are equal.  Inclusion is asked
+    once per pair of ids.  Each question is handed the set, so the table
+    holds no reference back to it.
+    """
+
+    __slots__ = ("posteriors", "_ids", "_sets", "_interned", "_sub")
+
+    def __init__(self):
+        # posteriors: by mask, and by each label tuple asked of posterior_y
+        self.posteriors, self._ids, self._interned, self._sub = {}, {}, {}, {}
+        self._sets: list[VPolytope] = []  # by id, the first set interned
+
+    def posterior(self, p: CredalSet, mask: int) -> VPolytope | None:
+        """:func:`posterior_y` of ``p`` on the event ``mask``."""
+        if mask not in self.posteriors:
+            self.posteriors[mask] = _conditioned(p, [i for i in range(p.space.nx) if mask >> i & 1])
+        return self.posteriors[mask]
+
+    def intern(self, s: VPolytope | None) -> int | None:
+        """The id of the pruned set ``s`` (None for None)."""
+        if s is None:
+            return None
+        key = s.convex and len(s.points) > 1, s.hull.keys
+        i = self._interned.setdefault(key, len(self._sets))
+        if i == len(self._sets):
+            self._sets.append(s)
+        return i
+
+    def id(self, p: CredalSet, mask: int) -> int | None:
+        """The id of the event ``mask``'s set, None where no generator reaches it."""
+        if mask not in self._ids:
+            self._ids[mask] = self.intern(self.posterior(p, mask))
+        return self._ids[mask]
+
+    def sub(self, i: int, j: int) -> bool:
+        """Is set ``i`` inside set ``j``?"""
+        if (i, j) not in self._sub:
+            self._sub[i, j] = i == j or subset(self._sets[i], self._sets[j])
+        return self._sub[i, j]
+
+    def calibrated(self, p: CredalSet, cells) -> bool:
+        """Is conditioning on the partition with these cells (masks) calibrated?
+        Its classes join its live cells of equal id, and it is calibrated iff
+        each class has that same id on the whole class."""
+        classes: dict[int, int] = {}
+        for mask in cells:
+            i = self.id(p, mask)
+            if i is not None:
+                classes[i] = classes.get(i, 0) | mask
+        return all(self.id(p, mask) == i for i, mask in classes.items())
+
+    def at(self, p: CredalSet, cells, x: int) -> int:
+        """The id of the cell (mask) holding the live signal ``x``."""
+        return self.id(p, next(mask for mask in cells if mask >> x & 1))
 
 
 def _cell_points(p: CredalSet, idx) -> list[tuple[tuple[int, ...], int]]:

@@ -3,8 +3,10 @@ credal set's own conditioning cache: against the paths they replaced,
 under transforms of the set that must map every answer back, and on a
 set every other question has used against a fresh one."""
 
+import gc
 import random
 import time
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -264,13 +266,13 @@ def test_sharpness_compares_each_pair_of_sets_once(monkeypatch):
     # a cell whose set holds at two live signals is compared with the
     # rule's opinion set once, not once per signal
     pairs = []
-    compare = calibration.subset
+    compare = credal.core.subset
 
     def logged(a, b):
         pairs.append((a, b))  # keeps both alive, so their ids stay theirs
         return compare(a, b)
 
-    monkeypatch.setattr(calibration, "subset", logged)
+    monkeypatch.setattr(credal.core, "subset", logged)
     rng = random.Random(28)
     compared = 0
     for _ in range(40):
@@ -281,6 +283,63 @@ def test_sharpness_compares_each_pair_of_sets_once(monkeypatch):
         assert max(seen.values(), default=1) == 1, p
         compared += len(pairs)
     assert compared > 100, compared
+
+
+def _ask_every_question(rng, p):
+    """Each calibration question about the convex ``p``, each rule's answer
+    or error: the answers of a set that persists across calls."""
+    rules = _rules(rng, p)
+    answers = [_outcome(calibration.refinement_fixpoint, p), _outcome(calibration.sharp_partition, p)]
+    for rule in rules:
+        answers.append(_outcome(check_calibration, rule, p))
+        answers.append(_outcome(calibration.equivalence_classes, rule, p))
+        answers.append(_outcome(calibration.narrower, rule, rules[0], p))
+        answers.append(_outcome(calibration.is_sharply_calibrated, rule, p))
+    return answers
+
+
+def test_every_question_on_one_set_compares_each_pair_of_sets_once(monkeypatch):
+    # one table per set, kept across calls: asking every question again
+    # compares no pair of sets again, and gives the same answers
+    pairs = []
+    compare = credal.core.subset
+
+    def logged(a, b):
+        pairs.append((a, b))  # keeps both alive, so their ids stay theirs
+        return compare(a, b)
+
+    monkeypatch.setattr(credal.core, "subset", logged)
+    rng = random.Random(37)
+    compared = 0
+    for _ in range(25):
+        p = _fresh(_random_set(rng, rng.randint(3, 5)))
+        pairs.clear()
+        state = rng.getstate()
+        first = _ask_every_question(rng, p)
+        asked = len(pairs)
+        rng.setstate(state)
+        assert _ask_every_question(rng, p) == first
+        seen = Counter((id(a), id(b)) for a, b in pairs)
+        assert max(seen.values(), default=1) == 1, p
+        assert len(pairs) == asked
+        compared += asked
+    assert compared > 100, compared
+
+
+def test_a_set_asked_every_question_is_freed_with_its_last_reference():
+    # the table holds no reference back to its set, so reference counting
+    # alone frees the set
+    rng = random.Random(38)
+    gc.disable()
+    try:
+        for _ in range(10):
+            p = _fresh(_random_set(rng, rng.randint(3, 5)))
+            _ask_every_question(rng, p)
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_corpus_sets_match_the_oracle():

@@ -634,11 +634,26 @@ def test_saddle_refuses_a_bad_mixture(capsys, mixture, message):
     ),
 )
 def test_saddle_numbers_are_read_as_in_problem_files(capsys, rule, mixture, message):
-    # "p" or "p/q" only, as a problem file's numbers; "/" separates the
-    # rule's blocks, so a rule weight is an integer
+    # "p" or "p/q" only, as a problem file's numbers; with no ";", "/"
+    # separates the rule's blocks, so a rule weight is an integer
     code, text = cli("saddle", "corpus/example-2.1", "--rule", rule, "--mixture", mixture)
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_saddle_reads_a_randomized_rule_with_signals_separated_by_semicolons(capsys):
+    # the rule solve prints for example-4.5: 0->2, 1: (0, 7/9, 2/9)
+    argv = ["saddle", "corpus/example-4.5", "--mixture", "0,1", "--strict", "--rule"]
+    assert lines(*argv, "0,0,1;0,7/9,2/9") == [
+        "value: 2/3",
+        "agent best response: 2/3",
+        "bookie best response: 2/3",
+        "saddle: yes",
+    ]
+    # integer weights read the same in either form
+    assert cli(*argv, "0,0,1/0,1,0") == cli(*argv, "0,0,1;0,1,0")
+    assert cli(*argv, "0,0,1;0,7/9,2/9;1,0,0") == (2, "")
+    assert capsys.readouterr().err == "error: --rule needs 2 ';'-separated blocks\n"
 
 
 def test_mixtures_are_indexed_by_the_file_generators(tmp_path):
@@ -831,7 +846,8 @@ def test_calibrate_sharpness_witness():
 
 def test_calibrate_sharp_decides_calibration_once_per_table(monkeypatch):
     """``check_calibration`` runs once for the report; the sharpness verdict
-    reads whether the rule is calibrated off the table it searches."""
+    reads whether the rule is calibrated off the set's one table, which
+    the report built."""
     import credal.calibration as calibration
 
     checks, tables = [], []
@@ -841,17 +857,17 @@ def test_calibrate_sharp_decides_calibration_once_per_table(monkeypatch):
         checks.append(rule)
         return check(rule, p)
 
-    class Counted(calibration._Cells):
-        def __init__(self, p):
-            tables.append(p)
-            super().__init__(p)
+    class Counted(credal.core._Events):
+        def __init__(self):
+            tables.append(self)
+            super().__init__()
 
     for mod in (calibration, credal.cli):
         monkeypatch.setattr(mod, "check_calibration", counted)
-    monkeypatch.setattr(calibration, "_Cells", Counted)
+    monkeypatch.setattr(credal.core, "_Events", Counted)
     out = lines("calibrate", "corpus/example-6.7", "--rule", "ignore", "--sharp")
     assert out[-2:] == ["sharp: no", "narrower partition: 0|1"]
-    assert len(checks) == 1 and len(tables) == 2
+    assert len(checks) == 1 and len(tables) == 1
 
 
 def test_calibrate_partition_rule_sharp():

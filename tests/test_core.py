@@ -258,6 +258,30 @@ def test_posterior_y_rejects_an_empty_cell():
         posterior_y(coin_pair_set(), ())
 
 
+def test_posterior_y_conditions_each_event_once_in_any_label_order(monkeypatch):
+    # the event is the set of its signals: label order and repeats name the same event
+    calls = []
+    compute = credal.core._posterior_y
+
+    def counted(p, cell):
+        calls.append(cell)
+        return compute(p, cell)
+
+    monkeypatch.setattr(credal.core, "_posterior_y", counted)
+    for seed in range(20):
+        p, _dead = random_set_with_dead_signals(random.Random(seed), seed % 2 == 0)
+        labels = p.space.x_labels
+        for size in range(1, len(labels) + 1):
+            for cell in itertools.combinations(labels, size):
+                calls.clear()
+                first = posterior_y(p, cell[::-1])
+                assert posterior_y(p, cell) is first
+                assert posterior_y(p, cell + cell[:1]) is first
+                assert posterior_y(p, iter(cell)) is first
+                assert len(calls) == 1, (seed, cell)
+        assert marginal_y(p) is posterior_y(p, labels[::-1])
+
+
 def test_hull_contains_cross_product_member():
     p = mirror_pair_set(convex=False)
     h = hull(p)

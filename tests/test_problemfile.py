@@ -53,8 +53,8 @@ def test_each_credal_set_is_new_over_the_parsed_joints():
     assert all(a is b for a, b in zip(first.generators, pf.generators))
     assert pf.space() is first.space is pf.generators[0].space
     posterior_y(first, ("0",))
-    assert first._posteriors and not second._posteriors
-    assert not pf.credal()._posteriors
+    assert first._events.posteriors and not second._events.posteriors
+    assert not pf.credal()._events.posteriors
 
 
 def test_one_action_is_rejected():
