@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CredalSet, Partition, marginal_y, posterior_y, support_x
+from .core import ConvexityError, CredalSet, Partition, marginal_y, posterior_y, support_x
 from .linprog import SizeLimitError
 from .partitions import bell_number, cell_masks, partition_of
 from .polytope import VPolytope
@@ -78,10 +78,6 @@ _STANDARD = "standard"
 _IGNORE = "ignore"
 _PARTITION = "partition"
 _TABLE = "table"
-
-
-class ConvexityError(Exception):
-    """Operation is only supported for convex credal sets."""
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Reads problem files (or bundled corpus cases by ``corpus/<id>`` paths),
 dispatches to the library, and prints deterministic plain-text reports
-with every number as a reduced rational.
+with every number as a reduced rational.  Layers load on first use: the
+module imports only ``argparse`` and the problem-file chain, and each
+subcommand imports the layers it calls, so ``credal check rect f.json``
+loads no solver and reading a ``corpus/<id>`` path loads no corpus op.
 
 Exit codes: 0 on success; 1 when ``--strict``, which only ``saddle``,
 ``consistency`` and ``calibrate`` take, is set and the verdict is a
@@ -22,21 +25,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .calibration import (
-    ConvexityError,
-    check_calibration,
-    is_sharply_calibrated,
-    rule_from_spec,
-)
-from .consistency import (
-    ConsistencyVerdict,
-    PairWitness,
-    SignalWitness,
-    check_time_consistency,
-    check_weak_time_consistency,
-    falsify_dynamic_consistency,
-)
 from .core import (
+    ConvexityError,
     DecisionRule,
     dilation_report,
     hull,
@@ -45,20 +35,14 @@ from .core import (
     rule_from_weights,
     support_x,
 )
-from .corpus import CorpusError, corpus_text, load_case, run_case, load_corpus
-from .linprog import LpError, SizeLimitError
-from .minimax import (
-    SolverError,
-    brute_force_value,
-    solve_a_posteriori,
-    solve_a_priori,
-    verify_saddle,
-)
+from .linprog import LpError, SizeLimitError, SolverError
 from .problemfile import (
+    CorpusError,
     ProblemFile,
     ProblemFileError,
     _rational,
     _rows,
+    corpus_text,
     load_problem_file,
     parse_problem_file,
 )
@@ -134,6 +118,8 @@ def _generator_index(pf: ProblemFile, dp) -> list[int]:
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_solve(args, out) -> int:
+    from .minimax import solve_a_priori
+
     pf = _load_file(args.file)
     dp = pf.problem()
     sol = solve_a_priori(dp)
@@ -156,6 +142,8 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_posterior(args, out) -> int:
+    from .minimax import solve_a_posteriori
+
     pf = _load_file(args.file)
     dp = pf.problem()
     post = solve_a_posteriori(dp)
@@ -172,6 +160,8 @@ def _cmd_posterior(args, out) -> int:
 
 
 def _cmd_saddle(args, out) -> int:
+    from .minimax import verify_saddle
+
     pf = _load_file(args.file)
     dp = pf.problem()
     rule = _parse_rule_arg(args.rule, pf)
@@ -245,7 +235,7 @@ _TITLES = {
 }
 
 
-def _emit_pair(prefix: str, w: PairWitness, out):
+def _emit_pair(prefix: str, w, out):
     out("%scondition: %s" % (prefix, w.condition))
     out("%sdelta: %s" % (prefix, _rule_text(w.delta)))
     out("%sdelta prime: %s" % (prefix, _rule_text(w.delta_prime)))
@@ -254,7 +244,9 @@ def _emit_pair(prefix: str, w: PairWitness, out):
     out("%sprior worst case: %s vs %s" % (prefix, w.prior[0], w.prior[1]))
 
 
-def _emit_verdict(v: ConsistencyVerdict, out):
+def _emit_verdict(v, out):
+    from .consistency import PairWitness, SignalWitness
+
     out("%s: %s" % (_TITLES[v.kind], v.result))
     if isinstance(v.witness, SignalWitness):
         out("witness rule: %s" % _rule_text(v.witness.rule))
@@ -272,6 +264,12 @@ def _emit_verdict(v: ConsistencyVerdict, out):
 
 
 def _cmd_consistency(args, out) -> int:
+    from .consistency import (
+        check_time_consistency,
+        check_weak_time_consistency,
+        falsify_dynamic_consistency,
+    )
+
     pf = _load_file(args.file)
     dp = pf.problem()
     if args.what == "weak":
@@ -290,6 +288,8 @@ def _cmd_consistency(args, out) -> int:
 
 
 def _cmd_calibrate(args, out) -> int:
+    from .calibration import check_calibration, is_sharply_calibrated, rule_from_spec
+
     pf = _load_file(args.file)
     p = pf.credal()
     try:
@@ -325,6 +325,8 @@ def _cmd_calibrate(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    from .minimax import brute_force_value, solve_a_priori
+
     pf = _load_file(args.file)
     dp = pf.problem()
     if args.grid < 1:
@@ -340,6 +342,8 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_corpus(args, out) -> int:
+    from .corpus import load_corpus, run_case
+
     total = 0
     failed = 0
     for case in load_corpus():

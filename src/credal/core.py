@@ -106,6 +106,10 @@ class UndefinedConditionalError(Exception):
     """Conditioning event has probability zero under every generator."""
 
 
+class ConvexityError(Exception):
+    """Operation is only supported for convex credal sets."""
+
+
 def _check_labels(labels, what):
     labels = tuple(str(v) for v in labels)
     if not labels:
@@ -143,10 +147,17 @@ class ProblemSpace:
         return len(self.actions)
 
     def x_index(self, label) -> int:
-        return self.x_labels.index(str(label))
+        return _index(self.x_labels, label, "signal")
 
     def a_index(self, label) -> int:
-        return self.actions.index(str(label))
+        return _index(self.actions, label, "action")
+
+
+def _index(labels, label, what) -> int:
+    try:
+        return labels.index(str(label))
+    except ValueError:
+        raise ValueError("unknown %s label %r" % (what, str(label))) from None
 
 
 @dataclass(frozen=True)

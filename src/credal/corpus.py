@@ -17,8 +17,7 @@ action weights as flat string lists in label order, partitions in the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from importlib import resources
+from functools import cached_property
 
 from .calibration import (
     check_calibration,
@@ -48,7 +47,14 @@ from .minimax import (
     worst_case_loss,
 )
 from .polytope import member
-from .problemfile import ProblemFile, ProblemFileError, _parse
+from .problemfile import (
+    CorpusError,
+    ProblemFile,
+    ProblemFileError,
+    _parse,
+    corpus_ids,
+    corpus_text,
+)
 from .rationals import rat
 
 __all__ = [
@@ -66,10 +72,6 @@ __all__ = [
     "run_corpus",
     "OPS",
 ]
-
-
-class CorpusError(Exception):
-    """Corpus file missing or malformed; the message names the case."""
 
 
 @dataclass(frozen=True)
@@ -109,32 +111,6 @@ class CorpusCase:
     @cached_property
     def _problem(self):
         return self.file.problem()
-
-
-@cache
-def _corpus_root():
-    """The bundled ``corpus`` directory, resolved once."""
-    return resources.files("credal").joinpath("corpus")
-
-
-def _case_files():
-    entries = [e for e in _corpus_root().iterdir() if e.name.endswith(".json")]
-    return sorted(entries, key=lambda e: e.name)
-
-
-def corpus_ids() -> tuple[str, ...]:
-    return tuple(e.name[: -len(".json")] for e in _case_files())
-
-
-def corpus_text(case_id: str) -> str:
-    """Raw problem-file text of a bundled case."""
-    entry = _corpus_root().joinpath(case_id + ".json")
-    try:
-        return entry.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
-        raise CorpusError(
-            "no corpus case %r (have: %s)" % (case_id, ", ".join(corpus_ids()))
-        ) from None
 
 
 def _freeze(value):

@@ -89,6 +89,12 @@ class InternalCheckError(LpError):
     """An exact self-check failed; indicates a solver bug, not bad input."""
 
 
+class SolverError(Exception):
+    """A solver invariant failed; indicates a bug, not bad input.  Raised by
+    :mod:`credal.minimax`, and defined here so the CLI can catch it
+    without importing the solvers."""
+
+
 def _check_rows(rows, length):
     """Each row must be ``length`` integers over a positive denominator."""
     for nums, den in rows:

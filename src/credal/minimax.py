@@ -61,7 +61,14 @@ from .core import (
     rule_from_weights,
     uniform_action,
 )
-from .linprog import SizeLimitError, _saddle, _worst_row, block_game, optimal_face_vertices
+from .linprog import (
+    SizeLimitError,
+    SolverError,
+    _saddle,
+    _worst_row,
+    block_game,
+    optimal_face_vertices,
+)
 from .polytope import VPolytope
 from .rationals import common_denominator, lowest, rat
 
@@ -88,10 +95,6 @@ ZERO = Fraction(0)
 # over two live signals (1-12 generators) and 2.6 s over one live signal with
 # three actions, where each rule is built alone (2-core x86-64, Python 3.11).
 BRUTE_FORCE_LIMIT = 10**6
-
-
-class SolverError(Exception):
-    """A solver invariant failed; indicates a bug, not bad input."""
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,6 +209,30 @@ def load_problem_file(path) -> ProblemFile:
         why = e.strerror if isinstance(e, OSError) else e
         raise ProblemFileError("cannot read %s: %s" % (path, why)) from None
     return parse_problem_file(text)
+
+
+# The bundled cases, kept here so the CLI reads a ``corpus/<id>`` path
+# without importing :mod:`credal.corpus` and the layers its ops call.
+_CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+class CorpusError(Exception):
+    """Corpus file missing or malformed; the message names the case."""
+
+
+def corpus_ids() -> tuple[str, ...]:
+    return tuple(n[: -len(".json")] for n in sorted(os.listdir(_CORPUS)) if n.endswith(".json"))
+
+
+def corpus_text(case_id: str) -> str:
+    """Raw problem-file text of a bundled case."""
+    try:
+        with open(os.path.join(_CORPUS, case_id + ".json"), encoding="utf-8") as fh:
+            return fh.read()
+    except OSError:
+        raise CorpusError(
+            "no corpus case %r (have: %s)" % (case_id, ", ".join(corpus_ids()))
+        ) from None
 
 
 def render_problem_file(pf: ProblemFile) -> str:

@@ -862,8 +862,8 @@ def test_calibrate_sharp_decides_calibration_once_per_table(monkeypatch):
             tables.append(self)
             super().__init__()
 
-    for mod in (calibration, credal.cli):
-        monkeypatch.setattr(mod, "check_calibration", counted)
+    # the CLI imports check_calibration from calibration when it runs
+    monkeypatch.setattr(calibration, "check_calibration", counted)
     monkeypatch.setattr(credal.core, "_Events", Counted)
     out = lines("calibrate", "corpus/example-6.7", "--rule", "ignore", "--sharp")
     assert out[-2:] == ["sharp: no", "narrower partition: 0|1"]

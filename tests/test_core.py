@@ -18,6 +18,7 @@ from credal.core import (
     c_condition,
     condition,
     credal_set,
+    deterministic_rule,
     dilation_report,
     hull,
     is_conservative,
@@ -74,6 +75,18 @@ def test_joint_checks_its_pair():
     ):
         with pytest.raises(ValueError) as info:
             JointDistribution(space, pair)
+        assert str(info.value) == message
+
+
+def test_an_unknown_label_is_named():
+    p = diagonal_set()
+    for call, message in (
+        (lambda: posterior_y(p, ("zz",)), "unknown signal label 'zz'"),
+        (lambda: condition(p, ["zz"]), "unknown signal label 'zz'"),
+        (lambda: deterministic_rule(p.space, {"0": "zz", "1": "zz"}), "unknown action label 'zz'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
         assert str(info.value) == message
 
 
