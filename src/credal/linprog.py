@@ -24,7 +24,12 @@ by the one saddle check :func:`_saddle`.
 
 Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
-simplices.  :func:`optimal_face_vertices` enumerates the optimal face of
+simplices.  A block game starts at a feasible crash basis (a pure rule
+and its worst row), unless that start ties, and runs phase 2 only; its
+answer is kept when the final tableau certifies that the optimal primal
+point and dual prices are both unique, so that it is the answer of the
+two phases, and otherwise the LP runs the two phases.  Every other LP
+runs the two phases.  :func:`optimal_face_vertices` enumerates the optimal face of
 that shape only, over the columns that a verified optimal mixture of the
 rows leaves at zero reduced cost, with the rows it prices as equalities.
 
@@ -344,6 +349,18 @@ class _Tableau:
 
     # -- two phases -------------------------------------------------------
 
+    def crash(self, pivots):
+        """Pivot the starting tableau onto ``pivots``, each ``(row, column)``
+        in turn; the basis they reach must be feasible and hold no
+        artificial, else the start was built wrong."""
+        zrow = [0] * (len(self.cost) + 1)
+        for r, e in pivots:
+            if not self.rows[r][e]:
+                raise InternalCheckError("start pivots on a zero entry")
+            zrow = self._pivot(r, e, zrow)
+        if any(row[-1] < 0 for row in self.rows) or not self.artificial.isdisjoint(self.basis):
+            raise InternalCheckError("start basis is not feasible")
+
     def run(self):
         ncols = self.ncols_real
         # Artificials start basic and may leave, but never re-enter.
@@ -351,7 +368,7 @@ class _Tableau:
         # which the redundant-row drop below and the dual read-off rely on.
         allowed = range(ncols)
         artificial = self.artificial
-        if artificial:
+        if not artificial.isdisjoint(self.basis):
             phase1_cost = [int(c in artificial) for c in range(len(self.cost))]
             zrow, unb = self._bland(phase1_cost, allowed)
             if unb:
@@ -375,6 +392,24 @@ class _Tableau:
         if unb:
             return UNBOUNDED
         return OPTIMAL
+
+    def unique(self):
+        """Whether the final tableau certifies that the optimal primal point
+        and dual prices are both unique: every basic column but a free
+        variable's is positive, and every nonbasic real column has a
+        positive reduced cost, but the split partner of a basic free
+        column."""
+        lower = self.lp.lower_bounds
+        free = {k for k, (j, _) in enumerate(self.var_map) if j >= 0 and lower[j] is None}
+        if any(row[-1] <= 0 for row, bv in zip(self.rows, self.basis) if bv not in free):
+            return False
+        basic = set(self.basis)
+        held = {self.var_map[k][0] for k in basic & free}
+        return all(
+            self.zrow[k] > 0
+            for k in range(self.ncols_real)
+            if k not in basic and not (k in free and self.var_map[k][0] in held)
+        )
 
     # -- extraction -------------------------------------------------------
 
@@ -450,16 +485,48 @@ def _verify_optimal(lp: LinearProgram, x, y):
     return Fraction(sum(map(mul, cs, xs)), cd * xd)
 
 
-def lp_solve(lp: LinearProgram) -> LpSolution:
+def lp_solve(lp: LinearProgram, start=None) -> LpSolution:
     """Solve ``lp`` exactly.
 
     On ``optimal`` the returned primal/dual pair satisfies strong duality
     and complementary slackness exactly (verified before returning).
+
+    Without ``start`` the LP runs the two phases from the identity basis.
+    ``start`` is a feasible basis to begin phase 2 at, given as the pivots
+    ``(row, column)`` that reach it from the identity, rows numbered as in
+    ``lp`` and columns as in its equality form: the variables in order, a
+    free one split into its positive and then its negative part, then one
+    slack per ``<=`` row.  The answer from there is kept only when the
+    final tableau certifies it unique (:meth:`_Tableau.unique`):
+
+    * every basic column but a free variable's is positive, so each
+      optimal dual, by complementary slackness, prices every basic column
+      at its cost, and solves ``y.B = c_B``: the dual is unique;
+    * every nonbasic real column has a positive reduced cost under that
+      dual, but the partner of a basic free column, whose pair of columns
+      is one variable; so each optimal point is zero on those columns, by
+      complementary slackness, and is ``B^-1 b``: the primal is unique.
+
+    The start's basis holds no artificial, so the rows have full rank and
+    the two phases drop none; they end at an optimal pair as well, so at
+    this one (Mangasarian, "Uniqueness of solution in linear programming",
+    1979), and the answer is theirs to the last byte.  Without the
+    certificate a fresh tableau runs the two phases, in this same call.
     """
+    if start is not None:
+        tab = _Tableau(lp)
+        tab.crash(start)
+        if tab.run() == OPTIMAL and tab.unique():
+            return _optimum(lp, tab)
     tab = _Tableau(lp)
     status = tab.run()
     if status != OPTIMAL:
         return LpSolution(status=status, value=None, primal=None, dual=None)
+    return _optimum(lp, tab)
+
+
+def _optimum(lp, tab):
+    """The verified optimal solution that the final tableau ``tab`` reads."""
     x = tab.primal()
     y = tab.dual()
     value = _verify_optimal(lp, x, y)
@@ -497,6 +564,15 @@ def block_game(rows, widths):
     :func:`lp_solve` has passed (``t``'s zero reduced cost makes ``prices``
     sum to 1, slackness makes each priced row tight, and the dual
     objective is the best reply's value), and is kept as a guard.
+
+    The LP starts at the feasible basis of :func:`_game_start`.  The
+    answer from there is kept only when the final tableau shows the
+    optimal point and prices unique: every basic column but ``t``'s is
+    positive, and every nonbasic column but the other part of ``t`` has
+    a positive reduced cost.  The two phases end at an optimal pair too, so at this one,
+    with the same value, ``w`` and ``prices`` (the argument is
+    :func:`lp_solve`'s).  The rows have full rank, as each ``<=`` row has
+    its own slack and the blocks are disjoint, so neither path drops one.
     """
     n = sum(widths)
     _check_rows(rows, n)
@@ -507,7 +583,7 @@ def block_game(rows, widths):
         senses=(LE,) * len(rows) + (EQ,) * len(widths),
         lower_bounds=(None,) + (0,) * n,
     )
-    sol = lp_solve(lp)
+    sol = lp_solve(lp, _game_start(rows, widths))
     if sol.status != OPTIMAL:
         raise InternalCheckError("block game LP must be solvable")
     value, w = sol.value, sol.primal[1:]
@@ -516,6 +592,49 @@ def block_game(rows, widths):
     if failing or bookie != value:
         raise InternalCheckError("saddle point check failed")
     return value, w, prices
+
+
+def _game_start(rows, widths):
+    """The crash start of the :func:`block_game` LP, as the pivots of
+    :func:`lp_solve`: each block's ``= 1`` row on the block's best pure
+    reply to the uniform mixture of rows, then the worst row at that rule
+    on ``t``'s positive part, or its negative part when the worst loss is
+    negative.  Every right-hand side is then that row's loss below the
+    worst, or 1.
+
+    None when the start is ambiguous or degenerate: a block's best reply
+    ties, the worst row ties (a basic slack at 0), or the worst row ties
+    the rule's column with another of its block (a zero reduced cost).
+    Hand-built games tie often, their optima are then mostly degenerate
+    too, and they run the two phases at once.
+
+    Each row is scaled to integers over the lcm of the denominators, as
+    in :func:`_worst_row`; the LP's columns are ``t+``, ``t-``, then ``w``.
+    """
+    if not rows:
+        return None  # the LP is unbounded
+    lcm = math.lcm(*[d for _, d in rows])
+    scaled = [nums if d == lcm else [v * (lcm // d) for v in nums] for nums, d in rows]
+    costs = list(map(sum, zip(*scaled)))
+    rule, end = [], 0
+    for width in widths:
+        block = costs[end : end + width]
+        if not block or block.count(min(block)) > 1:
+            return None
+        rule.append(end + block.index(min(block)))
+        end += width
+    vals = [sum([r[j] for j in rule]) for r in scaled]
+    worst = max(vals)
+    if vals.count(worst) > 1:
+        return None
+    i = vals.index(worst)
+    row, end = scaled[i], 0
+    for width, j in zip(widths, rule):
+        if row[end : end + width].count(row[j]) > 1:
+            return None
+        end += width
+    blocks = [(len(rows) + b, 2 + j) for b, j in enumerate(rule)]
+    return (*blocks, (i, 0 if worst >= 0 else 1))
 
 
 def _saddle(rows, widths, w, prices):

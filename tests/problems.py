@@ -42,6 +42,35 @@ def seven_by_five_text():
     })
 
 
+def games_problem(rng, nx, ny, na, k):
+    """A convex problem of ``k`` joints over ``nx`` signals, ``ny``
+    outcomes and ``na`` actions, every cell positive, and losses in
+    [-12, 12] over denominators 1-4, drawn from ``rng`` as
+    ``perfbench/workloads.py`` draws its games files."""
+    space = ProblemSpace(*(tuple(map(str, range(n))) for n in (nx, ny, na)))
+    masses = []
+    for _ in range(k):
+        n = nx * ny
+        denom = rng.randint(2 * n, max(24, 3 * n))
+        counts = [1] * n
+        for _ in range(denom - n):
+            counts[rng.randrange(n)] += 1
+        masses.append([[F(c, denom) for c in counts[i * ny : (i + 1) * ny]] for i in range(nx)])
+    p = credal_set(space, masses, True)
+    loss = [[F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(na)] for _ in range(ny)]
+    return DecisionProblem(p, loss_function(space, loss))
+
+
+def random_games(count):
+    """The first ``count`` of the seeded random games: game ``s`` draws
+    nx, ny and na from {2, 3} and k from {2, 3, 4} with
+    ``random.Random(s)``, then its problem from the same generator."""
+    for s in range(count):
+        rng = random.Random(s)
+        nx, ny, na = (rng.choice([2, 3]) for _ in range(3))
+        yield games_problem(rng, nx, ny, na, rng.choice([2, 3, 4]))
+
+
 def binary_space():
     return ProblemSpace(("0", "1"), ("0", "1"), ("0", "1"))
 

@@ -150,7 +150,9 @@ class _Tableau:
 
     # -- two phases -------------------------------------------------------
 
-    def run(self):
+    def run(self, start=()):
+        """Phase 1 from the identity basis, unless the pivots ``start``
+        reach a basis without an artificial; then phase 2."""
         m = len(self.rows)
         ncols = self.ncols_real
 
@@ -176,8 +178,10 @@ class _Tableau:
             art_of_row[r] = col
         n_total = len(self.cost)
         artificial = set(art_of_row.values())
+        for r, e in start:
+            self._pivot(r, e, [ZERO] * n_total, ZERO)
 
-        if artificial:
+        if artificial & set(self.basis):
             phase1_cost = [ZERO] * n_total
             for c in artificial:
                 phase1_cost[c] = ONE
@@ -248,14 +252,16 @@ class _Tableau:
         return tuple(full)
 
 
-def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` exactly.
+def lp_solve(lp: LinearProgram, start=()) -> LpSolution:
+    """Solve ``lp`` exactly, from the basis the pivots ``start`` reach.
 
     On ``optimal`` the returned primal/dual pair satisfies strong duality
     and complementary slackness exactly (verified before returning).
+    Unlike the package, it keeps the answer from ``start`` whether or not
+    that answer is unique.
     """
     tab = _Tableau(lp)
-    status = tab.run()
+    status = tab.run(start)
     if status != OPTIMAL:
         return LpSolution(status=status, value=None, primal=None, dual=None)
     x = tab.primal()

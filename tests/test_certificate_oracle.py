@@ -23,7 +23,7 @@ from credal.consistency import (
     _first_violating_product,
     falsify_dynamic_consistency,
 )
-from credal.corpus import load_corpus
+from credal.corpus import load_case, load_corpus, run_expectation
 from credal.core import (
     DecisionProblem,
     ProblemSpace,
@@ -45,10 +45,12 @@ from credal.linprog import (
     _verify_optimal,
     block_game,
     lp_solve,
+    zero_sum_value,
 )
 from credal.minimax import (
     _rule_risks,
     expected_loss,
+    solve_a_posteriori,
     solve_a_priori,
     verify_saddle,
     worst_case_loss,
@@ -65,6 +67,7 @@ from credal.sampling import (
 
 import certificate_oracle as oracle
 from face_oracle import make_lp
+from problems import games_problem, random_games
 import tableau_oracle
 
 F = Fraction
@@ -174,9 +177,9 @@ def test_block_game_builds_and_solves_the_fraction_lp(monkeypatch):
     # point and prices there; equal prices mean the same pivots.
     built = []
 
-    def record(lp):
+    def record(lp, start=None):
         built.append(lp)
-        return lp_solve(lp)
+        return lp_solve(lp, start)
 
     monkeypatch.setattr(credal.linprog, "lp_solve", record)
     games = 0
@@ -191,6 +194,70 @@ def test_block_game_builds_and_solves_the_fraction_lp(monkeypatch):
         assert got == (sol.value, sol.primal[1:], tuple(-y for y in sol.dual[: len(rows)]))
         games += 1
     assert games >= 150
+
+
+def _block_games(monkeypatch):
+    """A list that grows by ``(lp, start)`` on each block game solved from
+    now on."""
+    games = []
+    solve = credal.linprog.lp_solve
+
+    def record(lp, start=None):
+        games.append((lp, start))
+        return solve(lp, start)
+
+    monkeypatch.setattr(credal.linprog, "lp_solve", record)
+    return games
+
+
+def _branch(lp, start):
+    """The path ``lp_solve(lp, start)`` takes."""
+    if start is None:
+        return "degenerate start"
+    tab = credal.linprog._Tableau(lp)
+    tab.crash(start)
+    return "certified" if tab.run() == OPTIMAL and tab.unique() else "fell back"
+
+
+def _tied_problems():
+    """Games with ties: two signals of one outcome each, where every action
+    ties at the first, and seeded games with losses in {-3, ..., 0}, so
+    that the worst loss at the start is often negative."""
+    space = ProblemSpace(("0", "1"), ("0", "1"), ("0", "1", "2"))
+    p = credal_set(space, [[[F(1, 2), 0], [0, F(1, 2)]]], True)
+    yield DecisionProblem(p, loss_function(space, [[0, 0, 0], [0, 1, 1]]))
+    for s in range(60):
+        rng = random.Random(4100 + s)
+        dp = games_problem(rng, 2, 2, rng.choice([2, 3]), rng.choice([1, 2, 3]))
+        table = [[rng.randint(-3, 0) for _ in range(dp.space.na)] for _ in range(2)]
+        yield DecisionProblem(dp.credal, loss_function(dp.space, table))
+
+
+def test_a_block_game_from_its_start_answers_as_the_two_phases(monkeypatch):
+    # every block game that the corpus, the 200 random games, tied games
+    # and matrix games build: from its start, certified or not, the LP
+    # answers what the two phases answer, to the last entry
+    games = _block_games(monkeypatch)
+    for case in load_corpus():
+        for exp in case.expectations:
+            assert run_expectation(load_case(case.id), exp).ok, (case.id, exp.op)
+    for dp in [*random_games(200), *_tied_problems()]:
+        solve_a_priori(dp, face=False)
+        solve_a_posteriori(dp)
+    # small integer payoffs: ties, and degenerate optima behind a start
+    # without ties, are common
+    rng = random.Random(4102)
+    for _ in range(300):
+        nrows, ncols = rng.randint(2, 4), rng.randint(2, 4)
+        zero_sum_value([[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)])
+    seen = dict.fromkeys(("certified", "fell back", "degenerate start", "t-"), 0)
+    for lp, start in dict.fromkeys(games):
+        assert lp_solve(lp, start) == lp_solve(lp), lp
+        seen[_branch(lp, start)] += 1
+        seen["t-"] += start is not None and start[-1][1] == 1
+    # 880, 23, 285 and 610 when written
+    assert seen["certified"] >= 600 and seen["fell back"] >= 15, seen
+    assert seen["degenerate start"] >= 100 and seen["t-"] >= 300, seen
 
 
 def test_saddle_reports_and_losses_match_the_oracle():

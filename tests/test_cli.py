@@ -33,6 +33,8 @@ from credal.consistency import DYNAMIC_CANDIDATE_LIMIT
 from credal.core import DILATION_EVENT_LIMIT, HULL_PRODUCT_LIMIT
 from credal.linprog import FACE_CANDIDATE_LIMIT
 
+from problems import games_problem
+
 
 def cli(*argv):
     buf = io.StringIO()
@@ -326,20 +328,9 @@ def test_solve_refuses_a_constant_loss_ten_by_five_face(tmp_path, capsys):
 
 
 def _games_file(tmp_path, seed, nx, ny, na, k):
-    """A seeded convex file: ``k`` joints with every cell positive, over
-    denominators of two to three times the cell count, and losses in
-    [-12, 12] over denominators 1-4."""
-    rng = random.Random(seed)
-    space = ProblemSpace(*(tuple(map(str, range(n))) for n in (nx, ny, na)))
-    masses = []
-    for _ in range(k):
-        denom = rng.randint(2 * nx * ny, max(24, 3 * nx * ny))
-        counts = [1] * (nx * ny)
-        for _ in range(denom - nx * ny):
-            counts[rng.randrange(nx * ny)] += 1
-        masses.append([[Fraction(c, denom) for c in counts[i * ny : (i + 1) * ny]] for i in range(nx)])
-    loss = [[Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(na)] for _ in range(ny)]
-    pf = problem_file_from(credal_set(space, masses, True), credal.loss_function(space, loss))
+    """The seeded convex file of :func:`problems.games_problem`."""
+    dp = games_problem(random.Random(seed), nx, ny, na, k)
+    pf = problem_file_from(dp.credal, dp.loss)
     path = tmp_path / ("games-%dx%dx%dx%d.json" % (nx, ny, na, k))
     path.write_text(render_problem_file(pf), encoding="utf-8")
     return path

@@ -273,9 +273,9 @@ def _counting_lp_solves(monkeypatch):
     calls = []
     lp_solve = credal.linprog.lp_solve
 
-    def counted(lp):
+    def counted(lp, start=None):
         calls.append(lp)
-        return lp_solve(lp)
+        return lp_solve(lp, start)
 
     monkeypatch.setattr(credal.linprog, "lp_solve", counted)
     return calls

@@ -16,11 +16,13 @@ import credal.linprog
 import credal.polytope
 from credal.corpus import load_case, load_corpus, run_expectation
 from credal.linprog import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED
+from credal.minimax import solve_a_posteriori, solve_a_priori
 
 import polytope_oracle
 import structure_oracle
 import tableau_oracle
 from face_oracle import make_lp
+from problems import random_games
 
 F = Fraction
 IntTableau = credal.linprog._Tableau
@@ -71,17 +73,17 @@ def traced(monkeypatch):
     monkeypatch.setattr(credal.linprog, "_Tableau", recorder(_IntTrace))
     monkeypatch.setattr(tableau_oracle, "_Tableau", recorder(_FractionTrace))
 
-    def solve(lp):
+    def solve(lp, start=None):
         made.clear()
-        got = credal.linprog.lp_solve(lp)
-        want = tableau_oracle.lp_solve(lp)
-        return made[0], made[1], got, want
+        got = credal.linprog.lp_solve(lp, start)
+        want = tableau_oracle.lp_solve(lp, start or ())
+        return made[0], made[-1], got, want
 
     return solve
 
 
-def _assert_same(traced, lp):
-    tab, oracle, got, want = traced(lp)
+def _assert_same(traced, lp, start=None):
+    tab, oracle, got, want = traced(lp, start)
     assert got == want, lp
     assert [(r, e) for r, e, _ in tab.trace] == [(r, e) for r, e, _ in oracle.trace]
     for (r, e, entries), (_, _, expected) in zip(tab.trace, oracle.trace):
@@ -197,6 +199,47 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
         _assert_same(traced, lp)
 
 
+def _crash_games(monkeypatch):
+    """The block-game LPs that the corpus games and the first 60 random
+    games start at a crash basis, each with its start pivots."""
+    games = []
+    solve = credal.linprog.lp_solve
+
+    def record(lp, start=None):
+        if start is not None:
+            games.append((lp, start))
+        return solve(lp, start)
+
+    problems = [case.problem() for case in load_corpus() if case.file.loss is not None]
+    with monkeypatch.context() as m:
+        m.setattr(credal.linprog, "lp_solve", record)
+        for dp in [*problems, *random_games(60)]:
+            solve_a_priori(dp, face=False)
+            solve_a_posteriori(dp)
+    return list(dict.fromkeys(games))
+
+
+def _certified(lp, start):
+    tab = IntTableau(lp)
+    tab.crash(start)
+    return tab.run() == OPTIMAL and tab.unique()
+
+
+def test_block_games_pivot_like_the_fraction_tableau_from_their_start(traced, monkeypatch):
+    # the crash pivots, then phase 2: the same pivots and entries as the
+    # Fraction tableau replaying the same start, wherever the answer is kept
+    seen = {"certified": 0, "t-": 0}
+    for lp, start in _crash_games(monkeypatch):
+        if _certified(lp, start):
+            tab, _ = _assert_same(traced, lp, start)
+            # t's pivot entry is -d on t+ and d on t-; phase 2 pivots on
+            # positive entries only
+            assert tab.negated == (start[-1][1] == 0)
+            seen["certified"] += 1
+            seen["t-"] += start[-1][1] == 1
+    assert seen["certified"] >= 150 and seen["t-"] >= 50, seen
+
+
 def _abs_det(matrix):
     """``|det matrix|`` of a square integer matrix, by Fraction elimination."""
     a = [[F(v) for v in row] for row in matrix]
@@ -213,11 +256,12 @@ def _abs_det(matrix):
     return abs(det)
 
 
-def test_den_is_the_basis_determinant_of_the_integer_rows():
+def test_den_is_the_basis_determinant_of_the_integer_rows(monkeypatch):
     """Every tableau starts at ``den = 1`` and ends with ``den = |det B|`` of
     its final basis over the kept rows of the starting integer matrix.  A
     row is dropped as redundant exactly when its starting unit column is
-    zero in every kept row of the final tableau."""
+    zero in every kept row of the final tableau.  A block game's tableau
+    keeps that invariant through its crash pivots and after them."""
     rng = random.Random(6)
     seen = {"feasible": 0, "dropped": 0}
     for _ in range(3000):
@@ -234,3 +278,13 @@ def test_den_is_the_basis_determinant_of_the_integer_rows():
         seen["feasible"] += 1
         seen["dropped"] += len(kept) < len(lp.rows)
     assert seen["feasible"] >= 2000 and seen["dropped"] >= 400, seen
+    crashed = 0
+    for lp, start in _crash_games(monkeypatch):
+        tab = IntTableau(lp)
+        rows = [list(row) for row in tab.rows]
+        tab.crash(start)
+        assert tab.den == _abs_det([[row[c] for c in tab.basis] for row in rows]), lp
+        assert tab.run() == OPTIMAL and len(tab.rows) == len(lp.rows), lp
+        assert tab.den == _abs_det([[row[c] for c in tab.basis] for row in rows]), lp
+        crashed += 1
+    assert crashed >= 150, crashed
