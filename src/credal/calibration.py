@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ConvexityError, CredalSet, Partition, marginal_y, posterior_y, support_x
-from .linprog import SizeLimitError
+from .linprog import InternalCheckError, SizeLimitError
 from .partitions import bell_number, cell_masks, partition_of
 from .polytope import VPolytope
 
@@ -183,8 +183,6 @@ def _classes(rule: UpdateRule, p: CredalSet) -> tuple[Partition, dict]:
     groups: dict[int | None, list[str]] = {}
     for x in labels:
         groups.setdefault(table.intern(_image(rule, p, x)), []).append(x)
-    if None in groups:  # the undefined signals make the last cell
-        groups[None] = groups.pop(None)
     ids = {tuple(members): i for i, members in groups.items()}
     return Partition(labels=labels, cells=tuple(ids)), ids
 
@@ -334,7 +332,7 @@ def refinement_fixpoint(p: CredalSet) -> Partition:
         if refined == current:
             return current
         current = refined
-    raise AssertionError("refinement failed to stabilise")
+    raise InternalCheckError("refinement failed to stabilise")
 
 
 @dataclass(frozen=True)
@@ -394,7 +392,7 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     bit = {x: 1 << i for i, x in enumerate(labels)}
     start = tuple(sum(map(bit.get, cell)) for cell in refinement_fixpoint(p).cells)
     if start not in calibrated:
-        raise AssertionError("refinement fixpoint should be calibrated")
+        raise InternalCheckError("refinement fixpoint should be calibrated")
     current = calibrated.index(start)
     while strict[current]:
         current = (strict[current] & -strict[current]).bit_length() - 1  # the lowest bit

@@ -48,7 +48,7 @@ from .core import (
     is_rectangular,
     support_x,
 )
-from .linprog import SizeLimitError, _worst_row
+from .linprog import InternalCheckError, SizeLimitError, _worst_row
 from .minimax import (
     _rule_risks,
     solve_a_posteriori,
@@ -169,10 +169,6 @@ class ConsistencyVerdict:
     witness_prior_loss: Fraction | None = None
 
 
-class WitnessError(Exception):
-    """A candidate witness failed re-verification; indicates a bug."""
-
-
 def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRule | None:
     """The lexicographically first rule of ``itertools.product(*choices)``
     whose prior worst-case loss exceeds ``bound``, or None.
@@ -233,9 +229,9 @@ def check_weak_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
         return ConsistencyVerdict("weak-time", CONSISTENT, witness=None, notes=notes)
     big_m, ms = _replay(dp, rule)
     if big_m <= value:
-        raise WitnessError("posterior product does not exceed the prior value")
+        raise InternalCheckError("posterior product does not exceed the prior value")
     if ms != tuple(post.value(x) for x in support_x(dp.credal)):
-        raise WitnessError("witness is not posterior optimal")
+        raise InternalCheckError("witness is not posterior optimal")
     return ConsistencyVerdict(
         "weak-time", INCONSISTENT, witness=rule, notes=notes, witness_prior_loss=big_m
     )
@@ -261,9 +257,9 @@ def check_time_consistency(dp: DecisionProblem) -> ConsistencyVerdict:
             mm = post.value(x)
             if m != mm:
                 if m < mm:
-                    raise WitnessError("rule beat the posterior value")
+                    raise InternalCheckError("rule beat the posterior value")
                 if _replay(dp, rule) != (prior.value, ms):
-                    raise WitnessError("witness losses do not replay")
+                    raise InternalCheckError("witness losses do not replay")
                 return ConsistencyVerdict(
                     kind="time",
                     result=INCONSISTENT,
@@ -279,17 +275,12 @@ def _deterministic_rules(space):
     """All deterministic rules in lexicographic order of their weight
     vectors (so higher-indexed actions come first)."""
     na = space.na
-    order = list(range(na - 1, -1, -1))
-    for combo in itertools.product(order, repeat=space.nx):
-        yield DecisionRule(
-            space=space,
-            per_x=tuple(
-                RandomizedAction(
-                    tuple(Fraction(1 if k == a else 0) for k in range(na))
-                )
-                for a in combo
-            ),
-        )
+    units = [
+        RandomizedAction(tuple(Fraction(int(k == a)) for k in range(na)))
+        for a in range(na - 1, -1, -1)
+    ]
+    for combo in itertools.product(units, repeat=space.nx):
+        yield DecisionRule(space, combo)
 
 
 def falsify_dynamic_consistency(dp: DecisionProblem, budget: int) -> ConsistencyVerdict:
@@ -417,18 +408,18 @@ def _verify_pair_witness(dp, w: PairWitness):
     """Replay a pair witness through :func:`_replay`."""
     (ma, ms), (mb, ms_prime) = _replay(dp, w.delta), _replay(dp, w.delta_prime)
     if tuple(zip(support_x(dp.credal), ms, ms_prime)) != w.posterior:
-        raise WitnessError("stale posterior losses")
+        raise InternalCheckError("stale posterior losses")
     if any(a > b for a, b in zip(ms, ms_prime)):
-        raise WitnessError("antecedent fails")
+        raise InternalCheckError("antecedent fails")
     if (ma, mb) != w.prior:
-        raise WitnessError("stale prior losses")
+        raise InternalCheckError("stale prior losses")
     if w.condition == "condition-1":
         if not ma > mb:
-            raise WitnessError("condition-1 witness does not violate (3)")
+            raise InternalCheckError("condition-1 witness does not violate (3)")
     elif w.condition == "condition-2":
         if not all(a < b for _x, a, b in w.posterior):
-            raise WitnessError("condition-2 witness is not strict everywhere")
+            raise InternalCheckError("condition-2 witness is not strict everywhere")
         if ma < mb:
-            raise WitnessError("condition-2 witness satisfies strict (3)")
+            raise InternalCheckError("condition-2 witness satisfies strict (3)")
     else:
-        raise WitnessError("unknown condition tag %r" % w.condition)
+        raise InternalCheckError("unknown condition tag %r" % w.condition)

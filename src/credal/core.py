@@ -794,9 +794,9 @@ def _interval(nums, ev) -> tuple[int, int]:
 def dilation_report(p: CredalSet) -> DilationReport:
     """Prior and per-signal posterior intervals for every proper Y-event.
 
-    Read off integer points: the generators' Y-marginals over one common
-    denominator, and each live signal's conditionals as its hull keeps
-    them; a ``Fraction`` is built only for each interval end returned.
+    Read off integer points over one denominator, as a hull keeps them:
+    the generators' Y-marginals, and each live signal's conditionals; a
+    ``Fraction`` is built only for each interval end returned.
     More than ``DILATION_EVENT_LIMIT`` raise ``SizeLimitError`` before any."""
     space = p.space
     count = (2**space.ny - 2) * (1 + len(p.live))
@@ -804,9 +804,7 @@ def dilation_report(p: CredalSet) -> DilationReport:
         raise SizeLimitError(
             "dilation intervals limited to %d, got %d" % (DILATION_EVENT_LIMIT, count)
         )
-    marginals = _cell_points(p, range(space.nx))
-    prior_den = math.lcm(*[d for _, d in marginals])
-    prior_nums = [[v * (prior_den // d) for v in n] for n, d in marginals]
+    prior = VPolytope(space.ny, _cell_points(p, range(space.nx)), p.convex).hull
     posterior_sets = [(space.x_labels[i], p.conditionals[i].hull) for i in p.live]
     rows = []
     ys = list(range(space.ny))
@@ -814,18 +812,18 @@ def dilation_report(p: CredalSet) -> DilationReport:
     for size in range(1, space.ny):
         events.extend(itertools.combinations(ys, size))
     for ev in events:
-        lo, hi = _interval(prior_nums, ev)
+        lo, hi = _interval(prior.nums, ev)
         posts = []
         dil = bool(posterior_sets)
         for x, h in posterior_sets:
             plo, phi = _interval(h.nums, ev)
             posts.append((x, (Fraction(plo, h.den), Fraction(phi, h.den))))
-            if not (plo * prior_den < lo * h.den and phi * prior_den > hi * h.den):
+            if not (plo * prior.den < lo * h.den and phi * prior.den > hi * h.den):
                 dil = False
         rows.append(
             DilationRow(
                 event=tuple(space.y_labels[j] for j in ev),
-                prior=(Fraction(lo, prior_den), Fraction(hi, prior_den)),
+                prior=(Fraction(lo, prior.den), Fraction(hi, prior.den)),
                 posteriors=tuple(posts),
                 dilates=dil,
             )

@@ -62,6 +62,7 @@ __all__ = [
     "LpError",
     "DimensionError",
     "SizeLimitError",
+    "InternalCheckError",
     "LinearProgram",
     "LpSolution",
     "lp_solve",
@@ -91,13 +92,8 @@ class SizeLimitError(LpError):
 
 
 class InternalCheckError(LpError):
-    """An exact self-check failed; indicates a solver bug, not bad input."""
-
-
-class SolverError(Exception):
-    """A solver invariant failed; indicates a bug, not bad input.  Raised by
-    :mod:`credal.minimax`, and defined here so the CLI can catch it
-    without importing the solvers."""
+    """An exact self-check failed: a solver bug, a witness that does not
+    replay or a broken invariant, in any layer; never bad input."""
 
 
 def _check_rows(rows, length):
@@ -597,44 +593,35 @@ def block_game(rows, widths):
 def _game_start(rows, widths):
     """The crash start of the :func:`block_game` LP, as the pivots of
     :func:`lp_solve`: each block's ``= 1`` row on the block's best pure
-    reply to the uniform mixture of rows, then the worst row at that rule
-    on ``t``'s positive part, or its negative part when the worst loss is
-    negative.  Every right-hand side is then that row's loss below the
-    worst, or 1.
+    reply to the uniform mixture of rows (:func:`_best_reply`), then the
+    worst row at that rule (:func:`_worst_row`) on ``t``'s positive part,
+    or its negative part when the worst loss is negative.  Every
+    right-hand side is then that row's loss below the worst, or 1.
 
     None when the start is ambiguous or degenerate: a block's best reply
     ties, the worst row ties (a basic slack at 0), or the worst row ties
     the rule's column with another of its block (a zero reduced cost).
     Hand-built games tie often, their optima are then mostly degenerate
-    too, and they run the two phases at once.
-
-    Each row is scaled to integers over the lcm of the denominators, as
-    in :func:`_worst_row`; the LP's columns are ``t+``, ``t-``, then ``w``.
+    too, and they run the two phases at once.  The LP's columns are
+    ``t+``, ``t-``, then ``w``.
     """
-    if not rows:
-        return None  # the LP is unbounded
-    lcm = math.lcm(*[d for _, d in rows])
-    scaled = [nums if d == lcm else [v * (lcm // d) for v in nums] for nums, d in rows]
-    costs = list(map(sum, zip(*scaled)))
-    rule, end = [], 0
-    for width in widths:
-        block = costs[end : end + width]
-        if not block or block.count(min(block)) > 1:
-            return None
-        rule.append(end + block.index(min(block)))
-        end += width
-    vals = [sum([r[j] for j in rule]) for r in scaled]
-    worst = max(vals)
-    if vals.count(worst) > 1:
+    if not rows or 0 in widths:
+        return None  # the LP is unbounded, or infeasible
+    k = len(rows)
+    _value, rule, _kept = _best_reply(rows, widths, (Fraction(1, k),) * k)
+    if len(rule) > len(widths):
         return None
-    i = vals.index(worst)
-    row, end = scaled[i], 0
+    vals, _den, i = _worst_row(rows, [int(j in rule) for j in range(sum(widths))])
+    if vals.count(vals[i]) > 1:
+        return None
+    # a row's ties are its numerators' ties: its denominator is positive
+    row, end = rows[i][0], 0
     for width, j in zip(widths, rule):
         if row[end : end + width].count(row[j]) > 1:
             return None
         end += width
-    blocks = [(len(rows) + b, 2 + j) for b, j in enumerate(rule)]
-    return (*blocks, (i, 0 if worst >= 0 else 1))
+    blocks = [(k + b, 2 + j) for b, j in enumerate(rule)]
+    return (*blocks, (i, 0 if vals[i] >= 0 else 1))
 
 
 def _saddle(rows, widths, w, prices):

@@ -57,13 +57,14 @@ from .core import (
     LossFunction,
     RandomizedAction,
     _action_losses,
+    _cell_points,
     marginal_y,
     rule_from_weights,
     uniform_action,
 )
 from .linprog import (
+    InternalCheckError,
     SizeLimitError,
-    SolverError,
     _saddle,
     _worst_row,
     block_game,
@@ -228,10 +229,10 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
         # sorted as the vertices are: every rule has the same uniform dead blocks
         vertices = tuple(_block_rule(space, live, v) for v in verts)
         if not vertices:
-            raise SolverError("optimal face came back empty")
+            raise InternalCheckError("optimal face came back empty")
         report = verify_saddle(dp, lp.bookie_mixture, vertices[0])
         if not report.holds:
-            raise SolverError("saddle check failed: %s" % (report.failing,))
+            raise InternalCheckError("saddle check failed: %s" % (report.failing,))
         solution = replace(lp, rule=vertices[0], optimal_rule_vertices=vertices)
     else:
         value, w, mixture = block_game(dp.loss_rows, _widths(dp))
@@ -379,20 +380,19 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     space = dp.space
     widths = [space.na]
     # constant-rule game: min t, per generator Y-marginal E[L_gamma] <= t over gamma
-    margins = [([sum(col) for col in zip(*g._int_mass)], g.pair[1]) for g in dp.credal.generators]
-    rows = _action_losses(dp.loss, margins)
+    rows = _action_losses(dp.loss, _cell_points(dp.credal, range(space.nx)))
     value, _gamma, mixture = block_game(rows, widths)
 
     marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).points)
     marginal_value, _gamma, _mix = block_game(marginal_rows, widths)
     if marginal_value != value:
-        raise SolverError("marginal game disagrees with constant-rule LP")
+        raise InternalCheckError("marginal game disagrees with constant-rule LP")
 
     action_vertices = tuple(
         RandomizedAction(v) for v in optimal_face_vertices(rows, widths, value, mixture)
     )
     if not action_vertices:
-        raise SolverError("constant-rule face came back empty")
+        raise InternalCheckError("constant-rule face came back empty")
     rule = rule_from_weights(space, [action_vertices[0].weights] * space.nx)
 
     prior = solve_a_priori(dp, face=False)

@@ -9,13 +9,15 @@ three-clause saddle check and the sum and sign check of a joint mass.
 A rule's action loss, its worst prior and posterior losses, the
 weak check's first violating posterior product and the dynamic
 falsifier's pair scan are kept as they were summed and compared in
-``Fraction`` too.  Tests compare the package against them:
-the same errors with the same messages, the same values, witnesses and
-reports.
+``Fraction`` too, and the block game's crash start as it was first
+computed, from its own integer scaling.  Tests compare the package
+against them: the same errors with the same messages, the same values,
+witnesses and reports.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from credal.consistency import PairWitness
@@ -105,6 +107,38 @@ def _best_reply(rows, widths, prices):
         kept_widths.append(len(block))
         start += width
     return value, keep, kept_widths
+
+
+def game_start(rows, widths):
+    """The crash start of the block game LP as ``credal.linprog`` computed
+    it from its own arithmetic: each row scaled to integers over the lcm of
+    the denominators, column sums for the best pure reply to the uniform
+    mixture of rows, then a scan for the worst row at that rule; None on
+    a tie in any of the three."""
+    if not rows:
+        return None
+    lcm = math.lcm(*[d for _, d in rows])
+    scaled = [nums if d == lcm else [v * (lcm // d) for v in nums] for nums, d in rows]
+    costs = list(map(sum, zip(*scaled)))
+    rule, end = [], 0
+    for width in widths:
+        block = costs[end : end + width]
+        if not block or block.count(min(block)) > 1:
+            return None
+        rule.append(end + block.index(min(block)))
+        end += width
+    vals = [sum([r[j] for j in rule]) for r in scaled]
+    worst = max(vals)
+    if vals.count(worst) > 1:
+        return None
+    i = vals.index(worst)
+    row, end = scaled[i], 0
+    for width, j in zip(widths, rule):
+        if row[end : end + width].count(row[j]) > 1:
+            return None
+        end += width
+    blocks = [(len(rows) + b, 2 + j) for b, j in enumerate(rule)]
+    return (*blocks, (i, 0 if worst >= 0 else 1))
 
 
 def _action_losses(loss: LossFunction, q) -> tuple[Fraction, ...]:

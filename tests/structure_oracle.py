@@ -22,7 +22,6 @@ from credal.consistency import (
     CONSISTENT,
     INCONSISTENT,
     ConsistencyVerdict,
-    WitnessError,
 )
 from credal.core import (
     CredalSet,
@@ -35,7 +34,7 @@ from credal.core import (
     support_x,
     uniform_action,
 )
-from credal.linprog import SizeLimitError
+from credal.linprog import InternalCheckError, SizeLimitError
 from credal.minimax import (
     solve_a_priori,
     worst_case_loss,
@@ -146,11 +145,11 @@ def _weak_verdict(dp: DecisionProblem, notes, post) -> ConsistencyVerdict:
         if wc != prior.value:
             # replay through the primitives before accusing the problem
             if wc < prior.value:
-                raise WitnessError("posterior product beat the prior value")
+                raise InternalCheckError("posterior product beat the prior value")
             for x in live:
                 m = worst_case_posterior_loss(dp.credal, rule, dp.loss, x)
                 if m != post.value(x):
-                    raise WitnessError("witness is not posterior optimal")
+                    raise InternalCheckError("witness is not posterior optimal")
             return ConsistencyVerdict(
                 kind="weak-time",
                 result=INCONSISTENT,

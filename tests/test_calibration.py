@@ -20,7 +20,7 @@ from credal.calibration import (
     table_rule,
 )
 from credal.core import Partition, ProblemSpace, condition, credal_set, marginal_y
-from credal.linprog import SizeLimitError
+from credal.linprog import InternalCheckError, SizeLimitError
 from credal.partitions import all_partitions, bell_number
 from credal.polytope import polytope, set_equal
 
@@ -154,6 +154,17 @@ def test_table_rule_excluded_cell():
         is_sharply_calibrated(rule, p)
 
 
+def test_a_dead_first_signal_keeps_its_place_in_the_classes():
+    # the undefined cell sits at its first label, as every partition's
+    # cells do, not last
+    space = ProblemSpace(("a", "b", "c"), ("0", "1"), ("x", "y"))
+    p = credal_set(space, [[[0, 0], [F(1, 2), 0], [0, F(1, 2)]]], convex=True)
+    assert str(equivalence_classes(standard_conditioning(), p)) == "a|b|c"
+    rep = check_calibration(standard_conditioning(), p)
+    assert rep.excluded == (("a",),)
+    assert [cl.cell for cl in rep.per_class] == [("b",), ("c",)]
+
+
 def test_narrower_ignore_vs_standard():
     p = fixed_outcome_set()
     assert narrower(ignore_rule(), standard_conditioning(), p) == STRICTLY_NARROWER
@@ -223,6 +234,16 @@ def test_sharp_partition_product_set_all_minimal():
     part, cert = sharp_partition(p)
     assert part == Partition.whole(("0", "1"))
     assert len(cert.minimal) == cert.calibrated_count == cert.examined == 2
+
+
+def test_sharp_partition_refuses_an_uncalibrated_fixpoint(monkeypatch):
+    # a fixpoint that reads as not calibrated is a bug, named as one
+    monkeypatch.setattr(
+        "credal.calibration.refinement_fixpoint",
+        lambda p: Partition.singletons(p.space.x_labels),
+    )
+    with pytest.raises(InternalCheckError, match="^refinement fixpoint should be calibrated$"):
+        sharp_partition(fixed_outcome_set())
 
 
 def test_sharp_partition_guards():

@@ -233,11 +233,9 @@ def _tied_problems():
         yield DecisionProblem(dp.credal, loss_function(dp.space, table))
 
 
-def test_a_block_game_from_its_start_answers_as_the_two_phases(monkeypatch):
-    # every block game that the corpus, the 200 random games, tied games
-    # and matrix games build: from its start, certified or not, the LP
-    # answers what the two phases answer, to the last entry
-    games = _block_games(monkeypatch)
+def _solve_every_block_game_family():
+    """Solve the block games that the corpus, the 200 random games, tied
+    games and matrix games build."""
     for case in load_corpus():
         for exp in case.expectations:
             assert run_expectation(load_case(case.id), exp).ok, (case.id, exp.op)
@@ -250,6 +248,13 @@ def test_a_block_game_from_its_start_answers_as_the_two_phases(monkeypatch):
     for _ in range(300):
         nrows, ncols = rng.randint(2, 4), rng.randint(2, 4)
         zero_sum_value([[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def test_a_block_game_from_its_start_answers_as_the_two_phases(monkeypatch):
+    # every block game of every family: from its start, certified or not,
+    # the LP answers what the two phases answer, to the last entry
+    games = _block_games(monkeypatch)
+    _solve_every_block_game_family()
     seen = dict.fromkeys(("certified", "fell back", "degenerate start", "t-"), 0)
     for lp, start in dict.fromkeys(games):
         assert lp_solve(lp, start) == lp_solve(lp), lp
@@ -258,6 +263,29 @@ def test_a_block_game_from_its_start_answers_as_the_two_phases(monkeypatch):
     # 880, 23, 285 and 610 when written
     assert seen["certified"] >= 600 and seen["fell back"] >= 15, seen
     assert seen["degenerate start"] >= 100 and seen["t-"] >= 300, seen
+
+
+def test_a_block_game_starts_where_its_own_arithmetic_started(monkeypatch):
+    # the start read from the game's best reply and worst row is the one
+    # its own lcm scaling, column sums and worst-row scan gave, on every
+    # block game of every family
+    starts = {}
+    start = credal.linprog._game_start
+
+    def record(rows, widths):
+        key = tuple((tuple(nums), d) for nums, d in rows), tuple(widths)
+        starts[key] = start(rows, widths)
+        return starts[key]
+
+    monkeypatch.setattr(credal.linprog, "_game_start", record)
+    _solve_every_block_game_family()
+    for (rows, widths), got in starts.items():
+        assert got == oracle.game_start(rows, widths), (rows, widths)
+    none = sum(got is None for got in starts.values())
+    on_t_minus = sum(got is not None and got[-1][1] == 1 for got in starts.values())
+    counts = len(starts), none, on_t_minus
+    # 1188, 285 and 610 when written
+    assert counts[0] >= 1000 and none >= 200 and on_t_minus >= 400, counts
 
 
 def test_saddle_reports_and_losses_match_the_oracle():

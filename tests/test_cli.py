@@ -27,11 +27,13 @@ from credal import (
     rule_from_weights,
     verify_saddle,
     worst_case_loss,
+    worst_case_posterior_loss,
 )
 from credal.cli import run
 from credal.consistency import DYNAMIC_CANDIDATE_LIMIT
 from credal.core import DILATION_EVENT_LIMIT, HULL_PRODUCT_LIMIT
-from credal.linprog import FACE_CANDIDATE_LIMIT
+from credal.corpus import run_case
+from credal.linprog import FACE_CANDIDATE_LIMIT, InternalCheckError, _saddle
 
 from problems import games_problem
 
@@ -276,6 +278,62 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and err == ""
+
+
+def _failing_saddle(*args):
+    return (*_saddle(*args)[:3], ("agent-deviation",))
+
+
+@pytest.mark.parametrize(
+    "argv, target, broken, message",
+    (
+        # the saddle check of the block game, on the prior LP
+        (
+            ("solve", "corpus/example-4.5"),
+            "credal.linprog._saddle",
+            _failing_saddle,
+            "saddle point check failed",
+        ),
+        # verify_saddle on the face's vertex, once the LP has passed its own
+        # check and is kept
+        (
+            ("solve", "corpus/example-4.5"),
+            "credal.minimax._saddle",
+            _failing_saddle,
+            "saddle check failed: ('agent-deviation',)",
+        ),
+        # the replay of the time check's witness
+        (
+            ("consistency", "time", "corpus/example-4.5"),
+            "credal.consistency.worst_case_posterior_loss",
+            lambda *args: worst_case_posterior_loss(*args) + 1,
+            "witness losses do not replay",
+        ),
+    ),
+    ids=("block-game-saddle", "face-vertex-saddle", "witness-replay"),
+)
+def test_a_failed_self_check_is_an_internal_error_not_a_traceback(
+    monkeypatch, capsys, argv, target, broken, message
+):
+    monkeypatch.setattr(target, broken)
+    assert cli(*argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err == "internal error: %s\n" % message
+
+
+def test_corpus_run_prints_nothing_when_a_later_case_fails_a_self_check(monkeypatch, capsys):
+    # the first two cases pass; the third fails a self-check
+    ran = []
+
+    def failing_third(case):
+        ran.append(case.id)
+        if len(ran) == 3:
+            raise InternalCheckError("witness losses do not replay")
+        return run_case(case)
+
+    monkeypatch.setattr("credal.corpus.run_case", failing_third)
+    assert cli("corpus", "run") == (2, "")
+    assert capsys.readouterr().err == "internal error: witness losses do not replay\n"
 
 
 _RULE = re.compile(r"([^\s,:]+)(?:->([^\s,]+)|: \(([^)]*)\))")

@@ -9,7 +9,6 @@ from credal.cli import run
 from credal.consistency import (
     PairWitness,
     SignalWitness,
-    WitnessError,
     check_time_consistency,
     check_weak_time_consistency,
     falsify_dynamic_consistency,
@@ -23,6 +22,7 @@ from credal.core import (
     hull,
 )
 from credal.corpus import load_case
+from credal.linprog import InternalCheckError
 from credal.minimax import worst_case_loss
 
 from problems import (
@@ -226,5 +226,5 @@ def test_every_witness_is_replayed_before_its_verdict(monkeypatch, check, proble
     monkeypatch.setattr(
         credal.consistency, "worst_case_posterior_loss", lambda *args: real(*args) + 1
     )
-    with pytest.raises(WitnessError):
+    with pytest.raises(InternalCheckError):
         check(problem())
