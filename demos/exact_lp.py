@@ -64,7 +64,7 @@ def main():
     half = Fraction(1, 2)
     rows = [common_denominator(row) for row in ([0, 1, half], [1, 0, half])]
     print("game rows:", "; ".join("%s over %d" % (nums, d) for nums, d in rows))
-    value, mix, prices = block_game(rows, [3])
+    value, mix, prices, _unique = block_game(rows, [3])
     print("value:", value, "at mixture", ", ".join(str(w) for w in mix))
     # the scenario prices certify the value; every action they price
     # above the cheapest is 0 on the face and is never enumerated

@@ -56,6 +56,7 @@ from .minimax import (
     worst_case_loss,
     worst_case_posterior_loss,
 )
+from .rationals import common_denominator
 from .sampling import random_rule
 
 __all__ = [
@@ -185,7 +186,7 @@ def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRul
     per = []
     for k, xi in enumerate(live):
         at = [(r[k * na : (k + 1) * na], d) for r, d in dp.loss_rows]
-        per.append([_worst_row(at, a.weights)[:2] for a in choices[xi]])
+        per.append([_worst_row(at, common_denominator(a.weights))[:2] for a in choices[xi]])
     den = math.lcm(*[d for opts in per for _, d in opts])
     losses = [
         [[v[i] * (den // d) for v, d in opts] for opts in per]

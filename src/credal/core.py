@@ -393,9 +393,10 @@ class RandomizedAction:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", rat_seq(self.weights))
-        if any(w < 0 for w in self.weights):
+        nums, den = common_denominator(self.weights)
+        if any(v < 0 for v in nums):
             raise ValueError("negative action weight")
-        if sum(self.weights, ZERO) != 1:
+        if sum(nums) != den:
             raise ValueError("action weights must sum to 1")
 
     def is_deterministic(self) -> bool:

@@ -11,27 +11,29 @@ integers over one positive common denominator, ``|det B|`` of the basis
 in that integer matrix, and it pivots with the fraction-free update of
 Edmonds and Bareiss.  Pricing and the ratio test compare the same
 rationals as a ``Fraction`` tableau would, cross-multiplied, so the
-pivots are the same.  The dual prices are read off the final pricing
-row, each times its row's denominator.  The candidate
-systems of the optimal-face enumeration run through one Bareiss kernel
-on Python ``int``; each division by the previous pivot is exact, so no
-gcd is taken, and only the results are turned back into fractions.
-Optimal values, primal points and dual prices are exact ``Fraction``s;
-feasibility and complementary slackness, and with them strong duality,
-are verified exactly before a solution is returned, in integers over
-positive common denominators, as is every game answer's saddle point,
-by the one saddle check :func:`_saddle`.
+pivots are the same.  The final tableau is read off in integers: the
+primal point as numerators over its denominator, and the dual prices
+from the final pricing row, each times its row's denominator.  Those
+pairs are verified as they are (feasibility and complementary
+slackness, and with them strong duality), and then one ``Fraction`` is
+built per value.  The candidate systems of the optimal-face enumeration
+run through one Bareiss kernel on Python ``int``; each division by the
+previous pivot is exact, so no gcd is taken, and only the results are
+turned back into fractions.
 
 Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
-simplices.  A block game starts at a feasible crash basis (a pure rule
-and its worst row), unless that start ties, and runs phase 2 only; its
-answer is kept when the final tableau certifies that the optimal primal
-point and dual prices are both unique, so that it is the answer of the
-two phases, and otherwise the LP runs the two phases.  Every other LP
-runs the two phases.  :func:`optimal_face_vertices` enumerates the optimal face of
-that shape only, over the columns that a verified optimal mixture of the
-rows leaves at zero reduced cost, with the rows it prices as equalities.
+simplices.  Its saddle point is checked on the tableau's integer pairs
+by the one saddle check :func:`_saddle`.  A block game starts at a
+feasible crash basis (a pure rule and its worst row, read in integers,
+its block pivots made in one pass), unless that start ties, and runs
+phase 2 only; its answer is kept when the final tableau certifies that
+the optimal point and prices are both unique, so that it is the answer
+of the two phases, and otherwise the LP runs the two phases.  Every
+other LP runs the two phases.  A certified optimum is its own optimal
+face; :func:`optimal_face_vertices` enumerates the others, over the
+columns that a verified optimal mixture of the rows leaves at zero
+reduced cost, with the rows it prices as equalities.
 
 Conventions
 -----------
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -140,6 +142,11 @@ class LpSolution:
     value: Fraction | None
     primal: tuple[Fraction, ...] | None
     dual: tuple[Fraction, ...] | None
+    # on ``optimal``: the tableau's read-off ``(x, y)``, as integer pairs,
+    # and whether it certified the point and the prices unique
+    # (:meth:`_Tableau.unique`); neither is compared
+    pairs: tuple | None = field(default=None, compare=False, repr=False)
+    unique: bool = field(default=False, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +304,13 @@ class _Tableau:
         prow = rows[r]
         p = prow[e]
         den = self.den
+        if p < 0:  # on the negated row every row comes out negated, so den > 0
+            prow = rows[r] = [-a for a in prow]
+            p = -p
         for i, row in enumerate(rows):
             if i != r:
                 rows[i] = _eliminate(row, prow, e, den)
         zrow = _eliminate(zrow, prow, e, den)
-        if p < 0:
-            self.rows = [[-a for a in row] for row in rows]
-            zrow = [-a for a in zrow]
-            p = -p
         self.den = p
         self.basis[r] = e
         return zrow
@@ -348,12 +354,27 @@ class _Tableau:
     def crash(self, pivots):
         """Pivot the starting tableau onto ``pivots``, each ``(row, column)``
         in turn; the basis they reach must be feasible and hold no
-        artificial, else the start was built wrong."""
-        zrow = [0] * (len(self.cost) + 1)
-        for r, e in pivots:
-            if not self.rows[r][e]:
-                raise InternalCheckError("start pivots on a zero entry")
-            zrow = self._pivot(r, e, zrow)
+        artificial, else the start was built wrong.  The pivots but the
+        last are on unit entries, zero in each other's rows, at ``den = 1``,
+        so they commute: one pass takes each other row's entry times the
+        pivot row off it, at the pivot row's nonzero entries."""
+        *block, (r, e) = pivots
+        rows = self.rows
+        if any(rows[b][c] != (b == b2) for b, _ in block for b2, c in block):
+            raise InternalCheckError("start pivots do not commute")
+        pivot_rows = {b: [(j, v) for j, v in enumerate(rows[b]) if v] for b, _ in block}
+        for i, row in enumerate(rows):
+            if i not in pivot_rows:
+                for b, c in block:
+                    f = row[c]
+                    if f:
+                        for j, v in pivot_rows[b]:
+                            row[j] -= f * v
+        for b, c in block:
+            self.basis[b] = c
+        if not rows[r][e]:
+            raise InternalCheckError("start pivots on a zero entry")
+        self._pivot(r, e, [0] * (len(self.cost) + 1))
         if any(row[-1] < 0 for row in self.rows) or not self.artificial.isdisjoint(self.basis):
             raise InternalCheckError("start basis is not feasible")
 
@@ -391,10 +412,12 @@ class _Tableau:
 
     def unique(self):
         """Whether the final tableau certifies that the optimal primal point
-        and dual prices are both unique: every basic column but a free
-        variable's is positive, and every nonbasic real column has a
-        positive reduced cost, but the split partner of a basic free
-        column."""
+        and dual prices are both unique: no row was dropped, every basic
+        column but a free variable's is positive, and every nonbasic real
+        column has a positive reduced cost, but the split partner of a
+        basic free column."""
+        if len(self.rows) < len(self.lp.rows):
+            return False  # a dropped row's price is not unique
         lower = self.lp.lower_bounds
         free = {k for k, (j, _) in enumerate(self.var_map) if j >= 0 and lower[j] is None}
         if any(row[-1] <= 0 for row, bv in zip(self.rows, self.basis) if bv not in free):
@@ -409,48 +432,44 @@ class _Tableau:
 
     # -- extraction -------------------------------------------------------
 
-    def primal(self):
-        x = [ZERO] * len(self.lp.objective[0])
-        for row, bv in zip(self.rows, self.basis):
-            j, sign = self.var_map[bv]
-            if j >= 0 and row[-1]:
-                x[j] += Fraction(sign * row[-1], self.den)
-        return tuple(x)
-
-    def dual(self):
-        """Row prices read off the final phase-2 pricing row.
+    def read_off(self):
+        """The primal point over ``den`` (a split variable ``t+ - t-``) and
+        the row prices over ``den`` times the cost scale, as integer pairs.
 
         The prices ``u`` of the final basis solve ``u.M_B = cost_B`` on the
         integer matrix ``M``.  Row ``i``'s starting unit column is ``e_i``
         with cost 0, so its entry in the pricing row is ``-den u_i``; the
-        rational row is ``M_i / d_i``, so its price is ``d_i u_i`` over the
-        cost scale, and needs no linear solve.  A row dropped as redundant
-        reads 0: its artificial column is zero in every kept row.  Flipped
-        rows are negated back.
+        rational row is ``M_i / d_i``, so its price is ``d_i u_i``, and needs
+        no linear solve.  A row dropped as redundant reads 0: its artificial
+        column is zero in every kept row.  Flipped rows are negated back.
         """
-        den = self.den * self.cost_scale
-        return tuple(
-            Fraction(self.zrow[u] * (d if flipped else -d), den)
+        xs = [0] * len(self.lp.objective[0])
+        for row, bv in zip(self.rows, self.basis):
+            j, sign = self.var_map[bv]
+            if j >= 0:
+                xs[j] += sign * row[-1]
+        ys = [
+            self.zrow[u] * (d if flipped else -d)
             for u, flipped, (_, d) in zip(self.unit, self.flipped, self.lp.rows)
-        )
+        ]
+        return (xs, self.den), (ys, self.den * self.cost_scale)
 
 
 def _verify_optimal(lp: LinearProgram, x, y):
     """Exact feasibility and complementary-slackness checks, which imply strong
     duality (``c.x - y.b = r.x + y.(A.x - b)`` exactly); returns ``c.x``.
 
-    Each quantity is an integer over a positive denominator, so each test
-    decides the ``Fraction`` predicate it names: ``x`` and ``y`` are
-    scaled to common denominators ``xd`` and ``yd``; each row with its
-    right-hand side is over its own ``d_i``.  Row ``i``'s activity minus
-    its right-hand side is ``slack[i] / (d_i xd)``; the reduced cost of
-    column ``j`` is ``reduced[j] / (cd yd L)``, with ``L`` the lcm of the
-    ``d_i`` and ``cd`` the objective's denominator.
+    ``x`` and ``y`` are integer pairs ``(xs, xd)`` and ``(ys, yd)``, in any
+    terms.  Each test reads the sign of an integer over a positive
+    denominator, so it decides the ``Fraction`` predicate it names; each
+    row with its right-hand side is over its own ``d_i``.  Row ``i``'s
+    activity minus its right-hand side is ``slack[i] / (d_i xd)``; the
+    reduced cost of column ``j`` is ``reduced[j] / (cd yd L)``, with ``L``
+    the lcm of the ``d_i`` and ``cd`` the objective's denominator.
     """
     cs, cd = lp.objective
     n = len(cs)
-    xs, xd = common_denominator(x)
-    ys, yd = common_denominator(y)
+    (xs, xd), (ys, yd) = x, y
     nonneg = [b is not None for b in lp.lower_bounds]
     if any(v < 0 for v, pos in zip(xs, nonneg) if pos):
         raise InternalCheckError("primal bound violated")
@@ -489,11 +508,12 @@ def lp_solve(lp: LinearProgram, start=None) -> LpSolution:
 
     Without ``start`` the LP runs the two phases from the identity basis.
     ``start`` is a feasible basis to begin phase 2 at, given as the pivots
-    ``(row, column)`` that reach it from the identity, rows numbered as in
-    ``lp`` and columns as in its equality form: the variables in order, a
-    free one split into its positive and then its negative part, then one
-    slack per ``<=`` row.  The answer from there is kept only when the
-    final tableau certifies it unique (:meth:`_Tableau.unique`):
+    ``(row, column)`` that reach it from the identity, all but the last
+    commuting (:meth:`_Tableau.crash`), rows numbered as in ``lp`` and
+    columns as in its equality form: the variables in order, a free one
+    split into its positive and then its negative part, then one slack per
+    ``<=`` row.  The answer from there is kept only when the final tableau
+    certifies it unique (:meth:`_Tableau.unique`):
 
     * every basic column but a free variable's is positive, so each
       optimal dual, by complementary slackness, prices every basic column
@@ -507,26 +527,28 @@ def lp_solve(lp: LinearProgram, start=None) -> LpSolution:
     the two phases drop none; they end at an optimal pair as well, so at
     this one (Mangasarian, "Uniqueness of solution in linear programming",
     1979), and the answer is theirs to the last byte.  Without the
-    certificate a fresh tableau runs the two phases, in this same call.
+    certificate a fresh tableau runs the two phases, in this same call;
+    the answer's ``unique`` says whether its own tableau was certified.
     """
     if start is not None:
         tab = _Tableau(lp)
         tab.crash(start)
         if tab.run() == OPTIMAL and tab.unique():
-            return _optimum(lp, tab)
+            return _optimum(lp, tab, True)
     tab = _Tableau(lp)
     status = tab.run()
     if status != OPTIMAL:
         return LpSolution(status=status, value=None, primal=None, dual=None)
-    return _optimum(lp, tab)
+    return _optimum(lp, tab, tab.unique())
 
 
-def _optimum(lp, tab):
-    """The verified optimal solution that the final tableau ``tab`` reads."""
-    x = tab.primal()
-    y = tab.dual()
+def _optimum(lp, tab, unique):
+    """The verified optimal solution that the final tableau ``tab`` reads:
+    its integer pairs, verified as they are, then a ``Fraction`` each."""
+    x, y = tab.read_off()
     value = _verify_optimal(lp, x, y)
-    return LpSolution(status=OPTIMAL, value=value, primal=x, dual=y)
+    primal, dual = (tuple([Fraction(v, d) if v else ZERO for v in nums]) for nums, d in (x, y))
+    return LpSolution(OPTIMAL, value, primal, dual, (x, y), unique)
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +574,20 @@ def block_game(rows, widths):
     vector.  Each row is ``sum(widths)`` integers over a positive
     denominator (else :class:`DimensionError`), read as it is.  The LP is
     ``min t`` subject to ``rows[i].w <= t`` for every row, then one ``= 1``
-    row per block, with ``t`` free and ``w >= 0``.  Returns ``(value, w,
-    prices)``, where ``prices`` (the negated dual prices of the rows) is
-    the opponent's optimal mixture over rows.  The pair is verified as an
-    exact saddle point by :func:`_saddle`, whose bookie reply must also be
-    the LP value.  That check follows from the :func:`_verify_optimal` that
+    row per block, with ``t`` free and ``w >= 0``; it starts at the basis
+    of :func:`_game_start`.  Its rows have full rank (each ``<=`` row has
+    its own slack, and the blocks are disjoint), so no path drops one.
+
+    Returns ``(value, w, prices, unique)``: ``prices``, the negated dual
+    prices of the rows, is the opponent's optimal mixture over rows, and
+    ``unique`` says whether the final tableau certified the optimum unique
+    (:func:`lp_solve`), so that ``w`` is the whole optimal face.  The pair
+    is verified as an exact saddle point by :func:`_saddle` on the
+    tableau's integer pairs, whose bookie reply must also be the LP value.
+    That check follows from the :func:`_verify_optimal` that
     :func:`lp_solve` has passed (``t``'s zero reduced cost makes ``prices``
     sum to 1, slackness makes each priced row tight, and the dual
     objective is the best reply's value), and is kept as a guard.
-
-    The LP starts at the feasible basis of :func:`_game_start`.  The
-    answer from there is kept only when the final tableau shows the
-    optimal point and prices unique: every basic column but ``t``'s is
-    positive, and every nonbasic column but the other part of ``t`` has
-    a positive reduced cost.  The two phases end at an optimal pair too, so at this one,
-    with the same value, ``w`` and ``prices`` (the argument is
-    :func:`lp_solve`'s).  The rows have full rank, as each ``<=`` row has
-    its own slack and the blocks are disjoint, so neither path drops one.
     """
     n = sum(widths)
     _check_rows(rows, n)
@@ -582,21 +601,23 @@ def block_game(rows, widths):
     sol = lp_solve(lp, _game_start(rows, widths))
     if sol.status != OPTIMAL:
         raise InternalCheckError("block game LP must be solvable")
-    value, w = sol.value, sol.primal[1:]
-    prices = tuple(-sol.dual[i] for i in range(len(rows)))
-    _mixed, _agent, bookie, failing = _saddle(rows, widths, w, prices)
-    if failing or bookie != value:
+    k = len(rows)
+    (xs, xd), (ys, yd) = sol.pairs
+    prices = [-v for v in ys[:k]], yd
+    _mixed, _agent, bookie, failing = _saddle(rows, widths, (xs[1:], xd), prices)
+    if failing or bookie != sol.value:
         raise InternalCheckError("saddle point check failed")
-    return value, w, prices
+    return sol.value, sol.primal[1:], tuple([-y for y in sol.dual[:k]]), sol.unique
 
 
 def _game_start(rows, widths):
     """The crash start of the :func:`block_game` LP, as the pivots of
     :func:`lp_solve`: each block's ``= 1`` row on the block's best pure
-    reply to the uniform mixture of rows (:func:`_best_reply`), then the
-    worst row at that rule (:func:`_worst_row`) on ``t``'s positive part,
-    or its negative part when the worst loss is negative.  Every
-    right-hand side is then that row's loss below the worst, or 1.
+    reply to the uniform mixture of rows, given as the integer pair
+    ``(1, ..., 1)`` over ``k`` (:func:`_best_reply`), then the worst row
+    at that rule (:func:`_worst_row`) on ``t``'s positive part, or its
+    negative part when the worst loss is negative.  Every right-hand side
+    is then that row's loss below the worst, or 1.
 
     None when the start is ambiguous or degenerate: a block's best reply
     ties, the worst row ties (a basic slack at 0), or the worst row ties
@@ -608,10 +629,11 @@ def _game_start(rows, widths):
     if not rows or 0 in widths:
         return None  # the LP is unbounded, or infeasible
     k = len(rows)
-    _value, rule, _kept = _best_reply(rows, widths, (Fraction(1, k),) * k)
+    rule = _best_reply(rows, widths, ((1,) * k, k))[1]
     if len(rule) > len(widths):
         return None
-    vals, _den, i = _worst_row(rows, [int(j in rule) for j in range(sum(widths))])
+    chosen = set(rule)
+    vals, _den, i = _worst_row(rows, ([int(j in chosen) for j in range(sum(widths))], 1))
     if vals.count(vals[i]) > 1:
         return None
     # a row's ties are its numerators' ties: its denominator is positive
@@ -625,15 +647,16 @@ def _game_start(rows, widths):
 
 
 def _saddle(rows, widths, w, prices):
-    """The saddle check of the point ``w`` against the row mixture ``prices``:
-    the value of ``w`` averaged over ``prices``, the agent's best reply
-    (:func:`_best_reply`), the bookie's (the worst row, :func:`_worst_row`),
-    and the failing clauses.  A reply that improves on the averaged value
-    fails ``agent-deviation`` or ``bookie-deviation``; ``support-not-tight``
-    fails with the latter, since sum_i q_i v_i equals max v only when every
-    priced row reaches it."""
+    """The saddle check of the point ``w`` against the row mixture ``prices``,
+    both integer pairs: the value of ``w`` averaged over ``prices``, the
+    agent's best reply (:func:`_best_reply`), the bookie's (the worst row,
+    :func:`_worst_row`), and the failing clauses.  A reply that improves
+    on the averaged value fails ``agent-deviation`` or
+    ``bookie-deviation``; ``support-not-tight`` fails with the latter,
+    since sum_i q_i v_i equals max v only when every priced row reaches
+    it."""
     vals, den, worst = _worst_row(rows, w)
-    qs, qd = common_denominator(prices)
+    qs, qd = prices
     agent = _best_reply(rows, widths, prices)[0]
     mixed = Fraction(sum(map(mul, qs, vals)), qd * den)
     bookie = Fraction(vals[worst], den)
@@ -648,24 +671,23 @@ def _saddle(rows, widths, w, prices):
 
 
 def _worst_row(rows, point):
-    """Each row's value at ``point``, as integers over one positive
-    denominator (the lcm of the rows' denominators times the point's), and
-    the first row of the largest value."""
-    ws, wd = common_denominator(point)
+    """Each row's value at the point ``(ws, wd)``, as integers over one
+    positive denominator (the lcm of the rows' denominators times ``wd``),
+    and the first row of the largest value."""
+    ws, wd = point
     lcm = math.lcm(*[d for _, d in rows])
     vals = [sum(map(mul, r, ws)) * (lcm // d) for r, d in rows]
     return vals, lcm * wd, vals.index(max(vals))
 
 
 def _best_reply(rows, widths, prices):
-    """Value of the best block-wise reply to the row mixture ``prices``, the
-    columns that attain it (zero reduced cost) and their count per block.
-
-    The cost of column ``j`` is ``costs[j] / (qd L)``, with ``qd`` the
-    prices' denominator and ``L`` the lcm of the rows' denominators.
+    """Value of the best block-wise reply to the row mixture ``(qs, qd)``,
+    the columns that attain it (zero reduced cost) and their count per
+    block.  The cost of column ``j`` is ``costs[j] / (qd L)``, with ``L``
+    the lcm of the rows' denominators.
     """
-    qs, qd = common_denominator(prices)
-    if len(prices) != len(rows) or any(q < 0 for q in qs) or sum(qs) != qd:
+    qs, qd = prices
+    if len(qs) != len(rows) or any(q < 0 for q in qs) or sum(qs) != qd:
         raise InternalCheckError("prices are not a row mixture")
     lcm = math.lcm(*[d for _, d in rows])
     weights = [q * (lcm // d) for q, (_, d) in zip(qs, rows)]
@@ -699,7 +721,7 @@ def zero_sum_value(payoff):
         raise DimensionError("ragged payoff matrix")
     if ncols == 0:
         raise DimensionError("payoff matrix needs at least one column")
-    return block_game([common_denominator(col) for col in zip(*payoff)], [m])
+    return block_game([common_denominator(col) for col in zip(*payoff)], [m])[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +739,14 @@ def optimal_face_vertices(rows, widths, value, prices) -> list[tuple[Fraction, .
     the priced rows as equalities."""
     n = sum(widths)
     _check_rows(rows, n)
-    best_reply, keep, kept_widths = _best_reply(rows, widths, prices)
+    qs, qd = common_denominator(prices)
+    best_reply, keep, kept_widths = _best_reply(rows, widths, (qs, qd))
     if best_reply != value:
         raise InternalCheckError("face prices do not certify the value")
     pos = {j: k for k, j in enumerate(keep)}  # the same zeros everywhere keep the order
     reduced = [([r[j] for j in keep], d) for r, d in rows]
-    tight = [r for r, q in zip(reduced, prices) if q > 0]
-    loose = [r for r, q in zip(reduced, prices) if q <= 0]
+    tight = [r for r, q in zip(reduced, qs) if q > 0]
+    loose = [r for r, q in zip(reduced, qs) if q <= 0]
     vertices = _face_vertices(loose, kept_widths, value, tight)
     return [tuple(v[pos[j]] if j in pos else ZERO for j in range(n)) for v in vertices]
 

@@ -13,13 +13,14 @@ Two games are solved exactly:
 Both games, and the constant-rule game of :func:`solve_ignoring`, are
 one LP shape: minimise the worst of finitely many linear losses over a
 product of simplices.  :func:`credal.linprog.block_game` builds and
-checks that LP, and :func:`credal.linprog.optimal_face_vertices`
-enumerates its optimal face from the same rows, widths and value, over
-the columns that the verified bookie mixture leaves at zero reduced
-cost.  Each game is solved and checked once per
-:class:`~credal.core.DecisionProblem` and kept on it: the prior LP, the
-prior game with its face (enumerated from the kept LP), the posterior
-games and the constant-rule game.  A refusal keeps nothing.
+checks that LP.  When its final tableau certifies the optimum unique,
+that point is the whole optimal face; otherwise
+:func:`credal.linprog.optimal_face_vertices` enumerates the face from
+the same rows, widths and value, over the columns that the verified
+bookie mixture leaves at zero reduced cost.  Each game is solved and
+checked once per :class:`~credal.core.DecisionProblem` and kept on it:
+the prior LP, the prior game with its face (from the kept LP), the
+posterior games and the constant-rule game.  A refusal keeps nothing.
 
 The games' rows are kept on the problem too, built on first use and
 scaled to integers over a positive denominator once, and every loss of
@@ -104,7 +105,7 @@ BRUTE_FORCE_LIMIT = 10**6
 
 def _worst(rows, weights):
     """The largest value of ``rows`` under ``weights``, and its first row."""
-    vals, den, i = _worst_row(rows, weights)
+    vals, den, i = _worst_row(rows, common_denominator(weights))
     return Fraction(vals[i], den), i
 
 
@@ -216,8 +217,9 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     ``face=False`` skips the vertex enumeration of the optimal face (the
     expensive part); the reported rule is then the one the simplex
     landed on rather than the lexicographically smallest vertex.  The
-    face is enumerated from the kept LP solution, and each checked answer
-    is kept on ``dp``; a refused face keeps nothing.
+    face is the kept LP solution's point when its tableau certified it
+    unique, and is enumerated from it otherwise; each checked answer is
+    kept on ``dp``, and a refused face keeps nothing.
     """
     games, key = dp._games, "prior face" if face else "prior"
     if key in games:
@@ -225,17 +227,20 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     space, live = dp.space, dp.credal.live
     if face:
         lp = solve_a_priori(dp, face=False)
-        verts = optimal_face_vertices(dp.loss_rows, _widths(dp), lp.value, lp.bookie_mixture)
-        # sorted as the vertices are: every rule has the same uniform dead blocks
-        vertices = tuple(_block_rule(space, live, v) for v in verts)
-        if not vertices:
-            raise InternalCheckError("optimal face came back empty")
+        if games["prior certified"]:
+            vertices = (lp.rule,)
+        else:
+            verts = optimal_face_vertices(dp.loss_rows, _widths(dp), lp.value, lp.bookie_mixture)
+            # sorted as the vertices are: every rule has the same uniform dead blocks
+            vertices = tuple(_block_rule(space, live, v) for v in verts)
+            if not vertices:
+                raise InternalCheckError("optimal face came back empty")
         report = verify_saddle(dp, lp.bookie_mixture, vertices[0])
         if not report.holds:
             raise InternalCheckError("saddle check failed: %s" % (report.failing,))
         solution = replace(lp, rule=vertices[0], optimal_rule_vertices=vertices)
     else:
-        value, w, mixture = block_game(dp.loss_rows, _widths(dp))
+        value, w, mixture, games["prior certified"] = block_game(dp.loss_rows, _widths(dp))
         solution = MinimaxSolution(
             value=value,
             rule=_block_rule(space, live, w),
@@ -300,8 +305,8 @@ def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
     points = []
     for xi in dp.credal.live:
         rows = dp.posterior_rows[xi]
-        value, _w, mixture = block_game(rows, widths)
-        verts = optimal_face_vertices(rows, widths, value, mixture)
+        value, w, mixture, unique = block_game(rows, widths)
+        verts = [w] if unique else optimal_face_vertices(rows, widths, value, mixture)
         points.append(
             PosteriorPoint(
                 x=dp.space.x_labels[xi],
@@ -340,11 +345,12 @@ def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleRep
     mixture = tuple(rat(w) for w in mixture)
     if len(mixture) != len(dp.credal.generators):
         raise ValueError("mixture length != number of generators")
-    qs, qd = common_denominator(mixture)
+    prices = qs, qd = common_denominator(mixture)
     if any(q < 0 for q in qs) or sum(qs) != qd:
         raise ValueError("mixture must be a probability vector")
     # a dead signal adds 0 to every loss
-    *replies, failing = _saddle(dp.loss_rows, _widths(dp), _live_weights(dp, rule), mixture)
+    weights = common_denominator(_live_weights(dp, rule))
+    *replies, failing = _saddle(dp.loss_rows, _widths(dp), weights, prices)
     return SaddleReport(not failing, *replies, failing)
 
 
@@ -381,16 +387,15 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     widths = [space.na]
     # constant-rule game: min t, per generator Y-marginal E[L_gamma] <= t over gamma
     rows = _action_losses(dp.loss, _cell_points(dp.credal, range(space.nx)))
-    value, _gamma, mixture = block_game(rows, widths)
+    value, gamma, mixture, unique = block_game(rows, widths)
 
     marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).points)
-    marginal_value, _gamma, _mix = block_game(marginal_rows, widths)
+    marginal_value = block_game(marginal_rows, widths)[0]
     if marginal_value != value:
         raise InternalCheckError("marginal game disagrees with constant-rule LP")
 
-    action_vertices = tuple(
-        RandomizedAction(v) for v in optimal_face_vertices(rows, widths, value, mixture)
-    )
+    verts = [gamma] if unique else optimal_face_vertices(rows, widths, value, mixture)
+    action_vertices = tuple(RandomizedAction(v) for v in verts)
     if not action_vertices:
         raise InternalCheckError("constant-rule face came back empty")
     rule = rule_from_weights(space, [action_vertices[0].weights] * space.nx)

@@ -88,24 +88,29 @@ class VPolytope:
 class _Hull:
     """A polytope's ``points`` in integers: their set ``keys``, each over the
     one denominator ``den`` (``nums``), their coordinate box ``lo``, ``hi``
-    and, when all lie on one line, ``line``: the first point, the step to
-    the second and a coordinate where that step is not zero."""
+    and, read on first use, their :attr:`line`."""
 
-    __slots__ = ("points", "keys", "nums", "den", "lo", "hi", "line")
+    __slots__ = ("points", "keys", "nums", "den", "lo", "hi", "__dict__")
 
     def __init__(self, points, nums, den):
         self.points, self.nums, self.den = points, nums, den
         self.keys = frozenset(points)
         cols = tuple(zip(*nums))
         self.lo, self.hi = tuple(map(min, cols)), tuple(map(max, cols))
-        self.line = None
-        if len(nums) > 1:
-            origin = nums[0]
-            step = [v - o for v, o in zip(nums[1], origin)]
-            k = next(i for i, v in enumerate(step) if v)
-            self.line = origin, step, k
-            if not all(self.on_line(q, den) for q in nums[2:]):
-                self.line = None
+
+    @cached_property
+    def line(self):
+        """When all the points lie on one line: the first point, the step to
+        the second and a coordinate ``k`` where that step is not zero."""
+        if len(self.nums) < 2:
+            return None
+        origin, second, *rest = self.nums
+        step = [v - o for v, o in zip(second, origin)]
+        k = next(i for i, v in enumerate(step) if v)
+        offsets = ([v - o for v, o in zip(q, origin)] for q in rest)
+        if all(u[i] * step[k] == u[k] * s for u in offsets for i, s in enumerate(step)):
+            return origin, step, k
+        return None
 
     def without(self, i: int) -> _Hull:
         """The same generators but the ``i``-th, over the same denominator."""

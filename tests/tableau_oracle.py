@@ -24,6 +24,7 @@ from credal.linprog import (
     LpSolution,
     _verify_optimal,
 )
+from credal.rationals import common_denominator
 
 from face_oracle import ONE, ZERO, fraction_lp, solve_unique
 
@@ -266,5 +267,5 @@ def lp_solve(lp: LinearProgram, start=()) -> LpSolution:
         return LpSolution(status=status, value=None, primal=None, dual=None)
     x = tab.primal()
     y = tab.dual()
-    value = _verify_optimal(lp, x, y)
+    value = _verify_optimal(lp, common_denominator(x), common_denominator(y))
     return LpSolution(status=OPTIMAL, value=value, primal=x, dual=y)

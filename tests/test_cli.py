@@ -799,14 +799,17 @@ def test_weak_witness_loss_is_replayed_once(monkeypatch):
 
 
 def test_time_check_solves_the_prior_game_once(monkeypatch):
-    # the weak check's prior LP is kept: the time check adds only its face
+    # the weak check's prior LP is kept: the time check adds only its face,
+    # which is enumerated only where the game's tableau did not certify
+    # its optimum unique
     games, faces = [], []
     block_game = credal.minimax.block_game
     face_vertices = credal.minimax.optimal_face_vertices
 
     def game(rows, widths):
-        games.append(len(widths))
-        return block_game(rows, widths)
+        answer = block_game(rows, widths)
+        games.append((len(widths), answer[3]))
+        return answer
 
     def face(rows, widths, value, prices):
         faces.append(len(widths))
@@ -818,7 +821,8 @@ def test_time_check_solves_the_prior_game_once(monkeypatch):
         "time consistency: inconsistent"
     )
     # one prior game over the two live signals, one posterior game at each
-    assert sorted(games) == sorted(faces) == [1, 1, 2]
+    assert sorted(width for width, _ in games) == [1, 1, 2]
+    assert sorted(faces) == sorted(width for width, unique in games if not unique)
 
 
 def test_time_consistency_signal_witness():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import credal.linprog
 import credal.minimax
 from credal.corpus import load_case, load_corpus, run_expectation
 from credal.linprog import (
@@ -21,10 +22,13 @@ from credal.linprog import (
     block_game,
     optimal_face_vertices,
 )
+from credal.minimax import solve_ignoring
 from credal.rationals import common_denominator
 
 import face_oracle
 from face_oracle import make_lp
+from problems import random_games
+from test_certificate_oracle import _solve_every_block_game_family, _tied_problems
 
 F = Fraction
 
@@ -92,7 +96,7 @@ def test_random_faces_match_the_fraction_brute_force():
     for _ in range(120):
         rows, widths = _random_game(rng)
         game = _game(rows)
-        value, _w, prices = block_game(game, widths)
+        value, _w, prices, _unique = block_game(game, widths)
         want = _general_face(rows, widths, value)
         assert optimal_face_vertices(game, widths, value, prices) == want, (rows, widths)
         assert _face_vertices(game, widths, value) == want
@@ -123,7 +127,7 @@ def test_prior_shaped_faces_match_the_fraction_brute_force():
         ]
         widths = [na] * nx
         game = _game(rows)
-        value, _w, prices = block_game(game, widths)
+        value, _w, prices, _unique = block_game(game, widths)
         want = _general_face(rows, widths, value)
         assert optimal_face_vertices(game, widths, value, prices) == want, (rows, widths)
         several += len(want) > 1
@@ -149,6 +153,32 @@ def test_corpus_faces_match_the_fraction_brute_force(monkeypatch):
     for rows, widths, value, verts in calls:
         fractions = [[F(v, d) for v in nums] for nums, d in rows]
         assert verts == _general_face(fractions, widths, value)
+
+
+def test_a_certified_optimum_is_its_whole_face(monkeypatch):
+    # every prior, posterior, signal-blind and matrix game of every family:
+    # where the final tableau certifies the optimum unique, the enumerated
+    # face is that one point, which the games report without enumerating
+    answers = {}
+    solve = credal.linprog.block_game
+
+    def record(rows, widths):
+        answer = solve(rows, widths)
+        answers[tuple(rows), tuple(widths)] = answer
+        return answer
+
+    monkeypatch.setattr(credal.linprog, "block_game", record)
+    monkeypatch.setattr(credal.minimax, "block_game", record)
+    _solve_every_block_game_family()
+    for dp in [*random_games(200), *_tied_problems()]:
+        solve_ignoring(dp)
+    seen = {True: 0, False: 0}
+    for (rows, widths), (value, w, prices, unique) in answers.items():
+        if unique:
+            assert optimal_face_vertices(list(rows), list(widths), value, prices) == [w]
+        seen[unique] += 1
+    # 1265 and 285 when written
+    assert seen[True] >= 1000 and seen[False] >= 200, seen
 
 
 @pytest.mark.parametrize(

@@ -236,7 +236,7 @@ def test_face_with_inactive_row_constraint():
 def test_face_on_a_product_of_simplices():
     # matching pennies played twice: each block must mix evenly
     rows = _game([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
-    value, _w, _prices = block_game(rows, [2, 2])
+    value, _w, _prices, _unique = block_game(rows, [2, 2])
     assert value == 1
     verts = _face_vertices(rows, [2, 2], value)
     assert verts == [(F(1, 2), F(1, 2), F(1, 2), F(1, 2))]
@@ -273,7 +273,7 @@ def test_face_puts_zeros_back_at_dropped_columns():
     # the third action costs 2 under the prices (1/2, 1/2), above the
     # block minimum 1/2, so it is 0 on the face and is not enumerated
     rows = _game([[1, 0, 2], [0, 1, 2]])
-    value, _w, prices = block_game(rows, [3])
+    value, _w, prices, _unique = block_game(rows, [3])
     assert (value, prices) == (F(1, 2), (F(1, 2), F(1, 2)))
     assert optimal_face_vertices(rows, [3], value, prices) == [(F(1, 2), F(1, 2), 0)]
 
@@ -377,14 +377,16 @@ def test_tampered_certificate_is_refused(x, y, message):
     # Each tampered half passes every check made before the one named.
     # Strong duality has no check of its own: once both slackness checks
     # pass, c.x - y.b is the sum of their terms, zero.
-    # The Fraction verifier of the oracle refuses each with the same message.
+    # The Fraction verifier of the oracle refuses each with the same message;
+    # the package's takes each half as its integer pair.
     sol = lp_solve(_GAME_LP)
     x = sol.primal if x is None else tuple(F(v) for v in x)
     y = sol.dual if y is None else tuple(F(v) for v in y)
+    pairs = common_denominator(x), common_denominator(y)
     errors = []
-    for verify in (_verify_optimal, certificate_oracle._verify_optimal):
+    for verify, (a, b) in ((_verify_optimal, pairs), (certificate_oracle._verify_optimal, (x, y))):
         with pytest.raises(InternalCheckError, match=message) as info:
-            verify(_GAME_LP, x, y)
+            verify(_GAME_LP, a, b)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
 
