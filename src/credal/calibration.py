@@ -23,8 +23,10 @@ outcome space only, and its set and each opinion set of a rule map to an
 id, equal for two sets exactly when they are, with inclusion asked once
 per pair of ids.  Ignoring is conditioning on every signal, and a table
 rule's opinion set is the Y-marginal kept on that table entry's own set.
-This module keeps what needs a rule: the ids of its opinion sets, its
-classes, and the walk of :func:`narrower` over two rules' ids.  A
+This module asks everything else of those ids: the ids of a rule's
+opinion sets, its classes, the walk of :func:`narrower` over two rules'
+ids, and the two questions about a partition, given as its cells'
+masks: the id of the cell at a signal, and whether it is calibrated.  A
 partition is calibrated iff each group of its cells with equal id has
 that same id on the union of the group, so the sharpness searches build
 no calibration report.  :func:`sharp_partition` orders the calibrated
@@ -307,6 +309,23 @@ def _require_sharpness_search(p: CredalSet):
         )
 
 
+def _calibrated(p: CredalSet, cells) -> bool:
+    """Is conditioning on the partition with these cells (masks) calibrated?
+    Its classes join its live cells of equal id, and it is calibrated iff
+    each class has that same id on the whole class."""
+    table, classes = p._events, {}
+    for mask in cells:
+        i = table.id(p, mask)
+        if i is not None:
+            classes[i] = classes.get(i, 0) | mask
+    return all(table.id(p, mask) == i for i, mask in classes.items())
+
+
+def _at(p: CredalSet, cells, x: int) -> int:
+    """The id of the cell (mask) holding the live signal ``x``."""
+    return p._events.id(p, next(mask for mask in cells if mask >> x & 1))
+
+
 def refine_partition(c: Partition, p: CredalSet) -> Partition:
     """One refinement step: classes of conditioning on ``c``.
 
@@ -368,12 +387,12 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     _require_sharpness_search(p)
     table = p._events
     examined = list(cell_masks(p.space.nx))
-    calibrated = [c for c in examined if table.calibrated(p, c)]
+    calibrated = [c for c in examined if _calibrated(p, c)]
     everyone = (1 << len(calibrated)) - 1
     below = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets lie inside
     same = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets are equal
     for x in p.live:
-        ids = [table.at(p, c, x) for c in calibrated]
+        ids = [_at(p, c, x) for c in calibrated]
         groups: dict[int, int] = {}
         for k, i in enumerate(ids):
             groups[i] = groups.get(i, 0) | 1 << k
@@ -428,9 +447,8 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     images = list(_ids(rule, p))
     if None in images:
         raise ValueError("rule undefined at a support signal")
-    table = p._events
     for c in cell_masks(p.space.nx):
-        walk = (table.at(p, c, x) for x in p.live)
-        if table.calibrated(p, c) and _narrower(p, walk, images) == STRICTLY_NARROWER:
+        walk = (_at(p, c, x) for x in p.live)
+        if _calibrated(p, c) and _narrower(p, walk, images) == STRICTLY_NARROWER:
             return SharpnessVerdict(sharp=False, witness=partition_of(p.space.x_labels, c))
     return SharpnessVerdict(sharp=True, witness=None)

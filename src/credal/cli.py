@@ -120,10 +120,9 @@ def _generator_index(pf: ProblemFile, dp) -> list[int]:
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_solve(args, out) -> int:
+def _cmd_solve(args, pf, out) -> int:
     from .minimax import solve_a_priori
 
-    pf = _load_file(args.file)
     dp = pf.problem()
     sol = solve_a_priori(dp)
     # one weight per file generator, a repeated one's on its first copy
@@ -144,10 +143,9 @@ def _cmd_solve(args, out) -> int:
     return 0
 
 
-def _cmd_posterior(args, out) -> int:
+def _cmd_posterior(args, pf, out) -> int:
     from .minimax import solve_a_posteriori
 
-    pf = _load_file(args.file)
     dp = pf.problem()
     post = solve_a_posteriori(dp)
     live = support_x(dp.credal)
@@ -162,10 +160,9 @@ def _cmd_posterior(args, out) -> int:
     return 0
 
 
-def _cmd_saddle(args, out) -> int:
+def _cmd_saddle(args, pf, out) -> int:
     from .minimax import verify_saddle
 
-    pf = _load_file(args.file)
     dp = pf.problem()
     rule = _parse_rule_arg(args.rule, pf)
     weights = _parse_mixture_arg(args.mixture)
@@ -192,8 +189,7 @@ def _cmd_saddle(args, out) -> int:
     return 1 if args.strict else 0
 
 
-def _cmd_hull(args, out) -> int:
-    pf = _load_file(args.file)
+def _cmd_hull(args, pf, out) -> int:
     p = pf.credal()
     h = hull(p)
     out("generators: %d" % len(h.generators))
@@ -204,8 +200,7 @@ def _cmd_hull(args, out) -> int:
     return 0
 
 
-def _cmd_check(args, out) -> int:
-    pf = _load_file(args.file)
+def _cmd_check(args, pf, out) -> int:
     p = pf.credal()
     if args.what == "rect":
         out("rectangular: %s" % _yes(is_rectangular(p)))
@@ -266,14 +261,13 @@ def _emit_verdict(v, out):
         _emit_pair("  ", v.strict_variant_witness, out)
 
 
-def _cmd_consistency(args, out) -> int:
+def _cmd_consistency(args, pf, out) -> int:
     from .consistency import (
         check_time_consistency,
         check_weak_time_consistency,
         falsify_dynamic_consistency,
     )
 
-    pf = _load_file(args.file)
     dp = pf.problem()
     if args.what == "weak":
         verdict = check_weak_time_consistency(dp)
@@ -290,10 +284,9 @@ def _cmd_consistency(args, out) -> int:
     return 0
 
 
-def _cmd_calibrate(args, out) -> int:
+def _cmd_calibrate(args, pf, out) -> int:
     from .calibration import check_calibration, is_sharply_calibrated, rule_from_spec
 
-    pf = _load_file(args.file)
     p = pf.credal()
     try:
         rule = rule_from_spec(args.rule, pf.space().x_labels)
@@ -327,10 +320,9 @@ def _cmd_calibrate(args, out) -> int:
     return 0
 
 
-def _cmd_oracle(args, out) -> int:
+def _cmd_oracle(args, pf, out) -> int:
     from .minimax import brute_force_value, solve_a_priori
 
-    pf = _load_file(args.file)
     dp = pf.problem()
     if args.grid < 1:
         raise _InputError("--grid must be at least 1")
@@ -344,7 +336,7 @@ def _cmd_oracle(args, out) -> int:
     return 0
 
 
-def _cmd_corpus(args, out) -> int:
+def _cmd_corpus(args, pf, out) -> int:
     from .corpus import load_corpus, run_case
 
     # every case runs before the first line, so an internal error prints nothing
@@ -432,7 +424,9 @@ def run(argv=None, stdout=None) -> int:
         print(line, file=stdout)
 
     try:
-        return args.fn(args, out)
+        # the problem file is read first, so its error comes before any other
+        pf = _load_file(args.file) if "file" in args else None
+        return args.fn(args, pf, out)
     except (_InputError, ProblemFileError, CorpusError, ConvexityError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -30,8 +30,9 @@ intervals, each rectangularity swap, each game row, each conditioned
 joint, each :func:`hull` product and the bookie's aggregate are built
 from the same integers, and a swap is asked of the joint set as its
 pair.  Each credal set keeps one table of its signal events
-(:class:`_Events`, by bitmask): each is conditioned once, in any label
-order, and its set's id and inclusions are kept, for every caller.
+(:class:`_Events`, keyed by bitmask alone), the one place a set is
+conditioned, each event once, in any label order; the table names each
+set with an id and keeps their inclusions, for every caller.
 :attr:`CredalSet.live` lists the signals some generator reaches and
 :attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them.
 Rectangularity, :func:`hull`, dilation and the posterior game read
@@ -266,8 +267,8 @@ class CredalSet:
         where no generator reaches it: each set is conditioned once."""
         live = set(self.live)
         return tuple(
-            posterior_y(self, (x,)) if i in live else None
-            for i, x in enumerate(self.space.x_labels)
+            self._events.posterior(self, 1 << i) if i in live else None
+            for i in range(self.space.nx)
         )
 
     @cached_property
@@ -572,59 +573,41 @@ def posterior_y(p: CredalSet, cell) -> VPolytope | None:
     The same set as :func:`marginal_y` of :func:`condition`: projecting
     to Y commutes with dropping generators that are redundant in the
     joint space, so pruning once in Y coordinates is enough.  None when no
-    generator gives the cell positive probability.  Each event is
-    conditioned once per set, in any label order and with any repeats:
-    the set's table keeps it by its bitmask and by each label tuple asked.
+    generator gives the cell positive probability.  The event is the set
+    of its labels, asked of the set's table by its bitmask, so it is
+    conditioned once per set, in any label order and with any repeats.
     """
-    cell, known = tuple(cell), p._events.posteriors
-    try:
-        return known[cell]
-    except KeyError:
-        pass
     mask = sum({1 << p.space.x_index(x) for x in cell})
-    if mask not in known:
-        known[mask] = _posterior_y(p, cell)
-    known[cell] = known[mask]
-    return known[mask]
-
-
-def _posterior_y(p: CredalSet, cell) -> VPolytope | None:
-    """:func:`posterior_y` computed afresh."""
-    idx = sorted({p.space.x_index(x) for x in cell})
-    if not idx:
+    if not mask:
         raise ValueError("conditioning event must be nonempty")
-    return _conditioned(p, idx)
-
-
-def _conditioned(p: CredalSet, idx) -> VPolytope | None:
-    """The pruned Y-set of ``p`` given the signals ``idx``, None if none is reached."""
-    points = _cell_points(p, idx)
-    return prune(VPolytope(p.space.ny, points, p.convex)) if points else None
+    return p._events.posterior(p, mask)
 
 
 class _Events:
     """The table of one credal set's signal events (:attr:`CredalSet._events`).
 
-    An event is a bitmask over the signal indices.  Each maps to its
-    pruned :func:`posterior_y`, conditioned once, and to an id, as does
-    every set interned here: a convex set is its vertices and a finite
-    set its points, and the readings differ from two points on, so two
-    sets share an id exactly when they are equal.  Inclusion is asked
-    once per pair of ids.  Each question is handed the set, so the table
-    holds no reference back to it.
+    An event is a bitmask over the signal indices, its only key.  The
+    table conditions each event once, to its pruned :func:`posterior_y`,
+    and names each set with an id, as it does every set interned here: a
+    convex set is its vertices and a finite set its points, and the
+    readings differ from two points on, so two sets share an id exactly
+    when they are equal.  Inclusion is asked once per pair of ids.  Each
+    question is handed the set, so the table holds no reference back to it.
     """
 
     __slots__ = ("posteriors", "_ids", "_sets", "_interned", "_sub")
 
     def __init__(self):
-        # posteriors: by mask, and by each label tuple asked of posterior_y
         self.posteriors, self._ids, self._interned, self._sub = {}, {}, {}, {}
         self._sets: list[VPolytope] = []  # by id, the first set interned
 
     def posterior(self, p: CredalSet, mask: int) -> VPolytope | None:
-        """:func:`posterior_y` of ``p`` on the event ``mask``."""
+        """The pruned Y-set of ``p`` given the event ``mask``, None if no
+        generator reaches it: the one place a set is conditioned."""
         if mask not in self.posteriors:
-            self.posteriors[mask] = _conditioned(p, [i for i in range(p.space.nx) if mask >> i & 1])
+            points = _cell_points(p, [i for i in range(p.space.nx) if mask >> i & 1])
+            s = prune(VPolytope(p.space.ny, points, p.convex)) if points else None
+            self.posteriors[mask] = s
         return self.posteriors[mask]
 
     def intern(self, s: VPolytope | None) -> int | None:
@@ -648,21 +631,6 @@ class _Events:
         if (i, j) not in self._sub:
             self._sub[i, j] = i == j or subset(self._sets[i], self._sets[j])
         return self._sub[i, j]
-
-    def calibrated(self, p: CredalSet, cells) -> bool:
-        """Is conditioning on the partition with these cells (masks) calibrated?
-        Its classes join its live cells of equal id, and it is calibrated iff
-        each class has that same id on the whole class."""
-        classes: dict[int, int] = {}
-        for mask in cells:
-            i = self.id(p, mask)
-            if i is not None:
-                classes[i] = classes.get(i, 0) | mask
-        return all(self.id(p, mask) == i for i, mask in classes.items())
-
-    def at(self, p: CredalSet, cells, x: int) -> int:
-        """The id of the cell (mask) holding the live signal ``x``."""
-        return self.id(p, next(mask for mask in cells if mask >> x & 1))
 
 
 def _cell_points(p: CredalSet, idx) -> list[tuple[tuple[int, ...], int]]:

@@ -176,32 +176,19 @@ def _flat_strings(values) -> tuple[str, ...]:
     return tuple(map(str, values))
 
 
+def _arg(exp: Expectation, key: str):
+    value = exp.arg(key)
+    if value is None:
+        raise CorpusError("op %r needs a %r argument" % (exp.op, key))
+    return value
+
+
 def _mass_arg(exp: Expectation):
-    mass = exp.arg("mass")
-    if mass is None:
-        raise CorpusError("op %r needs a 'mass' argument" % exp.op)
-    return tuple(rat(v) for row in mass for v in row)
-
-
-def _event_arg(exp: Expectation):
-    event = exp.arg("event")
-    if event is None:
-        raise CorpusError("op %r needs an 'event' argument" % exp.op)
-    return tuple(str(y) for y in event)
-
-
-def _x_arg(exp: Expectation) -> str:
-    x = exp.arg("x")
-    if x is None:
-        raise CorpusError("op %r needs an 'x' argument" % exp.op)
-    return str(x)
+    return tuple(rat(v) for row in _arg(exp, "mass") for v in row)
 
 
 def _rule_arg(exp: Expectation, case: CorpusCase):
-    spec = exp.arg("rule")
-    if spec is None:
-        raise CorpusError("op %r needs a 'rule' argument" % exp.op)
-    return rule_from_spec(spec, case.file.space().x_labels)
+    return rule_from_spec(_arg(exp, "rule"), case.file.space().x_labels)
 
 
 def _op_a_priori_value(case, exp):
@@ -220,7 +207,8 @@ def _op_a_priori_face_count(case, exp):
     return len(solve_a_priori(case.problem()).optimal_rule_vertices)
 
 
-def _posterior_point(case, x):
+def _posterior_point(case, exp):
+    x = str(_arg(exp, "x"))
     point = solve_a_posteriori(case.problem()).point(x)
     if point is None:
         raise CorpusError("signal %r has no posterior game" % x)
@@ -228,17 +216,15 @@ def _posterior_point(case, x):
 
 
 def _op_posterior_value(case, exp):
-    return str(_posterior_point(case, _x_arg(exp)).value)
+    return str(_posterior_point(case, exp).value)
 
 
 def _op_posterior_action(case, exp):
-    return _flat_strings(
-        _posterior_point(case, _x_arg(exp)).action_vertices[0].weights
-    )
+    return _flat_strings(_posterior_point(case, exp).action_vertices[0].weights)
 
 
 def _op_posterior_face_count(case, exp):
-    return len(_posterior_point(case, _x_arg(exp)).action_vertices)
+    return len(_posterior_point(case, exp).action_vertices)
 
 
 def _op_posterior_rule_worst_case(case, exp):
@@ -291,7 +277,7 @@ def _op_hull_member(case, exp):
 
 
 def _dilation_row(case, exp):
-    return dilation_report(case.credal()).row_for(_event_arg(exp))
+    return dilation_report(case.credal()).row_for(_arg(exp, "event"))
 
 
 def _op_dilates(case, exp):
@@ -304,7 +290,7 @@ def _op_prior_interval(case, exp):
 
 
 def _op_posterior_interval(case, exp):
-    x = _x_arg(exp)
+    x = str(_arg(exp, "x"))
     for label, (lo, hi) in _dilation_row(case, exp).posteriors:
         if label == x:
             return [str(lo), str(hi)]

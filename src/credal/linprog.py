@@ -16,10 +16,14 @@ primal point as numerators over its denominator, and the dual prices
 from the final pricing row, each times its row's denominator.  Those
 pairs are verified as they are (feasibility and complementary
 slackness, and with them strong duality), and then one ``Fraction`` is
-built per value.  The candidate systems of the optimal-face enumeration
-run through one Bareiss kernel on Python ``int``; each division by the
-previous pivot is exact, so no gcd is taken, and only the results are
-turned back into fractions.
+built per value.  An infeasible verdict is verified too: phase 1's
+final prices, read off the same way, are a Farkas certificate, checked
+on the LP's integer rows by :func:`_verify_infeasible`.  No LP the
+package builds is unbounded, so that verdict carries no check.  The
+candidate systems of the optimal-face enumeration run through one
+Bareiss kernel on Python ``int``; each division by the previous pivot
+is exact, so no gcd is taken, and only the results are turned back
+into fractions.
 
 Every game in the package is one LP shape, built by :func:`block_game`:
 minimise the worst of finitely many linear losses over a product of
@@ -391,6 +395,7 @@ class _Tableau:
             if unb:
                 raise InternalCheckError("phase 1 cannot be unbounded")
             if zrow[-1] != 0:
+                self.zrow = zrow  # phase 1's prices, the Farkas certificate
                 return INFEASIBLE
             # drive artificials out of the basis
             for r in range(len(self.rows)):
@@ -537,9 +542,33 @@ def lp_solve(lp: LinearProgram, start=None) -> LpSolution:
             return _optimum(lp, tab, True)
     tab = _Tableau(lp)
     status = tab.run()
+    if status == INFEASIBLE:
+        # phase 1's price of each row, read off its starting unit column
+        # like the optimum's, in the sign of the LP's own row
+        den, z = tab.den, tab.zrow
+        _verify_infeasible(lp, [
+            (-1 if flipped else 1) * (den * (u in tab.artificial) - z[u])
+            for u, flipped in zip(tab.unit, tab.flipped)
+        ])
     if status != OPTIMAL:
         return LpSolution(status=status, value=None, primal=None, dual=None)
     return _optimum(lp, tab, tab.unique())
+
+
+def _verify_infeasible(lp: LinearProgram, ys):
+    """The Farkas check of an infeasible verdict, on the LP's integer rows:
+    ``y.A_j <= 0`` on each nonnegative variable and ``= 0`` on each free
+    one, ``y_i <= 0`` on each ``<=`` row, and ``y.b > 0``.  A feasible
+    ``x`` would give ``0 >= y.A.x >= y.b > 0``."""
+    ints = [r for r, _ in lp.rows]
+    if any(y > 0 for y, sense in zip(ys, lp.senses) if sense == LE):
+        raise InternalCheckError("Farkas price of a <= row is positive")
+    for col, lower in zip(zip(*ints), lp.lower_bounds):
+        v = sum(map(mul, ys, col))
+        if v > 0 or (lower is None and v):
+            raise InternalCheckError("Farkas prices do not bound a column")
+    if sum(y * r[-1] for y, r in zip(ys, ints)) <= 0:
+        raise InternalCheckError("Farkas prices do not refute the right-hand side")
 
 
 def _optimum(lp, tab, unique):

@@ -32,10 +32,15 @@ from credal.calibration import (
     partition_conditioning,
 )
 from credal.core import CredalSet, Partition, support_x
-from credal.core import _posterior_y as posterior_y  # afresh, past the set's cache
+from credal.core import posterior_y as _posterior_y
 from credal.partitions import all_partitions
 from credal.polytope import VPolytope
 from polytope_oracle import set_equal, subset
+
+
+def posterior_y(p: CredalSet, cell) -> VPolytope | None:
+    """:func:`credal.core.posterior_y` computed afresh: a new set has a table of its own."""
+    return _posterior_y(CredalSet(p.space, p.generators, p.convex), cell)
 
 
 def image_y(rule: UpdateRule, p: CredalSet, x) -> VPolytope | None:

@@ -246,13 +246,13 @@ def test_sharpness_at_the_signal_limit_in_seconds():
 def test_check_calibration_conditions_each_cell_once(monkeypatch):
     # counts the conditioning itself, past the set's cache
     calls = Counter()
-    compute = credal.core._posterior_y
+    compute = credal.core._cell_points
 
-    def counted(p, cell):
-        calls[tuple(cell)] += 1
-        return compute(p, cell)
+    def counted(p, idx):
+        calls[tuple(p.space.x_labels[i] for i in idx)] += 1
+        return compute(p, idx)
 
-    monkeypatch.setattr(credal.core, "_posterior_y", counted)
+    monkeypatch.setattr(credal.core, "_cell_points", counted)
     rng = random.Random(5)
     for _ in range(20):
         p = _fresh(_random_set(rng, rng.randint(2, 5)))
@@ -260,6 +260,20 @@ def test_check_calibration_conditions_each_cell_once(monkeypatch):
         report = check_calibration(standard_conditioning(), p)
         assert calls and max(calls.values()) == 1
         assert all(cl.cell in calls for cl in report.per_class)
+
+
+def test_the_table_keys_each_event_by_its_bitmask_alone():
+    # label tuples name an event but never key it, and neither does a
+    # sharpness question, which asks by the cells' masks
+    rng = random.Random(45)
+    for _ in range(20):
+        p = _fresh(_random_set(rng, rng.randint(3, 5)))
+        labels = p.space.x_labels
+        for cell in (labels[:1], labels[::-1], labels[1:] + labels[:1]):
+            credal.core.posterior_y(p, cell)
+        part, _cert = calibration.sharp_partition(p)
+        assert calibration.is_sharply_calibrated(partition_conditioning(part), p).sharp
+        assert p._events.posteriors and all(type(k) is int for k in p._events.posteriors)
 
 
 def test_sharpness_compares_each_pair_of_sets_once(monkeypatch):

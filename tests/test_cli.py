@@ -560,13 +560,13 @@ def test_time_check_conditions_each_live_signal_once(monkeypatch):
     # the rectangularity check, the posterior game and the posterior losses
     # all read the set's conditionals, computed once per signal
     calls = []
-    posterior_y = credal.core.posterior_y
+    compute = credal.core._cell_points
 
-    def counted(p, cell):
-        calls.append(tuple(cell))
-        return posterior_y(p, cell)
+    def counted(p, idx):
+        calls.append(tuple(p.space.x_labels[i] for i in idx))
+        return compute(p, idx)
 
-    monkeypatch.setattr(credal.core, "posterior_y", counted)
+    monkeypatch.setattr(credal.core, "_cell_points", counted)
     assert lines("consistency", "time", "corpus/example-4.5")
     assert calls == [("0",), ("1",)]
 

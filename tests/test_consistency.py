@@ -23,7 +23,7 @@ from credal.core import (
 )
 from credal.corpus import load_case
 from credal.linprog import InternalCheckError
-from credal.minimax import worst_case_loss
+from credal.minimax import solve_ignoring, worst_case_loss
 
 from problems import (
     coin_pair_set,
@@ -33,6 +33,7 @@ from problems import (
     prediction_problem,
     prediction_problem_with_exit,
     quadruple_set,
+    random_games,
 )
 from structure_oracle import PRODUCT_LIMIT
 
@@ -228,3 +229,40 @@ def test_every_witness_is_replayed_before_its_verdict(monkeypatch, check, proble
     )
     with pytest.raises(InternalCheckError):
         check(problem())
+
+
+# ---------------------------------------------------------------------------
+# the paper's structure results, as properties of the seeded random games
+
+
+def test_the_hulls_of_random_games_are_consistent():
+    # every cell of a random game is positive, so its hull is rectangular
+    # and conservative: time and weak-time consistent, and dynamically
+    # consistent (Epstein & Schneider), so no falsifier may succeed
+    for s, dp in enumerate(random_games(200)):
+        h = DecisionProblem(hull(dp.credal), dp.loss)
+        notes = sufficient_conditions(h)
+        assert notes.rectangular and notes.conservative, s
+        assert check_time_consistency(h).result == "consistent", s
+        assert check_weak_time_consistency(h).result == "consistent", s
+        assert falsify_dynamic_consistency(h, 0).result != "inconsistent", s
+
+
+def test_time_consistency_implies_weak_time_consistency_on_random_games():
+    consistent = 0
+    for s, dp in enumerate(random_games(200)):
+        if check_time_consistency(dp).result == "consistent":
+            assert check_weak_time_consistency(dp).result == "consistent", s
+            consistent += 1
+    assert consistent >= 100, consistent
+
+
+def test_an_ignoring_rule_that_matches_the_prior_game_attains_its_value():
+    matched = 0
+    for s, dp in enumerate(random_games(200)):
+        ignoring = solve_ignoring(dp)
+        if ignoring.matches_a_priori:
+            worst = worst_case_loss(dp.credal, ignoring.rule, dp.loss)[0]
+            assert worst == ignoring.a_priori_value, s
+            matched += 1
+    assert matched >= 100, matched

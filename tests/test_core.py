@@ -274,13 +274,13 @@ def test_posterior_y_rejects_an_empty_cell():
 def test_posterior_y_conditions_each_event_once_in_any_label_order(monkeypatch):
     # the event is the set of its signals: label order and repeats name the same event
     calls = []
-    compute = credal.core._posterior_y
+    compute = credal.core._cell_points
 
-    def counted(p, cell):
-        calls.append(cell)
-        return compute(p, cell)
+    def counted(p, idx):
+        calls.append(tuple(idx))
+        return compute(p, idx)
 
-    monkeypatch.setattr(credal.core, "_posterior_y", counted)
+    monkeypatch.setattr(credal.core, "_cell_points", counted)
     for seed in range(20):
         p, _dead = random_set_with_dead_signals(random.Random(seed), seed % 2 == 0)
         labels = p.space.x_labels

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import credal.linprog
 from credal.linprog import (
     EQ,
     LE,
@@ -20,6 +21,7 @@ from credal.linprog import (
     _bareiss,
     _face_vertices,
     _solve_int,
+    _verify_infeasible,
     _verify_optimal,
     optimal_face_vertices,
     zero_sum_value,
@@ -58,6 +60,35 @@ def test_infeasible():
     sol = lp_solve(make_lp([1], [[1]], [LE], [-1]))
     assert sol.status == INFEASIBLE
     assert sol.value is None
+
+
+@pytest.mark.parametrize(
+    "rows, senses, rhs, lower_bounds",
+    [
+        ([[1]], [LE], [-1], None),
+        ([[1, 1]], [EQ], [-1], None),
+        # x >= 2, a row the tableau flips, and x <= 1
+        ([[-1], [1]], [LE, LE], [-2, 1], None),
+        # x + y = 1 and x + y <= 0, with a free t on a row of its own
+        ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], [EQ, LE, LE], [1, 0, 3], [0, 0, None]),
+    ],
+)
+def test_an_infeasible_verdict_carries_a_farkas_certificate(
+    monkeypatch, rows, senses, rhs, lower_bounds
+):
+    certificates = []
+
+    def kept(lp, ys):
+        certificates.append(ys)
+        return _verify_infeasible(lp, ys)
+
+    monkeypatch.setattr(credal.linprog, "_verify_infeasible", kept)
+    lp = make_lp([0] * len(rows[0]), rows, senses, rhs, lower_bounds)
+    assert lp_solve(lp).status == INFEASIBLE
+    [ys] = certificates
+    for forged in ([0] * len(ys), [-y for y in ys]):
+        with pytest.raises(InternalCheckError, match="Farkas"):
+            _verify_infeasible(lp, forged)
 
 
 def test_unbounded():

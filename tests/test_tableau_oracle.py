@@ -145,7 +145,15 @@ def _random_lp(rng):
     return make_lp(objective, rows, senses, rhs, lower)
 
 
-def test_random_lps_pivot_like_the_fraction_tableau(traced):
+def test_random_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
+    verified = []
+    check = credal.linprog._verify_infeasible
+
+    def counted(lp, ys):
+        verified.append(lp)
+        return check(lp, ys)
+
+    monkeypatch.setattr(credal.linprog, "_verify_infeasible", counted)
     rng = random.Random(6)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0, "negated": 0, "dropped": 0}
     # a pivot entry is negative only when an artificial is driven out, so
@@ -157,6 +165,8 @@ def test_random_lps_pivot_like_the_fraction_tableau(traced):
         seen["negated"] += tab.negated
         seen["dropped"] += len(tab.rows) < len(lp.rows) and sol.status != INFEASIBLE
     assert all(count >= 50 for count in seen.values()), seen
+    # each infeasible verdict passed its Farkas check
+    assert len(verified) == seen[INFEASIBLE] >= 700, seen
 
 
 def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
