@@ -23,14 +23,14 @@ outcome space only, and its set and each opinion set of a rule map to an
 id, equal for two sets exactly when they are, with inclusion asked once
 per pair of ids.  Ignoring is conditioning on every signal, and a table
 rule's opinion set is the Y-marginal kept on that table entry's own set.
-This module asks everything else of those ids: the ids of a rule's
-opinion sets, its classes, the walk of :func:`narrower` over two rules'
-ids, and the two questions about a partition, given as its cells'
-masks: the id of the cell at a signal, and whether it is calibrated.  A
-partition is calibrated iff each group of its cells with equal id has
-that same id on the union of the group, so the sharpness searches build
-no calibration report.  :func:`sharp_partition` orders the calibrated
-partitions once, as bitsets: at each live signal it groups them by the
+Below the public functions a partition is its cells' masks
+(:func:`credal.partitions.cell_masks`), and one join of masks by id
+groups them all: a rule's classes, a refinement round, and the classes
+of a partition, which is calibrated iff each has its own id on the
+union.  The sharpness searches read the calibrated partitions in
+enumeration order, build no calibration report, and build a
+:class:`Partition` only for what they return; :func:`sharp_partition`
+orders them once, as bitsets, joining them at each live signal by the
 id of their cell there, so it never compares two partitions directly.
 """
 
@@ -179,14 +179,20 @@ def _ids(rule: UpdateRule, p: CredalSet):
     return (p._events.intern(_image(rule, p, x)) for x in support_x(p))
 
 
-def _classes(rule: UpdateRule, p: CredalSet) -> tuple[Partition, dict]:
-    """The rule's classes, and each class's opinion-set id (None when undefined)."""
-    labels, table = p.space.x_labels, p._events
-    groups: dict[int | None, list[str]] = {}
-    for x in labels:
-        groups.setdefault(table.intern(_image(rule, p, x)), []).append(x)
-    ids = {tuple(members): i for i, members in groups.items()}
-    return Partition(labels=labels, cells=tuple(ids)), ids
+def _join(pairs) -> dict:
+    """The masks of the ``(id, mask)`` pairs joined by id, ids in
+    first-occurrence order."""
+    joined: dict = {}
+    for i, mask in pairs:
+        joined[i] = joined.get(i, 0) | mask
+    return joined
+
+
+def _classes(rule: UpdateRule, p: CredalSet) -> dict:
+    """The rule's classes: each opinion-set id (None where undefined) to
+    the mask of its signals, in the order of their least signal."""
+    table = p._events
+    return _join((table.intern(_image(rule, p, x)), 1 << k) for k, x in enumerate(p.space.x_labels))
 
 
 def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
@@ -196,7 +202,7 @@ def equivalence_classes(rule: UpdateRule, p: CredalSet) -> Partition:
     cell (calibration checks skip it).  Cells are in first-occurrence
     order of the x labels, matching the canonical partition layout.
     """
-    return _classes(rule, p)[0]
+    return partition_of(p.space.x_labels, _classes(rule, p).values())
 
 
 @dataclass(frozen=True)
@@ -239,15 +245,15 @@ def check_calibration(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
 def _report(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
     """:func:`check_calibration`, read off the set's table."""
     table = p._events
-    classes, ids = _classes(rule, p)
+    classes = _classes(rule, p)
+    partition = partition_of(p.space.x_labels, classes.values())
     reports, excluded = [], []
-    for cell in classes.cells:
-        j = ids[cell]
-        posterior = None if j is None else posterior_y(p, cell)
+    for (j, mask), cell in zip(classes.items(), partition.cells):
+        posterior = None if j is None else table.posterior(p, mask)
         if posterior is None:
             excluded.append(cell)
             continue
-        i = table.intern(posterior)
+        i = table.id(p, mask)
         reports.append(
             ClassReport(
                 cell=cell,
@@ -259,7 +265,7 @@ def _report(rule: UpdateRule, p: CredalSet) -> CalibrationReport:
         )
     return CalibrationReport(
         rule=rule,
-        classes=classes,
+        classes=partition,
         per_class=tuple(reports),
         excluded=tuple(excluded),
         calibrated=all(r.matches for r in reports),
@@ -311,14 +317,16 @@ def _require_sharpness_search(p: CredalSet):
 
 def _calibrated(p: CredalSet, cells) -> bool:
     """Is conditioning on the partition with these cells (masks) calibrated?
-    Its classes join its live cells of equal id, and it is calibrated iff
-    each class has that same id on the whole class."""
-    table, classes = p._events, {}
-    for mask in cells:
-        i = table.id(p, mask)
-        if i is not None:
-            classes[i] = classes.get(i, 0) | mask
-    return all(table.id(p, mask) == i for i, mask in classes.items())
+    Its classes join its cells of equal id, and it is calibrated iff each
+    live class has that same id on the whole class."""
+    table = p._events
+    classes = _join((table.id(p, mask), mask) for mask in cells)
+    return all(i is None or table.id(p, mask) == i for i, mask in classes.items())
+
+
+def _calibrated_partitions(p: CredalSet):
+    """The calibrated partitions (cell masks), in enumeration order."""
+    return (cells for cells in cell_masks(p.space.nx) if _calibrated(p, cells))
 
 
 def _at(p: CredalSet, cells, x: int) -> int:
@@ -345,12 +353,18 @@ def refinement_fixpoint(p: CredalSet) -> Partition:
     most ``nx`` rounds.
     """
     _require_convex(p, "refinement iteration")
-    current = Partition.singletons(p.space.x_labels)
+    return partition_of(p.space.x_labels, _fixpoint(p))
+
+
+def _fixpoint(p: CredalSet) -> tuple[int, ...]:
+    """:func:`refinement_fixpoint` as cell masks."""
+    table = p._events
+    cells = tuple(1 << i for i in range(p.space.nx))
     for _ in range(p.space.nx + 1):
-        refined = refine_partition(current, p)
-        if refined == current:
-            return current
-        current = refined
+        refined = tuple(_join((table.id(p, mask), mask) for mask in cells).values())
+        if refined == cells:
+            return cells
+        cells = refined
     raise InternalCheckError("refinement failed to stabilise")
 
 
@@ -386,20 +400,15 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     """
     _require_sharpness_search(p)
     table = p._events
-    examined = list(cell_masks(p.space.nx))
-    calibrated = [c for c in examined if _calibrated(p, c)]
+    calibrated = list(_calibrated_partitions(p))
     everyone = (1 << len(calibrated)) - 1
     below = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets lie inside
     same = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets are equal
     for x in p.live:
         ids = [_at(p, c, x) for c in calibrated]
-        groups: dict[int, int] = {}
-        for k, i in enumerate(ids):
-            groups[i] = groups.get(i, 0) | 1 << k
+        groups = _join((i, 1 << k) for k, i in enumerate(ids))
         # inclusion is asked only of ids that some partition may still lie below
-        reach: dict[int, int] = {}
-        for k, j in enumerate(ids):
-            reach[j] = reach.get(j, 0) | below[k]
+        reach = _join(zip(ids, below))
         inside = {
             j: sum(m for i, m in groups.items() if m & reach[j] and table.sub(i, j)) for j in groups
         }
@@ -407,18 +416,17 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
             below[k] &= inside[j]
             same[k] &= groups[j]
     strict = [b & ~s for b, s in zip(below, same)]
-    labels = p.space.x_labels
-    bit = {x: 1 << i for i, x in enumerate(labels)}
-    start = tuple(sum(map(bit.get, cell)) for cell in refinement_fixpoint(p).cells)
+    start = _fixpoint(p)
     if start not in calibrated:
         raise InternalCheckError("refinement fixpoint should be calibrated")
     current = calibrated.index(start)
     while strict[current]:
         current = (strict[current] & -strict[current]).bit_length() - 1  # the lowest bit
+    labels = p.space.x_labels
     return partition_of(labels, calibrated[current]), SharpnessCertificate(
         minimal=tuple(partition_of(labels, c) for c, s in zip(calibrated, strict) if not s),
         calibrated_count=len(calibrated),
-        examined=len(examined),
+        examined=bell_number(p.space.nx),
     )
 
 
@@ -447,8 +455,7 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     images = list(_ids(rule, p))
     if None in images:
         raise ValueError("rule undefined at a support signal")
-    for c in cell_masks(p.space.nx):
-        walk = (_at(p, c, x) for x in p.live)
-        if _calibrated(p, c) and _narrower(p, walk, images) == STRICTLY_NARROWER:
+    for c in _calibrated_partitions(p):
+        if _narrower(p, (_at(p, c, x) for x in p.live), images) == STRICTLY_NARROWER:
             return SharpnessVerdict(sharp=False, witness=partition_of(p.space.x_labels, c))
     return SharpnessVerdict(sharp=True, witness=None)

@@ -52,10 +52,10 @@ from .problemfile import (
     ProblemFile,
     ProblemFileError,
     _parse,
+    _rational,
     corpus_ids,
     corpus_text,
 )
-from .rationals import rat
 
 __all__ = [
     "CorpusError",
@@ -184,7 +184,7 @@ def _arg(exp: Expectation, key: str):
 
 
 def _mass_arg(exp: Expectation):
-    return tuple(rat(v) for row in _arg(exp, "mass") for v in row)
+    return tuple(_rational(v, "mass") for row in _arg(exp, "mass") for v in row)
 
 
 def _rule_arg(exp: Expectation, case: CorpusCase):

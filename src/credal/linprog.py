@@ -765,7 +765,8 @@ def optimal_face_vertices(rows, widths, value, prices) -> list[tuple[Fraction, .
     value``, so a column priced above its block minimum (a positive
     reduced cost) is 0 and a row with a positive price is tight
     (complementary slackness); only the other columns are enumerated, with
-    the priced rows as equalities."""
+    the priced rows as equalities.  A certified value is attained: an empty
+    face is an :class:`InternalCheckError` too."""
     n = sum(widths)
     _check_rows(rows, n)
     qs, qd = common_denominator(prices)
@@ -777,6 +778,8 @@ def optimal_face_vertices(rows, widths, value, prices) -> list[tuple[Fraction, .
     tight = [r for r, q in zip(reduced, qs) if q > 0]
     loose = [r for r, q in zip(reduced, qs) if q <= 0]
     vertices = _face_vertices(loose, kept_widths, value, tight)
+    if not vertices:
+        raise InternalCheckError("optimal face came back empty")
     return [tuple(v[pos[j]] if j in pos else ZERO for j in range(n)) for v in vertices]
 
 

@@ -233,8 +233,6 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
             verts = optimal_face_vertices(dp.loss_rows, _widths(dp), lp.value, lp.bookie_mixture)
             # sorted as the vertices are: every rule has the same uniform dead blocks
             vertices = tuple(_block_rule(space, live, v) for v in verts)
-            if not vertices:
-                raise InternalCheckError("optimal face came back empty")
         report = verify_saddle(dp, lp.bookie_mixture, vertices[0])
         if not report.holds:
             raise InternalCheckError("saddle check failed: %s" % (report.failing,))
@@ -396,8 +394,6 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
 
     verts = [gamma] if unique else optimal_face_vertices(rows, widths, value, mixture)
     action_vertices = tuple(RandomizedAction(v) for v in verts)
-    if not action_vertices:
-        raise InternalCheckError("constant-rule face came back empty")
     rule = rule_from_weights(space, [action_vertices[0].weights] * space.nx)
 
     prior = solve_a_priori(dp, face=False)

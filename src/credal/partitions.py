@@ -1,12 +1,14 @@
 """Enumeration of set partitions in a stable order.
 
-Partitions are generated from restricted-growth strings in
-lexicographic order, so the whole-set partition comes first and the
-all-singletons partition last.  The order is part of the public
-contract: searches that return "the first partition such that ..."
-must be reproducible.  The sharpness searches walk the same order as
-cell bitmasks (:func:`cell_masks`) and build a :class:`Partition` only
-for what they return.
+A partition below the public API is the tuple of its cells' bitmasks
+(bit ``i`` for element ``i``), cells by their least element.
+:func:`cell_masks` lists them in restricted-growth order: element ``i``
+joins each open cell in turn, then opens a new one, so the whole-set
+partition comes first and the all-singletons partition last.  The
+order is part of the public contract: searches that return "the first
+partition such that ..." must be reproducible.  The sharpness searches
+walk the masks and build a :class:`Partition` (:func:`partition_of`)
+only for what they return.
 """
 
 from __future__ import annotations
@@ -29,37 +31,25 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def _growth_strings(n: int):
-    """Restricted-growth strings of length n, lexicographically.
-
-    a[0] = 0 and a[i] <= max(a[:i]) + 1; each string encodes the cell
-    index of every element.
-    """
-    string = [0] * n
-
-    def rec(i: int, top: int):
-        if i == n:
-            yield tuple(string)
-            return
-        for v in range(top + 2):
-            string[i] = v
-            yield from rec(i + 1, max(top, v))
-
-    if n == 0:
-        yield ()
-    else:
-        yield from rec(1, 0)
-
-
 def cell_masks(n: int):
-    """Every partition of ``range(n)``, ``n >= 1``, as the bitmasks of its
-    cells (bit ``i`` for element ``i``), in the order of
-    :func:`all_partitions`, cells by their least element."""
-    for rgs in _growth_strings(n):
-        cells = [0] * (max(rgs) + 1)
-        for i, cell in enumerate(rgs):
-            cells[cell] |= 1 << i
-        yield tuple(cells)
+    """Every partition of ``range(n)`` as the bitmasks of its cells, in
+    restricted-growth order, cells by their least element."""
+    cells: list[int] = []
+
+    def grow(i: int):
+        if i == n:
+            yield tuple(cells)
+            return
+        bit = 1 << i
+        for k in range(len(cells)):
+            cells[k] |= bit
+            yield from grow(i + 1)
+            cells[k] ^= bit
+        cells.append(bit)
+        yield from grow(i + 1)
+        cells.pop()
+
+    return grow(0)
 
 
 def partition_of(labels, cells) -> Partition:

@@ -10,8 +10,9 @@ so the oracle shares neither the integer identity, box and segment
 tests of ``credal.polytope`` nor the table of cells and the bitset
 poset of the sharpness searches in ``credal.calibration``: it checks
 calibration partition by partition and compares partitions pair by
-pair.  Tests compare the package's answers against these, report
-field by report field."""
+pair, and it lists partitions from restricted-growth strings, not from
+``credal.partitions``.  Tests compare the package's answers against
+these, report field by report field."""
 
 from __future__ import annotations
 
@@ -33,9 +34,36 @@ from credal.calibration import (
 )
 from credal.core import CredalSet, Partition, support_x
 from credal.core import posterior_y as _posterior_y
-from credal.partitions import all_partitions
 from credal.polytope import VPolytope
 from polytope_oracle import set_equal, subset
+
+
+def growth_strings(n: int):
+    """Restricted-growth strings of length ``n >= 1``, lexicographically:
+    ``a[0] = 0`` and ``a[i] <= max(a[:i]) + 1``, the cell index of each
+    element."""
+    string = [0] * n
+
+    def rec(i: int, top: int):
+        if i == n:
+            yield tuple(string)
+            return
+        for v in range(top + 2):
+            string[i] = v
+            yield from rec(i + 1, max(top, v))
+
+    yield from rec(1, 0)
+
+
+def all_partitions(labels):
+    """All partitions of ``labels``, one per restricted-growth string: the
+    whole set first, the singletons last."""
+    labels = tuple(labels)
+    for string in growth_strings(len(labels)):
+        cells = [[] for _ in range(max(string) + 1)]
+        for x, k in zip(labels, string):
+            cells[k].append(x)
+        yield Partition(labels=labels, cells=tuple(map(tuple, cells)))
 
 
 def posterior_y(p: CredalSet, cell) -> VPolytope | None:

@@ -14,11 +14,33 @@ from credal.core import (
     ProblemSpace,
     classification_loss,
     credal_set,
+    hull,
     loss_function,
 )
+from credal.problemfile import problem_file_from, render_problem_file
 from credal.sampling import simplex_point
 
 F = Fraction
+
+
+def _cell_counts(rng, n):
+    """``n`` positive counts and their sum, drawn as ``perfbench/workloads.py``
+    draws a joint's cells: the sum from ``2n``-``max(24, 3n)``, every cell
+    1, and each further unit to a uniform cell."""
+    denom = rng.randint(2 * n, max(24, 3 * n))
+    counts = [1] * n
+    for _ in range(denom - n):
+        counts[rng.randrange(n)] += 1
+    return counts, denom
+
+
+def _loss(rng, space):
+    """Losses in [-12, 12] over denominators 1-4, as ``perfbench/workloads.py``
+    draws them."""
+    table = [
+        [F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(space.na)] for _ in range(space.ny)
+    ]
+    return loss_function(space, table)
 
 
 def seven_by_five_text():
@@ -28,10 +50,7 @@ def seven_by_five_text():
     rng = random.Random(75)
     gens = []
     for _ in range(3):
-        denom = rng.randint(70, 105)
-        counts = [1] * 35
-        for _ in range(denom - 35):
-            counts[rng.randrange(35)] += 1
+        counts, denom = _cell_counts(rng, 35)
         gens.append([["%d/%d" % (c, denom) for c in counts[i : i + 5]] for i in range(0, 35, 5)])
     return json.dumps({
         "x_labels": [str(i) for i in range(7)],
@@ -42,23 +61,35 @@ def seven_by_five_text():
     })
 
 
+def sharp_limit_set(rng):
+    """A convex set of 2 joints over the 8 signals of
+    ``calibration.SHARP_X_LIMIT``, outcomes 0 and 1 and actions a and b,
+    each cell's count drawn from 1-9 with ``rng``: 4,140 partitions."""
+    space = ProblemSpace(tuple(map(str, range(8))), ("0", "1"), ("a", "b"))
+    masses = []
+    for _ in range(2):
+        counts = [[rng.randint(1, 9) for _ in range(2)] for _ in range(8)]
+        total = sum(map(sum, counts))
+        masses.append([[F(c, total) for c in row] for row in counts])
+    return credal_set(space, masses, True)
+
+
+def sharp_limit_text():
+    """``sharp_limit_set(random.Random(8))`` as a problem file."""
+    return render_problem_file(problem_file_from(sharp_limit_set(random.Random(8))))
+
+
 def games_problem(rng, nx, ny, na, k):
     """A convex problem of ``k`` joints over ``nx`` signals, ``ny``
     outcomes and ``na`` actions, every cell positive, and losses in
     [-12, 12] over denominators 1-4, drawn from ``rng`` as
     ``perfbench/workloads.py`` draws its games files."""
-    space = ProblemSpace(*(tuple(map(str, range(n))) for n in (nx, ny, na)))
+    space = _numbered_space(nx, ny, na)
     masses = []
     for _ in range(k):
-        n = nx * ny
-        denom = rng.randint(2 * n, max(24, 3 * n))
-        counts = [1] * n
-        for _ in range(denom - n):
-            counts[rng.randrange(n)] += 1
+        counts, denom = _cell_counts(rng, nx * ny)
         masses.append([[F(c, denom) for c in counts[i * ny : (i + 1) * ny]] for i in range(nx)])
-    p = credal_set(space, masses, True)
-    loss = [[F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(na)] for _ in range(ny)]
-    return DecisionProblem(p, loss_function(space, loss))
+    return DecisionProblem(credal_set(space, masses, True), _loss(rng, space))
 
 
 def random_games(count):
@@ -69,6 +100,54 @@ def random_games(count):
         rng = random.Random(s)
         nx, ny, na = (rng.choice([2, 3]) for _ in range(3))
         yield games_problem(rng, nx, ny, na, rng.choice([2, 3, 4]))
+
+
+def dead_signal_problems(count):
+    """The first ``count`` of the seeded dead-signal problems, each on a
+    generator set and on its hull.  Problem ``s`` draws nx from {2, 3, 4},
+    ny and na from {2, 3} and k from {2, 3} with ``random.Random(20_000 +
+    s)``.  Each of the k generators kills each signal with probability
+    0.35, keeping signal 0 if all die, and spreads its mass over the live
+    cells by :func:`_cell_counts`; then the loss is drawn."""
+    for s in range(count):
+        rng = random.Random(20_000 + s)
+        nx, ny, na = rng.choice([2, 3, 4]), rng.choice([2, 3]), rng.choice([2, 3])
+        space = _numbered_space(nx, ny, na)
+        masses = []
+        for _ in range(rng.choice([2, 3])):
+            live = [i for i in range(nx) if rng.random() >= 0.35] or [0]
+            counts, denom = _cell_counts(rng, len(live) * ny)
+            cells = iter(F(c, denom) for c in counts)
+            masses.append([[next(cells) if i in live else F(0) for _ in range(ny)] for i in range(nx)])
+        p = credal_set(space, masses, True)
+        loss = _loss(rng, space)
+        yield DecisionProblem(p, loss), DecisionProblem(hull(p), loss)
+
+
+def product_form_problems(count):
+    """The first ``count`` of the seeded product-form problems, each on the
+    hull of its generators.  Problem ``s`` draws nx, ny and na from {2, 3}
+    and k from {2, 3} with ``random.Random(30_000 + s)``.  Each of the k
+    generators is q_X x r_Y, with q's entries from 1-6 and r's from 0-6
+    (redrawn while all are 0); then the loss is drawn."""
+    for s in range(count):
+        rng = random.Random(30_000 + s)
+        nx, ny, na = (rng.choice([2, 3]) for _ in range(3))
+        space = _numbered_space(nx, ny, na)
+        masses = []
+        for _ in range(rng.choice([2, 3])):
+            q = [rng.randint(1, 6) for _ in range(nx)]
+            r = [0] * ny
+            while not any(r):
+                r = [rng.randint(0, 6) for _ in range(ny)]
+            total = sum(q) * sum(r)
+            masses.append([[F(a * b, total) for b in r] for a in q])
+        p = credal_set(space, masses, True)
+        yield DecisionProblem(hull(p), _loss(rng, space))
+
+
+def _numbered_space(nx, ny, na):
+    return ProblemSpace(*(tuple(map(str, range(n))) for n in (nx, ny, na)))
 
 
 def binary_space():

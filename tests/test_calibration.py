@@ -239,8 +239,8 @@ def test_sharp_partition_product_set_all_minimal():
 def test_sharp_partition_refuses_an_uncalibrated_fixpoint(monkeypatch):
     # a fixpoint that reads as not calibrated is a bug, named as one
     monkeypatch.setattr(
-        "credal.calibration.refinement_fixpoint",
-        lambda p: Partition.singletons(p.space.x_labels),
+        "credal.calibration._fixpoint",
+        lambda p: tuple(1 << i for i in range(p.space.nx)),
     )
     with pytest.raises(InternalCheckError, match="^refinement fixpoint should be calibrated$"):
         sharp_partition(fixed_outcome_set())

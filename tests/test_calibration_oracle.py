@@ -31,10 +31,11 @@ from credal.core import (
 )
 from credal.corpus import load_corpus
 from credal.linprog import SizeLimitError
-from credal.partitions import all_partitions, bell_number
+from credal.partitions import all_partitions, bell_number, cell_masks
 from credal.sampling import simplex_point
 
 import calibration_oracle
+from problems import sharp_limit_set
 
 F = Fraction
 
@@ -223,12 +224,8 @@ def test_sharpness_at_the_signal_limit_in_seconds():
     # is checked for what it promises
     nx = calibration.SHARP_X_LIMIT
     rng = random.Random(8)
-    masses = []
-    for _ in range(2):
-        counts = [[rng.randint(1, 9) for _ in range(2)] for _ in range(nx)]
-        total = sum(map(sum, counts))
-        masses.append([[F(c, total) for c in row] for row in counts])
-    p = credal_set(_space(nx, 2), masses, True)
+    p = sharp_limit_set(rng)
+    assert p.space.nx == nx
     start = time.perf_counter()
     part, cert = calibration.sharp_partition(p)
     assert time.perf_counter() - start < 10
@@ -241,6 +238,39 @@ def test_sharpness_at_the_signal_limit_in_seconds():
     for c in [part] + rng.sample(cert.minimal, 4):
         verdict = calibration.is_sharply_calibrated(partition_conditioning(c), p)
         assert verdict.sharp, c
+
+
+def test_partitions_follow_the_restricted_growth_order():
+    # the oracle lists partitions from restricted-growth strings, so a
+    # reordering of the package's enumeration shows here, not only at n = 3
+    for n in range(1, 10):
+        strings = list(calibration_oracle.growth_strings(n))
+        assert len(strings) == bell_number(n)
+        masks = [
+            tuple(sum(1 << i for i, c in enumerate(s) if c == k) for k in range(max(s) + 1))
+            for s in strings
+        ]
+        assert list(cell_masks(n)) == masks, n
+        labels = tuple("x%d" % i for i in range(n))
+        assert list(all_partitions(labels)) == list(calibration_oracle.all_partitions(labels)), n
+
+
+def test_sharp_partition_builds_partitions_only_for_its_answer(monkeypatch):
+    # the refinement fixpoint and the scan run on cell masks
+    built = []
+    post_init = Partition.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    rng = random.Random(47)
+    for _ in range(30):
+        p = _random_set(rng, rng.randint(2, 5))
+        built.clear()
+        part, cert = calibration.sharp_partition(p)
+        assert list(map(id, built)) == list(map(id, (part, *cert.minimal))), p
 
 
 def test_check_calibration_conditions_each_cell_once(monkeypatch):

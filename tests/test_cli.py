@@ -309,8 +309,28 @@ def _failing_saddle(*args):
             lambda *args: worst_case_posterior_loss(*args) + 1,
             "witness losses do not replay",
         ),
+        # an enumerated face with no vertex, in the posterior games and in
+        # the weak check that reads them
+        (
+            ("posterior", "corpus/monty-hall"),
+            "credal.linprog._face_vertices",
+            lambda *args: [],
+            "optimal face came back empty",
+        ),
+        (
+            ("consistency", "weak", "corpus/monty-hall"),
+            "credal.linprog._face_vertices",
+            lambda *args: [],
+            "optimal face came back empty",
+        ),
     ),
-    ids=("block-game-saddle", "face-vertex-saddle", "witness-replay"),
+    ids=(
+        "block-game-saddle",
+        "face-vertex-saddle",
+        "witness-replay",
+        "empty-posterior-face",
+        "empty-face-in-weak-check",
+    ),
 )
 def test_a_failed_self_check_is_an_internal_error_not_a_traceback(
     monkeypatch, capsys, argv, target, broken, message

@@ -20,18 +20,23 @@ from credal.core import (
     constant_rule,
     deterministic_rule,
     hull,
+    is_rectangular,
+    marginal_y,
 )
 from credal.corpus import load_case
 from credal.linprog import InternalCheckError
 from credal.minimax import solve_ignoring, worst_case_loss
+from credal.polytope import subset
 
 from problems import (
     coin_pair_set,
+    dead_signal_problems,
     half_dead_signal_problem,
     monty_problem,
     opposite_outcomes_problem,
     prediction_problem,
     prediction_problem_with_exit,
+    product_form_problems,
     quadruple_set,
     random_games,
 )
@@ -266,3 +271,28 @@ def test_an_ignoring_rule_that_matches_the_prior_game_attains_its_value():
             assert worst == ignoring.a_priori_value, s
             matched += 1
     assert matched >= 100, matched
+
+
+def test_rectangular_sets_with_dead_signals_are_weakly_time_consistent():
+    # a rectangular set is time consistent (Epstein & Schneider), so weakly
+    # too, also where some generators give a signal no mass
+    rectangular = 0
+    for s, pair in enumerate(dead_signal_problems(300)):
+        for dp in pair:
+            if is_rectangular(dp.credal):
+                assert check_weak_time_consistency(dp).result == "consistent", s
+                rectangular += 1
+    assert rectangular >= 340, rectangular
+
+
+def test_ignoring_is_optimal_where_every_conditional_set_holds_the_marginal():
+    # on a rectangular set whose conditional sets all contain P_Y, the
+    # bookie can answer each signal's action from P_Y, so the prior game
+    # is worth at least the constant rule's game
+    held = 0
+    for s, dp in enumerate(product_form_problems(200)):
+        p = dp.credal
+        if is_rectangular(p) and all(subset(marginal_y(p), p.conditionals[x]) for x in p.live):
+            assert solve_ignoring(dp).matches_a_priori, s
+            held += 1
+    assert held >= 200, held

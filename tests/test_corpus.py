@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -268,3 +269,29 @@ def test_unobserved_signal_has_no_posterior_game():
     bad = Expectation(op="posterior_value", args=(("x", "b"),), expect="0", note="")
     with pytest.raises(CorpusError, match="'b' has no posterior game"):
         run_expectation(case, bad)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", " 1/2 "])
+def test_a_mass_argument_reads_its_numbers_as_the_generators_do(text):
+    # one number reader per file: a form the generators refuse is refused
+    # in an expectation's mass too, naming the field
+    doc = {
+        "id": "uniform",
+        "x_labels": ["a", "b"],
+        "y_labels": ["0", "1"],
+        "actions": ["0", "1"],
+        "convex": True,
+        "generators": [[["1/4", "1/4"], ["1/4", "1/4"]]],
+        "expectations": [
+            {"op": "member", "args": {"mass": [["1/4", "1/4"], ["1/4", 1]]}, "expect": False},
+            {"op": "member", "args": {"mass": [[text, "1/4"], ["1/4", "1/4"]]}, "expect": False},
+        ],
+    }
+    case = _parse_case("uniform", json.dumps(doc))
+    assert run_expectation(case, case.expectations[0]).ok
+    message = "field 'mass': not a rational: %r" % text
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        run_expectation(case, case.expectations[1])
+    doc["generators"][0][0][0] = text
+    with pytest.raises(CorpusError, match=re.escape("not a rational: %r" % text)):
+        _parse_case("uniform", json.dumps(doc))
