@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ConvexityError, CredalSet, Partition, marginal_y, posterior_y, support_x
-from .linprog import InternalCheckError, SizeLimitError
+from .linprog import InternalCheckError, refuse_above
 from .partitions import bell_number, cell_masks, partition_of
 from .polytope import VPolytope
 
@@ -308,11 +308,9 @@ def _require_convex(p: CredalSet, what: str):
 def _require_sharpness_search(p: CredalSet):
     """The sharpness search scans every partition of the signals."""
     _require_convex(p, "sharpness search")
-    if p.space.nx > SHARP_X_LIMIT:
-        raise SizeLimitError(
-            "sharpness search limited to %d signals, got %d (%d partitions)"
-            % (SHARP_X_LIMIT, p.space.nx, bell_number(p.space.nx))
-        )
+    nx = p.space.nx
+    partitions = "%d partitions" % bell_number(nx)
+    refuse_above(SHARP_X_LIMIT, nx, "sharpness search", "signals", partitions)
 
 
 def _calibrated(p: CredalSet, cells) -> bool:

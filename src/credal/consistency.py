@@ -21,12 +21,13 @@ solve each once per problem, so the time check reads the weak check's
 games and only adds the prior game's face.
 Every loss is read from the games' own rows, kept on the problem: the
 weak check's loss of each posterior-optimal action at its signal from
-the prior game's rows (``dp.loss_rows``), and each rule's M_delta from
-those and its m_delta(x) from the posterior game's rows at x
-(``dp.posterior_rows``, :func:`credal.minimax._rule_risks`).  This
-module builds no rows itself; :func:`_replay` replays every witness
-before its verdict, through the public ``worst_case_loss`` and
-``worst_case_posterior_loss``, which build their own rows.  The dynamic
+that signal's block of the prior game's rows (``dp.loss_blocks``), and
+each rule's M_delta from those rows (``dp.loss_rows``) and its
+m_delta(x) from the posterior game's rows at x (``dp.posterior_rows``,
+:func:`credal.minimax._rule_risks`).  This module builds no rows itself;
+:func:`_replay` replays every witness before its verdict, through the
+public ``worst_case_loss`` and ``worst_case_posterior_loss``, which
+build their own rows.  The dynamic
 falsifier gets every candidate's M_delta and m_delta(x) as ``Fraction``s
 (``_rule_risks``, through ``minimax._worst``), sorts each loss once into
 ranks (``_ranks``) and compares the ranks as ``int``s.
@@ -48,7 +49,7 @@ from .core import (
     is_rectangular,
     support_x,
 )
-from .linprog import InternalCheckError, SizeLimitError, _worst_row
+from .linprog import InternalCheckError, _worst_row, refuse_above
 from .minimax import (
     _rule_risks,
     solve_a_posteriori,
@@ -181,12 +182,12 @@ def _first_violating_product(dp: DecisionProblem, choices, bound) -> DecisionRul
     signal.  So the first choice at each signal, in order, whose bound
     still exceeds ``bound`` gives the first violating product.
     """
-    na, live = dp.space.na, dp.credal.live
+    live = dp.credal.live
     # each choice's loss at its live signal under each generator, over one denominator
-    per = []
-    for k, xi in enumerate(live):
-        at = [(r[k * na : (k + 1) * na], d) for r, d in dp.loss_rows]
-        per.append([_worst_row(at, common_denominator(a.weights))[:2] for a in choices[xi]])
+    per = [
+        [_worst_row(at, common_denominator(a.weights))[:2] for a in choices[xi]]
+        for xi, at in zip(live, dp.loss_blocks)
+    ]
     den = math.lcm(*[d for opts in per for _, d in opts])
     losses = [
         [[v[i] * (den // d) for v, d in opts] for opts in per]
@@ -360,11 +361,7 @@ def _dynamic_candidates(dp: DecisionProblem, budget: int) -> list[DecisionRule]:
     choices = solve_a_posteriori(dp).choices(dp.space)
     count = math.prod(map(len, choices)) + len(prior.optimal_rule_vertices) + budget
     count += dp.space.na**dp.space.nx
-    if count > DYNAMIC_CANDIDATE_LIMIT:
-        raise SizeLimitError(
-            "dynamic consistency candidates limited to %d, got %d"
-            % (DYNAMIC_CANDIDATE_LIMIT, count)
-        )
+    refuse_above(DYNAMIC_CANDIDATE_LIMIT, count, "dynamic consistency candidates")
     rng = random.Random(0)
     rules = itertools.chain(
         (DecisionRule(space=dp.space, per_x=combo) for combo in itertools.product(*choices)),

@@ -14,34 +14,38 @@ set conditions pointwise.
 :func:`posterior_y` is the one primitive for the set of outcome
 distributions after observing a cell of signals: it conditions each
 generator and projects it to Y in one step, and prunes once, in Y
-coordinates.  The posterior game, dilation, calibration and the
-per-signal pieces of :func:`hull` all use it, so they never build a
-polytope over the joint space; :func:`marginal_y` is it on the whole
-signal set.  A point is identified by its lowest-terms integer pair
-from the problem file's text to the pruned Y-set: the parser reads each
-joint's mass straight into that pair, a joint stores its mass as that
-pair, checked once when the joint is built (:func:`joint` is the one
-entry that takes rationals), and builds its ``Fraction`` rows only
-when they are read; a credal set drops repeated joints by those pairs,
-and ``posterior_y`` builds each conditioned point's pair from the
-joint's integers with one gcd for its polytope, which stores pairs and
-builds no ``Fraction`` until its generators are read.  The dilation
-intervals, each rectangularity swap, each game row, each conditioned
-joint, each :func:`hull` product and the bookie's aggregate are built
-from the same integers, and a swap is asked of the joint set as its
-pair.  Each credal set keeps one table of its signal events
-(:class:`_Events`, keyed by bitmask alone), the one place a set is
-conditioned, each event once, in any label order; the table names each
-set with an id and keeps their inclusions, for every caller.
+coordinates.  The posterior game, calibration and the per-signal pieces
+of :func:`hull` all use it, so they never build a polytope over the
+joint space; :func:`marginal_y` is it on the whole signal set.
+:func:`dilation_report` asks only for extrema of linear functions, which
+a hull reaches at its generators, so it reads the conditioned points
+unpruned (:func:`_cell_points`) and prunes nothing.  A point is
+identified by its lowest-terms integer pair from the problem file's text
+to the pruned Y-set: the parser reads each joint's mass straight into
+that pair, a joint stores its mass as that pair, checked once when the
+joint is built (:func:`joint` is the one entry that takes rationals),
+and builds its ``Fraction`` rows only when they are read; a credal set
+drops repeated joints by those pairs, and ``posterior_y`` builds each
+conditioned point's pair from the joint's integers with one gcd for its
+polytope, which stores pairs and builds no ``Fraction`` until its
+generators are read.  The dilation intervals, each rectangularity swap,
+each game row, each conditioned joint, each :func:`hull` product and the
+bookie's aggregate are built from the same integers, and a swap is asked
+of the joint set as its pair.  Each credal set keeps one table of its
+signal events (:class:`_Events`, keyed by bitmask alone), the one place
+a set is conditioned, each event once, in any label order; the table
+names each set with an id and keeps their inclusions, for every caller.
 :attr:`CredalSet.live` lists the signals some generator reaches and
 :attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them.
-Rectangularity, :func:`hull`, dilation and the posterior game read
-those.  A :class:`DecisionProblem` keeps the prior game's loss rows and,
-per live signal, the posterior game's rows over the conditionals
+Rectangularity, :func:`hull` and the posterior game read those.  A
+:class:`DecisionProblem` keeps the prior game's loss rows and, per live
+signal, the posterior game's rows over the conditionals
 (:func:`_action_losses`), from which every loss of a rule is read, and
 each game :mod:`credal.minimax` solves on it, solved and checked once.
-:func:`condition` keeps the conditioned joint set for callers that need
-it; :func:`marginal_y` of it is ``posterior_y(p, cell)``.
+It owns the prior game's column layout, one action simplex per live
+signal in order (:attr:`DecisionProblem.widths` and the methods beside
+it).  :func:`condition` keeps the conditioned joint set for callers that
+need it; :func:`marginal_y` of it is ``posterior_y(p, cell)``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .linprog import SizeLimitError
+from .linprog import refuse_above
 from .polytope import VPolytope, _member, prune, subset
 from .rationals import common_denominator, lowest, rat, rat_matrix, rat_seq
 
@@ -375,6 +379,32 @@ class DecisionProblem:
         pairs = [([v for i in live for v in g._int_mass[i]], g.pair[1]) for g in gens]
         return _action_losses(self.loss, pairs)
 
+    @property
+    def widths(self) -> list[int]:
+        """The prior game's blocks: one simplex of actions per live signal."""
+        return [self.space.na] * len(self.credal.live)
+
+    def columns(self, rule: DecisionRule) -> list[Fraction]:
+        """The prior game's column vector of ``rule``: its weights at the live
+        signals, block by block."""
+        return [w for xi in self.credal.live for w in rule.per_x[xi].weights]
+
+    def column_rule(self, w) -> DecisionRule:
+        """The rule playing block k of the column vector ``w`` at the k-th
+        live signal, and the uniform action at the dead ones."""
+        space, na = self.space, self.space.na
+        per_x = [uniform_action(space)] * space.nx
+        for k, xi in enumerate(self.credal.live):
+            per_x[xi] = RandomizedAction(tuple(w[k * na : (k + 1) * na]))
+        return DecisionRule(space=space, per_x=tuple(per_x))
+
+    @cached_property
+    def loss_blocks(self):
+        """Per live signal, in order, each row of :attr:`loss_rows` cut to
+        its block there, over the row's denominator."""
+        na, rows = self.space.na, self.loss_rows
+        return [[(r[k : k + na], d) for r, d in rows] for k in range(0, sum(self.widths), na)]
+
     @cached_property
     def posterior_rows(self):
         """Per signal, the posterior game's rows there, one per generator of
@@ -687,10 +717,7 @@ def hull(p: CredalSet) -> CredalSet:
         math.prod(len(conds[i].points) for i in range(space.nx) if qn[i] > 0)
         for qn, _ in marg
     )
-    if count > HULL_PRODUCT_LIMIT:
-        raise SizeLimitError(
-            "hull products limited to %d, got %d" % (HULL_PRODUCT_LIMIT, count)
-        )
+    refuse_above(HULL_PRODUCT_LIMIT, count, "hull products")
     products, ny = [], space.ny
     for qn, qd in marg:
         live = [i for i in range(space.nx) if qn[i] > 0]
@@ -764,37 +791,30 @@ def dilation_report(p: CredalSet) -> DilationReport:
     """Prior and per-signal posterior intervals for every proper Y-event.
 
     Read off integer points over one denominator, as a hull keeps them:
-    the generators' Y-marginals, and each live signal's conditionals; a
-    ``Fraction`` is built only for each interval end returned.
-    More than ``DILATION_EVENT_LIMIT`` raise ``SizeLimitError`` before any."""
+    the generators' Y-marginals, and each live signal's conditioned
+    points (:func:`_cell_points`), unpruned, as an interval's ends over
+    a hull are reached at its generators; a ``Fraction`` is built only
+    for each interval end returned.  More than ``DILATION_EVENT_LIMIT``
+    raise ``SizeLimitError`` before any."""
     space = p.space
     count = (2**space.ny - 2) * (1 + len(p.live))
-    if count > DILATION_EVENT_LIMIT:
-        raise SizeLimitError(
-            "dilation intervals limited to %d, got %d" % (DILATION_EVENT_LIMIT, count)
-        )
-    prior = VPolytope(space.ny, _cell_points(p, range(space.nx)), p.convex).hull
-    posterior_sets = [(space.x_labels[i], p.conditionals[i].hull) for i in p.live]
-    rows = []
-    ys = list(range(space.ny))
-    events = []
+    refuse_above(DILATION_EVENT_LIMIT, count, "dilation intervals")
+    prior, *posts = [
+        VPolytope(space.ny, _cell_points(p, idx), p.convex).hull
+        for idx in [range(space.nx)] + [[i] for i in p.live]
+    ]
+    named, rows = list(zip(support_x(p), posts)), []
     for size in range(1, space.ny):
-        events.extend(itertools.combinations(ys, size))
-    for ev in events:
-        lo, hi = _interval(prior.nums, ev)
-        posts = []
-        dil = bool(posterior_sets)
-        for x, h in posterior_sets:
-            plo, phi = _interval(h.nums, ev)
-            posts.append((x, (Fraction(plo, h.den), Fraction(phi, h.den))))
-            if not (plo * prior.den < lo * h.den and phi * prior.den > hi * h.den):
-                dil = False
-        rows.append(
-            DilationRow(
-                event=tuple(space.y_labels[j] for j in ev),
-                prior=(Fraction(lo, prior.den), Fraction(hi, prior.den)),
-                posteriors=tuple(posts),
-                dilates=dil,
+        for ev in itertools.combinations(range(space.ny), size):
+            lo, hi = _interval(prior.nums, ev)
+            ends = [(x, h.den, *_interval(h.nums, ev)) for x, h in named]
+            wider = all(a * prior.den < lo * d and b * prior.den > hi * d for _, d, a, b in ends)
+            rows.append(
+                DilationRow(
+                    event=tuple(space.y_labels[j] for j in ev),
+                    prior=(Fraction(lo, prior.den), Fraction(hi, prior.den)),
+                    posteriors=tuple((x, (Fraction(a, d), Fraction(b, d))) for x, d, a, b in ends),
+                    dilates=bool(ends) and wider,
+                )
             )
-        )
     return DilationReport(rows=tuple(rows))

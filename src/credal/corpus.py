@@ -183,12 +183,23 @@ def _arg(exp: Expectation, key: str):
     return value
 
 
-def _mass_arg(exp: Expectation):
-    return tuple(_rational(v, "mass") for row in _arg(exp, "mass") for v in row)
+def _bad_arg(exp: Expectation, key: str, want: str) -> CorpusError:
+    return CorpusError("op %r: argument %r must be %s, got %r" % (exp.op, key, want, exp.arg(key)))
+
+
+def _mass_arg(exp: Expectation, case: CorpusCase):
+    mass, space = _arg(exp, "mass"), case.file.space()
+    shape = [len(r) for r in mass if isinstance(r, tuple)] if isinstance(mass, tuple) else []
+    if shape != [space.ny] * space.nx:
+        raise _bad_arg(exp, "mass", "%d rows of %d numbers" % (space.nx, space.ny))
+    return tuple(_rational(v, "mass") for row in mass for v in row)
 
 
 def _rule_arg(exp: Expectation, case: CorpusCase):
-    return rule_from_spec(_arg(exp, "rule"), case.file.space().x_labels)
+    try:  # rule_from_spec reads a non-string through str(), which gives no spec
+        return rule_from_spec(_arg(exp, "rule"), case.file.space().x_labels)
+    except ValueError:
+        raise _bad_arg(exp, "rule", "standard, ignore or partition:...") from None
 
 
 def _op_a_priori_value(case, exp):
@@ -252,7 +263,9 @@ def _op_time(case, exp):
 
 
 def _op_dynamic(case, exp):
-    budget = int(exp.arg("budget", 0))
+    budget = exp.arg("budget", 0)
+    if type(budget) is not int or budget < 0:  # a JSON true is no integer
+        raise _bad_arg(exp, "budget", "a nonnegative integer")
     return falsify_dynamic_consistency(case.problem(), budget=budget).result
 
 
@@ -269,15 +282,21 @@ def _op_support(case, exp):
 
 
 def _op_member(case, exp):
-    return member(_mass_arg(exp), joint_polytope(case.credal()))
+    return member(_mass_arg(exp, case), joint_polytope(case.credal()))
 
 
 def _op_hull_member(case, exp):
-    return member(_mass_arg(exp), joint_polytope(hull(case.credal())))
+    return member(_mass_arg(exp, case), joint_polytope(hull(case.credal())))
 
 
 def _dilation_row(case, exp):
-    return dilation_report(case.credal()).row_for(_arg(exp, "event"))
+    event = _arg(exp, "event")
+    if isinstance(event, tuple) and all(isinstance(y, str) for y in event):
+        try:
+            return dilation_report(case.credal()).row_for(event)
+        except KeyError:
+            pass
+    raise _bad_arg(exp, "event", "a list of outcome labels naming a proper event")
 
 
 def _op_dilates(case, exp):

@@ -68,6 +68,7 @@ __all__ = [
     "LpError",
     "DimensionError",
     "SizeLimitError",
+    "refuse_above",
     "InternalCheckError",
     "LinearProgram",
     "LpSolution",
@@ -95,6 +96,14 @@ class DimensionError(LpError):
 
 class SizeLimitError(LpError):
     """A brute-force enumeration would exceed its documented limit."""
+
+
+def refuse_above(limit: int, size: int, what: str, unit: str = "", detail: str = ""):
+    """The one refusal: :class:`SizeLimitError` when ``size`` exceeds ``limit``, worded
+    ``<what> limited to <limit> <unit>, got <size> (<detail>)``, unit and detail if given."""
+    if size > limit:
+        unit, detail = unit and " " + unit, detail and " (%s)" % detail
+        raise SizeLimitError("%s limited to %d%s, got %d%s" % (what, limit, unit, size, detail))
 
 
 class InternalCheckError(LpError):
@@ -808,11 +817,7 @@ def _face_vertices(rows, widths, value, tight=()) -> list[tuple[Fraction, ...]]:
         math.comb(len(le), t) * math.comb(n, need - t)
         for t in range(min(need, len(le)) + 1)
     )
-    if candidates > FACE_CANDIDATE_LIMIT:
-        raise SizeLimitError(
-            "face enumeration limited to %d candidate systems, got %d"
-            % (FACE_CANDIDATE_LIMIT, candidates)
-        )
+    refuse_above(FACE_CANDIDATE_LIMIT, candidates, "face enumeration", "candidate systems")
 
     vertices = set()
     for t in range(min(need, len(le)) + 1):

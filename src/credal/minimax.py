@@ -25,17 +25,19 @@ posterior games and the constant-rule game.  A refusal keeps nothing.
 The games' rows are kept on the problem too, built on first use and
 scaled to integers over a positive denominator once, and every loss of
 a rule is read from them.  ``dp.loss_rows`` are the prior game's:
-generator i's expected loss of action a at live signal x.  A rule's
-worst prior loss (M_delta) is their worst dot product with its weights
-at the live signals.  ``dp.posterior_rows[x]`` are the posterior game's
-at x, one per pruned vertex of ``dp.credal.conditionals[x]``, and the
-rule's worst posterior loss m_delta(x) is the worst of them under its
-action at x: a linear maximum over a hull is attained at its vertices.
-The one saddle check, :func:`credal.linprog._saddle`, is made by
-``block_game`` on every game it solves and by :func:`verify_saddle` on
-the prior rows, which a face solve runs on its reported vertex.  Each
-comparison is the ``Fraction`` comparison cross-multiplied by positive
-denominators; every value is a ``Fraction``.
+generator i's expected loss of action a at live signal x, in the column
+layout that ``dp`` owns (``dp.widths``, ``dp.columns``,
+``dp.column_rule``).  A rule's worst prior loss (M_delta) is their worst
+dot product with its columns.  ``dp.posterior_rows[x]`` are the
+posterior game's at x, one per pruned vertex of
+``dp.credal.conditionals[x]``, and the rule's worst posterior loss
+m_delta(x) is the worst of them under its action at x: a linear maximum
+over a hull is attained at its vertices.  The one saddle check,
+:func:`credal.linprog._saddle`, is made by ``block_game`` on every game
+it solves and by :func:`verify_saddle` on the prior rows, which a face
+solve runs on its reported vertex.  Each comparison is the ``Fraction``
+comparison cross-multiplied by positive denominators; every value is a
+``Fraction``.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -65,11 +67,11 @@ from .core import (
 )
 from .linprog import (
     InternalCheckError,
-    SizeLimitError,
     _saddle,
     _worst_row,
     block_game,
     optimal_face_vertices,
+    refuse_above,
 )
 from .polytope import VPolytope
 from .rationals import common_denominator, lowest, rat
@@ -109,22 +111,12 @@ def _worst(rows, weights):
     return Fraction(vals[i], den), i
 
 
-def _live_weights(dp: DecisionProblem, rule: DecisionRule):
-    """The weights of ``rule`` at the live signals, the prior game's columns."""
-    return [w for xi in dp.credal.live for w in rule.per_x[xi].weights]
-
-
-def _widths(dp: DecisionProblem):
-    """The prior game's blocks: one simplex of actions per live signal."""
-    return [dp.space.na] * len(dp.credal.live)
-
-
 def _rule_risks(dp: DecisionProblem, rules):
     """M_delta and the m_delta(x) at every live signal of each of ``rules``,
     read from ``dp.loss_rows`` and ``dp.posterior_rows``."""
     live, posterior = dp.credal.live, dp.posterior_rows
     for rule in rules:
-        yield _worst(dp.loss_rows, _live_weights(dp, rule))[0], tuple(
+        yield _worst(dp.loss_rows, dp.columns(rule))[0], tuple(
             _worst(posterior[xi], rule.per_x[xi].weights)[0] for xi in live
         )
 
@@ -148,7 +140,7 @@ def worst_case_loss(p: CredalSet, rule: DecisionRule, loss: LossFunction):
     generator, so scanning the generator list is exact either way.
     """
     dp = DecisionProblem(p, loss)
-    return _worst(dp.loss_rows, _live_weights(dp, rule))
+    return _worst(dp.loss_rows, dp.columns(rule))
 
 
 def worst_case_posterior_loss(
@@ -195,15 +187,6 @@ class MinimaxSolution:
         return len(self.optimal_rule_vertices) == 1
 
 
-def _block_rule(space, live_idx, w):
-    """Rule playing block k of ``w`` at signal ``live_idx[k]``, uniform elsewhere."""
-    na = space.na
-    per_x = [uniform_action(space)] * space.nx
-    for k, xi in enumerate(live_idx):
-        per_x[xi] = RandomizedAction(tuple(w[k * na : (k + 1) * na]))
-    return DecisionRule(space=space, per_x=tuple(per_x))
-
-
 def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     """Exact equilibrium of the prior game, solved once per problem.
 
@@ -224,24 +207,24 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
     games, key = dp._games, "prior face" if face else "prior"
     if key in games:
         return games[key]
-    space, live = dp.space, dp.credal.live
     if face:
         lp = solve_a_priori(dp, face=False)
         if games["prior certified"]:
             vertices = (lp.rule,)
         else:
-            verts = optimal_face_vertices(dp.loss_rows, _widths(dp), lp.value, lp.bookie_mixture)
+            verts = optimal_face_vertices(dp.loss_rows, dp.widths, lp.value, lp.bookie_mixture)
             # sorted as the vertices are: every rule has the same uniform dead blocks
-            vertices = tuple(_block_rule(space, live, v) for v in verts)
+            vertices = tuple(map(dp.column_rule, verts))
         report = verify_saddle(dp, lp.bookie_mixture, vertices[0])
         if not report.holds:
             raise InternalCheckError("saddle check failed: %s" % (report.failing,))
         solution = replace(lp, rule=vertices[0], optimal_rule_vertices=vertices)
     else:
-        value, w, mixture, games["prior certified"] = block_game(dp.loss_rows, _widths(dp))
+        value, w, mixture, games["prior certified"] = block_game(dp.loss_rows, dp.widths)
+        space, live = dp.space, dp.credal.live
         solution = MinimaxSolution(
             value=value,
-            rule=_block_rule(space, live, w),
+            rule=dp.column_rule(w),
             bookie_mixture=mixture,
             aggregate=JointDistribution(space, _mixed_mass(dp.credal.generators, mixture)),
             optimal_rule_vertices=None,
@@ -347,8 +330,8 @@ def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleRep
     if any(q < 0 for q in qs) or sum(qs) != qd:
         raise ValueError("mixture must be a probability vector")
     # a dead signal adds 0 to every loss
-    weights = common_denominator(_live_weights(dp, rule))
-    *replies, failing = _saddle(dp.loss_rows, _widths(dp), weights, prices)
+    weights = common_denominator(dp.columns(rule))
+    *replies, failing = _saddle(dp.loss_rows, dp.widths, weights, prices)
     return SaddleReport(not failing, *replies, failing)
 
 
@@ -426,15 +409,11 @@ def brute_force_value(dp: DecisionProblem, grid: int):
     if grid < 1:
         raise ValueError("grid must be >= 1")
     na = dp.space.na
-    live = dp.credal.live
     # grid points of one simplex of actions, to the power of the live signals
-    count = math.comb(grid + na - 1, na - 1) ** len(live)
+    count = math.comb(grid + na - 1, na - 1) ** len(dp.widths)
     rows = len(dp.loss_rows)
-    if count * rows > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            "grid search limited to %d row evaluations, got %d (%d rules x %d rows)"
-            % (BRUTE_FORCE_LIMIT, count * rows, count, rows)
-        )
+    detail = "%d rules x %d rows" % (count, rows)
+    refuse_above(BRUTE_FORCE_LIMIT, count * rows, "grid search", "row evaluations", detail)
 
     def compositions(total, parts):
         if parts == 1:
@@ -447,11 +426,10 @@ def brute_force_value(dp: DecisionProblem, grid: int):
     # rows over one denominator lcm; a rule's weights are integer
     # compositions over grid, so each row's loss is an int over lcm * grid
     lcm = math.lcm(*[d for _, d in dp.loss_rows])
-    scaled = [[v * (lcm // d) for v in r] for r, d in dp.loss_rows]
     comps = list(compositions(grid, na))
     shares = []  # per live signal and composition, its share of each row's loss
-    for k in range(len(live)):
-        blocks = [r[k * na : (k + 1) * na] for r in scaled]
+    for blocks in dp.loss_blocks:
+        blocks = [[v * (lcm // d) for v in b] for b, d in blocks]
         shares.append(list(zip(*[[sum(map(mul, b, c)) for c in comps] for b in blocks])))
     best = Fraction(
         min(max(map(sum, zip(*combo))) for combo in itertools.product(*shares)), lcm * grid

@@ -29,15 +29,18 @@ from credal.core import (
     posterior_y,
     prune_credal,
     support_x,
+    uniform_action,
 )
 from credal.corpus import load_corpus
 from credal.linprog import SizeLimitError
 from credal.polytope import member, prune, set_equal
 from credal.problemfile import parse_problem_file
+from credal.sampling import random_rule
 
 from problems import (
     MIRROR_PAIR_CROSS,
     coin_pair_set,
+    dead_signal_problems,
     diagonal_set,
     fixed_outcome_set,
     half_dead_signal_problem,
@@ -46,6 +49,7 @@ from problems import (
     noise_pair_set,
     opposite_outcomes_problem,
     quadruple_set,
+    random_games,
     random_set_with_dead_signals,
     seven_by_five_text,
 )
@@ -421,6 +425,51 @@ def test_dilation_report_counts_its_intervals_before_building_them():
         match="^dilation intervals limited to %d, got %d$" % (DILATION_EVENT_LIMIT, count),
     ):
         dilation_report(_uniform_set(1, 16, live=1))
+
+
+def test_dilation_reads_the_conditioned_points_without_pruning(monkeypatch):
+    # each interval over a live signal's unpruned conditioned points equals
+    # the one over its pruned conditional set: an extremum of a linear
+    # function over a hull is reached at a generator
+    sets = [c.credal() for c in load_corpus()] + [
+        parse_problem_file(seven_by_five_text()).credal(),
+        random_set_with_dead_signals(random.Random(3), True)[0],
+        random_set_with_dead_signals(random.Random(4), False)[0],
+    ]
+    pruned = []
+    monkeypatch.setattr(credal.core, "prune", lambda s: pruned.append(s) or prune(s))
+    for p in sets:
+        rep = dilation_report(p)
+        assert pruned == []
+        space = p.space
+        for row in rep.rows:
+            ev = [space.y_labels.index(y) for y in row.event]
+            for x, interval in row.posteriors:
+                vals = [sum(q[j] for j in ev) for q in posterior_y(p, [x]).generators]
+                assert interval == (min(vals), max(vals))
+        pruned.clear()
+
+
+def test_the_prior_game_layout_is_one_action_block_per_live_signal():
+    rng = random.Random(0)
+    problems = list(random_games(200))
+    problems += [dp for pair in dead_signal_problems(300) for dp in pair]
+    for dp in problems:
+        space, live = dp.space, dp.credal.live
+        assert dp.widths == [space.na] * len(live)
+        # the k blocks laid end to end are the rows
+        assert len(dp.loss_blocks) == len(live)
+        assert [
+            (tuple(v for b, _ in row for v in b), row[0][1]) for row in zip(*dp.loss_blocks)
+        ] == [(tuple(r), d) for r, d in dp.loss_rows]
+        # columns -> rule keeps a rule at its live signals, uniform at the dead
+        rule = random_rule(rng, space)
+        back = dp.column_rule(dp.columns(rule))
+        assert len(dp.columns(rule)) == sum(dp.widths)
+        for xi in range(space.nx):
+            want = rule.per_x[xi] if xi in live else uniform_action(space)
+            assert back.per_x[xi] == want
+        assert dp.columns(back) == dp.columns(rule)
 
 
 def test_partition_canonical_form_and_parsing():

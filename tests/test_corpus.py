@@ -13,6 +13,7 @@ from credal.core import is_rectangular
 from credal.corpus import (
     CorpusError,
     Expectation,
+    _freeze,
     _parse_case,
     corpus_ids,
     load_case,
@@ -295,3 +296,28 @@ def test_a_mass_argument_reads_its_numbers_as_the_generators_do(text):
     doc["generators"][0][0][0] = text
     with pytest.raises(CorpusError, match=re.escape("not a rational: %r" % text)):
         _parse_case("uniform", json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        ("dynamic", {"budget": 1.5}),
+        ("dynamic", {"budget": True}),
+        ("dynamic", {"budget": -1}),
+        ("dynamic", {"budget": "two"}),
+        ("dilates", {"event": ["zz"]}),
+        ("dilates", {"event": "10"}),
+        ("member", {"mass": [["1/2"]]}),
+        ("calibrated", {"rule": "bogus"}),
+    ],
+)
+def test_a_malformed_argument_is_a_corpus_error_naming_op_and_argument(op, args):
+    # each is read strictly: no float or bool read as an integer, no string
+    # iterated by character, and no ValueError or KeyError from below; the
+    # arguments are frozen as a case file's are
+    exp = Expectation(op=op, args=_freeze(args), expect=None, note="")
+    ((key, value),) = exp.args
+    message = "op %r: argument %r must be " % (op, key)
+    with pytest.raises(CorpusError, match=re.escape(message)) as info:
+        run_expectation(load_case("example-2.1"), exp)
+    assert str(info.value).endswith(", got %r" % (value,))

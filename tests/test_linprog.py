@@ -24,6 +24,7 @@ from credal.linprog import (
     _verify_infeasible,
     _verify_optimal,
     optimal_face_vertices,
+    refuse_above,
     zero_sum_value,
 )
 from credal.rationals import common_denominator
@@ -541,3 +542,13 @@ def test_kernel_entries_are_the_sub_determinants():
             for i in range(k, n):
                 cols = list(range(k)) + [j]
                 assert mat[i][j] == _det([[r[c] for c in cols] for r in a[:k] + [a[i]]])
+
+
+def test_refuse_above_passes_at_the_limit_and_refuses_one_past_it():
+    refuse_above(10, 10, "things")
+    with pytest.raises(SizeLimitError, match="^things limited to 10, got 11$"):
+        refuse_above(10, 11, "things")
+    with pytest.raises(
+        SizeLimitError, match=r"^grid search limited to 5 row evaluations, got 6 \(3 x 2\)$"
+    ):
+        refuse_above(5, 6, "grid search", "row evaluations", "3 x 2")
