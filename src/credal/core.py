@@ -11,35 +11,44 @@ conditioning a convex hull on an event equals the convex hull of the
 conditioned generators (the mixture weights renormalize), and a finite
 set conditions pointwise.
 
-:func:`posterior_y` is the one primitive for the set of outcome
-distributions after observing a cell of signals: it conditions each
-generator and projects it to Y in one step, and prunes once, in Y
-coordinates.  The posterior game, calibration and the per-signal pieces
-of :func:`hull` all use it, so they never build a polytope over the
-joint space; :func:`marginal_y` is it on the whole signal set.
-:func:`dilation_report` asks only for extrema of linear functions, which
-a hull reaches at its generators, so it reads the conditioned points
-unpruned (:func:`_cell_points`) and prunes nothing.  A point is
-identified by its lowest-terms integer pair from the problem file's text
-to the pruned Y-set: the parser reads each joint's mass straight into
-that pair, a joint stores its mass as that pair, checked once when the
-joint is built (:func:`joint` is the one entry that takes rationals),
-and builds its ``Fraction`` rows only when they are read; a credal set
-drops repeated joints by those pairs, and ``posterior_y`` builds each
-conditioned point's pair from the joint's integers with one gcd for its
+Each credal set keeps one table of its signal events (:class:`_Events`,
+keyed by bitmask alone), the one place a set is conditioned, each event
+once, in any label order, and projected to Y in the same step, so no
+polytope is built over the joint space.  The table holds two forms of an
+event: its distinct conditioned points in generator order
+(:meth:`_Events.points`), and their pruned set (:meth:`_Events.posterior`,
+which :func:`posterior_y` returns; :func:`marginal_y` is it on the whole
+signal set).  The rule for which to read is this one:
+
+* a maximum of linear functions reads the points, as a hull reaches it
+  at its generators: the dilation intervals, the constant-rule game
+  (:func:`credal.minimax.solve_ignoring`) and the witness replay
+  (:func:`credal.minimax.worst_case_posterior_loss`), which so shares
+  no pruning with the games it checks;
+* a vertex list reads the pruned set: :func:`hull`, the rectangularity
+  swaps, the calibration ids and the posterior game, whose optimal face
+  is enumerated over its rows.
+
+The table also names each pruned set with an id and keeps their
+inclusions, for every caller.  :attr:`CredalSet.live` lists the signals
+some generator reaches and :attr:`CredalSet.conditionals` holds
+``posterior_y`` at each signal.
+
+A point is identified by its lowest-terms integer pair from the problem
+file's text to the pruned Y-set: the parser reads each joint's mass
+straight into that pair, a joint stores its mass as that pair, checked
+once when the joint is built (:func:`joint` is the one entry that takes
+rationals), and builds its ``Fraction`` rows only when they are read; a
+credal set drops repeated joints by those pairs, and each conditioned
+point's pair is built from the joint's integers with one gcd for its
 polytope, which stores pairs and builds no ``Fraction`` until its
 generators are read.  The dilation intervals, each rectangularity swap,
 each game row, each conditioned joint, each :func:`hull` product and the
 bookie's aggregate are built from the same integers, and a swap is asked
-of the joint set as its pair.  Each credal set keeps one table of its
-signal events (:class:`_Events`, keyed by bitmask alone), the one place
-a set is conditioned, each event once, in any label order; the table
-names each set with an id and keeps their inclusions, for every caller.
-:attr:`CredalSet.live` lists the signals some generator reaches and
-:attr:`CredalSet.conditionals` holds ``posterior_y`` at each of them.
-Rectangularity, :func:`hull` and the posterior game read those.  A
-:class:`DecisionProblem` keeps the prior game's loss rows and, per live
-signal, the posterior game's rows over the conditionals
+of the joint set as its pair.
+
+A :class:`DecisionProblem` keeps the prior game's loss rows and, per
+live signal, the posterior game's rows over the conditionals
 (:func:`_action_losses`), from which every loss of a rule is read, and
 each game :mod:`credal.minimax` solves on it, solved and checked once.
 It owns the prior game's column layout, one action simplex per live
@@ -268,12 +277,8 @@ class CredalSet:
     @cached_property
     def conditionals(self) -> tuple[VPolytope | None, ...]:
         """Per signal, :func:`posterior_y` at that signal alone, or None
-        where no generator reaches it: each set is conditioned once."""
-        live = set(self.live)
-        return tuple(
-            self._events.posterior(self, 1 << i) if i in live else None
-            for i in range(self.space.nx)
-        )
+        where no generator reaches it."""
+        return tuple(self._events.posterior(self, 1 << i) for i in range(self.space.nx))
 
     @cached_property
     def _rectangular(self) -> bool:
@@ -617,27 +622,34 @@ class _Events:
     """The table of one credal set's signal events (:attr:`CredalSet._events`).
 
     An event is a bitmask over the signal indices, its only key.  The
-    table conditions each event once, to its pruned :func:`posterior_y`,
-    and names each set with an id, as it does every set interned here: a
-    convex set is its vertices and a finite set its points, and the
-    readings differ from two points on, so two sets share an id exactly
-    when they are equal.  Inclusion is asked once per pair of ids.  Each
-    question is handed the set, so the table holds no reference back to it.
+    table conditions each event once, and names each set with an id, as it
+    does every set interned here: a convex set is its vertices and a
+    finite set its points, and the readings differ from two points on, so
+    two sets share an id exactly when they are equal.  Inclusion is asked
+    once per pair of ids.  Each question is handed the set, so the table
+    holds no reference back to it.
     """
 
-    __slots__ = ("posteriors", "_ids", "_sets", "_interned", "_sub")
+    __slots__ = ("_points", "posteriors", "_ids", "_sets", "_interned", "_sub")
 
     def __init__(self):
-        self.posteriors, self._ids, self._interned, self._sub = {}, {}, {}, {}
+        self._points, self.posteriors, self._ids, self._interned, self._sub = {}, {}, {}, {}, {}
         self._sets: list[VPolytope] = []  # by id, the first set interned
 
+    def points(self, p: CredalSet, mask: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The distinct Y-points of ``p``'s generators given the event
+        ``mask``, in generator order, none if no generator reaches it: the
+        one place a set is conditioned."""
+        if mask not in self._points:
+            idx = [i for i in range(p.space.nx) if mask >> i & 1]
+            self._points[mask] = tuple(dict.fromkeys(_cell_points(p, idx)))
+        return self._points[mask]
+
     def posterior(self, p: CredalSet, mask: int) -> VPolytope | None:
-        """The pruned Y-set of ``p`` given the event ``mask``, None if no
-        generator reaches it: the one place a set is conditioned."""
+        """The pruned Y-set of :meth:`points`, None if they are none."""
         if mask not in self.posteriors:
-            points = _cell_points(p, [i for i in range(p.space.nx) if mask >> i & 1])
-            s = prune(VPolytope(p.space.ny, points, p.convex)) if points else None
-            self.posteriors[mask] = s
+            points = self.points(p, mask)
+            self.posteriors[mask] = prune(VPolytope(p.space.ny, points, p.convex)) if points else None
         return self.posteriors[mask]
 
     def intern(self, s: VPolytope | None) -> int | None:
@@ -771,6 +783,8 @@ class DilationReport:
     rows: tuple[DilationRow, ...]
 
     def row_for(self, event) -> DilationRow:
+        if isinstance(event, str):  # iterated, "10" would name the event 1,0
+            raise ValueError("an event is a list of outcome labels, got the string %r" % event)
         key = tuple(str(y) for y in event)
         for r in self.rows:
             if set(r.event) == set(key):
@@ -791,17 +805,16 @@ def dilation_report(p: CredalSet) -> DilationReport:
     """Prior and per-signal posterior intervals for every proper Y-event.
 
     Read off integer points over one denominator, as a hull keeps them:
-    the generators' Y-marginals, and each live signal's conditioned
-    points (:func:`_cell_points`), unpruned, as an interval's ends over
-    a hull are reached at its generators; a ``Fraction`` is built only
-    for each interval end returned.  More than ``DILATION_EVENT_LIMIT``
-    raise ``SizeLimitError`` before any."""
+    the conditioned points of the whole signal set and of each live
+    signal; a ``Fraction`` is built only for each interval end returned.
+    More than ``DILATION_EVENT_LIMIT`` raise ``SizeLimitError`` before
+    any."""
     space = p.space
     count = (2**space.ny - 2) * (1 + len(p.live))
     refuse_above(DILATION_EVENT_LIMIT, count, "dilation intervals")
     prior, *posts = [
-        VPolytope(space.ny, _cell_points(p, idx), p.convex).hull
-        for idx in [range(space.nx)] + [[i] for i in p.live]
+        VPolytope(space.ny, p._events.points(p, mask), p.convex).hull
+        for mask in [(1 << space.nx) - 1] + [1 << i for i in p.live]
     ]
     named, rows = list(zip(support_x(p), posts)), []
     for size in range(1, space.ny):

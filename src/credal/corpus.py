@@ -202,6 +202,13 @@ def _rule_arg(exp: Expectation, case: CorpusCase):
         raise _bad_arg(exp, "rule", "standard, ignore or partition:...") from None
 
 
+def _signal_arg(exp: Expectation) -> str:
+    x = _arg(exp, "x")
+    if not isinstance(x, str):  # str() would read 0 as the label "0"
+        raise _bad_arg(exp, "x", "a signal label")
+    return x
+
+
 def _op_a_priori_value(case, exp):
     return str(solve_a_priori(case.problem(), face=False).value)
 
@@ -219,7 +226,7 @@ def _op_a_priori_face_count(case, exp):
 
 
 def _posterior_point(case, exp):
-    x = str(_arg(exp, "x"))
+    x = _signal_arg(exp)
     point = solve_a_posteriori(case.problem()).point(x)
     if point is None:
         raise CorpusError("signal %r has no posterior game" % x)
@@ -309,7 +316,7 @@ def _op_prior_interval(case, exp):
 
 
 def _op_posterior_interval(case, exp):
-    x = str(_arg(exp, "x"))
+    x = _signal_arg(exp)
     for label, (lo, hi) in _dilation_row(case, exp).posteriors:
         if label == x:
             return [str(lo), str(hi)]

@@ -31,13 +31,12 @@ layout that ``dp`` owns (``dp.widths``, ``dp.columns``,
 dot product with its columns.  ``dp.posterior_rows[x]`` are the
 posterior game's at x, one per pruned vertex of
 ``dp.credal.conditionals[x]``, and the rule's worst posterior loss
-m_delta(x) is the worst of them under its action at x: a linear maximum
-over a hull is attained at its vertices.  The one saddle check,
-:func:`credal.linprog._saddle`, is made by ``block_game`` on every game
-it solves and by :func:`verify_saddle` on the prior rows, which a face
-solve runs on its reported vertex.  Each comparison is the ``Fraction``
-comparison cross-multiplied by positive denominators; every value is a
-``Fraction``.
+m_delta(x) is the worst of them under its action at x.  The one saddle
+check, :func:`credal.linprog._saddle`, is made by ``block_game`` on
+every game it solves and by :func:`verify_saddle` on the prior rows,
+which a face solve runs on its reported vertex.  Each comparison is the
+``Fraction`` comparison cross-multiplied by positive denominators; every
+value is a ``Fraction``.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -60,7 +59,6 @@ from .core import (
     LossFunction,
     RandomizedAction,
     _action_losses,
-    _cell_points,
     marginal_y,
     rule_from_weights,
     uniform_action,
@@ -147,16 +145,17 @@ def worst_case_posterior_loss(
     p: CredalSet, rule: DecisionRule, loss: LossFunction, x
 ) -> Fraction:
     """Worst expected loss of ``rule`` under the conditioned set at ``x``:
-    the worst of the posterior game's rows there, built for ``x`` alone.
+    the worst over its conditioned points as listed, in rows built for
+    ``x`` alone.
 
     Zero when no generator gives ``x`` positive probability; such
     signals carry no posterior risk.
     """
     xi = p.space.x_index(x)
-    conditional = p.conditionals[xi]
-    if conditional is None:
+    points = p._events.points(p, 1 << xi)
+    if not points:
         return ZERO
-    return _worst(_action_losses(loss, conditional.points), rule.per_x[xi].weights)[0]
+    return _worst(_action_losses(loss, points), rule.per_x[xi].weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +343,10 @@ class IgnoringSolution:
     """Best constant rule, with the marginal-game cross-check.
 
     The optimal constant rule's worst case depends on the joint set only
-    through its Y-marginals; ``marginal_game_value`` re-derives the
-    value from the marginal polytope and must agree exactly.
+    through its Y-marginals; ``bookie_mixture`` weights the distinct
+    Y-marginals of the generators, in generator order.
+    ``marginal_game_value`` re-derives the value from the pruned marginal
+    polytope and must agree exactly.
     """
 
     value: Fraction
@@ -366,8 +367,8 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
         return games["ignoring"]
     space = dp.space
     widths = [space.na]
-    # constant-rule game: min t, per generator Y-marginal E[L_gamma] <= t over gamma
-    rows = _action_losses(dp.loss, _cell_points(dp.credal, range(space.nx)))
+    # constant-rule game: min t, per distinct Y-marginal E[L_gamma] <= t over gamma
+    rows = _action_losses(dp.loss, dp.credal._events.points(dp.credal, (1 << space.nx) - 1))
     value, gamma, mixture, unique = block_game(rows, widths)
 
     marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).points)

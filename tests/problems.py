@@ -102,6 +102,19 @@ def random_games(count):
         yield games_problem(rng, nx, ny, na, rng.choice([2, 3, 4]))
 
 
+def segment_listing_problem():
+    """60 generators listing a set with 2 extreme points: signal 0 has row
+    (q/2, (1 - q)/2) for q = (k + 1)/62, k = 0..59, and signal 1 has row
+    (1/4, 1/4), over outcomes a and b.  Actions 0-2 lose 1 on outcome b,
+    and actions 3-5 lose 1 on outcome a."""
+    space = ProblemSpace(("0", "1"), ("a", "b"), tuple(map(str, range(6))))
+    masses = [
+        [[F(k + 1, 124), F(61 - k, 124)], [F(1, 4), F(1, 4)]] for k in range(60)
+    ]
+    loss = loss_function(space, [[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0]])
+    return DecisionProblem(credal_set(space, masses, True), loss)
+
+
 def dead_signal_problems(count):
     """The first ``count`` of the seeded dead-signal problems, each on a
     generator set and on its hull.  Problem ``s`` draws nx from {2, 3, 4},

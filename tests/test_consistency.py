@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import credal.consistency
+import credal.core
 from credal.cli import run
 from credal.consistency import (
     PairWitness,
@@ -26,7 +27,7 @@ from credal.core import (
 from credal.corpus import load_case
 from credal.linprog import InternalCheckError
 from credal.minimax import solve_ignoring, worst_case_loss
-from credal.polytope import subset
+from credal.polytope import VPolytope, prune, subset
 
 from problems import (
     coin_pair_set,
@@ -234,6 +235,25 @@ def test_every_witness_is_replayed_before_its_verdict(monkeypatch, check, proble
     )
     with pytest.raises(InternalCheckError):
         check(problem())
+
+
+def test_a_faulty_prune_is_caught_by_the_witness_replays(monkeypatch):
+    # the games read each event's pruned set, and the replays read its
+    # conditioned points as listed: a prune that drops its last kept point
+    # shrinks what the games see, and the replays must catch it
+    def faulty(s):
+        kept = prune(s)
+        return VPolytope(kept.dimension, kept.points[:-1] or kept.points, kept.convex)
+
+    monkeypatch.setattr(credal.core, "prune", faulty)
+    caught = 0
+    for dp in random_games(200):
+        for check in (check_weak_time_consistency, check_time_consistency):
+            try:
+                check(dp)
+            except InternalCheckError:
+                caught += 1
+    assert caught >= 100, caught
 
 
 # ---------------------------------------------------------------------------

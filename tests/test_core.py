@@ -384,6 +384,14 @@ def test_dilation_on_coin_pair():
     assert rep.dilating_events() == (("H",), ("T",))
 
 
+def test_row_for_refuses_a_bare_string():
+    # iterated, "10" would name the event 0,1 over the outcomes 0-4
+    rep = dilation_report(parse_problem_file(seven_by_five_text()).credal())
+    with pytest.raises(ValueError, match="got the string '10'"):
+        rep.row_for("10")
+    assert rep.row_for(["1", "0"]).event == ("0", "1")
+
+
 def test_dilation_on_fixed_outcome_set():
     rep = dilation_report(fixed_outcome_set())
     row = rep.row_for(["1"])

@@ -2,6 +2,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,25 @@ def test_run_case_solves_each_game_once(monkeypatch):
             "solve_ignoring": 2,
         }
         assert sorted(calls) == sorted(n for n in asked for _ in range(per_game[n])), case.id
+
+
+def test_run_case_conditions_each_event_once_per_set(monkeypatch):
+    # the maxima (dilation intervals, the constant-rule game, the witness
+    # replays) and the vertex lists (games, hulls, rectangularity) of a case
+    # read one table: each (set, event) is conditioned once
+    calls = []
+    compute = credal.core._cell_points
+
+    def counted(p, idx):
+        calls.append((p, tuple(idx)))  # holds p, so no id is reused
+        return compute(p, idx)
+
+    monkeypatch.setattr(credal.core, "_cell_points", counted)
+    for case in load_corpus():
+        calls.clear()
+        assert run_case(case).ok, case.id
+        events = Counter((id(p), idx) for p, idx in calls)
+        assert events and max(events.values()) == 1, case.id
 
 
 def test_a_shared_case_answers_as_a_fresh_case_per_expectation():
@@ -309,6 +329,8 @@ def test_a_mass_argument_reads_its_numbers_as_the_generators_do(text):
         ("dilates", {"event": "10"}),
         ("member", {"mass": [["1/2"]]}),
         ("calibrated", {"rule": "bogus"}),
+        ("posterior_value", {"x": 0}),
+        ("posterior_interval", {"x": 0}),
     ],
 )
 def test_a_malformed_argument_is_a_corpus_error_naming_op_and_argument(op, args):

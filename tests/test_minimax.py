@@ -15,6 +15,7 @@ from credal.core import (
     DecisionProblem,
     ProblemSpace,
     marginal_y,
+    prune_credal,
     rule_from_weights,
 )
 from credal.corpus import load_case, load_corpus
@@ -47,6 +48,7 @@ from problems import (
     prediction_problem,
     prediction_problem_with_exit,
     random_set_with_dead_signals,
+    segment_listing_problem,
 )
 from credal.sampling import random_loss, random_rule, simplex_point
 
@@ -352,6 +354,24 @@ def test_ignoring_costs_in_door_game():
     assert sol.a_priori_value == F(11, 30)
     assert len(sol.action_vertices) == 1
     assert sol.action_vertices[0].weights == (1, 0, 0)  # stay put
+
+
+def test_the_posterior_games_of_a_listing_answer_as_its_pruned_listing():
+    # 60 generators listing a set with 2 extreme points: each posterior
+    # game's optimal face is enumerated over the pruned set's rows, so the
+    # listing answers as its 2 extreme points do
+    dp = segment_listing_problem()
+    pruned = DecisionProblem(prune_credal(dp.credal), dp.loss)
+    assert len(dp.credal.generators) == 60 and len(pruned.credal.generators) == 2
+    answers = [
+        [(pt.x, pt.value, pt.action_vertices) for pt in solve_a_posteriori(d).per_x]
+        for d in (dp, pruned)
+    ]
+    assert answers[0] == answers[1]
+    assert [(x, value, len(verts)) for x, value, verts in answers[0]] == [
+        ("0", F(1, 2), 9),
+        ("1", F(1, 2), 6),
+    ]
 
 
 def test_brute_force_sandwich():
