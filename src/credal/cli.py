@@ -94,10 +94,11 @@ def _load_file(path_arg: str) -> ProblemFile:
 
 def _parse_rule_arg(text: str, pf: ProblemFile) -> DecisionRule:
     """Decision rule with one block of weights per signal: ``"w,w;w,w"``, or
-    ``"w,w/w,w"`` when there is no ``;``, each weight then an integer."""
+    ``"w,w/w,w"`` when there is no ``;``, each weight then an integer.  On
+    a file with one signal the whole text is its block."""
     space = pf.space()
     sep = ";" if ";" in text else "/"
-    blocks = text.split(sep)
+    blocks = [text] if space.nx == 1 else text.split(sep)
     if len(blocks) != space.nx:
         raise _InputError("--rule needs %d '%s'-separated blocks" % (space.nx, sep))
     weights = [[_rational(v, "--rule") for v in b.split(",")] for b in blocks]

@@ -24,7 +24,12 @@ weak check's loss of each posterior-optimal action at its signal from
 that signal's block of the prior game's rows (``dp.loss_blocks``), and
 each rule's M_delta from those rows (``dp.loss_rows``) and its
 m_delta(x) from the posterior game's rows at x (``dp.posterior_rows``,
-:func:`credal.minimax._rule_risks`).  This module builds no rows itself;
+:func:`credal.minimax._rule_risks`).  Those rows, the posterior games
+and the rectangularity swaps behind :func:`sufficient_conditions` read
+each signal's conditioned points as listed, as every maximum does
+(:mod:`credal.core`), so no verdict depends on pruning; only an optimal
+posterior face that its tableau does not certify is enumerated over a
+pruned set.  This module builds no rows itself;
 :func:`_replay` replays every witness before its verdict, through the
 public ``worst_case_loss`` and ``worst_case_posterior_loss``, which
 build their own rows.  The dynamic

@@ -18,16 +18,18 @@ polytope is built over the joint space.  The table holds two forms of an
 event: its distinct conditioned points in generator order
 (:meth:`_Events.points`), and their pruned set (:meth:`_Events.posterior`,
 which :func:`posterior_y` returns; :func:`marginal_y` is it on the whole
-signal set).  The rule for which to read is this one:
-
-* a maximum of linear functions reads the points, as a hull reaches it
-  at its generators: the dilation intervals, the constant-rule game
-  (:func:`credal.minimax.solve_ignoring`) and the witness replay
-  (:func:`credal.minimax.worst_case_posterior_loss`), which so shares
-  no pruning with the games it checks;
-* a vertex list reads the pruned set: :func:`hull`, the rectangularity
-  swaps, the calibration ids and the posterior game, whose optimal face
-  is enumerated over its rows.
+signal set).  The rule for which to read is this one: a maximum reads
+the points, as a hull reaches a maximum of linear functions at its
+generators, and the pruned set is read only where its vertex list is the
+answer.  So the games (the posterior game at each signal and the
+constant-rule game of :func:`credal.minimax.solve_ignoring`), the
+dilation intervals, the witness replay
+(:func:`credal.minimax.worst_case_posterior_loss`) and the
+rectangularity swaps, which are linear in the point, read the points,
+and no game value, game row, m_delta(x) or rectangularity verdict
+depends on pruning.  :func:`hull`, the calibration ids and an optimal
+face of an event game that its tableau does not certify read the pruned
+set.
 
 The table also names each pruned set with an id and keeps their
 inclusions, for every caller.  :attr:`CredalSet.live` lists the signals
@@ -48,7 +50,7 @@ bookie's aggregate are built from the same integers, and a swap is asked
 of the joint set as its pair.
 
 A :class:`DecisionProblem` keeps the prior game's loss rows and, per
-live signal, the posterior game's rows over the conditionals
+live signal, the posterior game's rows over the conditioned points
 (:func:`_action_losses`), from which every loss of a rule is read, and
 each game :mod:`credal.minimax` solves on it, solved and checked once.
 It owns the prior game's column layout, one action simplex per live
@@ -289,7 +291,7 @@ class CredalSet:
             for i, px in enumerate(map(sum, g._int_mass)):
                 if px == 0:
                     continue
-                for rn, rd in self.conditionals[i].points:
+                for rn, rd in self._events.points(self, 1 << i):
                     swap = [v * rd for v in nums]
                     swap[i * ny : (i + 1) * ny] = [px * v for v in rn]
                     if not _member(lowest(swap, den * rd), target):
@@ -412,13 +414,12 @@ class DecisionProblem:
 
     @cached_property
     def posterior_rows(self):
-        """Per signal, the posterior game's rows there, one per generator of
-        the conditional set (:func:`_action_losses` of their pairs), or None
-        where no generator reaches the signal."""
-        return tuple(
-            None if c is None else _action_losses(self.loss, c.points)
-            for c in self.credal.conditionals
-        )
+        """Per signal, the posterior game's rows there, one per conditioned
+        point as listed (:func:`_action_losses` of :meth:`_Events.points`),
+        or None where no generator reaches the signal."""
+        p = self.credal
+        points = [p._events.points(p, 1 << i) for i in range(self.space.nx)]
+        return tuple(_action_losses(self.loss, pts) if pts else None for pts in points)
 
 
 @dataclass(frozen=True)
@@ -747,17 +748,18 @@ def is_rectangular(p: CredalSet) -> bool:
     """Does ``p`` contain every product Q (x) R that :func:`hull` builds?
 
     Decided one signal at a time.  For a generator g, a signal x with
-    g_X(x) > 0 and a conditional R that :func:`hull` uses at x, let
-    swap_x(g, R) be g with row x replaced by g_X(x) R.  ``p`` is
-    rectangular iff every such swap lies in ``p``.  Proof: swap_x(., R) is
-    linear and keeps the X-marginal, so if it maps every generator into
-    ``p`` it maps ``p`` into ``p``, and applying it at each live signal of
-    a generator reaches every product; conversely every swap is such a
-    product, or (convex) a mixture of them.  That is k * sum_x
-    |conditionals at x| membership tests against the k generators of
-    ``p``, stopping at the first non-member.  Each swap is built in
-    integers from g's pair and R's, and asked as its own pair.  Decided
-    once per set: the answer is kept on ``p``.
+    g_X(x) > 0 and a conditioned point R at x as listed
+    (:meth:`_Events.points`), let swap_x(g, R) be g with row x replaced by
+    g_X(x) R.  ``p`` is rectangular iff every such swap lies in ``p``.
+    Proof: swap_x(g, R) is linear in g and in R and keeps g's X-marginal,
+    so if it maps every generator into ``p`` it maps ``p`` into ``p``, and
+    applying it at each live signal of a generator reaches every product;
+    conversely every swap is such a product, or (convex) a mixture of
+    them.  So no swap reads a pruned set.  That is k * sum_x |points at x|
+    membership tests against the k generators of ``p``, stopping at the
+    first non-member.  Each swap is built in integers from g's pair and
+    R's, and asked as its own pair.  Decided once per set: the answer is
+    kept on ``p``.
     """
     return p._rectangular
 

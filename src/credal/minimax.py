@@ -7,8 +7,9 @@ Two games are solved exactly:
   set (an LP over rule space; the adversary's optimal mixture comes out
   of the dual prices);
 * the posterior game: after observing ``x``, pick a randomized action
-  against the conditioned outcome distributions
-  (``dp.credal.conditionals``; one small matrix game per signal value).
+  against the conditioned outcome distributions (the distinct
+  conditioned points at ``x`` as listed; one small matrix game per
+  signal value).
 
 Both games, and the constant-rule game of :func:`solve_ignoring`, are
 one LP shape: minimise the worst of finitely many linear losses over a
@@ -16,10 +17,15 @@ product of simplices.  :func:`credal.linprog.block_game` builds and
 checks that LP.  When its final tableau certifies the optimum unique,
 that point is the whole optimal face; otherwise
 :func:`credal.linprog.optimal_face_vertices` enumerates the face from
-the same rows, widths and value, over the columns that the verified
-bookie mixture leaves at zero reduced cost.  Each game is solved and
-checked once per :class:`~credal.core.DecisionProblem` and kept on it:
-the prior LP, the prior game with its face (from the kept LP), the
+rows, widths and value, over the columns that the verified bookie
+mixture leaves at zero reduced cost.  The prior game's face reads all
+its rows, one per generator.  The two event games (the posterior game
+at a signal and the constant-rule game on the whole signal set) read
+their event's conditioned points as listed, as every maximum does
+(:mod:`credal.core`), and one owner, :func:`_event_face`, reads the
+event's pruned set for an uncertified face alone.  Each game is solved
+and checked once per :class:`~credal.core.DecisionProblem` and kept on
+it: the prior LP, the prior game with its face (from the kept LP), the
 posterior games and the constant-rule game.  A refusal keeps nothing.
 
 The games' rows are kept on the problem too, built on first use and
@@ -29,12 +35,12 @@ generator i's expected loss of action a at live signal x, in the column
 layout that ``dp`` owns (``dp.widths``, ``dp.columns``,
 ``dp.column_rule``).  A rule's worst prior loss (M_delta) is their worst
 dot product with its columns.  ``dp.posterior_rows[x]`` are the
-posterior game's at x, one per pruned vertex of
-``dp.credal.conditionals[x]``, and the rule's worst posterior loss
-m_delta(x) is the worst of them under its action at x.  The one saddle
-check, :func:`credal.linprog._saddle`, is made by ``block_game`` on
-every game it solves and by :func:`verify_saddle` on the prior rows,
-which a face solve runs on its reported vertex.  Each comparison is the
+posterior game's at x, one per distinct conditioned point at x in
+generator order, and the rule's worst posterior loss m_delta(x) is the
+worst of them under its action at x.  The one saddle check,
+:func:`credal.linprog._saddle`, is made by ``block_game`` on every game
+it solves and by :func:`verify_saddle` on the prior rows, which a face
+solve runs on its reported vertex.  Each comparison is the
 ``Fraction`` comparison cross-multiplied by positive denominators; every
 value is a ``Fraction``.
 
@@ -237,8 +243,30 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
 # posterior game
 
 
+def _event_face(p: CredalSet, mask: int, rows, widths, game):
+    """The optimal face, as actions, of a game whose ``rows`` are one per
+    conditioned point of the event ``mask`` as listed; ``game`` is
+    :func:`block_game`'s answer on them.  A certified optimum is its own
+    face.  Otherwise the face is enumerated with the game's own prices,
+    over the rows they weight, so they still certify the value, and the
+    rows of the event's pruned points: a row is linear in its point, so
+    those rows bound the same face as all of them."""
+    value, w, prices, unique = game
+    if unique:
+        return (RandomizedAction(w),)
+    kept = set(p._events.posterior(p, mask).points)
+    keep = [q > 0 or pt in kept for q, pt in zip(prices, p._events.points(p, mask))]
+    rows, prices = (list(itertools.compress(seq, keep)) for seq in (rows, prices))
+    return tuple(map(RandomizedAction, optimal_face_vertices(rows, widths, value, prices)))
+
+
 @dataclass(frozen=True)
 class PosteriorPoint:
+    """The posterior game at the signal ``x``.  ``projection`` is the
+    conditioned set at ``x`` as listed: its distinct points in generator
+    order, the same set as ``posterior_y(p, (x,))``.  ``bookie_mixture``
+    weights those points."""
+
     x: str
     value: Fraction
     action_vertices: tuple[RandomizedAction, ...]
@@ -278,22 +306,21 @@ def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
     """One matrix game per support signal: actions against the
     conditioned outcome distributions.  Solved once per problem: the
     answer is kept on ``dp``."""
-    games = dp._games
+    games, p = dp._games, dp.credal
     if "posterior" in games:
         return games["posterior"]
     widths = [dp.space.na]
     points = []
-    for xi in dp.credal.live:
+    for xi in p.live:
         rows = dp.posterior_rows[xi]
-        value, w, mixture, unique = block_game(rows, widths)
-        verts = [w] if unique else optimal_face_vertices(rows, widths, value, mixture)
+        value, _, mixture, _ = game = block_game(rows, widths)
         points.append(
             PosteriorPoint(
                 x=dp.space.x_labels[xi],
                 value=value,
-                action_vertices=tuple(RandomizedAction(v) for v in verts),
+                action_vertices=_event_face(p, 1 << xi, rows, widths, game),
                 bookie_mixture=mixture,
-                projection=dp.credal.conditionals[xi],
+                projection=VPolytope(dp.space.ny, p._events.points(p, 1 << xi), p.convex),
             )
         )
     games["posterior"] = PosteriorSolution(per_x=tuple(points))
@@ -365,19 +392,18 @@ def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
     games = dp._games
     if "ignoring" in games:
         return games["ignoring"]
-    space = dp.space
-    widths = [space.na]
+    space, p = dp.space, dp.credal
+    widths, signals = [space.na], (1 << space.nx) - 1
     # constant-rule game: min t, per distinct Y-marginal E[L_gamma] <= t over gamma
-    rows = _action_losses(dp.loss, dp.credal._events.points(dp.credal, (1 << space.nx) - 1))
-    value, gamma, mixture, unique = block_game(rows, widths)
+    rows = _action_losses(dp.loss, p._events.points(p, signals))
+    value, _, mixture, _ = game = block_game(rows, widths)
 
-    marginal_rows = _action_losses(dp.loss, marginal_y(dp.credal).points)
+    marginal_rows = _action_losses(dp.loss, marginal_y(p).points)
     marginal_value = block_game(marginal_rows, widths)[0]
     if marginal_value != value:
         raise InternalCheckError("marginal game disagrees with constant-rule LP")
 
-    verts = [gamma] if unique else optimal_face_vertices(rows, widths, value, mixture)
-    action_vertices = tuple(RandomizedAction(v) for v in verts)
+    action_vertices = _event_face(p, signals, rows, widths, game)
     rule = rule_from_weights(space, [action_vertices[0].weights] * space.nx)
 
     prior = solve_a_priori(dp, face=False)

@@ -115,6 +115,12 @@ def segment_listing_problem():
     return DecisionProblem(credal_set(space, masses, True), loss)
 
 
+def segment_listing_text():
+    """:func:`segment_listing_problem` as a problem file."""
+    dp = segment_listing_problem()
+    return render_problem_file(problem_file_from(dp.credal, dp.loss))
+
+
 def dead_signal_problems(count):
     """The first ``count`` of the seeded dead-signal problems, each on a
     generator set and on its hull.  Problem ``s`` draws nx from {2, 3, 4},

@@ -8,7 +8,7 @@ and the joint-mass check as they were computed in ``Fraction``.  On seeded
 random inputs, sound and tampered, the package must raise the same
 errors with the same messages and return equal values and reports.  The
 package reads a worst posterior loss from the posterior game's rows over
-the pruned conditionals; the oracle takes it generator by generator.
+the distinct conditionals; the oracle takes it generator by generator.
 """
 
 import random
@@ -442,8 +442,9 @@ def _posterior_problems(seed, count):
 
 
 def test_posterior_rows_match_the_generator_wise_oracle():
-    # every m_delta(x) is read from the posterior game's rows over the pruned
-    # conditionals at x; it must be the worst generator-wise posterior loss
+    # every m_delta(x) is read from the posterior game's rows over the
+    # distinct generator-wise conditionals at x, in generator order; it must
+    # be the worst generator-wise posterior loss
     seen = dict.fromkeys(
         ("dead", "pruned", "shared", "convex", "finite", "inconsistent", "unknown"), 0
     )
@@ -463,7 +464,7 @@ def test_posterior_rows_match_the_generator_wise_oracle():
             seen["shared"] += len(set(qs)) < len(qs)
             seen["pruned"] += len(conditional.generators) < len(set(qs))
             assert [[F(v, d) for v in r] for r, d in dp.posterior_rows[xi]] == [
-                list(oracle._action_losses(loss, q)) for q in conditional.generators
+                list(oracle._action_losses(loss, q)) for q in dict.fromkeys(qs)
             ]
         rules = [random_rule(rng, space) for _ in range(3)]
         rules.append(replace(rules[0], per_x=tuple(

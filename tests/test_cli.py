@@ -725,6 +725,30 @@ def test_saddle_reads_a_randomized_rule_with_signals_separated_by_semicolons(cap
     assert capsys.readouterr().err == "error: --rule needs 2 ';'-separated blocks\n"
 
 
+def test_saddle_reads_a_randomized_rule_on_a_file_with_one_signal(tmp_path, capsys):
+    # one signal: the whole flag is its block, so its weights may be fractions
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({
+        "x_labels": ["only"],
+        "y_labels": ["0", "1"],
+        "actions": ["a", "b"],
+        "convex": True,
+        "generators": [[["1", "0"]], [["0", "1"]]],
+        "loss": [["0", "1"], ["1", "0"]],
+    }))
+    assert "rule: only: (1/2, 1/2)" in lines("solve", str(path))
+    argv = ["saddle", str(path), "--mixture", "1/2,1/2", "--strict", "--rule"]
+    assert lines(*argv, "1/2,1/2") == [
+        "value: 1/2",
+        "agent best response: 1/2",
+        "bookie best response: 1/2",
+        "saddle: yes",
+    ]
+    assert cli(*argv, "1,0")[0] == 1
+    assert cli(*argv, "1/2,1/2;1,0") == (2, "")
+    assert capsys.readouterr().err == "error: field '--rule': not a rational: '1/2;1'\n"
+
+
 def test_mixtures_are_indexed_by_the_file_generators(tmp_path):
     # the first generator is listed twice; the credal set keeps one copy
     half, other = [["1/2", "0"], ["0", "1/2"]], [["0", "1/2"], ["1/2", "0"]]

@@ -26,7 +26,7 @@ from credal.core import (
 )
 from credal.corpus import load_case
 from credal.linprog import InternalCheckError
-from credal.minimax import solve_ignoring, worst_case_loss
+from credal.minimax import solve_a_posteriori, solve_ignoring, worst_case_loss
 from credal.polytope import VPolytope, prune, subset
 
 from problems import (
@@ -237,23 +237,30 @@ def test_every_witness_is_replayed_before_its_verdict(monkeypatch, check, proble
         check(problem())
 
 
-def test_a_faulty_prune_is_caught_by_the_witness_replays(monkeypatch):
-    # the games read each event's pruned set, and the replays read its
-    # conditioned points as listed: a prune that drops its last kept point
-    # shrinks what the games see, and the replays must catch it
+def test_a_faulty_prune_changes_no_answer_silently(monkeypatch):
+    # the games and the checks read each event's conditioned points as
+    # listed, and only an uncertified face reads the pruned set: a prune
+    # that drops its last kept point may stop an answer with an internal
+    # error, but may not change a posterior answer or a verdict
+    def answers(dp):
+        post = [(pt.x, pt.value, pt.action_vertices) for pt in solve_a_posteriori(dp).per_x]
+        return post, check_weak_time_consistency(dp), check_time_consistency(dp)
+
     def faulty(s):
         kept = prune(s)
         return VPolytope(kept.dimension, kept.points[:-1] or kept.points, kept.convex)
 
+    truth = [answers(dp) for dp in random_games(200)]
     monkeypatch.setattr(credal.core, "prune", faulty)
-    caught = 0
-    for dp in random_games(200):
-        for check in (check_weak_time_consistency, check_time_consistency):
-            try:
-                check(dp)
-            except InternalCheckError:
-                caught += 1
-    assert caught >= 100, caught
+    unchanged = 0
+    for s, (want, dp) in enumerate(zip(truth, random_games(200))):
+        try:
+            got = answers(dp)
+        except InternalCheckError:
+            continue
+        assert got == want, s
+        unchanged += 1
+    assert unchanged >= 190, unchanged
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from credal.core import (
     deterministic_rule,
     DecisionProblem,
     ProblemSpace,
+    _action_losses,
     marginal_y,
+    posterior_y,
     prune_credal,
     rule_from_weights,
 )
@@ -25,6 +27,7 @@ from credal.linprog import (
     InternalCheckError,
     SizeLimitError,
     _saddle,
+    block_game,
     zero_sum_value,
 )
 from credal.minimax import (
@@ -37,16 +40,19 @@ from credal.minimax import (
     worst_case_loss,
     worst_case_posterior_loss,
 )
+from credal.polytope import set_equal
 
 import face_oracle
 from face_oracle import make_lp
 from problems import (
     binary_space,
+    dead_signal_problems,
     half_dead_signal_problem,
     monty_problem,
     opposite_outcomes_problem,
     prediction_problem,
     prediction_problem_with_exit,
+    random_games,
     random_set_with_dead_signals,
     segment_listing_problem,
 )
@@ -139,7 +145,7 @@ def test_half_dead_posterior():
     pt0 = post.point("0")
     assert pt0.value == F(2, 3)
     assert len(pt0.action_vertices) == 3  # uniform posterior: any action ties
-    assert pt0.bookie_mixture == (F(1),)  # projections prune to one point
+    assert pt0.bookie_mixture == (F(1),)  # both generators condition to one point
     pt1 = post.point("1")
     assert pt1.value == F(1, 2)
     assert len(pt1.action_vertices) == 1
@@ -356,10 +362,30 @@ def test_ignoring_costs_in_door_game():
     assert sol.action_vertices[0].weights == (1, 0, 0)  # stay put
 
 
+def test_the_posterior_games_read_the_conditioned_points_as_listed():
+    # each posterior game is played over the distinct conditioned points at
+    # its signal, in generator order: its projection is that list, the same
+    # set as the pruned one, its bookie weights each point, and its value is
+    # the value of the game over the pruned points
+    problems = [*random_games(200), *(dp for pair in dead_signal_problems(300) for dp in pair)]
+    for s, dp in enumerate(problems):
+        p = dp.credal
+        for pt in solve_a_posteriori(dp).per_x:
+            xi = dp.space.x_index(pt.x)
+            listed = dict.fromkeys(c for g in p.generators if (c := g.conditional_y(xi)))
+            pruned = posterior_y(p, (pt.x,))
+            assert pt.projection.generators == tuple(listed), s
+            assert set_equal(pt.projection, pruned), s
+            assert len(pt.bookie_mixture) == len(listed), s
+            rows = _action_losses(dp.loss, pruned.points)
+            assert block_game(rows, [dp.space.na])[0] == pt.value, s
+
+
 def test_the_posterior_games_of_a_listing_answer_as_its_pruned_listing():
     # 60 generators listing a set with 2 extreme points: each posterior
-    # game's optimal face is enumerated over the pruned set's rows, so the
-    # listing answers as its 2 extreme points do
+    # game reads the 60 points, and its uncertified face is enumerated over
+    # its priced rows and the pruned set's rows, so the listing answers as
+    # its 2 extreme points do
     dp = segment_listing_problem()
     pruned = DecisionProblem(prune_credal(dp.credal), dp.loss)
     assert len(dp.credal.generators) == 60 and len(pruned.credal.generators) == 2
@@ -372,6 +398,18 @@ def test_the_posterior_games_of_a_listing_answer_as_its_pruned_listing():
         ("0", F(1, 2), 9),
         ("1", F(1, 2), 6),
     ]
+
+
+def test_the_constant_rule_game_of_a_listing_answers_as_its_pruned_listing():
+    # the constant-rule game reads the 60 Y-marginals as listed, and its
+    # uncertified face is enumerated over its priced rows and the rows of
+    # the 2 extreme marginals, not over all 60
+    dp = segment_listing_problem()
+    pruned = DecisionProblem(prune_credal(dp.credal), dp.loss)
+    got, want = (solve_ignoring(d) for d in (dp, pruned))
+    assert (got.value, got.action_vertices, got.rule) == (want.value, want.action_vertices, want.rule)
+    assert got.value == F(1, 2) and len(got.action_vertices) == 9
+    assert len(got.bookie_mixture) == 60
 
 
 def test_brute_force_sandwich():

@@ -201,9 +201,13 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
         for mod in (credal.core, structure_oracle):  # the modules that prune
             m.setattr(mod, "prune", replayed)
         for case in load_corpus():
-            # a fresh case per expectation builds every LP a lone query builds
+            # a fresh case per expectation builds every LP a lone query
+            # builds, and then prunes each signal's conditioned points, as
+            # ``hull`` and the calibration ids read them
             for exp in case.expectations:
-                assert run_expectation(load_case(case.id), exp).ok, (case.id, exp.op)
+                fresh = load_case(case.id)
+                assert run_expectation(fresh, exp).ok, (case.id, exp.op)
+                fresh.credal().conditionals
             # the hull and joint-space membership LPs the corpus built
             # before rectangularity was decided by one-signal swaps, and
             # the joint-space prune of the products that the hull dropped
