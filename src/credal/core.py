@@ -50,9 +50,11 @@ bookie's aggregate are built from the same integers, and a swap is asked
 of the joint set as its pair.
 
 A :class:`DecisionProblem` keeps the prior game's loss rows and, per
-live signal, the posterior game's rows over the conditioned points
-(:func:`_action_losses`), from which every loss of a rule is read, and
-each game :mod:`credal.minimax` solves on it, solved and checked once.
+signal event it is asked about, the event game's rows over the
+conditioned points (:meth:`DecisionProblem.event_rows`, whose view at
+each single signal is :attr:`DecisionProblem.posterior_rows`), from
+which every loss of a rule is read, and each game :mod:`credal.minimax`
+solves on it, solved and checked once.
 It owns the prior game's column layout, one action simplex per live
 signal in order (:attr:`DecisionProblem.widths` and the methods beside
 it).  :func:`condition` keeps the conditioned joint set for callers that
@@ -374,7 +376,8 @@ class DecisionProblem:
     @cached_property
     def _games(self) -> dict:
         """Each game :mod:`credal.minimax` solves on this problem, keyed by
-        its name, kept once it is solved and checked."""
+        its name (an event game by its event's mask), kept once it is
+        solved and checked."""
         return {}
 
     @cached_property
@@ -413,13 +416,25 @@ class DecisionProblem:
         return [[(r[k : k + na], d) for r, d in rows] for k in range(0, sum(self.widths), na)]
 
     @cached_property
+    def _event_rows(self) -> dict:
+        """:meth:`event_rows` by the event's mask, each built on first use."""
+        return {}
+
+    def event_rows(self, mask: int):
+        """The rows of the game on the signal event ``mask``, one per
+        conditioned point as listed (:func:`_action_losses` of
+        :meth:`_Events.points`), built once, or None where no generator
+        reaches the event."""
+        rows, p = self._event_rows, self.credal
+        if mask not in rows:
+            points = p._events.points(p, mask)
+            rows[mask] = _action_losses(self.loss, points) if points else None
+        return rows[mask]
+
+    @cached_property
     def posterior_rows(self):
-        """Per signal, the posterior game's rows there, one per conditioned
-        point as listed (:func:`_action_losses` of :meth:`_Events.points`),
-        or None where no generator reaches the signal."""
-        p = self.credal
-        points = [p._events.points(p, 1 << i) for i in range(self.space.nx)]
-        return tuple(_action_losses(self.loss, pts) if pts else None for pts in points)
+        """Per signal, :meth:`event_rows` of that signal alone."""
+        return tuple(self.event_rows(1 << i) for i in range(self.space.nx))
 
 
 @dataclass(frozen=True)
@@ -537,12 +552,12 @@ class Partition:
 
     @classmethod
     def from_string(cls, labels, text) -> "Partition":
-        """Parse ``"a,b|c"`` into cells {a, b} and {c}."""
-        cells = [
-            tuple(part.strip() for part in chunk.split(",") if part.strip())
-            for chunk in text.split("|")
-        ]
-        return cls(labels=tuple(labels), cells=tuple(c for c in cells if c))
+        """Parse ``"a,b|c"`` into cells {a, b} and {c}.  Whitespace around a
+        label is dropped; an empty cell or member is refused."""
+        cells = tuple(tuple(part.strip() for part in chunk.split(",")) for chunk in text.split("|"))
+        if not all(map(all, cells)):
+            raise ValueError("empty cell or member in partition %r" % (text,))
+        return cls(labels=tuple(labels), cells=cells)
 
     def __str__(self):
         return "|".join(",".join(cell) for cell in self.cells)

@@ -11,22 +11,26 @@ Two games are solved exactly:
   conditioned points at ``x`` as listed; one small matrix game per
   signal value).
 
-Both games, and the constant-rule game of :func:`solve_ignoring`, are
-one LP shape: minimise the worst of finitely many linear losses over a
-product of simplices.  :func:`credal.linprog.block_game` builds and
-checks that LP.  When its final tableau certifies the optimum unique,
-that point is the whole optimal face; otherwise
+The posterior game at ``x`` is the game on the signal event {x}: a
+randomized action against the event's conditioned points.  Ignoring
+the signal, the constant-rule game of :func:`solve_ignoring`, is the
+same game on the whole signal set.  :func:`_event_game` is that one
+primitive, keyed by the event's bitmask, and both solvers read it.
+
+Every game is one LP shape: minimise the worst of finitely many linear
+losses over a product of simplices.  :func:`credal.linprog.block_game`
+builds and checks that LP.  When its final tableau certifies the
+optimum unique, that point is the whole optimal face; otherwise
 :func:`credal.linprog.optimal_face_vertices` enumerates the face from
 rows, widths and value, over the columns that the verified bookie
 mixture leaves at zero reduced cost.  The prior game's face reads all
-its rows, one per generator.  The two event games (the posterior game
-at a signal and the constant-rule game on the whole signal set) read
-their event's conditioned points as listed, as every maximum does
-(:mod:`credal.core`), and one owner, :func:`_event_face`, reads the
-event's pruned set for an uncertified face alone.  Each game is solved
-and checked once per :class:`~credal.core.DecisionProblem` and kept on
-it: the prior LP, the prior game with its face (from the kept LP), the
-posterior games and the constant-rule game.  A refusal keeps nothing.
+its rows, one per generator.  An event game reads its event's
+conditioned points as listed, as every maximum does (:mod:`credal.core`),
+and reads the event's pruned set for an uncertified face alone.  Each
+game is solved and checked once per
+:class:`~credal.core.DecisionProblem` and kept on it: the prior LP, its
+face (from the kept LP) and one game per event mask.  A refusal keeps
+nothing.
 
 The games' rows are kept on the problem too, built on first use and
 scaled to integers over a positive denominator once, and every loss of
@@ -34,15 +38,15 @@ a rule is read from them.  ``dp.loss_rows`` are the prior game's:
 generator i's expected loss of action a at live signal x, in the column
 layout that ``dp`` owns (``dp.widths``, ``dp.columns``,
 ``dp.column_rule``).  A rule's worst prior loss (M_delta) is their worst
-dot product with its columns.  ``dp.posterior_rows[x]`` are the
-posterior game's at x, one per distinct conditioned point at x in
-generator order, and the rule's worst posterior loss m_delta(x) is the
-worst of them under its action at x.  The one saddle check,
-:func:`credal.linprog._saddle`, is made by ``block_game`` on every game
-it solves and by :func:`verify_saddle` on the prior rows, which a face
-solve runs on its reported vertex.  Each comparison is the
-``Fraction`` comparison cross-multiplied by positive denominators; every
-value is a ``Fraction``.
+dot product with its columns.  ``dp.event_rows(mask)`` are the event
+game's, one per distinct conditioned point of the event in generator
+order; ``dp.posterior_rows[x]`` is their view at x alone, and the rule's
+worst posterior loss m_delta(x) is the worst of them under its action
+at x.  The one saddle check, :func:`credal.linprog._saddle`, is made by
+``block_game`` on every game it solves and by :func:`verify_saddle` on
+the prior rows, which a face solve runs on its reported vertex.  Each
+comparison is the ``Fraction`` comparison cross-multiplied by positive
+denominators; every value is a ``Fraction``.
 
 Signals outside the support (zero probability under every generator)
 cannot influence expected loss; solvers pin the rule to the uniform
@@ -65,8 +69,7 @@ from .core import (
     LossFunction,
     RandomizedAction,
     _action_losses,
-    marginal_y,
-    rule_from_weights,
+    constant_rule,
     uniform_action,
 )
 from .linprog import (
@@ -240,24 +243,33 @@ def solve_a_priori(dp: DecisionProblem, face: bool = True) -> MinimaxSolution:
 
 
 # ---------------------------------------------------------------------------
-# posterior game
+# event games
 
 
-def _event_face(p: CredalSet, mask: int, rows, widths, game):
-    """The optimal face, as actions, of a game whose ``rows`` are one per
-    conditioned point of the event ``mask`` as listed; ``game`` is
-    :func:`block_game`'s answer on them.  A certified optimum is its own
-    face.  Otherwise the face is enumerated with the game's own prices,
-    over the rows they weight, so they still certify the value, and the
-    rows of the event's pruned points: a row is linear in its point, so
-    those rows bound the same face as all of them."""
-    value, w, prices, unique = game
-    if unique:
-        return (RandomizedAction(w),)
-    kept = set(p._events.posterior(p, mask).points)
-    keep = [q > 0 or pt in kept for q, pt in zip(prices, p._events.points(p, mask))]
-    rows, prices = (list(itertools.compress(seq, keep)) for seq in (rows, prices))
-    return tuple(map(RandomizedAction, optimal_face_vertices(rows, widths, value, prices)))
+def _event_game(dp: DecisionProblem, mask: int):
+    """The game on the signal event ``mask``: a randomized action against
+    the event's conditioned points as listed, over ``dp.event_rows(mask)``.
+    Its value, its optimal face as actions and the bookie's weights on
+    those points, solved and checked once and kept on ``dp._games[mask]``.
+
+    A certified optimum is its own face.  Otherwise the face is enumerated
+    with the game's own prices, over the rows they weight, so they still
+    certify the value, and the rows of the event's pruned points: a row is
+    linear in its point, so those rows bound the same face as all of them.
+    """
+    games, p = dp._games, dp.credal
+    if mask not in games:
+        rows, widths = dp.event_rows(mask), [dp.space.na]
+        value, w, prices, unique = block_game(rows, widths)
+        if unique:
+            face = [w]
+        else:
+            kept = set(p._events.posterior(p, mask).points)
+            keep = [q > 0 or pt in kept for q, pt in zip(prices, p._events.points(p, mask))]
+            priced, weights = (list(itertools.compress(seq, keep)) for seq in (rows, prices))
+            face = optimal_face_vertices(priced, widths, value, weights)
+        games[mask] = value, tuple(map(RandomizedAction, face)), prices
+    return games[mask]
 
 
 @dataclass(frozen=True)
@@ -303,28 +315,22 @@ class PosteriorSolution:
 
 
 def solve_a_posteriori(dp: DecisionProblem) -> PosteriorSolution:
-    """One matrix game per support signal: actions against the
-    conditioned outcome distributions.  Solved once per problem: the
-    answer is kept on ``dp``."""
-    games, p = dp._games, dp.credal
-    if "posterior" in games:
-        return games["posterior"]
-    widths = [dp.space.na]
+    """The game on each support signal alone (:func:`_event_game` at
+    ``1 << x``): actions against the conditioned outcome distributions."""
+    p, space = dp.credal, dp.space
     points = []
     for xi in p.live:
-        rows = dp.posterior_rows[xi]
-        value, _, mixture, _ = game = block_game(rows, widths)
+        value, action_vertices, mixture = _event_game(dp, 1 << xi)
         points.append(
             PosteriorPoint(
-                x=dp.space.x_labels[xi],
+                x=space.x_labels[xi],
                 value=value,
-                action_vertices=_event_face(p, 1 << xi, rows, widths, game),
+                action_vertices=action_vertices,
                 bookie_mixture=mixture,
-                projection=VPolytope(dp.space.ny, p._events.points(p, 1 << xi), p.convex),
+                projection=VPolytope(space.ny, p._events.points(p, 1 << xi), p.convex),
             )
         )
-    games["posterior"] = PosteriorSolution(per_x=tuple(points))
-    return games["posterior"]
+    return PosteriorSolution(per_x=tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -367,56 +373,38 @@ def verify_saddle(dp: DecisionProblem, mixture, rule: DecisionRule) -> SaddleRep
 
 @dataclass(frozen=True)
 class IgnoringSolution:
-    """Best constant rule, with the marginal-game cross-check.
+    """Best constant rule: the game on the whole signal set.
 
     The optimal constant rule's worst case depends on the joint set only
     through its Y-marginals; ``bookie_mixture`` weights the distinct
     Y-marginals of the generators, in generator order.
-    ``marginal_game_value`` re-derives the value from the pruned marginal
-    polytope and must agree exactly.
+    ``a_priori_value`` is V0, the value of the unrestricted prior game.
     """
 
     value: Fraction
     rule: DecisionRule
     action_vertices: tuple[RandomizedAction, ...]
     bookie_mixture: tuple[Fraction, ...]
-    marginal_game_value: Fraction
     a_priori_value: Fraction
     matches_a_priori: bool
 
 
 def solve_ignoring(dp: DecisionProblem) -> IgnoringSolution:
-    """Prior game restricted to constant rules (ties every signal to one
-    randomized action) and comparison against the unrestricted game.
-    Solved once per problem: the answer is kept on ``dp``."""
-    games = dp._games
-    if "ignoring" in games:
-        return games["ignoring"]
-    space, p = dp.space, dp.credal
-    widths, signals = [space.na], (1 << space.nx) - 1
-    # constant-rule game: min t, per distinct Y-marginal E[L_gamma] <= t over gamma
-    rows = _action_losses(dp.loss, p._events.points(p, signals))
-    value, _, mixture, _ = game = block_game(rows, widths)
-
-    marginal_rows = _action_losses(dp.loss, marginal_y(p).points)
-    marginal_value = block_game(marginal_rows, widths)[0]
-    if marginal_value != value:
-        raise InternalCheckError("marginal game disagrees with constant-rule LP")
-
-    action_vertices = _event_face(p, signals, rows, widths, game)
-    rule = rule_from_weights(space, [action_vertices[0].weights] * space.nx)
-
+    """Prior game restricted to constant rules, which tie every signal to
+    one randomized action: :func:`_event_game` on the whole signal set,
+    compared with the unrestricted game's value V0.  The rule plays the
+    face's first vertex at every signal."""
+    space = dp.space
+    value, action_vertices, mixture = _event_game(dp, (1 << space.nx) - 1)
     prior = solve_a_priori(dp, face=False)
-    games["ignoring"] = IgnoringSolution(
+    return IgnoringSolution(
         value=value,
-        rule=rule,
+        rule=constant_rule(space, action_vertices[0].weights),
         action_vertices=action_vertices,
         bookie_mixture=mixture,
-        marginal_game_value=marginal_value,
         a_priori_value=prior.value,
         matches_a_priori=value == prior.value,
     )
-    return games["ignoring"]
 
 
 # ---------------------------------------------------------------------------

@@ -1124,6 +1124,13 @@ def test_bad_rule_spec(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["G2,G3|", "G2,,G3", "|G2,G3", "G2||G3"])
+def test_a_partition_spec_with_an_empty_cell_or_member_is_refused(capsys, text):
+    code, out = cli("calibrate", "corpus/monty-hall", "--rule", "partition:" + text)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: empty cell or member in partition %r\n" % text
+
+
 def test_help_exits_zero():
     code, _ = cli("--help")
     assert code == 0

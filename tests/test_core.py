@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -486,10 +487,17 @@ def test_partition_canonical_form_and_parsing():
     assert part.cells == (("a", "b"), ("c",))
     assert str(part) == "a,b|c"
     assert Partition.from_string(labels, "c|b,a") == part
+    assert Partition.from_string(labels, " c | b ,a ") == part
     with pytest.raises(ValueError):
         Partition(labels, (("a", "b"),))  # misses c
     with pytest.raises(ValueError):
         Partition(labels, (("a", "b"), ("b", "c")))  # overlap
+
+
+@pytest.mark.parametrize("text", ["a,b|c|", "a,,b|c", "|a,b|c", "a,b||c", "a, ,b|c", ""])
+def test_partition_parsing_refuses_an_empty_cell_or_member(text):
+    with pytest.raises(ValueError, match=re.escape("empty cell or member in partition %r" % text)):
+        Partition.from_string(("a", "b", "c"), text)
 
 
 def test_credal_set_dedups_generators():

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import re
 import sys
 from collections import Counter
@@ -22,12 +23,14 @@ from credal.corpus import (
     run_case,
     run_expectation,
 )
-from credal.minimax import solve_a_posteriori
+from credal.minimax import solve_a_posteriori, solve_ignoring
 from credal.problemfile import (
     ProblemFileError,
     parse_problem_file,
     render_problem_file,
 )
+
+from problems import games_problem
 
 F = Fraction
 
@@ -94,18 +97,26 @@ def test_expectations_replay(case_id):
     assert not bad, "\n".join(bad)
 
 
-def test_run_case_solves_each_game_once(monkeypatch):
-    # the games a case asks about are those its expectations ask on fresh
-    # cases; on the shared case each is solved once: the prior LP, one
-    # posterior game per live signal, the constant-rule and marginal games
+def _record_games(monkeypatch):
+    """Each game minimax hands to ``block_game``: its caller's name and,
+    for an event game, the event's mask (None for the prior LP)."""
     calls = []
     block_game = credal.minimax.block_game
 
     def record(rows, widths):
-        calls.append(sys._getframe(1).f_code.co_name)
+        caller = sys._getframe(1)
+        calls.append((caller.f_code.co_name, caller.f_locals.get("mask")))
         return block_game(rows, widths)
 
     monkeypatch.setattr(credal.minimax, "block_game", record)
+    return calls
+
+
+def test_run_case_solves_each_game_once(monkeypatch):
+    # the games a case asks about are those its expectations ask on fresh
+    # cases, one per event: the prior LP, the game at each live signal and
+    # the game on the whole signal set; on the shared case each is solved once
+    calls = _record_games(monkeypatch)
     for case in load_corpus():
         asked = set()
         for exp in case.expectations:
@@ -114,12 +125,26 @@ def test_run_case_solves_each_game_once(monkeypatch):
             asked.update(calls)
         calls.clear()
         assert run_case(case).ok, case.id
-        per_game = {
-            "solve_a_priori": 1,
-            "solve_a_posteriori": len(case.credal().live),
-            "solve_ignoring": 2,
-        }
-        assert sorted(calls) == sorted(n for n in asked for _ in range(per_game[n])), case.id
+        p = case.credal()
+        events = {1 << xi for xi in p.live} | {(1 << p.space.nx) - 1}
+        assert asked <= {("solve_a_priori", None)} | {("_event_game", m) for m in events}
+        assert sorted(calls, key=str) == sorted(asked, key=str), case.id
+
+
+def test_one_signal_is_one_event_game(monkeypatch):
+    # with one signal, the whole signal set is that signal: the posterior
+    # game and the constant-rule game are one kept game, and the
+    # constant-rule game adds only the prior LP it is compared with
+    calls = _record_games(monkeypatch)
+    dp = games_problem(random.Random(5), 1, 3, 3, 4)
+    post = solve_a_posteriori(dp).per_x[0]
+    ignoring = solve_ignoring(dp)
+    assert calls == [("_event_game", 1), ("solve_a_priori", None)]
+    assert (post.value, post.action_vertices, post.bookie_mixture) == (
+        ignoring.value,
+        ignoring.action_vertices,
+        ignoring.bookie_mixture,
+    )
 
 
 def test_run_case_conditions_each_event_once_per_set(monkeypatch):
@@ -329,6 +354,7 @@ def test_a_mass_argument_reads_its_numbers_as_the_generators_do(text):
         ("dilates", {"event": "10"}),
         ("member", {"mass": [["1/2"]]}),
         ("calibrated", {"rule": "bogus"}),
+        ("calibrated", {"rule": "partition:0,1|"}),
         ("posterior_value", {"x": 0}),
         ("posterior_interval", {"x": 0}),
     ],

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import credal.core
 import credal.linprog
 from credal import minimax
 from credal.consistency import check_time_consistency
@@ -47,6 +48,7 @@ from face_oracle import make_lp
 from problems import (
     binary_space,
     dead_signal_problems,
+    games_problem,
     half_dead_signal_problem,
     monty_problem,
     opposite_outcomes_problem,
@@ -341,12 +343,17 @@ def test_saddle_validates_mixture():
         verify_saddle(dp, (F(3, 2), F(-1, 2)), rule)
 
 
+def _marginal_game_value(dp):
+    """The constant-rule game's value re-derived on the pruned Y-marginals."""
+    return block_game(_action_losses(dp.loss, marginal_y(dp.credal).points), [dp.space.na])[0]
+
+
 def test_ignoring_worthless_signal():
     dp = prediction_problem()
     sol = solve_ignoring(dp)
     assert sol.value == F(1, 3)
     assert sol.matches_a_priori
-    assert sol.marginal_game_value == F(1, 3)
+    assert _marginal_game_value(dp) == F(1, 3)
     assert sol.rule.per_x[0].weights == (F(0), F(1))
     assert sol.rule.per_x[0] == sol.rule.per_x[1]
     assert sum(sol.bookie_mixture) == 1
@@ -360,6 +367,44 @@ def test_ignoring_costs_in_door_game():
     assert sol.a_priori_value == F(11, 30)
     assert len(sol.action_vertices) == 1
     assert sol.action_vertices[0].weights == (1, 0, 0)  # stay put
+
+
+def test_the_constant_rule_game_matches_the_marginal_game():
+    # the game on the whole signal set, over the Y-marginals as listed, has
+    # the value of the same game over their pruned set
+    problems = [
+        *(case.problem() for case in load_corpus() if case.file.loss is not None),
+        *random_games(200),
+        *(dp for pair in dead_signal_problems(300) for dp in pair),
+        segment_listing_problem(),
+    ]
+    assert len(problems) == 6 + 200 + 600 + 1
+    for s, dp in enumerate(problems):
+        assert solve_ignoring(dp).value == _marginal_game_value(dp), s
+
+
+def _counted_prunes(monkeypatch):
+    calls = []
+    prune = credal.core.prune
+
+    def counted(poly):
+        calls.append(len(poly.points))
+        return prune(poly)
+
+    monkeypatch.setattr(credal.core, "prune", counted)
+    return calls
+
+
+def test_a_certified_constant_rule_game_prunes_nothing(monkeypatch):
+    # the 60-generator file: its constant-rule game over the 60 listed
+    # Y-marginals is certified, so its face is its optimum and no event is
+    # pruned
+    dp = games_problem(random.Random(9), 8, 5, 6, 60)
+    calls = _counted_prunes(monkeypatch)
+    sol = solve_ignoring(dp)
+    assert len(dp.credal._events.points(dp.credal, 2**8 - 1)) == 60
+    assert len(sol.action_vertices) == 1
+    assert calls == []
 
 
 def test_the_posterior_games_read_the_conditioned_points_as_listed():
@@ -400,13 +445,18 @@ def test_the_posterior_games_of_a_listing_answer_as_its_pruned_listing():
     ]
 
 
-def test_the_constant_rule_game_of_a_listing_answers_as_its_pruned_listing():
+def test_the_constant_rule_game_of_a_listing_answers_as_its_pruned_listing(monkeypatch):
     # the constant-rule game reads the 60 Y-marginals as listed, and its
     # uncertified face is enumerated over its priced rows and the rows of
-    # the 2 extreme marginals, not over all 60
+    # the 2 extreme marginals, not over all 60: the face prunes the
+    # whole-signal event, once for every call
     dp = segment_listing_problem()
     pruned = DecisionProblem(prune_credal(dp.credal), dp.loss)
-    got, want = (solve_ignoring(d) for d in (dp, pruned))
+    calls = _counted_prunes(monkeypatch)
+    got = solve_ignoring(dp)
+    assert solve_ignoring(dp) == got
+    assert calls == [60] and list(dp.credal._events.posteriors) == [0b11]
+    want = solve_ignoring(pruned)
     assert (got.value, got.action_vertices, got.rule) == (want.value, want.action_vertices, want.rule)
     assert got.value == F(1, 2) and len(got.action_vertices) == 9
     assert len(got.bookie_mixture) == 60
