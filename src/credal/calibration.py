@@ -24,11 +24,13 @@ id, equal for two sets exactly when they are, with inclusion asked once
 per pair of ids.  Ignoring is conditioning on every signal, and a table
 rule's opinion set is the Y-marginal kept on that table entry's own set.
 Below the public functions a partition is its cells' masks
-(:func:`credal.partitions.cell_masks`), and one join of masks by id
-groups them all: a rule's classes, a refinement round, and the classes
-of a partition, which is calibrated iff each has its own id on the
-union.  The sharpness searches read the calibrated partitions in
-enumeration order, build no calibration report, and build a
+(:func:`credal.partitions.cell_masks`, enumerated once per signal
+count), and one join of masks by id groups them all: a rule's classes,
+a refinement round, and the classes of a partition, which is calibrated
+iff each has its own id on the union.  The sharpness searches read every
+event's id from one list per set, indexed by mask
+(:meth:`credal.core._Events.ids`), and the calibrated partitions in
+enumeration order; they build no calibration report, and build a
 :class:`Partition` only for what they return; :func:`sharp_partition`
 orders them once, as bitsets, joining them at each live signal by the
 id of their cell there, so it never compares two partitions directly.
@@ -37,6 +39,7 @@ id of their cell there, so it never compares two partitions directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .core import ConvexityError, CredalSet, Partition, marginal_y, posterior_y, support_x
 from .linprog import InternalCheckError, refuse_above
@@ -313,23 +316,31 @@ def _require_sharpness_search(p: CredalSet):
     refuse_above(SHARP_X_LIMIT, nx, "sharpness search", "signals", partitions)
 
 
-def _calibrated(p: CredalSet, cells) -> bool:
-    """Is conditioning on the partition with these cells (masks) calibrated?
-    Its classes join its cells of equal id, and it is calibrated iff each
-    live class has that same id on the whole class."""
-    table = p._events
-    classes = _join((table.id(p, mask), mask) for mask in cells)
-    return all(i is None or table.id(p, mask) == i for i, mask in classes.items())
+def _calibrated(ids, cells) -> bool:
+    """Is conditioning on the partition with these cells (masks) calibrated,
+    given every event's id by mask?  Its classes join its cells of equal id,
+    and it is calibrated iff each live class has that same id on the whole
+    class."""
+    classes = _join((ids[mask], mask) for mask in cells)
+    return all(i is None or ids[mask] == i for i, mask in classes.items())
+
+
+@cache
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`cell_masks` of ``n``, enumerated once; the searches refuse
+    ``n`` above :data:`SHARP_X_LIMIT`, so few are kept."""
+    return tuple(cell_masks(n))
 
 
 def _calibrated_partitions(p: CredalSet):
     """The calibrated partitions (cell masks), in enumeration order."""
-    return (cells for cells in cell_masks(p.space.nx) if _calibrated(p, cells))
+    ids = p._events.ids(p)
+    return (cells for cells in _partitions(p.space.nx) if _calibrated(ids, cells))
 
 
-def _at(p: CredalSet, cells, x: int) -> int:
+def _at(ids, cells, x: int) -> int:
     """The id of the cell (mask) holding the live signal ``x``."""
-    return p._events.id(p, next(mask for mask in cells if mask >> x & 1))
+    return next(ids[mask] for mask in cells if mask >> x & 1)
 
 
 def refine_partition(c: Partition, p: CredalSet) -> Partition:
@@ -402,8 +413,9 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     everyone = (1 << len(calibrated)) - 1
     below = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets lie inside
     same = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets are equal
+    by_mask = table.ids(p)
     for x in p.live:
-        ids = [_at(p, c, x) for c in calibrated]
+        ids = [by_mask[mask] for c in calibrated for mask in c if mask >> x & 1]
         groups = _join((i, 1 << k) for k, i in enumerate(ids))
         # inclusion is asked only of ids that some partition may still lie below
         reach = _join(zip(ids, below))
@@ -453,7 +465,8 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     images = list(_ids(rule, p))
     if None in images:
         raise ValueError("rule undefined at a support signal")
+    ids = p._events.ids(p)
     for c in _calibrated_partitions(p):
-        if _narrower(p, (_at(p, c, x) for x in p.live), images) == STRICTLY_NARROWER:
+        if _narrower(p, (_at(ids, c, x) for x in p.live), images) == STRICTLY_NARROWER:
             return SharpnessVerdict(sharp=False, witness=partition_of(p.space.x_labels, c))
     return SharpnessVerdict(sharp=True, witness=None)

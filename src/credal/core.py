@@ -514,6 +514,8 @@ class Partition:
     def __post_init__(self):
         labels = tuple(str(v) for v in self.labels)
         order = {x: i for i, x in enumerate(labels)}
+        if len(order) != len(labels):
+            raise ValueError("repeated label %r" % (next(x for x in labels if labels.count(x) > 1),))
         seen = set()
         canon = []
         for cell in self.cells:
@@ -646,10 +648,11 @@ class _Events:
     holds no reference back to it.
     """
 
-    __slots__ = ("_points", "posteriors", "_ids", "_sets", "_interned", "_sub")
+    __slots__ = ("_points", "posteriors", "_ids", "_by_mask", "_sets", "_interned", "_sub")
 
     def __init__(self):
         self._points, self.posteriors, self._ids, self._interned, self._sub = {}, {}, {}, {}, {}
+        self._by_mask: list[int | None] | None = None
         self._sets: list[VPolytope] = []  # by id, the first set interned
 
     def points(self, p: CredalSet, mask: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -683,6 +686,12 @@ class _Events:
         if mask not in self._ids:
             self._ids[mask] = self.intern(self.posterior(p, mask))
         return self._ids[mask]
+
+    def ids(self, p: CredalSet) -> list[int | None]:
+        """Every event's :meth:`id`, indexed by its mask (None at 0), listed once."""
+        if self._by_mask is None:
+            self._by_mask = [None] + [self.id(p, mask) for mask in range(1, 1 << p.space.nx)]
+        return self._by_mask
 
     def sub(self, i: int, j: int) -> bool:
         """Is set ``i`` inside set ``j``?"""

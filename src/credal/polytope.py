@@ -17,9 +17,11 @@ generators and every set of 2-outcome distributions is of this kind.
 with their box and their line, so these three tests cross-multiply
 integers.  Only the remaining questions solve a feasibility LP, its
 rows cross-multiplied from the hull's integers and the point's pair.
-:func:`subset` tests the boxes once, not each point.  Pruning keeps two
-distinct generators without a question, as both are extreme, and
-returns its input when it drops nothing.
+:func:`subset` tests the boxes once, not each point.  Pruning asks no
+membership question of points on one line, two distinct generators
+among them: their extreme points are the two ends, those of least and
+greatest coordinate along the line.  It returns its input when it drops
+nothing.
 
 There is deliberately no facet (H-) representation anywhere; subset
 tests work generator-wise, which is sound because the right-hand side
@@ -119,16 +121,26 @@ class _Hull:
 
     def in_box(self, nums, den) -> bool:
         """Does the point ``nums / den`` lie in the box?"""
-        return all(lo * den <= v * self.den <= hi * den for v, lo, hi in zip(nums, self.lo, self.hi))
+        d = self.den
+        for v, lo, hi in zip(nums, self.lo, self.hi):
+            v *= d
+            if v < lo * den or v > hi * den:
+                return False
+        return True
 
     def on_line(self, nums, den) -> bool:
         """Does the point ``nums / den`` lie on the generators' line?"""
-        if self.line is None:
+        line = self.line
+        if line is None:
             return False
-        origin, step, k = self.line
+        origin, step, k = line
         # the point minus the origin, scaled by den * self.den
-        u = [v * self.den - o * den for v, o in zip(nums, origin)]
-        return all(u[i] * step[k] == u[k] * s for i, s in enumerate(step))
+        d, sk = self.den, step[k]
+        uk = nums[k] * d - origin[k] * den
+        for v, o, s in zip(nums, origin, step):
+            if (v * d - o * den) * sk != uk * s:
+                return False
+        return True
 
 
 def polytope(points, convex, dimension=None) -> VPolytope:
@@ -202,9 +214,15 @@ def subset(a: VPolytope, b: VPolytope) -> bool:
                 "cannot compare a convex set against a finite point list"
             )
         return ha.keys <= hb.keys
-    if not (hb.in_box(ha.lo, ha.den) and hb.in_box(ha.hi, ha.den)):
-        return False
-    return all(pair in hb.keys or _in_box_hull(pair, hb) for pair in ha.points)
+    da, db = ha.den, hb.den
+    for alo, ahi, blo, bhi in zip(ha.lo, ha.hi, hb.lo, hb.hi):
+        if alo * db < blo * da or ahi * db > bhi * da:
+            return False
+    keys = hb.keys
+    for pair in ha.points:
+        if pair not in keys and not _in_box_hull(pair, hb):
+            return False
+    return True
 
 
 def set_equal(a: VPolytope, b: VPolytope) -> bool:
@@ -216,15 +234,22 @@ def prune(p: VPolytope) -> VPolytope:
 
     Convex: keep exactly the extreme points (a generator is redundant
     iff it lies in the hull of all the others, redundant ones
-    included).  Two distinct generators are both extreme, so they are
-    kept without a question.  Finite: duplicates are already gone.
-    ``p`` itself is returned when nothing is dropped, so this is
-    idempotent.
+    included).  Generators on one line (:attr:`_Hull.line`), two
+    distinct ones among them, have exactly two extreme points, those of
+    least and greatest coordinate ``k``, so these are kept, in order,
+    without a question.  Finite: duplicates are already gone.  ``p``
+    itself is returned when nothing is dropped, so this is idempotent.
     """
     if not p.convex or len(p.points) <= 2:
         return p
     h = p.hull
-    keep = tuple(pair for i, pair in enumerate(h.points) if not _in_hull(pair, h.without(i)))
+    if h.line is not None:
+        k = h.line[2]
+        col = [n[k] for n in h.nums]  # distinct, as the points are
+        ends = min(col), max(col)
+        keep = tuple(pair for pair, c in zip(h.points, col) if c in ends)
+    else:
+        keep = tuple(pair for i, pair in enumerate(h.points) if not _in_hull(pair, h.without(i)))
     if len(keep) == len(p.points):
         return p
     return VPolytope(dimension=p.dimension, points=keep, convex=True)

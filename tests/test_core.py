@@ -494,6 +494,14 @@ def test_partition_canonical_form_and_parsing():
         Partition(labels, (("a", "b"), ("b", "c")))  # overlap
 
 
+def test_partition_refuses_a_repeated_label():
+    # the cells cover the label set, but the labels list "a" twice
+    with pytest.raises(ValueError, match="repeated label 'a'"):
+        Partition(labels=("a", "a", "b"), cells=(("a",), ("b",)))
+    with pytest.raises(ValueError, match="repeated label 'b'"):
+        Partition(labels=("a", "b", "c", "b"), cells=(("a", "b", "c"),))
+
+
 @pytest.mark.parametrize("text", ["a,b|c|", "a,,b|c", "|a,b|c", "a,b||c", "a, ,b|c", ""])
 def test_partition_parsing_refuses_an_empty_cell_or_member(text):
     with pytest.raises(ValueError, match=re.escape("empty cell or member in partition %r" % text)):

@@ -176,3 +176,72 @@ def test_generators_are_members_without_an_lp(lp_count):
     g, k = joint.generators[:2]
     assert member(tuple((a + b) / 2 for a, b in zip(g, k)), joint)
     assert lp_count[0] == 1
+
+
+def _rational(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _line_sets(rng):
+    """Sets in 1-4 coordinates, as point lists: segments listing interior,
+    exterior and repeated points, single points, and sets off any line."""
+    sets = []
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        g = tuple(_rational(rng) for _ in range(dim))
+        h = tuple(v + _rational(rng) for v in g)
+        # points along g -> h, inside the segment, beyond either end, repeated
+        ts = [F(rng.randint(-6, 12), 6) for _ in range(rng.randint(3, 6))]
+        ts += rng.sample(ts, 2)
+        sets.append([tuple(a + t * (b - a) for a, b in zip(g, h)) for t in ts])
+        sets.append([g])
+        sets.append([g] * 3)
+        if dim > 1:
+            sets.append([tuple(_rational(rng) for _ in range(dim)) for _ in range(rng.randint(3, 6))])
+    return sets
+
+
+def _line_probes(p):
+    """Probes of a set in one coordinate: its points, their midpoint and a
+    point beyond each end."""
+    lo, hi = min(p.generators), max(p.generators)
+    return p.generators + (((lo[0] + hi[0]) / 2,), (lo[0] - 1,), (hi[0] + F(1, 7),))
+
+
+def test_collinear_prune_and_loop_tests_match_the_lp_oracle(monkeypatch):
+    rng = random.Random(1205)
+    sets = [polytope(gens, convex) for gens in _line_sets(rng) for convex in (True, False)]
+    in_hull = credal.polytope._in_hull
+    asked = []
+
+    def counted(pair, hull):
+        asked.append(pair)
+        return in_hull(pair, hull)
+
+    monkeypatch.setattr(credal.polytope, "_in_hull", counted)
+    seen = dict.fromkeys(("collinear", "single", "other", "member", "subset", "inside", "raised"), 0)
+    for a in sets:
+        line = len(a.points) > 1 and a.hull.line is not None
+        asked.clear()
+        assert prune(a) == polytope_oracle.prune(a), a
+        if a.convex:
+            # the ends of a line are found without a membership question
+            kind = "collinear" if line else "single" if len(a.points) == 1 else "other"
+            assert len(asked) == (len(a.points) if kind == "other" else 0), a
+            seen[kind] += 1
+        for point in _probes(rng, a) if a.dimension > 1 else _line_probes(a):
+            assert member(point, a) == polytope_oracle.member(point, a), (point, a)
+            seen["member"] += 1
+        for b in [x for x in rng.sample(sets, 40) if x.dimension == a.dimension] + [a, prune(a)]:
+            got = _outcome(subset, a, b)
+            assert got == _outcome(polytope_oracle.subset, a, b), (a, b)
+            seen["subset"] += 1
+            seen["inside"] += got is True
+            seen["raised"] += isinstance(got, tuple)
+    # a convex set against a finite one is refused before the boxes are
+    # compared, even where the boxes alone would answer no
+    a = polytope([(0, 0), (1, 1)], True)
+    b = polytope([(5, 5), (6, 6)], False)
+    assert _outcome(subset, a, b) == _outcome(polytope_oracle.subset, a, b)
+    assert _outcome(subset, a, b)[0] == "ComparisonError"
+    assert len(sets) >= 300 and min(seen.values()) >= 50, seen

@@ -189,12 +189,13 @@ def test_corpus_lps_pivot_like_the_fraction_tableau(traced, monkeypatch):
 
         m.setattr(credal.polytope, "_in_hull", in_hull)
         m.setattr(credal.polytope, "_in_box_hull", in_hull)
-        # and each convex two-generator prune, which keeps both without a
-        # question, is asked again of the oracle's prune
+        # and each convex prune of points on one line, two generators
+        # among them, which keeps the two ends without a question, is
+        # asked again of the oracle's prune
         prune = credal.polytope.prune
 
         def replayed(p):
-            if p.convex and len(p.generators) == 2:
+            if p.convex and len(p.points) > 1 and p.hull.line is not None:
                 polytope_oracle.prune(p)
             return prune(p)
 
