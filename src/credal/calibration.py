@@ -27,13 +27,15 @@ Below the public functions a partition is its cells' masks
 (:func:`credal.partitions.cell_masks`, enumerated once per signal
 count), and one join of masks by id groups them all: a rule's classes,
 a refinement round, and the classes of a partition, which is calibrated
-iff each has its own id on the union.  The sharpness searches read every
-event's id from one list per set, indexed by mask
-(:meth:`credal.core._Events.ids`), and the calibrated partitions in
-enumeration order; they build no calibration report, and build a
-:class:`Partition` only for what they return; :func:`sharp_partition`
-orders them once, as bitsets, joining them at each live signal by the
-id of their cell there, so it never compares two partitions directly.
+iff each has its own id on the union.  Every id is read through
+:meth:`credal.core._Events.id`, which conditions an event the first time
+a question reaches its mask, so a search that stops early conditions
+only the events it read.  The sharpness searches read the calibrated
+partitions in enumeration order; they build no calibration report, and
+build a :class:`Partition` only for what they return;
+:func:`sharp_partition` orders them once, as bitsets, joining them at
+each live signal by the id of their cell there, so it never compares two
+partitions directly.
 """
 
 from __future__ import annotations
@@ -110,10 +112,7 @@ class UpdateRule:
 
     def image_y(self, p: CredalSet, x) -> VPolytope | None:
         """Y-marginal of the opinion set at ``x``, None if undefined."""
-        x = str(x)
-        if x not in p.space.x_labels:
-            raise ValueError("unknown signal label %r" % (x,))
-        return _image(self, p, x)
+        return _image(self, p, _known(p, str(x)))
 
     def label(self) -> str:
         if self.kind == _PARTITION:
@@ -153,11 +152,19 @@ def partition_conditioning(part: Partition) -> UpdateRule:
 
 
 def table_rule(mapping) -> UpdateRule:
-    """Rule from an explicit mapping of x labels to credal sets."""
+    """Rule from an explicit mapping of x labels to credal sets; a key
+    that names no signal of the set the rule is asked of is refused there."""
     table = tuple((str(x), image) for x, image in dict(mapping).items())
     if not table:
         raise ValueError("a table rule needs at least one entry")
     return UpdateRule(kind=_TABLE, table=table)
+
+
+def _known(p: CredalSet, x: str) -> str:
+    """The label ``x``, refused unless it names a signal of ``p``."""
+    if x not in p.space.x_labels:
+        raise ValueError("unknown signal label %r" % (x,))
+    return x
 
 
 def _image(rule: UpdateRule, p: CredalSet, x: str) -> VPolytope | None:
@@ -171,7 +178,7 @@ def _image(rule: UpdateRule, p: CredalSet, x: str) -> VPolytope | None:
         if tuple(rule.partition.labels) != p.space.x_labels:
             raise ValueError("rule partition is over different labels")
         return posterior_y(p, rule.partition.cell_of(x))
-    image = dict(rule.table).get(x)
+    image = {_known(p, key): s for key, s in rule.table}.get(x)
     if image is not None and image.space != p.space:
         raise ValueError("table image on a different space")
     return None if image is None else marginal_y(image)
@@ -316,13 +323,13 @@ def _require_sharpness_search(p: CredalSet):
     refuse_above(SHARP_X_LIMIT, nx, "sharpness search", "signals", partitions)
 
 
-def _calibrated(ids, cells) -> bool:
-    """Is conditioning on the partition with these cells (masks) calibrated,
-    given every event's id by mask?  Its classes join its cells of equal id,
-    and it is calibrated iff each live class has that same id on the whole
-    class."""
-    classes = _join((ids[mask], mask) for mask in cells)
-    return all(i is None or ids[mask] == i for i, mask in classes.items())
+def _calibrated(p: CredalSet, cells) -> bool:
+    """Is conditioning on the partition with these cells (masks) calibrated?
+    Its classes join its cells of equal id, and it is calibrated iff each
+    live class has that same id on the whole class."""
+    table = p._events
+    classes = _join((table.id(p, mask), mask) for mask in cells)
+    return all(i is None or table.id(p, mask) == i for i, mask in classes.items())
 
 
 @cache
@@ -334,13 +341,12 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _calibrated_partitions(p: CredalSet):
     """The calibrated partitions (cell masks), in enumeration order."""
-    ids = p._events.ids(p)
-    return (cells for cells in _partitions(p.space.nx) if _calibrated(ids, cells))
+    return (cells for cells in _partitions(p.space.nx) if _calibrated(p, cells))
 
 
-def _at(ids, cells, x: int) -> int:
+def _at(p: CredalSet, cells, x: int) -> int:
     """The id of the cell (mask) holding the live signal ``x``."""
-    return next(ids[mask] for mask in cells if mask >> x & 1)
+    return next(p._events.id(p, mask) for mask in cells if mask >> x & 1)
 
 
 def refine_partition(c: Partition, p: CredalSet) -> Partition:
@@ -413,9 +419,8 @@ def sharp_partition(p: CredalSet) -> tuple[Partition, SharpnessCertificate]:
     everyone = (1 << len(calibrated)) - 1
     below = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets lie inside
     same = [everyone] * len(calibrated)  # bit k: calibrated[k]'s sets are equal
-    by_mask = table.ids(p)
     for x in p.live:
-        ids = [by_mask[mask] for c in calibrated for mask in c if mask >> x & 1]
+        ids = [table.id(p, mask) for c in calibrated for mask in c if mask >> x & 1]
         groups = _join((i, 1 << k) for k, i in enumerate(ids))
         # inclusion is asked only of ids that some partition may still lie below
         reach = _join(zip(ids, below))
@@ -465,8 +470,7 @@ def is_sharply_calibrated(rule: UpdateRule, p: CredalSet) -> SharpnessVerdict:
     images = list(_ids(rule, p))
     if None in images:
         raise ValueError("rule undefined at a support signal")
-    ids = p._events.ids(p)
     for c in _calibrated_partitions(p):
-        if _narrower(p, (_at(ids, c, x) for x in p.live), images) == STRICTLY_NARROWER:
+        if _narrower(p, (_at(p, c, x) for x in p.live), images) == STRICTLY_NARROWER:
             return SharpnessVerdict(sharp=False, witness=partition_of(p.space.x_labels, c))
     return SharpnessVerdict(sharp=True, witness=None)

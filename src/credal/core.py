@@ -643,16 +643,17 @@ class _Events:
     table conditions each event once, and names each set with an id, as it
     does every set interned here: a convex set is its vertices and a
     finite set its points, and the readings differ from two points on, so
-    two sets share an id exactly when they are equal.  Inclusion is asked
-    once per pair of ids.  Each question is handed the set, so the table
-    holds no reference back to it.
+    two sets share an id exactly when they are equal.  Every cache here is
+    a dict filled on demand, :meth:`id`'s the one store of ids by mask, so
+    an event is conditioned only when a question first reaches it.
+    Inclusion is asked once per pair of ids.  Each question is handed the
+    set, so the table holds no reference back to it.
     """
 
-    __slots__ = ("_points", "posteriors", "_ids", "_by_mask", "_sets", "_interned", "_sub")
+    __slots__ = ("_points", "posteriors", "_ids", "_sets", "_interned", "_sub")
 
     def __init__(self):
         self._points, self.posteriors, self._ids, self._interned, self._sub = {}, {}, {}, {}, {}
-        self._by_mask: list[int | None] | None = None
         self._sets: list[VPolytope] = []  # by id, the first set interned
 
     def points(self, p: CredalSet, mask: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -686,12 +687,6 @@ class _Events:
         if mask not in self._ids:
             self._ids[mask] = self.intern(self.posterior(p, mask))
         return self._ids[mask]
-
-    def ids(self, p: CredalSet) -> list[int | None]:
-        """Every event's :meth:`id`, indexed by its mask (None at 0), listed once."""
-        if self._by_mask is None:
-            self._by_mask = [None] + [self.id(p, mask) for mask in range(1, 1 << p.space.nx)]
-        return self._by_mask
 
     def sub(self, i: int, j: int) -> bool:
         """Is set ``i`` inside set ``j``?"""

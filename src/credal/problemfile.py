@@ -69,6 +69,10 @@ def _labels(doc, field):
         _fail(field, "expected a nonempty array of strings")
     if len(set(value)) != len(value):
         _fail(field, "labels must be distinct")
+    # the printed partitions join labels with ',' and '|' and strip the pieces
+    for v in value:
+        if not v or v != v.strip() or "," in v or "|" in v:
+            _fail(field, "label %r: labels must be nonempty, unpadded, without ',' or '|'" % (v,))
     return tuple(value)
 
 

@@ -20,15 +20,19 @@ from credal.calibration import (
     table_rule,
 )
 from credal.core import Partition, ProblemSpace, condition, credal_set, marginal_y
+from credal.corpus import load_case
 from credal.linprog import InternalCheckError, SizeLimitError
 from credal.partitions import all_partitions, bell_number
 from credal.polytope import polytope, set_equal
+from credal.problemfile import parse_problem_file
 
 from problems import (
     binary_space,
     diagonal_set,
     fixed_outcome_set,
     quadruple_set,
+    seven_by_five_text,
+    sharp_limit_text,
 )
 
 F = Fraction
@@ -154,6 +158,16 @@ def test_table_rule_excluded_cell():
         is_sharply_calibrated(rule, p)
 
 
+def test_a_table_rule_refuses_an_unknown_signal():
+    # a key naming no signal would leave every signal undefined, and the
+    # rule would read as calibrated with all of them excluded
+    p = load_case("example-2.1").file.credal()
+    with pytest.raises(ValueError, match="^unknown signal label 'nosuch'$"):
+        check_calibration(table_rule({"nosuch": p}), p)
+    with pytest.raises(ValueError, match="^unknown signal label 'nosuch'$"):
+        table_rule({"0": p, "nosuch": p}).image_y(p, "0")
+
+
 def test_a_dead_first_signal_keeps_its_place_in_the_classes():
     # the undefined cell sits at its first label, as every partition's
     # cells do, not last
@@ -254,6 +268,24 @@ def test_sharp_partition_guards():
     big = credal_set(space, [mass], convex=True)
     with pytest.raises(SizeLimitError):
         sharp_partition(big)
+
+
+@pytest.mark.parametrize(
+    "text, conditioned",
+    [
+        # a witness among the first partitions: 66 of the 255 events
+        (sharp_limit_text, 66),
+        # sharp, so every partition of the 7 signals: all 127 events
+        (seven_by_five_text, 127),
+    ],
+)
+def test_the_sharpness_check_conditions_only_the_events_it_reaches(text, conditioned):
+    # as `calibrate --rule standard --sharp` asks: the report, then the search
+    p = parse_problem_file(text()).credal()
+    rule = standard_conditioning()
+    assert check_calibration(rule, p).calibrated
+    is_sharply_calibrated(rule, p)
+    assert len(p._events.posteriors) == conditioned
 
 
 def test_ignore_not_sharp_on_diagonal():

@@ -1131,6 +1131,21 @@ def test_a_partition_spec_with_an_empty_cell_or_member_is_refused(capsys, text):
     assert capsys.readouterr().err == "error: empty cell or member in partition %r\n" % text
 
 
+@pytest.mark.parametrize("labels", [["a,b", "c"], ["", "c"], ["a", "c|d"], [" a", "c"]])
+def test_a_label_no_partition_spec_can_name_is_an_input_error(tmp_path, capsys, labels):
+    # 'a,b' would print 'classes: a,b|c' for two classes, and an empty
+    # label 'support: , c'
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({
+        "x_labels": labels,
+        "y_labels": ["0", "1"],
+        "actions": ["go", "stay"],
+        "convex": True,
+        "generators": [[["1/2", "0"], ["0", "1/2"]]],
+    }))
+    _assert_input_error(capsys, ["calibrate", str(path), "--rule", "standard"], "field 'x_labels': label ")
+
+
 def test_help_exits_zero():
     code, _ = cli("--help")
     assert code == 0

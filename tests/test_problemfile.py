@@ -120,6 +120,16 @@ def test_shape_errors_are_named():
         parse_problem_file(doc(convex="yes"))
 
 
+@pytest.mark.parametrize("field", ["x_labels", "y_labels", "actions"])
+@pytest.mark.parametrize("label", ["", " 1", "1 ", "\t1", "1,2", "1|2"])
+def test_labels_a_printed_partition_cannot_carry_are_refused(field, label):
+    # partitions print as 'a,b|c' with each piece stripped, so such a
+    # label would print ambiguously and no partition spec could name it
+    with pytest.raises(ProblemFileError, match="^field %r: label " % field) as e:
+        parse_problem_file(doc(**{field: ["0", label]}))
+    assert repr(label) in str(e.value)
+
+
 def test_not_json():
     with pytest.raises(ProblemFileError, match="JSON"):
         parse_problem_file("{nope")
